@@ -9,22 +9,220 @@ reports, then produces a structured diagnosis:
    collected reports;
 3. run the signature detectors for the anomaly breakdown;
 4. rate contributor flows (Eqs. 1-3).
+
+Steps 2-4 are :class:`DiagnosisKernel`, shared with the live pipeline:
+reports fold into the overall graph once, and a step's graph is rebuilt
+only when the slice of reports in its window changed, so a rolling
+snapshot costs what changed since the last one.  The batch analyzer is
+the same kernel fed every report and asked for one snapshot.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence
+
 from repro.core.units import Bytes
 from repro.collective.runtime import CollectiveRuntime, StepRecord
 from repro.core.diagnosis import DiagnosisResult, diagnose
-from repro.core.provenance import ProvenanceGraph, build_provenance
+from repro.core.provenance import ProvenanceAccumulator, ProvenanceGraph
 from repro.core.rating import (
-    contribution_to_collective,
     contribution_to_flow,
+    score_row,
+    score_table,
+    step_excess,
+    weigh_step_scores,
 )
 from repro.core.waiting_graph import CriticalPathEntry, WaitingGraph
 from repro.simnet.packet import FlowKey
 from repro.simnet.telemetry import SwitchReport
+
+_report_time = attrgetter("time")
+
+
+@dataclass
+class StepTiming:
+    """What Eq. 3 needs to know about each step's critical flow."""
+
+    #: duration of the critical flow's step (steps with a record only)
+    exec_times: dict[int, float]
+    expect_times: dict[int, float]
+    #: cf_i — absent where the critical node's flow key is unknown
+    critical_flow_keys: dict[int, FlowKey]
+    #: steps slower than ``slowdown_factor`` x expected, ascending
+    bottleneck_steps: list[int]
+
+
+def step_timing(critical_nodes: Mapping[int, str],
+                duration_of: Callable[[tuple[str, int]], Optional[float]],
+                expected_of: Callable[[tuple[str, int]], float],
+                flow_keys: Mapping[tuple[str, int], FlowKey],
+                slowdown_factor: float) -> StepTiming:
+    """Per-step timing of the critical flows ``{step: node}``."""
+    timing = StepTiming({}, {}, {}, [])
+    for idx, node in critical_nodes.items():
+        duration = duration_of((node, idx))
+        if duration is not None:
+            timing.exec_times[idx] = duration
+        timing.expect_times[idx] = expected_of((node, idx))
+        flow_key = flow_keys.get((node, idx))
+        if flow_key is not None:
+            timing.critical_flow_keys[idx] = flow_key
+    timing.bottleneck_steps = sorted(
+        idx for idx, t in timing.exec_times.items()
+        if t > slowdown_factor * timing.expect_times[idx])
+    return timing
+
+
+@dataclass
+class Breakdown:
+    """One :meth:`DiagnosisKernel.snapshot`."""
+
+    provenance: ProvenanceGraph
+    result: DiagnosisResult
+    #: Eq. 3 score per non-collective flow (empty when not rating)
+    collective_scores: dict[FlowKey, float] = field(default_factory=dict)
+    #: non-zero Eq. 2 scores against cf_i per step with telemetry
+    #: (None where the step has no cf_i)
+    step_scores: dict[int, Optional[dict[FlowKey, float]]] = field(
+        default_factory=dict)
+    #: the step graphs themselves, on request only
+    step_provenance: dict[int, ProvenanceGraph] = field(
+        default_factory=dict)
+
+
+class DiagnosisKernel:
+    """Provenance -> signatures -> Eqs. 1-3 over a growing report list.
+
+    Retained between snapshots: the overall fold state and, per step,
+    its report slice with either the fold state (while the slice still
+    moves) or the Eq. 2 score rows computed from it — never a graph
+    for every step (a tenant fleet holds one kernel per collective).
+    Everything here is derived from :attr:`reports`;
+    :meth:`drop_derived` forgets it and the next snapshot refolds.
+    """
+
+    def __init__(self, pfc_xoff_bytes: Bytes,
+                 collective_flows: Iterable[FlowKey] = ()) -> None:
+        self.pfc_xoff_bytes = pfc_xoff_bytes
+        self.reports: list[SwitchReport] = []
+        #: reports arrived in time order so far (windows are slices)
+        self._ordered = True
+        #: as of the last snapshot (each one names the current set)
+        self._collective_flows = set(collective_flows)
+        self.drop_derived()
+
+    def drop_derived(self) -> None:
+        self._overall = ProvenanceAccumulator(
+            self._collective_flows, self.pfc_xoff_bytes)
+        self._folded = 0
+        #: step -> (report slice, None, fold state) while the slice
+        #: moves, then (report slice, {cf: score row}, None)
+        self._steps: dict[int, tuple] = {}
+
+    def add_report(self, report: SwitchReport) -> None:
+        reports = self.reports
+        if reports and report.time < reports[-1].time:
+            self._ordered = False
+        if self._folded == len(reports):
+            self._overall.fold(report)
+            self._folded += 1
+        reports.append(report)
+
+    def provenance(self, collective_flows: set[FlowKey]
+                   ) -> ProvenanceGraph:
+        """The overall graph over every report so far."""
+        if self._collective_flows != collective_flows:
+            # a live deployment learns its flow keys as it goes
+            self._collective_flows = set(collective_flows)
+            self.drop_derived()
+        for report in self.reports[self._folded:]:
+            self._overall.fold(report)
+        self._folded = len(self.reports)
+        return self._overall.snapshot()
+
+    def snapshot(self, collective_flows: set[FlowKey],
+                 windows: Mapping[int, Sequence[float]],
+                 timing: StepTiming, rate: bool = True,
+                 keep_graphs: bool = False) -> Breakdown:
+        """Diagnose everything reported so far.  ``windows`` maps each
+        step to its ``(start, end)`` over all of its records."""
+        overall = self.provenance(collective_flows)
+        breakdown = Breakdown(overall, diagnose(overall))
+        if not rate:
+            return breakdown
+        rows = breakdown.step_scores
+        self._score_steps(windows, timing.critical_flow_keys, rows,
+                          breakdown.step_provenance
+                          if keep_graphs else None)
+        critical = timing.critical_flow_keys
+        if not rows:        # no step saw telemetry: rate the whole run
+            rows[0] = score_row(overall, critical[0]) \
+                if 0 in critical else None
+        excess, denominator = step_excess(rows, timing.exec_times,
+                                          timing.expect_times)
+        for flow in sorted(overall.background_flows(),
+                           key=lambda f: f.short()):
+            breakdown.collective_scores[flow] = weigh_step_scores(
+                lambda i, _cf: rows[i].get(flow, 0.0),
+                critical, excess, denominator)
+        return breakdown
+
+    def _score_steps(self, windows: Mapping[int, Sequence[float]],
+                     critical: Mapping[int, FlowKey], rows: dict,
+                     graphs: Optional[dict]) -> None:
+        """Fill ``rows`` (and ``graphs``, when asked for) for every
+        step with telemetry in its window.
+
+        Reports arrive in time order, so a window is a slice of them.
+        A step whose slice grew at the end folds in just the new
+        reports and keeps its fold state for the next snapshot.  The
+        first snapshot to find the slice unchanged scores *every*
+        collective flow the step's graph knows — the critical path
+        runs through a different node at nearly every snapshot — and
+        lets the graph go: from then on a step is a table lookup.
+        Anything else (a window widened backwards by a late record,
+        reports out of time order) is rebuilt from the slice."""
+        reports = self.reports
+        for idx, (start, end) in windows.items():
+            cf = critical.get(idx)
+            fold_state = None
+            if self._ordered:
+                low = bisect_left(reports, start, key=_report_time)
+                high = bisect_right(reports, end, low, key=_report_time)
+                span = (low, high)
+                then, table, fold_state = self._steps.get(
+                    idx, (None, None, None))
+                if then == span and graphs is None:
+                    if fold_state is not None:
+                        table = score_table(fold_state.snapshot())
+                        self._steps[idx] = (span, table, None)
+                    rows[idx] = None if cf is None else table.get(cf, {})
+                    continue
+                if fold_state is not None and then[0] == low:
+                    low = then[1]           # fold in the new tail only
+                else:
+                    fold_state = None
+                step_reports = reports[low:high]
+            else:
+                span = None
+                step_reports = [r for r in reports
+                                if start <= r.time <= end]
+            if fold_state is None:
+                if not step_reports:
+                    continue
+                fold_state = ProvenanceAccumulator(
+                    self._collective_flows, self.pfc_xoff_bytes)
+            for report in step_reports:
+                fold_state.fold(report)
+            graph = fold_state.snapshot()
+            rows[idx] = None if cf is None else score_row(graph, cf)
+            if span is not None:
+                self._steps[idx] = (span, None, fold_state)
+            if graphs is not None:
+                graphs[idx] = graph
 
 
 @dataclass
@@ -90,55 +288,13 @@ class VedrfolnirAnalyzer:
         waiting = WaitingGraph(runtime.schedule, self.step_records,
                                mode="binding")
         critical_path = waiting.critical_path()
-
-        exec_times = waiting.step_execution_times()
-        expect_times: dict[int, float] = {}
-        critical_nodes = waiting.critical_flows_by_step()
-        critical_flow_keys: dict[int, FlowKey] = {}
-        for idx, node in critical_nodes.items():
-            step = runtime.schedule.step(node, idx)
-            expect_times[idx] = runtime.expected_step_time_ns(step)
-            key = runtime.flow_keys.get((node, idx))
-            if key is not None:
-                critical_flow_keys[idx] = key
-        bottlenecks = [idx for idx, t in exec_times.items()
-                       if t > self.slowdown_factor
-                       * expect_times.get(idx, float("inf"))]
-        bottlenecks.sort()
-
-        cf_keys = runtime.collective_flow_keys
-        overall = build_provenance(self.reports, cf_keys,
-                                   self.pfc_xoff_bytes)
-        step_graphs = self._per_step_graphs(runtime, cf_keys)
-        result = diagnose(overall)
-
-        per_flow_scores: dict[tuple[FlowKey, FlowKey], float] = {}
-        collective_scores: dict[FlowKey, float] = {}
-        for flow in sorted(overall.background_flows(),
-                           key=lambda f: f.short()):
-            for idx, cf in critical_flow_keys.items():
-                graph = step_graphs.get(idx, overall)
-                per_flow_scores[(flow, cf)] = contribution_to_flow(
-                    graph, flow, cf)
-            collective_scores[flow] = contribution_to_collective(
-                flow, step_graphs or {0: overall}, critical_flow_keys,
-                exec_times, expect_times)
-
-        return VedrfolnirDiagnosis(
-            waiting_graph=waiting,
-            critical_path=critical_path,
-            bottleneck_steps=bottlenecks,
-            provenance=overall,
-            step_provenance=step_graphs,
-            result=result,
-            collective_scores=collective_scores,
-            per_flow_scores=per_flow_scores,
-        )
-
-    def _per_step_graphs(self, runtime: CollectiveRuntime,
-                         cf_keys: set[FlowKey]
-                         ) -> dict[int, ProvenanceGraph]:
-        """Slice reports into per-step provenance graphs by timestamp."""
+        timing = step_timing(
+            waiting.critical_flows_by_step(),
+            lambda key: waiting.records[key].duration_ns
+            if key in waiting.records else None,
+            lambda key: runtime.expected_step_time_ns(
+                runtime.schedule.step(*key)),
+            runtime.flow_keys, self.slowdown_factor)
         windows: dict[int, list[float]] = {}
         for record in self.step_records:
             window = windows.setdefault(record.step_index,
@@ -146,11 +302,30 @@ class VedrfolnirAnalyzer:
                                          record.end_time])
             window[0] = min(window[0], record.start_time)
             window[1] = max(window[1], record.end_time)
-        graphs: dict[int, ProvenanceGraph] = {}
-        for idx, (start, end) in windows.items():
-            step_reports = [r for r in self.reports
-                            if start <= r.time <= end]
-            if step_reports:
-                graphs[idx] = build_provenance(
-                    step_reports, cf_keys, self.pfc_xoff_bytes)
-        return graphs
+
+        kernel = DiagnosisKernel(self.pfc_xoff_bytes,
+                                 runtime.collective_flow_keys)
+        for report in self.reports:
+            kernel.add_report(report)
+        breakdown = kernel.snapshot(runtime.collective_flow_keys, windows,
+                                    timing, keep_graphs=True)
+
+        overall = breakdown.provenance
+        per_flow_scores: dict[tuple[FlowKey, FlowKey], float] = {}
+        for flow in breakdown.collective_scores:
+            for idx, cf in timing.critical_flow_keys.items():
+                row = breakdown.step_scores.get(idx)
+                per_flow_scores[(flow, cf)] = row.get(flow, 0.0) \
+                    if row is not None \
+                    else contribution_to_flow(overall, flow, cf)
+
+        return VedrfolnirDiagnosis(
+            waiting_graph=waiting,
+            critical_path=critical_path,
+            bottleneck_steps=timing.bottleneck_steps,
+            provenance=overall,
+            step_provenance=breakdown.step_provenance,
+            result=breakdown.result,
+            collective_scores=breakdown.collective_scores,
+            per_flow_scores=per_flow_scores,
+        )

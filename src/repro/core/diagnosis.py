@@ -190,82 +190,70 @@ def _chase_pfc_chain(graph: ProvenanceGraph,
     return reachable, terminals
 
 
+def _pfc_evidence(graph: ProvenanceGraph, port: PortRef
+                  ) -> Optional[tuple[AnomalyType, list[PortRef],
+                                      set[FlowKey]]]:
+    """What waiting at ``port`` implicates: (storm | backpressure, root
+    ports, culprit flows), or None when PFC is not involved there."""
+    pausers = graph.pause_senders_to(port)
+    if not pausers and port not in graph.paused_ports \
+            and not graph.downstream_ports(port):
+        return None
+    reachable, terminals = _chase_pfc_chain(graph, port)
+    storm_sources = {sender for victim in reachable
+                     for sender in graph.pause_senders_to(victim)
+                     if sender in graph.ungrounded_pause_sources}
+    if storm_sources:
+        return AnomalyType.PFC_STORM, sorted(storm_sources, key=str), set()
+    # paused but chain info missing: root at the pause senders
+    roots = [t for t in terminals if t != port] \
+        or sorted(set(pausers), key=str)
+    if not roots:
+        return None
+    cf_set = graph.collective_flows
+    culprits = {flow for root in roots
+                for flow in (graph.flows_at_port(root)
+                             + graph.waiting_flows_at_port(root))
+                if flow not in cf_set}
+    return AnomalyType.PFC_BACKPRESSURE, roots, culprits
+
+
 def detect_pfc_anomalies(graph: ProvenanceGraph) -> list[AnomalyFinding]:
     """PFC backpressure and PFC storm, with root localization.
 
     ∃p, cf: e(cf,p) ∧ (p paused or e(p, p_j) exists).  The chase walks
     the spreading path; an ungrounded pause source anywhere along it
-    reclassifies the finding as a storm rooted at that source.
+    reclassifies the finding as a storm rooted at that source.  One
+    finding per (type, root ports), gathering every victim.
     """
-    findings: list[AnomalyFinding] = []
-    cf_set = graph.collective_flows
-    seen_roots: set[tuple] = set()
-    for cf in sorted(cf_set, key=lambda f: f.short()):
+    findings: dict[tuple, AnomalyFinding] = {}
+    #: collective flows share ports; what a port implicates is its own
+    evidence: dict[PortRef, Optional[tuple]] = {}
+    for cf in sorted(graph.collective_flows, key=lambda f: f.short()):
         for port in sorted(graph.ports_of_flow(cf), key=str):
-            has_chain = bool(graph.downstream_ports(port))
-            is_paused = port in graph.paused_ports or any(
-                e.victim == port for e in graph.pause_events)
-            if not has_chain and not is_paused:
+            if port not in evidence:
+                evidence[port] = _pfc_evidence(graph, port)
+            if evidence[port] is None:
                 continue
-            reachable, terminals = _chase_pfc_chain(graph, port)
-            storm_sources = {
-                event.sender for event in graph.pause_events
-                if event.sender in graph.ungrounded_pause_sources
-                and (event.victim in reachable or event.victim == port)}
-            if storm_sources:
-                roots = sorted(storm_sources, key=str)
-                key = (AnomalyType.PFC_STORM, tuple(map(str, roots)))
-                if key in seen_roots:
-                    for finding in findings:
-                        if finding.type is AnomalyType.PFC_STORM \
-                                and finding.root_ports == roots:
-                            finding.victim_flows.add(cf)
-                    continue
-                seen_roots.add(key)
-                findings.append(AnomalyFinding(
-                    type=AnomalyType.PFC_STORM,
-                    victim_ports=[port],
-                    root_ports=roots,
-                    victim_flows={cf},
-                    detail="ungrounded PAUSE injection traced to "
-                           + ", ".join(map(str, roots)),
-                ))
+            kind, roots, culprits = evidence[port]
+            key = (kind, tuple(sorted(map(str, roots))))
+            finding = findings.get(key)
+            if finding is not None:
+                finding.victim_flows.add(cf)
+                finding.culprit_flows |= culprits
                 continue
-            chain_roots = [t for t in terminals if t != port]
-            if not chain_roots and is_paused:
-                # paused but chain info missing: root at the pause sender
-                chain_roots = sorted(
-                    {e.sender for e in graph.pause_events
-                     if e.victim == port}, key=str)
-            if not chain_roots:
-                continue
-            culprits = set()
-            for root in chain_roots:
-                culprits.update(f for f in graph.flows_at_port(root)
-                                if f not in cf_set)
-                culprits.update(f for f in graph.waiting_flows_at_port(root)
-                                if f not in cf_set)
-            key = (AnomalyType.PFC_BACKPRESSURE,
-                   tuple(sorted(map(str, chain_roots))))
-            if key in seen_roots:
-                for finding in findings:
-                    if finding.type is AnomalyType.PFC_BACKPRESSURE \
-                            and sorted(map(str, finding.root_ports)) \
-                            == sorted(map(str, chain_roots)):
-                        finding.victim_flows.add(cf)
-                        finding.culprit_flows |= culprits
-                continue
-            seen_roots.add(key)
-            findings.append(AnomalyFinding(
-                type=AnomalyType.PFC_BACKPRESSURE,
-                culprit_flows=culprits,
+            chain = ", ".join(map(str, roots))
+            findings[key] = AnomalyFinding(
+                type=kind,
+                culprit_flows=set(culprits),
                 victim_ports=[port],
-                root_ports=chain_roots,
+                root_ports=list(roots),
                 victim_flows={cf},
-                detail="PFC backpressure chain from "
-                       f"{port} to {', '.join(map(str, chain_roots))}",
-            ))
-    return findings
+                detail="ungrounded PAUSE injection traced to " + chain
+                if kind is AnomalyType.PFC_STORM
+                else f"PFC backpressure chain from {port} to {chain}",
+            )
+    return list(findings.values())
 
 
 def detect_forwarding_loop(graph: ProvenanceGraph) -> list[AnomalyFinding]:

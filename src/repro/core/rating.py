@@ -7,7 +7,7 @@ operator knows which background traffic to act on first.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from repro.core.provenance import ProvenanceGraph
 from repro.simnet.packet import FlowKey
@@ -66,6 +66,32 @@ def contribution_to_flow(graph: ProvenanceGraph, flow: FlowKey,
     return total
 
 
+def step_excess(steps: Iterable[int], exec_times: dict[int, float],
+                expect_times: dict[int, float]
+                ) -> tuple[dict[int, float], float]:
+    """Eq. 3's weights: each step's excess execution time (zero for a
+    step no slower than expected) and their total."""
+    excess = {i: max(0.0, exec_times.get(i, 0.0) - expect_times.get(i, 0.0))
+              for i in steps}
+    return excess, sum(excess.values())
+
+
+def weigh_step_scores(score_of_step: Callable[[int, FlowKey], float],
+                      critical_flow_keys: dict[int, FlowKey],
+                      excess: dict[int, float],
+                      denominator: float) -> float:
+    """Eq. 3 over per-step Eq. 2 scores ``score_of_step(i, cf_i)``."""
+    if denominator <= 0:
+        return 0.0
+    total = 0.0
+    for i, excess_i in excess.items():
+        cf_i = critical_flow_keys.get(i)
+        if cf_i is None or excess_i <= 0:
+            continue
+        total += score_of_step(i, cf_i) * excess_i / denominator
+    return total
+
+
 def contribution_to_collective(
         flow: FlowKey,
         step_graphs: dict[int, ProvenanceGraph],
@@ -78,19 +104,52 @@ def contribution_to_collective(
     ``critical_flow_keys[i]`` is cf_i, the critical flow of step ``i``;
     steps that ran no slower than expected get zero weight.
     """
-    excess = {i: max(0.0, exec_times.get(i, 0.0) - expect_times.get(i, 0.0))
-              for i in step_graphs}
-    denominator = sum(excess.values())
-    if denominator <= 0:
-        return 0.0
-    total = 0.0
-    for i, graph in step_graphs.items():
-        cf_i = critical_flow_keys.get(i)
-        if cf_i is None or excess[i] <= 0:
-            continue
-        score = contribution_to_flow(graph, flow, cf_i)
-        total += score * excess[i] / denominator
-    return total
+    excess, denominator = step_excess(step_graphs, exec_times,
+                                      expect_times)
+    return weigh_step_scores(
+        lambda i, cf_i: contribution_to_flow(step_graphs[i], flow, cf_i),
+        critical_flow_keys, excess, denominator)
+
+
+def score_row(graph: ProvenanceGraph, cf: FlowKey) -> dict[FlowKey, float]:
+    """The non-zero Eq. 2 scores against ``cf`` over ``graph``.
+
+    Every other flow scores exactly 0.0 — Eq. 2 only has terms for a
+    flow that waits at one of cf's ports or feeds a port PFC-reachable
+    from them, and a flow the graph never saw has neither — so
+    ``row.get(flow, 0.0)`` stands in for :func:`contribution_to_flow`
+    once the graph is gone."""
+    ports = graph.ports_of_flow(cf)
+    candidates: set[FlowKey] = set()
+    reached: set[PortRef] = set()
+    stack = list(ports)
+    while stack:
+        port = stack.pop()
+        if port not in reached:
+            reached.add(port)
+            candidates.update(graph.flows_at_port(port))
+            stack.extend(graph.downstream_ports(port))
+    for port in ports:
+        candidates.update(graph.waiting_flows_at_port(port))
+    row = {}
+    for flow in candidates - graph.collective_flows:
+        score = contribution_to_flow(graph, flow, cf)
+        if score:
+            row[flow] = score
+    return row
+
+
+def score_table(graph: ProvenanceGraph
+                ) -> dict[FlowKey, dict[FlowKey, float]]:
+    """:func:`score_row` for every collective flow with a non-empty
+    one (a flow that waits nowhere in ``graph`` has none)."""
+    table = {}
+    for cf in graph.waiting_flows():
+        if cf in graph.collective_flows:
+            row = score_row(graph, cf)
+            if row:
+                table[cf] = row
+    return table
 
 
 def rate_contributors(graph: ProvenanceGraph,

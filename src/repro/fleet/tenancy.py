@@ -174,7 +174,13 @@ class TenantRuntime:
         """Advance this tenant's replay by up to ``max_events``."""
         if self.done:
             return 0
-        return self.replayer.step(max_events)
+        consumed = self.replayer.step(max_events)
+        if self.replayer.exhausted:
+            # held until the shard finalizes, and only the final
+            # snapshot is still to come: give the fold state back (a
+            # shard holds hundreds of these); that snapshot refolds
+            self.pipeline.kernel.drop_derived()
+        return consumed
 
     def finalize(self) -> DiagnosisSnapshot:
         """Flush the final checkpoint and emit the final snapshot

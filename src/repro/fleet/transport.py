@@ -432,6 +432,12 @@ class ReportListener:
             self._closing = True
             conns = list(self._conns)
         try:
+            # close() alone leaves a thread blocked in accept() asleep
+            # on Linux; shutdown() wakes it with an OSError
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:  # repro: noqa RPR030 - never connected / already torn down
+            pass
+        try:
             self._server.close()
         except OSError:  # repro: noqa RPR030 - listener socket already torn down
             pass

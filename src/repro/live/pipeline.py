@@ -25,13 +25,10 @@ from typing import Callable, Optional
 from repro.core.units import Bytes, Nanoseconds
 from repro.collective.primitives import StepSchedule
 from repro.collective.runtime import StepRecord
-from repro.core.diagnosis import DiagnosisResult, diagnose
+from repro.core.analyzer import DiagnosisKernel, step_timing
+from repro.core.diagnosis import DiagnosisResult
 from repro.core.incremental import IncrementalWaitingGraph
-from repro.core.provenance import build_provenance
-from repro.core.rating import (
-    contribution_to_collective,
-    contribution_to_flow,
-)
+from repro.core.rating import contribution_to_flow
 from repro.core.waiting_graph import CriticalPathEntry
 from repro.live.bus import BusPolicy, EventBus, TelemetryEvent
 from repro.live.metrics import Histogram, MetricsRegistry
@@ -173,7 +170,9 @@ class LivePipeline:
             cfg.report_gap_ns if cfg.report_gap_ns is not None
             else self._auto_report_gap_ns())
 
-        self.reports: list[SwitchReport] = []
+        #: the §III-D tail; owns the switch reports ingested so far
+        self.kernel = DiagnosisKernel(pfc_xoff_bytes,
+                                      self.collective_flow_keys)
         #: per-step-index [min start, max end] over ALL ingested records
         self._windows: dict[int, list[float]] = {}
         #: duration of every ingested record (survives graph pruning)
@@ -217,6 +216,10 @@ class LivePipeline:
     @property
     def collective_flow_keys(self) -> set[FlowKey]:
         return set(self.flow_keys.values())
+
+    @property
+    def reports(self) -> list[SwitchReport]:
+        return self.kernel.reports
 
     # ------------------------------------------------------------------
     # ingestion
@@ -277,7 +280,7 @@ class LivePipeline:
             self._ingested["step_record"] += 1
         elif event.kind == "switch_report":
             report: SwitchReport = event.payload  # type: ignore[assignment]
-            self.reports.append(report)
+            self.kernel.add_report(report)
             self.degradation.observe_report(report.time)
             self._ingested["switch_report"] += 1
         else:
@@ -320,38 +323,16 @@ class LivePipeline:
         """Run the §III-D analysis over everything ingested so far."""
         build_start = self.clock()
         path = self.graph.critical_path()
-        critical_nodes = self._critical_flows_by_step(path)
-        exec_times: dict[int, float] = {}
-        expect_times: dict[int, float] = {}
-        critical_flow_keys: dict[int, FlowKey] = {}
-        for idx, node in critical_nodes.items():
-            duration = self._durations.get((node, idx))
-            if duration is not None:
-                exec_times[idx] = duration
-            expect_times[idx] = self.expected_step_times.get(
-                (node, idx), 0.0)
-            flow_key = self.flow_keys.get((node, idx))
-            if flow_key is not None:
-                critical_flow_keys[idx] = flow_key
         cfg = self.config
-        bottlenecks = sorted(
-            idx for idx, t in exec_times.items()
-            if t > cfg.slowdown_factor
-            * expect_times.get(idx, float("inf")))
-
-        cf_keys = self.collective_flow_keys
-        overall = build_provenance(self.reports, cf_keys,
-                                   self.pfc_xoff_bytes)
-        result = diagnose(overall)
-
-        collective_scores: dict[FlowKey, float] = {}
-        if cfg.rate_contributors:
-            step_graphs = self._per_step_graphs(cf_keys)
-            for flow in sorted(overall.background_flows(),
-                               key=lambda f: f.short()):
-                collective_scores[flow] = contribution_to_collective(
-                    flow, step_graphs or {0: overall},
-                    critical_flow_keys, exec_times, expect_times)
+        timing = step_timing(
+            self._critical_flows_by_step(path), self._durations.get,
+            lambda key: self.expected_step_times.get(key, 0.0),
+            self.flow_keys, cfg.slowdown_factor)
+        breakdown = self.kernel.snapshot(
+            self.collective_flow_keys, self._windows, timing,
+            rate=cfg.rate_contributors)
+        if final:
+            self.kernel.drop_derived()
 
         self._snapshot_seq += 1
         snapshot = DiagnosisSnapshot(
@@ -361,9 +342,9 @@ class LivePipeline:
             step_records_ingested=self._ingested["step_record"],
             switch_reports_ingested=self._ingested["switch_report"],
             critical_path=path,
-            bottleneck_steps=bottlenecks,
-            result=result,
-            collective_scores=collective_scores,
+            bottleneck_steps=timing.bottleneck_steps,
+            result=breakdown.result,
+            collective_scores=breakdown.collective_scores,
             confidence=self.degradation.confidence(),
             degraded=self.degradation.degraded,
             counters=self.counters(),
@@ -379,21 +360,9 @@ class LivePipeline:
             callback(snapshot)
         return snapshot
 
-    def _per_step_graphs(self, cf_keys: set[FlowKey]) -> dict:
-        graphs = {}
-        for idx, (start, end) in self._windows.items():
-            step_reports = [r for r in self.reports
-                            if start <= r.time <= end]
-            if step_reports:
-                graphs[idx] = build_provenance(
-                    step_reports, cf_keys, self.pfc_xoff_bytes)
-        return graphs
-
     def per_flow_score(self, flow: FlowKey, cf: FlowKey) -> float:
         """Eq. 2 against the overall provenance graph (on demand)."""
-        overall = build_provenance(self.reports,
-                                   self.collective_flow_keys,
-                                   self.pfc_xoff_bytes)
+        overall = self.kernel.provenance(self.collective_flow_keys)
         return contribution_to_flow(overall, flow, cf)
 
     def finish(self) -> DiagnosisSnapshot:
@@ -461,8 +430,12 @@ class LivePipeline:
                            in state["durations"]}
         self._slowest = {int(idx): (float(duration), node)
                          for idx, duration, node in state["slowest"]}
-        self.reports = [serialize.decode_switch_report(r)
-                        for r in state["reports"]]
+        # derived state is never checkpointed: refold the reports
+        self.kernel = DiagnosisKernel(self.pfc_xoff_bytes,
+                                      self.collective_flow_keys)
+        for encoded in state["reports"]:
+            self.kernel.add_report(
+                serialize.decode_switch_report(encoded))
         self.bus.load_state(state["bus"])
         self.watermark.load_state(state["watermark"])
         self.graph.load_state(state["graph"])

@@ -133,6 +133,16 @@ def test_backpressure_target_off_collective(config):
     assert truth.root_port.node == tor
 
 
+def test_backpressure_rejects_a_ring_covering_every_host():
+    full = ScenarioConfig(scale=0.002, num_collective_nodes=16)
+    case = make_cases("pfc_backpressure", 1, full)[0]
+    net, runtime = case.build_network()
+    runtime.start()
+    with pytest.raises(ValueError,
+                       match=r"pfc_backpressure.*16-node ring.*k=4"):
+        case.inject(net, runtime)
+
+
 def test_same_seed_same_injection(config):
     def injected(case):
         net, runtime = case.build_network()

@@ -1,0 +1,318 @@
+"""The incremental §III-D kernel against a from-scratch reference.
+
+``DiagnosisKernel`` folds each report once and rebuilds a step's graph
+only when its window's slice of reports changed; the reference below is
+the algorithm as it was written before that — ``build_provenance`` over
+everything seen so far, one filtered rebuild per step window, Eq. 3 by
+the book — recomputed at *every* rolling snapshot of the four paper
+scenarios, on clean, duplicated and (within the lateness bound)
+reordered streams and across one checkpoint round-trip.  Equality is
+byte equality of ``canonical_json`` with every contributor listed, so
+dict insertion order (float summation order) is pinned too.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+import pytest
+
+from repro.anomalies.scenarios import SCENARIOS, ScenarioConfig, make_cases
+from repro.core.analyzer import (DiagnosisKernel, StepTiming,
+                                 VedrfolnirAnalyzer)
+from repro.core.diagnosis import DiagnosisResult, diagnose
+from repro.core.provenance import build_provenance
+from repro.core.rating import contribution_to_flow
+from repro.core.waiting_graph import WaitingGraph
+from repro.experiments.harness import make_system
+from repro.live import LivePipeline, PipelineConfig
+from repro.live.chaos import _duplicated, _reordered
+from repro.traces import (TraceRecorder, TraceRuntime, analyze_trace,
+                          load_trace)
+from repro.traces.stream import merged_events, read_header
+
+ALL = 10_000     # canonical_json(top=ALL): every contributor score
+
+
+# ----------------------------------------------------------------------
+# the reference: from scratch, every time
+# ----------------------------------------------------------------------
+def reference_tail(reports, cf_keys, xoff, windows, critical_flow_keys,
+                   exec_times, expect_times):
+    """Provenance -> signatures -> Eqs. 1-3, nothing remembered."""
+    overall = build_provenance(reports, cf_keys, xoff)
+    result = diagnose(overall)
+    step_graphs = {}
+    for idx, (start, end) in windows.items():
+        step_reports = [r for r in reports if start <= r.time <= end]
+        if step_reports:
+            step_graphs[idx] = build_provenance(step_reports, cf_keys, xoff)
+    graphs = step_graphs or {0: overall}
+    excess = {i: max(0.0, exec_times.get(i, 0.0) - expect_times.get(i, 0.0))
+              for i in graphs}
+    denominator = sum(excess.values())
+    scores = {}
+    for flow in sorted(overall.background_flows(), key=lambda f: f.short()):
+        total = 0.0
+        if denominator > 0:
+            for i, graph in graphs.items():
+                cf_i = critical_flow_keys.get(i)
+                if cf_i is None or excess[i] <= 0:
+                    continue
+                total += contribution_to_flow(graph, flow, cf_i) \
+                    * excess[i] / denominator
+        scores[flow] = total
+    return overall, result, step_graphs, scores
+
+
+def reference_snapshot(pipeline: LivePipeline, snapshot):
+    """``snapshot`` with its diagnosis recomputed from the pipeline's
+    raw state (call from ``on_snapshot``: the state is the snapshot's)."""
+    exec_times, expect_times, critical_flow_keys = {}, {}, {}
+    critical = pipeline._critical_flows_by_step(snapshot.critical_path)
+    for idx, node in critical.items():
+        duration = pipeline._durations.get((node, idx))
+        if duration is not None:
+            exec_times[idx] = duration
+        expect_times[idx] = pipeline.expected_step_times.get(
+            (node, idx), 0.0)
+        flow_key = pipeline.flow_keys.get((node, idx))
+        if flow_key is not None:
+            critical_flow_keys[idx] = flow_key
+    bottlenecks = sorted(
+        idx for idx, t in exec_times.items()
+        if t > pipeline.config.slowdown_factor
+        * expect_times.get(idx, float("inf")))
+    _overall, result, _graphs, scores = reference_tail(
+        list(pipeline.reports), pipeline.collective_flow_keys,
+        pipeline.pfc_xoff_bytes, pipeline._windows, critical_flow_keys,
+        exec_times, expect_times)
+    return dataclasses.replace(
+        snapshot, bottleneck_steps=bottlenecks, result=result,
+        collective_scores=scores)
+
+
+def checked(pipeline: LivePipeline, log: list) -> LivePipeline:
+    """Compare every snapshot ``pipeline`` emits with the reference."""
+    def compare(snapshot) -> None:
+        expected = reference_snapshot(pipeline, snapshot)
+        assert snapshot.canonical_json(ALL) == expected.canonical_json(ALL)
+        log.append(snapshot.canonical_json(ALL))
+
+    pipeline.on_snapshot.append(compare)
+    return pipeline
+
+
+# ----------------------------------------------------------------------
+# the streams
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module", params=SCENARIOS)
+def trace_path(request, tmp_path_factory):
+    config = ScenarioConfig(scale=0.002, base_seed=7)
+    case = make_cases(request.param, 1, config)[0]
+    system = make_system("vedrfolnir")
+    network, runtime = case.build_network()
+    system.attach(network, runtime)
+    recorder = TraceRecorder.attach(network, runtime)
+    runtime.start()
+    case.inject(network, runtime)
+    network.run_until_quiet(max_time=config.run_deadline_ns())
+    assert runtime.completed
+    path = tmp_path_factory.mktemp("kernel") / f"{request.param}.jsonl"
+    recorder.write(path)
+    return path
+
+
+def drive(pipeline: LivePipeline, events) -> LivePipeline:
+    for event in events:
+        pipeline.publish(event)
+        if len(pipeline.bus) >= 16:
+            pipeline.pump(16)
+    return pipeline
+
+
+def rolling(header, log: list, **config) -> LivePipeline:
+    return checked(LivePipeline.from_header(
+        header, PipelineConfig(snapshot_every=9, **config)), log)
+
+
+def test_every_rolling_snapshot_equals_from_scratch(trace_path):
+    log: list = []
+    pipeline = drive(rolling(read_header(trace_path), log),
+                     merged_events(trace_path))
+    pipeline.finish()
+    assert len(log) == len(pipeline.snapshots) > 3
+    # not vacuous: the anomaly shows before the stream ends
+    assert any(s.result.findings for s in pipeline.snapshots[:-1])
+
+
+def test_duplicated_stream(trace_path):
+    log: list = []
+    pipeline = drive(rolling(read_header(trace_path), log),
+                     _duplicated(merged_events(trace_path), 3))
+    final = pipeline.finish()
+    assert final.counters["duplicates"] > 0
+    assert len(log) == len(pipeline.snapshots)
+
+
+def test_reordered_within_lateness_stream(trace_path):
+    events = list(_reordered(merged_events(trace_path), 6,
+                             random.Random(11)))
+    newest, lateness = float("-inf"), 0.0
+    for event in events:
+        newest = max(newest, event.time)
+        lateness = max(lateness, newest - event.time)
+    assert lateness > 0
+    log: list = []
+    pipeline = drive(rolling(read_header(trace_path), log,
+                             lateness_bound_ns=lateness), events)
+    final = pipeline.finish()
+    assert final.counters["late_discarded"] == 0
+    assert len(log) == len(pipeline.snapshots) > 3
+
+
+def test_checkpoint_round_trip_mid_stream(trace_path):
+    header = read_header(trace_path)
+    events = list(merged_events(trace_path))
+    whole: list = []
+    drive(rolling(header, whole), events).finish()
+
+    cut = len(events) // 2
+    resumed: list = []
+    first = drive(rolling(header, resumed), events[:cut])
+    state = first.state_dict()
+    assert "kernel" not in state        # derived, never checkpointed
+    second, _cursor = LivePipeline.restore(
+        header, state, config=first.config)
+    drive(checked(second, resumed), events[cut:]).finish()
+    assert resumed == whole
+
+
+def test_flow_keys_learnt_mid_stream(trace_path):
+    """A live deployment fills ``flow_keys`` in as it goes; the kernel
+    is told the current collective flows at every snapshot."""
+    header = read_header(trace_path)
+    events = list(merged_events(trace_path))
+    log: list = []
+    pipeline = rolling(header, log)
+    known = dict(pipeline.flow_keys)
+    pipeline.flow_keys.clear()
+    cut = len(events) // 2
+    drive(pipeline, events[:cut])
+    pipeline.flow_keys.update(known)
+    drive(pipeline, events[cut:]).finish()
+    assert len(log) == len(pipeline.snapshots) > 3
+
+
+def test_windows_that_widen_either_way_and_critical_flows_that_move(
+        trace_path):
+    """The kernel alone, under harsher motion than a replay produces:
+    windows appear, extend and widen *backwards* (a late record's
+    ``start_time``), critical flows change under an unchanged slice,
+    and derived state is dropped between snapshots."""
+    trace = load_trace(trace_path)
+    cf_keys = TraceRuntime(trace).collective_flow_keys
+    reports = sorted(trace.reports, key=lambda r: r.time)
+    first, last = reports[0].time, reports[-1].time
+    stride = (last - first) / 6 or 1.0
+    seen = sorted({flow for report in reports for entry in report.ports
+                   for flow in entry.flow_pkts if flow in cf_keys},
+                  key=lambda f: f.short())
+    rng = random.Random(3)
+    kernel = DiagnosisKernel(trace.pfc_xoff_bytes, cf_keys)
+    windows: dict = {}
+    fed = 0
+    for _ in range(24):
+        more = rng.randint(0, max(1, len(reports) // 10))
+        for report in reports[fed:fed + more]:
+            kernel.add_report(report)
+        fed = min(len(reports), fed + more)
+        for idx in range(5):
+            roll = rng.random()
+            if idx not in windows:
+                if roll < 0.4:
+                    start = rng.uniform(first, last)
+                    windows[idx] = [start,
+                                    start + rng.uniform(0, stride)]
+            elif roll < 0.3:
+                windows[idx][1] += rng.uniform(0, stride)
+            elif roll < 0.5:
+                windows[idx][0] -= rng.uniform(0, stride)
+        critical = {idx: rng.choice(seen) for idx in windows
+                    if seen and rng.random() < 0.9}
+        exec_times = {idx: rng.uniform(0.5, 3.0) for idx in windows}
+        expect_times = {idx: 1.0 for idx in windows}
+        if rng.random() < 0.1:
+            kernel.drop_derived()
+        breakdown = kernel.snapshot(
+            cf_keys, windows,
+            StepTiming(exec_times, expect_times, critical, []))
+        overall, result, _graphs, scores = reference_tail(
+            reports[:fed], cf_keys, trace.pfc_xoff_bytes, windows,
+            critical, exec_times, expect_times)
+        assert breakdown.provenance == overall
+        assert breakdown.result == result
+        assert list(breakdown.collective_scores.items()) \
+            == list(scores.items())
+
+
+# ----------------------------------------------------------------------
+# batch: the same kernel, fed everything, asked once
+# ----------------------------------------------------------------------
+def reference_analysis(trace, reports):
+    runtime = TraceRuntime(trace)
+    waiting = WaitingGraph(trace.schedule, trace.step_records,
+                           mode="binding")
+    exec_times = waiting.step_execution_times()
+    expect_times, critical_flow_keys = {}, {}
+    for idx, node in waiting.critical_flows_by_step().items():
+        expect_times[idx] = runtime.expected_step_time_ns(
+            trace.schedule.step(node, idx))
+        if (node, idx) in runtime.flow_keys:
+            critical_flow_keys[idx] = runtime.flow_keys[(node, idx)]
+    windows: dict = {}
+    for record in trace.step_records:
+        window = windows.setdefault(
+            record.step_index, [record.start_time, record.end_time])
+        window[0] = min(window[0], record.start_time)
+        window[1] = max(window[1], record.end_time)
+    overall, result, step_graphs, scores = reference_tail(
+        reports, runtime.collective_flow_keys, trace.pfc_xoff_bytes,
+        windows, critical_flow_keys, exec_times, expect_times)
+    per_flow = {
+        (flow, cf): contribution_to_flow(
+            step_graphs.get(idx, overall), flow, cf)
+        for flow in scores for idx, cf in critical_flow_keys.items()}
+    return overall, result, step_graphs, scores, per_flow
+
+
+def assert_same_analysis(diagnosis, reference) -> None:
+    overall, result, step_graphs, scores, per_flow = reference
+    assert diagnosis.result == result
+    assert isinstance(diagnosis.result, DiagnosisResult)
+    assert list(diagnosis.collective_scores.items()) == list(scores.items())
+    assert list(diagnosis.per_flow_scores.items()) == list(per_flow.items())
+    assert list(diagnosis.step_provenance) == list(step_graphs)
+    for idx, graph in step_graphs.items():
+        assert diagnosis.step_provenance[idx] == graph
+    assert diagnosis.provenance == overall
+
+
+def test_analyze_trace_unchanged_field_by_field(trace_path):
+    trace = load_trace(trace_path)
+    assert_same_analysis(analyze_trace(trace),
+                         reference_analysis(trace, trace.reports))
+
+
+def test_reports_out_of_time_order_fall_back_to_full_rebuild(trace_path):
+    trace = load_trace(trace_path)
+    shuffled = list(trace.reports)
+    random.Random(5).shuffle(shuffled)
+    analyzer = VedrfolnirAnalyzer(pfc_xoff_bytes=trace.pfc_xoff_bytes)
+    for record in trace.step_records:
+        analyzer.add_step_record(record)
+    for report in shuffled:
+        analyzer.add_report(report)
+    assert_same_analysis(analyzer.analyze(TraceRuntime(trace)),
+                         reference_analysis(trace, shuffled))

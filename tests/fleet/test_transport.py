@@ -143,6 +143,18 @@ def test_publisher_streams_reports_and_heartbeats():
     assert publisher.heartbeats_sent == 1
 
 
+def test_listener_stop_wakes_the_blocked_accept_thread():
+    # close() alone leaves accept() asleep on Linux and stop() used to
+    # wait out its 5 s join on every run_fleet_streaming
+    listener = ReportListener(on_report=lambda _report: None)
+    listener.start()
+    thread = listener._accept_thread
+    start = time.monotonic()
+    listener.stop()
+    assert time.monotonic() - start < 0.5
+    assert not thread.is_alive()
+
+
 def test_listener_drops_stale_seq_on_one_connection():
     reports = []
     with ReportListener(on_report=reports.append) as listener:
