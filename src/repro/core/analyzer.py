@@ -11,10 +11,11 @@ reports, then produces a structured diagnosis:
 4. rate contributor flows (Eqs. 1-3).
 
 Steps 2-4 are :class:`DiagnosisKernel`, shared with the live pipeline:
-reports fold into the overall graph once, and a step's graph is rebuilt
-only when the slice of reports in its window changed, so a rolling
-snapshot costs what changed since the last one.  The batch analyzer is
-the same kernel fed every report and asked for one snapshot.
+a report is digested once on arrival and max-merged into the overall
+graph and into each step graph whose window it falls in, and a step's
+graph is rebuilt only when the slice of reports in its window changed,
+so a rolling snapshot costs what changed since the last one.  The batch
+analyzer is the same kernel fed every report and asked for one snapshot.
 """
 
 from __future__ import annotations
@@ -27,7 +28,11 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from repro.core.units import Bytes
 from repro.collective.runtime import CollectiveRuntime, StepRecord
 from repro.core.diagnosis import DiagnosisResult, diagnose
-from repro.core.provenance import ProvenanceAccumulator, ProvenanceGraph
+from repro.core.provenance import (
+    PreparedReport,
+    ProvenanceAccumulator,
+    ProvenanceGraph,
+)
 from repro.core.rating import (
     contribution_to_flow,
     score_row,
@@ -96,12 +101,13 @@ class Breakdown:
 class DiagnosisKernel:
     """Provenance -> signatures -> Eqs. 1-3 over a growing report list.
 
-    Retained between snapshots: the overall fold state and, per step,
-    its report slice with either the fold state (while the slice still
-    moves) or the Eq. 2 score rows computed from it — never a graph
-    for every step (a tenant fleet holds one kernel per collective).
-    Everything here is derived from :attr:`reports`;
-    :meth:`drop_derived` forgets it and the next snapshot refolds.
+    Retained between snapshots: every report's prepared form, the
+    overall merge state and, per step, its report slice with either the
+    merge state (while the slice still moves) or the Eq. 2 score rows
+    computed from it — never a graph for every step (a tenant fleet
+    holds one kernel per collective).  Everything here is derived from
+    :attr:`reports`; :meth:`drop_derived` forgets it and the next
+    snapshot digests them again.
     """
 
     def __init__(self, pfc_xoff_bytes: Bytes,
@@ -115,20 +121,26 @@ class DiagnosisKernel:
         self.drop_derived()
 
     def drop_derived(self) -> None:
+        #: ``reports[:len(_prepared)]`` digested, all merged into
+        #: ``_overall``
+        self._prepared: list[PreparedReport] = []
         self._overall = ProvenanceAccumulator(
             self._collective_flows, self.pfc_xoff_bytes)
-        self._folded = 0
-        #: step -> (report slice, None, fold state) while the slice
+        #: step -> (report slice, None, merge state) while the slice
         #: moves, then (report slice, {cf: score row}, None)
         self._steps: dict[int, tuple] = {}
+
+    def _digest(self, report: SwitchReport) -> None:
+        prepared = PreparedReport(report)
+        self._prepared.append(prepared)
+        self._overall.merge(prepared)
 
     def add_report(self, report: SwitchReport) -> None:
         reports = self.reports
         if reports and report.time < reports[-1].time:
             self._ordered = False
-        if self._folded == len(reports):
-            self._overall.fold(report)
-            self._folded += 1
+        if len(self._prepared) == len(reports):
+            self._digest(report)
         reports.append(report)
 
     def provenance(self, collective_flows: set[FlowKey]
@@ -138,9 +150,8 @@ class DiagnosisKernel:
             # a live deployment learns its flow keys as it goes
             self._collective_flows = set(collective_flows)
             self.drop_derived()
-        for report in self.reports[self._folded:]:
-            self._overall.fold(report)
-        self._folded = len(self.reports)
+        for report in self.reports[len(self._prepared):]:
+            self._digest(report)
         return self._overall.snapshot()
 
     def snapshot(self, collective_flows: set[FlowKey],
@@ -177,50 +188,50 @@ class DiagnosisKernel:
         step with telemetry in its window.
 
         Reports arrive in time order, so a window is a slice of them.
-        A step whose slice grew at the end folds in just the new
-        reports and keeps its fold state for the next snapshot.  The
+        A step whose slice grew at the end merges in just the new
+        reports and keeps its merge state for the next snapshot.  The
         first snapshot to find the slice unchanged scores *every*
         collective flow the step's graph knows — the critical path
         runs through a different node at nearly every snapshot — and
         lets the graph go: from then on a step is a table lookup.
         Anything else (a window widened backwards by a late record,
         reports out of time order) is rebuilt from the slice."""
-        reports = self.reports
+        reports = self._prepared
         for idx, (start, end) in windows.items():
             cf = critical.get(idx)
-            fold_state = None
+            merged = None
             if self._ordered:
                 low = bisect_left(reports, start, key=_report_time)
                 high = bisect_right(reports, end, low, key=_report_time)
                 span = (low, high)
-                then, table, fold_state = self._steps.get(
+                then, table, merged = self._steps.get(
                     idx, (None, None, None))
                 if then == span and graphs is None:
-                    if fold_state is not None:
-                        table = score_table(fold_state.snapshot())
+                    if merged is not None:
+                        table = score_table(merged.snapshot())
                         self._steps[idx] = (span, table, None)
                     rows[idx] = None if cf is None else table.get(cf, {})
                     continue
-                if fold_state is not None and then[0] == low:
-                    low = then[1]           # fold in the new tail only
+                if merged is not None and then[0] == low:
+                    low = then[1]           # merge in the new tail only
                 else:
-                    fold_state = None
+                    merged = None
                 step_reports = reports[low:high]
             else:
                 span = None
                 step_reports = [r for r in reports
                                 if start <= r.time <= end]
-            if fold_state is None:
+            if merged is None:
                 if not step_reports:
                     continue
-                fold_state = ProvenanceAccumulator(
+                merged = ProvenanceAccumulator(
                     self._collective_flows, self.pfc_xoff_bytes)
             for report in step_reports:
-                fold_state.fold(report)
-            graph = fold_state.snapshot()
+                merged.merge(report)
+            graph = merged.snapshot()
             rows[idx] = None if cf is None else score_row(graph, cf)
             if span is not None:
-                self._steps[idx] = (span, None, fold_state)
+                self._steps[idx] = (span, None, merged)
             if graphs is not None:
                 graphs[idx] = graph
 

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Iterable, Optional
 
-from repro.core.provenance import ProvenanceGraph
+from repro.core.provenance import Adjacency, ProvenanceGraph
 from repro.simnet.packet import FlowKey
 from repro.simnet.pfc import PortRef
 
@@ -89,35 +91,58 @@ class DiagnosisResult:
 # ----------------------------------------------------------------------
 # individual detectors
 # ----------------------------------------------------------------------
+#: the detectors' sort keys, computed once per port / flow
+_port_name = lru_cache(maxsize=4096)(str)
+_flow_name = lru_cache(maxsize=1 << 16)(FlowKey.short)
+
+
+def _port_sharing(graph: ProvenanceGraph) -> list[tuple]:
+    """Who shares each port flows wait at, by port name: (name, port,
+    collective flows waiting there, other flows waiting there or
+    feeding its queue, whether the collective flows queue behind each
+    other) — what every by-port detector reads.  On a graph an
+    accumulator snapshots it is one pass per snapshot, and only over
+    the ports a report touched since the last one."""
+    index = graph.adjacency()
+    if index.sharing is not None:
+        return index.sharing
+    rows = index.rows if index.rows is not None else {}
+    cf_set = graph.collective_flows
+    pairwise = graph.pairwise
+    sharing = []
+    for port, waiting in index.waiting_at_port.items():
+        row = rows.get(port)
+        if row is None:
+            others = set(waiting)
+            # flows contributing to the port (e(p,f)) contend too
+            others.update(index.flows_at_port.get(port, ()))
+            others -= cf_set
+            victims = cf_set.intersection(waiting)
+            row = rows[port] = (
+                _port_name(port), port, victims, others,
+                len(victims) > 1 and any(
+                    pairwise.get((port, a, b), 0.0) > 0
+                    for a in victims for b in victims if a != b))
+        sharing.append(row)
+    sharing.sort(key=itemgetter(0))
+    if index.rows is not None:    # a hand-filled graph may change yet
+        index.sharing = sharing
+    return sharing
+
+
 def detect_flow_contention(graph: ProvenanceGraph
                            ) -> list[AnomalyFinding]:
     """∃p: {f_i, cf} ⊆ F ∧ {e(f_i,p), e(cf,p)} ⊆ E ∧ f_i ≠ cf."""
-    findings: list[AnomalyFinding] = []
-    cf_set = graph.collective_flows
-    by_port: dict[PortRef, tuple[set[FlowKey], set[FlowKey]]] = {}
-    for (flow, port) in graph.flow_port:
-        victims, culprits = by_port.setdefault(port, (set(), set()))
-        if flow in cf_set:
-            victims.add(flow)
-        else:
-            culprits.add(flow)
-    # flows contributing to the port (e(p,f)) count as contenders too
-    for (port, flow) in graph.port_flow:
-        if port in by_port and flow not in cf_set:
-            by_port[port][1].add(flow)
-    for port, (victims, culprits) in sorted(
-            by_port.items(), key=lambda kv: str(kv[0])):
-        if victims and culprits:
-            findings.append(AnomalyFinding(
-                type=AnomalyType.FLOW_CONTENTION,
-                culprit_flows=culprits,
-                victim_ports=[port],
-                root_ports=[port],
-                victim_flows=victims,
-                detail=f"{len(culprits)} flow(s) contend with the "
-                       f"collective at {port}",
-            ))
-    return findings
+    return [AnomalyFinding(
+        type=AnomalyType.FLOW_CONTENTION,
+        culprit_flows=set(culprits),
+        victim_ports=[port],
+        root_ports=[port],
+        victim_flows=set(victims),
+        detail=f"{len(culprits)} flow(s) contend with the "
+               f"collective at {name}",
+    ) for name, port, victims, culprits, _ in _port_sharing(graph)
+        if victims and culprits]
 
 
 def detect_load_imbalance(graph: ProvenanceGraph
@@ -126,51 +151,38 @@ def detect_load_imbalance(graph: ProvenanceGraph
     over equal-cost paths pile onto one port and queue behind *each
     other*.  Signature: ≥2 distinct collective flows with e(cf, p) at
     the same port and mutual queueing-ahead weight between them."""
-    findings: list[AnomalyFinding] = []
-    cf_set = graph.collective_flows
-    by_port: dict[PortRef, set[FlowKey]] = {}
-    for (flow, port) in graph.flow_port:
-        if flow in cf_set:
-            by_port.setdefault(port, set()).add(flow)
-    for port, victims in sorted(by_port.items(), key=lambda kv: str(kv[0])):
-        if len(victims) < 2:
-            continue
-        mutual = any(
-            graph.pairwise_weight(port, a, b) > 0
-            for a in victims for b in victims if a != b)
-        if not mutual:
-            continue
-        findings.append(AnomalyFinding(
-            type=AnomalyType.LOAD_IMBALANCE,
-            victim_ports=[port],
-            root_ports=[port],
-            victim_flows=set(victims),
-            detail=f"{len(victims)} collective flows converge on "
-                   f"{port} (ECMP imbalance)",
-        ))
-    return findings
+    return [AnomalyFinding(
+        type=AnomalyType.LOAD_IMBALANCE,
+        victim_ports=[port],
+        root_ports=[port],
+        victim_flows=set(victims),
+        detail=f"{len(victims)} collective flows converge on "
+               f"{name} (ECMP imbalance)",
+    ) for name, port, victims, _, mutual in _port_sharing(graph)
+        if mutual]
 
 
 def detect_incast(graph: ProvenanceGraph) -> list[AnomalyFinding]:
     """Contention whose culprits converge on a single destination."""
     findings = []
-    for contention in detect_flow_contention(graph):
-        culprits = contention.culprit_flows
+    for _name, port, victims, culprits, _ in _port_sharing(graph):
+        if not victims or len(culprits) < 2:
+            continue
         destinations = {flow.dst for flow in culprits}
-        if len(culprits) >= 2 and len(destinations) == 1:
+        if len(destinations) == 1:
             findings.append(AnomalyFinding(
                 type=AnomalyType.INCAST,
-                culprit_flows=culprits,
-                victim_ports=contention.victim_ports,
-                root_ports=contention.root_ports,
-                victim_flows=contention.victim_flows,
+                culprit_flows=set(culprits),
+                victim_ports=[port],
+                root_ports=[port],
+                victim_flows=set(victims),
                 detail=f"{len(culprits)} flows incast toward "
                        f"{destinations.pop()}",
             ))
     return findings
 
 
-def _chase_pfc_chain(graph: ProvenanceGraph,
+def _chase_pfc_chain(downstream: dict[PortRef, list[PortRef]],
                      start: PortRef) -> tuple[set[PortRef], list[PortRef]]:
     """Follow e(p_i, p_j) edges from ``start``; return (reachable set,
     terminal ports with no further downstream)."""
@@ -182,40 +194,50 @@ def _chase_pfc_chain(graph: ProvenanceGraph,
         if port in reachable:
             continue
         reachable.add(port)
-        downstream = graph.downstream_ports(port)
-        if not downstream:
+        targets = downstream.get(port)
+        if not targets:
             terminals.append(port)
         else:
-            stack.extend(downstream)
+            stack.extend(targets)
     return reachable, terminals
 
 
-def _pfc_evidence(graph: ProvenanceGraph, port: PortRef
-                  ) -> Optional[tuple[AnomalyType, list[PortRef],
-                                      set[FlowKey]]]:
-    """What waiting at ``port`` implicates: (storm | backpressure, root
-    ports, culprit flows), or None when PFC is not involved there."""
-    pausers = graph.pause_senders_to(port)
+def _pfc_evidence(graph: ProvenanceGraph, index: Adjacency,
+                  port: PortRef) -> tuple[Iterable[PortRef],
+                                          Optional[tuple]]:
+    """What waiting at ``port`` implicates — (storm | backpressure, root
+    ports, culprit flows, finding key, root names), or None when PFC is
+    not involved there — after the ports whose pauses, edges and flows
+    that answer was read from."""
+    pausers = index.pause_senders.get(port, ())
     if not pausers and port not in graph.paused_ports \
-            and not graph.downstream_ports(port):
-        return None
-    reachable, terminals = _chase_pfc_chain(graph, port)
-    storm_sources = {sender for victim in reachable
-                     for sender in graph.pause_senders_to(victim)
-                     if sender in graph.ungrounded_pause_sources}
+            and port not in index.downstream:
+        return (port,), None
+    read, terminals = _chase_pfc_chain(index.downstream, port)
+    ungrounded = graph.ungrounded_pause_sources
+    storm_sources = {sender for victim in read
+                     for sender in index.pause_senders.get(victim, ())
+                     if sender in ungrounded}
     if storm_sources:
-        return AnomalyType.PFC_STORM, sorted(storm_sources, key=str), set()
-    # paused but chain info missing: root at the pause senders
-    roots = [t for t in terminals if t != port] \
-        or sorted(set(pausers), key=str)
-    if not roots:
-        return None
-    cf_set = graph.collective_flows
-    culprits = {flow for root in roots
-                for flow in (graph.flows_at_port(root)
-                             + graph.waiting_flows_at_port(root))
-                if flow not in cf_set}
-    return AnomalyType.PFC_BACKPRESSURE, roots, culprits
+        kind = AnomalyType.PFC_STORM
+        roots = sorted(storm_sources, key=_port_name)
+        culprits: set[FlowKey] = set()
+    else:
+        kind = AnomalyType.PFC_BACKPRESSURE
+        # paused but chain info missing: root at the pause senders
+        roots = [t for t in terminals if t != port] \
+            or sorted(set(pausers), key=_port_name)
+        if not roots:
+            return read, None
+        read.update(roots)
+        culprits = {flow for root in roots
+                    for edges in (index.flows_at_port,
+                                  index.waiting_at_port)
+                    for flow in edges.get(root, ())}
+        culprits -= graph.collective_flows
+    names = sorted(map(_port_name, roots))
+    return read, (kind, roots, culprits, (kind, tuple(names)),
+                  ", ".join(map(_port_name, roots)))
 
 
 def detect_pfc_anomalies(graph: ProvenanceGraph) -> list[AnomalyFinding]:
@@ -225,34 +247,42 @@ def detect_pfc_anomalies(graph: ProvenanceGraph) -> list[AnomalyFinding]:
     the spreading path; an ungrounded pause source anywhere along it
     reclassifies the finding as a storm rooted at that source.  One
     finding per (type, root ports), gathering every victim.
+
+    Collective flows share ports, and what a port implicates is its
+    own: evidence is worked out once per port — and, on a graph an
+    accumulator snapshots, kept until a report moves a port it read.
     """
+    index = graph.adjacency()
+    evidence = index.evidence if index.evidence is not None else {}
+    #: every e(cf, p) with PFC evidence at p, by flow then port name
+    waits = []
+    for name, port, victims, _, _ in _port_sharing(graph):
+        if not victims:
+            continue
+        known = evidence.get(port)
+        if known is None:
+            known = evidence[port] = _pfc_evidence(graph, index, port)
+        if known[1] is not None:
+            waits.extend((_flow_name(cf), name, cf, port, known[1])
+                         for cf in victims)
+    waits.sort(key=itemgetter(0, 1))
     findings: dict[tuple, AnomalyFinding] = {}
-    #: collective flows share ports; what a port implicates is its own
-    evidence: dict[PortRef, Optional[tuple]] = {}
-    for cf in sorted(graph.collective_flows, key=lambda f: f.short()):
-        for port in sorted(graph.ports_of_flow(cf), key=str):
-            if port not in evidence:
-                evidence[port] = _pfc_evidence(graph, port)
-            if evidence[port] is None:
-                continue
-            kind, roots, culprits = evidence[port]
-            key = (kind, tuple(sorted(map(str, roots))))
-            finding = findings.get(key)
-            if finding is not None:
-                finding.victim_flows.add(cf)
-                finding.culprit_flows |= culprits
-                continue
-            chain = ", ".join(map(str, roots))
-            findings[key] = AnomalyFinding(
-                type=kind,
-                culprit_flows=set(culprits),
-                victim_ports=[port],
-                root_ports=list(roots),
-                victim_flows={cf},
-                detail="ungrounded PAUSE injection traced to " + chain
-                if kind is AnomalyType.PFC_STORM
-                else f"PFC backpressure chain from {port} to {chain}",
-            )
+    for _, name, cf, port, (kind, roots, culprits, key, chain) in waits:
+        finding = findings.get(key)
+        if finding is not None:
+            finding.victim_flows.add(cf)
+            finding.culprit_flows |= culprits
+            continue
+        findings[key] = AnomalyFinding(
+            type=kind,
+            culprit_flows=set(culprits),
+            victim_ports=[port],
+            root_ports=list(roots),
+            victim_flows={cf},
+            detail="ungrounded PAUSE injection traced to " + chain
+            if kind is AnomalyType.PFC_STORM
+            else f"PFC backpressure chain from {name} to {chain}",
+        )
     return list(findings.values())
 
 

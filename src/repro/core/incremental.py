@@ -9,12 +9,15 @@ in-degree of zero" to bound memory.
 
 :class:`IncrementalWaitingGraph` implements exactly that: records are
 ingested one at a time (out-of-order submission is buffered and replayed
-in completion-time order), the binding-mode edges are added on the fly,
-and periodic pruning discards vertices that can no longer appear on the
-critical path.  At any moment :meth:`snapshot` yields a regular
+in completion-time order), each one's binding edge, the in-degrees of
+the steps it waits on and the latest-ending anchor are updated as it
+arrives, and periodic pruning peels the in-degree-zero worklist off
+everything but the critical chain.  Nothing is rebuilt per snapshot:
+:meth:`critical_path` reads the chain that ingestion kept current, and
+the final critical path equals the batch-built one (tested property).
+:meth:`snapshot` still yields a regular
 :class:`~repro.core.waiting_graph.WaitingGraph` over the retained
-records, and the final critical path equals the batch-built one (tested
-property).
+records for callers that want the full vertex/edge view.
 """
 
 from __future__ import annotations
@@ -27,21 +30,23 @@ from repro.collective.primitives import StepSchedule
 from repro.collective.runtime import StepRecord
 from repro.core.waiting_graph import CriticalPathEntry, WaitingGraph
 
+StepKey = tuple[str, int]
+
 
 class IncrementalWaitingGraph:
     """Streaming construction of the waiting graph.
 
     ``prune_interval`` controls how often (in ingested records) the
     in-degree-zero prune runs; pruning never removes a record that is
-    still waited on by a not-yet-complete step, nor the current latest
-    end (the live critical-path anchor).
+    still waited on by a retained or not-yet-complete step, nor the
+    chain behind the current latest end (the live critical path).
     """
 
     def __init__(self, schedule: StepSchedule,
                  prune_interval: int = 16) -> None:
         self.schedule = schedule
         self.prune_interval = prune_interval
-        self.records: dict[tuple[str, int], StepRecord] = {}
+        self.records: dict[StepKey, StepRecord] = {}
         self._buffer: list[tuple[float, int, StepRecord]] = []
         self._tie = itertools.count()
         self._ingested = 0
@@ -51,9 +56,40 @@ class IncrementalWaitingGraph:
         self.ingest_listeners: list[Callable[[StepRecord], None]] = []
         #: called with the number of records each prune pass dropped
         self.prune_listeners: list[Callable[[int], None]] = []
-        #: steps whose records a future step still needs (reverse deps)
-        self._expected = {(s.node, s.step_index)
-                          for s in schedule.all_steps()}
+        #: the blue edge of every step of the schedule
+        self._depends_on: dict[StepKey, Optional[StepKey]] = {
+            (s.node, s.step_index): s.depends_on
+            for s in schedule.all_steps()}
+        #: steps whose records have not arrived yet
+        self._expected = set(self._depends_on)
+        self._count_waiters()
+
+    def _waits_on(self, key: StepKey) -> list[StepKey]:
+        """The steps ``key``'s start structurally waits on (orange and
+        blue edge targets)."""
+        node, idx = key
+        targets = [(node, idx - 1)] if idx > 0 else []
+        dep = self._depends_on[key]
+        if dep is not None and dep not in targets:
+            targets.append(dep)
+        return targets
+
+    def _count_waiters(self) -> None:
+        """Everything derived from ``records`` and ``_expected``."""
+        records = self.records
+        #: per step, how many retained or expected steps wait on it
+        self._indegree = dict.fromkeys(self._depends_on, 0)
+        for key in self._expected.union(records):
+            for target in self._waits_on(key):
+                self._indegree[target] += 1
+        #: retained records nothing waits on — the prune worklist
+        self._unwaited = dict.fromkeys(
+            key for key in records if not self._indegree[key])
+        #: the latest-ending retained record (the earliest-kept of
+        #: equals) and the binding chain behind it, oldest first
+        self._anchor: Optional[StepKey] = max(
+            records, key=lambda k: records[k].end_time, default=None)
+        self._chain: Optional[list[StepKey]] = None
 
     # ------------------------------------------------------------------
     def submit(self, record: StepRecord) -> None:
@@ -69,8 +105,23 @@ class IncrementalWaitingGraph:
 
     def _ingest(self, record: StepRecord) -> None:
         key = (record.node, record.step_index)
-        self.records[key] = record
-        self._expected.discard(key)
+        waits_on = self._waits_on(key)
+        records = self.records
+        known = records.get(key)
+        records[key] = record
+        if known is not None:
+            if known != record:      # same place in ``records``, other
+                self._count_waiters()   # times: take nothing for granted
+        else:
+            if key in self._expected:
+                self._expected.discard(key)
+            else:                    # pruned, and back: it waits again
+                for target in waits_on:
+                    self._indegree[target] += 1
+                    self._unwaited.pop(target, None)
+            if not self._indegree[key]:
+                self._unwaited[key] = None
+            self._extend_chain(key, record)
         self._ingested += 1
         for listener in self.ingest_listeners:
             listener(record)
@@ -78,49 +129,66 @@ class IncrementalWaitingGraph:
                 and self._ingested % self.prune_interval == 0:
             self.prune()
 
-    # ------------------------------------------------------------------
-    def _still_needed(self) -> set[tuple[str, int]]:
-        """Records that a not-yet-ingested step may still wait on."""
-        needed: set[tuple[str, int]] = set()
-        for pending in self._expected:
-            node, idx = pending
-            if idx > 0:
-                needed.add((node, idx - 1))
-            step = self.schedule.step(node, idx)
-            if step.depends_on is not None:
-                needed.add(step.depends_on)
-        return needed
+    def _extend_chain(self, key: StepKey, record: StepRecord) -> None:
+        """Move the anchor and the chain for one newly retained record:
+        a later end than every other is the new anchor, and extends the
+        chain when it was bound by the old one; a record the chain's
+        oldest entry was bound by re-roots it."""
+        anchor, chain = self._anchor, self._chain
+        if anchor is None \
+                or record.end_time > self.records[anchor].end_time:
+            self._anchor = key
+            if chain is not None and self._bound_by(record) == anchor:
+                chain.append(key)
+            else:
+                self._chain = None
+        elif chain is not None \
+                and self._bound_by(self.records[chain[0]]) == key:
+            self._chain = None
 
+    def _bound_by(self, record: StepRecord) -> Optional[StepKey]:
+        """The step whose end released ``record``'s start — its binding
+        edge's target, retained or not."""
+        key = (record.node, record.step_index)
+        dep = self._depends_on[key]
+        if record.binding_dependency == "recv" and dep is not None:
+            return dep
+        return (record.node, record.step_index - 1) \
+            if record.step_index > 0 else None
+
+    def _critical_chain(self) -> list[StepKey]:
+        """The retained binding chain behind the anchor, oldest first."""
+        if self._chain is None:
+            records = self.records
+            chain: list[StepKey] = []
+            seen: set[StepKey] = set()
+            key = self._anchor
+            while key in records and key not in seen:
+                seen.add(key)
+                chain.append(key)
+                key = self._bound_by(records[key])
+            chain.reverse()
+            self._chain = chain
+        return self._chain
+
+    # ------------------------------------------------------------------
     def prune(self) -> int:
-        """Drop records whose vertices are not waited for by anything
-        retained or pending.  Returns the number of records dropped."""
+        """Drop the records nothing retained or pending waits on, the
+        critical chain excepted.  One layer per pass: a record this
+        pass leaves unwaited goes with the next.  Returns the number of
+        records dropped."""
         if not self.records:
             return 0
-        keep_keys = self._still_needed()
-        anchor = max(self.records,
-                     key=lambda k: self.records[k].end_time)
-        # records referenced by retained records' binding predecessors
-        # form the live critical chain; walk it from the anchor
-        chain: set[tuple[str, int]] = set()
-        graph = WaitingGraph(self.schedule, self.records.values())
-        key: Optional[tuple[str, int]] = anchor
-        while key is not None and key not in chain:
-            chain.add(key)
-            key = graph._predecessor_of(self.records[key])
-        # waited-on by a retained in-degree sense: any record that a
-        # retained record's structural edges point at
-        waited: set[tuple[str, int]] = set()
-        for (node, idx) in self.records:
-            if idx > 0:
-                waited.add((node, idx - 1))
-            step = self.schedule.step(node, idx)
-            if step.depends_on is not None:
-                waited.add(step.depends_on)
-        retain = (keep_keys | chain | waited) & set(self.records)
-        retain.add(anchor)
-        doomed = set(self.records) - retain
+        chain = set(self._critical_chain())
+        doomed = [key for key in self._unwaited if key not in chain]
         for key in doomed:
             del self.records[key]
+            del self._unwaited[key]
+        for key in doomed:
+            for target in self._waits_on(key):
+                self._indegree[target] -= 1
+                if not self._indegree[target] and target in self.records:
+                    self._unwaited[target] = None
         self.pruned_total += len(doomed)
         for listener in self.prune_listeners:
             listener(len(doomed))
@@ -158,7 +226,20 @@ class IncrementalWaitingGraph:
         return WaitingGraph(self.schedule, self.records.values())
 
     def critical_path(self) -> list[CriticalPathEntry]:
-        return self.snapshot().critical_path()
+        """The chain of steps that determined the execution time so
+        far (:meth:`WaitingGraph.critical_path` over the retained
+        records, without building one)."""
+        path = []
+        for key in self._critical_chain():
+            record = self.records[key]
+            path.append(CriticalPathEntry(
+                node=record.node,
+                step_index=record.step_index,
+                start_time=record.start_time,
+                end_time=record.end_time,
+                entered_via=record.binding_dependency,
+            ))
+        return path
 
     # ------------------------------------------------------------------
     # checkpoint hooks (the live service's crash-safe snapshots)
@@ -226,6 +307,7 @@ class IncrementalWaitingGraph:
             self.records[(record.node, record.step_index)] = record
         self._expected = {(node, int(idx))
                           for node, idx in state["expected"]}
+        self._count_waiters()
         self._buffer = []
         self._ingested = int(state["ingested"])
         self.pruned_total = int(state["pruned_total"])

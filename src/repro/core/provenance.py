@@ -21,16 +21,16 @@ the storm signature (a buggy port pausing without congestion pressure).
 
 from __future__ import annotations
 
-import operator
-from copy import copy
-from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from repro.core.units import Bytes
 from repro.simnet.packet import FlowKey
 from repro.simnet.pfc import PauseEvent, PortRef
 from repro.simnet.telemetry import SwitchReport
+
+_pause_time = attrgetter("time")
 
 
 @dataclass
@@ -60,49 +60,46 @@ class ProvenanceGraph:
     pause_events: list[PauseEvent] = field(default_factory=list)
     #: flows with TTL-expiry drops (forwarding-loop evidence)
     ttl_drop_flows: set[FlowKey] = field(default_factory=set)
-    #: lazily built adjacency over the edge dicts and pause events
-    _index: Optional["_Adjacency"] = field(
+    #: adjacency over the edge dicts and pause events
+    _index: Optional["Adjacency"] = field(
         default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # queries used by diagnosis and rating — O(degree) off an adjacency
-    # index built on first use and rebuilt when an edge dict or the
-    # pause list was replaced or changed size (hand-built graphs fill
-    # the public dicts directly); lists keep the dicts' insertion order
+    # index; lists keep the dicts' insertion order
     # ------------------------------------------------------------------
-    def _adjacency(self) -> "_Adjacency":
+    def adjacency(self) -> "Adjacency":
+        """The neighbour lists of this graph.
+
+        A graph finalised by a :class:`ProvenanceAccumulator` carries
+        the index it was built with.  A hand-filled graph gets one on
+        first use, rebuilt when an edge dict or the pause list was
+        replaced or changed size."""
         index = self._index
+        if index is not None and index.sources is None:
+            return index
         sources = (self.flow_port, self.port_flow, self.port_port,
                    self.pause_events)
         if index is None or index.sizes != tuple(map(len, sources)) \
-                or any(map(operator.is_not, sources, index.sources)):
-            index = self._index = _Adjacency(sources)
+                or any(a is not b for a, b in zip(sources, index.sources)):
+            index = self._index = Adjacency(sources)
         return index
 
     def ports_of_flow(self, flow: FlowKey) -> list[PortRef]:
         """Ports the flow waits at (its e(f,p) neighbors)."""
-        return list(self._adjacency().ports_of_flow.get(flow, ()))
-
-    def waiting_flows(self) -> list[FlowKey]:
-        """Flows with at least one e(f,p) edge."""
-        return list(self._adjacency().ports_of_flow)
+        return list(self.adjacency().ports_of_flow.get(flow, ()))
 
     def flows_at_port(self, port: PortRef) -> list[FlowKey]:
         """Flows contributing to the port's congestion (e(p,f))."""
-        return list(self._adjacency().flows_at_port.get(port, ()))
+        return list(self.adjacency().flows_at_port.get(port, ()))
 
     def waiting_flows_at_port(self, port: PortRef) -> list[FlowKey]:
         """Flows that wait at the port (e(f,p))."""
-        return list(self._adjacency().waiting_at_port.get(port, ()))
+        return list(self.adjacency().waiting_at_port.get(port, ()))
 
     def downstream_ports(self, port: PortRef) -> list[PortRef]:
         """PFC causes: ports this port waits on (e(p_i, p_j) targets)."""
-        return list(self._adjacency().downstream.get(port, ()))
-
-    def pause_senders_to(self, victim: PortRef) -> list[PortRef]:
-        """Senders of every PAUSE that halted ``victim``, oldest first
-        (empty when the port was never a pause victim)."""
-        return list(self._adjacency().pause_senders.get(victim, ()))
+        return list(self.adjacency().downstream.get(port, ()))
 
     def pairwise_weight(self, port: PortRef, fi: FlowKey,
                         fj: FlowKey) -> float:
@@ -118,8 +115,12 @@ class ProvenanceGraph:
         return self.flows - self.collective_flows
 
     def port_port_cycles(self) -> list[list[PortRef]]:
-        """Cycles in the PFC-causality edges — the deadlock signature."""
-        if not self.port_port:
+        """Cycles in the PFC-causality edges — the deadlock signature.
+
+        Nearly every graph has none, and a Kahn peel says so without
+        importing networkx; a graph that has one is enumerated by
+        ``nx.simple_cycles``."""
+        if not self.port_port or _acyclic(self.adjacency().downstream):
             return []
         import networkx as nx
 
@@ -154,6 +155,24 @@ class ProvenanceGraph:
         return seen
 
 
+def _acyclic(downstream: dict[PortRef, list[PortRef]]) -> bool:
+    """Kahn's algorithm: peel vertices nothing points at until none is
+    left (acyclic) or every one left sits on or behind a cycle."""
+    indegree = dict.fromkeys(downstream, 0)
+    for targets in downstream.values():
+        for target in targets:
+            indegree[target] = indegree.get(target, 0) + 1
+    ready = [port for port, degree in indegree.items() if not degree]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for target in downstream.get(ready.pop(), ()):
+            indegree[target] -= 1
+            if not indegree[target]:
+                ready.append(target)
+    return peeled == len(indegree)
+
+
 def _grouped(pairs: Iterable[tuple]) -> dict:
     groups: dict = {}
     for key, value in pairs:
@@ -161,44 +180,116 @@ def _grouped(pairs: Iterable[tuple]) -> dict:
     return groups
 
 
-class _Adjacency:
+class Adjacency:
     """Neighbour lists over a :class:`ProvenanceGraph`'s edge dicts and
-    pause events, each in its source's order."""
+    pause events, each in its source's order, plus what the signature
+    detectors keep per port."""
 
     __slots__ = ("sources", "sizes", "ports_of_flow", "flows_at_port",
-                 "waiting_at_port", "downstream", "pause_senders")
+                 "waiting_at_port", "downstream", "pause_senders",
+                 "sharing", "rows", "evidence")
 
-    def __init__(self, sources: tuple) -> None:
-        #: what the lists were built from, and how big it was then
+    def __init__(self, sources: Optional[tuple] = None) -> None:
+        #: the (flow_port, port_flow, port_port, pause_events) a
+        #: hand-filled graph's lists were built from, and how big they
+        #: were then; None on an accumulator's index, which starts
+        #: empty, is extended edge by edge and is never re-validated
         self.sources = sources
-        self.sizes = tuple(map(len, sources))
-        flow_port, port_flow, port_port, pause_events = sources
-        self.ports_of_flow = _grouped(flow_port)
-        self.waiting_at_port = _grouped((p, f) for f, p in flow_port)
-        self.flows_at_port = _grouped(port_flow)
-        self.downstream = _grouped(port_port)
-        self.pause_senders = _grouped((e.victim, e.sender)
-                                      for e in pause_events)
+        self.sizes = tuple(map(len, sources or ()))
+        flow_port, port_flow, port_port, pause_events = \
+            sources or ((), (), (), ())
+        self.ports_of_flow: dict[FlowKey, list[PortRef]] = \
+            _grouped(flow_port)
+        self.waiting_at_port: dict[PortRef, list[FlowKey]] = \
+            _grouped((p, f) for f, p in flow_port)
+        self.flows_at_port: dict[PortRef, list[FlowKey]] = \
+            _grouped(port_flow)
+        self.downstream: dict[PortRef, list[PortRef]] = \
+            _grouped(port_port)
+        self.pause_senders: dict[PortRef, list[PortRef]] = _grouped(
+            (e.victim, e.sender) for e in pause_events)
+        #: ``diagnosis`` on an accumulator's graph: the by-port pass
+        #: its detectors share, and that pass's row and the PFC
+        #: evidence per port, which outlive the snapshot (all None on a
+        #: hand-filled graph: nothing outlives a call)
+        self.sharing: Optional[list] = None
+        self.rows: Optional[dict] = None
+        self.evidence: Optional[dict] = None
 
 
-@lru_cache(maxsize=4096)
-def _port_ref(node: str, port: int) -> PortRef:
-    """One shared instance per port: dict probes on a key that *is* the
-    stored key skip PortRef's Python-level ``__eq__``."""
-    return PortRef(node, port)
+class PreparedReport:
+    """One :class:`SwitchReport` digested into the form accumulators
+    max-merge: every key built, every weight derived, every waiting-flow
+    sum taken once, however many graphs the report lands in."""
+
+    __slots__ = ("time", "switch", "ports", "flows", "meters", "pauses",
+                 "ttl_drops")
+
+    def __init__(self, report: SwitchReport) -> None:
+        self.time = report.time
+        switch = self.switch = report.switch_id
+        #: every flow named, in the order a walk of the report meets
+        #: them (repeats and all: they go into a set)
+        flows = self.flows = []
+        #: per port: (port, qdepth, paused, [(edge key, weight)] for
+        #: pairwise / e(p,f) / e(f,p), the window's flow_pkts)
+        self.ports = []
+        for entry in report.ports:
+            port = PortRef(switch, entry.port)
+            flow_pkts = entry.flow_pkts
+            #: w(f_i, p) terms per waiting flow, in telemetry order
+            waits: dict[FlowKey, list[float]] = {}
+            pairwise = []
+            for (fi, fj), weight in entry.wait_weights.items():
+                pairwise.append(((port, fi, fj),
+                                 weight if weight > 0.0 else 0.0))
+                flows += (fi, fj)
+                if fi in waits:
+                    waits[fi].append(weight)
+                else:
+                    waits[fi] = [weight]
+            flows += flow_pkts
+            qdepth = entry.qdepth_pkts if entry.qdepth_pkts > 0 else 0
+            total_pkts = sum(flow_pkts.values())
+            port_flow = [
+                ((port, flow),
+                 w if (w := count / total_pkts * qdepth) > 0.0 else 0.0)
+                for flow, count in flow_pkts.items()] \
+                if total_pkts > 0 and qdepth > 0 else ()
+            # e(f, p): a flow waits at the port if other traffic queued
+            # ahead of it, if its packets sit in the queue, or if the
+            # port is paused while the flow transits it
+            waiting = set(entry.inqueue_flow_pkts)
+            waiting.update(waits)
+            if entry.paused:
+                waiting.update(flow_pkts)
+            flows += waiting
+            flow_port = [
+                ((flow, port),
+                 w if flow in waits and (w := sum(waits[flow])) > 0.0
+                 else 0.0)
+                for flow in waiting]
+            self.ports.append((port, qdepth, entry.paused, pairwise,
+                               port_flow, flow_port, flow_pkts))
+        self.meters = [((switch, inp, out), value if value > 0.0 else 0.0)
+                       for (inp, out), value in report.port_meters.items()]
+        self.pauses = [((pause.time, pause.sender, pause.victim), pause)
+                       for pause in report.pause_received + report.pause_sent]
+        self.ttl_drops = report.ttl_drops
+        flows += self.ttl_drops
 
 
 class ProvenanceAccumulator:
-    """The fold half of :func:`build_provenance`: one report at a time.
+    """The merge half of :func:`build_provenance`: one report at a time.
 
     Merging is a per-edge maximum — commutative, associative and
-    idempotent — so folding each report once on arrival and taking a
+    idempotent — so merging each report once on arrival and taking a
     :meth:`snapshot` equals :func:`build_provenance` over the same
     reports in the same order, dict insertion order included (hence the
     float summation order of Eqs. 1-3).  The two derivations that read
     the *whole* collection (pause victims, port-port weights: their
     denominators grow with every meter) are redone per snapshot on a
-    shallow copy and never written back here.
+    copy and never written back here.
     """
 
     def __init__(self, collective_flows: Iterable[FlowKey],
@@ -208,89 +299,161 @@ class ProvenanceAccumulator:
             collective_flows=set(collective_flows))
         self.pfc_xoff_bytes = pfc_xoff_bytes
         self.window_start = window_start
-        #: (switch, ingress, egress) -> bytes, for port-port weights
+        #: e(f,p) / e(p,f) neighbour lists, extended with every new edge
+        self.index = Adjacency()
+        #: (switch, ingress, egress) -> bytes, for port-port weights,
+        #: and its keys both ways round, in first-seen order: by
+        #: (switch, egress) a denominator's terms, by (switch, ingress)
+        #: what a paused link fed
         self.meters: dict[tuple[str, int, int], float] = {}
+        self._into: dict[tuple[str, int], list[tuple]] = {}
+        self._fed_by: dict[tuple[str, int], list[tuple]] = {}
         self._seen_pauses: set[tuple] = set()
         #: flows observed transiting each reported port in the window
         self.port_window_flows: dict[PortRef, set[FlowKey]] = {}
+        # what the detectors keep per port goes stale with the port:
+        # ports reported on since the last snapshot, and the switches a
+        # new meter or a new pause was seen at ...
+        self._touched_ports: set[PortRef] = set()
+        self._touched_nodes: set[str] = set()
+        #: ... which reach every pause victim that sits on the node or
+        #: was paused from it; a new flow reaches the victims on its
+        #: source host
+        self._victims_by_node: dict[str, set[PortRef]] = {}
+        self._flows_seen = 0
+        self._rows: dict[PortRef, tuple] = {}
+        self._evidence: dict[PortRef, tuple] = {}
 
     def fold(self, report: SwitchReport) -> None:
         """Merge one report (edge-wise maximum; see the class note)."""
+        self.merge(PreparedReport(report))
+
+    def merge(self, prepared: PreparedReport) -> None:
+        """:meth:`fold` of the report ``prepared`` was made from."""
         window_start = self.window_start
-        if window_start is not None and report.time < window_start:
+        if window_start is not None and prepared.time < window_start:
             return
         graph = self.graph
-        flows = graph.flows
-        pairwise, port_flow, flow_port = (
-            graph.pairwise, graph.port_flow, graph.flow_port)
-        switch = report.switch_id
-        for entry in report.ports:
-            port = _port_ref(switch, entry.port)
+        graph.flows.update(prepared.flows)
+        index = self.index
+        for (port, qdepth, paused, pairwise_edges, port_flow_edges,
+             flow_port_edges, flow_pkts) in prepared.ports:
             graph.ports.add(port)
-            graph.qdepth[port] = max(graph.qdepth.get(port, 0),
-                                     entry.qdepth_pkts)
-            if entry.paused:
+            self._touched_ports.add(port)
+            old = graph.qdepth.get(port)
+            if old is None or qdepth > old:
+                graph.qdepth[port] = qdepth
+            if paused:
                 graph.paused_ports.add(port)
-            #: w(f_i, p) terms per waiting flow, in telemetry order
-            waits: dict[FlowKey, list[float]] = {}
-            for (fi, fj), weight in entry.wait_weights.items():
-                key = (port, fi, fj)
-                pairwise[key] = max(pairwise.get(key, 0.0), weight)
-                flows.update((fi, fj))
-                waits.setdefault(fi, []).append(weight)
-            total_pkts = entry.total_window_pkts()
-            congested = total_pkts > 0 and entry.qdepth_pkts > 0
-            for flow, count in entry.flow_pkts.items():
-                flows.add(flow)
-                if congested:
-                    weight = count / total_pkts * entry.qdepth_pkts
-                    key = (port, flow)
-                    port_flow[key] = max(port_flow.get(key, 0.0), weight)
-            # e(f, p): a flow waits at the port if other traffic queued
-            # ahead of it, if its packets sit in the queue, or if the
-            # port is paused while the flow transits it
-            self.port_window_flows.setdefault(port, set()).update(
-                entry.flow_pkts)
-            waiting_candidates = set(entry.inqueue_flow_pkts)
-            waiting_candidates.update(waits)
-            if entry.paused:
-                waiting_candidates.update(entry.flow_pkts)
-            for flow in waiting_candidates:
-                flows.add(flow)
-                key = (flow, port)
-                flow_port[key] = max(flow_port.get(key, 0.0),
-                                     sum(waits.get(flow, ())))
-        meters = self.meters
-        for (inp, out), value in report.port_meters.items():
-            key = (switch, inp, out)
-            meters[key] = max(meters.get(key, 0.0), value)
-        for pause in report.pause_received + report.pause_sent:
-            dedup = (pause.time, pause.sender, pause.victim)
+            edges = graph.pairwise
+            for key, weight in pairwise_edges:
+                old = edges.get(key)
+                if old is None or weight > old:
+                    edges[key] = weight
+            edges = graph.port_flow
+            for key, weight in port_flow_edges:
+                old = edges.get(key)
+                if old is None:
+                    index.flows_at_port.setdefault(port, []).append(key[1])
+                if old is None or weight > old:
+                    edges[key] = weight
+            edges = graph.flow_port
+            for key, weight in flow_port_edges:
+                old = edges.get(key)
+                if old is None:
+                    flow = key[0]
+                    index.ports_of_flow.setdefault(flow, []).append(port)
+                    index.waiting_at_port.setdefault(port, []).append(flow)
+                if old is None or weight > old:
+                    edges[key] = weight
+            seen = self.port_window_flows.get(port)
+            if seen is None:
+                seen = self.port_window_flows[port] = set()
+            seen.update(flow_pkts)
+        if prepared.meters:
+            self._touched_nodes.add(prepared.switch)
+            meters = self.meters
+            for key, value in prepared.meters:
+                old = meters.get(key)
+                if old is None:
+                    switch, inp, out = key
+                    self._into.setdefault((switch, out), []).append(key)
+                    self._fed_by.setdefault((switch, inp), []).append(key)
+                if old is None or value > old:
+                    meters[key] = value
+        for dedup, pause in prepared.pauses:
             if dedup in self._seen_pauses:
                 continue
             self._seen_pauses.add(dedup)
             if window_start is not None and pause.time < window_start:
                 continue
             graph.pause_events.append(pause)
+            sender, victim = pause.sender, pause.victim
             if pause.buffer_bytes_at_send < self.pfc_xoff_bytes:
-                graph.ungrounded_pause_sources.add(pause.sender)
-        for flow in report.ttl_drops:
-            graph.ttl_drop_flows.add(flow)
-            flows.add(flow)
+                graph.ungrounded_pause_sources.add(sender)
+            self._touched_nodes.add(sender.node)
+            for node in (sender.node, victim.node):
+                self._victims_by_node.setdefault(node, set()).add(victim)
+        if prepared.ttl_drops:
+            graph.ttl_drop_flows.update(prepared.ttl_drops)
+
+    def _drop_stale(self) -> None:
+        """Forget what the detectors kept about every port whose state
+        may have moved since the last snapshot: its own row, and the
+        PFC evidence that read it."""
+        dirty = self._touched_ports
+        victims = self._victims_by_node
+        flows = self.graph.flows
+        if len(flows) != self._flows_seen and victims:
+            self._flows_seen = len(flows)
+            self._touched_nodes.update(flow.src for flow in flows)
+        for node in self._touched_nodes.intersection(victims):
+            dirty.update(victims[node])
+        rows, evidence = self._rows, self._evidence
+        for port in dirty.intersection(rows):
+            del rows[port]
+        for port in [port for port, (read, _verdict) in evidence.items()
+                     if not dirty.isdisjoint(read)]:
+            del evidence[port]
+        self._touched_ports = set()
+        self._touched_nodes = set()
 
     def snapshot(self) -> ProvenanceGraph:
-        """The finalised graph over everything folded so far; shares
-        nothing mutable with the accumulator."""
-        return self.finalize(ProvenanceGraph(**{
-            f.name: copy(getattr(self.graph, f.name))
-            for f in fields(ProvenanceGraph) if f.init}))
+        """The finalised graph over everything merged so far.  It owns
+        the containers :meth:`finalize` writes to and shares the rest
+        with the accumulator, so it is good until the next merge."""
+        base = self.graph
+        graph = ProvenanceGraph(
+            collective_flows=base.collective_flows,
+            flows=base.flows.copy(), ports=base.ports.copy(),
+            flow_port=base.flow_port.copy(), port_flow=base.port_flow,
+            pairwise=base.pairwise, qdepth=base.qdepth,
+            paused_ports=base.paused_ports,
+            ungrounded_pause_sources=base.ungrounded_pause_sources,
+            pause_events=base.pause_events.copy(),
+            ttl_drop_flows=base.ttl_drop_flows)
+        index = Adjacency()
+        index.ports_of_flow = {flow: ports.copy() for flow, ports
+                               in self.index.ports_of_flow.items()}
+        index.waiting_at_port = {port: flows.copy() for port, flows
+                                 in self.index.waiting_at_port.items()}
+        index.flows_at_port = self.index.flows_at_port
+        self._drop_stale()
+        return self.finalize(graph, index)
 
-    def finalize(self, graph: ProvenanceGraph) -> ProvenanceGraph:
+    def finalize(self, graph: ProvenanceGraph,
+                 index: Adjacency) -> ProvenanceGraph:
         """Derive pause-victim edges and port-port weights into
-        ``graph`` (the accumulator's own graph, or a copy of it)."""
-        graph.pause_events.sort(key=lambda e: e.time)
-        _attach_pause_victims(graph, self.port_window_flows)
-        _build_port_port_edges(graph, self.meters)
+        ``graph`` and ``index`` (the accumulator's own, or copies)."""
+        graph.pause_events.sort(key=_pause_time)
+        if graph.pause_events:
+            _attach_pause_victims(graph, index, self.port_window_flows)
+            _build_port_port_edges(graph, index, self.meters, self._into,
+                                   self._fed_by)
+            index.pause_senders = _grouped(
+                (e.victim, e.sender) for e in graph.pause_events)
+        index.rows, index.evidence = self._rows, self._evidence
+        graph._index = index
         return graph
 
 
@@ -312,10 +475,10 @@ def build_provenance(reports: Iterable[SwitchReport],
                                         window_start)
     for report in reports:
         accumulator.fold(report)
-    return accumulator.finalize(accumulator.graph)
+    return accumulator.finalize(accumulator.graph, accumulator.index)
 
 
-def _attach_pause_victims(graph: ProvenanceGraph,
+def _attach_pause_victims(graph: ProvenanceGraph, index: Adjacency,
                           port_window_flows: dict[PortRef, set[FlowKey]]
                           ) -> None:
     """Give flows halted by PFC an e(f, p) edge at the victim port.
@@ -326,11 +489,10 @@ def _attach_pause_victims(graph: ProvenanceGraph,
     flows observed at the port within the telemetry window, and — for a
     host-side victim — every flow originating at that host.
     """
-    if not graph.pause_events:
-        return
     by_source: dict[str, list[FlowKey]] = {}
     for flow in graph.flows | graph.collective_flows:
         by_source.setdefault(flow.src, []).append(flow)
+    flow_port = graph.flow_port
     # a victim paused again adds nothing new: once per victim, in the
     # order the pauses first name it
     for victim in dict.fromkeys(e.victim for e in graph.pause_events):
@@ -339,31 +501,42 @@ def _attach_pause_victims(graph: ProvenanceGraph,
         blocked.update(by_source.get(victim.node, ()))
         for flow in blocked:
             graph.flows.add(flow)
-            graph.flow_port.setdefault((flow, victim), 0.0)
+            if (flow, victim) not in flow_port:
+                flow_port[(flow, victim)] = 0.0
+                index.ports_of_flow.setdefault(flow, []).append(victim)
+                index.waiting_at_port.setdefault(victim, []).append(flow)
 
 
-def _build_port_port_edges(graph: ProvenanceGraph,
-                           meters: dict[tuple[str, int, int], float]) -> None:
-    """Turn pause causality + traffic meters into weighted e(p_i, p_j)."""
-    #: (switch, ingress) -> [(egress, bytes)] and (switch, egress) ->
-    #: [bytes], both in meter order (the denominators' summation order)
-    fed_by: dict[tuple[str, int], list[tuple[int, float]]] = {}
-    into: dict[tuple[str, int], list[float]] = {}
-    for (switch, inp, out), value in meters.items():
-        into.setdefault((switch, out), []).append(value)
-        if value > 0:
-            fed_by.setdefault((switch, inp), []).append((out, value))
+def _build_port_port_edges(
+        graph: ProvenanceGraph, index: Adjacency,
+        meters: dict[tuple[str, int, int], float],
+        into: dict[tuple[str, int], list[tuple]],
+        fed_by: dict[tuple[str, int], list[tuple]]) -> None:
+    """Turn pause causality + traffic meters into weighted e(p_i, p_j).
+
+    ``into`` and ``fed_by`` list the meters' keys per egress and per
+    ingress in meter order, the order a denominator's terms are summed
+    in."""
+    port_port = graph.port_port
     # repeated PAUSEs over one link yield the same weights: once per
     # (halted egress on switch A, pausing ingress on switch B)
     for upstream, sender in dict.fromkeys(
             (e.victim, e.sender) for e in graph.pause_events):
         graph.ports.add(upstream)
-        for out, value in fed_by.get((sender.node, sender.port), ()):
-            denominator = sum(into[(sender.node, out)])
+        # a PortRef is its (node, port) tuple, the lists' key
+        for key in fed_by.get(sender, ()):
+            value = meters[key]
+            if value <= 0:
+                continue
+            out = key[2]
+            denominator = sum(map(meters.__getitem__,
+                                  into[(sender.node, out)]))
             if denominator <= 0:
                 continue
             downstream = PortRef(sender.node, out)
-            graph.port_port[(upstream, downstream)] = max(
-                graph.port_port.get((upstream, downstream), 0.0),
-                value / denominator)
+            key = (upstream, downstream)
+            old = port_port.get(key)
+            if old is None:
+                index.downstream.setdefault(upstream, []).append(downstream)
+            port_port[key] = max(old or 0.0, value / denominator)
             graph.ports.add(downstream)

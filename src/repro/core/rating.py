@@ -24,21 +24,27 @@ def contribution_to_port(graph: ProvenanceGraph, flow: FlowKey,
     Computed by memoized traversal along the direction of being waited
     for; cycles (PFC deadlock) contribute only their local term.
     """
-    memo = _memo if _memo is not None else {}
-    visiting = _visiting if _visiting is not None else set()
+    return _port_score(graph, graph.adjacency().downstream, flow, port,
+                       _memo if _memo is not None else {},
+                       _visiting if _visiting is not None else set())
+
+
+def _port_score(graph: ProvenanceGraph,
+                downstream: dict[PortRef, list[PortRef]], flow: FlowKey,
+                port: PortRef, memo: dict, visiting: set) -> float:
     key = (flow, port)
     if key in memo:
         return memo[key]
-    local = graph.port_flow.get((port, flow), 0.0)
+    total = graph.port_flow.get((port, flow), 0.0)
     if port in visiting:       # cycle guard
-        return local
-    visiting.add(port)
-    total = local
-    for downstream in graph.downstream_ports(port):
-        weight = graph.port_port[(port, downstream)]
-        total += weight * contribution_to_port(
-            graph, flow, downstream, memo, visiting)
-    visiting.discard(port)
+        return total
+    targets = downstream.get(port)
+    if targets:
+        visiting.add(port)
+        for target in targets:
+            total += graph.port_port[(port, target)] * _port_score(
+                graph, downstream, flow, target, memo, visiting)
+        visiting.discard(port)
     memo[key] = total
     return total
 
@@ -54,13 +60,15 @@ def contribution_to_flow(graph: ProvenanceGraph, flow: FlowKey,
     """
     if flow == cf:
         return 0.0
+    index = graph.adjacency()
+    downstream = index.downstream
     memo: dict = {}
+    visiting: set = set()
     total = 0.0
-    for port in graph.ports_of_flow(cf):
-        transitive = contribution_to_port(graph, flow, port, memo)
-        total += transitive
+    for port in index.ports_of_flow.get(cf, ()):
+        total += _port_score(graph, downstream, flow, port, memo, visiting)
         if (flow, port) in graph.flow_port:   # I(e(f_i, p_k) ∈ E)
-            w_cf_fi = graph.pairwise_weight(port, cf, flow)
+            w_cf_fi = graph.pairwise.get((port, cf, flow), 0.0)
             w_pk_fi = graph.port_flow.get((port, flow), 0.0)
             total += w_cf_fi - w_pk_fi
     return total
@@ -119,7 +127,8 @@ def score_row(graph: ProvenanceGraph, cf: FlowKey) -> dict[FlowKey, float]:
     from them, and a flow the graph never saw has neither — so
     ``row.get(flow, 0.0)`` stands in for :func:`contribution_to_flow`
     once the graph is gone."""
-    ports = graph.ports_of_flow(cf)
+    index = graph.adjacency()
+    ports = index.ports_of_flow.get(cf, ())
     candidates: set[FlowKey] = set()
     reached: set[PortRef] = set()
     stack = list(ports)
@@ -127,10 +136,10 @@ def score_row(graph: ProvenanceGraph, cf: FlowKey) -> dict[FlowKey, float]:
         port = stack.pop()
         if port not in reached:
             reached.add(port)
-            candidates.update(graph.flows_at_port(port))
-            stack.extend(graph.downstream_ports(port))
+            candidates.update(index.flows_at_port.get(port, ()))
+            stack.extend(index.downstream.get(port, ()))
     for port in ports:
-        candidates.update(graph.waiting_flows_at_port(port))
+        candidates.update(index.waiting_at_port[port])
     row = {}
     for flow in candidates - graph.collective_flows:
         score = contribution_to_flow(graph, flow, cf)
@@ -144,11 +153,11 @@ def score_table(graph: ProvenanceGraph
     """:func:`score_row` for every collective flow with a non-empty
     one (a flow that waits nowhere in ``graph`` has none)."""
     table = {}
-    for cf in graph.waiting_flows():
-        if cf in graph.collective_flows:
-            row = score_row(graph, cf)
-            if row:
-                table[cf] = row
+    for cf in graph.collective_flows.intersection(
+            graph.adjacency().ports_of_flow):
+        row = score_row(graph, cf)
+        if row:
+            table[cf] = row
     return table
 
 

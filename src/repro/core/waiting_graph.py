@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from repro.core.units import Nanoseconds
 from repro.collective.primitives import StepSchedule
@@ -40,8 +40,7 @@ class EdgeKind(enum.Enum):
     DATA_DEP = "blue"        # start -> end of the dependency step
 
 
-@dataclass(frozen=True)
-class WaitingVertex:
+class WaitingVertex(NamedTuple):
     """Start or end of one step of one flow."""
 
     node: str
@@ -92,21 +91,35 @@ class WaitingGraph:
         self.mode = mode
         self.records: dict[tuple[str, int], StepRecord] = {
             (r.node, r.step_index): r for r in records}
-        self.vertices: set[WaitingVertex] = set()
-        self.edges: list[WaitingEdge] = []
-        self._build()
+        #: the Fig. 4 view, drawn when first asked for: the critical
+        #: path and Eq. 3's inputs read the records and the schedule
+        self._vertices: Optional[set[WaitingVertex]] = None
+        self._edges: list[WaitingEdge] = []
 
     # ------------------------------------------------------------------
+    @property
+    def vertices(self) -> set[WaitingVertex]:
+        if self._vertices is None:
+            self._build()
+        return self._vertices
+
+    @property
+    def edges(self) -> list[WaitingEdge]:
+        if self._vertices is None:
+            self._build()
+        return self._edges
+
     def _vertex(self, node: str, step: int, point: str) -> WaitingVertex:
         vertex = WaitingVertex(node, step, point)
-        self.vertices.add(vertex)
+        self._vertices.add(vertex)
         return vertex
 
     def _build(self) -> None:
+        self._vertices = set()
         for (node, idx), record in self.records.items():
             start = self._vertex(node, idx, "start")
             end = self._vertex(node, idx, "end")
-            self.edges.append(WaitingEdge(
+            self._edges.append(WaitingEdge(
                 end, start, EdgeKind.EXECUTION, record.duration_ns))
             step = self.schedule.step(node, idx)
             want_orange = idx > 0 and (node, idx - 1) in self.records
@@ -122,12 +135,12 @@ class WaitingGraph:
                 # launch); keep whatever structural edges exist
             if want_orange:
                 prev_end = self._vertex(node, idx - 1, "end")
-                self.edges.append(WaitingEdge(
+                self._edges.append(WaitingEdge(
                     start, prev_end, EdgeKind.INTRA_FLOW, 0.0))
             if want_blue:
                 dep_node, dep_idx = step.depends_on
                 dep_end = self._vertex(dep_node, dep_idx, "end")
-                self.edges.append(WaitingEdge(
+                self._edges.append(WaitingEdge(
                     start, dep_end, EdgeKind.DATA_DEP, 0.0))
 
     # ------------------------------------------------------------------
@@ -151,9 +164,9 @@ class WaitingGraph:
             if not doomed:
                 return removed_total
             removed_total += len(doomed)
-            self.vertices -= doomed
-            self.edges = [e for e in self.edges
-                          if e.src not in doomed and e.dst not in doomed]
+            self._vertices -= doomed
+            self._edges = [e for e in self._edges
+                           if e.src not in doomed and e.dst not in doomed]
 
     def _latest_end_vertex(self) -> Optional[WaitingVertex]:
         latest_key = None
@@ -209,12 +222,14 @@ class WaitingGraph:
         result: dict[int, str] = {}
         for entry in self.critical_path():
             result[entry.step_index] = entry.node
-        all_indices = {idx for (_, idx) in self.records}
-        for idx in all_indices - set(result):
-            slowest = max(
-                (r for (n, i), r in self.records.items() if i == idx),
-                key=lambda r: r.duration_ns)
-            result[idx] = slowest.node
+        slowest: dict[int, StepRecord] = {}
+        for record in self.records.values():
+            idx = record.step_index
+            if idx not in slowest \
+                    or record.duration_ns > slowest[idx].duration_ns:
+                slowest[idx] = record
+        for idx in set(slowest) - set(result):
+            result[idx] = slowest[idx].node
         return result
 
     def step_execution_times(self) -> dict[int, float]:

@@ -121,6 +121,8 @@ class ShardRuntime:
         self.tenants = sorted(tenants, key=lambda t: t.tenant)
         self.events_consumed = 0
         self.restarts = 0
+        #: tenant -> (snapshot, counts, digest) of its last report
+        self._digests: dict[str, tuple] = {}
 
     @property
     def done(self) -> bool:
@@ -148,20 +150,26 @@ class ShardRuntime:
         for tenant in self.tenants:
             tenant.finalize()
 
+    def _digest(self, tenant: TenantRuntime,
+                final: bool) -> TenantDigest:
+        """The tenant's digest, made again only when the snapshot
+        object or a count it carries changed since the last report."""
+        snapshot = tenant.finalize() if final \
+            else tenant.latest_snapshot()
+        counts = (tenant.events_admitted, tenant.events_shed,
+                  tenant.budget_exhausted)
+        last = self._digests.get(tenant.tenant)
+        if last is None or last[0] is not snapshot or last[1] != counts:
+            last = self._digests[tenant.tenant] = (
+                snapshot, counts, TenantDigest.from_snapshot(
+                    self.shard_id, tenant.tenant, snapshot, *counts))
+        return last[2]
+
     def report(self, final: bool = False) -> ShardReport:
-        digests = [
-            TenantDigest.from_snapshot(
-                self.shard_id, t.tenant,
-                t.finalize() if final else t.latest_snapshot(),
-                events_admitted=t.events_admitted,
-                events_shed=t.events_shed,
-                budget_exhausted=t.budget_exhausted)
-            for t in self.tenants
-        ]
         return ShardReport(
             shard_id=self.shard_id,
             final=final,
-            tenants=digests,
+            tenants=[self._digest(t, final) for t in self.tenants],
             restarts=self.restarts,
             checkpoints_written=self.checkpoints_written(),
             events_consumed=self.events_consumed,

@@ -162,12 +162,13 @@ class TenantRuntime:
     def latest_snapshot(self) -> DiagnosisSnapshot:
         """The freshest diagnosis available without finishing: the
         final snapshot if finalized, else the last rolling snapshot,
-        else one emitted on demand."""
+        else one made on demand — outside the snapshot sequence, so a
+        rolling report never changes what the tenant emits later."""
         if self.final is not None:
             return self.final
         if self.pipeline.snapshots:
             return self.pipeline.snapshots[-1]
-        return self.pipeline.emit_snapshot(final=False)
+        return self.pipeline.peek_snapshot()
 
     # ------------------------------------------------------------------
     def step(self, max_events: int) -> int:

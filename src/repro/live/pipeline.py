@@ -319,9 +319,9 @@ class LivePipeline:
             result.setdefault(idx, node)
         return result
 
-    def emit_snapshot(self, final: bool = False) -> DiagnosisSnapshot:
-        """Run the §III-D analysis over everything ingested so far."""
-        build_start = self.clock()
+    def _diagnose(self, final: bool) -> DiagnosisSnapshot:
+        """The §III-D analysis over everything ingested so far, as a
+        snapshot numbered after the last one emitted."""
         path = self.graph.critical_path()
         cfg = self.config
         timing = step_timing(
@@ -331,11 +331,7 @@ class LivePipeline:
         breakdown = self.kernel.snapshot(
             self.collective_flow_keys, self._windows, timing,
             rate=cfg.rate_contributors)
-        if final:
-            self.kernel.drop_derived()
-
-        self._snapshot_seq += 1
-        snapshot = DiagnosisSnapshot(
+        return DiagnosisSnapshot(
             seq=self._snapshot_seq,
             final=final,
             watermark_ns=self.watermark.watermark,
@@ -349,6 +345,22 @@ class LivePipeline:
             degraded=self.degradation.degraded,
             counters=self.counters(),
         )
+
+    def peek_snapshot(self) -> DiagnosisSnapshot:
+        """A diagnosis on demand, between rolling snapshots: it is not
+        counted, kept in :attr:`snapshots` or announced to
+        :attr:`on_snapshot`, so every snapshot emitted afterwards is
+        what it would have been without the look."""
+        return self._diagnose(final=False)
+
+    def emit_snapshot(self, final: bool = False) -> DiagnosisSnapshot:
+        """Diagnose everything ingested so far and publish it as the
+        next snapshot of the sequence."""
+        build_start = self.clock()
+        self._snapshot_seq += 1
+        snapshot = self._diagnose(final)
+        if final:
+            self.kernel.drop_derived()
         now = self.clock()
         for arrival in self._pending_arrivals:
             self.latency.observe(max(0.0, now - arrival))

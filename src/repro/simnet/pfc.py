@@ -11,7 +11,7 @@ PAUSE frames continuously regardless of actual buffer occupancy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.core.units import Nanoseconds
 from repro.simnet.units import us
@@ -24,9 +24,14 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_PAUSE_QUANTA_NS = us(300)
 
 
-@dataclass(frozen=True)
-class PortRef:
-    """A physical port: (node id, local port index)."""
+class PortRef(NamedTuple):
+    """A physical port: (node id, local port index).
+
+    A tuple so that every ``(port, f_i, f_j)`` / ``(flow, port)`` key of
+    the provenance graphs hashes and compares in C; serialisers encode
+    it explicitly (``traces.serialize.encode_port_ref``) — JSON would
+    otherwise write it as a bare list.
+    """
 
     node: str
     port: int

@@ -1,0 +1,86 @@
+"""Delta-driven detectors against from-scratch ones on random telemetry.
+
+An accumulator keeps, between snapshots, each port's by-port row and
+PFC evidence, and drops what a merged report may have moved (the
+dirty-port rule of ``ProvenanceAccumulator._drop_stale``).  Here a
+small universe of switches, hosts, flows and pauses — host-side pause
+victims, ungrounded senders, meters arriving after the pause they
+explain — is reported in random order, and after *every* report the
+diagnosis of the kept accumulator's snapshot must equal the diagnosis
+of a graph built from nothing.
+"""
+
+import random
+
+import pytest
+
+from repro.core.diagnosis import diagnose
+from repro.core.provenance import (PreparedReport, ProvenanceAccumulator,
+                                   build_provenance)
+from repro.core.rating import score_table
+from repro.simnet.packet import FlowKey
+from repro.simnet.pfc import PauseEvent, PortRef
+from repro.simnet.telemetry import PortTelemetryEntry, SwitchReport
+
+XOFF = 1000
+HOSTS = [f"h{i}" for i in range(4)]
+SWITCHES = [f"s{i}" for i in range(3)]
+FLOWS = [FlowKey(src, dst, 10 + i, 4791)
+         for i, (src, dst) in enumerate(
+             (s, d) for s in HOSTS for d in HOSTS if s != d)]
+CF = set(FLOWS[::3])
+
+
+def random_report(rng: random.Random, time: float) -> SwitchReport:
+    switch = rng.choice(SWITCHES)
+    entries = []
+    for port in rng.sample(range(3), rng.randint(0, 2)):
+        flows = rng.sample(FLOWS, rng.randint(0, 4))
+        entries.append(PortTelemetryEntry(
+            port=port, qdepth_pkts=rng.randint(0, 9), qdepth_bytes=0,
+            paused=rng.random() < 0.2,
+            flow_pkts={f: float(rng.randint(1, 9)) for f in flows},
+            inqueue_flow_pkts={f: 1 for f in flows[:rng.randint(0, 2)]},
+            wait_weights={(a, b): float(rng.randint(0, 5))
+                          for a in flows[:2] for b in flows[1:3]
+                          if a != b}))
+    sent, received = [], []
+    for _ in range(rng.randint(0, 2)):
+        here = PortRef(switch, rng.randrange(3))
+        there = PortRef(rng.choice(HOSTS), 0) if rng.random() < 0.3 \
+            else PortRef(rng.choice(SWITCHES), rng.randrange(3))
+        # sent: this switch pauses an upstream port; received: another
+        # switch's pause halted one of this switch's egress ports
+        sender, victim, log = (here, there, sent) if rng.random() < 0.6 \
+            else (there, here, received)
+        log.append(PauseEvent(
+            time=float(rng.randint(0, int(time))),
+            sender=sender, victim=victim,
+            buffer_bytes_at_send=100 if rng.random() < 0.1 else 5000))
+    return SwitchReport(
+        switch_id=switch, time=time, poll_id=None, ports=entries,
+        port_meters={(rng.randrange(3), rng.randrange(3)):
+                     float(rng.randint(0, 3))
+                     for _ in range(rng.randint(0, 2))},
+        pause_received=received, pause_sent=sent,
+        ttl_drops={rng.choice(FLOWS): 1} if rng.random() < 0.05 else {})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kept_rows_and_evidence_equal_from_scratch(seed):
+    rng = random.Random(seed)
+    reports = [random_report(rng, float(t)) for t in range(1, 41)]
+    kept = ProvenanceAccumulator(CF, XOFF)
+    kinds = set()
+    for count, report in enumerate(reports, 1):
+        kept.merge(PreparedReport(report))
+        if rng.random() < 0.3:
+            continue                 # several reports between snapshots
+        snapshot = kept.snapshot()
+        scratch = build_provenance(reports[:count], CF, XOFF)
+        assert snapshot == scratch
+        assert diagnose(snapshot) == diagnose(scratch)
+        assert score_table(snapshot) == score_table(scratch)
+        kinds.update(f.type.value for f in diagnose(scratch).findings)
+    assert "flow_contention" in kinds
+    assert kinds & {"pfc_backpressure", "pfc_storm"}

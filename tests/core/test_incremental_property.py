@@ -104,3 +104,127 @@ def test_pruning_only_ever_removes_noncritical(name):
     batch_path = critical_path_of(WaitingGraph(schedule, records))
     retained = set(incremental.records)
     assert set(batch_path) <= retained
+
+
+# ----------------------------------------------------------------------
+# the live structure against a rebuild, step by step
+# ----------------------------------------------------------------------
+def reference_prune(schedule, records: dict, expected: set) -> set:
+    """The prune as it was when each pass rebuilt a ``WaitingGraph``:
+    keep what a pending or retained step structurally waits on, and the
+    binding chain behind the latest end; returns the doomed keys."""
+    def waits_on(node, idx):
+        if idx > 0:
+            yield (node, idx - 1)
+        if schedule.step(node, idx).depends_on is not None:
+            yield schedule.step(node, idx).depends_on
+
+    keep = {key for node, idx in list(expected) + list(records)
+            for key in waits_on(node, idx)}
+    graph = WaitingGraph(schedule, records.values())
+    key = max(records, key=lambda k: records[k].end_time)
+    while key is not None and key not in keep:
+        keep.add(key)
+        key = graph._predecessor_of(records[key])
+    return set(records) - keep
+
+
+@pytest.mark.parametrize("nodes", [8, 12, 48])
+def test_live_graph_equals_a_rebuild_after_every_ingest_and_prune(nodes):
+    rng = random.Random(nodes)
+    schedule = ring_allgather([f"n{i}" for i in range(nodes)], 1000)
+    records = synthesize_records(schedule, rng)
+    records.sort(key=lambda r: r.end_time)
+    # mostly completion order, with local swaps, late duplicates and,
+    # at the end, copies of records the prune has let go by then
+    stream = records[:]
+    for i in range(0, len(stream) - 1, 7):
+        stream[i], stream[i + 1] = stream[i + 1], stream[i]
+    for i in range(5, len(records), 11):
+        stream.insert(min(len(stream), i + rng.randint(0, 3 * nodes)),
+                      records[i])
+    stream += rng.sample(records[-2 * nodes:], nodes) + records[-3:]
+    incremental = IncrementalWaitingGraph(schedule, prune_interval=0)
+    mirror: dict = {}
+    expected = {(s.node, s.step_index) for s in schedule.all_steps()}
+    back_from_the_dead = 0
+    for count, record in enumerate(stream, 1):
+        key = (record.node, record.step_index)
+        back_from_the_dead += key not in mirror and key not in expected
+        incremental.submit(record)
+        mirror[key] = record
+        expected.discard(key)
+        assert list(incremental.records) == list(mirror)
+        assert incremental.critical_path() == WaitingGraph(
+            schedule, mirror.values()).critical_path()
+        if count % 5 == 0:
+            doomed = reference_prune(schedule, mirror, expected)
+            assert incremental.prune() == len(doomed)
+            for gone in doomed:
+                del mirror[gone]
+            assert list(incremental.records) == list(mirror)
+            assert incremental.critical_path() == WaitingGraph(
+                schedule, mirror.values()).critical_path()
+    assert back_from_the_dead > 0
+    assert incremental.pruned_total > nodes
+    batch = critical_path_of(WaitingGraph(schedule, records))
+    assert critical_path_of(incremental) == batch
+
+    # a checkpoint carries the records, not the live structure
+    restored = IncrementalWaitingGraph(schedule, prune_interval=0)
+    restored.load_state(incremental.state_dict())
+    assert restored.critical_path() == incremental.critical_path()
+    assert restored.prune() == incremental.prune()
+    assert set(restored.records) == set(incremental.records)
+
+
+def test_replaced_record_is_looked_at_again():
+    """A duplicate that differs from what it replaces (a corrected
+    end time) may move the anchor and the chain."""
+    schedule = ring_allgather(["n0", "n1", "n2", "n3"], 1000)
+    records = synthesize_records(schedule, random.Random(4))
+    incremental = IncrementalWaitingGraph(schedule, prune_interval=0)
+    for record in records:
+        incremental.submit(record)
+    last = max(records, key=lambda r: r.end_time)
+    other = next(r for r in records
+                 if r.step_index == last.step_index and r is not last)
+    import dataclasses
+    late = dataclasses.replace(other, end_time=last.end_time + 1.0)
+    incremental.submit(late)
+    replaced = [late if r is other else r for r in records]
+    assert incremental.critical_path() == WaitingGraph(
+        schedule, replaced).critical_path()
+    assert incremental.critical_path()[-1].node == other.node
+
+
+def test_live_path_builds_no_waiting_graph(monkeypatch):
+    """The pipeline's ingest, prune and snapshot path constructs no
+    ``WaitingGraph`` at all."""
+    from repro.live import LivePipeline, PipelineConfig
+    from repro.traces.stream import TraceEvent
+
+    built = []
+    real = WaitingGraph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(WaitingGraph, "__init__", counting)
+    schedule = ring_allgather([f"n{i}" for i in range(12)], 1000)
+    records = synthesize_records(schedule, random.Random(12))
+    records.sort(key=lambda r: r.end_time)
+    pipeline = LivePipeline(
+        schedule, {}, {}, 262_144,
+        config=PipelineConfig(snapshot_every=8, prune_interval=4))
+    for record in records:
+        pipeline.publish(TraceEvent("step_record", record.end_time,
+                                    record, line_no=0))
+    final = pipeline.finish()
+    assert len(pipeline.snapshots) > 10
+    assert final.counters["graph_pruned"] > 0
+    assert built == []
+    assert [(e.node, e.step_index) for e in final.critical_path] \
+        == critical_path_of(WaitingGraph(schedule, records))
+    assert built == [1]

@@ -316,3 +316,192 @@ def test_reports_out_of_time_order_fall_back_to_full_rebuild(trace_path):
         analyzer.add_report(report)
     assert_same_analysis(analyzer.analyze(TraceRuntime(trace)),
                          reference_analysis(trace, shuffled))
+
+
+# ----------------------------------------------------------------------
+# a report is digested once: PreparedReport + merge against the walk
+# of the report it replaced
+# ----------------------------------------------------------------------
+def reference_build(reports, cf_keys, xoff):
+    """``build_provenance`` as it was written when every graph walked
+    every report itself: one pass over ``wait_weights`` / ``flow_pkts``
+    / ``inqueue_flow_pkts`` per report, flat meters, then the two
+    whole-collection derivations."""
+    from repro.core.provenance import ProvenanceGraph
+    from repro.simnet.pfc import PortRef
+
+    graph = ProvenanceGraph(collective_flows=set(cf_keys))
+    meters, seen_pauses, window_flows = {}, set(), {}
+    for report in reports:
+        switch = report.switch_id
+        for entry in report.ports:
+            port = PortRef(switch, entry.port)
+            graph.ports.add(port)
+            graph.qdepth[port] = max(graph.qdepth.get(port, 0),
+                                     entry.qdepth_pkts)
+            if entry.paused:
+                graph.paused_ports.add(port)
+            waits = {}
+            for (fi, fj), weight in entry.wait_weights.items():
+                key = (port, fi, fj)
+                graph.pairwise[key] = max(graph.pairwise.get(key, 0.0),
+                                          weight)
+                graph.flows.update((fi, fj))
+                waits.setdefault(fi, []).append(weight)
+            total = entry.total_window_pkts()
+            for flow, count in entry.flow_pkts.items():
+                graph.flows.add(flow)
+                if total > 0 and entry.qdepth_pkts > 0:
+                    key = (port, flow)
+                    graph.port_flow[key] = max(
+                        graph.port_flow.get(key, 0.0),
+                        count / total * entry.qdepth_pkts)
+            window_flows.setdefault(port, set()).update(entry.flow_pkts)
+            waiting = set(entry.inqueue_flow_pkts)
+            waiting.update(waits)
+            if entry.paused:
+                waiting.update(entry.flow_pkts)
+            for flow in waiting:
+                graph.flows.add(flow)
+                key = (flow, port)
+                graph.flow_port[key] = max(graph.flow_port.get(key, 0.0),
+                                           sum(waits.get(flow, ())))
+        for (inp, out), value in report.port_meters.items():
+            key = (switch, inp, out)
+            meters[key] = max(meters.get(key, 0.0), value)
+        for pause in report.pause_received + report.pause_sent:
+            dedup = (pause.time, pause.sender, pause.victim)
+            if dedup in seen_pauses:
+                continue
+            seen_pauses.add(dedup)
+            graph.pause_events.append(pause)
+            if pause.buffer_bytes_at_send < xoff:
+                graph.ungrounded_pause_sources.add(pause.sender)
+        for flow in report.ttl_drops:
+            graph.ttl_drop_flows.add(flow)
+            graph.flows.add(flow)
+    graph.pause_events.sort(key=lambda e: e.time)
+    by_source = {}
+    for flow in graph.flows | graph.collective_flows:
+        by_source.setdefault(flow.src, []).append(flow)
+    for victim in dict.fromkeys(e.victim for e in graph.pause_events):
+        graph.ports.add(victim)
+        blocked = set(window_flows.get(victim, ()))
+        blocked.update(by_source.get(victim.node, ()))
+        for flow in blocked:
+            graph.flows.add(flow)
+            graph.flow_port.setdefault((flow, victim), 0.0)
+    for upstream, sender in dict.fromkeys(
+            (e.victim, e.sender) for e in graph.pause_events):
+        graph.ports.add(upstream)
+        for (switch, inp, out), value in meters.items():
+            if (switch, inp) != (sender.node, sender.port) or value <= 0:
+                continue
+            denominator = sum(v for (s, _i, o), v in meters.items()
+                              if (s, o) == (switch, out))
+            if denominator <= 0:
+                continue
+            downstream = PortRef(switch, out)
+            key = (upstream, downstream)
+            graph.port_port[key] = max(graph.port_port.get(key, 0.0),
+                                       value / denominator)
+            graph.ports.add(downstream)
+    return graph
+
+
+def assert_same_graph(graph, reference) -> None:
+    assert graph == reference
+    # insertion order is summation order: pin it edge dict by edge dict
+    for name in ("flow_port", "port_flow", "port_port", "pairwise",
+                 "qdepth"):
+        assert list(getattr(graph, name).items()) \
+            == list(getattr(reference, name).items()), name
+    assert graph.pause_events == reference.pause_events
+    for flow in reference.flows | reference.collective_flows:
+        assert graph.ports_of_flow(flow) \
+            == [p for f, p in reference.flow_port if f == flow]
+    for port in reference.ports:
+        assert graph.waiting_flows_at_port(port) \
+            == [f for f, p in reference.flow_port if p == port]
+        assert graph.flows_at_port(port) \
+            == [f for p, f in reference.port_flow if p == port]
+        assert graph.downstream_ports(port) \
+            == [d for u, d in reference.port_port if u == port]
+        assert graph.adjacency().pause_senders.get(port, []) \
+            == [e.sender for e in reference.pause_events
+                if e.victim == port]
+
+
+def report_streams(trace):
+    reports = list(trace.reports)
+    yield "clean", reports
+    yield "duplicated", [r for r in reports for _ in range(3)]
+    rng = random.Random(17)
+    shuffled = reports[:]
+    rng.shuffle(shuffled)
+    yield "reordered", shuffled
+    yield "duplicated and reordered", \
+        rng.sample(reports * 2, 2 * len(reports))
+
+
+def test_prepared_merge_equals_walking_the_report(trace_path):
+    from repro.core.provenance import (PreparedReport,
+                                       ProvenanceAccumulator)
+
+    trace = load_trace(trace_path)
+    cf_keys = TraceRuntime(trace).collective_flow_keys
+    xoff = trace.pfc_xoff_bytes
+    for label, reports in report_streams(trace):
+        reference = reference_build(reports, cf_keys, xoff)
+        assert_same_graph(build_provenance(reports, cf_keys, xoff),
+                          reference)
+        # one prepared form, merged into two accumulators (as the
+        # overall graph and a step graph share it), snapshotted at
+        # every report of the first and once at the end of the second
+        prepared = [PreparedReport(r) for r in reports]
+        rolling = ProvenanceAccumulator(cf_keys, xoff)
+        late = ProvenanceAccumulator(cf_keys, xoff)
+        every = max(1, len(prepared) // 7)
+        for count, item in enumerate(prepared, 1):
+            rolling.merge(item)
+            if count % every == 0:
+                assert_same_graph(
+                    rolling.snapshot(),
+                    reference_build(reports[:count], cf_keys, xoff))
+        for item in prepared:
+            late.merge(item)
+        assert_same_graph(rolling.snapshot(), reference), label
+        assert_same_graph(late.snapshot(), reference), label
+        # the detectors' kept rows and evidence never outlive a report
+        # that moves them: diagnose every rolling snapshot both ways
+        kept = ProvenanceAccumulator(cf_keys, xoff)
+        for count, item in enumerate(prepared, 1):
+            kept.merge(item)
+            if count % every == 0 or count == len(prepared):
+                assert diagnose(kept.snapshot()) == diagnose(
+                    reference_build(reports[:count], cf_keys, xoff))
+
+
+def test_window_start_drops_what_the_walk_dropped(trace_path):
+    from repro.core.provenance import ProvenanceAccumulator
+
+    trace = load_trace(trace_path)
+    cf_keys = TraceRuntime(trace).collective_flow_keys
+    reports = sorted(trace.reports, key=lambda r: r.time)
+    cut = reports[len(reports) // 2].time
+    kept = [r for r in reports if r.time >= cut]
+    windowed = build_provenance(reports, cf_keys, trace.pfc_xoff_bytes,
+                                window_start=cut)
+    reference = reference_build(kept, cf_keys, trace.pfc_xoff_bytes)
+    # the walk also dropped pauses older than the window that a kept
+    # report still carried
+    reference.pause_events = [e for e in reference.pause_events
+                              if e.time >= cut]
+    assert windowed.pause_events == reference.pause_events
+    assert windowed.pairwise == reference.pairwise
+    assert windowed.port_flow == reference.port_flow
+    accumulator = ProvenanceAccumulator(cf_keys, trace.pfc_xoff_bytes,
+                                        window_start=cut)
+    for report in reports:
+        accumulator.fold(report)
+    assert accumulator.snapshot() == windowed

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fleet.aggregator import TenantDigest
 from repro.fleet.service import (
     FleetConfig,
     FleetService,
@@ -137,3 +138,42 @@ def test_specs_from_plan_flattens_in_shard_order(tenants):
     flat = specs_from_plan(service.plan)
     assert sorted(s.tenant for s in flat) \
         == sorted(s.tenant for s in tenants)
+
+
+def test_report_digests_only_what_changed(trace_events, monkeypatch):
+    """``TenantDigest.from_snapshot`` is canonical JSON + SHA-256 +
+    ranking; a tenant whose snapshot object and counts did not change
+    since the last report keeps its digest."""
+    from repro.fleet.service import ShardRuntime
+    from repro.fleet.tenancy import TenantRuntime
+
+    header, events = trace_events
+    policy = TenantPolicy(snapshot_every=16, checkpoint_every=0)
+    shard = ShardRuntime(0, [
+        TenantRuntime(name, 0, policy, events=iter(events), header=header)
+        for name in ("a", "b", "c")])
+    calls = []
+    real = TenantDigest.from_snapshot.__func__
+
+    def counting(cls, shard_id, tenant, *args, **kwargs):
+        calls.append(tenant)
+        return real(cls, shard_id, tenant, *args, **kwargs)
+
+    monkeypatch.setattr(TenantDigest, "from_snapshot",
+                        classmethod(counting))
+    shard.step(80)
+    assert all(t.pipeline.snapshots for t in shard.tenants)
+    first = shard.report()
+    assert sorted(calls) == ["a", "b", "c"]
+    calls.clear()
+    assert shard.report().to_dict() == first.to_dict()   # idle shard
+    assert calls == []
+    shard.tenants[1].step(80)             # one tenant moves on
+    second = shard.report()
+    assert calls == ["b"]
+    assert second.tenants[0] is first.tenants[0]
+    assert second.tenants[1].seq > first.tenants[1].seq
+    calls.clear()
+    shard.finalize()
+    assert all(t.final for t in shard.report(final=True).tenants)
+    assert sorted(calls) == ["a", "b", "c"]

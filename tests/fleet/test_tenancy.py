@@ -90,3 +90,44 @@ def test_latest_snapshot_never_blocks_on_finish(trace_path):
     final = run_to_done(tenant)
     assert tenant.latest_snapshot() is final
     assert final.final
+
+
+def test_rolling_report_before_the_first_snapshot_changes_nothing(
+        trace_path, tmp_path):
+    """A shard's rolling report looks at a tenant that has emitted no
+    snapshot yet; the look must stay outside the snapshot sequence, or
+    the final digest differs from a lone replay's — uninterrupted and
+    across a resume (``load_state`` drops the emitted snapshots too)."""
+    from repro.fleet.aggregator import TenantDigest
+    from repro.fleet.service import ShardRuntime
+
+    policy = TenantPolicy(snapshot_every=16, checkpoint_every=16)
+
+    def digest(tenant: TenantRuntime) -> str:
+        return TenantDigest.from_snapshot(
+            0, tenant.tenant, tenant.finalize()).snapshot_digest
+
+    lone = TenantRuntime("t", 0, policy, trace=str(trace_path))
+    run_to_done(lone)
+
+    watched = TenantRuntime("t", 0, policy, trace=str(trace_path))
+    shard = ShardRuntime(0, [watched])
+    early = shard.report(final=False).tenants[0]
+    assert not early.final and early.seq == 0
+    assert watched.pipeline.snapshots == []
+    watched.step(8)                       # still short of a snapshot
+    shard.report(final=False)
+    run_to_done(watched)
+    assert watched.final.seq == lone.final.seq
+    assert digest(watched) == digest(lone)
+
+    ckpt = str(tmp_path / "ckpt")
+    first = TenantRuntime("t", 0, policy, trace=str(trace_path),
+                          checkpoint_dir=ckpt)
+    first.step(40)                        # checkpointed, then "crash"
+    second = TenantRuntime("t", 0, policy, trace=str(trace_path),
+                           checkpoint_dir=ckpt)
+    assert second.resumed and second.pipeline.snapshots == []
+    ShardRuntime(0, [second]).report(final=False)
+    run_to_done(second)
+    assert digest(second) == digest(lone)
