@@ -37,36 +37,50 @@ deterministic simulation and consistent units (ns / bytes / bps):
 See ``docs/CHECKS.md`` for the rule catalog and suppression syntax.
 """
 
-from repro.checks.concurrency import (
-    CONCURRENCY_RULES,
-    check_concurrency,
-)
-from repro.checks.ir import (
-    ParseCache,
-    build_project,
-)
-from repro.checks.lifecycle import (
-    LIFECYCLE_RULES,
-    check_lifecycle,
-)
-from repro.checks.lint import (
-    Finding,
-    RULES,
-    check_paths,
-    check_source,
-    iter_python_files,
-    render_findings,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.checks.sanitizer import (
     InvariantViolation,
     SimSanitizer,
     TracedEvent,
 )
-from repro.checks.units import (
-    UNIT_RULES,
-    Unit,
-    check_units,
-)
+
+if TYPE_CHECKING:   # the simulator imports the sanitizer, never these
+    from repro.checks.concurrency import (
+        CONCURRENCY_RULES,
+        check_concurrency,
+    )
+    from repro.checks.ir import (
+        ParseCache,
+        build_project,
+    )
+    from repro.checks.lifecycle import (
+        LIFECYCLE_RULES,
+        check_lifecycle,
+    )
+    from repro.checks.lint import (
+        Finding,
+        RULES,
+        check_paths,
+        check_source,
+        iter_python_files,
+        render_findings,
+    )
+    from repro.checks.units import (
+        UNIT_RULES,
+        Unit,
+        check_units,
+    )
+
+__getattr__ = lazy_exports(__name__, {
+    "concurrency": ("CONCURRENCY_RULES", "check_concurrency"),
+    "ir": ("ParseCache", "build_project"),
+    "lifecycle": ("LIFECYCLE_RULES", "check_lifecycle"),
+    "lint": ("Finding", "RULES", "check_paths", "check_source",
+             "iter_python_files", "render_findings"),
+    "units": ("UNIT_RULES", "Unit", "check_units"),
+})
 
 __all__ = [
     "CONCURRENCY_RULES",

@@ -194,6 +194,12 @@ class IncrementalWaitingGraph:
             listener(len(doomed))
         return len(doomed)
 
+    def clear(self) -> None:
+        """Let every retained record go, the critical chain included
+        (for an owner done asking); the counters stay."""
+        self.records = {}
+        self._count_waiters()
+
     # ------------------------------------------------------------------
     @property
     def retained(self) -> int:

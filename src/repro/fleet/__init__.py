@@ -18,6 +18,9 @@ fleet snapshot's diagnosis content is bit-equal to an uninterrupted
 run — with surviving shards' tenants untouched.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.fleet.aggregator import (
     FleetAggregator,
     FleetSnapshot,
@@ -26,7 +29,6 @@ from repro.fleet.aggregator import (
     TenantDigest,
     merge_reports,
 )
-from repro.fleet.exporter import MetricsExporter, render_prometheus
 from repro.fleet.service import (
     FleetConfig,
     FleetService,
@@ -44,6 +46,13 @@ from repro.fleet.sharding import (
     stable_hash,
 )
 from repro.fleet.tenancy import TenantPolicy, TenantRuntime
+
+if TYPE_CHECKING:   # http.server and ssl: loaded when a fleet serves
+    from repro.fleet.exporter import MetricsExporter, render_prometheus
+
+__getattr__ = lazy_exports(__name__, {
+    "exporter": ("MetricsExporter", "render_prometheus"),
+})
 
 __all__ = [
     "FleetAggregator",

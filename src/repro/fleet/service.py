@@ -147,6 +147,8 @@ class ShardRuntime:
         return consumed
 
     def finalize(self) -> None:
+        """Publish every tenant's final snapshot (each took its own
+        when its stream ended)."""
         for tenant in self.tenants:
             tenant.finalize()
 
@@ -227,14 +229,12 @@ class FleetService:
             write_status(self.status_path, snapshot)
         return snapshot
 
-    def run(self, max_rounds: int = 0,
+    def run(self,
             on_merge: Optional[Callable[[FleetSnapshot], None]] = None
             ) -> FleetSnapshot:
-        """Drive every shard to completion (or ``max_rounds``) and
-        return the final fleet snapshot."""
+        """Drive every shard to completion and return the final fleet
+        snapshot."""
         while not self.done:
-            if 0 < max_rounds <= self.rounds:
-                break
             for shard in self.shards:
                 shard.step(self.config.batch_events)
             self.rounds += 1
@@ -245,7 +245,7 @@ class FleetService:
                     on_merge(rolling)
         for shard in self.shards:
             shard.finalize()
-        snapshot = self._offer_and_merge(final=self.done)
+        snapshot = self._offer_and_merge(final=True)
         if on_merge is not None:
             on_merge(snapshot)
         return snapshot

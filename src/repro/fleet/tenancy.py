@@ -87,6 +87,13 @@ class TenantRuntime:
     ``events`` defaults to the tenant's trace stream resumed at the
     checkpoint cursor; in-memory fleets (the benchmark) inject a
     pre-decoded event list instead.
+
+    Lifecycle: *streaming* until the :meth:`step` that finds the
+    stream at its end, which takes the final snapshot while the fold
+    state is warm and *holds* it; :meth:`finalize` — the shard's end —
+    *publishes* it.  Until then :meth:`latest_snapshot` and
+    :attr:`done` answer what they answered when the snapshot was still
+    to be taken (docs/ARCHITECTURE.md §12 has why).
     """
 
     def __init__(self, tenant: str, shard_id: int,
@@ -125,7 +132,12 @@ class TenantRuntime:
                 cursor=cursor)
         self.replayer = TraceReplayer(
             pipeline, events, manager, cursor, admit=self._admit)
+        #: the final snapshot, once :meth:`finalize` has published it
         self.final: Optional[DiagnosisSnapshot] = None
+        #: from stream end on: the final snapshot, taken and not yet
+        #: published, and the one rolling reports answer until it is
+        self._held: Optional[DiagnosisSnapshot] = None
+        self._rolling: Optional[DiagnosisSnapshot] = None
 
     # ------------------------------------------------------------------
     def _quarantine_line(self, line_no: int, reason: str,
@@ -160,34 +172,47 @@ class TenantRuntime:
         return self.pipeline.watermark.watermark
 
     def latest_snapshot(self) -> DiagnosisSnapshot:
-        """The freshest diagnosis available without finishing: the
-        final snapshot if finalized, else the last rolling snapshot,
+        """The freshest *published* diagnosis: the final snapshot once
+        :meth:`finalize` handed it out, else the last rolling snapshot,
         else one made on demand — outside the snapshot sequence, so a
         rolling report never changes what the tenant emits later."""
         if self.final is not None:
             return self.final
+        if self._rolling is not None:
+            return self._rolling
         if self.pipeline.snapshots:
             return self.pipeline.snapshots[-1]
         return self.pipeline.peek_snapshot()
 
     # ------------------------------------------------------------------
     def step(self, max_events: int) -> int:
-        """Advance this tenant's replay by up to ``max_events``."""
+        """Advance this tenant's replay by up to ``max_events``; the
+        call that finds the stream at its end also takes the final
+        snapshot, while the fold state is warm."""
         if self.done:
             return 0
         consumed = self.replayer.step(max_events)
         if self.replayer.exhausted:
-            # held until the shard finalizes, and only the final
-            # snapshot is still to come: give the fold state back (a
-            # shard holds hundreds of these); that snapshot refolds
-            self.pipeline.kernel.drop_derived()
+            self._finish()
         return consumed
 
+    def _finish(self) -> DiagnosisSnapshot:
+        """Final checkpoint, drain, one more incremental snapshot —
+        taken now and held: what the tenant *publishes* changes only
+        in :meth:`finalize`, when its shard ends."""
+        self._rolling = self.latest_snapshot()
+        self._held = self.replayer.finalize()
+        # nothing will ask this pipeline for another snapshot
+        self.pipeline.release()
+        return self._held
+
     def finalize(self) -> DiagnosisSnapshot:
-        """Flush the final checkpoint and emit the final snapshot
-        (idempotent)."""
+        """Publish the final snapshot (idempotent): the one held since
+        the stream ended, or — for a caller that cuts a stream short —
+        one taken now."""
         if self.final is None:
-            self.final = self.replayer.finalize()
+            self.final = self._held if self._held is not None \
+                else self._finish()
         return self.final
 
 

@@ -32,13 +32,15 @@ import sys
 import tempfile
 import threading
 import time
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core import failpoints
 from repro.fleet.aggregator import ShardReport
 from repro.fleet.service import FleetConfig, build_shard_runtime
 from repro.fleet.sharding import TenantSpec
-from repro.live.supervisor import RestartPolicy, Supervisor
+
+if TYPE_CHECKING:   # the supervising parent's, not a worker's
+    from repro.live.supervisor import RestartPolicy
 
 
 class WorkerCrashed(RuntimeError):
@@ -284,6 +286,8 @@ def run_shard_supervised(spec: dict,
     lands.  Crashes (including chaos SIGKILLs) restart the worker
     with backoff; the crash-loop breaker still bounds a shard that
     dies deterministically."""
+    from repro.live.supervisor import Supervisor
+
     shard_id = spec["shard_id"]
 
     def target(_attempt: int) -> None:

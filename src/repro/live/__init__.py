@@ -27,19 +27,14 @@ bit-equal to an uninterrupted run).
     snapshot = pipeline.finish()        # == batch analyze_trace result
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.live.bus import (
     BusOverflow,
     BusPolicy,
     EventBus,
     TelemetryEvent,
-)
-from repro.live.chaos import (
-    ChaosPlan,
-    ChaosReport,
-    SimulatedCrash,
-    derive_kill_points,
-    perturbed_events,
-    run_chaos,
 )
 from repro.live.checkpoint import (
     CheckpointCorrupt,
@@ -62,13 +57,30 @@ from repro.live.pipeline import (
     PipelineConfig,
 )
 from repro.live.robustness import DegradationTracker, Quarantine
-from repro.live.supervisor import (
-    CrashLoopError,
-    GracefulShutdown,
-    RestartPolicy,
-    Supervisor,
-)
 from repro.live.watermark import WatermarkBuffer
+
+if TYPE_CHECKING:   # a pipeline needs neither: loaded on first use
+    from repro.live.chaos import (
+        ChaosPlan,
+        ChaosReport,
+        SimulatedCrash,
+        derive_kill_points,
+        perturbed_events,
+        run_chaos,
+    )
+    from repro.live.supervisor import (
+        CrashLoopError,
+        GracefulShutdown,
+        RestartPolicy,
+        Supervisor,
+    )
+
+__getattr__ = lazy_exports(__name__, {
+    "chaos": ("ChaosPlan", "ChaosReport", "SimulatedCrash",
+              "derive_kill_points", "perturbed_events", "run_chaos"),
+    "supervisor": ("CrashLoopError", "GracefulShutdown",
+                   "RestartPolicy", "Supervisor"),
+})
 
 __all__ = [
     "BusOverflow",

@@ -384,6 +384,22 @@ class LivePipeline:
             self._ingest(released)
         return self.emit_snapshot(final=True)
 
+    def release(self) -> None:
+        """After :meth:`finish` (bus and watermark are drained), give
+        back what only another snapshot would read — the snapshots
+        emitted so far, the switch reports, the retained step records,
+        the per-step aggregates — for an owner that keeps the finished
+        pipeline around (a fleet shard holds hundreds until it ends).
+        Counters, histograms, the watermark and the degradation
+        verdict stay readable."""
+        self.snapshots.clear()
+        self.kernel.reports.clear()
+        self.graph.clear()
+        self._windows.clear()
+        self._durations.clear()
+        self._slowest.clear()
+        self._arrival_wall.clear()
+
     # ------------------------------------------------------------------
     # checkpointing (crash-safe resume; see repro.live.checkpoint)
     # ------------------------------------------------------------------

@@ -5,16 +5,17 @@ from __future__ import annotations
 import pytest
 
 
-def record_scenario_trace(path):
-    """A flow-contention scenario capture (same capture the checkpoint
-    tests replay): a few hundred data events, enough for rolling
-    merges, budgets, and mid-stream kill points."""
+def record_scenario_trace(path, scenario="flow_contention", nodes=8):
+    """A scenario capture — by default the flow-contention one the
+    checkpoint tests replay: a few hundred data events, enough for
+    rolling merges, budgets, and mid-stream kill points."""
     from repro.anomalies.scenarios import ScenarioConfig, make_cases
     from repro.experiments.harness import make_system
     from repro.traces import TraceRecorder
 
-    config = ScenarioConfig(scale=0.002, base_seed=42)
-    case = make_cases("flow_contention", 1, config)[0]
+    config = ScenarioConfig(scale=0.002, base_seed=42,
+                            num_collective_nodes=nodes)
+    case = make_cases(scenario, 1, config)[0]
     system = make_system("vedrfolnir")
     network, runtime = case.build_network()
     system.attach(network, runtime)
