@@ -16,19 +16,19 @@
     python -m repro metrics --file run.live-metrics.json
     python -m repro figure --id 13b --cases 2
     python -m repro check src/ --strict --units
-    python -m repro bench --quick --baseline benchmarks/results/BENCH_simcore.json
-    python -m repro bench --traceio --out benchmarks/results/BENCH_traceio.json
     python -m repro fleet serve --trace run.jsonl --replicate 8 --shards 4
     python -m repro fleet chaos --trace run.jsonl --kills 2 --corrupt-checkpoint
-    python -m repro bench --fleet --tenants 1024 --out benchmarks/results/BENCH_fleet.json
 
 Every subcommand prints human-readable text and exits 0 on success.
+Timing is not a verb: ``python3 benchmarks/e2e/run.py`` (contract in
+``BENCHMARK.json``) is the one benchmark.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from typing import Optional, Sequence
 
 
@@ -226,58 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output format; 'github' emits "
                           "::error workflow annotations")
 
-    bench = sub.add_parser(
-        "bench",
-        help="measure the simulator fast path + runner cache and "
-             "append one entry to the BENCH_simcore.json perf "
-             "trajectory")
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller workload for CI smoke runs")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="gate-scenario repetitions (best counts)")
-    bench.add_argument("--label", default="dev",
-                       help="trajectory entry label (e.g. a git ref)")
-    bench.add_argument("--workers", type=int, default=2,
-                       help="process-pool size for the matrix phase")
-    bench.add_argument("--out",
-                       help="append the entry to this trajectory file")
-    bench.add_argument("--baseline",
-                       help="trajectory to regression-check against "
-                            "(exit 1 beyond --max-regression-pct)")
-    bench.add_argument("--max-regression-pct", type=float, default=20.0,
-                       help="allowed events/sec drop vs. the newest "
-                            "comparable baseline entry")
-    bench.add_argument("--json", action="store_true",
-                       help="emit the entry as JSON")
-    bench.add_argument("--traceio", action="store_true",
-                       help="benchmark the trace read path instead "
-                            "(JSONL vs columnar, cold vs mmap-warm; "
-                            "appends to BENCH_traceio.json via --out)")
-    bench.add_argument("--min-read-speedup", type=float, default=0.0,
-                       help="fail --traceio when the columnar mmap-"
-                            "warm read speedup over JSONL falls below "
-                            "this factor (0 = report only)")
-    bench.add_argument("--fleet", action="store_true",
-                       help="benchmark the sharded fleet service "
-                            "instead (appends to BENCH_fleet.json "
-                            "via --out)")
-    bench.add_argument("--tenants", type=int, default=1024,
-                       help="concurrent monitored collectives for "
-                            "--fleet")
-    bench.add_argument("--fleet-shards", type=int, default=8,
-                       help="shard count for --fleet")
-    bench.add_argument("--max-lateness-p99", type=float, default=0.0,
-                       help="fail --fleet when p99 snapshot lateness "
-                            "exceeds this many seconds (0 = report "
-                            "only)")
-    bench.add_argument("--fleet-mode",
-                       choices=["process", "inprocess"],
-                       default="process",
-                       help="--fleet execution mode: supervised "
-                            "worker processes streaming reports over "
-                            "the socket transport (default) or the "
-                            "single-process reference service")
-
     fig = sub.add_parser("figure", help="regenerate one paper figure")
     fig.add_argument("--id", required=True,
                      choices=["9", "10", "11", "12", "13a", "13b", "14"])
@@ -330,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     fserve.add_argument("--scrape-out",
                         help="also write the final Prometheus text "
                              "exposition to this file")
-    fserve.add_argument("--poll", type=float, default=0.2,
-                        help="seconds between fan-in merges while "
-                             "workers run")
     fserve.add_argument("--linger", type=float, default=0.0,
                         help="keep serving /metrics this many seconds "
                              "after the fleet finishes")
@@ -970,46 +915,6 @@ def cmd_trace(args) -> int:
     return TRACE_COMMANDS[args.trace_command](args)
 
 
-def cmd_bench(args) -> int:
-    if args.traceio:
-        from repro.perf.traceio import traceio_bench_main
-
-        return traceio_bench_main(
-            quick=args.quick,
-            repeats=args.repeats,
-            label=args.label,
-            out=args.out,
-            baseline=args.baseline,
-            max_regression_pct=args.max_regression_pct,
-            min_read_speedup=args.min_read_speedup,
-            as_json=args.json,
-        )
-    if args.fleet:
-        from repro.fleet.bench import fleet_bench_main
-
-        return fleet_bench_main(
-            tenants=args.tenants,
-            shards=args.fleet_shards,
-            label=args.label,
-            out=args.out,
-            max_lateness_p99_s=args.max_lateness_p99,
-            as_json=args.json,
-            mode=args.fleet_mode,
-        )
-    from repro.perf.bench import bench_main
-
-    return bench_main(
-        quick=args.quick,
-        repeats=args.repeats,
-        label=args.label,
-        workers=args.workers,
-        out=args.out,
-        baseline=args.baseline,
-        max_regression_pct=args.max_regression_pct,
-        as_json=args.json,
-    )
-
-
 def cmd_figure(args) -> int:
     from repro.experiments import figures
 
@@ -1073,9 +978,42 @@ def _print_fleet_snapshot(snapshot_dict: dict) -> None:
           + (f" stale={stale}" if stale else ""))
 
 
+class _FleetScrape:
+    """What ``/metrics`` and ``/fleet`` answer for a fleet whose
+    aggregator the CLI holds: the newest merged snapshot, handed from
+    the fan-in thread that publishes it to the exporter thread that
+    scrapes it, plus the aggregator's own operational series."""
+
+    def __init__(self, aggregator) -> None:
+        self.aggregator = aggregator
+        self._lock = threading.Lock()
+        self._snapshot = None
+
+    def publish(self, snapshot) -> None:
+        with self._lock:
+            self._snapshot = snapshot
+
+    def latest(self):
+        with self._lock:
+            return self._snapshot
+
+    def status(self) -> Optional[dict]:
+        snapshot = self.latest()
+        return snapshot.to_dict() if snapshot is not None else None
+
+    def registry(self):
+        from repro.fleet.service import registry_from_snapshot
+        from repro.live.metrics import MetricsRegistry
+
+        snapshot = self.latest()
+        registry = MetricsRegistry() if snapshot is None \
+            else registry_from_snapshot(
+                snapshot, self.aggregator.dropped_total())
+        return self.aggregator.export_into(registry)
+
+
 def cmd_fleet_serve(args) -> int:
     import tempfile
-    import threading
     import time as _time
     from pathlib import Path
 
@@ -1084,12 +1022,13 @@ def cmd_fleet_serve(args) -> int:
         FleetService,
         MetricsExporter,
         plan_shards,
-        registry_from_snapshot,
         render_prometheus,
         replicate_tenants,
     )
+    from repro.fleet.aggregator import HealthPolicy
     from repro.fleet.service import write_status
-    from repro.fleet.worker import read_report, run_fleet_multiprocess
+    from repro.fleet.transport import run_fleet_streaming
+    from repro.fleet.worker import WorkerCrashed
 
     specs = replicate_tenants(args.trace, args.replicate)
     tmp = None
@@ -1105,74 +1044,46 @@ def cmd_fleet_serve(args) -> int:
           f", budget="
           f"{config.policy.event_budget or 'unlimited'})")
 
-    latest = {"snapshot": None, "service": None}
-
-    def registry_fn():
-        service = latest["service"]
-        if service is not None:
-            return service.build_registry()
-        snapshot = latest["snapshot"]
-        if snapshot is None:
-            from repro.live.metrics import MetricsRegistry
-
-            return MetricsRegistry()
-        return registry_from_snapshot(snapshot)
-
-    exporter = None
-    if not args.no_http:
-        exporter = MetricsExporter(
-            registry_fn, port=args.port,
-            status_fn=lambda: latest["snapshot"].to_dict()
-            if latest["snapshot"] else None)
-        port = exporter.start()
-        print(f"metrics: http://127.0.0.1:{port}/metrics")
-
     def publish(snapshot) -> None:
-        latest["snapshot"] = snapshot
+        scrape.publish(snapshot)
         if args.status:
             write_status(args.status, snapshot)
         if not args.quiet:
             print(snapshot.summary_line())
 
+    exporter = None
     try:
         if args.in_process:
             service = FleetService(config, specs)
-            latest["service"] = service
-            final = service.run(on_merge=publish)
+            scrape = _FleetScrape(service.aggregator)
+            # the shard runtimes are in reach: per-shard counters and
+            # the ingest-to-snapshot histograms ride along
+            registry_fn = service.build_registry
+
+            def run():
+                return service.run(on_merge=publish)
         else:
             plan = plan_shards(specs, config.shards, config.vnodes)
-            aggregator = FleetAggregator(sorted(plan))
-            report_dir = workdir / "reports"
-            results = {}
-            errors = []
+            scrape = _FleetScrape(FleetAggregator(
+                sorted(plan), config.mailbox_capacity,
+                health=HealthPolicy()))
+            registry_fn = scrape.registry
 
-            def run_workers() -> None:
-                try:
-                    # read only after runner.join() returns, so the
-                    # single-writer hand-off needs no lock
-                    results.update(run_fleet_multiprocess(  # repro: noqa RPR020
-                        config, plan, str(report_dir)))
-                except Exception as error:  # noqa: BLE001 - surfaced
-                    errors.append(error)  # repro: noqa RPR020
-
-            runner = threading.Thread(target=run_workers,
-                                      name="fleet-workers")
-            runner.start()
-            while runner.is_alive():
-                runner.join(max(0.05, args.poll))
-                for shard_id in sorted(plan):
-                    report = read_report(
-                        str(report_dir / f"shard-{shard_id:03d}.json"))
-                    if report is not None:
-                        aggregator.offer(report)
-                publish(aggregator.merge())
-            if errors:
-                print(f"error: {errors[0]}", file=sys.stderr)
-                return 1
-            for report in results.values():
-                aggregator.offer(report)
-            final = aggregator.merge(final=True)
-            publish(final)
+            def run():
+                return run_fleet_streaming(
+                    config, plan, str(workdir / "reports"),
+                    on_merge=publish,
+                    aggregator=scrape.aggregator).final
+        if not args.no_http:
+            exporter = MetricsExporter(registry_fn, port=args.port,
+                                       status_fn=scrape.status)
+            print(f"metrics: http://127.0.0.1:{exporter.start()}"
+                  f"/metrics")
+        try:
+            final = run()
+        except WorkerCrashed as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
 
         if args.scrape_out:
             with open(args.scrape_out, "w") as handle:
@@ -1224,7 +1135,6 @@ def cmd_fleet_status(args) -> int:
 def cmd_fleet_chaos(args) -> int:
     import json
     import tempfile
-    import threading
     import time as _time
 
     from repro.fleet import replicate_tenants
@@ -1257,28 +1167,13 @@ def cmd_fleet_chaos(args) -> int:
     if args.transport and args.port is not None:
         from repro.fleet.aggregator import FleetAggregator
         from repro.fleet.exporter import MetricsExporter
-        from repro.fleet.service import registry_from_snapshot
-        from repro.live.metrics import MetricsRegistry
 
         aggregator = FleetAggregator(
             range(config.shards), config.mailbox_capacity,
             health=transport_health_policy())
-        state_lock = threading.Lock()
-        latest = {}
-
-        def on_merge(snapshot):
-            with state_lock:
-                latest["snapshot"] = snapshot
-
-        def registry_fn():
-            with state_lock:
-                snapshot = latest.get("snapshot")
-            registry = MetricsRegistry() if snapshot is None \
-                else registry_from_snapshot(
-                    snapshot, aggregator.dropped_total())
-            return aggregator.export_into(registry)
-
-        exporter = MetricsExporter(registry_fn, port=args.port)
+        scrape = _FleetScrape(aggregator)
+        on_merge = scrape.publish
+        exporter = MetricsExporter(scrape.registry, port=args.port)
         port = exporter.start()
         print(f"chaos metrics exporter on "
               f"http://127.0.0.1:{port}/metrics", flush=True)
@@ -1336,7 +1231,6 @@ COMMANDS = {
     "tail": cmd_tail,
     "metrics": cmd_metrics,
     "check": cmd_check,
-    "bench": cmd_bench,
     "figure": cmd_figure,
     "fleet": cmd_fleet,
 }

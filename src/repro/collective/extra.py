@@ -64,10 +64,6 @@ def binomial_broadcast(nodes: Sequence[str],
     schedule = StepSchedule("binomial-broadcast", CollectiveOp.CUSTOM,
                             list(nodes))
 
-    def join_round(rank: int) -> int:
-        """First round in which ``rank`` holds the data."""
-        return 0 if rank == 0 else _highest_bit(rank) + 1
-
     # collect each rank's sends in round order
     sends: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
     for r in range(rounds):

@@ -128,21 +128,6 @@ def case_cache_key(case: ScenarioCase, system_name: str,
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def trace_fingerprint(path) -> dict:
-    """``key_extra`` fragment for a case whose inputs include a
-    recorded trace.
-
-    The fingerprint is the trace's columnar content address
-    (:func:`repro.traces.content_address`) — a digest over the
-    *deterministic columnar encoding*, so the JSONL capture and its
-    columnar conversion hash identically and a format migration does
-    not invalidate cached results keyed this way.
-    """
-    from repro.traces import content_address
-
-    return {"trace_content": content_address(path)}
-
-
 class ResultCache:
     """Content-addressed on-disk store of serialised CaseResults.
 

@@ -471,11 +471,22 @@ class FleetAggregator:
         return max(0.0, self.clock() - seen)
 
     def shard_health(self) -> dict[int, str]:
-        """Per-shard liveness now; empty without a health policy."""
+        """Per-shard liveness now; empty without a health policy.
+
+        A shard whose freshest report is its *final* one finished: it
+        is ``live`` however long ago that was (a worker that exits
+        goes silent by design, and the fleet watermark must keep
+        counting its tenants).  A killed worker never sent one, so it
+        still ages stale -> dead."""
         if self.health is None:
             return {}
-        return {shard: self.health.classify(
-            self.last_seen_age_s(shard)) for shard in self.expected}
+        health = {}
+        for shard in self.expected:
+            report = self.mailboxes[shard].latest()
+            health[shard] = "live" \
+                if report is not None and report.final \
+                else self.health.classify(self.last_seen_age_s(shard))
+        return health
 
     def merge(self, final: bool = False,
               clock=None) -> FleetSnapshot:
@@ -509,12 +520,14 @@ class FleetAggregator:
     # ------------------------------------------------------------------
     def export_into(self, registry: MetricsRegistry
                     ) -> MetricsRegistry:
-        """Aggregation-tier operational series: per-shard mailbox
-        drops, transport counters from the freshest reports, breaker
-        state, heartbeat ages and liveness codes.  Distinct names
-        from the snapshot-level series, so both can share a registry.
+        """Aggregation-tier operational series: merge cost, per-shard
+        mailbox drops, transport counters from the freshest reports,
+        breaker state, heartbeat ages and liveness codes.  Distinct
+        names from the snapshot-level series, so both can share a
+        registry.
         """
         health = self.shard_health()
+        registry.attach(self.merge_seconds)
         registry.counter(
             "fleet_heartbeats_total",
             "shard liveness heartbeats received",

@@ -24,6 +24,7 @@ from repro.fleet.aggregator import (
     FleetSnapshot,
     ShardReport,
     TenantDigest,
+    merge_reports,
 )
 from repro.fleet.sharding import (
     HashRing,
@@ -217,9 +218,6 @@ class FleetService:
     def done(self) -> bool:
         return all(shard.done for shard in self.shards)
 
-    def tenant_count(self) -> int:
-        return sum(len(shard.tenants) for shard in self.shards)
-
     def _offer_and_merge(self, final: bool) -> FleetSnapshot:
         for shard in self.shards:
             self.aggregator.offer(shard.report(final=final))
@@ -265,37 +263,16 @@ class FleetService:
 
     def build_registry(self) -> MetricsRegistry:
         """One registry holding fleet-, shard- and tenant-level series
-        (the exporter's backing store)."""
-        registry = MetricsRegistry()
-        snapshot = self.latest
-        registry.gauge(
-            "fleet_shards",
-            "shards the fleet expects reports from",
-        ).set(len(self.shards))
-        registry.gauge(
-            "fleet_tenants",
-            "tenants (monitored collectives) across the fleet",
-        ).set(self.tenant_count())
-        registry.gauge(
-            "fleet_merge_seq",
-            "sequence number of the newest fleet snapshot",
-        ).set(snapshot.seq if snapshot else 0)
-        registry.counter(
-            "fleet_reports_dropped_total",
-            "shard reports shed by bounded aggregation mailboxes",
-        ).inc(self.aggregator.dropped_total())
-        registry.attach(self.aggregator.merge_seconds)
+        (the exporter's backing store): everything the newest merge
+        carries (:func:`registry_from_snapshot`), the aggregation
+        tier's own series, and what only the shard runtimes know."""
+        snapshot = self.latest if self.latest is not None \
+            else merge_reports((), self.aggregator.expected)
+        registry = self.aggregator.export_into(registry_from_snapshot(
+            snapshot, self.aggregator.dropped_total()))
         registry.attach(self.snapshot_lateness())
-        # aggregation-tier operational series (per-shard mailbox
-        # drops, transport counters, health when tracked)
-        self.aggregator.export_into(registry)
-
         for shard in self.shards:
             labels = {"shard": str(shard.shard_id)}
-            registry.gauge(
-                "fleet_shard_tenants",
-                "tenants owned by the shard",
-                labels=labels).set(len(shard.tenants))
             registry.counter(
                 "fleet_shard_events_consumed_total",
                 "stream events the shard consumed",
@@ -312,58 +289,19 @@ class FleetService:
             shard_latency.name = "fleet_shard_ingest_to_snapshot_seconds"
             shard_latency.labels = dict(labels)
             registry.attach(shard_latency)
-            for tenant in shard.tenants:
-                tlabels = {"shard": str(shard.shard_id),
-                           "tenant": tenant.tenant}
-                registry.gauge(
-                    "fleet_tenant_watermark_ns",
-                    "event-time watermark of the tenant pipeline",
-                    labels=tlabels).set(
-                    _finite(tenant.watermark_ns()))
-                registry.counter(
-                    "fleet_tenant_events_admitted_total",
-                    "events the tenant's budget admitted",
-                    labels=tlabels).inc(tenant.events_admitted)
-                registry.counter(
-                    "fleet_tenant_events_shed_total",
-                    "events shed past the tenant's budget",
-                    labels=tlabels).inc(tenant.events_shed)
-                registry.gauge(
-                    "fleet_tenant_budget_exhausted",
-                    "1 when the tenant exhausted its event budget",
-                    labels=tlabels).set(
-                    int(tenant.budget_exhausted))
-                registry.gauge(
-                    "fleet_tenant_degraded",
-                    "1 when the tenant diagnosis runs on incomplete "
-                    "telemetry",
-                    labels=tlabels).set(
-                    int(tenant.pipeline.degradation.degraded))
-                registry.gauge(
-                    "fleet_tenant_confidence",
-                    "telemetry confidence of the tenant diagnosis "
-                    "(1.0 = full)",
-                    labels=tlabels).set(
-                    tenant.pipeline.degradation.confidence())
         return registry
-
-
-def _finite(value: float) -> float:
-    import math
-
-    return 0.0 if math.isinf(value) else value
 
 
 def registry_from_snapshot(snapshot: FleetSnapshot,
                            dropped_reports: int = 0
                            ) -> MetricsRegistry:
-    """Fleet/shard/tenant series rebuilt from a merged snapshot alone.
+    """Fleet/shard/tenant series rebuilt from a merged snapshot alone
+    — the one place they are declared.
 
     The multiprocess serve mode scrapes through this: the exporter
     lives in the parent, shards are separate OS processes, and the
-    fleet snapshot (fanned in via report files) is the only shared
-    state.  Series names match :meth:`FleetService.build_registry`
-    where the underlying quantity is the same.
+    fleet snapshot is the only shared state.
+    :meth:`FleetService.build_registry` starts from the same call.
     """
     registry = MetricsRegistry()
     registry.gauge(

@@ -28,7 +28,6 @@ from repro.collective.runtime import StepRecord
 from repro.core.analyzer import DiagnosisKernel, step_timing
 from repro.core.diagnosis import DiagnosisResult
 from repro.core.incremental import IncrementalWaitingGraph
-from repro.core.rating import contribution_to_flow
 from repro.core.waiting_graph import CriticalPathEntry
 from repro.live.bus import BusPolicy, EventBus, TelemetryEvent
 from repro.live.metrics import Histogram, MetricsRegistry
@@ -371,11 +370,6 @@ class LivePipeline:
         for callback in self.on_snapshot:
             callback(snapshot)
         return snapshot
-
-    def per_flow_score(self, flow: FlowKey, cf: FlowKey) -> float:
-        """Eq. 2 against the overall provenance graph (on demand)."""
-        overall = self.kernel.provenance(self.collective_flow_keys)
-        return contribution_to_flow(overall, flow, cf)
 
     def finish(self) -> DiagnosisSnapshot:
         """Drain everything and emit the final snapshot."""

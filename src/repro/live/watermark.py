@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.core.units import Nanoseconds
 from repro.live.bus import (
@@ -83,10 +83,6 @@ class WatermarkBuffer:
     def flush(self) -> Iterator[TelemetryEvent]:
         """Release everything buffered (stream end / forced snapshot)."""
         yield from self._release(float("inf"))
-
-    # ------------------------------------------------------------------
-    def oldest_buffered_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
 
     # ------------------------------------------------------------------
     # checkpoint hooks

@@ -1,23 +1,15 @@
-"""Performance instrumentation: golden digests and the simcore bench.
+"""Golden digests: the engine's externally observable behaviour, pinned.
 
-* :mod:`repro.perf.golden` — SHA-256 digests of the executed event
-  stream and recorded traces; pins the engine's externally observable
-  behaviour so the fast-path optimisations are provably
-  order-preserving.
-* :mod:`repro.perf.bench` — the ``repro bench`` measurement harness
-  behind ``BENCH_simcore.json``, the repo's machine-readable perf
-  trajectory.
+:mod:`repro.perf.golden` hashes the executed event stream and the
+recorded traces (SHA-256), so a fast-path optimisation is provably
+order-preserving.  Timing lives outside the package, in
+``benchmarks/e2e`` (the ``BENCHMARK.json`` contract).
 """
 
-from repro.perf.bench import (  # noqa: F401
-    BENCH_SCHEMA_VERSION,
-    append_entry,
-    check_regression,
-    load_trajectory,
-    run_bench,
-)
-from repro.perf.golden import (  # noqa: F401
+from repro.perf.golden import (
     GOLDEN_SCALE,
     StreamHasher,
     capture_digests,
 )
+
+__all__ = ["GOLDEN_SCALE", "StreamHasher", "capture_digests"]

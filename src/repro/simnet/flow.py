@@ -97,10 +97,6 @@ class RdmaFlow:
     def completed(self) -> bool:
         return self._done
 
-    @property
-    def remaining_packets(self) -> int:
-        return self.num_packets - self._next_seq
-
     def start(self) -> None:
         """Register with the host and begin sending at ``start_time``."""
         if self._started:

@@ -81,10 +81,6 @@ class EgressPort:
         """DATA packets currently queued (the provenance qdepth)."""
         return len(self._data_queue)
 
-    @property
-    def queued_data_packets(self) -> tuple[Packet, ...]:
-        return tuple(self._data_queue)
-
     def data_queue_has_room(self, size: int) -> bool:
         if self.data_queue_cap_bytes is None:
             return True

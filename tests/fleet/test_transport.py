@@ -1,6 +1,7 @@
 """Socket report streaming: frames, publisher/listener, health, and
 the fan-in equivalence property (socket path ≡ report-file path)."""
 
+import dataclasses
 import random
 import socket
 import time
@@ -249,7 +250,9 @@ def test_dead_shard_is_excluded_from_watermark_not_snapshot():
         [0, 1], health=HealthPolicy(stale_after_s=1.0,
                                     dead_after_s=2.0),
         clock=lambda: clock_now[0])
-    slow = make_report(1)
+    # a worker that dies mid-run never sent its final report (one
+    # that did has finished: test_finished_shard_is_not_a_dead_shard)
+    slow = dataclasses.replace(make_report(1), final=False)
     aggregator.offer(make_report(0))
     aggregator.offer(slow)
     snapshot = aggregator.merge()
@@ -273,6 +276,34 @@ def test_dead_shard_is_excluded_from_watermark_not_snapshot():
     snapshot = aggregator.merge()
     assert not snapshot.degraded
     assert snapshot.shard_health == {"0": "live", "1": "live"}
+
+
+def test_finished_shard_is_not_a_dead_shard():
+    """A worker that published its final report and exited goes
+    silent by design: it stays ``live`` and keeps counting toward the
+    fleet watermark while its slower shard-mates run on."""
+    clock_now = [0.0]
+    aggregator = FleetAggregator(
+        [0, 1], health=HealthPolicy(), clock=lambda: clock_now[0])
+    done = make_report(0)
+    assert done.final
+    aggregator.offer(done)
+    running = dataclasses.replace(make_report(1), final=False)
+    aggregator.offer(running)
+    clock_now[0] = 11.0      # past dead_after_s
+    aggregator.heartbeat(1)
+    snapshot = aggregator.merge()
+    assert snapshot.shard_health == {"0": "live", "1": "live"}
+    assert not snapshot.degraded
+    assert snapshot.watermark_ns == min(done.watermark_ns,
+                                        running.watermark_ns)
+    assert aggregator.degraded_snapshots == 0
+
+    # silence without a final report is still death
+    clock_now[0] = 22.0
+    snapshot = aggregator.merge()
+    assert snapshot.shard_health == {"0": "live", "1": "dead"}
+    assert snapshot.degraded
 
 
 def test_heartbeats_keep_a_quiet_shard_alive():
