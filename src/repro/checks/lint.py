@@ -323,11 +323,11 @@ class _FileChecker(ast.NodeVisitor):
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) \
             else func.id if isinstance(func, ast.Name) else None
-        if name == "schedule" and node.args:
+        if name in ("schedule", "post") and node.args:
             literal = _numeric_literal(node.args[0])
             if literal is not None and literal < 0:
                 self.report(node, "RPR005",
-                            f"schedule() with negative delay "
+                            f"{name}() with negative delay "
                             f"{literal!r} fires in the past")
         elif name == "schedule_at" and node.args:
             arg = node.args[0]

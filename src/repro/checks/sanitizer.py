@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.simnet.engine import Event, Simulator
+    from repro.simnet.engine import Simulator
     from repro.simnet.flow import FlowReceiver, RdmaFlow
 
 #: how many executed events the sanitizer retains for violation reports
@@ -63,7 +63,7 @@ class InvariantViolation(ValueError):
         kind: machine-readable violation class (``"clock_regression"``,
             ``"clock_mutated"``, ``"negative_occupancy"``,
             ``"byte_conservation"``, ``"unpaired_resume"``,
-            ``"schedule_in_past"``).
+            ``"schedule_in_past"``, ``"schedule_nan"``).
         time: simulation time (ns) when the violation was detected.
         context: structured key/value details about the offending state.
         event_trace: the most recently executed events, oldest first.
@@ -114,7 +114,9 @@ class SimSanitizer:
         self.events_checked = 0
         #: violations raised (the first one aborts the run)
         self.violations_raised = 0
-        self._trace: deque[TracedEvent] = deque(maxlen=EVENT_TRACE_DEPTH)
+        #: raw (time, seq, callback) of the last executed events; labels
+        #: are rendered when a violation asks, not once per event
+        self._trace: deque[tuple] = deque(maxlen=EVENT_TRACE_DEPTH)
         #: (victim node, victim port) -> pauses delivered minus resumes
         self._outstanding_pauses: dict[tuple[str, int], int] = {}
 
@@ -123,7 +125,8 @@ class SimSanitizer:
     # ------------------------------------------------------------------
     def event_trace(self) -> tuple:
         """The retained execution trace, oldest event first."""
-        return tuple(self._trace)
+        return tuple(TracedEvent(time, seq, _callback_label(callback))
+                     for time, seq, callback in self._trace)
 
     def violation(self, kind: str, message: str, **context: Any) -> None:
         """Raise a structured :class:`InvariantViolation`."""
@@ -135,28 +138,27 @@ class SimSanitizer:
     # ------------------------------------------------------------------
     # engine hooks (called from Simulator.run)
     # ------------------------------------------------------------------
-    def before_event(self, event: "Event") -> None:
+    def before_event(self, time: float, seq: int, callback: Any) -> None:
         """Monotonicity check + trace append, before the clock advances."""
-        if event.time < self.sim.now:
+        if time < self.sim.now:
             self.violation(
                 "clock_regression",
                 "event scheduled before the current clock reached the "
                 "head of the heap",
-                event_time=event.time, clock=self.sim.now,
-                callback=_callback_label(event.callback))
+                event_time=time, clock=self.sim.now,
+                callback=_callback_label(callback))
         self.events_checked += 1
-        self._trace.append(TracedEvent(
-            event.time, event.seq, _callback_label(event.callback)))
+        self._trace.append((time, seq, callback))
 
-    def after_event(self, event: "Event") -> None:
+    def after_event(self, time: float, seq: int, callback: Any) -> None:
         """Detect callbacks that mutate ``Simulator.now``."""
-        if self.sim.now != event.time:  # repro: noqa RPR003
+        if self.sim.now != time:  # repro: noqa RPR003
             self.violation(
                 "clock_mutated",
                 "callback mutated Simulator.now (callbacks must only "
                 "schedule, never move the clock)",
-                expected=event.time, found=self.sim.now,
-                callback=_callback_label(event.callback))
+                expected=time, found=self.sim.now, seq=seq,
+                callback=_callback_label(callback))
 
     # ------------------------------------------------------------------
     # data-plane hooks

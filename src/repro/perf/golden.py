@@ -78,13 +78,15 @@ def install_observer(sim, hasher: StreamHasher) -> None:
             if event.cancelled:
                 continue
             if sanitizer is not None:
-                sanitizer.before_event(event)
+                sanitizer.before_event(
+                    event.time, event.seq, event.callback)
             sim.now = event.time
             sim._events_processed += 1
             hasher(event.time, event.seq, event.callback)
             event.callback(*event.args)
             if sanitizer is not None:
-                sanitizer.after_event(event)
+                sanitizer.after_event(
+                    event.time, event.seq, event.callback)
             if max_events is not None \
                     and sim._events_processed >= max_events:
                 break
@@ -142,7 +144,8 @@ def golden_anomaly(scenario: str, tmp_dir: Path) -> dict:
 
 
 #: the scenarios the fixture pins, in capture order
-GOLDEN_SCENARIOS = ("ring_allgather_k4", "pfc_storm_case0", "incast_case0")
+GOLDEN_SCENARIOS = ("ring_allgather_k4", "pfc_storm_case0", "incast_case0",
+                    "flow_contention_case0", "pfc_backpressure_case0")
 
 
 def capture_digests(tmp_dir: Path,

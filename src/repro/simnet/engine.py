@@ -8,8 +8,13 @@ given seed and input.
 
 Fast-path design (see docs/PERFORMANCE.md for the full contract):
 
-* Heap entries are ``(time, seq, event)`` tuples so ``heapq`` compares
-  them in C instead of calling a Python ``__lt__`` per comparison.
+* Heap and FIFO entries are ``(time, seq, callback, args, handle)``
+  tuples: ``heapq`` compares them in C (``seq`` is unique, so a
+  comparison never reaches the callback), and ``handle`` is the
+  cancellable :class:`Event` that :meth:`Simulator.schedule` returned —
+  or ``None`` for :meth:`Simulator.post`, the fire-and-forget verb of
+  the call sites that never cancel or inspect their event (the two
+  per-hop events of every packet among them).
 * Events scheduled for *exactly* the current clock reading — zero-delay
   callbacks and back-to-back link transmissions — go to a plain deque
   (``_fifo``) and never touch the heap.  The ordering invariant: any
@@ -17,7 +22,7 @@ Fast-path design (see docs/PERFORMANCE.md for the full contract):
   behind ``now`` and therefore carries a strictly smaller ``seq`` than
   every FIFO entry, so the loop drains same-time heap entries before
   the FIFO and global (time, seq) order is preserved exactly.
-* Retired :class:`Event` objects are recycled through a freelist, but
+* Retired :class:`Event` handles are recycled through a freelist, but
   only when the engine holds the last reference (callers may retain
   events to ``cancel()`` them later — recycling those would cancel an
   unrelated future event).
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import os
 import sys
 from collections import deque
@@ -57,24 +63,23 @@ def _env_sanitize() -> bool:
 
 
 class Event:
-    """A scheduled callback.  Returned by :meth:`Simulator.schedule`.
+    """A cancellable handle on a scheduled callback.  Returned by
+    :meth:`Simulator.schedule`; the callback and its arguments live in
+    the queue entry, not here.
 
-    Events support cancellation; a cancelled event stays in the queue but
-    is skipped when popped (lazy deletion), which keeps cancel O(1).  The
-    owning :class:`Simulator` counts cancellations so it can compact the
-    queue when dead entries pile up; ``_sim`` is cleared once the event
-    has fired or been discarded, making late ``cancel()`` calls (common
-    in ``stop()`` paths) free and accounting-neutral.
+    A cancelled event stays in the queue but is skipped when popped
+    (lazy deletion), which keeps cancel O(1).  The owning
+    :class:`Simulator` counts cancellations so it can compact the queue
+    when dead entries pile up; ``_sim`` is cleared once the event has
+    fired or been discarded, making late ``cancel()`` calls (common in
+    ``stop()`` paths) free and accounting-neutral.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
+    __slots__ = ("time", "seq", "cancelled", "_sim")
 
-    def __init__(self, time: Nanoseconds, seq: int,
-                 callback: Callable[..., None], args: tuple):
+    def __init__(self, time: Nanoseconds, seq: int) -> None:
         self.time = time
         self.seq = seq
-        self.callback = callback
-        self.args = args
         self.cancelled = False
         self._sim: Optional["Simulator"] = None
 
@@ -98,14 +103,29 @@ class Event:
         return f"Event(t={self.time:.1f}ns, seq={self.seq}, {state})"
 
 
+def _sweep(queue) -> Optional[list]:
+    """The live entries of ``queue`` when some handle in it has been
+    cancelled (those handles are released), else None."""
+    live = [entry for entry in queue
+            if entry[4] is None or not entry[4].cancelled]
+    if len(live) == len(queue):
+        return None
+    for entry in queue:
+        event = entry[4]
+        if event is not None and event.cancelled:
+            event._sim = None
+    return live
+
+
 class Simulator:
     """Event loop with a monotonically advancing clock in nanoseconds."""
 
     def __init__(self, sanitize: Optional[bool] = None) -> None:
         self.now: float = 0.0
-        # heap of (time, seq, Event): tuple keys compare in C
+        # heap of (time, seq, callback, args, Event-or-None): the
+        # (time, seq) prefix is unique, so entries compare in C
         self._heap: list[tuple] = []
-        # events scheduled at exactly `now`; drained before later times
+        # entries scheduled at exactly `now`; drained before later times
         self._fifo: deque = deque()
         self._free: list[Event] = []
         self._cancelled_pending = 0
@@ -132,69 +152,71 @@ class Simulator:
         """Number of live (non-cancelled) events still queued."""
         return len(self._heap) + len(self._fifo) - self._cancelled_pending
 
-    def _make_event(self, time: float, callback: Callable[..., None],
-                    args: tuple) -> Event:
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = next(self._seq)
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, next(self._seq), callback, args)
-        event._sim = self
-        return event
+    # -- scheduling verbs -----------------------------------------------
 
     def schedule(self, delay: Nanoseconds, callback: Callable[..., None],
                  *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
-        if delay < 0:
-            if self.sanitizer is not None:
-                self.sanitizer.violation(
-                    "schedule_in_past",
-                    f"schedule() called with negative delay {delay}",
-                    delay=delay)
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        time = self.now + delay
-        # freelist reuse, inlined: this is the hottest allocation site
+        if not delay >= 0:  # also catches NaN, which `delay < 0` admits
+            self._reject("schedule() delay", delay)
+        return self._push(self.now + delay, callback, args)
+
+    def schedule_at(self, time: Nanoseconds, callback: Callable[..., None],
+                    *args: Any) -> Event:
+        """Schedule ``callback(*args)`` at absolute simulation time."""
+        if not time >= self.now:
+            self._reject("schedule_at() time", time)
+        return self._push(time, callback, args)
+
+    def post(self, delay: Nanoseconds, callback: Callable[..., None],
+             *args: Any) -> None:
+        """Fire-and-forget :meth:`schedule`: no :class:`Event` is built
+        or returned, so the callback can be neither cancelled nor
+        inspected.  It draws from the same ``seq`` counter and sits in
+        the same queues, so it runs exactly where ``schedule`` would
+        have run it."""
+        if not delay >= 0:
+            self._reject("post() delay", delay)
+        now = self.now
+        time = now + delay
+        # exact same-time events take the FIFO lane (seq stays monotone,
+        # so draining heap ties first preserves global (time, seq) order)
+        if time == now:  # repro: noqa RPR003 - exact-tie detection
+            self._fifo.append((time, next(self._seq), callback, args, None))
+        else:
+            _heappush(self._heap,
+                      (time, next(self._seq), callback, args, None))
+
+    def _push(self, time: float, callback: Callable[..., None],
+              args: tuple) -> Event:
+        """Queue one cancellable entry at absolute ``time``."""
         free = self._free
         if free:
             event = free.pop()
             event.time = time
             seq = event.seq = next(self._seq)
-            event.callback = callback
-            event.args = args
             event.cancelled = False
         else:
-            event = Event(time, seq := next(self._seq), callback, args)
+            event = Event(time, seq := next(self._seq))
         event._sim = self
-        # exact same-time events take the FIFO lane (seq stays monotone,
-        # so draining heap ties first preserves global (time, seq) order)
         if time == self.now:  # repro: noqa RPR003 - exact-tie detection
-            self._fifo.append(event)
+            self._fifo.append((time, seq, callback, args, event))
         else:
-            _heappush(self._heap, (time, seq, event))
+            _heappush(self._heap, (time, seq, callback, args, event))
         return event
 
-    def schedule_at(self, time: Nanoseconds, callback: Callable[..., None],
-                    *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulation time."""
-        if time < self.now:
-            if self.sanitizer is not None:
-                self.sanitizer.violation(
-                    "schedule_in_past",
-                    f"schedule_at({time}) is before the clock",
-                    target_time=time, clock=self.now)
-            raise ValueError(
-                f"cannot schedule at {time} before current time {self.now}")
-        event = self._make_event(time, callback, args)
-        if time == self.now:  # repro: noqa RPR003 - exact-tie detection
-            self._fifo.append(event)
-        else:
-            heapq.heappush(self._heap, (time, event.seq, event))
-        return event
+    def _reject(self, what: str, value: float) -> None:
+        """Refuse a delay or target time that is in the past or NaN
+        (the cold path of every scheduling verb)."""
+        nan = math.isnan(value)
+        message = (f"cannot schedule: {what} {value} is "
+                   + ("not a number" if nan else "in the past")
+                   + f" (clock {self.now})")
+        if self.sanitizer is not None:
+            self.sanitizer.violation(
+                "schedule_nan" if nan else "schedule_in_past", message,
+                value=value, clock=self.now)
+        raise ValueError(message)
 
     def stop(self) -> None:
         """Stop the run loop after the current callback returns."""
@@ -217,37 +239,16 @@ class Simulator:
         ``cancel()`` inside a running callback.
         """
         heap = self._heap
-        live = [entry for entry in heap if not entry[2].cancelled]
-        if len(live) != len(heap):
-            for entry in heap:
-                event = entry[2]
-                if event.cancelled:
-                    event._sim = None
+        live = _sweep(heap)
+        if live is not None:
             heap[:] = live
             heapq.heapify(heap)
         fifo = self._fifo
-        if fifo:
-            live_fifo = [event for event in fifo if not event.cancelled]
-            if len(live_fifo) != len(fifo):
-                for event in fifo:
-                    if event.cancelled:
-                        event._sim = None
-                fifo.clear()
-                fifo.extend(live_fifo)
+        live = _sweep(fifo)
+        if live is not None:
+            fifo.clear()
+            fifo.extend(live)
         self._cancelled_pending = 0
-
-    def _retire(self, event: Event) -> None:
-        """Recycle ``event`` if the engine holds the last reference.
-
-        ``getrefcount == 2`` means: the ``event`` argument binding plus
-        the caller's local.  Any third reference is a caller that may
-        still ``cancel()`` the object, so it must not be reused.
-        """
-        event._sim = None
-        if sys.getrefcount(event) == 2:
-            event.callback = None  # type: ignore[assignment]
-            event.args = ()
-            self._free.append(event)
 
     # -- run loops ------------------------------------------------------
 
@@ -271,8 +272,8 @@ class Simulator:
             self.now = until
         return self.now
 
-    def _next_event(self, until: Optional[float]) -> Optional[Event]:
-        """Pop the globally next event, or None at a boundary.
+    def _next_entry(self, until: Optional[float]) -> Optional[tuple]:
+        """Pop the globally next entry, or None at a boundary.
 
         Heap entries tied with the current clock precede FIFO entries
         (they were scheduled earlier — smaller seq); otherwise the FIFO
@@ -285,16 +286,15 @@ class Simulator:
                 time = self.now
                 from_heap = True
             else:
-                time = fifo[0].time
+                time = fifo[0][0]
                 from_heap = False
             if until is not None and time > until:
                 return None
-            return heapq.heappop(heap)[2] if from_heap else fifo.popleft()
+            return heapq.heappop(heap) if from_heap else fifo.popleft()
         if heap:
-            time = heap[0][0]
-            if until is not None and time > until:
+            if until is not None and heap[0][0] > until:
                 return None
-            return heapq.heappop(heap)[2]
+            return heapq.heappop(heap)
         return None
 
     def _run_fast(self, until: Optional[float]) -> None:
@@ -305,37 +305,38 @@ class Simulator:
         heappop = heapq.heappop
         getrefcount = sys.getrefcount
         while not self._stopped:
-            # inline _next_event: this is the hottest code in the repo
+            # inline _next_entry: this is the hottest code in the repo
             if fifo:
                 if heap and heap[0][0] == self.now:  # repro: noqa RPR003
                     if until is not None and self.now > until:
                         break
-                    event = heappop(heap)[2]
+                    time, _, callback, args, event = heappop(heap)
                 else:
-                    if until is not None and fifo[0].time > until:
+                    if until is not None and fifo[0][0] > until:
                         break
-                    event = fifo.popleft()
+                    time, _, callback, args, event = fifo.popleft()
             elif heap:
                 if until is not None and heap[0][0] > until:
                     break
-                event = heappop(heap)[2]
+                time, _, callback, args, event = heappop(heap)
             else:
                 break
+            if event is None:
+                self.now = time
+                self._events_processed += 1
+                callback(*args)
+                continue
+            event._sim = None
             if event.cancelled:
                 self._cancelled_pending -= 1
-                event._sim = None
-                if getrefcount(event) == 2:
-                    event.callback = None  # type: ignore[assignment]
-                    event.args = ()
-                    free.append(event)
-                continue
-            self.now = event.time
-            self._events_processed += 1
-            event._sim = None
-            event.callback(*event.args)
+            else:
+                self.now = time
+                self._events_processed += 1
+                callback(*args)
+            # recycle the handle only if the engine holds the last
+            # reference (the local plus getrefcount's argument): any
+            # third one is a caller that may still cancel() it
             if getrefcount(event) == 2:
-                event.callback = None  # type: ignore[assignment]
-                event.args = ()
                 free.append(event)
 
     def _run_checked(self, until: Optional[float],
@@ -348,23 +349,24 @@ class Simulator:
         sanitizer = self.sanitizer
         observer = self.event_observer
         while not self._stopped:
-            event = self._next_event(until)
-            if event is None:
+            entry = self._next_entry(until)
+            if entry is None:
                 break
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                self._retire(event)
-                continue
+            time, seq, callback, args, event = entry
+            if event is not None:
+                event._sim = None
+                if event.cancelled:
+                    self._cancelled_pending -= 1
+                    continue
             if sanitizer is not None:
-                sanitizer.before_event(event)
-            self.now = event.time
+                sanitizer.before_event(time, seq, callback)
+            self.now = time
             self._events_processed += 1
             if observer is not None:
-                observer(event.time, event.seq, event.callback)
-            event._sim = None
-            event.callback(*event.args)
+                observer(time, seq, callback)
+            callback(*args)
             if sanitizer is not None:
-                sanitizer.after_event(event)
+                sanitizer.after_event(time, seq, callback)
             if max_events is not None \
                     and self._events_processed >= max_events:
                 break
@@ -377,16 +379,18 @@ class Simulator:
         never changes which events ``run`` will execute.
         """
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            event = heapq.heappop(heap)[2]
+        while heap and (event := heap[0][4]) is not None \
+                and event.cancelled:
+            heapq.heappop(heap)
+            event._sim = None
             self._cancelled_pending -= 1
-            self._retire(event)
         fifo = self._fifo
-        while fifo and fifo[0].cancelled:
-            event = fifo.popleft()
+        while fifo and (event := fifo[0][4]) is not None \
+                and event.cancelled:
+            fifo.popleft()
+            event._sim = None
             self._cancelled_pending -= 1
-            self._retire(event)
         if fifo:
             # FIFO entries sit at the current clock, <= any heap entry
-            return fifo[0].time
+            return fifo[0][0]
         return heap[0][0] if heap else None

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.core.units import Bytes, Nanoseconds
 from repro.simnet.dcqcn import DcqcnState
 from repro.simnet.packet import (
+    KIND_ACK,
     FlowKey,
     Packet,
     PacketKind,
@@ -71,6 +72,8 @@ class RdmaFlow:
         self.tag = tag  # e.g. "collective" / "background"
         self.mtu = network.config.mtu_payload_bytes
         self.num_packets = max(1, math.ceil(size_bytes / self.mtu))
+        #: payload of the last packet (every other one carries ``mtu``)
+        self._last_payload = size_bytes - self.mtu * (self.num_packets - 1)
         self.on_sender_complete = on_sender_complete
         self.stats = FlowStats(start_time=start_time)
         self.rtt_observers: list[RttObserver] = []
@@ -141,19 +144,23 @@ class RdmaFlow:
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
-    def _payload_bytes(self, seq: int) -> int:
-        if seq == self.num_packets - 1:
-            return self.size_bytes - self.mtu * (self.num_packets - 1)
-        return self.mtu
-
     def _try_send(self) -> None:
-        now = self.network.sim.now
-        while self._next_seq < self.num_packets:
-            payload = self._payload_bytes(self._next_seq)
+        last = self.num_packets - 1
+        if self._next_seq > last:
+            return  # all packets queued; completion comes with the last ACK
+        sim = self.network.sim
+        now = sim.now
+        while self._next_seq <= last:
+            payload = self._last_payload if self._next_seq == last \
+                else self.mtu
             if self._inflight_bytes + payload > self._window_bytes:
                 return  # window-limited; resumed by the next ACK
             if now < self._next_pace_time:
-                self._schedule_pace()
+                pace = self._pace_event
+                if pace is None or pace.cancelled:
+                    self._pace_event = sim.schedule(
+                        max(0.0, self._next_pace_time - now),
+                        self._pace_fire)
                 return
             if not self.port.data_queue_has_room(payload + 66):
                 return  # NIC queue full; resumed by host on_space
@@ -172,13 +179,6 @@ class RdmaFlow:
             self._next_pace_time = now + (
                 packet.size * 8.0 / self.dcqcn.rc * SEC)
             self.port.enqueue(packet)
-        # all packets queued; completion happens on final ACK
-
-    def _schedule_pace(self) -> None:
-        if self._pace_event is not None and not self._pace_event.cancelled:
-            return
-        delay = max(0.0, self._next_pace_time - self.network.sim.now)
-        self._pace_event = self.network.sim.schedule(delay, self._pace_fire)
 
     def _pace_fire(self) -> None:
         self._pace_event = None
@@ -202,10 +202,11 @@ class RdmaFlow:
         for observer in self.rtt_observers:
             observer(self, rtt, ack_seq, now)
         progressed = False
+        last = self.num_packets - 1
         while self._acked_packets <= ack_seq:
             seq = self._acked_packets
             self._send_times.pop(seq, None)
-            payload = self._payload_bytes(seq)
+            payload = self._last_payload if seq == last else self.mtu
             self._inflight_bytes = max(0, self._inflight_bytes - payload)
             self.stats.bytes_acked += payload
             self.stats.packets_acked += 1
@@ -303,7 +304,7 @@ class FlowReceiver:
     def _send_ack(self, ack_seq: int, data_send_time: float,
                   now: float) -> None:
         ack = make_control_packet(
-            PacketKind.ACK, self._rev_key, self.key.dst, self.key.src,
+            KIND_ACK, self._rev_key, self.key.dst, self.key.src,
             now, payload={"ack_seq": ack_seq,
                           "data_send_time": data_send_time,
                           "orig_flow": self.key})

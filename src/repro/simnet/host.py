@@ -14,7 +14,13 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.core.units import Bytes
 from repro.simnet.flow import FlowReceiver, RdmaFlow
 from repro.simnet.node import Node
-from repro.simnet.packet import FlowKey, Packet, PacketKind
+from repro.simnet.packet import (
+    KIND_ACK,
+    KIND_DATA,
+    FlowKey,
+    Packet,
+    PacketKind,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.network import Network
@@ -76,12 +82,24 @@ class HostNode(Node):
             flow.kick()
 
     def receive(self, packet: Packet, ingress_port: int) -> None:
-        packet.record_hop(self.node_id)
+        hops = packet._hops  # inlined packet.record_hop()
+        if hops is None:
+            packet._hops = [self.node_id]
+        else:
+            hops.append(self.node_id)
         kind = packet.kind
-        if kind is PacketKind.DATA:
-            self._on_data(packet)
-        elif kind is PacketKind.ACK:
-            self._on_ack(packet)
+        if kind is KIND_DATA:
+            receiver = self.receivers.get(packet.flow)
+            if receiver is None:
+                receiver = FlowReceiver(self.network, self, packet.flow)
+                self.register_receiver(receiver)
+            receiver.on_data(packet)
+        elif kind is KIND_ACK:
+            payload = packet.payload
+            sender = self.all_senders.get(payload["orig_flow"])
+            if sender is not None:
+                sender.on_ack(payload["ack_seq"],
+                              payload["data_send_time"])
         elif kind is PacketKind.CNP:
             self._on_cnp(packet)
         elif kind is PacketKind.NOTIFY:
@@ -91,20 +109,6 @@ class HostNode(Node):
             for handler in self.poll_handlers:
                 handler(packet)
         # REPORT packets never terminate at hosts; ignore anything else
-
-    def _on_data(self, packet: Packet) -> None:
-        receiver = self.receivers.get(packet.flow)
-        if receiver is None:
-            receiver = FlowReceiver(self.network, self, packet.flow)
-            self.register_receiver(receiver)
-        receiver.on_data(packet)
-
-    def _on_ack(self, packet: Packet) -> None:
-        orig = packet.payload["orig_flow"]
-        sender = self.all_senders.get(orig)
-        if sender is not None:
-            sender.on_ack(packet.payload["ack_seq"],
-                          packet.payload["data_send_time"])
 
     def _on_cnp(self, packet: Packet) -> None:
         orig = packet.payload["orig_flow"]

@@ -141,7 +141,8 @@ class Network:
             port.on_space = node.on_port_space
         else:
             # functools.partial dispatches in C — this hook runs once
-            # per DATA packet per switch hop
+            # per DATA packet per switch hop (the port calls it for no
+            # other class)
             port.on_departure = functools.partial(
                 node.on_packet_departed, index)
         return port
@@ -201,13 +202,13 @@ class Network:
     # ------------------------------------------------------------------
     def deliver_pause(self, event: PauseEvent, delay_ns: Nanoseconds) -> None:
         victim = self.node(event.victim.node)
-        self.sim.schedule(delay_ns, victim.on_pause_frame,
-                          event.victim.port, event)
+        self.sim.post(delay_ns, victim.on_pause_frame,
+                      event.victim.port, event)
 
     def deliver_resume(self, event: ResumeEvent, delay_ns: Nanoseconds) -> None:
         victim = self.node(event.victim.node)
-        self.sim.schedule(delay_ns, victim.on_resume_frame,
-                          event.victim.port, event)
+        self.sim.post(delay_ns, victim.on_resume_frame,
+                      event.victim.port, event)
 
     # ------------------------------------------------------------------
     # telemetry plumbing and overhead accounting
@@ -223,8 +224,8 @@ class Network:
     def submit_report(self, report: SwitchReport) -> None:
         self.report_count += 1
         self.report_bytes += report.size_bytes
-        self.sim.schedule(self.telemetry_config.report_delay_ns,
-                          self._report_sink, report)
+        self.sim.post(self.telemetry_config.report_delay_ns,
+                      self._report_sink, report)
 
     def poll_flow(self, flow_key: FlowKey, origin: Optional[str] = None
                   ) -> str:

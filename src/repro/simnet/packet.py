@@ -47,6 +47,14 @@ class PacketKind(enum.Enum):
     REPORT = "report"    # switch telemetry report to the analyzer
 
 
+#: The members the per-hop path tests, as module globals: on CPython
+#: <= 3.11 ``Priority.DATA`` is a metaclass lookup (~10x a global load),
+#: and every packet-hop makes two to four of them.
+PRIO_CONTROL, PRIO_DATA = Priority.CONTROL, Priority.DATA
+KIND_DATA, KIND_ACK, KIND_POLL = \
+    PacketKind.DATA, PacketKind.ACK, PacketKind.POLL
+
+
 class FlowKey(NamedTuple):
     """RoCEv2 5-tuple identifying a flow."""
 
@@ -167,12 +175,12 @@ def make_data_packet(flow: FlowKey, seq: int, payload_bytes: Bytes,
                      now: Nanoseconds, ttl: int = 64) -> Packet:
     """Build a DATA packet of ``payload_bytes`` plus header overhead."""
     return Packet(
-        kind=PacketKind.DATA,
+        kind=KIND_DATA,
         flow=flow,
         src=flow.src,
         dst=flow.dst,
         size=payload_bytes + HEADER_BYTES,
-        priority=Priority.DATA,
+        priority=PRIO_DATA,
         seq=seq,
         create_time=now,
         ttl=ttl,
@@ -189,7 +197,7 @@ def make_control_packet(kind: PacketKind, flow: Optional[FlowKey], src: str,
         src=src,
         dst=dst,
         size=size,
-        priority=Priority.CONTROL,
+        priority=PRIO_CONTROL,
         create_time=now,
         payload=payload,
         ecn_capable=False,

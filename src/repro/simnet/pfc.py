@@ -76,8 +76,6 @@ class PauseLog:
     received: list[PauseEvent] = field(default_factory=list)
     resumes_sent: list[ResumeEvent] = field(default_factory=list)
     resumes_received: list[ResumeEvent] = field(default_factory=list)
-    #: cumulative ns each local egress port has spent paused
-    paused_ns_by_port: dict[int, float] = field(default_factory=dict)
 
     def pauses_received_since(self, port: int, since: float) -> list[PauseEvent]:
         return [e for e in self.received

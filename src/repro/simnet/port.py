@@ -13,7 +13,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.units import BitsPerSecond, Bytes, Nanoseconds
-from repro.simnet.packet import Packet, Priority
+from repro.simnet.packet import PRIO_CONTROL, PRIO_DATA, Packet
 from repro.simnet.units import SEC
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,9 +29,10 @@ class EgressPort:
 
     Callbacks:
 
-    * ``on_departure(packet)`` — fires when a packet finishes
+    * ``on_departure(packet)`` — fires when a DATA packet finishes
       serialization and leaves the node (switches use it for PFC ingress
-      accounting and port-to-port meters).
+      accounting and port-to-port meters, which count the DATA class
+      only; CONTROL packets, half of all departures, skip the call).
     * ``on_space(port)`` — fires after any dequeue (hosts use it to
       unblock flows waiting for queue space).
     """
@@ -95,81 +96,83 @@ class EgressPort:
         Returns False (and drops) only when a DATA cap is configured and
         exceeded — with PFC enabled upstream this should not happen; the
         drop counter makes violations visible in tests.
+
+        Cut-through: a packet nothing could be served before — port not
+        busy, *both* queues empty, DATA not paused — starts serialising
+        without the deque round trip.  ``busy`` alone is not enough:
+        ``_finish_transmit`` clears it before it runs ``on_space``, and
+        a DATA packet offered from inside that hook must not overtake
+        an ACK waiting in the control queue.
         """
-        if packet.priority is Priority.CONTROL:
-            self._control_queue.append(packet)
-            self.control_queue_bytes += packet.size
-        else:
+        size = packet.size
+        data = packet.priority is not PRIO_CONTROL
+        if data:
             cap = self.data_queue_cap_bytes
-            if cap is not None and self.data_queue_bytes + packet.size > cap:
+            if cap is not None and self.data_queue_bytes + size > cap:
                 self.dropped_packets += 1
                 return False
-            self._data_queue.append(packet)
-            self.data_queue_bytes += packet.size
-        self._try_transmit()
-        return True
-
-    def _try_transmit(self) -> None:
-        if self.busy:
-            return
-        # inlined _pop_next(): two calls per transmitted packet add up
-        if self._control_queue:
-            packet = self._control_queue.popleft()
-            self.control_queue_bytes -= packet.size
-            if self.sim.sanitizer is not None:
-                self.sim.sanitizer.check_occupancy(
-                    self.node_id, self.port_id, "control queue bytes",
-                    self.control_queue_bytes)
-        elif self._data_queue and not self.paused:
-            packet = self._data_queue.popleft()
-            self.data_queue_bytes -= packet.size
-            if self.sim.sanitizer is not None:
-                self.sim.sanitizer.check_occupancy(
-                    self.node_id, self.port_id, "data queue bytes",
-                    self.data_queue_bytes)
-        else:
-            return
+        if self.busy or self._control_queue or self._data_queue \
+                or (data and self.paused):
+            if data:
+                self._data_queue.append(packet)
+                self.data_queue_bytes += size
+            else:
+                self._control_queue.append(packet)
+                self.control_queue_bytes += size
+            if not self.busy:
+                self._try_transmit()
+            return True
+        sim = self.sim
+        if sim.sanitizer is not None:
+            # the counter the round trip would have raised and lowered
+            sim.sanitizer.check_occupancy(
+                self.node_id, self.port_id,
+                "data queue bytes" if data else "control queue bytes",
+                self.data_queue_bytes if data else self.control_queue_bytes)
         self.busy = True
         # inlined serialization_delay() — identical operation order, so
         # timestamps stay bit-identical while skipping the call overhead
-        tx_time = packet.size * 8.0 / self.bandwidth_bps * SEC
-        self.sim.schedule(tx_time, self._finish_transmit, packet)
+        sim.post(size * 8.0 / self.bandwidth_bps * SEC,
+                 self._finish_transmit, packet)
+        return True
 
-    def _pop_next(self) -> Optional[Packet]:
-        """Dequeue the next serviceable packet (CONTROL before DATA).
-
-        Kept for tests/introspection; the transmit path inlines this.
-        """
+    def _try_transmit(self) -> None:
+        """Start serialising the next serviceable packet (CONTROL before
+        DATA, DATA only while unpaused) unless one is on the wire."""
+        if self.busy:
+            return
+        sim = self.sim
         if self._control_queue:
             packet = self._control_queue.popleft()
             self.control_queue_bytes -= packet.size
-            if self.sim.sanitizer is not None:
-                self.sim.sanitizer.check_occupancy(
-                    self.node_id, self.port_id, "control queue bytes",
-                    self.control_queue_bytes)
-            return packet
-        if self._data_queue and not self.paused:
+            what, queued = "control queue bytes", self.control_queue_bytes
+        elif self._data_queue and not self.paused:
             packet = self._data_queue.popleft()
             self.data_queue_bytes -= packet.size
-            if self.sim.sanitizer is not None:
-                self.sim.sanitizer.check_occupancy(
-                    self.node_id, self.port_id, "data queue bytes",
-                    self.data_queue_bytes)
-            return packet
-        return None
+            what, queued = "data queue bytes", self.data_queue_bytes
+        else:
+            return
+        if sim.sanitizer is not None:
+            sim.sanitizer.check_occupancy(
+                self.node_id, self.port_id, what, queued)
+        self.busy = True
+        sim.post(packet.size * 8.0 / self.bandwidth_bps * SEC,
+                 self._finish_transmit, packet)
 
     def _finish_transmit(self, packet: Packet) -> None:
         self.busy = False
         self.tx_bytes += packet.size
         self.tx_packets += 1
-        if self.on_departure is not None:
+        if self.on_departure is not None \
+                and packet.priority is PRIO_DATA:
             self.on_departure(packet)
         if self.deliver_fn is not None:
-            self.sim.schedule(self.delay_ns, self.deliver_fn, packet,
-                              self.peer_port_id)
+            self.sim.post(self.delay_ns, self.deliver_fn, packet,
+                          self.peer_port_id)
         if self.on_space is not None:
             self.on_space(self)
-        self._try_transmit()
+        if self._control_queue or self._data_queue:
+            self._try_transmit()
 
     # ------------------------------------------------------------------
     # PFC pause state (DATA class only)

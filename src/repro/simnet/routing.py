@@ -39,8 +39,10 @@ class EcmpRouting:
         self._neighbor_cache: dict[str, list[str]] = {
             n: sorted(topology.neighbors(n)) for n in topology.nodes
         }
-        #: memoized ECMP decisions — next_hop runs per packet per switch
-        self._next_hop_cache: dict[tuple[str, FlowKey, str], str] = {}
+        #: bumped whenever an override changes.  Switches keep the
+        #: per-flow answers of :meth:`next_hop` in forwarding tables and
+        #: check them against this, once per packet.
+        self.version = 0
 
     def _all_pairs_distances(self) -> dict[str, dict[str, int]]:
         """BFS from every node.  Host links count like any other hop."""
@@ -74,15 +76,15 @@ class EcmpRouting:
             raise RoutingError(
                 f"{next_hop!r} is not a neighbor of {node_id!r}")
         self._overrides[(node_id, flow)] = next_hop
-        self._next_hop_cache.clear()
+        self.version += 1
 
     def clear_override(self, node_id: str, flow: FlowKey) -> None:
         self._overrides.pop((node_id, flow), None)
-        self._next_hop_cache.clear()
+        self.version += 1
 
     def clear_all_overrides(self) -> None:
         self._overrides.clear()
-        self._next_hop_cache.clear()
+        self.version += 1
 
     def ecmp_candidates(self, node_id: str, dst: str) -> list[str]:
         """All neighbors on a shortest path from ``node_id`` to ``dst``."""
@@ -105,10 +107,6 @@ class EcmpRouting:
             if override is not None:
                 return override
         destination = dst if dst is not None else flow.dst
-        cache_key = (node_id, flow, destination)
-        cached = self._next_hop_cache.get(cache_key)
-        if cached is not None:
-            return cached
         if node_id == destination:
             raise RoutingError(f"packet for {destination!r} already there")
         candidates = self.ecmp_candidates(node_id, destination)
@@ -116,12 +114,8 @@ class EcmpRouting:
             raise RoutingError(
                 f"no route from {node_id!r} to {destination!r}")
         if len(candidates) == 1:
-            hop = candidates[0]
-        else:
-            hop = candidates[self._ecmp_hash(node_id, flow)
-                             % len(candidates)]
-        self._next_hop_cache[cache_key] = hop
-        return hop
+            return candidates[0]
+        return candidates[self._ecmp_hash(node_id, flow) % len(candidates)]
 
     def _ecmp_hash(self, node_id: str, flow: FlowKey) -> int:
         """5-tuple hash with a per-routing seed.

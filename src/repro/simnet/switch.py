@@ -14,17 +14,19 @@ forwarding a chase poll to the pausing downstream switch.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.simnet.packet import (
+    KIND_POLL,
+    PRIO_DATA,
     FlowKey,
     Packet,
     PacketKind,
-    Priority,
     make_control_packet,
 )
 from repro.simnet.pfc import PauseEvent, PortRef, ResumeEvent
 from repro.simnet.node import Node
+from repro.simnet.port import EgressPort
 from repro.simnet.routing import RoutingError
 from repro.simnet.telemetry import SwitchTelemetry
 
@@ -50,19 +52,28 @@ class SwitchNode(Node):
         self._last_pause_sent: dict[int, float] = {}
         #: pkt_id -> ingress port, for departure-time accounting
         self._pkt_ingress: dict[int, int] = {}
+        #: forwarding table, flow -> egress port, good for one version
+        #: of the routing object (route overrides bump it)
+        self._fib: dict[FlowKey, EgressPort] = {}
+        self._fib_version = self._routing.version
 
     # ------------------------------------------------------------------
     # receive / forward
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, ingress_port: int) -> None:
-        packet.record_hop(self.node_id)
-        if packet.kind is PacketKind.POLL:
-            self._handle_poll(packet, ingress_port)
+        """One packet-hop: everything a packet costs at this switch up
+        to its egress queue runs in this frame (the rare halves — RED
+        marking, PAUSE emission, a forwarding-table miss — are calls)."""
+        hops = packet._hops  # inlined packet.record_hop()
+        if hops is None:
+            packet._hops = [self.node_id]
+        else:
+            hops.append(self.node_id)
+        if packet.kind is KIND_POLL \
+                and not self._handle_poll(packet, ingress_port):
             return
-        self._forward(packet, ingress_port)
-
-    def _forward(self, packet: Packet, ingress_port: int) -> None:
-        if packet.dst == self.node_id:
+        dst = packet.dst
+        if dst == self.node_id:
             return  # consumed (e.g. chase polls addressed to us)
         packet.ttl -= 1
         if packet.ttl <= 0:
@@ -70,28 +81,54 @@ class SwitchNode(Node):
                 self.telemetry.on_ttl_drop(packet.flow)
             self.network.count_ttl_drop(self.node_id, packet)
             return
-        flow = packet.flow or self.pseudo_flow(packet.dst)
-        try:
-            next_hop = self._routing.next_hop(
-                self.node_id, flow, dst=packet.dst)
-        except RoutingError:
-            self.network.count_routing_drop(self.node_id, packet)
-            return
-        egress = self.ports[self.neighbor_port[next_hop]]
-        if packet.priority is Priority.DATA:
-            self._maybe_mark_ecn(packet, egress)
-            self._account_ingress(packet, ingress_port)
+        flow = packet.flow
+        routing = self._routing
+        if self._fib_version != routing.version:
+            self._fib.clear()
+            self._fib_version = routing.version
+        egress = self._fib.get(flow)
+        if egress is None or dst != flow.dst:
+            egress = self._route(packet)
+            if egress is None:
+                return
+        if packet.priority is PRIO_DATA:
+            cfg = self._cfg
+            qbytes = egress.data_queue_bytes
+            if qbytes > cfg.ecn_kmin_bytes and packet.ecn_capable \
+                    and cfg.ecn_kmax_bytes > 0:
+                self._mark_ecn(packet, qbytes)
+            # PFC ingress accounting
+            usage = self.ingress_usage.get(ingress_port, 0) + packet.size
+            self.ingress_usage[ingress_port] = usage
+            self._pkt_ingress[packet.pkt_id] = ingress_port
+            if usage >= cfg.pfc_xoff_bytes:
+                self._pause_upstream(ingress_port, usage)
             self.telemetry.on_data_enqueue(
-                self.sim.now, egress.port_id, packet.flow)
+                self.sim.now, egress.port_id, flow)
         egress.enqueue(packet)
 
-    def _maybe_mark_ecn(self, packet: Packet, egress) -> None:
+    def _route(self, packet: Packet) -> Optional[EgressPort]:
+        """Forwarding-table miss: ask the routing object, and remember
+        the answer for a flow's packets bound for the flow's own
+        destination (flow-less packets and any other destination are
+        routed per packet).  Counts the drop and returns None when
+        there is no route."""
+        flow = packet.flow
+        try:
+            next_hop = self._routing.next_hop(
+                self.node_id, flow or self.pseudo_flow(packet.dst),
+                dst=packet.dst)
+        except RoutingError:
+            self.network.count_routing_drop(self.node_id, packet)
+            return None
+        egress = self.ports[self.neighbor_port[next_hop]]
+        if flow is not None and packet.dst == flow.dst:
+            self._fib[flow] = egress
+        return egress
+
+    def _mark_ecn(self, packet: Packet, qbytes: int) -> None:
+        """RED marking for a queue already above ``ecn_kmin_bytes``."""
         cfg = self._cfg
-        if not packet.ecn_capable or cfg.ecn_kmax_bytes <= 0:
-            return
-        qbytes = egress.data_queue_bytes
-        if qbytes <= cfg.ecn_kmin_bytes:
-            return
         if qbytes >= cfg.ecn_kmax_bytes:
             packet.ecn_marked = True
             return
@@ -103,29 +140,22 @@ class SwitchNode(Node):
     # ------------------------------------------------------------------
     # PFC ingress accounting
     # ------------------------------------------------------------------
-    def _account_ingress(self, packet: Packet, ingress_port: int) -> None:
-        usage = self.ingress_usage.get(ingress_port, 0) + packet.size
-        self.ingress_usage[ingress_port] = usage
-        self._pkt_ingress[packet.pkt_id] = ingress_port
-        cfg = self._cfg
-        if usage >= cfg.pfc_xoff_bytes:
-            now = self.sim.now
-            if not self.upstream_paused.get(ingress_port):
-                self.upstream_paused[ingress_port] = True
-                self._last_pause_sent[ingress_port] = now
-                self._send_pause(ingress_port, usage, genuine=True)
-            elif now - self._last_pause_sent.get(ingress_port, -1e18) \
-                    >= cfg.pause_quanta_ns / 2:
-                # still above XOFF: refresh before the victim's pause
-                # quanta lapse (sustained congestion = sustained pause)
-                self._last_pause_sent[ingress_port] = now
-                self._send_pause(ingress_port, usage, genuine=True)
+    def _pause_upstream(self, ingress_port: int, usage: int) -> None:
+        """Ingress occupancy is at or above XOFF: send the first PAUSE,
+        or refresh it before the victim's pause quanta lapse (sustained
+        congestion = sustained pause)."""
+        now = self.sim.now
+        if not self.upstream_paused.get(ingress_port):
+            self.upstream_paused[ingress_port] = True
+        elif now - self._last_pause_sent.get(ingress_port, -1e18) \
+                < self._cfg.pause_quanta_ns / 2:
+            return
+        self._last_pause_sent[ingress_port] = now
+        self._send_pause(ingress_port, usage, genuine=True)
 
     def on_packet_departed(self, egress_port_id: int,
                            packet: Packet) -> None:
-        """Egress-port departure hook (installed at wiring time)."""
-        if packet.priority is not Priority.DATA:
-            return
+        """Egress-port DATA departure hook (installed at wiring time)."""
         ingress_port = self._pkt_ingress.pop(packet.pkt_id, None)
         if ingress_port is None:
             return
@@ -191,11 +221,12 @@ class SwitchNode(Node):
     # ------------------------------------------------------------------
     # polling (telemetry collection, §III-C3)
     # ------------------------------------------------------------------
-    def _handle_poll(self, packet: Packet, ingress_port: int) -> None:
+    def _handle_poll(self, packet: Packet, ingress_port: int) -> bool:
+        """Report for a polling packet; True when it travels on."""
         payload = packet.payload
         if payload.get("chase") and packet.dst == self.node_id:
             self._handle_chase_poll(packet, ingress_port)
-            return
+            return False
         # flow-scoped transit poll: report the polled flow's egress port
         flow: FlowKey = payload["flow"]
         poll_id: str = payload["poll_id"]
@@ -209,7 +240,7 @@ class SwitchNode(Node):
         self._report_and_chase(scope, poll_id,
                                visited=set(payload.get("visited", ())),
                                depth=int(payload.get("depth", 0)))
-        self._forward(packet, ingress_port)
+        return True
 
     def _handle_chase_poll(self, packet: Packet, ingress_port: int) -> None:
         payload = packet.payload

@@ -127,14 +127,15 @@ class WindowedGroupCounter:
             self._cur = {}
         self._epoch_start = now - (elapsed % self.window_ns)
 
-    def add(self, now: Nanoseconds, group: Hashable, key: Hashable,
-            delta: float = 1.0) -> None:
+    def bucket(self, now: Nanoseconds, group: Hashable) -> dict:
+        """The current epoch's ``{key: value}`` of ``group``, for the
+        caller to add into (rotated first when the window has passed)."""
         if now - self._epoch_start >= self.window_ns:
             self._rotate(now)
         bucket = self._cur.get(group)
         if bucket is None:
             bucket = self._cur[group] = {}
-        bucket[key] = bucket.get(key, 0.0) + delta
+        return bucket
 
     def snapshot_group(self, now: Nanoseconds,
                        group: Hashable) -> dict[Hashable, float]:
@@ -221,22 +222,32 @@ class SwitchTelemetry:
     # ------------------------------------------------------------------
     # data-plane hooks (called by the switch)
     # ------------------------------------------------------------------
+    # The two hooks below run once per DATA packet per switch: they add
+    # into a port's bucket directly (one call per hook, not one per
+    # key), in the first-touch order and with the ``get(key, 0.0) +
+    # delta`` arithmetic that reports have always serialised.
     def on_data_enqueue(self, now: Nanoseconds, egress_port: int,
                         flow: FlowKey) -> None:
         """Record a DATA packet entering an egress queue; accumulate the
         packets-ahead weights against every other flow in the queue."""
-        queue = self._inqueue.setdefault(egress_port, {})
+        queue = self._inqueue.get(egress_port)
+        if queue is None:
+            queue = self._inqueue[egress_port] = {}
+        bucket = None
         for other_flow, count in queue.items():
             if other_flow != flow and count > 0:
-                self._wait_weights.add(
-                    now, egress_port, (flow, other_flow), count)
+                if bucket is None:
+                    bucket = self._wait_weights.bucket(now, egress_port)
+                key = (flow, other_flow)
+                bucket[key] = bucket.get(key, 0.0) + count
         queue[flow] = queue.get(flow, 0) + 1
 
     def on_data_departure(self, now: Nanoseconds, ingress_port: int,
                           egress_port: int, flow: FlowKey,
                           size: int) -> None:
         """Record a DATA packet leaving the switch."""
-        self._flow_pkts.add(now, egress_port, flow, 1)
+        bucket = self._flow_pkts.bucket(now, egress_port)
+        bucket[flow] = bucket.get(flow, 0.0) + 1
         self._port_meters.add(now, (ingress_port, egress_port), size)
         queue = self._inqueue.get(egress_port)
         if queue is not None:

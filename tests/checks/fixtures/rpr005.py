@@ -4,6 +4,7 @@
 
 def good_schedule(sim, callback) -> None:
     sim.schedule(0.0, callback)
+    sim.post(0.0, callback)
     sim.schedule_at(sim.now + 5.0, callback)
 
 
@@ -13,6 +14,10 @@ def bad_clock_mutation(sim) -> None:
 
 def bad_negative_delay(sim, callback) -> None:
     sim.schedule(-1.0, callback)  # expect: RPR005
+
+
+def bad_negative_post(sim, callback) -> None:
+    sim.post(-1.0, callback)  # expect: RPR005
 
 
 def bad_past_target(sim, callback) -> None:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.checks.sanitizer import InvariantViolation
 from repro.simnet.engine import Simulator
 
 
@@ -170,3 +171,52 @@ def test_deterministic_across_instances():
         return log
 
     assert trace() == trace()
+
+
+def test_post_runs_where_schedule_would_and_returns_no_handle():
+    sim = Simulator()
+    order = []
+    sim.schedule(5.0, order.append, "a")
+    assert sim.post(5.0, order.append, "b") is None
+    sim.schedule(5.0, order.append, "c")
+    sim.post(1.0, order.append, "first")
+    assert sim.pending_events == 4
+    sim.run()
+    assert order == ["first", "a", "b", "c"]
+    assert sim.events_processed == 4
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+@pytest.mark.parametrize("verb", ["schedule", "schedule_at", "post"])
+def test_nan_is_rejected_at_schedule_time(verb, sanitize):
+    """``nan < 0`` and ``nan < now`` are both False: an unchecked NaN
+    runs at an arbitrary place in the order with the clock reading NaN,
+    and the sanitizer then blames the callback for moving the clock."""
+    sim = Simulator(sanitize=sanitize)
+    order = []
+    sim.schedule(5.0, order.append, "b")
+    with pytest.raises(ValueError, match="nan") as excinfo:
+        getattr(sim, verb)(NAN, order.append, "nan")
+    if sanitize:
+        assert isinstance(excinfo.value, InvariantViolation)
+        assert excinfo.value.kind == "schedule_nan"
+    else:
+        assert not isinstance(excinfo.value, InvariantViolation)
+    sim.schedule(1.0, order.append, "a")
+    sim.run()
+    assert order == ["a", "b"]
+    assert sim.now == 5.0
+    assert sim.pending_events == 0
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_negative_post_delay_is_rejected(sanitize):
+    sim = Simulator(sanitize=sanitize)
+    with pytest.raises(ValueError, match="-1.0") as excinfo:
+        sim.post(-1.0, lambda: None)
+    if sanitize:
+        assert excinfo.value.kind == "schedule_in_past"
+    assert sim.pending_events == 0

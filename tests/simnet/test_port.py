@@ -149,6 +149,17 @@ def test_on_departure_callback(sim):
     assert len(departed) == 1
 
 
+def test_on_departure_is_for_the_data_class_only(sim):
+    port, delivered = make_port(sim)
+    departed = []
+    port.on_departure = departed.append
+    port.enqueue(make_control_packet(PacketKind.ACK, None, "a", "b", 0.0))
+    port.enqueue(data_packet())
+    sim.run()
+    assert len(delivered) == 2
+    assert [p.kind for p in departed] == [PacketKind.DATA]
+
+
 def test_on_space_callback_fires_per_dequeue(sim):
     port, _ = make_port(sim)
     kicks = []
