@@ -2,8 +2,9 @@
 
 * :mod:`repro.core.units` — the typed unit-of-measure layer (NewTypes
   plus checked converters) enforced by ``repro check --units``.
-* :mod:`repro.core.waiting_graph` — the per-step waiting graph (§III-B),
-  its pruning and critical-path analysis.
+* :mod:`repro.core.waiting_graph` — the per-step waiting graph (§III-B)
+  and its one construction (§III-D1: ingest in order, prune in-degree
+  zero, critical path), asked once in batch and repeatedly live.
 * :mod:`repro.core.monitor` — host-side performance monitoring with
   SSQ/RSQ waiting-state awareness (§III-C1, Table I).
 * :mod:`repro.core.detection` — step-aware adaptive anomaly detection:
@@ -52,7 +53,6 @@ _EXPORTS = {
     "VedrfolnirAnalyzer": "repro.core.analyzer",
     "VedrfolnirSystem": "repro.core.system",
     "VedrfolnirConfig": "repro.core.system",
-    "IncrementalWaitingGraph": "repro.core.incremental",
     "replay_pairwise_weights": "repro.core.replay",
     "render_json": "repro.core.reports",
     "render_text": "repro.core.reports",

@@ -15,7 +15,8 @@ a report is digested once on arrival and max-merged into the overall
 graph and into each step graph whose window it falls in, and a step's
 graph is rebuilt only when the slice of reports in its window changed,
 so a rolling snapshot costs what changed since the last one.  The batch
-analyzer is the same kernel fed every report and asked for one snapshot.
+analyzer is the same waiting graph and the same kernel as the live
+pipeline's, fed everything and asked for one snapshot.
 """
 
 from __future__ import annotations
@@ -60,17 +61,14 @@ class StepTiming:
     bottleneck_steps: list[int]
 
 
-def step_timing(critical_nodes: Mapping[int, str],
-                duration_of: Callable[[tuple[str, int]], Optional[float]],
+def step_timing(graph: WaitingGraph,
                 expected_of: Callable[[tuple[str, int]], float],
                 flow_keys: Mapping[tuple[str, int], FlowKey],
                 slowdown_factor: float) -> StepTiming:
-    """Per-step timing of the critical flows ``{step: node}``."""
+    """Per-step timing of ``graph``'s critical flows."""
     timing = StepTiming({}, {}, {}, [])
-    for idx, node in critical_nodes.items():
-        duration = duration_of((node, idx))
-        if duration is not None:
-            timing.exec_times[idx] = duration
+    for idx, node in graph.critical_flows_by_step().items():
+        timing.exec_times[idx] = graph.durations[(node, idx)]
         timing.expect_times[idx] = expected_of((node, idx))
         flow_key = flow_keys.get((node, idx))
         if flow_key is not None:
@@ -298,28 +296,18 @@ class VedrfolnirAnalyzer:
     def analyze(self, runtime: CollectiveRuntime) -> VedrfolnirDiagnosis:
         waiting = WaitingGraph(runtime.schedule, self.step_records,
                                mode="binding")
-        critical_path = waiting.critical_path()
         timing = step_timing(
-            waiting.critical_flows_by_step(),
-            lambda key: waiting.records[key].duration_ns
-            if key in waiting.records else None,
+            waiting,
             lambda key: runtime.expected_step_time_ns(
                 runtime.schedule.step(*key)),
             runtime.flow_keys, self.slowdown_factor)
-        windows: dict[int, list[float]] = {}
-        for record in self.step_records:
-            window = windows.setdefault(record.step_index,
-                                        [record.start_time,
-                                         record.end_time])
-            window[0] = min(window[0], record.start_time)
-            window[1] = max(window[1], record.end_time)
-
         kernel = DiagnosisKernel(self.pfc_xoff_bytes,
                                  runtime.collective_flow_keys)
         for report in self.reports:
             kernel.add_report(report)
-        breakdown = kernel.snapshot(runtime.collective_flow_keys, windows,
-                                    timing, keep_graphs=True)
+        breakdown = kernel.snapshot(runtime.collective_flow_keys,
+                                    waiting.windows, timing,
+                                    keep_graphs=True)
 
         overall = breakdown.provenance
         per_flow_scores: dict[tuple[FlowKey, FlowKey], float] = {}
@@ -332,7 +320,7 @@ class VedrfolnirAnalyzer:
 
         return VedrfolnirDiagnosis(
             waiting_graph=waiting,
-            critical_path=critical_path,
+            critical_path=waiting.critical_path(),
             bottleneck_steps=timing.bottleneck_steps,
             provenance=overall,
             step_provenance=breakdown.step_provenance,

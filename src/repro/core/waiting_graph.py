@@ -12,24 +12,33 @@ steps is the graph's source and the start of the first steps the sink:
 * **blue** edges: ``start(F_i S_j) → end(F_k S_{j-1})``, weight 0
   (data dependency).
 
-Two construction modes mirror the paper's definition vs. its runtime use:
+Two modes mirror the paper's definition vs. its runtime use:
 
 * ``full``: every structural edge of the decomposition;
 * ``binding``: only the light edge that *actually* gated each start
   (§III-C1: "F1S2 waits for both ... but actually waits for only one of
   them").  In-degree-zero pruning (Fig. 14a) and the critical path are
   computed on this mode.
+
+Construction follows §III-D1 — "constructs the waiting graph
+sequentially according to the queue order", "recursively prune nodes
+with an in-degree of zero" — and is the same whether the batch analyzer
+asks once or the live pipeline asks at every snapshot: see
+:class:`WaitingGraph`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from repro.core.units import Nanoseconds
 from repro.collective.primitives import StepSchedule
 from repro.collective.runtime import StepRecord
+
+StepKey = tuple[str, int]
 
 
 class EdgeKind(enum.Enum):
@@ -80,22 +89,346 @@ class CriticalPathEntry:
 
 
 class WaitingGraph:
-    """Waiting graph over a set of completed (or partial) step records."""
+    """The waiting graph over the step records submitted so far.
+
+    Records are ingested one at a time through :meth:`submit`, in the
+    order given (ordering a stream by completion time is the live
+    pipeline's watermark's job), and each one moves the latest-end
+    anchor, the binding chain behind it and, once a prune has counted
+    it, the in-degree worklist: nothing is rebuilt per question.  With
+    ``prune_interval`` > 0, every that many ingests drop the records
+    nothing retained or pending waits on, the critical chain excepted.
+
+    What a diagnosis reads survives the prune as O(steps) scalars,
+    under one rule: :attr:`durations` and the slowest flow per step
+    describe the *current* record of each ``(node, step)`` (a duplicate
+    that differs replaces what the superseded one said), while
+    :attr:`windows` only ever widen.  The Fig. 4 view
+    (:attr:`vertices`, :attr:`edges`) is drawn over the retained
+    records when first asked for.
+    """
 
     def __init__(self, schedule: StepSchedule,
-                 records: Iterable[StepRecord],
-                 mode: str = "binding") -> None:
+                 records: Iterable[StepRecord] = (),
+                 mode: str = "binding",
+                 prune_interval: int = 0) -> None:
         if mode not in ("binding", "full"):
             raise ValueError(f"unknown mode {mode!r}")
         self.schedule = schedule
         self.mode = mode
-        self.records: dict[tuple[str, int], StepRecord] = {
-            (r.node, r.step_index): r for r in records}
-        #: the Fig. 4 view, drawn when first asked for: the critical
-        #: path and Eq. 3's inputs read the records and the schedule
-        self._vertices: Optional[set[WaitingVertex]] = None
-        self._edges: list[WaitingEdge] = []
+        self.prune_interval = prune_interval
+        #: the retained records
+        self.records: dict[StepKey, StepRecord] = {}
+        #: per step index, [min start, max end] over every record seen
+        self.windows: dict[int, list[float]] = {}
+        #: duration of every step seen, retained or pruned
+        self.durations: dict[StepKey, float] = {}
+        #: per step index, the slowest step seen: (duration, node)
+        self._slowest: dict[int, tuple[float, str]] = {}
+        self._ingested = 0
+        self.pruned_total = 0
+        #: the blue edge of every step of the schedule
+        self._depends_on: dict[StepKey, Optional[StepKey]] = {
+            (s.node, s.step_index): s.depends_on
+            for s in schedule.all_steps()}
+        #: steps whose records have not arrived yet
+        self._expected = set(self._depends_on)
+        self._forget_derived()
+        for record in records:
+            self.submit(record)
 
+    def _waits_on(self, key: StepKey) -> tuple[StepKey, ...]:
+        """The steps ``key``'s start structurally waits on (orange and
+        blue edge targets)."""
+        node, idx = key
+        dep = self._depends_on[key]
+        if idx == 0:
+            return () if dep is None else (dep,)
+        prev = (node, idx - 1)
+        return (prev,) if dep is None or dep == prev else (prev, dep)
+
+    def _forget_derived(self) -> None:
+        """Everything derived from ``records`` and ``_expected``."""
+        records = self.records
+        #: per step, how many retained or expected steps wait on it;
+        #: counted by the first prune, kept per ingest from then on
+        self._waiters: Optional[dict[StepKey, int]] = None
+        #: the latest-ending retained record (the earliest-kept of
+        #: equals) and the binding chain behind it, oldest first
+        self._anchor: Optional[StepKey] = max(
+            records, key=lambda k: records[k].end_time, default=None)
+        self._chain: Optional[list[StepKey]] = None
+        self._vertices: Optional[set[WaitingVertex]] = None
+
+    def _count_waiters(self) -> None:
+        waiters = self._waiters = dict.fromkeys(self._depends_on, 0)
+        for key in self._expected.union(self.records):
+            for target in self._waits_on(key):
+                waiters[target] += 1
+        #: retained records nothing waits on — the prune worklist
+        self._unwaited = dict.fromkeys(
+            key for key in self.records if not waiters[key])
+
+    # ------------------------------------------------------------------
+    # construction (§III-D1)
+    # ------------------------------------------------------------------
+    def submit(self, record: StepRecord) -> None:
+        """Ingest one record."""
+        key = (record.node, record.step_index)
+        records = self.records
+        known = records.get(key)
+        records[key] = record
+        if known is not None:
+            if known != record:      # same place in ``records``, other
+                self._forget_derived()  # times: take nothing for granted
+        else:
+            back = key not in self._expected
+            self._expected.discard(key)
+            waiters = self._waiters
+            if waiters is not None:
+                if back:             # pruned, and back: it waits again
+                    for target in self._waits_on(key):
+                        waiters[target] += 1
+                        self._unwaited.pop(target, None)
+                if not waiters[key]:
+                    self._unwaited[key] = None
+            self._extend_chain(key, record)
+            self._vertices = None
+        self._aggregate(key, record)
+        self._ingested += 1
+        if self.prune_interval > 0 \
+                and self._ingested % self.prune_interval == 0:
+            self.prune()
+
+    def _aggregate(self, key: StepKey, record: StepRecord) -> None:
+        """Keep the per-step scalars (the class docstring has the rule)."""
+        idx = record.step_index
+        start, end = record.start_time, record.end_time
+        window = self.windows.get(idx)
+        if window is None:
+            self.windows[idx] = [start, end]
+        else:
+            if start < window[0]:
+                window[0] = start
+            if end > window[1]:
+                window[1] = end
+        duration = end - start
+        superseded = self.durations.get(key)
+        self.durations[key] = duration
+        slowest = self._slowest.get(idx)
+        if superseded is not None and superseded != duration:
+            # the step's slowest may be the one just replaced: the
+            # first of the slowest, in order of first appearance
+            self._slowest[idx] = max(
+                ((took, node) for (node, step), took
+                 in self.durations.items() if step == idx),
+                key=itemgetter(0))
+        elif slowest is None or duration > slowest[0]:
+            self._slowest[idx] = (duration, record.node)
+
+    def _extend_chain(self, key: StepKey, record: StepRecord) -> None:
+        """Move the anchor and the chain for one newly retained record:
+        a later end than every other is the new anchor, and extends the
+        chain when it was bound by the old one; a record the chain's
+        oldest entry was bound by re-roots it."""
+        anchor, chain = self._anchor, self._chain
+        if anchor is None \
+                or record.end_time > self.records[anchor].end_time:
+            self._anchor = key
+            if chain is not None and self._bound_by(record) == anchor:
+                chain.append(key)
+            else:
+                self._chain = None
+        elif chain is not None \
+                and self._bound_by(self.records[chain[0]]) == key:
+            self._chain = None
+
+    def _bound_by(self, record: StepRecord) -> Optional[StepKey]:
+        """The step whose end released ``record``'s start — its binding
+        edge's target, retained or not."""
+        key = (record.node, record.step_index)
+        dep = self._depends_on[key]
+        if record.binding_dependency == "recv" and dep is not None:
+            return dep
+        return (record.node, record.step_index - 1) \
+            if record.step_index > 0 else None
+
+    def _critical_chain(self) -> list[StepKey]:
+        """The retained binding chain behind the anchor, oldest first."""
+        if self._chain is None:
+            records = self.records
+            chain: list[StepKey] = []
+            seen: set[StepKey] = set()
+            key = self._anchor
+            while key in records and key not in seen:
+                seen.add(key)
+                chain.append(key)
+                key = self._bound_by(records[key])
+            chain.reverse()
+            self._chain = chain
+        return self._chain
+
+    def prune(self) -> int:
+        """Drop the records nothing retained or pending waits on, the
+        critical chain excepted.  One layer per pass: a record this
+        pass leaves unwaited goes with the next.  Returns the number of
+        records dropped."""
+        if not self.records:
+            return 0
+        if self._waiters is None:
+            self._count_waiters()
+        chain = set(self._critical_chain())
+        doomed = [key for key in self._unwaited if key not in chain]
+        for key in doomed:
+            del self.records[key]
+            del self._unwaited[key]
+        for key in doomed:
+            for target in self._waits_on(key):
+                self._waiters[target] -= 1
+                if not self._waiters[target] and target in self.records:
+                    self._unwaited[target] = None
+        self.pruned_total += len(doomed)
+        self._vertices = None
+        return len(doomed)
+
+    def clear(self) -> None:
+        """Let every retained record and per-step scalar go (for an
+        owner done asking); the counters stay."""
+        self.records = {}
+        self.windows.clear()
+        self.durations.clear()
+        self._slowest.clear()
+        self._forget_derived()
+
+    def stats(self) -> dict:
+        """Memory-bounding effectiveness, for pipeline metrics:
+        ``prune_efficiency`` is the fraction of ingested records the
+        in-degree-zero prune has already discarded."""
+        return {
+            "retained": len(self.records),
+            "pruned_total": self.pruned_total,
+            "prune_efficiency": (self.pruned_total / self._ingested
+                                 if self._ingested else 0.0),
+        }
+
+    # ------------------------------------------------------------------
+    # what a diagnosis reads
+    # ------------------------------------------------------------------
+    def critical_path(self) -> list[CriticalPathEntry]:
+        """The chain of steps that determined the execution time so far
+        (§III-D1): from the last-ending step back through each start's
+        binding predecessor, oldest first."""
+        path = []
+        for key in self._critical_chain():
+            record = self.records[key]
+            path.append(CriticalPathEntry(
+                node=record.node,
+                step_index=record.step_index,
+                start_time=record.start_time,
+                end_time=record.end_time,
+                entered_via=record.binding_dependency,
+            ))
+        return path
+
+    def critical_flows_by_step(self) -> dict[int, str]:
+        """For each step index, the node whose flow is on the critical
+        path at that step (cf_i in Eq. 3).  Falls back to the
+        slowest-duration flow for step indices the critical path skips."""
+        result = {idx: node for node, idx in self._critical_chain()}
+        for idx, (_duration, node) in self._slowest.items():
+            result.setdefault(idx, node)
+        return result
+
+    def step_execution_times(self) -> dict[int, float]:
+        """exec_time(i) of Eq. 3: duration of the critical flow's step."""
+        return {idx: self.durations[(node, idx)]
+                for idx, node in self.critical_flows_by_step().items()}
+
+    def total_time_ns(self) -> float:
+        if not self.windows:
+            return 0.0
+        return max(end for _start, end in self.windows.values()) \
+            - min(start for start, _end in self.windows.values())
+
+    # ------------------------------------------------------------------
+    # checkpoint hooks (the live service's crash-safe snapshots)
+    # ------------------------------------------------------------------
+    def state_dict(self) -> dict:
+        """JSON-safe snapshot of the construction state: the retained
+        records, the not-yet-arrived step set, the per-step scalars and
+        the monotonic counters; the worklist, anchor and chain are
+        recounted on load.  Records are stored **columnar** (one list
+        per field) rather than as per-record objects: the retained set
+        dominates checkpoint size, and the columnar form keeps the
+        serialized payload — and therefore the synchronous checkpoint
+        pause — small.
+        """
+        from repro.traces import serialize
+
+        records = [self.records[key] for key in sorted(self.records)]
+        return {
+            "records": {
+                "node": [r.node for r in records],
+                "step": [r.step_index for r in records],
+                "flow": [serialize.encode_flow_key(r.flow_key)
+                         for r in records],
+                "bytes": [r.size_bytes for r in records],
+                "start": [r.start_time for r in records],
+                "end": [r.end_time for r in records],
+                "recv_source": [r.recv_source for r in records],
+                "binding": [r.binding_dependency for r in records],
+            },
+            "expected": [[node, idx]
+                         for node, idx in sorted(self._expected)],
+            "ingested": self._ingested,
+            "pruned_total": self.pruned_total,
+            "windows": {str(idx): list(window)
+                        for idx, window in sorted(self.windows.items())},
+            "durations": [[node, idx, duration]
+                          for (node, idx), duration
+                          in sorted(self.durations.items())],
+            "slowest": [[idx, duration, node]
+                        for idx, (duration, node)
+                        in sorted(self._slowest.items())],
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`state_dict` output."""
+        from repro.traces import serialize
+
+        self.records = {}
+        columns = state["records"]
+        for node, step, flow, size, start, end, recv, binding in zip(
+                columns["node"], columns["step"], columns["flow"],
+                columns["bytes"], columns["start"], columns["end"],
+                columns["recv_source"], columns["binding"]):
+            record = StepRecord(
+                node=node,
+                step_index=int(step),
+                flow_key=serialize.decode_flow_key(flow),
+                size_bytes=int(size),
+                start_time=float(start),
+                end_time=float(end),
+                recv_source=recv,
+                binding_dependency=binding,
+            )
+            self.records[(record.node, record.step_index)] = record
+        self._expected = {(node, int(idx))
+                          for node, idx in state["expected"]}
+        self._forget_derived()
+        self._ingested = int(state["ingested"])
+        self.pruned_total = int(state["pruned_total"])
+        self.windows = {int(idx): [float(low), float(high)]
+                        for idx, (low, high)
+                        in state["windows"].items()}
+        self.durations = {(node, int(idx)): float(duration)
+                          for node, idx, duration
+                          in state["durations"]}
+        self._slowest = {int(idx): (float(duration), node)
+                         for idx, duration, node in state["slowest"]}
+
+    # ------------------------------------------------------------------
+    # the Fig. 4 view
     # ------------------------------------------------------------------
     @property
     def vertices(self) -> set[WaitingVertex]:
@@ -116,6 +449,7 @@ class WaitingGraph:
 
     def _build(self) -> None:
         self._vertices = set()
+        self._edges: list[WaitingEdge] = []
         for (node, idx), record in self.records.items():
             start = self._vertex(node, idx, "start")
             end = self._vertex(node, idx, "end")
@@ -143,7 +477,6 @@ class WaitingGraph:
                 self._edges.append(WaitingEdge(
                     start, dep_end, EdgeKind.DATA_DEP, 0.0))
 
-    # ------------------------------------------------------------------
     def in_degree(self) -> dict[WaitingVertex, int]:
         degrees = {v: 0 for v in self.vertices}
         for edge in self.edges:
@@ -155,7 +488,8 @@ class WaitingGraph:
         the vertex of the globally last-ending step (the completion
         point the whole collective 'waits' on).  Returns the number of
         removed vertices."""
-        keep = self._latest_end_vertex()
+        keep = WaitingVertex(*self._anchor, "end") \
+            if self._anchor is not None else None
         removed_total = 0
         while True:
             degrees = self.in_degree()
@@ -168,85 +502,6 @@ class WaitingGraph:
             self._edges = [e for e in self._edges
                            if e.src not in doomed and e.dst not in doomed]
 
-    def _latest_end_vertex(self) -> Optional[WaitingVertex]:
-        latest_key = None
-        latest_time = -1.0
-        for key, record in self.records.items():
-            if record.end_time > latest_time:
-                latest_time = record.end_time
-                latest_key = key
-        if latest_key is None:
-            return None
-        return WaitingVertex(latest_key[0], latest_key[1], "end")
-
-    # ------------------------------------------------------------------
-    def critical_path(self) -> list[CriticalPathEntry]:
-        """The chain of steps that determined total execution time
-        (§III-D1): walk back from the last-ending step through each
-        start's binding predecessor."""
-        if not self.records:
-            return []
-        key = max(self.records, key=lambda k: self.records[k].end_time)
-        path: list[CriticalPathEntry] = []
-        visited: set[tuple[str, int]] = set()
-        while key is not None and key not in visited:
-            visited.add(key)
-            record = self.records[key]
-            path.append(CriticalPathEntry(
-                node=record.node,
-                step_index=record.step_index,
-                start_time=record.start_time,
-                end_time=record.end_time,
-                entered_via=record.binding_dependency,
-            ))
-            key = self._predecessor_of(record)
-        path.reverse()
-        return path
-
-    def _predecessor_of(self, record: StepRecord
-                        ) -> Optional[tuple[str, int]]:
-        step = self.schedule.step(record.node, record.step_index)
-        binding = record.binding_dependency
-        if binding == "recv" and step.depends_on is not None:
-            return step.depends_on if step.depends_on in self.records \
-                else None
-        if record.step_index > 0:
-            prev = (record.node, record.step_index - 1)
-            return prev if prev in self.records else None
-        return None
-
-    def critical_flows_by_step(self) -> dict[int, str]:
-        """For each step index, the node whose flow is on the critical
-        path at that step (cf_i in Eq. 3).  Falls back to the
-        slowest-duration flow for step indices the critical path skips."""
-        result: dict[int, str] = {}
-        for entry in self.critical_path():
-            result[entry.step_index] = entry.node
-        slowest: dict[int, StepRecord] = {}
-        for record in self.records.values():
-            idx = record.step_index
-            if idx not in slowest \
-                    or record.duration_ns > slowest[idx].duration_ns:
-                slowest[idx] = record
-        for idx in set(slowest) - set(result):
-            result[idx] = slowest[idx].node
-        return result
-
-    def step_execution_times(self) -> dict[int, float]:
-        """exec_time(i) of Eq. 3: duration of the critical flow's step."""
-        critical = self.critical_flows_by_step()
-        return {idx: self.records[(node, idx)].duration_ns
-                for idx, node in critical.items()
-                if (node, idx) in self.records}
-
-    def total_time_ns(self) -> float:
-        if not self.records:
-            return 0.0
-        start = min(r.start_time for r in self.records.values())
-        end = max(r.end_time for r in self.records.values())
-        return end - start
-
-    # ------------------------------------------------------------------
     def to_networkx(self):
         """Export to a networkx.DiGraph for analysis or visualization."""
         import networkx as nx

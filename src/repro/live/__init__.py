@@ -6,8 +6,8 @@ construct the waiting graph sequentially".  This package is that
 service layer — a bounded event bus with explicit backpressure
 (:mod:`repro.live.bus`), completion-time watermarking for out-of-order
 and late telemetry (:mod:`repro.live.watermark`), the diagnosis
-pipeline that wires both into :class:`~repro.core.incremental.
-IncrementalWaitingGraph` and the signature detectors
+pipeline that wires both into the batch analyzer's own
+:class:`~repro.core.waiting_graph.WaitingGraph` and §III-D kernel
 (:mod:`repro.live.pipeline`), self-observability for the pipeline
 itself (:mod:`repro.live.metrics`), and malformed-input quarantine plus
 telemetry-loss degradation (:mod:`repro.live.robustness`).

@@ -1,19 +1,19 @@
 """The online diagnosis pipeline: bus → watermark → graph → snapshot.
 
 Wires the bounded :class:`~repro.live.bus.EventBus` and the
-:class:`~repro.live.watermark.WatermarkBuffer` into the streaming
-:class:`~repro.core.incremental.IncrementalWaitingGraph`, the signature
-detectors and the Eq. 1-3 contributor rating, emitting rolling
-:class:`DiagnosisSnapshot`\\ s.
+:class:`~repro.live.watermark.WatermarkBuffer` into the
+:class:`~repro.core.waiting_graph.WaitingGraph` and the
+:class:`~repro.core.analyzer.DiagnosisKernel` the batch analyzer uses,
+emitting rolling :class:`DiagnosisSnapshot`\\ s.
 
 Equivalence contract (tested): on a clean, fully-delivered stream the
 *final* snapshot's critical path, bottleneck steps, findings and
 contributor scores equal the batch
 :func:`~repro.traces.store.analyze_trace` result for the same data —
 the pipeline is the paper's online analyzer, not an approximation of
-it.  The waiting graph itself stays memory-bounded via in-degree-zero
-pruning; only O(steps) scalar aggregates (per-step windows, durations,
-slowest flows) are retained for the steps the prune discards.
+it.  The waiting graph stays memory-bounded via in-degree-zero
+pruning; it keeps only O(steps) scalars (per-step windows, durations,
+slowest flows) for the steps the prune discards.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from repro.collective.primitives import StepSchedule
 from repro.collective.runtime import StepRecord
 from repro.core.analyzer import DiagnosisKernel, step_timing
 from repro.core.diagnosis import DiagnosisResult
-from repro.core.incremental import IncrementalWaitingGraph
-from repro.core.waiting_graph import CriticalPathEntry
+from repro.core.waiting_graph import CriticalPathEntry, WaitingGraph
 from repro.live.bus import BusPolicy, EventBus, TelemetryEvent
 from repro.live.metrics import Histogram, MetricsRegistry
 from repro.live.robustness import DegradationTracker, Quarantine
@@ -52,7 +51,7 @@ class PipelineConfig:
     snapshot_every: int = 0
     #: events pumped off the bus per :meth:`LivePipeline.pump` batch
     pump_batch: int = 64
-    #: prune cadence of the incremental waiting graph
+    #: prune cadence of the waiting graph
     prune_interval: int = 16
     #: bottleneck threshold, as in :class:`VedrfolnirAnalyzer`
     slowdown_factor: float = 1.5
@@ -161,9 +160,8 @@ class LivePipeline:
         self.bus = EventBus(cfg.queue_capacity, cfg.policy,
                             drain_hook=self._backpressure_drain)
         self.watermark = WatermarkBuffer(cfg.lateness_bound_ns)
-        self.graph = IncrementalWaitingGraph(
+        self.graph = WaitingGraph(
             schedule, prune_interval=cfg.prune_interval)
-        self.graph.ingest_listeners.append(self._aggregate_record)
         self.quarantine = Quarantine()
         self.degradation = DegradationTracker(
             cfg.report_gap_ns if cfg.report_gap_ns is not None
@@ -172,12 +170,6 @@ class LivePipeline:
         #: the §III-D tail; owns the switch reports ingested so far
         self.kernel = DiagnosisKernel(pfc_xoff_bytes,
                                       self.collective_flow_keys)
-        #: per-step-index [min start, max end] over ALL ingested records
-        self._windows: dict[int, list[float]] = {}
-        #: duration of every ingested record (survives graph pruning)
-        self._durations: dict[tuple[str, int], float] = {}
-        #: per step index, the slowest record seen: (duration, node)
-        self._slowest: dict[int, tuple[float, str]] = {}
         self._dupes = 0
         self._seq = 0
         self._ingested = {"step_record": 0, "switch_report": 0}
@@ -271,8 +263,7 @@ class LivePipeline:
     def _ingest(self, event: TelemetryEvent) -> None:
         if event.kind == "step_record":
             record: StepRecord = event.payload  # type: ignore[assignment]
-            key = (record.node, record.step_index)
-            if key in self._durations:
+            if (record.node, record.step_index) in self.graph.durations:
                 self._dupes += 1
             self.graph.submit(record)
             self.degradation.observe_step(record.end_time)
@@ -294,41 +285,19 @@ class LivePipeline:
         if every > 0 and self._since_snapshot >= every:
             self.emit_snapshot(final=False)
 
-    def _aggregate_record(self, record: StepRecord) -> None:
-        """Ingest hook of the incremental graph: keep the O(steps)
-        scalars the batch analyzer would read off the full record set,
-        so pruning never changes the diagnosis."""
-        idx = record.step_index
-        window = self._windows.setdefault(
-            idx, [record.start_time, record.end_time])
-        window[0] = min(window[0], record.start_time)
-        window[1] = max(window[1], record.end_time)
-        self._durations[(record.node, idx)] = record.duration_ns
-        slowest = self._slowest.get(idx)
-        if slowest is None or record.duration_ns > slowest[0]:
-            self._slowest[idx] = (record.duration_ns, record.node)
-
     # ------------------------------------------------------------------
     # diagnosis
     # ------------------------------------------------------------------
-    def _critical_flows_by_step(
-            self, path: list[CriticalPathEntry]) -> dict[int, str]:
-        result = {entry.step_index: entry.node for entry in path}
-        for idx, (_duration, node) in self._slowest.items():
-            result.setdefault(idx, node)
-        return result
-
     def _diagnose(self, final: bool) -> DiagnosisSnapshot:
         """The §III-D analysis over everything ingested so far, as a
         snapshot numbered after the last one emitted."""
-        path = self.graph.critical_path()
         cfg = self.config
         timing = step_timing(
-            self._critical_flows_by_step(path), self._durations.get,
+            self.graph,
             lambda key: self.expected_step_times.get(key, 0.0),
             self.flow_keys, cfg.slowdown_factor)
         breakdown = self.kernel.snapshot(
-            self.collective_flow_keys, self._windows, timing,
+            self.collective_flow_keys, self.graph.windows, timing,
             rate=cfg.rate_contributors)
         return DiagnosisSnapshot(
             seq=self._snapshot_seq,
@@ -336,7 +305,7 @@ class LivePipeline:
             watermark_ns=self.watermark.watermark,
             step_records_ingested=self._ingested["step_record"],
             switch_reports_ingested=self._ingested["switch_report"],
-            critical_path=path,
+            critical_path=self.graph.critical_path(),
             bottleneck_steps=timing.bottleneck_steps,
             result=breakdown.result,
             collective_scores=breakdown.collective_scores,
@@ -381,17 +350,14 @@ class LivePipeline:
     def release(self) -> None:
         """After :meth:`finish` (bus and watermark are drained), give
         back what only another snapshot would read — the snapshots
-        emitted so far, the switch reports, the retained step records,
-        the per-step aggregates — for an owner that keeps the finished
+        emitted so far, the switch reports, the waiting graph's records
+        and per-step scalars — for an owner that keeps the finished
         pipeline around (a fleet shard holds hundreds until it ends).
         Counters, histograms, the watermark and the degradation
         verdict stay readable."""
         self.snapshots.clear()
         self.kernel.reports.clear()
         self.graph.clear()
-        self._windows.clear()
-        self._durations.clear()
-        self._slowest.clear()
         self._arrival_wall.clear()
 
     # ------------------------------------------------------------------
@@ -401,7 +367,7 @@ class LivePipeline:
         """JSON-safe snapshot of everything the diagnosis depends on.
 
         Captures the in-flight bus queue and watermark heap alongside
-        the incremental graph and the O(steps) aggregates, so a resume
+        the waiting graph and its O(steps) scalars, so a resume
         from this state plus the remaining stream produces a final
         :class:`DiagnosisSnapshot` bit-equal to an uninterrupted run
         (the recovery contract, tested by ``repro chaos``).  Wall-clock
@@ -410,6 +376,9 @@ class LivePipeline:
         """
         from repro.traces import serialize
 
+        # CHECKPOINT_VERSION 1 keeps the per-step scalars beside the
+        # graph's records, not among them
+        graph = self.graph.state_dict()
         return {
             "cursor": dict(cursor) if cursor else {},
             "seq": self._seq,
@@ -417,19 +386,14 @@ class LivePipeline:
             "since_snapshot": self._since_snapshot,
             "snapshot_seq": self._snapshot_seq,
             "dupes": self._dupes,
-            "windows": {str(idx): list(window)
-                        for idx, window in sorted(self._windows.items())},
-            "durations": [[node, idx, duration]
-                          for (node, idx), duration
-                          in sorted(self._durations.items())],
-            "slowest": [[idx, duration, node]
-                        for idx, (duration, node)
-                        in sorted(self._slowest.items())],
+            "windows": graph.pop("windows"),
+            "durations": graph.pop("durations"),
+            "slowest": graph.pop("slowest"),
             "reports": [serialize.encode_switch_report(r)
                         for r in self.reports],
             "bus": self.bus.state_dict(),
             "watermark": self.watermark.state_dict(),
-            "graph": self.graph.state_dict(),
+            "graph": graph,
             "quarantine": self.quarantine.state_dict(),
             "degradation": self.degradation.state_dict(),
         }
@@ -444,14 +408,6 @@ class LivePipeline:
         self._since_snapshot = int(state["since_snapshot"])
         self._snapshot_seq = int(state["snapshot_seq"])
         self._dupes = int(state["dupes"])
-        self._windows = {int(idx): [float(low), float(high)]
-                         for idx, (low, high)
-                         in state["windows"].items()}
-        self._durations = {(node, int(idx)): float(duration)
-                           for node, idx, duration
-                           in state["durations"]}
-        self._slowest = {int(idx): (float(duration), node)
-                         for idx, duration, node in state["slowest"]}
         # derived state is never checkpointed: refold the reports
         self.kernel = DiagnosisKernel(self.pfc_xoff_bytes,
                                       self.collective_flow_keys)
@@ -460,7 +416,9 @@ class LivePipeline:
                 serialize.decode_switch_report(encoded))
         self.bus.load_state(state["bus"])
         self.watermark.load_state(state["watermark"])
-        self.graph.load_state(state["graph"])
+        self.graph.load_state({
+            **state["graph"], "windows": state["windows"],
+            "durations": state["durations"], "slowest": state["slowest"]})
         self.quarantine.load_state(state["quarantine"])
         self.degradation.load_state(state["degradation"])
         # wall-clock bookkeeping restarts with the new process

@@ -4,12 +4,12 @@ import random
 
 from repro.collective.ring import ring_allgather
 from repro.collective.runtime import CollectiveRuntime, StepRecord
-from repro.core.incremental import IncrementalWaitingGraph
 from repro.core.waiting_graph import WaitingGraph
 from repro.simnet.network import Network
 from repro.simnet.packet import FlowKey
 from repro.simnet.topology import build_fat_tree
 from repro.simnet.units import ms
+from tests.core.test_waiting_graph import ReferenceWaitingGraph
 
 NODES = ["n0", "n1", "n2", "n3"]
 
@@ -35,10 +35,10 @@ def make_records(slow_node="n2", slow_factor=5.0):
 
 def test_matches_batch_critical_path():
     schedule, records = make_records()
-    incremental = IncrementalWaitingGraph(schedule, prune_interval=4)
+    incremental = WaitingGraph(schedule, prune_interval=4)
     for record in records:
         incremental.submit(record)
-    batch = WaitingGraph(schedule, records)
+    batch = ReferenceWaitingGraph(schedule, records)
     inc_path = [(e.node, e.step_index)
                 for e in incremental.critical_path()]
     batch_path = [(e.node, e.step_index) for e in batch.critical_path()]
@@ -49,10 +49,10 @@ def test_out_of_order_submission_tolerated():
     schedule, records = make_records()
     shuffled = list(records)
     random.Random(3).shuffle(shuffled)
-    incremental = IncrementalWaitingGraph(schedule, prune_interval=0)
+    incremental = WaitingGraph(schedule, prune_interval=0)
     for record in shuffled:
         incremental.submit(record)
-    batch = WaitingGraph(schedule, records)
+    batch = ReferenceWaitingGraph(schedule, records)
     assert [(e.node, e.step_index)
             for e in incremental.critical_path()] == \
         [(e.node, e.step_index) for e in batch.critical_path()]
@@ -60,17 +60,17 @@ def test_out_of_order_submission_tolerated():
 
 def test_pruning_reduces_memory():
     schedule, records = make_records()
-    incremental = IncrementalWaitingGraph(schedule, prune_interval=2)
+    incremental = WaitingGraph(schedule, prune_interval=2)
     for record in records:
         incremental.submit(record)
     incremental.prune()
     assert incremental.pruned_total > 0
-    assert incremental.retained < len(records)
+    assert len(incremental.records) < len(records)
 
 
 def test_pruning_keeps_critical_chain():
     schedule, records = make_records(slow_node="n1")
-    incremental = IncrementalWaitingGraph(schedule, prune_interval=2)
+    incremental = WaitingGraph(schedule, prune_interval=2)
     for record in records:
         incremental.submit(record)
     incremental.prune()
@@ -84,36 +84,37 @@ def test_pruning_keeps_critical_chain():
 
 def test_never_prunes_records_still_depended_on():
     schedule, records = make_records()
-    incremental = IncrementalWaitingGraph(schedule, prune_interval=1)
+    incremental = WaitingGraph(schedule, prune_interval=1)
     # feed only step 0: every step 1 still needs these
     for record in records[:4]:
         incremental.submit(record)
     incremental.prune()
-    assert incremental.retained == 4
+    assert len(incremental.records) == 4
 
 
 def test_live_snapshot_midstream():
     schedule, records = make_records()
-    incremental = IncrementalWaitingGraph(schedule)
+    incremental = WaitingGraph(schedule, prune_interval=16)
     for record in records[:6]:
         incremental.submit(record)
-    snapshot = incremental.snapshot()
-    assert snapshot.critical_path()
-    assert len(snapshot.records) == incremental.retained
+    assert incremental.critical_path() == ReferenceWaitingGraph(
+        schedule, records[:6]).critical_path() != []
+    # the Fig. 4 view is there for the asking, over what is retained
+    assert len(incremental.vertices) == 2 * len(incremental.records)
 
 
 def test_against_real_simulation():
     net = Network(build_fat_tree(4))
     runtime = CollectiveRuntime(
         net, ring_allgather(["h0", "h4", "h8", "h12"], 150_000))
-    incremental = IncrementalWaitingGraph(runtime.schedule,
-                                          prune_interval=4)
+    incremental = WaitingGraph(runtime.schedule,
+                               prune_interval=4)
     runtime.step_end_listeners.append(incremental.submit)
     runtime.start()
     net.create_flow("h1", "h4", 2_000_000).start()
     net.run_until_quiet(max_time=ms(100))
     assert runtime.completed
-    batch = WaitingGraph(runtime.schedule, runtime.records)
+    batch = ReferenceWaitingGraph(runtime.schedule, runtime.records)
     assert [(e.node, e.step_index)
             for e in incremental.critical_path()] == \
         [(e.node, e.step_index) for e in batch.critical_path()]

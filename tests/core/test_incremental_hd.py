@@ -3,11 +3,11 @@
 from repro.collective.extra import binomial_broadcast, pipeline_broadcast
 from repro.collective.halving_doubling import halving_doubling_allreduce
 from repro.collective.runtime import CollectiveRuntime
-from repro.core.incremental import IncrementalWaitingGraph
 from repro.core.waiting_graph import WaitingGraph
 from repro.simnet.network import Network
 from repro.simnet.topology import build_fat_tree
 from repro.simnet.units import ms
+from tests.core.test_waiting_graph import ReferenceWaitingGraph
 
 NODES = ["h0", "h4", "h8", "h12"]
 
@@ -15,8 +15,8 @@ NODES = ["h0", "h4", "h8", "h12"]
 def run_and_compare(schedule, background=None):
     net = Network(build_fat_tree(4))
     runtime = CollectiveRuntime(net, schedule)
-    incremental = IncrementalWaitingGraph(runtime.schedule,
-                                          prune_interval=3)
+    incremental = WaitingGraph(runtime.schedule,
+                               prune_interval=3)
     runtime.step_end_listeners.append(incremental.submit)
     runtime.start()
     if background:
@@ -24,7 +24,7 @@ def run_and_compare(schedule, background=None):
             net.create_flow(src, dst, size).start()
     net.run_until_quiet(max_time=ms(200))
     assert runtime.completed
-    batch = WaitingGraph(runtime.schedule, runtime.records)
+    batch = ReferenceWaitingGraph(runtime.schedule, runtime.records)
     inc_path = [(e.node, e.step_index)
                 for e in incremental.critical_path()]
     batch_path = [(e.node, e.step_index)

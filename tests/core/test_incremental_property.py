@@ -1,10 +1,11 @@
-"""Property: incremental snapshot == batch graph, regardless of
-ingestion order or prune cadence.
+"""Property: the pruned, incrementally fed graph == the from-scratch
+batch walk, regardless of ingestion order or prune cadence.
 
 Randomized out-of-order ingestion across three different schedule
 shapes, ~50 seeded shuffles each paired with a random prune interval:
-the streaming graph's critical path must always equal the batch
-:class:`WaitingGraph` built from the same (complete) record set.
+the streaming graph's critical path must always equal
+:class:`ReferenceWaitingGraph` (the batch walk as it was, kept in
+``test_waiting_graph.py``) over the same (complete) record set.
 """
 
 import random
@@ -16,9 +17,10 @@ from repro.collective.extra import all_to_all
 from repro.collective.halving_doubling import halving_doubling_allgather
 from repro.collective.ring import ring_allgather
 from repro.collective.runtime import StepRecord
-from repro.core.incremental import IncrementalWaitingGraph
 from repro.core.waiting_graph import WaitingGraph
 from repro.simnet.packet import FlowKey
+from tests.core.test_waiting_graph import (ReferenceWaitingGraph,
+                                           assert_answers_equal)
 
 SCHEDULES = {
     "ring": lambda: ring_allgather(["n0", "n1", "n2", "n3"], 1000),
@@ -81,13 +83,13 @@ def test_snapshot_equals_batch_under_shuffled_ingestion(name):
         shuffled = records[:]
         rng.shuffle(shuffled)
         prune_interval = rng.choice([0, 1, 2, 3, 5, 8, 16])
-        incremental = IncrementalWaitingGraph(
+        incremental = WaitingGraph(
             schedule, prune_interval=prune_interval)
         for record in shuffled:
             incremental.submit(record)
         incremental.prune()
-        batch = WaitingGraph(schedule, records)
-        assert critical_path_of(incremental.snapshot()) == \
+        batch = ReferenceWaitingGraph(schedule, records)
+        assert critical_path_of(incremental) == \
             critical_path_of(batch), \
             f"{name} trial {trial} prune_interval={prune_interval}"
 
@@ -97,11 +99,11 @@ def test_pruning_only_ever_removes_noncritical(name):
     rng = random.Random(99)
     schedule = SCHEDULES[name]()
     records = synthesize_records(schedule, rng)
-    incremental = IncrementalWaitingGraph(schedule, prune_interval=1)
+    incremental = WaitingGraph(schedule, prune_interval=1)
     for record in records:
         incremental.submit(record)
     incremental.prune()
-    batch_path = critical_path_of(WaitingGraph(schedule, records))
+    batch_path = critical_path_of(ReferenceWaitingGraph(schedule, records))
     retained = set(incremental.records)
     assert set(batch_path) <= retained
 
@@ -110,8 +112,8 @@ def test_pruning_only_ever_removes_noncritical(name):
 # the live structure against a rebuild, step by step
 # ----------------------------------------------------------------------
 def reference_prune(schedule, records: dict, expected: set) -> set:
-    """The prune as it was when each pass rebuilt a ``WaitingGraph``:
-    keep what a pending or retained step structurally waits on, and the
+    """The prune as it was when each pass rebuilt a batch graph: keep
+    what a pending or retained step structurally waits on, and the
     binding chain behind the latest end; returns the doomed keys."""
     def waits_on(node, idx):
         if idx > 0:
@@ -121,11 +123,8 @@ def reference_prune(schedule, records: dict, expected: set) -> set:
 
     keep = {key for node, idx in list(expected) + list(records)
             for key in waits_on(node, idx)}
-    graph = WaitingGraph(schedule, records.values())
-    key = max(records, key=lambda k: records[k].end_time)
-    while key is not None and key not in keep:
-        keep.add(key)
-        key = graph._predecessor_of(records[key])
+    keep.update(critical_path_of(
+        ReferenceWaitingGraph(schedule, records.values())))
     return set(records) - keep
 
 
@@ -144,7 +143,7 @@ def test_live_graph_equals_a_rebuild_after_every_ingest_and_prune(nodes):
         stream.insert(min(len(stream), i + rng.randint(0, 3 * nodes)),
                       records[i])
     stream += rng.sample(records[-2 * nodes:], nodes) + records[-3:]
-    incremental = IncrementalWaitingGraph(schedule, prune_interval=0)
+    incremental = WaitingGraph(schedule, prune_interval=0)
     mirror: dict = {}
     expected = {(s.node, s.step_index) for s in schedule.all_steps()}
     back_from_the_dead = 0
@@ -155,7 +154,7 @@ def test_live_graph_equals_a_rebuild_after_every_ingest_and_prune(nodes):
         mirror[key] = record
         expected.discard(key)
         assert list(incremental.records) == list(mirror)
-        assert incremental.critical_path() == WaitingGraph(
+        assert incremental.critical_path() == ReferenceWaitingGraph(
             schedule, mirror.values()).critical_path()
         if count % 5 == 0:
             doomed = reference_prune(schedule, mirror, expected)
@@ -163,17 +162,19 @@ def test_live_graph_equals_a_rebuild_after_every_ingest_and_prune(nodes):
             for gone in doomed:
                 del mirror[gone]
             assert list(incremental.records) == list(mirror)
-            assert incremental.critical_path() == WaitingGraph(
+            assert incremental.critical_path() == ReferenceWaitingGraph(
                 schedule, mirror.values()).critical_path()
     assert back_from_the_dead > 0
     assert incremental.pruned_total > nodes
-    batch = critical_path_of(WaitingGraph(schedule, records))
-    assert critical_path_of(incremental) == batch
+    # what a diagnosis reads has survived every prune
+    assert_answers_equal(incremental,
+                         ReferenceWaitingGraph(schedule, stream))
 
-    # a checkpoint carries the records, not the live structure
-    restored = IncrementalWaitingGraph(schedule, prune_interval=0)
+    # a checkpoint carries the records and the per-step scalars, not
+    # the live structure
+    restored = WaitingGraph(schedule, prune_interval=0)
     restored.load_state(incremental.state_dict())
-    assert restored.critical_path() == incremental.critical_path()
+    assert_answers_equal(restored, incremental)
     assert restored.prune() == incremental.prune()
     assert set(restored.records) == set(incremental.records)
 
@@ -183,7 +184,7 @@ def test_replaced_record_is_looked_at_again():
     end time) may move the anchor and the chain."""
     schedule = ring_allgather(["n0", "n1", "n2", "n3"], 1000)
     records = synthesize_records(schedule, random.Random(4))
-    incremental = IncrementalWaitingGraph(schedule, prune_interval=0)
+    incremental = WaitingGraph(schedule, prune_interval=0)
     for record in records:
         incremental.submit(record)
     last = max(records, key=lambda r: r.end_time)
@@ -193,25 +194,26 @@ def test_replaced_record_is_looked_at_again():
     late = dataclasses.replace(other, end_time=last.end_time + 1.0)
     incremental.submit(late)
     replaced = [late if r is other else r for r in records]
-    assert incremental.critical_path() == WaitingGraph(
+    assert incremental.critical_path() == ReferenceWaitingGraph(
         schedule, replaced).critical_path()
     assert incremental.critical_path()[-1].node == other.node
 
 
-def test_live_path_builds_no_waiting_graph(monkeypatch):
-    """The pipeline's ingest, prune and snapshot path constructs no
-    ``WaitingGraph`` at all."""
+def test_live_path_never_draws_the_fig4_view(monkeypatch):
+    """The pipeline's ingest, prune and snapshot path reads the chain
+    and the per-step scalars: the vertex/edge view of Fig. 4 is not
+    drawn until somebody asks for it."""
     from repro.live import LivePipeline, PipelineConfig
     from repro.traces.stream import TraceEvent
 
-    built = []
-    real = WaitingGraph.__init__
+    drawn = []
+    real = WaitingGraph._build
 
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        real(self, *args, **kwargs)
+    def counting(self):
+        drawn.append(1)
+        real(self)
 
-    monkeypatch.setattr(WaitingGraph, "__init__", counting)
+    monkeypatch.setattr(WaitingGraph, "_build", counting)
     schedule = ring_allgather([f"n{i}" for i in range(12)], 1000)
     records = synthesize_records(schedule, random.Random(12))
     records.sort(key=lambda r: r.end_time)
@@ -224,7 +226,10 @@ def test_live_path_builds_no_waiting_graph(monkeypatch):
     final = pipeline.finish()
     assert len(pipeline.snapshots) > 10
     assert final.counters["graph_pruned"] > 0
-    assert built == []
+    assert drawn == []
     assert [(e.node, e.step_index) for e in final.critical_path] \
-        == critical_path_of(WaitingGraph(schedule, records))
-    assert built == [1]
+        == critical_path_of(ReferenceWaitingGraph(schedule, records))
+    assert len(pipeline.graph.vertices) \
+        == 2 * final.counters["graph_retained"]
+    assert len(pipeline.graph.edges) >= len(pipeline.graph.records)
+    assert drawn == [1]

@@ -31,6 +31,8 @@ from repro.live.chaos import _duplicated, _reordered
 from repro.traces import (TraceRecorder, TraceRuntime, analyze_trace,
                           load_trace)
 from repro.traces.stream import merged_events, read_header
+from tests.core.test_waiting_graph import (ReferenceWaitingGraph,
+                                           assert_answers_equal)
 
 ALL = 10_000     # canonical_json(top=ALL): every contributor score
 
@@ -70,9 +72,9 @@ def reference_snapshot(pipeline: LivePipeline, snapshot):
     """``snapshot`` with its diagnosis recomputed from the pipeline's
     raw state (call from ``on_snapshot``: the state is the snapshot's)."""
     exec_times, expect_times, critical_flow_keys = {}, {}, {}
-    critical = pipeline._critical_flows_by_step(snapshot.critical_path)
-    for idx, node in critical.items():
-        duration = pipeline._durations.get((node, idx))
+    graph = pipeline.graph
+    for idx, node in graph.critical_flows_by_step().items():
+        duration = graph.durations.get((node, idx))
         if duration is not None:
             exec_times[idx] = duration
         expect_times[idx] = pipeline.expected_step_times.get(
@@ -86,7 +88,7 @@ def reference_snapshot(pipeline: LivePipeline, snapshot):
         * expect_times.get(idx, float("inf")))
     _overall, result, _graphs, scores = reference_tail(
         list(pipeline.reports), pipeline.collective_flow_keys,
-        pipeline.pfc_xoff_bytes, pipeline._windows, critical_flow_keys,
+        pipeline.pfc_xoff_bytes, graph.windows, critical_flow_keys,
         exec_times, expect_times)
     return dataclasses.replace(
         snapshot, bottleneck_steps=bottlenecks, result=result,
@@ -262,8 +264,7 @@ def test_windows_that_widen_either_way_and_critical_flows_that_move(
 # ----------------------------------------------------------------------
 def reference_analysis(trace, reports):
     runtime = TraceRuntime(trace)
-    waiting = WaitingGraph(trace.schedule, trace.step_records,
-                           mode="binding")
+    waiting = ReferenceWaitingGraph(trace.schedule, trace.step_records)
     exec_times = waiting.step_execution_times()
     expect_times, critical_flow_keys = {}, {}
     for idx, node in waiting.critical_flows_by_step().items():
@@ -271,15 +272,9 @@ def reference_analysis(trace, reports):
             trace.schedule.step(node, idx))
         if (node, idx) in runtime.flow_keys:
             critical_flow_keys[idx] = runtime.flow_keys[(node, idx)]
-    windows: dict = {}
-    for record in trace.step_records:
-        window = windows.setdefault(
-            record.step_index, [record.start_time, record.end_time])
-        window[0] = min(window[0], record.start_time)
-        window[1] = max(window[1], record.end_time)
     overall, result, step_graphs, scores = reference_tail(
         reports, runtime.collective_flow_keys, trace.pfc_xoff_bytes,
-        windows, critical_flow_keys, exec_times, expect_times)
+        waiting.windows, critical_flow_keys, exec_times, expect_times)
     per_flow = {
         (flow, cf): contribution_to_flow(
             step_graphs.get(idx, overall), flow, cf)
@@ -316,6 +311,30 @@ def test_reports_out_of_time_order_fall_back_to_full_rebuild(trace_path):
         analyzer.add_report(report)
     assert_same_analysis(analyzer.analyze(TraceRuntime(trace)),
                          reference_analysis(trace, shuffled))
+
+
+# ----------------------------------------------------------------------
+# §III-B: what a diagnosis reads off the waiting graph survives the prune
+# ----------------------------------------------------------------------
+def test_waiting_graph_answers_survive_the_prune(trace_path):
+    trace = load_trace(trace_path)
+    graphs = [WaitingGraph(trace.schedule, prune_interval=every)
+              for every in (0, 1, 4, 16)]
+    unpruned, pruned = graphs[0], graphs[1:]
+    for record in trace.step_records:
+        for graph in graphs:
+            graph.submit(record)
+        for graph in pruned:
+            assert_answers_equal(graph, unpruned)
+    for graph in pruned:        # a ring only lets go near its end
+        graph.prune()
+    assert all(graph.pruned_total > 0 for graph in pruned)
+    assert unpruned.pruned_total == 0
+    reference = ReferenceWaitingGraph(trace.schedule, trace.step_records)
+    for graph in graphs:
+        assert_answers_equal(graph, reference)
+        assert list(graph.critical_flows_by_step().items()) \
+            == list(reference.critical_flows_by_step().items())
 
 
 # ----------------------------------------------------------------------

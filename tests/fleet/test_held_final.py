@@ -311,8 +311,11 @@ def test_a_held_tenant_releases_what_only_a_snapshot_reads(corpus,
     held, deferred = tenants
     pipeline = held.pipeline
     assert pipeline.reports == [] and pipeline.snapshots == []
-    assert pipeline.graph.retained == 0
-    assert not pipeline._durations and not pipeline._windows
+    graph = pipeline.graph
+    assert not graph.records and not graph.durations and not graph.windows
+    assert graph.critical_flows_by_step() == {}
+    assert deferred.pipeline.graph.records \
+        and deferred.pipeline.graph.windows
     assert len(pipeline.bus) == 0 and pipeline.watermark.buffered == 0
     assert deferred.pipeline.reports and deferred.pipeline.snapshots
     deferred.finalize()

@@ -3,6 +3,8 @@ retention, cursor round-trips, and mid-stream resume equivalence."""
 
 import itertools
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -333,3 +335,74 @@ def test_cross_format_resume(trace_path, tmp_path, resume_format):
     final = TraceReplayer(resumed, rest, manager, cursor).run()
     assert final_json(final) == final_json(expected)
     assert cursor.published == total
+
+
+# ----------------------------------------------------------------------
+# a checkpoint written before the waiting graph owned the per-step
+# scalars (tests/fixtures/checkpoint_incast_case0.json: the file
+# CheckpointManager wrote 95 events into the golden incast trace, under
+# FIXTURE_CONFIG) is still what the pipeline writes, and still resumes
+# ----------------------------------------------------------------------
+FIXTURE = Path(__file__).parent.parent / "fixtures" \
+    / "checkpoint_incast_case0.json"
+FIXTURE_CUT = 95
+FIXTURE_CONFIG = dict(snapshot_every=16, prune_interval=2, pump_batch=2,
+                      lateness_bound_ns=5000.0)
+
+
+@pytest.fixture(scope="module")
+def golden_incast_path(tmp_path_factory):
+    from repro.perf.golden import golden_anomaly
+
+    tmp = tmp_path_factory.mktemp("golden")
+    digests = json.loads(
+        (FIXTURE.parent / "golden_digests.json").read_text())
+    assert golden_anomaly("incast", tmp)["trace_sha256"] \
+        == digests["incast_case0"]["trace_sha256"]
+    return tmp / "incast.jsonl"
+
+
+def test_checkpoint_document_is_byte_identical_to_the_fixture(
+        golden_incast_path, tmp_path):
+    from repro.traces import trace_events
+
+    pipeline = LivePipeline.from_header(
+        read_header(golden_incast_path), PipelineConfig(**FIXTURE_CONFIG))
+    replayer = TraceReplayer(
+        pipeline,
+        itertools.islice(trace_events(golden_incast_path), FIXTURE_CUT),
+        CheckpointManager(tmp_path))
+    replayer.run(finish=False)
+    counters = pipeline.counters()
+    # the cut is worth pinning: pruned and retained records, steps
+    # still expected, an event on the bus and one under the watermark
+    assert counters["graph_pruned"] > 0 < counters["graph_retained"]
+    assert counters["bus_depth"] > 0 < counters["watermark_buffered"]
+    written = replayer.checkpoint()
+    assert written.name == f"ckpt-{FIXTURE_CUT:010d}.json"
+    assert written.read_bytes() == FIXTURE.read_bytes()
+
+
+@pytest.mark.parametrize("resume_format", ["jsonl", "columnar"])
+def test_fixture_checkpoint_resumes_to_the_uninterrupted_verdict(
+        golden_incast_path, tmp_path, resume_format):
+    from repro.traces import trace_events
+    from repro.traces.columnar import write_columnar
+
+    header = read_header(golden_incast_path)
+    config = PipelineConfig(**FIXTURE_CONFIG)
+    expected = TraceReplayer(
+        LivePipeline.from_header(header, config),
+        trace_events(golden_incast_path)).run()
+
+    shutil.copy(FIXTURE, tmp_path / f"ckpt-{FIXTURE_CUT:010d}.json")
+    manager = CheckpointManager(tmp_path)
+    resumed, cursor, was_resumed = resume_or_create(header, manager,
+                                                    config=config)
+    assert was_resumed and cursor.published == FIXTURE_CUT
+    resume_path = golden_incast_path if resume_format == "jsonl" \
+        else write_columnar(golden_incast_path, tmp_path / "run.vcol")
+    rest = trace_events(resume_path, cursor=cursor)
+    final = TraceReplayer(resumed, rest, manager, cursor).run()
+    assert final.canonical_json() == expected.canonical_json()
+    assert final.counters["graph_pruned"] > 0
