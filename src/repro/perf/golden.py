@@ -10,7 +10,11 @@ module computes the digests that pin that contract:
   per executed event (``repr`` of the float time makes any bit-level
   timestamp drift visible);
 * ``trace_sha256`` — SHA-256 of the JSONL trace the scenario records,
-  which additionally covers telemetry report contents and ordering.
+  which additionally covers telemetry report contents and ordering;
+* ``vcol_sha256`` — the trace's :func:`~repro.traces.content_address`
+  (SHA-256 of its deterministic ``.vcol`` form), the experiment
+  runner's cache key: a codec change that moves one byte of the
+  columnar file fails here.
 
 ``tools/capture_golden.py`` writes these into
 ``tests/fixtures/golden_digests.json``; the determinism test recomputes
@@ -31,7 +35,7 @@ from repro.experiments.harness import make_system
 from repro.simnet.network import Network
 from repro.simnet.topology import build_fat_tree
 from repro.simnet.units import ms
-from repro.traces import TraceRecorder
+from repro.traces import TraceRecorder, content_address
 
 #: scenario scale used by the anomaly golden cases (fast but non-trivial)
 GOLDEN_SCALE = 0.002
@@ -116,6 +120,7 @@ def golden_ring_allgather(tmp_dir: Path) -> dict:
         "final_time_ns": net.sim.now,
         "stream_sha256": hasher.hexdigest(),
         "trace_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "vcol_sha256": content_address(path),
     }
 
 
@@ -140,6 +145,7 @@ def golden_anomaly(scenario: str, tmp_dir: Path) -> dict:
         "final_time_ns": network.sim.now,
         "stream_sha256": hasher.hexdigest(),
         "trace_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "vcol_sha256": content_address(path),
     }
 
 

@@ -23,21 +23,38 @@ determinism rests on and raises :class:`InvariantViolation` —
 re-exported here for ergonomic catching — when one breaks.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.checks.sanitizer import InvariantViolation, SimSanitizer
-from repro.simnet.engine import Simulator, Event
-from repro.simnet.packet import Packet, PacketKind, FlowKey, Priority
-from repro.simnet.topology import (
-    Topology,
-    NodeKind,
-    build_fat_tree,
-    build_dumbbell,
-    build_linear,
-)
-from repro.simnet.routing import EcmpRouting
-from repro.simnet.network import Network, NetworkConfig
-from repro.simnet.flow import RdmaFlow, FlowStats
-from repro.simnet.dcqcn import DcqcnConfig
-from repro.simnet.telemetry import TelemetryConfig, SwitchReport
+
+if TYPE_CHECKING:   # a trace reader needs packet / pfc / telemetry only
+    from repro.simnet.dcqcn import DcqcnConfig
+    from repro.simnet.engine import Event, Simulator
+    from repro.simnet.flow import FlowStats, RdmaFlow
+    from repro.simnet.network import Network, NetworkConfig
+    from repro.simnet.packet import FlowKey, Packet, PacketKind, Priority
+    from repro.simnet.routing import EcmpRouting
+    from repro.simnet.telemetry import SwitchReport, TelemetryConfig
+    from repro.simnet.topology import (
+        NodeKind,
+        Topology,
+        build_dumbbell,
+        build_fat_tree,
+        build_linear,
+    )
+
+__getattr__ = lazy_exports(__name__, {
+    "engine": ("Simulator", "Event"),
+    "packet": ("Packet", "PacketKind", "FlowKey", "Priority"),
+    "topology": ("Topology", "NodeKind", "build_fat_tree",
+                 "build_dumbbell", "build_linear"),
+    "routing": ("EcmpRouting",),
+    "network": ("Network", "NetworkConfig"),
+    "flow": ("RdmaFlow", "FlowStats"),
+    "dcqcn": ("DcqcnConfig",),
+    "telemetry": ("TelemetryConfig", "SwitchReport"),
+})
 
 __all__ = [
     "Simulator",

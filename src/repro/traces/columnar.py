@@ -27,17 +27,24 @@ column set plus a parent offset column of length ``n + 1``, so record
 
 Strings (node ids, switch ids, poll ids) and flow 5-tuples are
 dictionary-encoded once per file; the reader interns every flow key
-through :func:`~repro.simnet.packet.intern_flow_key` at open so
-decoded records hit the same identity fast paths as live objects.
+through :func:`~repro.simnet.packet.intern_flow_key` when the flow
+dictionary is first used, so decoded records hit the same identity
+fast paths as live objects.
+
+Both edges are column-native: ingest fills the columns straight from
+each parsed JSON object (:class:`_Builder`), reconstruction prints each
+line from the columns as text (:func:`_line_encoders`), and neither
+builds a ``StepRecord`` / ``SwitchReport`` on the way.  Opening a file
+parses and checks its directory and nothing else.
 
 Losslessness: the prologue (``meta`` / ``schedule`` / ``flow_key`` /
 ``expected``), blank lines, and any unknown-kind or undecodable lines
 are preserved **byte-exact** in a raw-line blob with their original
-line numbers; data records are re-encoded through
-:mod:`repro.traces.serialize` with the same ``json.dumps`` defaults
-the :class:`~repro.traces.store.TraceRecorder` uses.  For any
-recorder-written capture the JSONL -> columnar -> JSONL round trip is
-therefore byte-identical, which ``repro trace convert`` verifies by
+line numbers; data records are re-printed in the form the
+:class:`~repro.traces.store.TraceRecorder` writes
+(:mod:`repro.traces.serialize` through ``json.dumps`` defaults).  For
+any recorder-written capture the JSONL -> columnar -> JSONL round trip
+is therefore byte-identical, which ``repro trace convert`` verifies by
 SHA-256 by default.
 
 Replay order: the completion-time merge (time, then step records
@@ -61,8 +68,13 @@ import struct
 import warnings
 from array import array
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
+from functools import cached_property
+from itertools import chain, count, islice, repeat
+from math import isfinite
+from operator import le
 from pathlib import Path
-from typing import BinaryIO, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from repro.collective.runtime import StepRecord
 from repro.simnet.packet import FlowKey, intern_flow_key
@@ -104,35 +116,64 @@ def sniff_format(path: Union[str, Path]) -> str:
 # ----------------------------------------------------------------------
 # writer
 # ----------------------------------------------------------------------
-class _Dict:
-    """Insertion-ordered value -> id dictionary (deterministic)."""
+class _Dict(dict):
+    """Insertion-ordered value -> id dictionary (deterministic): a
+    lookup is one C-level ``dict`` subscript, and only a first sighting
+    runs Python."""
 
-    __slots__ = ("ids", "values")
+    __slots__ = ()
 
-    def __init__(self) -> None:
-        self.ids: dict = {}
-        self.values: list = []
+    def __missing__(self, value) -> int:
+        got = self[value] = len(self)
+        return got
 
-    def add(self, value) -> int:
-        got = self.ids.get(value)
-        if got is None:
-            got = len(self.values)
-            self.ids[value] = got
-            self.values.append(value)
+    def truncate(self, size: int) -> None:
+        """Forget every value first seen after the dictionary held
+        ``size`` of them."""
+        for value in list(self)[size:]:
+            del self[value]
+
+
+class _FlowIds(dict):
+    """Raw JSON 5-tuple -> flow id.
+
+    The file dictionary is keyed by the *coerced* key (``int()`` on
+    the two port numbers, as :func:`serialize.decode_flow_key` does),
+    so ``"4791"`` and ``4791`` intern to one id; each raw spelling pays
+    for the coercion once.
+    """
+
+    __slots__ = ("flows",)
+
+    def __init__(self, flows: _Dict) -> None:
+        self.flows = flows
+
+    def __missing__(self, raw: tuple) -> int:
+        got = self[raw] = self.flows[
+            raw[0], raw[1], int(raw[2]), int(raw[3]), raw[4]]
         return got
 
 
 class _Builder:
-    """Accumulates columns while the converter streams the JSONL."""
+    """Accumulates columns while the converter streams the JSONL.
+
+    ``add_step_record`` / ``add_switch_report`` fill the columns
+    straight from the parsed JSON object with the coercions of
+    :func:`serialize.decode_step_record` / ``decode_switch_report``
+    (``int()`` / ``float()`` / truthiness, duplicate keys collapsed
+    through a ``dict``: last value, first position); a record that
+    fails anywhere leaves nothing behind.
+    """
 
     def __init__(self) -> None:
         self.strings = _Dict()
         self.flows = _Dict()
+        self.flow_ids = _FlowIds(self.flows)
         self.cols: dict[str, array] = {}
         for name, code in _COLUMN_TYPES.items():
             self.cols[name] = array(code)
         # offset columns start with their leading 0
-        for name in _OFFSET_COLUMNS:
+        for name in _CHILD_GROUPS:
             self.cols[name].append(0)
         self.raw_blob = bytearray()
         self.meta: dict = {}
@@ -141,86 +182,126 @@ class _Builder:
         self.expected: list = []     # [node, step, time_ns]
         self.unknown_kinds: dict[str, int] = {}
 
-    def string(self, value: Optional[str]) -> int:
-        return -1 if value is None else self.strings.add(value)
-
-    def flow(self, key5: tuple) -> int:
-        return self.flows.add(key5)
-
     def raw_line(self, cls: int, kind: Optional[str], line_no: int,
                  data: bytes) -> None:
         c = self.cols
         c["raw.cls"].append(cls)
-        c["raw.kind"].append(self.string(kind))
+        c["raw.kind"].append(-1 if kind is None else self.strings[kind])
         c["raw.line"].append(line_no)
         c["raw.off"].append(len(self.raw_blob))
         c["raw.len"].append(len(data))
         self.raw_blob.extend(data)
 
     # ------------------------------------------------------------------
+    def _rollback(self, group: str, rows: int, strings: int,
+                  flows: int) -> None:
+        """Undo a record that failed part-way: its column rows, and
+        the strings and flows only it had introduced."""
+        self._truncate(group, rows)
+        self.strings.truncate(strings)
+        self.flows.truncate(flows)
+        for raw in [raw for raw, got in self.flow_ids.items()
+                    if got >= flows]:
+            del self.flow_ids[raw]
+
+    def _truncate(self, group: str, rows: int) -> None:
+        for name, _code, _size, owner, extra in _COLUMN_LAYOUT:
+            if owner == group:
+                column = self.cols[name]
+                del column[rows + extra:]
+                if extra:   # an offset column: its last entry is the
+                    # row count its child group is cut back to
+                    self._truncate(_CHILD_GROUPS[name], column[rows])
+
     def add_step_record(self, entry: dict, line_no: int) -> None:
-        record = serialize.decode_step_record(entry)
         c = self.cols
-        c["s.end"].append(record.end_time)
-        c["s.start"].append(record.start_time)
-        c["s.node"].append(self.strings.add(record.node))
-        c["s.step"].append(record.step_index)
-        c["s.flow"].append(self.flow(tuple(record.flow_key)))
-        c["s.bytes"].append(record.size_bytes)
-        c["s.recv"].append(self.string(record.recv_source))
-        c["s.bind"].append(self.string(record.binding_dependency))
-        c["s.line"].append(line_no)
+        strings = self.strings
+        mark = len(c["s.line"]), len(strings), len(self.flows)
+        try:
+            flow = entry["flow"]
+            recv = entry.get("recv_source")
+            bind = entry.get("binding")
+            c["s.end"].append(float(entry["end"]))
+            c["s.start"].append(float(entry["start"]))
+            c["s.node"].append(strings[entry["node"]])
+            c["s.step"].append(int(entry["step"]))
+            c["s.flow"].append(self.flow_ids[
+                flow[0], flow[1], flow[2], flow[3], flow[4]])
+            c["s.bytes"].append(int(entry["bytes"]))
+            c["s.recv"].append(-1 if recv is None else strings[recv])
+            c["s.bind"].append(-1 if bind is None else strings[bind])
+            c["s.line"].append(line_no)
+        except Exception:
+            self._rollback("s", *mark)
+            raise
 
     def add_switch_report(self, entry: dict, line_no: int) -> None:
-        report = serialize.decode_switch_report(entry)
         c = self.cols
-        c["r.time"].append(report.time)
-        c["r.switch"].append(self.strings.add(report.switch_id))
-        c["r.poll"].append(self.string(report.poll_id))
-        c["r.size"].append(report.size_bytes)
-        c["r.line"].append(line_no)
-        for port in report.ports:
-            c["p.port"].append(port.port)
-            c["p.qpk"].append(port.qdepth_pkts)
-            c["p.qby"].append(port.qdepth_bytes)
-            c["p.paused"].append(1 if port.paused else 0)
-            for flow, count in port.flow_pkts.items():
-                c["fp.flow"].append(self.flow(tuple(flow)))
-                c["fp.val"].append(count)
-            for flow, count in port.inqueue_flow_pkts.items():
-                c["iq.flow"].append(self.flow(tuple(flow)))
-                c["iq.val"].append(count)
-            for (fi, fj), weight in port.wait_weights.items():
-                c["ww.fi"].append(self.flow(tuple(fi)))
-                c["ww.fj"].append(self.flow(tuple(fj)))
-                c["ww.val"].append(weight)
-            c["p.fp"].append(len(c["fp.flow"]))
-            c["p.iq"].append(len(c["iq.flow"]))
-            c["p.ww"].append(len(c["ww.val"]))
-        for (inp, out), value in report.port_meters.items():
-            c["mt.in"].append(inp)
-            c["mt.out"].append(out)
-            c["mt.val"].append(value)
-        for prefix, pauses in (("pr", report.pause_received),
-                               ("ps", report.pause_sent)):
-            for pause in pauses:
-                c[f"{prefix}.time"].append(pause.time)
-                c[f"{prefix}.sn"].append(
-                    self.strings.add(pause.sender.node))
-                c[f"{prefix}.sp"].append(pause.sender.port)
-                c[f"{prefix}.vn"].append(
-                    self.strings.add(pause.victim.node))
-                c[f"{prefix}.vp"].append(pause.victim.port)
-                c[f"{prefix}.buf"].append(pause.buffer_bytes_at_send)
-                c[f"{prefix}.gen"].append(1 if pause.genuine else 0)
-        for flow, count in report.ttl_drops.items():
-            c["ttl.flow"].append(self.flow(tuple(flow)))
-            c["ttl.val"].append(count)
-        c["r.ports"].append(len(c["p.port"]))
-        c["r.mt"].append(len(c["mt.val"]))
-        c["r.pr"].append(len(c["pr.time"]))
-        c["r.ps"].append(len(c["ps.time"]))
-        c["r.ttl"].append(len(c["ttl.val"]))
+        strings, flow_ids = self.strings, self.flow_ids
+        mark = len(c["r.line"]), len(strings), len(self.flows)
+        try:
+            poll = entry.get("poll_id")
+            c["r.time"].append(float(entry["time"]))
+            c["r.switch"].append(strings[entry["switch"]])
+            c["r.poll"].append(-1 if poll is None else strings[poll])
+            c["r.size"].append(int(entry["size_bytes"]))
+            for port in entry["ports"]:
+                c["p.port"].append(int(port["port"]))
+                c["p.qpk"].append(int(port["qdepth_pkts"]))
+                c["p.qby"].append(int(port["qdepth_bytes"]))
+                c["p.paused"].append(1 if port["paused"] else 0)
+                counts = {flow_ids[f[0], f[1], f[2], f[3], f[4]]: float(n)
+                          for f, n in port["flow_pkts"]}
+                c["fp.flow"].extend(counts)
+                c["fp.val"].extend(counts.values())
+                counts = {flow_ids[f[0], f[1], f[2], f[3], f[4]]: int(n)
+                          for f, n in port["inqueue"]}
+                c["iq.flow"].extend(counts)
+                c["iq.val"].extend(counts.values())
+                weights = {
+                    (flow_ids[fi[0], fi[1], fi[2], fi[3], fi[4]],
+                     flow_ids[fj[0], fj[1], fj[2], fj[3], fj[4]]):
+                    float(w) for fi, fj, w in port["wait_weights"]}
+                if weights:
+                    waiting, waited_on = zip(*weights)
+                    c["ww.fi"].extend(waiting)
+                    c["ww.fj"].extend(waited_on)
+                    c["ww.val"].extend(weights.values())
+                c["p.fp"].append(len(c["fp.flow"]))
+                c["p.iq"].append(len(c["iq.flow"]))
+                c["p.ww"].append(len(c["ww.val"]))
+            meters = {(int(inp), int(out)): float(v)
+                      for inp, out, v in entry["meters"]}
+            if meters:
+                inputs, outputs = zip(*meters)
+                c["mt.in"].extend(inputs)
+                c["mt.out"].extend(outputs)
+                c["mt.val"].extend(meters.values())
+            for prefix, pauses in (("pr", entry["pause_received"]),
+                                   ("ps", entry["pause_sent"])):
+                for pause in pauses:
+                    sender, victim = pause["sender"], pause["victim"]
+                    c[f"{prefix}.time"].append(float(pause["time"]))
+                    c[f"{prefix}.sn"].append(strings[sender[0]])
+                    c[f"{prefix}.sp"].append(int(sender[1]))
+                    c[f"{prefix}.vn"].append(strings[victim[0]])
+                    c[f"{prefix}.vp"].append(int(victim[1]))
+                    c[f"{prefix}.buf"].append(int(pause["buffer"]))
+                    c[f"{prefix}.gen"].append(
+                        1 if pause["genuine"] else 0)
+            drops = {flow_ids[f[0], f[1], f[2], f[3], f[4]]: int(n)
+                     for f, n in entry["ttl_drops"]}
+            c["ttl.flow"].extend(drops)
+            c["ttl.val"].extend(drops.values())
+            c["r.ports"].append(len(c["p.port"]))
+            c["r.mt"].append(len(c["mt.val"]))
+            c["r.pr"].append(len(c["pr.time"]))
+            c["r.ps"].append(len(c["ps.time"]))
+            c["r.ttl"].append(len(c["ttl.val"]))
+            c["r.line"].append(line_no)
+        except Exception:
+            self._rollback("r", *mark)
+            raise
 
     # ------------------------------------------------------------------
     def finish_merge(self) -> None:
@@ -270,20 +351,21 @@ _COLUMN_TYPES = {
     "raw.len": "Q",
 }
 
-_OFFSET_COLUMNS = ("r.ports", "r.mt", "r.pr", "r.ps", "r.ttl",
-                   "p.fp", "p.iq", "p.ww")
+#: offset column -> the child column group whose rows it delimits
+_CHILD_GROUPS = {"r.ports": "p", "r.mt": "mt", "r.pr": "pr",
+                 "r.ps": "ps", "r.ttl": "ttl",
+                 "p.fp": "fp", "p.iq": "iq", "p.ww": "ww"}
+
+#: per column: (name, typecode, item size, group, elements beyond the
+#: group's row count — 1 for an offset column)
+_COLUMN_LAYOUT = [
+    (name, code, array(code).itemsize, name.partition(".")[0],
+     1 if name in _CHILD_GROUPS else 0)
+    for name, code in _COLUMN_TYPES.items()]
 
 
 def _is_sorted(column) -> bool:
-    return all(column[i - 1] <= column[i]
-               for i in range(1, len(column)))
-
-
-def _raw_bytes_lines(handle: BinaryIO) -> Iterator[tuple[int, bytes]]:
-    line_no = 0
-    for raw in handle:
-        line_no += 1
-        yield line_no, raw
+    return all(map(le, column, islice(column, 1, None)))
 
 
 def _build_from_jsonl(src: Union[str, Path],
@@ -297,7 +379,7 @@ def _build_from_jsonl(src: Union[str, Path],
     """
     builder = _Builder()
     with Path(src).open("rb") as handle:
-        for line_no, raw in _raw_bytes_lines(handle):
+        for line_no, raw in enumerate(handle, 1):
             text = raw.decode("utf-8", errors="replace").strip()
             if not text:
                 builder.raw_line(RAW_BLANK, None, line_no, raw)
@@ -401,8 +483,8 @@ def _emit(builder: _Builder, sink) -> None:
             "flow_keys": builder.flow_keys,
             "expected": builder.expected,
         },
-        "strings": builder.strings.values,
-        "flows": [list(flow) for flow in builder.flows.values],
+        "strings": list(builder.strings),
+        "flows": [list(flow) for flow in builder.flows],
         "counts": {
             "step_record": len(builder.cols["s.end"]),
             "switch_report": len(builder.cols["r.time"]),
@@ -481,11 +563,73 @@ def content_address(path: Union[str, Path]) -> str:
 # ----------------------------------------------------------------------
 # reader
 # ----------------------------------------------------------------------
+def _directory_problem(directory, data_end: int) -> Optional[str]:
+    """Why ``directory`` cannot describe the ``data_end`` bytes that
+    precede it, or ``None``.  O(number of columns): what only the data
+    can reveal (an id beyond its dictionary, an offset beyond its child
+    column) is left to the read loops."""
+    if not isinstance(directory, dict):
+        return f"expected an object, got {type(directory).__name__}"
+    for key, kind in (("version", int), ("header", dict),
+                      ("strings", list), ("flows", list),
+                      ("counts", dict), ("columns", dict),
+                      ("raw_blob", list), ("time_sorted", dict),
+                      ("unknown_kinds", dict)):
+        if not isinstance(directory.get(key), kind):
+            return f"{key!r} is missing or not a JSON {kind.__name__}"
+    header = directory["header"]
+    if not isinstance(header.get("meta"), dict) \
+            or not {"schedule", "flow_keys", "expected"} <= set(header):
+        return "'header' lacks meta / schedule / flow_keys / expected"
+
+    def inside(offset, length) -> bool:
+        return (type(offset) is int and type(length) is int
+                and _PROLOGUE.size <= offset and 0 <= length
+                and offset + length <= data_end)
+
+    rows: dict[str, int] = {}
+    columns = directory["columns"]
+    for name, code, item_size, group, extra in _COLUMN_LAYOUT:
+        try:
+            offset, length, typecode = columns[name]
+        except (KeyError, TypeError, ValueError):
+            return f"column {name!r} is missing or malformed"
+        if typecode != code:
+            return (f"column {name!r} has typecode {typecode!r}, "
+                    f"expected {code!r}")
+        if not inside(offset, length):
+            return f"column {name!r} lies outside the data region"
+        count, rest = divmod(length, item_size)
+        if rest:
+            return (f"column {name!r} is {length} bytes, not a "
+                    f"multiple of its item size")
+        if rows.setdefault(group, count - extra) != count - extra:
+            return (f"column {name!r} holds {count - extra} rows, the "
+                    f"rest of its group {rows[group]}")
+    counts = directory["counts"]
+    for kind, group in (("step_record", "s"), ("switch_report", "r"),
+                        ("raw", "raw")):
+        if counts.get(kind) != rows[group]:
+            return (f"counts[{kind!r}] is {counts.get(kind)!r}, its "
+                    f"columns hold {rows[group]} rows")
+    if rows["mg"] != rows["s"] + rows["r"]:
+        return (f"merge permutation holds {rows['mg']} rows for "
+                f"{rows['s'] + rows['r']} records")
+    if len(directory["raw_blob"]) != 2 \
+            or not inside(*directory["raw_blob"]):
+        return "'raw_blob' lies outside the data region"
+    return None
+
+
 class ColumnarTrace:
     """mmap-backed zero-copy reader for one columnar trace file.
 
-    Opens the file, maps it read-only, and exposes typed column views
-    plus record decoders.  Use as a context manager; see the module
+    Opening maps the file read-only, parses its directory and checks
+    it against the file (:func:`_directory_problem`) — nothing else.
+    Column views are cast, the flow dictionary interned and the record
+    decoders ``step_record(i)`` / ``switch_report(i)`` bound when first
+    asked for, so an open that reads one directory field pays for one
+    directory field.  Use as a context manager; see the module
     docstring for mmap lifetime rules.
     """
 
@@ -495,55 +639,91 @@ class ColumnarTrace:
         self._mm: Optional[mmap.mmap] = None
         self._views: dict[str, memoryview] = {}
         self._header: Optional[TraceHeader] = None
-        handle = self.path.open("rb")
-        try:
+        self._raw_blob = memoryview(b"")
+        with self.path.open("rb") as handle:
             if use_mmap:
                 self._mm = mmap.mmap(handle.fileno(), 0,
                                      access=mmap.ACCESS_READ)
-                buf = memoryview(self._mm)
+                self._buf = memoryview(self._mm)
             else:
-                buf = memoryview(handle.read())
-        finally:
-            handle.close()
-        self._buf = buf
+                self._buf = memoryview(handle.read())
+        try:
+            self._open_directory()
+        except BaseException:
+            self.close()
+            raise
+
+    def _open_directory(self) -> None:
+        # no slice of ``buf`` may outlive a statement here: one held by
+        # a raising frame would keep the mapping open past close()
+        buf, path = self._buf, self.path
         if len(buf) < _PROLOGUE.size + _TRAILER.size:
             raise TraceFormatError(f"{path}: not a columnar trace "
                                    f"(file too short)")
-        magic, version, _flags = _PROLOGUE.unpack(
-            buf[:_PROLOGUE.size])
+        magic, version, _flags = _PROLOGUE.unpack_from(buf)
         if magic != MAGIC:
             raise TraceFormatError(f"{path}: bad magic {magic!r}")
         if version != COLUMNAR_VERSION:
             raise TraceFormatError(
                 f"{path}: unsupported columnar version {version} "
                 f"(expected {COLUMNAR_VERSION})")
-        dir_off, trailer = _TRAILER.unpack(buf[-_TRAILER.size:])
+        trailer_at = len(buf) - _TRAILER.size
+        data_end, trailer = _TRAILER.unpack_from(buf, trailer_at)
         if trailer != TRAILER_MAGIC:
             raise TraceFormatError(
                 f"{path}: missing trailer (truncated write?)")
         try:
-            directory = json.loads(
-                bytes(buf[dir_off:len(buf) - _TRAILER.size]))
+            directory = json.loads(bytes(buf[data_end:trailer_at]))
         except ValueError as error:
             raise TraceFormatError(
                 f"{path}: corrupt directory: {error}") from error
+        problem = _directory_problem(directory, data_end)
+        if problem is not None:
+            raise TraceFormatError(
+                f"{path}: corrupt directory: {problem}")
         self.directory = directory
         self.version = directory["version"]
         self.counts: dict[str, int] = directory["counts"]
-        self.time_sorted: dict[str, bool] = directory.get(
-            "time_sorted", {})
-        self.unknown_kinds: dict[str, int] = directory.get(
-            "unknown_kinds", {})
+        self.time_sorted: dict[str, bool] = directory["time_sorted"]
+        self.unknown_kinds: dict[str, int] = directory["unknown_kinds"]
         self.strings: list[str] = directory["strings"]
-        self.flows: list[FlowKey] = [
-            intern_flow_key(serialize.decode_flow_key(flow))
-            for flow in directory["flows"]]
-        self._flow_ids = {flow: i
-                          for i, flow in enumerate(self.flows)}
         self._columns = directory["columns"]
         blob_start, blob_len = directory["raw_blob"]
         self._raw_blob = buf[blob_start:blob_start + blob_len]
-        self._bind_decoders()
+
+    def __getattr__(self, name: str):
+        # the record decoders are instance attributes bound at first
+        # use (and replaced by refusing stubs at close())
+        if name in ("step_record", "switch_report"):
+            self._bind_decoders()
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    @cached_property
+    def flows(self) -> list[FlowKey]:
+        """The flow dictionary, interned through
+        :func:`~repro.simnet.packet.intern_flow_key` so decoded records
+        hit the same identity fast paths as live objects."""
+        try:
+            return [intern_flow_key(serialize.decode_flow_key(flow))
+                    for flow in self.directory["flows"]]
+        except (IndexError, KeyError, TypeError, ValueError) as error:
+            raise TraceFormatError(
+                f"{self.path}: corrupt flow dictionary: "
+                f"{type(error).__name__}: {error}") from error
+
+    @contextmanager
+    def _data_errors(self) -> Iterator[None]:
+        """What only the data can reveal — an id beyond its dictionary,
+        an offset beyond its child column — leaves a read loop as
+        :class:`TraceFormatError`: one ``try`` around the loop, none
+        per record."""
+        try:
+            yield
+        except IndexError as error:
+            raise TraceFormatError(
+                f"{self.path}: corrupt column data: {error}") from error
 
     # ------------------------------------------------------------------
     def col(self, name: str) -> memoryview:
@@ -591,23 +771,29 @@ class ColumnarTrace:
         if self._header is None:
             head = self.directory["header"]
             meta = head["meta"]
-            self._header = TraceHeader(
-                schedule=serialize.decode_schedule(head["schedule"]),
-                flow_keys={(node, int(step)):
-                           serialize.decode_flow_key(flow)
-                           for node, step, flow in head["flow_keys"]},
-                expected_step_times={(node, int(step)): float(t)
-                                     for node, step, t
-                                     in head["expected"]},
-                pfc_xoff_bytes=int(meta.get("pfc_xoff_bytes", 0)),
-                meta=meta,
-            )
+            try:
+                self._header = TraceHeader(
+                    schedule=serialize.decode_schedule(head["schedule"]),
+                    flow_keys={(node, int(step)):
+                               serialize.decode_flow_key(flow)
+                               for node, step, flow in head["flow_keys"]},
+                    expected_step_times={(node, int(step)): float(t)
+                                         for node, step, t
+                                         in head["expected"]},
+                    pfc_xoff_bytes=int(meta.get("pfc_xoff_bytes", 0)),
+                    meta=meta,
+                )
+            except (IndexError, KeyError, TypeError,
+                    ValueError) as error:
+                raise TraceFormatError(
+                    f"{self.path}: corrupt header: "
+                    f"{type(error).__name__}: {error}") from error
         return self._header
 
     # ------------------------------------------------------------------
     def _bind_decoders(self) -> None:
         """Build the record decoders as closures over pre-cast column
-        views.
+        views, on their first use.
 
         Decoding is the replay hot path; a per-field ``self.col(...)``
         dict lookup (~40 per switch report) would dominate it, so the
@@ -747,9 +933,10 @@ class ColumnarTrace:
             times = self.col("r.time")
         else:
             raise ValueError(f"unknown data kind: {kind!r}")
-        for i in range(start, self.counts[kind]):
-            yield TraceEvent(kind, times[i], decode(i), lines[i],
-                             index=i)
+        with self._data_errors():
+            for i in range(start, self.counts[kind]):
+                yield TraceEvent(kind, times[i], decode(i), lines[i],
+                                 index=i)
 
     def iter_events(self, skip: Optional[dict[str, int]] = None
                     ) -> Iterator[TraceEvent]:
@@ -776,41 +963,47 @@ class ColumnarTrace:
         new = object.__new__
         setattr_ = object.__setattr__
         event_cls = TraceEvent
-        for j in range(len(mg_kind)):
-            i = mg_idx[j]
-            if mg_kind[j] == 0:
-                if i < s_skip:
-                    continue
-                event = new(event_cls)
-                setattr_(event, "__dict__", {
-                    "kind": "step_record", "time": s_times[i],
-                    "payload": step(i), "line_no": s_lines[i],
-                    "byte_offset": -1, "end_offset": -1, "index": i})
-            else:
-                if i < w_skip:
-                    continue
-                event = new(event_cls)
-                setattr_(event, "__dict__", {
-                    "kind": "switch_report", "time": w_times[i],
-                    "payload": report(i), "line_no": w_lines[i],
-                    "byte_offset": -1, "end_offset": -1, "index": i})
-            yield event
+        with self._data_errors():
+            for j in range(len(mg_kind)):
+                i = mg_idx[j]
+                if mg_kind[j] == 0:
+                    if i < s_skip:
+                        continue
+                    event = new(event_cls)
+                    setattr_(event, "__dict__", {
+                        "kind": "step_record", "time": s_times[i],
+                        "payload": step(i), "line_no": s_lines[i],
+                        "byte_offset": -1, "end_offset": -1,
+                        "index": i})
+                else:
+                    if i < w_skip:
+                        continue
+                    event = new(event_cls)
+                    setattr_(event, "__dict__", {
+                        "kind": "switch_report", "time": w_times[i],
+                        "payload": report(i), "line_no": w_lines[i],
+                        "byte_offset": -1, "end_offset": -1,
+                        "index": i})
+                yield event
 
-    def iter_raw_lines(self) -> Iterator[tuple[int, Optional[str],
-                                               int, bytes]]:
-        """Yield ``(cls, kind, line_no, original_bytes)`` for every
-        preserved non-data line, in file order."""
-        cls_col = self.col("raw.cls")
-        kind_col = self.col("raw.kind")
-        line_col = self.col("raw.line")
+    def _flagged_lines(self) -> Iterator[tuple[int, Optional[str],
+                                               int, str]]:
+        """``(cls, kind, line_no, text)`` of every preserved
+        unknown-kind or malformed line, in file order.  Found from the
+        ``raw.cls`` column: the prologue and blank lines that make up
+        the rest of the raw blob are never materialised."""
+        kind_col, line_col = self.col("raw.kind"), self.col("raw.line")
         off_col, len_col = self.col("raw.off"), self.col("raw.len")
-        blob = self._raw_blob
-        for i in range(len(cls_col)):
+        for i, cls in enumerate(self.col("raw.cls")):
+            if cls != RAW_UNKNOWN and cls != RAW_MALFORMED:
+                continue
             kind_id = kind_col[i]
-            yield (cls_col[i],
+            raw = bytes(
+                self._raw_blob[off_col[i]:off_col[i] + len_col[i]])
+            yield (cls,
                    None if kind_id < 0 else self.strings[kind_id],
                    line_col[i],
-                   bytes(blob[off_col[i]:off_col[i] + len_col[i]]))
+                   raw.decode("utf-8", errors="replace").strip())
 
     # ------------------------------------------------------------------
     # zero-copy query layer
@@ -839,7 +1032,10 @@ class ColumnarTrace:
                 if start <= times[i] <= end]
 
     def flow_id(self, flow: FlowKey) -> Optional[int]:
-        return self._flow_ids.get(intern_flow_key(flow))
+        try:
+            return self.flows.index(flow)
+        except ValueError:
+            return None
 
     def steps_for_flow(self, flow: FlowKey) -> list[int]:
         """Step-record indices whose 5-tuple equals ``flow``."""
@@ -863,21 +1059,22 @@ class ColumnarTrace:
         ww_fi, ww_fj = col("ww.fi"), col("ww.fj")
         ttl_off, ttl_flow = col("r.ttl"), col("ttl.flow")
         hits = []
-        for i in range(self.counts["switch_report"]):
-            found = any(ttl_flow[k] == fid
-                        for k in range(ttl_off[i], ttl_off[i + 1]))
-            for p in range(ports_off[i], ports_off[i + 1]):
+        with self._data_errors():
+            for i in range(self.counts["switch_report"]):
+                found = any(ttl_flow[k] == fid
+                            for k in range(ttl_off[i], ttl_off[i + 1]))
+                for p in range(ports_off[i], ports_off[i + 1]):
+                    if found:
+                        break
+                    found = (
+                        any(fp_flow[k] == fid
+                            for k in range(p_fp[p], p_fp[p + 1]))
+                        or any(iq_flow[k] == fid
+                               for k in range(p_iq[p], p_iq[p + 1]))
+                        or any(ww_fi[k] == fid or ww_fj[k] == fid
+                               for k in range(p_ww[p], p_ww[p + 1])))
                 if found:
-                    break
-                found = (
-                    any(fp_flow[k] == fid
-                        for k in range(p_fp[p], p_fp[p + 1]))
-                    or any(iq_flow[k] == fid
-                           for k in range(p_iq[p], p_iq[p + 1]))
-                    or any(ww_fi[k] == fid or ww_fj[k] == fid
-                           for k in range(p_ww[p], p_ww[p + 1])))
-            if found:
-                hits.append(i)
+                    hits.append(i)
         return hits
 
     def reports_for_port(self, switch_id: str, port: int
@@ -891,48 +1088,163 @@ class ColumnarTrace:
         col = self.col
         switches = col("r.switch")
         ports_off, p_port = col("r.ports"), col("p.port")
-        return [i for i in range(self.counts["switch_report"])
-                if switches[i] == sid
-                and any(p_port[p] == port
-                        for p in range(ports_off[i],
-                                       ports_off[i + 1]))]
+        with self._data_errors():
+            return [i for i in range(self.counts["switch_report"])
+                    if switches[i] == sid
+                    and any(p_port[p] == port
+                            for p in range(ports_off[i],
+                                           ports_off[i + 1]))]
 
 
 # ----------------------------------------------------------------------
 # columnar -> JSONL reconstruction
 # ----------------------------------------------------------------------
+def _line_encoders(trace: ColumnarTrace):
+    """``(step_line, report_line)``: record index -> its JSONL line,
+    built from the columns as text.
+
+    Every dictionary string and every flow key is rendered to its JSON
+    fragment once per file; numbers print through ``int.__repr__`` /
+    ``float.__repr__`` — what ``json.dumps`` itself uses — with the
+    non-finite floats (``NaN`` / ``Infinity``) left to ``json.dumps``.
+    The bytes are those of ``json.dumps({"kind": ..., **serialize.
+    encode_*(record)})``, the form :class:`~repro.traces.store.
+    TraceRecorder` writes.
+    """
+    dumps = json.dumps
+    col = trace.col
+    text = [dumps(value) for value in trace.strings]
+    flow = [dumps(key) for key in trace.flows]
+    s_end, s_start = col("s.end"), col("s.start")
+    s_node, s_step = col("s.node"), col("s.step")
+    s_flow, s_bytes = col("s.flow"), col("s.bytes")
+    s_recv, s_bind = col("s.recv"), col("s.bind")
+
+    def step_line(i: int) -> bytes:
+        start, end = s_start[i], s_end[i]
+        recv, bind = s_recv[i], s_bind[i]
+        return (
+            f'{{"kind": "step_record", "node": {text[s_node[i]]}, '
+            f'"step": {s_step[i]}, "flow": {flow[s_flow[i]]}, '
+            f'"bytes": {s_bytes[i]}, "start": '
+            f'{repr(start) if isfinite(start) else dumps(start)}, '
+            f'"end": {repr(end) if isfinite(end) else dumps(end)}, '
+            f'"recv_source": {"null" if recv < 0 else text[recv]}, '
+            f'"binding": {"null" if bind < 0 else text[bind]}}}\n'
+        ).encode("utf-8")
+
+    r_time, r_switch = col("r.time"), col("r.switch")
+    r_poll, r_size = col("r.poll"), col("r.size")
+    ports_off = col("r.ports")
+    mt_off, pr_off = col("r.mt"), col("r.pr")
+    ps_off, ttl_off = col("r.ps"), col("r.ttl")
+    p_port, p_qpk = col("p.port"), col("p.qpk")
+    p_qby, p_paused = col("p.qby"), col("p.paused")
+    p_fp, p_iq, p_ww = col("p.fp"), col("p.iq"), col("p.ww")
+    fp_flow, fp_val = col("fp.flow"), col("fp.val")
+    iq_flow, iq_val = col("iq.flow"), col("iq.val")
+    ww_fi, ww_fj, ww_val = col("ww.fi"), col("ww.fj"), col("ww.val")
+    mt_in, mt_out, mt_val = col("mt.in"), col("mt.out"), col("mt.val")
+    ttl_flow, ttl_val = col("ttl.flow"), col("ttl.val")
+    pr_cols = tuple(col(f"pr.{f}") for f in
+                    ("time", "sn", "sp", "vn", "vp", "buf", "gen"))
+    ps_cols = tuple(col(f"ps.{f}") for f in
+                    ("time", "sn", "sp", "vn", "vp", "buf", "gen"))
+
+    def pauses(cols: tuple, lo: int, hi: int) -> str:
+        t, sn, sp, vn, vp, buf, gen = cols
+        return ", ".join([
+            f'{{"time": '
+            f'{repr(t[k]) if isfinite(t[k]) else dumps(t[k])}, '
+            f'"sender": [{text[sn[k]]}, {sp[k]}], '
+            f'"victim": [{text[vn[k]]}, {vp[k]}], '
+            f'"buffer": {buf[k]}, '
+            f'"genuine": {"true" if gen[k] else "false"}}}'
+            for k in range(lo, hi)])
+
+    def port_entry(p: int) -> str:
+        f0, f1 = p_fp[p], p_fp[p + 1]
+        q0, q1 = p_iq[p], p_iq[p + 1]
+        w0, w1 = p_ww[p], p_ww[p + 1]
+        flow_pkts = ", ".join([
+            f"[{flow[f]}, {repr(v) if isfinite(v) else dumps(v)}]"
+            for f, v in zip(fp_flow[f0:f1], fp_val[f0:f1])]) \
+            if f1 > f0 else ""
+        inqueue = ", ".join([
+            f"[{flow[f]}, {v}]"
+            for f, v in zip(iq_flow[q0:q1], iq_val[q0:q1])]) \
+            if q1 > q0 else ""
+        wait_weights = ", ".join([
+            f"[{flow[fi]}, {flow[fj]}, "
+            f"{repr(v) if isfinite(v) else dumps(v)}]"
+            for fi, fj, v in zip(ww_fi[w0:w1], ww_fj[w0:w1],
+                                 ww_val[w0:w1])]) \
+            if w1 > w0 else ""
+        return (
+            f'{{"port": {p_port[p]}, "qdepth_pkts": {p_qpk[p]}, '
+            f'"qdepth_bytes": {p_qby[p]}, '
+            f'"paused": {"true" if p_paused[p] else "false"}, '
+            f'"flow_pkts": [{flow_pkts}], "inqueue": [{inqueue}], '
+            f'"wait_weights": [{wait_weights}]}}')
+
+    def report_line(i: int) -> bytes:
+        time, poll = r_time[i], r_poll[i]
+        p0, p1 = ports_off[i], ports_off[i + 1]
+        m0, m1 = mt_off[i], mt_off[i + 1]
+        t0, t1 = ttl_off[i], ttl_off[i + 1]
+        r0, r1 = pr_off[i], pr_off[i + 1]
+        s0, s1 = ps_off[i], ps_off[i + 1]
+        ports = ", ".join(map(port_entry, range(p0, p1)))
+        meters = ", ".join([
+            f"[{inp}, {out}, {repr(v) if isfinite(v) else dumps(v)}]"
+            for inp, out, v in zip(mt_in[m0:m1], mt_out[m0:m1],
+                                   mt_val[m0:m1])]) \
+            if m1 > m0 else ""
+        ttl_drops = ", ".join([
+            f"[{flow[f]}, {v}]"
+            for f, v in zip(ttl_flow[t0:t1], ttl_val[t0:t1])]) \
+            if t1 > t0 else ""
+        return (
+            f'{{"kind": "switch_report", "switch": {text[r_switch[i]]}, '
+            f'"time": {repr(time) if isfinite(time) else dumps(time)}, '
+            f'"poll_id": {"null" if poll < 0 else text[poll]}, '
+            f'"ports": [{ports}], "meters": [{meters}], '
+            f'"pause_received": '
+            f'[{pauses(pr_cols, r0, r1) if r1 > r0 else ""}], '
+            f'"pause_sent": '
+            f'[{pauses(ps_cols, s0, s1) if s1 > s0 else ""}], '
+            f'"ttl_drops": [{ttl_drops}], '
+            f'"size_bytes": {r_size[i]}}}\n'
+        ).encode("utf-8")
+
+    return step_line, report_line
+
+
 def iter_jsonl_lines(trace: ColumnarTrace) -> Iterator[bytes]:
     """Yield the reconstructed JSONL file line by line.
 
     Raw-preserved lines are emitted byte-exact; data records are
-    re-encoded with the recorder's ``json.dumps`` defaults.  For any
-    recorder-written source the concatenation equals the original
-    file's bytes.
+    printed from the columns (:func:`_line_encoders`) in the
+    recorder's ``json.dumps`` form.  For any recorder-written source
+    the concatenation equals the original file's bytes.
     """
-    dumps = json.dumps
-    entries: list[tuple[int, int, int]] = []  # (line_no, tag, idx)
-    for i, line_no in enumerate(trace.col("raw.line")):
-        entries.append((line_no, 0, i))
-    for i, line_no in enumerate(trace.col("s.line")):
-        entries.append((line_no, 1, i))
-    for i, line_no in enumerate(trace.col("r.line")):
-        entries.append((line_no, 2, i))
-    entries.sort()
-    raw_off, raw_len = trace.col("raw.off"), trace.col("raw.len")
+    col = trace.col
+    # (line_no, tag, idx): every line of the source, in file order
+    entries = sorted(chain(
+        zip(col("raw.line"), repeat(0), count()),
+        zip(col("s.line"), repeat(1), count()),
+        zip(col("r.line"), repeat(2), count())))
+    raw_off, raw_len = col("raw.off"), col("raw.len")
     blob = trace._raw_blob
-    for _line_no, tag, i in entries:
-        if tag == 0:
-            yield bytes(blob[raw_off[i]:raw_off[i] + raw_len[i]])
-        elif tag == 1:
-            payload = serialize.encode_step_record(
-                trace.step_record(i))
-            yield (dumps({"kind": "step_record", **payload})
-                   + "\n").encode("utf-8")
-        else:
-            payload = serialize.encode_switch_report(
-                trace.switch_report(i))
-            yield (dumps({"kind": "switch_report", **payload})
-                   + "\n").encode("utf-8")
+    step_line, report_line = _line_encoders(trace)
+    with trace._data_errors():
+        for _line_no, tag, i in entries:
+            if tag == 0:
+                yield bytes(blob[raw_off[i]:raw_off[i] + raw_len[i]])
+            elif tag == 1:
+                yield step_line(i)
+            else:
+                yield report_line(i)
 
 
 def write_jsonl(src: Union[str, Path], dst: Union[str, Path]) -> Path:
@@ -943,8 +1255,7 @@ def write_jsonl(src: Union[str, Path], dst: Union[str, Path]) -> Path:
     tmp = dst.with_name(dst.name + ".tmp")
     try:
         with ColumnarTrace(src) as trace, tmp.open("wb") as handle:
-            for line in iter_jsonl_lines(trace):
-                handle.write(line)
+            handle.writelines(iter_jsonl_lines(trace))
         os.replace(tmp, dst)
     finally:
         tmp.unlink(missing_ok=True)
@@ -983,26 +1294,24 @@ def load_columnar_trace(path: Union[str, Path],
 
     if quarantine is None:
         quarantine = Quarantine()
-    with ColumnarTrace(path) as trace:
+    with ColumnarTrace(path) as trace, trace._data_errors():
         header = trace.header()
         unknown_kinds: dict[str, int] = {}
-        for cls, kind, line_no, raw in trace.iter_raw_lines():
-            if cls == RAW_UNKNOWN:
-                label = str(kind)
-                if label not in unknown_kinds:
-                    warnings.warn(
-                        f"skipping unknown trace record kind "
-                        f"{label!r} (first at line {line_no})",
-                        stacklevel=2)
-                unknown_kinds[label] = unknown_kinds.get(label, 0) + 1
-                quarantine.admit(
-                    line_no, f"unknown trace record kind: {label}",
-                    raw.decode("utf-8", errors="replace").strip())
-            elif cls == RAW_MALFORMED:
+        for cls, kind, line_no, text in trace._flagged_lines():
+            if cls == RAW_MALFORMED:
                 # the strict JSONL loader would have raised here
                 raise TraceFormatError(
                     "columnar trace preserves a malformed source "
                     "line", line_no)
+            label = str(kind)
+            if label not in unknown_kinds:
+                warnings.warn(
+                    f"skipping unknown trace record kind "
+                    f"{label!r} (first at line {line_no})",
+                    stacklevel=2)
+            unknown_kinds[label] = unknown_kinds.get(label, 0) + 1
+            quarantine.admit(
+                line_no, f"unknown trace record kind: {label}", text)
         step_records = [trace.step_record(i)
                         for i in range(trace.counts["step_record"])]
         reports = [trace.switch_report(i)
@@ -1031,20 +1340,17 @@ def columnar_events(path: Union[str, Path],
     exactly as the lenient JSONL scan would report them.
     """
     with ColumnarTrace(path) as trace:
-        if trace.counts.get("raw"):
-            for cls, _kind, line_no, raw in trace.iter_raw_lines():
+        with trace._data_errors():
+            for cls, _kind, line_no, text in trace._flagged_lines():
                 if cls != RAW_MALFORMED:
                     continue
-                snippet = raw.decode("utf-8",
-                                     errors="replace").strip()
                 if on_error is None:
                     raise TraceFormatError(
                         "columnar trace preserves a malformed "
                         "source line", line_no)
-                on_error(line_no, "preserved malformed line",
-                         snippet)
+                on_error(line_no, "preserved malformed line", text)
         yield from trace.iter_events(skip=skip)
 
 
-assert set(_OFFSET_COLUMNS) <= set(_COLUMN_TYPES), \
+assert set(_CHILD_GROUPS) <= set(_COLUMN_TYPES), \
     "offset columns must be declared"

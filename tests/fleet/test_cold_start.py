@@ -2,9 +2,10 @@
 
 Every worker process pays ``import repro.fleet.worker`` before its
 first event.  The static-analysis passes, the HTTP exporter, the chaos
-harness and networkx are for other processes: their packages export
-them lazily (:mod:`repro._lazy`), and every public name stays
-importable from where it was.
+harness, networkx and the simulator a replayed trace never runs are
+for other processes: their packages export them lazily
+(:mod:`repro._lazy`), and every public name stays importable from
+where it was.
 """
 
 from __future__ import annotations
@@ -23,7 +24,19 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 UNWANTED = ("repro.checks.ir", "repro.checks.lint", "repro.checks.units",
             "repro.checks.concurrency", "repro.checks.lifecycle",
             "http.server", "repro.fleet.exporter", "repro.live.chaos",
-            "repro.live.supervisor", "networkx")
+            "repro.live.supervisor", "networkx",
+            # a trace reader needs simnet.packet / .pfc / .telemetry only
+            "repro.simnet.engine", "repro.simnet.network",
+            "repro.simnet.routing", "repro.simnet.switch")
+
+
+def run_probe(probe: str) -> None:
+    """``probe`` in a fresh interpreter: what is in ``sys.modules``
+    there is what the import under test put there."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_worker_import_leaves_the_rest_unloaded():
@@ -34,13 +47,11 @@ def test_worker_import_leaves_the_rest_unloaded():
         # what a shard does run is there
         "assert 'repro.live.pipeline' in sys.modules\n"
         "assert 'repro.fleet.tenancy' in sys.modules\n")
-    env = dict(os.environ, PYTHONPATH=SRC)
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    run_probe(probe)
 
 
-@pytest.mark.parametrize("package", ["repro.checks", "repro.live",
+@pytest.mark.parametrize("package", ["repro", "repro.simnet",
+                                     "repro.checks", "repro.live",
                                      "repro.fleet"])
 def test_every_public_name_is_still_importable(package):
     module = importlib.import_module(package)
@@ -50,6 +61,24 @@ def test_every_public_name_is_still_importable(package):
         module.no_such_name
     with pytest.raises(ImportError):
         exec(f"from {package} import no_such_name")
+
+
+def test_top_level_import_still_builds_a_network():
+    probe = (
+        "from repro import Network, build_fat_tree\n"
+        "assert Network(build_fat_tree(4)).sim.now == 0.0\n")
+    run_probe(probe)
+
+
+def test_simnet_star_import_resolves_every_name():
+    probe = (
+        "import repro.simnet\n"
+        "from repro.simnet import *\n"
+        "missing = [n for n in repro.simnet.__all__\n"
+        "           if n not in globals()]\n"
+        "assert not missing, missing\n"
+        "assert Simulator.__module__ == 'repro.simnet.engine'\n")
+    run_probe(probe)
 
 
 def test_lazy_exports_are_the_modules_own_objects():

@@ -1,8 +1,9 @@
 """Golden determinism digests: the fast path's licence to exist.
 
-Each scenario's executed (time, seq, callback-label) stream and its
-recorded JSONL trace must hash to exactly the values captured from the
-seed engine (tests/fixtures/golden_digests.json).  Any reordering,
+Each scenario's executed (time, seq, callback-label) stream, its
+recorded JSONL trace and that trace's ``.vcol`` form must hash to
+exactly the values captured from the seed engine and the seed codec
+(tests/fixtures/golden_digests.json).  Any reordering,
 timestamp drift, or dropped/duplicated event — however the engine is
 optimised — fails here first.
 
@@ -47,3 +48,6 @@ def test_digest_matches_fixture(name, golden, tmp_path):
         "event order/content diverged from the seed engine"
     assert recomputed["trace_sha256"] == expected["trace_sha256"], \
         "recorded trace diverged from the seed engine"
+    assert recomputed["vcol_sha256"] == expected["vcol_sha256"], \
+        "columnar form diverged: content_address is the experiment " \
+        "runner's cache key"

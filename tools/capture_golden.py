@@ -1,8 +1,8 @@
 """Regenerate the golden determinism fixture (tests/fixtures/golden_digests.json).
 
 The fixture pins the engine's externally observable behaviour: the SHA-256
-of the executed (time, seq, callback-label) event stream and of the JSONL
-trace each golden scenario produces.  The determinism test asserts the
+of the executed (time, seq, callback-label) event stream, of the JSONL
+trace each golden scenario produces and of that trace's ``.vcol`` form.  The determinism test asserts the
 current engine reproduces these byte-for-byte, which is what licenses the
 fast-path optimisations (FIFO lane, freelist, heap compaction) to exist:
 they must never reorder or drop an event.
@@ -37,7 +37,8 @@ def main() -> int:
     for name, entry in digests.items():
         print(f"{name}: {entry['events']} events, "
               f"stream {entry['stream_sha256'][:12]}..., "
-              f"trace {entry['trace_sha256'][:12]}...")
+              f"trace {entry['trace_sha256'][:12]}..., "
+              f"vcol {entry['vcol_sha256'][:12]}...")
     print(f"wrote {out}")
     return 0
 
