@@ -32,8 +32,8 @@ from repro.live import (
     resume_or_create,
     run_chaos,
 )
-from repro.traces import TraceRecorder
-from repro.traces.stream import merged_events, read_header
+from repro.traces import (TraceRecorder, open_trace, read_header,
+                          trace_events)
 
 
 def record_trace(path: Path) -> Path:
@@ -50,6 +50,11 @@ def record_trace(path: Path) -> Path:
     return path
 
 
+def count_events(trace: Path) -> int:
+    with open_trace(trace) as opened:
+        return opened.data_records
+
+
 def final_json(snapshot) -> str:
     return json.dumps(snapshot.to_dict(), sort_keys=True)
 
@@ -60,15 +65,15 @@ def manual_crash_and_resume(trace: Path, workdir: Path) -> None:
 
     # the reference: one uninterrupted run
     pipeline, cursor, _ = resume_or_create(header, None)
-    baseline = TraceReplayer(pipeline, merged_events(trace),
+    baseline = TraceReplayer(pipeline, trace_events(trace),
                              cursor=cursor).run()
 
     # the incident: replay halts halfway ("power cord", no final flush)
-    total = sum(1 for _ in merged_events(trace))
+    total = count_events(trace)
     manager = CheckpointManager(workdir / "ckpt", policy)
     pipeline, cursor, _ = resume_or_create(header, manager)
     TraceReplayer(pipeline,
-                  itertools.islice(merged_events(trace), total // 2),
+                  itertools.islice(trace_events(trace), total // 2),
                   manager, cursor).run(finish=False)
     print(f"  crashed at event {cursor.published}/{total}; snapshots:",
           [p.name for p in manager.snapshot_paths()])
@@ -78,9 +83,9 @@ def manual_crash_and_resume(trace: Path, workdir: Path) -> None:
     assert resumed
     print(f"  resumed from event {cursor.published} "
           f"(lost {total // 2 - cursor.published} unflushed events, "
-          f"re-read from per-kind byte offsets)")
+          f"re-read from the cursor's per-kind record counts)")
     recovered = TraceReplayer(
-        pipeline, merged_events(trace, resume=cursor.resume_map()),
+        pipeline, trace_events(trace, cursor=cursor),
         manager, cursor).run()
 
     match = final_json(recovered) == final_json(baseline)
@@ -107,8 +112,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         workdir = Path(tmp)
         trace = record_trace(workdir / "run.jsonl")
-        events = sum(1 for _ in merged_events(trace))
-        print(f"recorded {trace.name}: {events} data events\n")
+        print(f"recorded {trace.name}: {count_events(trace)} data "
+              f"events\n")
 
         print("manual crash + resume:")
         manual_crash_and_resume(trace, workdir)

@@ -387,7 +387,8 @@ class _FileChecker(ast.NodeVisitor):
                 node, "RPR027",
                 f"raw json.{name}() over {arg_name!r} bypasses the "
                 f"trace store; use the repro.traces readers/writers "
-                f"(trace_events, write_columnar, write_jsonl)")
+                f"(open_trace, trace_events, write_columnar, "
+                f"write_jsonl)")
 
     # -- shared call dispatcher ----------------------------------------
     def visit_Call(self, node: ast.Call) -> None:

@@ -481,8 +481,7 @@ def cmd_serve(args) -> int:
         RestartPolicy,
         Supervisor,
     )
-    from repro.traces import trace_events
-    from repro.traces.stream import read_header
+    from repro.traces import read_header, trace_events
 
     try:
         header = read_header(args.trace)
@@ -865,43 +864,40 @@ def cmd_trace_convert(args) -> int:
 def cmd_trace_info(args) -> int:
     from pathlib import Path
 
-    from repro.traces.columnar import ColumnarTrace, sniff_format
-    from repro.traces.stream import read_header
+    from repro.traces import open_trace, sniff_format
+    from repro.traces.stream import DATA_KINDS
 
     path = Path(args.path)
     try:
         fmt = sniff_format(path)
         print(f"{path}: {fmt} trace, {path.stat().st_size:,} bytes")
-        header = read_header(str(path))
+        trace = open_trace(path)
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    schedule = header.schedule
-    print(f"  schedule: {schedule.algorithm} {schedule.op.value} over "
-          f"{len(schedule.nodes)} nodes")
-    print(f"  flow keys: {len(header.flow_keys)}, expected step "
-          f"times: {len(header.expected_step_times)}")
-    if fmt == "columnar":
-        with ColumnarTrace(path) as trace:
-            print(f"  columnar v{trace.version}: "
-                  + ", ".join(f"{kind}={count:,}" for kind, count
-                              in sorted(trace.counts.items())))
-            print(f"  dictionaries: {len(trace.strings)} strings, "
-                  f"{len(trace.flows)} flows; "
-                  f"{len(trace.directory['columns'])} columns")
-            if trace.unknown_kinds:
-                print("  quarantined unknown kinds: "
-                      + ", ".join(f"{k}={c}" for k, c in
-                                  sorted(trace.unknown_kinds.items())))
-    else:
-        from repro.traces.stream import merged_events
-
-        counts: dict = {}
-        for event in merged_events(str(path)):
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        print("  records: "
-              + (", ".join(f"{kind}={count:,}" for kind, count
-                           in sorted(counts.items())) or "(none)"))
+    with trace:
+        header = trace.header()
+        schedule = header.schedule
+        print(f"  schedule: {schedule.algorithm} {schedule.op.value} "
+              f"over {len(schedule.nodes)} nodes")
+        print(f"  flow keys: {len(header.flow_keys)}, expected step "
+              f"times: {len(header.expected_step_times)}")
+        if fmt == "jsonl":
+            print("  records: "
+                  + (", ".join(f"{kind}={trace.counts[kind]:,}"
+                               for kind in DATA_KINDS
+                               if trace.counts[kind]) or "(none)"))
+            return 0
+        print(f"  columnar v{trace.version}: "
+              + ", ".join(f"{kind}={count:,}" for kind, count
+                          in sorted(trace.counts.items())))
+        print(f"  dictionaries: {len(trace.strings)} strings, "
+              f"{len(trace.flows)} flows; "
+              f"{len(trace.directory['columns'])} columns")
+        if trace.unknown_kinds:
+            print("  quarantined unknown kinds: "
+                  + ", ".join(f"{k}={c}" for k, c in
+                              sorted(trace.unknown_kinds.items())))
     return 0
 
 

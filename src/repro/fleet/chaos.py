@@ -50,7 +50,7 @@ from repro.fleet.worker import run_fleet_multiprocess
 from repro.live.chaos import corrupt_newest_checkpoint
 from repro.live.checkpoint import CheckpointManager
 from repro.live.supervisor import RestartPolicy
-from repro.traces.stream import merged_events
+from repro.traces import open_trace
 
 
 @dataclass(frozen=True)
@@ -200,8 +200,11 @@ def transport_failpoints(plan: FleetChaosPlan) -> tuple[str, str]:
 
 
 def _shard_event_total(specs: Sequence[TenantSpec]) -> int:
-    return sum(sum(1 for _ in merged_events(spec.trace))
-               for spec in specs)
+    total = 0
+    for spec in specs:
+        with open_trace(spec.trace) as trace:
+            total += trace.data_records
+    return total
 
 
 def _survivor_digests(snapshot: FleetSnapshot,

@@ -36,8 +36,7 @@ from repro.live.checkpoint import (
     resume_or_create,
 )
 from repro.live.pipeline import DiagnosisSnapshot, PipelineConfig
-from repro.traces import trace_events
-from repro.traces.stream import TraceEvent, read_header
+from repro.traces import TraceEvent, read_header, trace_events
 
 
 @dataclass

@@ -131,8 +131,7 @@ def _preload_factory(tenants: list[TenantSpec]):
     in-memory idiom, available to worker processes via the
     ``preload_traces`` spec key."""
     from repro.fleet.tenancy import TenantRuntime
-    from repro.traces import trace_events
-    from repro.traces.stream import read_header
+    from repro.traces import read_header, trace_events
 
     cache = {}
     for spec in tenants:

@@ -14,7 +14,8 @@ telemetry-loss degradation (:mod:`repro.live.robustness`).
 
 Durability: the service is crash-safe.  :mod:`repro.live.checkpoint`
 persists atomic, versioned snapshots of the full pipeline state keyed
-to a durable stream cursor, :mod:`repro.live.supervisor` restarts a
+to a durable stream cursor (per-kind record counts, the same against
+either trace format), :mod:`repro.live.supervisor` restarts a
 crashed serve loop with capped backoff and drains gracefully on
 SIGTERM, and :mod:`repro.live.chaos` is the seeded kill/corrupt/resume
 harness proving the recovery contract (resumed final snapshot
@@ -22,7 +23,7 @@ bit-equal to an uninterrupted run).
 
     header = read_header("run.jsonl")
     pipeline = LivePipeline.from_header(header)
-    for event in merged_events("run.jsonl"):
+    for event in trace_events("run.jsonl"):
         pipeline.publish(event)
     snapshot = pipeline.finish()        # == batch analyze_trace result
 """

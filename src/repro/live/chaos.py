@@ -28,16 +28,17 @@ from typing import Iterable, Iterator, Optional, Union
 from repro.live.checkpoint import (
     CheckpointManager,
     CheckpointPolicy,
+    ReplayCursor,
     TraceReplayer,
     resume_or_create,
 )
 from repro.live.pipeline import PipelineConfig
-from repro.traces.stream import (
+from repro.traces import (
     TraceEvent,
-    merged_events,
+    TraceTruncated,
+    open_trace,
     read_header,
-    scan_resume_offset,
-    stream_events,
+    trace_events,
 )
 
 
@@ -152,7 +153,7 @@ def perturbed_events(path: Union[str, Path], plan: ChaosPlan,
     skip ``cursor.published`` events and land exactly where the dead
     process stopped.
     """
-    events: Iterable[TraceEvent] = merged_events(path, on_error)
+    events: Iterable[TraceEvent] = trace_events(path, on_error)
     if plan.duplicate_every > 1:
         events = _duplicated(events, plan.duplicate_every)
     if plan.reorder_window > 1:
@@ -214,9 +215,9 @@ def corrupt_newest_checkpoint(manager: CheckpointManager,
 def probe_trace_truncation(trace_path: Union[str, Path],
                            workdir: Union[str, Path]) -> dict:
     """Cut the trace mid-way through its final record and verify the
-    reader (a) detects the partial record, (b) reports the correct
-    resume offset, and (c) resumes cleanly once the writer completes
-    the file."""
+    reader (a) detects the partial record, (b) reports the byte it
+    starts at, and (c) resumes cleanly — from a count cursor taken at
+    the cut — once the writer completes the file."""
     trace_path = Path(trace_path)
     data = trace_path.read_bytes()
     body = data.rstrip(b"\n")
@@ -225,23 +226,23 @@ def probe_trace_truncation(trace_path: Union[str, Path],
     copy = Path(workdir) / "truncated-trace.jsonl"
     copy.write_bytes(data[:cut])
 
-    errors: list[tuple[int, str, str]] = []
-
-    def on_error(line_no: int, reason: str, snippet: str) -> None:
-        errors.append((line_no, reason, snippet))
-
-    partial = sum(1 for _ in stream_events(copy, on_error))
-    detected = any("TraceTruncated" in reason
-                   for _line, reason, _snip in errors)
-    resume_offset = scan_resume_offset(copy)
-    # the writer finishes the file; resume from the intact prefix
+    resume_offset = None
+    try:
+        open_trace(copy).close()
+    except TraceTruncated as error:
+        resume_offset = error.byte_offset
+    # a lenient reader delivers the intact prefix
+    cursor = ReplayCursor()
+    for event in trace_events(copy, on_error=lambda *_: None):
+        cursor.advance(event)
+    partial = cursor.published
+    # the writer finishes the file; resume from the cursor
     copy.write_bytes(data)
-    line_no = data[:resume_offset].count(b"\n") + 1
-    resumed = sum(1 for _ in stream_events(
-        copy, start_offset=resume_offset, start_line=line_no))
-    total = sum(1 for _ in stream_events(copy))
+    resumed = sum(1 for _ in trace_events(copy, cursor=cursor))
+    with open_trace(copy) as trace:
+        total = trace.data_records
     return {
-        "detected": detected,
+        "detected": resume_offset is not None,
         "cut_at": cut,
         "resume_offset": resume_offset,
         "offset_correct": resume_offset == last_start,
@@ -365,7 +366,8 @@ def derive_kill_points(trace_path: Union[str, Path], plan_seed: int,
     """Spread ``kills`` seeded kill points over the stream's length
     (used by ``repro chaos --kills N`` when no explicit points are
     given)."""
-    total = sum(1 for _ in merged_events(trace_path))
+    with open_trace(trace_path) as trace:
+        total = trace.data_records
     if duplicate_every > 1:
         total += total // duplicate_every
     if total <= 1 or kills <= 0:

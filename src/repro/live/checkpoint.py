@@ -7,7 +7,11 @@ pipeline durable:
 * :class:`CheckpointManager` writes **versioned, atomic snapshots** of
   the full :class:`~repro.live.pipeline.LivePipeline` state (graph
   aggregates, watermark heap, bus queue, quarantine/degradation
-  counters) keyed to a durable trace-stream cursor.  Writes go through
+  counters) keyed to a durable trace-stream cursor — per-kind record
+  counts, which mean the same against a JSONL and its ``.vcol``; the
+  quarantine state travels in the snapshot, so a resumed
+  :func:`repro.traces.trace_events` does not report a file's bad lines
+  a second time.  Writes go through
   ``tmp + fsync + rename`` so a crash mid-write never corrupts the
   latest good snapshot; loads verify a SHA-256 checksum and fall back
   through older snapshots when the newest is truncated or bit-flipped.
@@ -77,65 +81,42 @@ class CheckpointPolicy:
 class ReplayCursor:
     """Durable position in the trace stream.
 
-    The portable contract is **(format-independent) per-kind record
-    counts**: ``counts`` maps each record kind to how many records of
-    that kind the deterministic merged stream has delivered.  Because
-    the merge order is a pure function of the trace contents, a count
-    cursor resumes against *either* on-disk format — a checkpoint
-    taken while replaying JSONL resumes against the columnar
-    conversion of the same capture, and vice versa (see
+    The one resume coordinate is **per-kind record counts**: ``counts``
+    maps each record kind to how many records of that kind the
+    deterministic merged stream has delivered.  Because the merge
+    order is a pure function of the trace contents, a count cursor
+    resumes against *either* on-disk format — a checkpoint taken while
+    replaying JSONL resumes against the columnar conversion of the
+    same capture, and vice versa (see
     :func:`repro.traces.trace_events`).
-
-    ``positions`` is the JSONL fast path: each kind's
-    ``[end_offset, next_line]`` of the last event consumed, letting
-    :func:`repro.traces.stream.merged_events` seek instead of
-    re-scanning.  Offsets are only recorded when events carry them
-    (JSONL sources), and only apply to the same JSONL file.
 
     ``published`` counts all events delivered (both kinds), the
     checkpoint filename key.
     """
 
     published: int = 0
-    positions: dict[str, list[int]] = field(default_factory=dict)
-    #: format-portable per-kind record counts
     counts: dict[str, int] = field(default_factory=dict)
 
     def advance(self, event: TraceEvent) -> None:
         self.published += 1
         self.counts[event.kind] = self.counts.get(event.kind, 0) + 1
-        if event.end_offset >= 0:
-            self.positions[event.kind] = [event.end_offset,
-                                          event.line_no + 1]
-
-    def resume_map(self) -> Optional[dict[str, tuple[int, int]]]:
-        """The ``resume=`` argument for ``merged_events``, or None
-        when no event carried file offsets (synthetic or columnar
-        streams — resume those via :meth:`resume_counts`)."""
-        if not self.positions:
-            return None
-        return {kind: (int(offset), int(line))
-                for kind, (offset, line) in self.positions.items()}
 
     def resume_counts(self) -> dict[str, int]:
-        """Per-kind records already consumed — the format-portable
-        resume coordinate for :func:`repro.traces.trace_events`."""
+        """Per-kind records already consumed — the resume coordinate
+        for :func:`repro.traces.trace_events`."""
         return {kind: int(count)
                 for kind, count in self.counts.items()}
 
     def to_dict(self) -> dict:
         return {"published": self.published,
-                "positions": {k: list(v)
-                              for k, v in sorted(self.positions.items())},
                 "counts": {k: int(v)
                            for k, v in sorted(self.counts.items())}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReplayCursor":
+        # documents written before counts were the only coordinate
+        # also carry a ``positions`` key (JSONL byte offsets): ignored
         return cls(published=int(data.get("published", 0)),
-                   positions={str(k): [int(v[0]), int(v[1])]
-                              for k, v in
-                              (data.get("positions") or {}).items()},
                    counts={str(k): int(v) for k, v in
                            (data.get("counts") or {}).items()})
 
@@ -306,9 +287,9 @@ class TraceReplayer:
 
     ``events`` must already be positioned at ``cursor`` (use
     :func:`repro.traces.trace_events` with ``cursor=cursor``, which
-    picks byte-offset seeking for JSONL and record-count skipping for
-    columnar sources; or skip ``cursor.published`` events of a
-    transformed stream).  Optional hooks:
+    skips the records the cursor has counted; or skip
+    ``cursor.published`` events of a transformed stream).  Optional
+    hooks:
 
     * ``pacing(event)`` — called before each publish (replay-speed
       sleeps in ``repro serve``);

@@ -19,22 +19,24 @@ Two on-disk formats share one schema: the JSONL capture (greppable,
 appendable, the recorder's ground truth) and the columnar store
 (:mod:`repro.traces.columnar` — mmap replay, zero-copy queries, the
 hot-path format).  ``repro trace convert`` moves between them
-losslessly; every reader here sniffs the format, and
-:func:`trace_events` is the format-agnostic replay entry point::
+losslessly, and there is one reader for both: :func:`open_trace` sniffs
+the file and returns a :class:`ColumnarTrace` (a JSONL is decoded into
+columns once, at this edge).  :func:`read_header`, :func:`trace_events`
+and :func:`load_trace` are thin calls over it::
 
-    write_columnar("run.jsonl", "run.vtrc")
-    for event in trace_events("run.vtrc", cursor=cursor):
+    write_columnar("run.jsonl", "run.vcol")
+    for event in trace_events("run.vcol", cursor=cursor):
         pipeline.publish(event)
 """
 
-from typing import Iterator, Optional, Union
-
 from repro.traces.columnar import (
     ColumnarTrace,
-    columnar_events,
     content_address,
     jsonl_digest,
+    open_trace,
+    read_header,
     sniff_format,
+    trace_events,
     write_columnar,
     write_jsonl,
 )
@@ -58,78 +60,8 @@ from repro.traces.stream import (
     ErrorSink,
     TraceEvent,
     TraceHeader,
-    merged_events,
-    read_header,
-    stream_events,
+    TraceTruncated,
 )
-
-
-def _skip_by_counts(path, on_error: Optional[ErrorSink],
-                    counts: dict[str, int]) -> Iterator[TraceEvent]:
-    """Merged JSONL stream with the first ``counts[kind]`` records of
-    each kind dropped — the slow-but-portable resume path used when a
-    cursor has no byte offsets for this file.
-
-    While the skip is still in progress, quarantine callbacks are
-    muted: the skipped region was already accounted by the run that
-    produced the cursor, and re-reporting it would double-count into
-    restored quarantine state.
-    """
-    remaining = {kind: int(count)
-                 for kind, count in counts.items() if count > 0}
-    skipping = [bool(remaining)]
-    sink: Optional[ErrorSink] = on_error
-    if on_error is not None:
-        def sink(line_no: int, reason: str, snippet: str) -> None:
-            if not skipping[0]:
-                on_error(line_no, reason, snippet)
-    for event in merged_events(path, sink):
-        left = remaining.get(event.kind, 0)
-        if left > 0:
-            remaining[event.kind] = left - 1
-            if left == 1 and not any(remaining.values()):
-                skipping[0] = False
-            continue
-        yield event
-
-
-def trace_events(path, on_error: Optional[ErrorSink] = None,
-                 cursor=None) -> Iterator[TraceEvent]:
-    """Merged completion-time event stream over either trace format.
-
-    The one replay entry point hot consumers share (``repro serve``,
-    fleet tenants, benchmarks): sniffs the format, then picks the
-    cheapest correct resume strategy for ``cursor`` (a
-    :class:`~repro.live.checkpoint.ReplayCursor` or anything with its
-    ``resume_map()``/``resume_counts()`` shape):
-
-    * columnar file — replay the stored merge permutation, skipping
-      the first ``resume_counts()`` records per kind without decoding;
-    * JSONL file with byte offsets in the cursor — seek via
-      ``merged_events(resume=...)`` (offsets only ever come from the
-      same JSONL file);
-    * JSONL file with only counts (the cursor was taken against the
-      columnar form) — re-scan, dropping already-consumed records.
-
-    Either way the yielded suffix is identical to what an
-    uninterrupted replay would have produced from ``cursor`` on — the
-    recovery contract is format-independent.
-    """
-    if sniff_format(path) == "columnar":
-        skip = cursor.resume_counts() if cursor is not None else None
-        yield from columnar_events(path, on_error=on_error, skip=skip)
-        return
-    if cursor is not None:
-        resume = cursor.resume_map()
-        if resume is not None:
-            yield from merged_events(path, on_error, resume=resume)
-            return
-        counts = cursor.resume_counts()
-        if any(counts.values()):
-            yield from _skip_by_counts(path, on_error, counts)
-            return
-    yield from merged_events(path, on_error)
-
 
 __all__ = [
     "encode_flow_key",
@@ -144,14 +76,14 @@ __all__ = [
     "TraceRuntime",
     "load_trace",
     "analyze_trace",
+    "ErrorSink",
     "TraceEvent",
     "TraceHeader",
+    "TraceTruncated",
+    "open_trace",
     "read_header",
-    "stream_events",
-    "merged_events",
     "trace_events",
     "ColumnarTrace",
-    "columnar_events",
     "content_address",
     "jsonl_digest",
     "sniff_format",

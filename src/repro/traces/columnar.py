@@ -1,14 +1,23 @@
-"""Columnar on-disk trace store with mmap replay.
+"""Columnar trace store, and the one trace reader.
 
-The JSONL trace format keeps the capture greppable, but every hot
-consumer — fleet tenant replay, the Fig 9-14 matrix runner, chaos
-resume — pays ``json.loads`` per line per pass, and
-:func:`~repro.traces.stream.merged_events` parses each line *twice*
-(once per per-kind stream).  This module is the read-optimized sibling
-format: the same records, stored as per-kind columns (extending the
-``ColumnarRing`` idiom from :mod:`repro.simnet.ringbuf` onto disk) so a
-replay decodes values straight out of an ``mmap`` with no JSON in the
-path.
+The JSONL trace format keeps the capture greppable, but a consumer that
+reads it pays ``json.loads`` per line per pass.  This module is the
+read-optimized sibling format: the same records, stored as per-kind
+columns (extending the ``ColumnarRing`` idiom from
+:mod:`repro.simnet.ringbuf` onto disk) so a replay decodes values
+straight out of an ``mmap`` with no JSON in the path.
+
+It is also the only reader either format has.  :func:`open_trace`
+sniffs a file once and returns a :class:`ColumnarTrace`: the mapped
+file for a ``.vcol``, or, for a JSONL, the same class over the bytes
+the converter would have written — :func:`_build_from_jsonl`, the one
+JSONL line loop in the tree, parses each line once into columns and
+:func:`_emit` lays them out in memory.  A JSONL is therefore read at
+the cost of its columns, not in O(1) memory; what it buys is that
+header, replay, batch load, resume and conversion all see one decoder
+and answer a hostile file the same way (:class:`TraceFormatError` with
+the line number, :class:`TraceTruncated` with the byte the partial
+record starts at).
 
 File layout (container version ``COLUMNAR_VERSION``)::
 
@@ -48,10 +57,15 @@ is therefore byte-identical, which ``repro trace convert`` verifies by
 SHA-256 by default.
 
 Replay order: the completion-time merge (time, then step records
-before switch reports, then line number — exactly
-:func:`~repro.traces.stream.merged_events`) is *precomputed at
-conversion time* and stored as a permutation column, so replay is a
-single sequential walk with no heap.
+before switch reports — hosts report a step's end before switches
+report the window that contained it — then line number) is
+*precomputed at conversion time* and stored as a permutation column,
+so replay is a single sequential walk with no heap.
+
+Lenient reads: with an ``on_error`` sink a malformed line is reported
+once and skipped.  A JSONL's bad lines are found while it is built, a
+``.vcol``'s preserved ones when it is opened — either way *at open*,
+before the first event, not interleaved with the stream.
 
 mmap lifetime: column views borrow the mapping.  :meth:`ColumnarTrace.
 close` releases the views before closing the mmap; decoded records
@@ -62,10 +76,10 @@ after close.  Do not hold raw column views past ``close()``.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import mmap
 import struct
-import warnings
 from array import array
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
@@ -303,6 +317,11 @@ class _Builder:
             self._rollback("r", *mark)
             raise
 
+    def prologue(self) -> dict:
+        """The prologue in the directory's JSON form."""
+        return {"meta": self.meta, "schedule": self.schedule,
+                "flow_keys": self.flow_keys, "expected": self.expected}
+
     # ------------------------------------------------------------------
     def finish_merge(self) -> None:
         """Precompute the completion-time merge permutation."""
@@ -368,88 +387,96 @@ def _is_sorted(column) -> bool:
     return all(map(le, column, islice(column, 1, None)))
 
 
-def _build_from_jsonl(src: Union[str, Path],
-                      on_error: Optional[ErrorSink] = None) -> _Builder:
-    """Stream a JSONL trace once into a column builder.
+def _build_from_jsonl(handle, on_error: Optional[ErrorSink] = None,
+                      prologue_only: bool = False) -> _Builder:
+    """Stream a JSONL trace (a binary file object) once into a column
+    builder — the one JSONL line loop, and the one decoder of prologue
+    entries, in the tree.
 
     Without ``on_error`` any malformed or undecodable line raises
-    (:class:`TraceTruncated` for a missing final newline); with it the
-    line is preserved byte-exact as a ``RAW_MALFORMED`` raw line and
-    reported, mirroring the lenient JSONL readers.
+    :class:`TraceFormatError` with its line number
+    (:class:`TraceTruncated`, with the byte it starts at, for a final
+    line cut short of its newline); with it the line is preserved
+    byte-exact as a ``RAW_MALFORMED`` raw line and reported.
+    ``prologue_only`` stops at the first data record, reading nothing
+    past it: the header scan.
     """
     builder = _Builder()
-    with Path(src).open("rb") as handle:
-        for line_no, raw in enumerate(handle, 1):
-            text = raw.decode("utf-8", errors="replace").strip()
-            if not text:
-                builder.raw_line(RAW_BLANK, None, line_no, raw)
-                continue
-            kind: Optional[str] = None
-            try:
-                entry = json.loads(text)
-                if not isinstance(entry, dict):
-                    raise TraceFormatError(
-                        f"expected a JSON object, got "
-                        f"{type(entry).__name__}")
-                kind = entry.get("kind")
+    offset = 0
+    for line_no, raw in enumerate(handle, 1):
+        start = offset
+        offset += len(raw)
+        text = raw.decode("utf-8", errors="replace").strip()
+        if not text:
+            builder.raw_line(RAW_BLANK, None, line_no, raw)
+            continue
+        kind: Optional[str] = None
+        try:
+            entry = json.loads(text)
+            if not isinstance(entry, dict):
+                raise TraceFormatError(
+                    f"expected a JSON object, got "
+                    f"{type(entry).__name__}")
+            kind = entry.get("kind")
+            if kind in DATA_KINDS:
+                if prologue_only:
+                    break
                 if kind == "step_record":
                     builder.add_step_record(entry, line_no)
-                elif kind == "switch_report":
+                else:
                     builder.add_switch_report(entry, line_no)
-                elif kind == "meta":
-                    if entry.get("version") != FORMAT_VERSION:
-                        raise TraceFormatError(
-                            f"unsupported trace version: found "
-                            f"{entry.get('version')!r}, expected "
-                            f"{FORMAT_VERSION!r}", line_no)
-                    builder.meta = entry
-                    builder.raw_line(RAW_PROLOGUE, kind, line_no, raw)
-                elif kind == "schedule":
-                    # decode once so a corrupt prologue fails the
-                    # conversion, but store the original JSON form
-                    serialize.decode_schedule(entry["schedule"])
-                    builder.schedule = entry["schedule"]
-                    builder.raw_line(RAW_PROLOGUE, kind, line_no, raw)
-                elif kind == "flow_key":
-                    serialize.decode_flow_key(entry["flow"])
-                    builder.flow_keys.append(
-                        [entry["node"], int(entry["step"]),
-                         list(entry["flow"])])
-                    builder.raw_line(RAW_PROLOGUE, kind, line_no, raw)
-                elif kind == "expected":
-                    builder.expected.append(
-                        [entry["node"], int(entry["step"]),
-                         float(entry["time_ns"])])
-                    builder.raw_line(RAW_PROLOGUE, kind, line_no, raw)
-                else:
-                    label = str(kind)
-                    builder.unknown_kinds[label] = \
-                        builder.unknown_kinds.get(label, 0) + 1
-                    builder.raw_line(RAW_UNKNOWN, label, line_no, raw)
-            except TraceTruncated:
-                raise
-            except Exception as error:  # noqa: BLE001 - quarantine
-                if not raw.endswith(b"\n") \
-                        and isinstance(error, ValueError):
-                    truncated = TraceTruncated(
-                        "file ends mid-record", line_no, None)
-                    if on_error is None:
-                        raise truncated from error
-                    on_error(line_no, f"TraceTruncated: {truncated}",
-                             text)
-                elif on_error is None:
-                    if isinstance(error, TraceFormatError):
-                        raise
+            elif kind == "meta":
+                if entry.get("version") != FORMAT_VERSION:
                     raise TraceFormatError(
-                        f"{type(error).__name__}: {error}",
-                        line_no) from error
-                else:
-                    on_error(line_no,
-                             f"{type(error).__name__}: {error}", text)
-                builder.raw_line(RAW_MALFORMED, None, line_no, raw)
+                        f"unsupported trace version: found "
+                        f"{entry.get('version')!r}, expected "
+                        f"{FORMAT_VERSION!r}", line_no)
+                builder.meta = entry
+                builder.raw_line(RAW_PROLOGUE, kind, line_no, raw)
+            elif kind == "schedule":
+                # decode once so a corrupt prologue fails the
+                # conversion, but store the original JSON form
+                serialize.decode_schedule(entry["schedule"])
+                builder.schedule = entry["schedule"]
+                builder.raw_line(RAW_PROLOGUE, kind, line_no, raw)
+            elif kind == "flow_key":
+                serialize.decode_flow_key(entry["flow"])
+                builder.flow_keys.append(
+                    [entry["node"], int(entry["step"]),
+                     list(entry["flow"])])
+                builder.raw_line(RAW_PROLOGUE, kind, line_no, raw)
+            elif kind == "expected":
+                builder.expected.append(
+                    [entry["node"], int(entry["step"]),
+                     float(entry["time_ns"])])
+                builder.raw_line(RAW_PROLOGUE, kind, line_no, raw)
+            else:
+                label = str(kind)
+                builder.unknown_kinds[label] = \
+                    builder.unknown_kinds.get(label, 0) + 1
+                builder.raw_line(RAW_UNKNOWN, label, line_no, raw)
+        except Exception as error:  # noqa: BLE001 - quarantine
+            if kind == "meta" and isinstance(error, TraceFormatError):
+                raise   # an unsupported version is never quarantined
+            if not raw.endswith(b"\n") \
+                    and isinstance(error, ValueError):
+                # the file stops mid-record: an incomplete write, not
+                # corruption
+                failure = TraceTruncated(
+                    "file ends mid-record", line_no, start)
+                reason = f"TraceTruncated: {failure}"
+            else:
+                reason = f"{type(error).__name__}: {error}"
+                failure = TraceFormatError(reason, line_no)
+            if on_error is None:
+                raise failure from error
+            on_error(line_no, reason, text)
+            builder.raw_line(RAW_MALFORMED, None, line_no, raw)
     if builder.schedule is None:
-        raise TraceFormatError(f"{src} contains no schedule record")
-    builder.finish_merge()
+        raise TraceFormatError(
+            f"{handle.name} contains no schedule record")
+    if not prologue_only:
+        builder.finish_merge()
     return builder
 
 
@@ -477,12 +504,7 @@ def _emit(builder: _Builder, sink) -> None:
     directory = {
         "format": "repro-columnar",
         "version": COLUMNAR_VERSION,
-        "header": {
-            "meta": builder.meta,
-            "schedule": builder.schedule,
-            "flow_keys": builder.flow_keys,
-            "expected": builder.expected,
-        },
+        "header": builder.prologue(),
         "strings": list(builder.strings),
         "flows": [list(flow) for flow in builder.flows],
         "counts": {
@@ -516,7 +538,8 @@ def write_columnar(src: Union[str, Path], dst: Union[str, Path],
     import os
 
     dst = Path(dst)
-    builder = _build_from_jsonl(src, on_error)
+    with Path(src).open("rb") as handle:
+        builder = _build_from_jsonl(handle, on_error)
     tmp = dst.with_name(dst.name + ".tmp")
     try:
         with tmp.open("wb") as handle:
@@ -554,7 +577,8 @@ def content_address(path: Union[str, Path]) -> str:
             for chunk in iter(lambda: handle.read(1 << 20), b""):
                 hasher.update(chunk)
         return hasher.hexdigest()
-    builder = _build_from_jsonl(path)
+    with path.open("rb") as handle:
+        builder = _build_from_jsonl(handle)
     sink = _HashSink()
     _emit(builder, sink)
     return sink.hasher.hexdigest()
@@ -621,11 +645,34 @@ def _directory_problem(directory, data_end: int) -> Optional[str]:
     return None
 
 
-class ColumnarTrace:
-    """mmap-backed zero-copy reader for one columnar trace file.
+def _decode_header(head: dict, path) -> TraceHeader:
+    """A :class:`TraceHeader` from the prologue's directory form."""
+    meta = head["meta"]
+    try:
+        return TraceHeader(
+            schedule=serialize.decode_schedule(head["schedule"]),
+            flow_keys={(node, int(step)): serialize.decode_flow_key(flow)
+                       for node, step, flow in head["flow_keys"]},
+            expected_step_times={(node, int(step)): float(t)
+                                 for node, step, t in head["expected"]},
+            pfc_xoff_bytes=int(meta.get("pfc_xoff_bytes", 0)),
+            meta=meta,
+        )
+    except (IndexError, KeyError, TypeError, ValueError) as error:
+        raise TraceFormatError(
+            f"{path}: corrupt header: "
+            f"{type(error).__name__}: {error}") from error
 
-    Opening maps the file read-only, parses its directory and checks
-    it against the file (:func:`_directory_problem`) — nothing else.
+
+class ColumnarTrace:
+    """Zero-copy reader over one trace in columnar form — the read view
+    of either on-disk format (:func:`open_trace`).
+
+    ``ColumnarTrace(path)`` maps a ``.vcol`` read-only; ``data`` is the
+    file's bytes when the caller already holds them (the mapping
+    :func:`open_trace` sniffed, or a JSONL's in-memory conversion).
+    Opening parses the directory and checks it against the bytes
+    (:func:`_directory_problem`) — nothing else.
     Column views are cast, the flow dictionary interned and the record
     decoders ``step_record(i)`` / ``switch_report(i)`` bound when first
     asked for, so an open that reads one directory field pays for one
@@ -633,20 +680,18 @@ class ColumnarTrace:
     docstring for mmap lifetime rules.
     """
 
-    def __init__(self, path: Union[str, Path],
-                 use_mmap: bool = True) -> None:
+    def __init__(self, path: Union[str, Path], data=None) -> None:
         self.path = Path(path)
-        self._mm: Optional[mmap.mmap] = None
         self._views: dict[str, memoryview] = {}
         self._header: Optional[TraceHeader] = None
         self._raw_blob = memoryview(b"")
-        with self.path.open("rb") as handle:
-            if use_mmap:
-                self._mm = mmap.mmap(handle.fileno(), 0,
-                                     access=mmap.ACCESS_READ)
-                self._buf = memoryview(self._mm)
-            else:
-                self._buf = memoryview(handle.read())
+        if data is None:
+            with self.path.open("rb") as handle:
+                data = mmap.mmap(handle.fileno(), 0,
+                                 access=mmap.ACCESS_READ)
+        # a mapping handed in is owned from here on: close() unmaps it
+        self._mm = data if isinstance(data, mmap.mmap) else None
+        self._buf = memoryview(data)
         try:
             self._open_directory()
         except BaseException:
@@ -699,6 +744,12 @@ class ColumnarTrace:
             return self.__dict__[name]
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    @property
+    def data_records(self) -> int:
+        """How many events a full replay yields, read off the
+        directory."""
+        return sum(self.counts[kind] for kind in DATA_KINDS)
 
     @cached_property
     def flows(self) -> list[FlowKey]:
@@ -769,25 +820,8 @@ class ColumnarTrace:
     def header(self) -> TraceHeader:
         """The prologue, decoded once and cached."""
         if self._header is None:
-            head = self.directory["header"]
-            meta = head["meta"]
-            try:
-                self._header = TraceHeader(
-                    schedule=serialize.decode_schedule(head["schedule"]),
-                    flow_keys={(node, int(step)):
-                               serialize.decode_flow_key(flow)
-                               for node, step, flow in head["flow_keys"]},
-                    expected_step_times={(node, int(step)): float(t)
-                                         for node, step, t
-                                         in head["expected"]},
-                    pfc_xoff_bytes=int(meta.get("pfc_xoff_bytes", 0)),
-                    meta=meta,
-                )
-            except (IndexError, KeyError, TypeError,
-                    ValueError) as error:
-                raise TraceFormatError(
-                    f"{self.path}: corrupt header: "
-                    f"{type(error).__name__}: {error}") from error
+            self._header = _decode_header(
+                self.directory["header"], self.path)
         return self._header
 
     # ------------------------------------------------------------------
@@ -922,27 +956,10 @@ class ColumnarTrace:
         self.switch_report = switch_report
 
     # ------------------------------------------------------------------
-    def iter_kind(self, kind: str, start: int = 0
-                  ) -> Iterator[TraceEvent]:
-        """Events of one kind in record order, from index ``start``."""
-        if kind == "step_record":
-            decode, lines = self.step_record, self.col("s.line")
-            times = self.col("s.end")
-        elif kind == "switch_report":
-            decode, lines = self.switch_report, self.col("r.line")
-            times = self.col("r.time")
-        else:
-            raise ValueError(f"unknown data kind: {kind!r}")
-        with self._data_errors():
-            for i in range(start, self.counts[kind]):
-                yield TraceEvent(kind, times[i], decode(i), lines[i],
-                                 index=i)
-
     def iter_events(self, skip: Optional[dict[str, int]] = None
                     ) -> Iterator[TraceEvent]:
         """All data events in completion-time order (the stored merge
-        permutation — identical to :func:`~repro.traces.stream.
-        merged_events` over the JSONL form).
+        permutation).
 
         ``skip`` maps a kind to the number of its records already
         consumed (a :meth:`~repro.live.checkpoint.ReplayCursor.
@@ -973,7 +990,6 @@ class ColumnarTrace:
                     setattr_(event, "__dict__", {
                         "kind": "step_record", "time": s_times[i],
                         "payload": step(i), "line_no": s_lines[i],
-                        "byte_offset": -1, "end_offset": -1,
                         "index": i})
                 else:
                     if i < w_skip:
@@ -982,28 +998,37 @@ class ColumnarTrace:
                     setattr_(event, "__dict__", {
                         "kind": "switch_report", "time": w_times[i],
                         "payload": report(i), "line_no": w_lines[i],
-                        "byte_offset": -1, "end_offset": -1,
                         "index": i})
                 yield event
 
-    def _flagged_lines(self) -> Iterator[tuple[int, Optional[str],
-                                               int, str]]:
-        """``(cls, kind, line_no, text)`` of every preserved
-        unknown-kind or malformed line, in file order.  Found from the
-        ``raw.cls`` column: the prologue and blank lines that make up
-        the rest of the raw blob are never materialised."""
+    def decode_all(self) -> tuple[list[StepRecord], list[SwitchReport]]:
+        """Every step record and every switch report, in record
+        order."""
+        with self._data_errors():
+            return ([self.step_record(i)
+                     for i in range(self.counts["step_record"])],
+                    [self.switch_report(i)
+                     for i in range(self.counts["switch_report"])])
+
+    def flagged_lines(self, cls: int
+                      ) -> Iterator[tuple[Optional[str], int, str]]:
+        """``(kind, line_no, text)`` of every preserved raw line of
+        class ``cls`` (``RAW_UNKNOWN`` or ``RAW_MALFORMED``), in file
+        order.  Found from the ``raw.cls`` column: the prologue and
+        blank lines that make up the rest of the raw blob are never
+        materialised."""
         kind_col, line_col = self.col("raw.kind"), self.col("raw.line")
         off_col, len_col = self.col("raw.off"), self.col("raw.len")
-        for i, cls in enumerate(self.col("raw.cls")):
-            if cls != RAW_UNKNOWN and cls != RAW_MALFORMED:
-                continue
-            kind_id = kind_col[i]
-            raw = bytes(
-                self._raw_blob[off_col[i]:off_col[i] + len_col[i]])
-            yield (cls,
-                   None if kind_id < 0 else self.strings[kind_id],
-                   line_col[i],
-                   raw.decode("utf-8", errors="replace").strip())
+        with self._data_errors():
+            for i, found in enumerate(self.col("raw.cls")):
+                if found != cls:
+                    continue
+                kind_id = kind_col[i]
+                raw = bytes(
+                    self._raw_blob[off_col[i]:off_col[i] + len_col[i]])
+                yield (None if kind_id < 0 else self.strings[kind_id],
+                       line_col[i],
+                       raw.decode("utf-8", errors="replace").strip())
 
     # ------------------------------------------------------------------
     # zero-copy query layer
@@ -1283,73 +1308,82 @@ def jsonl_digest(path: Union[str, Path]) -> str:
 
 
 # ----------------------------------------------------------------------
-# batch load (Trace parity with the JSONL loader)
+# the one reader
 # ----------------------------------------------------------------------
-def load_columnar_trace(path: Union[str, Path],
-                        quarantine=None):
-    """Load a columnar file into a :class:`~repro.traces.store.Trace`
-    with the same quarantine/warning semantics as the JSONL loader."""
-    from repro.live.robustness import Quarantine
-    from repro.traces.store import Trace
+def open_trace(path: Union[str, Path],
+               on_error: Optional[ErrorSink] = None) -> ColumnarTrace:
+    """Open a trace in either on-disk format as a
+    :class:`ColumnarTrace` (close it, or use it as a context manager).
 
-    if quarantine is None:
-        quarantine = Quarantine()
-    with ColumnarTrace(path) as trace, trace._data_errors():
-        header = trace.header()
-        unknown_kinds: dict[str, int] = {}
-        for cls, kind, line_no, text in trace._flagged_lines():
-            if cls == RAW_MALFORMED:
-                # the strict JSONL loader would have raised here
-                raise TraceFormatError(
-                    "columnar trace preserves a malformed source "
-                    "line", line_no)
-            label = str(kind)
-            if label not in unknown_kinds:
-                warnings.warn(
-                    f"skipping unknown trace record kind "
-                    f"{label!r} (first at line {line_no})",
-                    stacklevel=2)
-            unknown_kinds[label] = unknown_kinds.get(label, 0) + 1
-            quarantine.admit(
-                line_no, f"unknown trace record kind: {label}", text)
-        step_records = [trace.step_record(i)
-                        for i in range(trace.counts["step_record"])]
-        reports = [trace.switch_report(i)
-                   for i in range(trace.counts["switch_report"])]
-        return Trace(
-            schedule=header.schedule,
-            flow_keys=header.flow_keys,
-            expected_step_times=header.expected_step_times,
-            step_records=step_records,
-            reports=reports,
-            pfc_xoff_bytes=header.pfc_xoff_bytes,
-            meta=header.meta,
-            unknown_kinds=unknown_kinds,
-            quarantine=quarantine,
-        )
-
-
-def columnar_events(path: Union[str, Path],
-                    on_error: Optional[ErrorSink] = None,
-                    skip: Optional[dict[str, int]] = None
-                    ) -> Iterator[TraceEvent]:
-    """Standalone merged-order event stream over a columnar file.
-
-    Mirrors :func:`~repro.traces.stream.merged_events`: preserved
-    malformed lines are routed to ``on_error`` (or raise without one)
-    exactly as the lenient JSONL scan would report them.
+    The file is sniffed once: a ``.vcol`` is mapped; a JSONL is parsed
+    line by line into columns and read back from memory through the
+    same binding path.  Without ``on_error`` a malformed line — found
+    while building a JSONL, or preserved in a ``.vcol`` by a lenient
+    conversion — raises :class:`TraceFormatError` with its line
+    number; with it each is reported once, here, and skipped.
     """
-    with ColumnarTrace(path) as trace:
-        with trace._data_errors():
-            for cls, _kind, line_no, text in trace._flagged_lines():
-                if cls != RAW_MALFORMED:
-                    continue
-                if on_error is None:
-                    raise TraceFormatError(
-                        "columnar trace preserves a malformed "
-                        "source line", line_no)
-                on_error(line_no, "preserved malformed line", text)
-        yield from trace.iter_events(skip=skip)
+    with Path(path).open("rb") as handle:
+        if handle.read(len(MAGIC)) != MAGIC:
+            handle.seek(0)
+            sink = io.BytesIO()
+            _emit(_build_from_jsonl(handle, on_error), sink)
+            return ColumnarTrace(path, sink.getvalue())
+        trace = ColumnarTrace(path, mmap.mmap(
+            handle.fileno(), 0, access=mmap.ACCESS_READ))
+    try:
+        for _kind, line_no, text in trace.flagged_lines(RAW_MALFORMED):
+            if on_error is None:
+                raise TraceFormatError(
+                    "columnar trace preserves a malformed source line",
+                    line_no)
+            on_error(line_no, "preserved malformed line", text)
+    except BaseException:
+        trace.close()
+        raise
+    return trace
+
+
+def read_header(path: Union[str, Path],
+                on_error: Optional[ErrorSink] = None) -> TraceHeader:
+    """The prologue of a trace in either on-disk format.
+
+    A ``.vcol`` decodes it straight out of the directory; a JSONL is
+    scanned up to its first data record and no further, so a header
+    can be read while the recorder is still appending.
+    """
+    if sniff_format(path) == "columnar":
+        with ColumnarTrace(path) as trace:
+            return trace.header()
+    with Path(path).open("rb") as handle:
+        builder = _build_from_jsonl(handle, on_error, prologue_only=True)
+    return _decode_header(builder.prologue(), path)
+
+
+def _already_reported(line_no: int, reason: str, snippet: str) -> None:
+    """The sink of a resumed lenient replay."""
+
+
+def trace_events(path: Union[str, Path],
+                 on_error: Optional[ErrorSink] = None,
+                 cursor=None) -> Iterator[TraceEvent]:
+    """The completion-time event stream of a trace in either format —
+    the one replay entry point (``repro serve``, fleet tenants,
+    benchmarks).
+
+    ``cursor`` (a :class:`~repro.live.checkpoint.ReplayCursor`) resumes
+    it: the first ``cursor.resume_counts()`` records of each kind are
+    skipped without decoding, and the suffix is what an uninterrupted
+    replay would have yielded from there on, whichever format the
+    cursor was taken against.  Malformed lines go to ``on_error`` once
+    per stream, at open; a cursor that has consumed anything reports
+    none, because the run that wrote it already counted them and its
+    quarantine state travels in the checkpoint.
+    """
+    consumed = cursor.resume_counts() if cursor is not None else {}
+    if on_error is not None and any(consumed.values()):
+        on_error = _already_reported
+    with open_trace(path, on_error) as trace:
+        yield from trace.iter_events(skip=consumed)
 
 
 assert set(_CHILD_GROUPS) <= set(_COLUMN_TYPES), \

@@ -6,8 +6,8 @@ with a ``kind``: ``meta`` (versioning + network parameters),
 5-tuple map), ``expected`` (per-step ideal execution times),
 ``step_record`` and ``switch_report`` (the monitoring stream, in
 arrival order).  The read-optimized columnar sibling
-(:mod:`repro.traces.columnar`) stores the same records; every loader
-here accepts either file.
+(:mod:`repro.traces.columnar`) stores the same records and holds the
+one reader of both; :func:`load_trace` accepts either file.
 """
 
 from __future__ import annotations
@@ -146,86 +146,47 @@ class TraceRecorder:
 
 def load_trace(path: Union[str, Path],
                quarantine: Optional["Quarantine"] = None) -> Trace:
-    """Parse a trace file back into typed objects.
+    """Load a trace file, in either on-disk format, into typed objects
+    (:func:`repro.traces.open_trace`, every record decoded).
 
-    Unknown record kinds are skipped (forward compatibility) and the
-    skips are routed through the same :class:`~repro.live.robustness.
-    Quarantine` counter the live pipeline uses, so offline loads and
-    online streams report rejects identically.  Pass a ``quarantine``
-    to accumulate across several loads; otherwise a fresh one is
-    created and returned on :attr:`Trace.quarantine`.
-
-    Accepts either on-disk format: columnar files (see
-    :mod:`repro.traces.columnar`) are decoded through the mmap reader
-    with identical quarantine/warning semantics.
+    A malformed line raises :class:`TraceFormatError`.  Unknown record
+    kinds are skipped (forward compatibility) and the skips are routed
+    through the same :class:`~repro.live.robustness.Quarantine` counter
+    the live pipeline uses, so offline loads and online streams report
+    rejects identically.  Pass a ``quarantine`` to accumulate across
+    several loads; otherwise a fresh one is created and returned on
+    :attr:`Trace.quarantine`.
     """
     # imported lazily: repro.live.__init__ imports the pipeline, which
     # reads traces via this module — a top-level import would cycle
     from repro.live.robustness import Quarantine
-    from repro.traces import columnar
+    from repro.traces.columnar import RAW_UNKNOWN, open_trace
 
-    path = Path(path)
-    if columnar.sniff_format(path) == "columnar":
-        return columnar.load_columnar_trace(path, quarantine)
     if quarantine is None:
         quarantine = Quarantine()
-    schedule: Optional[StepSchedule] = None
-    flow_keys: dict[tuple[str, int], FlowKey] = {}
-    expected: dict[tuple[str, int], float] = {}
-    step_records: list[StepRecord] = []
-    reports: list[SwitchReport] = []
-    meta: dict = {}
     unknown_kinds: dict[str, int] = {}
-    with path.open() as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            entry = json.loads(line)
-            kind = entry.get("kind")
-            if kind == "meta":
-                meta = entry
-                if entry.get("version") != FORMAT_VERSION:
-                    raise TraceFormatError(
-                        f"unsupported trace version: found "
-                        f"{entry.get('version')!r}, expected "
-                        f"{FORMAT_VERSION!r}", line_no)
-            elif kind == "schedule":
-                schedule = serialize.decode_schedule(entry["schedule"])
-            elif kind == "flow_key":
-                flow_keys[(entry["node"], int(entry["step"]))] = \
-                    serialize.decode_flow_key(entry["flow"])
-            elif kind == "expected":
-                expected[(entry["node"], int(entry["step"]))] = \
-                    float(entry["time_ns"])
-            elif kind == "step_record":
-                step_records.append(serialize.decode_step_record(entry))
-            elif kind == "switch_report":
-                reports.append(serialize.decode_switch_report(entry))
-            else:
-                # forward compatibility: a newer writer's record kinds
-                # must not abort the load, but must not vanish either
-                label = str(kind)
-                if label not in unknown_kinds:
-                    warnings.warn(
-                        f"skipping unknown trace record kind {kind!r} "
-                        f"(first at line {line_no})",
-                        stacklevel=2)
-                unknown_kinds[label] = unknown_kinds.get(label, 0) + 1
-                quarantine.admit(
-                    line_no,
-                    f"unknown trace record kind: {label}",
-                    line)
-    if schedule is None:
-        raise TraceFormatError(f"{path} contains no schedule record")
+    with open_trace(path) as trace:
+        header = trace.header()
+        for label, line_no, text in trace.flagged_lines(RAW_UNKNOWN):
+            # forward compatibility: a newer writer's record kinds
+            # must not abort the load, but must not vanish either
+            if label not in unknown_kinds:
+                warnings.warn(
+                    f"skipping unknown trace record kind {label!r} "
+                    f"(first at line {line_no})",
+                    stacklevel=2)
+            unknown_kinds[label] = unknown_kinds.get(label, 0) + 1
+            quarantine.admit(
+                line_no, f"unknown trace record kind: {label}", text)
+        step_records, reports = trace.decode_all()
     return Trace(
-        schedule=schedule,
-        flow_keys=flow_keys,
-        expected_step_times=expected,
+        schedule=header.schedule,
+        flow_keys=header.flow_keys,
+        expected_step_times=header.expected_step_times,
         step_records=step_records,
         reports=reports,
-        pfc_xoff_bytes=int(meta.get("pfc_xoff_bytes", 0)),
-        meta=meta,
+        pfc_xoff_bytes=header.pfc_xoff_bytes,
+        meta=header.meta,
         unknown_kinds=unknown_kinds,
         quarantine=quarantine,
     )

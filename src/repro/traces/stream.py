@@ -1,56 +1,39 @@
-"""Streaming trace access: yield records instead of loading files.
+"""The types a trace reader hands out.
 
-:func:`load_trace` materializes an entire capture; a live service
-cannot.  This module reads the same JSONL format incrementally:
+There is one reader — :func:`repro.traces.open_trace`, which returns a
+:class:`~repro.traces.columnar.ColumnarTrace` over either on-disk
+format — and these are the shapes it speaks:
 
-* :func:`read_header` scans only the prologue (``meta`` / ``schedule``
-  / ``flow_key`` / ``expected`` entries) and stops at the first data
-  record;
-* :func:`stream_events` yields decoded ``step_record`` /
-  ``switch_report`` events one at a time, in file order;
-* :func:`merged_events` yields them in *completion-time order* — the
-  order the paper's analyzer queues entries in (§III-D1) — by merging
-  the two per-kind streams (each individually time-sorted by the
-  writer) with two file handles and O(1) buffering.
+* :class:`TraceHeader` — the prologue (``meta`` / ``schedule`` /
+  ``flow_key`` / ``expected`` entries), everything the analyzer needs
+  before the stream starts;
+* :class:`TraceEvent` — one ``step_record`` / ``switch_report`` of the
+  monitoring stream, delivered in *completion-time order*, the order
+  the paper's analyzer queues entries in (§III-D1);
+* :data:`ErrorSink` — the quarantine callback
+  ``on_error(line_no, reason, snippet)``: with one, a reader reports a
+  malformed line and skips it instead of raising, so one bad line
+  cannot take down a replay;
+* :class:`TraceTruncated` — a JSONL file that ends mid-record (a
+  crashed writer, a reader racing the recorder).  Its ``byte_offset``
+  is the first byte of the partial record: everything before it is
+  intact.
 
-Every reader takes an optional quarantine callback
-``on_error(line_no, reason, snippet)``; with it, malformed lines are
-reported and skipped instead of raising, so one truncated line cannot
-take down a tailing pipeline.
-
-All readers here sniff the on-disk format: a columnar file (see
-:mod:`repro.traces.columnar`) is dispatched to the mmap reader, so
-every consumer of :func:`read_header` / :func:`merged_events` accepts
-either format transparently.
-
-Resumability: for JSONL sources every :class:`TraceEvent` carries the
-byte offset of its record (``byte_offset``) and of the byte just past
-its terminating newline (``end_offset``).  A consumer that remembers,
-per kind, the ``(end_offset, line_no + 1)`` of the last event it fully
-processed can restart :func:`merged_events` from exactly that point
-via ``resume=`` — the fast-path cursor for the live service's
-checkpoints.  Byte offsets are a JSONL implementation detail; the
-format-portable coordinate is the per-kind record index
-(:attr:`TraceEvent.index` / cursor record counts — see
-:func:`repro.traces.trace_events`).  A
-file that ends mid-record (a crashed writer, a live tail racing the
-recorder) raises :class:`TraceTruncated`, whose ``byte_offset`` is the
-first byte of the partial record — i.e. the position to resume reading
-from once the writer completes the line.
+Resumability has one coordinate: the per-kind record index
+(:attr:`TraceEvent.index`, counted by
+:class:`repro.live.checkpoint.ReplayCursor`).  It is a pure function of
+the capture's contents, so a cursor taken against one on-disk format
+resumes against the other.
 """
 
 from __future__ import annotations
 
-import heapq
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional
 
 from repro.collective.primitives import StepSchedule
 from repro.simnet.packet import FlowKey
-from repro.traces import serialize
-from repro.traces.store import FORMAT_VERSION, TraceFormatError
+from repro.traces.store import TraceFormatError
 
 #: quarantine callback: (line_no, reason, snippet)
 ErrorSink = Callable[[int, str, str], None]
@@ -63,8 +46,9 @@ class TraceTruncated(TraceFormatError):
     """The file ends in the middle of a record.
 
     ``byte_offset`` is the offset of the partial record's first byte —
-    everything before it is intact, so it doubles as the resume cursor
-    once the writer finishes (or the operator chops) the broken tail.
+    everything before it is intact, so it is where a reader picks the
+    file up again once the writer finishes (or the operator chops) the
+    broken tail.
     """
 
     def __init__(self, message: str, line_no: Optional[int] = None,
@@ -94,277 +78,14 @@ class TraceEvent:
 
     ``time`` is the event's completion/emission time in simulation
     nanoseconds — a step record's ``end_time``, a switch report's
-    ``time``.  ``byte_offset``/``end_offset`` bracket the record's
-    bytes in the source file; they are JSONL-specific and -1 for
-    synthetic events and for columnar files.  ``index`` is the
-    format-portable coordinate: the event's per-kind record index
-    (0-based position among records of its kind), -1 when unknown —
-    this is what lets a checkpoint taken against one on-disk format
-    resume against the other.
+    ``time``.  ``line_no`` is the record's line in the JSONL form of
+    the capture (0 for synthetic events).  ``index`` is the resume
+    coordinate: the event's per-kind record index (0-based position
+    among records of its kind), -1 when unknown.
     """
 
     kind: str
     time: float
     payload: object
     line_no: int
-    byte_offset: int = -1
-    end_offset: int = -1
     index: int = -1
-
-
-@dataclass(frozen=True)
-class _Line:
-    """One physical line with its position and completeness."""
-
-    line_no: int
-    start: int
-    end: int
-    text: str
-    complete: bool  # had a terminating newline
-
-
-def _lines(path: Union[str, Path], start_offset: int = 0,
-           start_line: int = 1) -> Iterator[_Line]:
-    with Path(path).open("rb") as handle:
-        if start_offset > 0:
-            handle.seek(start_offset)
-        offset = start_offset
-        line_no = start_line - 1
-        for raw in handle:
-            line_no += 1
-            start = offset
-            offset += len(raw)
-            complete = raw.endswith(b"\n")
-            text = raw.decode("utf-8", errors="replace").strip()
-            if text:
-                yield _Line(line_no, start, offset, text, complete)
-
-
-def _parse(line: _Line,
-           on_error: Optional[ErrorSink]) -> Optional[dict]:
-    try:
-        entry = json.loads(line.text)
-        if not isinstance(entry, dict):
-            raise TraceFormatError(
-                f"expected a JSON object, got {type(entry).__name__}")
-        return entry
-    except (ValueError, TraceFormatError) as error:
-        if not line.complete:
-            # the file stops mid-record: not corruption but an
-            # incomplete write; surface the resume offset
-            truncated = TraceTruncated(
-                "file ends mid-record", line.line_no, line.start)
-            if on_error is None:
-                raise truncated from error
-            on_error(line.line_no,
-                     f"TraceTruncated: {truncated}", line.text)
-            return None
-        if on_error is None:
-            raise TraceFormatError(str(error), line.line_no) from error
-        on_error(line.line_no,
-                 f"{type(error).__name__}: {error}", line.text)
-        return None
-
-
-# ----------------------------------------------------------------------
-# header
-# ----------------------------------------------------------------------
-def _is_columnar(path: Union[str, Path]) -> bool:
-    from repro.traces import columnar
-
-    return columnar.sniff_format(path) == "columnar"
-
-
-def read_header(path: Union[str, Path],
-                on_error: Optional[ErrorSink] = None) -> TraceHeader:
-    """The prologue of a trace in either on-disk format.
-
-    JSONL files are scanned up to the first monitoring-stream record;
-    columnar files decode the header straight out of the directory
-    (no scan at all).
-    """
-    if _is_columnar(path):
-        from repro.traces.columnar import ColumnarTrace
-
-        with ColumnarTrace(path) as trace:
-            return trace.header()
-    schedule: Optional[StepSchedule] = None
-    flow_keys: dict[tuple[str, int], FlowKey] = {}
-    expected: dict[tuple[str, int], float] = {}
-    meta: dict = {}
-    for line in _lines(path):
-        entry = _parse(line, on_error)
-        if entry is None:
-            continue
-        kind = entry.get("kind")
-        if kind in DATA_KINDS:
-            break
-        if kind == "meta":
-            meta = entry
-            if entry.get("version") != FORMAT_VERSION:
-                raise TraceFormatError(
-                    f"unsupported trace version: found "
-                    f"{entry.get('version')!r}, expected "
-                    f"{FORMAT_VERSION!r}", line.line_no)
-        elif kind == "schedule":
-            schedule = serialize.decode_schedule(entry["schedule"])
-        elif kind == "flow_key":
-            flow_keys[(entry["node"], int(entry["step"]))] = \
-                serialize.decode_flow_key(entry["flow"])
-        elif kind == "expected":
-            expected[(entry["node"], int(entry["step"]))] = \
-                float(entry["time_ns"])
-    if schedule is None:
-        raise TraceFormatError(f"{path} contains no schedule record")
-    return TraceHeader(
-        schedule=schedule,
-        flow_keys=flow_keys,
-        expected_step_times=expected,
-        pfc_xoff_bytes=int(meta.get("pfc_xoff_bytes", 0)),
-        meta=meta,
-    )
-
-
-# ----------------------------------------------------------------------
-# data stream
-# ----------------------------------------------------------------------
-def _decode_event(entry: dict, line: _Line) -> Optional[TraceEvent]:
-    kind = entry.get("kind")
-    if kind == "step_record":
-        record = serialize.decode_step_record(entry)
-        return TraceEvent("step_record", record.end_time, record,
-                          line.line_no, line.start, line.end)
-    if kind == "switch_report":
-        report = serialize.decode_switch_report(entry)
-        return TraceEvent("switch_report", report.time, report,
-                          line.line_no, line.start, line.end)
-    return None
-
-
-def stream_events(path: Union[str, Path],
-                  on_error: Optional[ErrorSink] = None,
-                  kinds: tuple[str, ...] = DATA_KINDS,
-                  start_offset: int = 0,
-                  start_line: int = 1) -> Iterator[TraceEvent]:
-    """Yield monitoring-stream events one at a time, in file order.
-
-    ``start_offset``/``start_line`` resume the scan mid-file — pass the
-    ``end_offset`` and ``line_no + 1`` of the last event consumed.
-    Byte-offset resume is a JSONL concept; columnar files support only
-    a whole-file scan here (``start_offset == 0``) — use
-    :func:`repro.traces.trace_events` with a cursor for resumable
-    cross-format streaming.
-    """
-    if _is_columnar(path):
-        if start_offset > 0:
-            raise TraceFormatError(
-                "byte-offset resume does not apply to columnar "
-                "traces; resume by record index via "
-                "repro.traces.trace_events")
-        from repro.traces.columnar import ColumnarTrace
-
-        with ColumnarTrace(path) as trace:
-            for kind in kinds:
-                if kind in DATA_KINDS:
-                    yield from trace.iter_kind(kind)
-        return
-    for line in _lines(path, start_offset, start_line):
-        entry = _parse(line, on_error)
-        if entry is None or entry.get("kind") not in kinds:
-            continue
-        if on_error is None:
-            event = _decode_event(entry, line)
-        else:
-            try:
-                event = _decode_event(entry, line)
-            except Exception as error:  # noqa: BLE001 - quarantine
-                on_error(line.line_no,
-                         f"{type(error).__name__}: {error}", line.text)
-                continue
-        if event is not None:
-            yield event
-
-
-def merged_events(path: Union[str, Path],
-                  on_error: Optional[ErrorSink] = None,
-                  resume: Optional[dict[str, tuple[int, int]]] = None
-                  ) -> Iterator[TraceEvent]:
-    """Yield data events in completion-time order.
-
-    The writer emits each kind in its own time-sorted run, so a 2-way
-    streaming merge over two handles of the same file reconstructs the
-    arrival order a live analyzer would have seen, without loading the
-    capture.  Ties break toward step records (hosts report a step's
-    end before switches report the window that contained it).
-
-    ``resume`` maps a kind to its ``(start_offset, start_line)`` — the
-    per-kind positions of a checkpoint cursor.  Each per-kind scan
-    restarts there; because both runs are individually time-sorted the
-    merge order of the remaining events is identical to the order an
-    uninterrupted run would have produced.
-
-    Columnar files replay their precomputed merge permutation — same
-    order, no heap, no JSON.  ``resume`` byte offsets are meaningless
-    there (raises); resume columnar replays by record counts via
-    :func:`repro.traces.trace_events`.
-    """
-    if _is_columnar(path):
-        if resume:
-            raise TraceFormatError(
-                "byte-offset resume does not apply to columnar "
-                "traces; resume by record index via "
-                "repro.traces.trace_events")
-        from repro.traces.columnar import columnar_events
-
-        yield from columnar_events(path, on_error=on_error)
-        return
-    rank = {"step_record": 0, "switch_report": 1}
-    # both per-kind streams parse every line; report each bad line once
-    if on_error is not None:
-        reported: set[int] = set()
-        original = on_error
-
-        def on_error(line_no: int, reason: str, snippet: str) -> None:
-            if line_no not in reported:
-                reported.add(line_no)
-                original(line_no, reason, snippet)
-
-    positions = resume or {}
-    streams = []
-    for kind in DATA_KINDS:
-        offset, line_no = positions.get(kind, (0, 1))
-        streams.append(
-            ((e.time, rank[e.kind], e.line_no, e)
-             for e in stream_events(path, on_error, kinds=(kind,),
-                                    start_offset=offset,
-                                    start_line=line_no)))
-    for *_ignored, event in heapq.merge(*streams):
-        yield event
-
-
-def scan_resume_offset(path: Union[str, Path]) -> int:
-    """The byte offset after the last *complete* record in ``path``.
-
-    A tailing reader that hits :class:`TraceTruncated` (writer still
-    mid-line, or crashed mid-write) can poll this to learn where the
-    intact prefix ends and resume from there.
-
-    This is explicitly a **JSONL byte offset** — the one place the
-    format still leaks bytes into the cursor contract, because only
-    JSONL files are appended to by a live writer.  Columnar files are
-    written whole and atomically, so a truncated columnar file is
-    corrupt, not resumable: this raises :class:`TraceFormatError` for
-    them.  Checkpoint cursors proper are format-portable; see
-    :class:`repro.live.checkpoint.ReplayCursor`.
-    """
-    if _is_columnar(path):
-        raise TraceFormatError(
-            f"{path} is columnar: written atomically, never tailed; "
-            f"byte-offset resume does not apply")
-    last_end = 0
-    for line in _lines(path):
-        if line.complete:
-            last_end = line.end
-        else:
-            break
-    return last_end

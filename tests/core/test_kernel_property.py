@@ -29,8 +29,7 @@ from repro.experiments.harness import make_system
 from repro.live import LivePipeline, PipelineConfig
 from repro.live.chaos import _duplicated, _reordered
 from repro.traces import (TraceRecorder, TraceRuntime, analyze_trace,
-                          load_trace)
-from repro.traces.stream import merged_events, read_header
+                          load_trace, read_header, trace_events)
 from tests.core.test_waiting_graph import (ReferenceWaitingGraph,
                                            assert_answers_equal)
 
@@ -142,7 +141,7 @@ def rolling(header, log: list, **config) -> LivePipeline:
 def test_every_rolling_snapshot_equals_from_scratch(trace_path):
     log: list = []
     pipeline = drive(rolling(read_header(trace_path), log),
-                     merged_events(trace_path))
+                     trace_events(trace_path))
     pipeline.finish()
     assert len(log) == len(pipeline.snapshots) > 3
     # not vacuous: the anomaly shows before the stream ends
@@ -152,14 +151,14 @@ def test_every_rolling_snapshot_equals_from_scratch(trace_path):
 def test_duplicated_stream(trace_path):
     log: list = []
     pipeline = drive(rolling(read_header(trace_path), log),
-                     _duplicated(merged_events(trace_path), 3))
+                     _duplicated(trace_events(trace_path), 3))
     final = pipeline.finish()
     assert final.counters["duplicates"] > 0
     assert len(log) == len(pipeline.snapshots)
 
 
 def test_reordered_within_lateness_stream(trace_path):
-    events = list(_reordered(merged_events(trace_path), 6,
+    events = list(_reordered(trace_events(trace_path), 6,
                              random.Random(11)))
     newest, lateness = float("-inf"), 0.0
     for event in events:
@@ -176,7 +175,7 @@ def test_reordered_within_lateness_stream(trace_path):
 
 def test_checkpoint_round_trip_mid_stream(trace_path):
     header = read_header(trace_path)
-    events = list(merged_events(trace_path))
+    events = list(trace_events(trace_path))
     whole: list = []
     drive(rolling(header, whole), events).finish()
 
@@ -195,7 +194,7 @@ def test_flow_keys_learnt_mid_stream(trace_path):
     """A live deployment fills ``flow_keys`` in as it goes; the kernel
     is told the current collective flows at every snapshot."""
     header = read_header(trace_path)
-    events = list(merged_events(trace_path))
+    events = list(trace_events(trace_path))
     log: list = []
     pipeline = rolling(header, log)
     known = dict(pipeline.flow_keys)

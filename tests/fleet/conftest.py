@@ -39,6 +39,7 @@ def trace_path(tmp_path_factory):
 @pytest.fixture(scope="session")
 def trace_events(trace_path):
     """The trace pre-decoded once: (header, list of events)."""
-    from repro.traces.stream import merged_events, read_header
+    from repro import traces
 
-    return read_header(trace_path), list(merged_events(trace_path))
+    return (traces.read_header(trace_path),
+            list(traces.trace_events(trace_path)))

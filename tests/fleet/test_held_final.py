@@ -24,7 +24,7 @@ from repro.fleet.service import (FleetConfig, FleetService,
 from repro.fleet.sharding import TenantSpec
 from repro.fleet.tenancy import TenantPolicy, TenantRuntime
 from repro.fleet.worker import make_shard_spec, read_report, worker_main
-from repro.traces.stream import merged_events
+from repro.traces import open_trace
 from tests.fleet.conftest import record_scenario_trace
 
 #: the end-to-end benchmark's corpus: four 8-node mice, one 12-node
@@ -63,8 +63,8 @@ def corpus(tmp_path_factory, trace_path):
         path = trace_path if (scenario, nodes) == CORPUS[0] \
             else record_scenario_trace(root / f"{label}.jsonl",
                                        scenario, nodes)
-        traces[label] = (str(path),
-                         sum(1 for _ in merged_events(path)))
+        with open_trace(path) as opened:
+            traces[label] = (str(path), opened.data_records)
     return traces
 
 

@@ -20,8 +20,8 @@ from repro.live.checkpoint import (
     TraceReplayer,
     resume_or_create,
 )
-from repro.traces import TraceRecorder
-from repro.traces.stream import TraceEvent, merged_events, read_header
+from repro.traces import (TraceEvent, TraceRecorder, read_header,
+                          trace_events, write_columnar)
 
 
 def record_scenario_trace(path):
@@ -54,23 +54,10 @@ def final_json(snapshot) -> str:
 # ----------------------------------------------------------------------
 # ReplayCursor
 # ----------------------------------------------------------------------
-def test_cursor_tracks_per_kind_positions():
-    cursor = ReplayCursor()
-    cursor.advance(TraceEvent("step_record", 1.0, None, 10, 100, 150))
-    cursor.advance(TraceEvent("switch_report", 2.0, None, 11, 150, 260))
-    cursor.advance(TraceEvent("step_record", 3.0, None, 12, 260, 300))
-    assert cursor.published == 3
-    assert cursor.resume_map() == {"step_record": (300, 13),
-                                   "switch_report": (260, 12)}
-    clone = ReplayCursor.from_dict(cursor.to_dict())
-    assert clone == cursor
-
-
 def test_cursor_ignores_synthetic_events():
     cursor = ReplayCursor()
     cursor.advance(TraceEvent("step_record", 1.0, None, 0))
     assert cursor.published == 1
-    assert cursor.resume_map() is None
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +167,7 @@ def test_pipeline_state_roundtrip_mid_stream(trace_path):
     header = read_header(trace_path)
     config = PipelineConfig(snapshot_every=16)
     pipeline = LivePipeline.from_header(header, config)
-    events = list(merged_events(trace_path))
+    events = list(trace_events(trace_path))
     cut = len(events) // 2
     for event in events[:cut]:
         pipeline.publish(event)
@@ -209,16 +196,16 @@ def test_replayer_checkpoints_and_resumes(trace_path, tmp_path):
 
     baseline = LivePipeline.from_header(header, config)
     expected = TraceReplayer(
-        baseline, merged_events(trace_path)).run()
+        baseline, trace_events(trace_path)).run()
 
     manager = CheckpointManager(
         tmp_path, CheckpointPolicy(interval_events=32))
     pipeline = LivePipeline.from_header(header, config)
-    total = sum(1 for _ in merged_events(trace_path))
+    total = sum(1 for _ in trace_events(trace_path))
     stop_at = total // 2
 
     partial = TraceReplayer(
-        pipeline, itertools.islice(merged_events(trace_path), stop_at),
+        pipeline, itertools.islice(trace_events(trace_path), stop_at),
         manager)
     partial.run(finish=False)
     partial.checkpoint()
@@ -227,7 +214,7 @@ def test_replayer_checkpoints_and_resumes(trace_path, tmp_path):
                                                     config=config)
     assert was_resumed
     assert cursor.published == stop_at
-    rest = merged_events(trace_path, resume=cursor.resume_map())
+    rest = trace_events(trace_path, cursor=cursor)
     final = TraceReplayer(resumed, rest, manager, cursor).run()
     assert final_json(final) == final_json(expected)
     assert manager.written >= 2
@@ -238,7 +225,7 @@ def test_resume_or_create_fresh_skips_checkpoints(trace_path,
     header = read_header(trace_path)
     manager = CheckpointManager(tmp_path)
     pipeline = LivePipeline.from_header(header)
-    TraceReplayer(pipeline, merged_events(trace_path), manager).run()
+    TraceReplayer(pipeline, trace_events(trace_path), manager).run()
     assert manager.snapshot_paths()
 
     _fresh, cursor, resumed = resume_or_create(header, manager,
@@ -254,7 +241,7 @@ def test_checkpoint_policy_max_unflushed_forces_save(trace_path,
         tmp_path, CheckpointPolicy(interval_events=10 ** 9,
                                    max_unflushed_events=16))
     pipeline = LivePipeline.from_header(header)
-    TraceReplayer(pipeline, merged_events(trace_path), manager).run()
+    TraceReplayer(pipeline, trace_events(trace_path), manager).run()
     # every 16 events the unflushed bound forces a checkpoint even
     # though the normal cadence would never fire
     assert manager.written >= 3
@@ -265,30 +252,31 @@ def test_checkpoint_policy_max_unflushed_forces_save(trace_path,
 # ----------------------------------------------------------------------
 def test_cursor_counts_round_trip():
     cursor = ReplayCursor()
-    cursor.advance(TraceEvent("step_record", 1.0, None, 10, 100, 150))
-    cursor.advance(TraceEvent("switch_report", 2.0, None, 11, 150, 260))
-    cursor.advance(TraceEvent("step_record", 3.0, None, 12, 260, 300))
+    cursor.advance(TraceEvent("step_record", 1.0, None, 10))
+    cursor.advance(TraceEvent("switch_report", 2.0, None, 11))
+    cursor.advance(TraceEvent("step_record", 3.0, None, 12))
     assert cursor.resume_counts() == {"step_record": 2,
                                       "switch_report": 1}
+    assert set(cursor.to_dict()) == {"published", "counts"}
     clone = ReplayCursor.from_dict(cursor.to_dict())
-    assert clone.counts == cursor.counts
+    assert clone == cursor
     # a pre-counts checkpoint document still loads (counts default {})
     legacy = dict(cursor.to_dict())
     legacy.pop("counts")
     assert ReplayCursor.from_dict(legacy).counts == {}
+    # and so does one that carries the JSONL byte offsets of old
+    dated = dict(cursor.to_dict(),
+                 positions={"step_record": [300, 13]})
+    assert ReplayCursor.from_dict(dated) == cursor
 
 
 def test_columnar_events_advance_counts_not_positions(trace_path,
                                                       tmp_path):
-    from repro.traces import trace_events
-    from repro.traces.columnar import write_columnar
-
     columnar = write_columnar(trace_path, tmp_path / "run.vcol")
     cursor = ReplayCursor()
     for event in itertools.islice(trace_events(columnar), 5):
         cursor.advance(event)
     assert cursor.published == 5
-    assert cursor.resume_map() is None        # no byte offsets
     assert sum(cursor.resume_counts().values()) == 5
 
 
@@ -298,9 +286,6 @@ def test_cross_format_resume(trace_path, tmp_path, resume_format):
     other: the cursor's per-kind record counts are the portable
     coordinate, and the diagnosis is bit-equal to an uninterrupted
     replay either way."""
-    from repro.traces import trace_events
-    from repro.traces.columnar import write_columnar
-
     columnar = write_columnar(trace_path, tmp_path / "run.vcol")
     resume_path = trace_path if resume_format == "jsonl" else columnar
     header = read_header(trace_path)
@@ -338,13 +323,16 @@ def test_cross_format_resume(trace_path, tmp_path, resume_format):
 
 
 # ----------------------------------------------------------------------
-# a checkpoint written before the waiting graph owned the per-step
-# scalars (tests/fixtures/checkpoint_incast_case0.json: the file
-# CheckpointManager wrote 95 events into the golden incast trace, under
-# FIXTURE_CONFIG) is still what the pipeline writes, and still resumes
+# two checkpoint documents, both 95 events into the golden incast trace
+# under FIXTURE_CONFIG.  OLD_FIXTURE (checkpoint_incast_case0.json) was
+# written before the waiting graph owned the per-step scalars and while
+# the cursor still carried JSONL byte offsets (``cursor.positions``):
+# it must still resume.  FIXTURE is what the pipeline writes today, and
+# differs from it in nothing but that key and the checksum.
 # ----------------------------------------------------------------------
-FIXTURE = Path(__file__).parent.parent / "fixtures" \
+OLD_FIXTURE = Path(__file__).parent.parent / "fixtures" \
     / "checkpoint_incast_case0.json"
+FIXTURE = OLD_FIXTURE.with_name("checkpoint_incast_case0_counts.json")
 FIXTURE_CUT = 95
 FIXTURE_CONFIG = dict(snapshot_every=16, prune_interval=2, pump_batch=2,
                       lateness_bound_ns=5000.0)
@@ -356,7 +344,7 @@ def golden_incast_path(tmp_path_factory):
 
     tmp = tmp_path_factory.mktemp("golden")
     digests = json.loads(
-        (FIXTURE.parent / "golden_digests.json").read_text())
+        (FIXTURE.with_name("golden_digests.json")).read_text())
     assert golden_anomaly("incast", tmp)["trace_sha256"] \
         == digests["incast_case0"]["trace_sha256"]
     return tmp / "incast.jsonl"
@@ -364,8 +352,6 @@ def golden_incast_path(tmp_path_factory):
 
 def test_checkpoint_document_is_byte_identical_to_the_fixture(
         golden_incast_path, tmp_path):
-    from repro.traces import trace_events
-
     pipeline = LivePipeline.from_header(
         read_header(golden_incast_path), PipelineConfig(**FIXTURE_CONFIG))
     replayer = TraceReplayer(
@@ -383,19 +369,27 @@ def test_checkpoint_document_is_byte_identical_to_the_fixture(
     assert written.read_bytes() == FIXTURE.read_bytes()
 
 
+def test_fixtures_differ_only_in_cursor_positions_and_checksum():
+    old = json.loads(OLD_FIXTURE.read_text())
+    new = json.loads(FIXTURE.read_text())
+    assert old.pop("checksum") != new.pop("checksum")
+    assert old["state"]["cursor"].pop("positions") == {
+        "step_record": [24155, 169], "switch_report": [139136, 212]}
+    assert "positions" not in new["state"]["cursor"]
+    assert old == new
+
+
 @pytest.mark.parametrize("resume_format", ["jsonl", "columnar"])
 def test_fixture_checkpoint_resumes_to_the_uninterrupted_verdict(
         golden_incast_path, tmp_path, resume_format):
-    from repro.traces import trace_events
-    from repro.traces.columnar import write_columnar
-
     header = read_header(golden_incast_path)
     config = PipelineConfig(**FIXTURE_CONFIG)
     expected = TraceReplayer(
         LivePipeline.from_header(header, config),
         trace_events(golden_incast_path)).run()
 
-    shutil.copy(FIXTURE, tmp_path / f"ckpt-{FIXTURE_CUT:010d}.json")
+    shutil.copy(OLD_FIXTURE,
+                tmp_path / f"ckpt-{FIXTURE_CUT:010d}.json")
     manager = CheckpointManager(tmp_path)
     resumed, cursor, was_resumed = resume_or_create(header, manager,
                                                     config=config)
@@ -406,3 +400,65 @@ def test_fixture_checkpoint_resumes_to_the_uninterrupted_verdict(
     final = TraceReplayer(resumed, rest, manager, cursor).run()
     assert final.canonical_json() == expected.canonical_json()
     assert final.counters["graph_pruned"] > 0
+
+
+# ----------------------------------------------------------------------
+# a file's bad lines are counted once, however often it is reopened
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def hostile_incast(golden_incast_path, tmp_path_factory):
+    """The golden incast capture with a bad line after its third step
+    record and another after its twentieth, as JSONL and as its
+    lenient conversion."""
+    lines = golden_incast_path.read_text().splitlines(keepends=True)
+    steps = [i for i, line in enumerate(lines)
+             if '"kind": "step_record"' in line]
+    lines.insert(steps[19] + 1, "[1, 2]\n")
+    lines.insert(steps[2] + 1, "{not json\n")
+    tmp = tmp_path_factory.mktemp("hostile")
+    jsonl = tmp / "incast.jsonl"
+    jsonl.write_text("".join(lines))
+    return {"jsonl": jsonl,
+            "columnar": write_columnar(jsonl, tmp / "incast.vcol",
+                                       on_error=lambda *_: None)}
+
+
+def lenient_events(path, pipeline, cursor=None):
+    return trace_events(path, on_error=pipeline.quarantine.admit,
+                        cursor=cursor)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "columnar"])
+@pytest.mark.parametrize("steps_before_cut", [2, 10, 30],
+                         ids=["before", "between", "after"])
+def test_resume_counts_quarantined_lines_once(
+        hostile_incast, tmp_path, fmt, steps_before_cut):
+    path = hostile_incast[fmt]
+    header = read_header(path)
+    config = PipelineConfig(snapshot_every=16)
+    baseline = LivePipeline.from_header(header, config)
+    expected = TraceReplayer(
+        baseline, lenient_events(path, baseline)).run()
+    assert expected.counters["quarantined"] == 2
+
+    # cut where the stream has delivered that many step records: before
+    # the first bad line's place in the file, between the two, after
+    kinds = [e.kind for e in trace_events(path, lambda *_: None)]
+    cut = [i for i, kind in enumerate(kinds, 1)
+           if kind == "step_record"][steps_before_cut - 1]
+    manager = CheckpointManager(tmp_path)
+    pipeline = LivePipeline.from_header(header, config)
+    partial = TraceReplayer(
+        pipeline,
+        itertools.islice(lenient_events(path, pipeline), cut), manager)
+    partial.run(finish=False)
+    partial.checkpoint()
+
+    resumed, cursor, was_resumed = resume_or_create(header, manager,
+                                                    config=config)
+    assert was_resumed and cursor.published == cut
+    final = TraceReplayer(
+        resumed, lenient_events(path, resumed, cursor), manager,
+        cursor).run()
+    assert final.counters["quarantined"] == 2
+    assert final_json(final) == final_json(expected)

@@ -13,8 +13,8 @@ from repro.live.bus import BusPolicy
 from repro.simnet.network import Network
 from repro.simnet.topology import build_fat_tree
 from repro.simnet.units import ms
-from repro.traces import TraceRecorder, analyze_trace, load_trace
-from repro.traces.stream import merged_events, read_header
+from repro.traces import (TraceRecorder, analyze_trace, load_trace,
+                          read_header, trace_events)
 
 NODES = ["h0", "h4", "h8", "h12"]
 
@@ -37,7 +37,7 @@ def trace_path(tmp_path_factory):
 
 def replay(path, config=None) -> LivePipeline:
     pipeline = LivePipeline.from_header(read_header(path), config)
-    for event in merged_events(path):
+    for event in trace_events(path):
         pipeline.publish(event)
         if len(pipeline.bus) >= 32:
             pipeline.pump(32)
@@ -125,7 +125,7 @@ def test_live_attachment_to_running_collective():
 def test_degradation_when_reports_missing(trace_path):
     header = read_header(trace_path)
     pipeline = LivePipeline.from_header(header)
-    for event in merged_events(trace_path):
+    for event in trace_events(trace_path):
         if event.kind == "switch_report":
             continue                   # telemetry loss: no switch data
         pipeline.publish(event)

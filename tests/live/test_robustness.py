@@ -19,8 +19,7 @@ from repro.live.robustness import DegradationTracker, Quarantine
 from repro.simnet.network import Network
 from repro.simnet.topology import build_fat_tree
 from repro.simnet.units import ms
-from repro.traces import TraceRecorder
-from repro.traces.stream import merged_events, read_header
+from repro.traces import TraceRecorder, read_header, trace_events
 
 NODES = ["h0", "h4", "h8", "h12"]
 
@@ -48,7 +47,7 @@ def serve_file(path, config=None) -> tuple:
     def quarantine_line(line_no, reason, snippet):
         pipeline.quarantine.admit(line_no, reason, snippet)
 
-    for event in merged_events(path, on_error=quarantine_line):
+    for event in trace_events(path, on_error=quarantine_line):
         pipeline.publish(event)
         if len(pipeline.bus) >= 32:
             pipeline.pump(32)
@@ -115,7 +114,7 @@ def test_burst_exceeding_queue_bound_drop_oldest(clean_trace):
     pipeline = LivePipeline.from_header(read_header(clean_trace),
                                         config)
     # the whole trace as one burst, no pumping in between
-    for event in merged_events(clean_trace):
+    for event in trace_events(clean_trace):
         pipeline.publish(event)
     final = pipeline.finish()
     assert final.counters["dropped"] > 0
@@ -130,7 +129,7 @@ def test_burst_exceeding_queue_bound_drop_newest(clean_trace):
     pipeline = LivePipeline.from_header(read_header(clean_trace),
                                         config)
     admitted = sum(pipeline.publish(e)
-                   for e in merged_events(clean_trace))
+                   for e in trace_events(clean_trace))
     final = pipeline.finish()
     assert admitted == 16
     assert final.counters["dropped"] > 0

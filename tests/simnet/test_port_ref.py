@@ -19,8 +19,7 @@ from repro.perf.golden import golden_anomaly
 from repro.simnet.packet import FlowKey
 from repro.simnet.pfc import PauseEvent, PortRef
 from repro.simnet.telemetry import PortTelemetryEntry, SwitchReport
-from repro.traces import serialize
-from repro.traces.stream import merged_events, read_header
+from repro.traces import read_header, serialize, trace_events
 
 CF = FlowKey("h0", "h1", 1, 4791)
 
@@ -108,7 +107,7 @@ def test_golden_trace_bytes(tmp_path):
 
     header = read_header(trace)
     pipeline = LivePipeline.from_header(header)
-    for event in merged_events(trace):
+    for event in trace_events(trace):
         pipeline.publish(event)
     pipeline.pump()
     state = pipeline.state_dict()

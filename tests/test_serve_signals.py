@@ -29,9 +29,9 @@ def trace_path(tmp_path_factory):
 def slow_speed(trace_path):
     """A --speed that stretches the replay to ~60s of wall clock, so
     tests reliably signal the process mid-stream."""
-    from repro.traces.stream import merged_events
+    from repro.traces import trace_events
 
-    times = [e.time for e in merged_events(trace_path)]
+    times = [e.time for e in trace_events(trace_path)]
     span_s = (max(times) - min(times)) / 1e9
     return max(span_s / 60.0, 1e-9)
 

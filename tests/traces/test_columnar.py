@@ -33,29 +33,25 @@ from repro.simnet.telemetry import PortTelemetryEntry, SwitchReport
 from repro.simnet.topology import build_fat_tree
 from repro.simnet.units import ms
 from repro.traces import (
+    Trace,
+    TraceEvent,
+    TraceFormatError,
+    TraceHeader,
     TraceRecorder,
     columnar,
     load_trace,
+    read_header,
     serialize,
     trace_events,
 )
 from repro.traces.columnar import (
     ColumnarTrace,
-    columnar_events,
     content_address,
     iter_jsonl_lines,
     jsonl_digest,
-    load_columnar_trace,
     sniff_format,
     write_columnar,
     write_jsonl,
-)
-from repro.traces.store import TraceFormatError
-from repro.traces.stream import (
-    merged_events,
-    read_header,
-    scan_resume_offset,
-    stream_events,
 )
 
 NODES = ["h0", "h4", "h8", "h12"]
@@ -178,7 +174,8 @@ def synthesize_trace(path, seed: int, records: int = 40,
 
 
 def _event_tuples(events):
-    return [(e.kind, e.time, e.line_no, e.payload) for e in events]
+    return [(e.kind, e.time, e.line_no, e.index, e.payload)
+            for e in events]
 
 
 # ----------------------------------------------------------------------
@@ -228,13 +225,13 @@ def test_property_event_streams_equivalent(tmp_path_factory, seed):
     src = tmp / "t.jsonl"
     synthesize_trace(src, seed)
     col = write_columnar(src, tmp / "t.vcol")
-    jl_err, col_err = [], []
-    jl = _event_tuples(merged_events(
-        src, on_error=lambda *a: jl_err.append(a)))
-    cl = _event_tuples(columnar_events(
-        col, on_error=lambda *a: col_err.append(a)))
-    assert jl == cl
-    assert jl_err == col_err
+    want = _event_tuples(reference_events(src))
+    for path in (src, col):
+        errors = []
+        got = _event_tuples(trace_events(
+            path, on_error=lambda *a: errors.append(a)))
+        assert got == want
+        assert errors == []
 
 
 @settings(max_examples=8, deadline=None)
@@ -354,6 +351,77 @@ class ReferenceBuilder(columnar._Builder):
         c["r.ttl"].append(len(c["ttl.val"]))
 
 
+def reference_entries(path, bad=None):
+    """The JSONL reader the tree had before :func:`repro.traces.
+    open_trace`, at its plainest and sharing nothing with it:
+    ``json.loads`` per line, then :mod:`repro.traces.serialize`.
+    Yields ``(line_no, kind, decoded)`` for every line that holds a
+    record; the line numbers of those that hold neither a record nor
+    whitespace go to ``bad`` (which, absent, makes them raise)."""
+    decoders = {
+        "schedule": lambda entry:
+            serialize.decode_schedule(entry["schedule"]),
+        "flow_key": lambda entry: (
+            (entry["node"], int(entry["step"])),
+            serialize.decode_flow_key(entry["flow"])),
+        "expected": lambda entry: (
+            (entry["node"], int(entry["step"])),
+            float(entry["time_ns"])),
+        "step_record": serialize.decode_step_record,
+        "switch_report": serialize.decode_switch_report,
+    }
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, 1):
+            text = raw.decode("utf-8", errors="replace").strip()
+            if not text:
+                continue
+            try:
+                entry = json.loads(text)
+                kind = str(entry.get("kind"))
+                if kind in decoders:
+                    entry = decoders[kind](entry)
+            except Exception:
+                if bad is None:
+                    raise
+                bad.append(line_no)
+                continue
+            yield line_no, kind, entry
+
+
+def reference_events(path, bad=None) -> list:
+    """The completion-time stream of a JSONL, independently: a stable
+    sort of the decoded data records by ``(time, kind rank,
+    line_no)``."""
+    rank = {"step_record": 0, "switch_report": 1}
+    seen = dict.fromkeys(rank, 0)
+    events = []
+    for line_no, kind, payload in reference_entries(path, bad):
+        if kind in rank:
+            time = payload.end_time if kind == "step_record" \
+                else payload.time
+            events.append(TraceEvent(kind, time, payload, line_no,
+                                     seen[kind]))
+            seen[kind] += 1
+    return sorted(events,
+                  key=lambda e: (e.time, rank[e.kind], e.line_no))
+
+
+def reference_trace(path) -> Trace:
+    """A whole JSONL as a :class:`Trace`, independently."""
+    by_kind = {}
+    for _line_no, kind, decoded in reference_entries(path):
+        by_kind.setdefault(kind, []).append(decoded)
+    meta = by_kind["meta"][-1]
+    return Trace(
+        schedule=by_kind["schedule"][-1],
+        flow_keys=dict(by_kind.get("flow_key", ())),
+        expected_step_times=dict(by_kind.get("expected", ())),
+        step_records=by_kind.get("step_record", []),
+        reports=by_kind.get("switch_report", []),
+        pfc_xoff_bytes=int(meta.get("pfc_xoff_bytes", 0)),
+        meta=meta)
+
+
 def reference_lines(trace: ColumnarTrace) -> list:
     """The line emitter before reconstruction went column-native:
     decode every record, re-encode it through ``serialize.encode_*``
@@ -386,7 +454,9 @@ def reference_lines(trace: ColumnarTrace) -> list:
 
 def _vcol_bytes(src, on_error=None) -> bytes:
     sink = io.BytesIO()
-    columnar._emit(columnar._build_from_jsonl(src, on_error), sink)
+    with src.open("rb") as handle:
+        columnar._emit(columnar._build_from_jsonl(handle, on_error),
+                       sink)
     return sink.getvalue()
 
 
@@ -715,7 +785,7 @@ def test_data_corruption_is_reported_by_the_query_layer(
         with pytest.raises(TraceFormatError, match="bad.vcol"):
             trace.reports_for_flow(flow)
         with pytest.raises(TraceFormatError, match="bad.vcol"):
-            list(trace.iter_kind("switch_report"))
+            list(trace.iter_events())
     with pytest.raises(TraceFormatError, match="bad.vcol"):
         load_trace(bad)
 
@@ -808,12 +878,13 @@ def test_malformed_line_preserved_with_sink(trace_path, tmp_path):
     assert back.read_bytes() == src.read_bytes()
     # replaying the columnar file reports the preserved line again
     replay_errors = []
-    list(columnar_events(col,
-                         on_error=lambda *a: replay_errors.append(a)))
+    list(trace_events(col,
+                      on_error=lambda *a: replay_errors.append(a)))
     assert [e[0] for e in replay_errors] == [errors[0][0]]
     # and raises without a sink, like the strict JSONL reader
-    with pytest.raises(TraceFormatError):
-        list(columnar_events(col))
+    with pytest.raises(TraceFormatError) as strict:
+        list(trace_events(col))
+    assert strict.value.line_no == errors[0][0]
 
 
 def test_cli_convert_preserves_malformed_lines(trace_path, tmp_path,
@@ -855,38 +926,22 @@ def test_unknown_kinds_quarantined_like_jsonl(tmp_path):
 # batch / header parity
 # ----------------------------------------------------------------------
 def test_load_trace_parity_across_formats(trace_path, columnar_path):
-    jl = load_trace(trace_path)
-    cl = load_trace(columnar_path)
-    assert jl.meta == cl.meta
-    assert jl.schedule.nodes == cl.schedule.nodes
-    assert jl.flow_keys == cl.flow_keys
-    assert jl.expected_step_times == cl.expected_step_times
-    assert jl.step_records == cl.step_records
-    assert jl.reports == cl.reports
-    assert load_columnar_trace(columnar_path).step_records \
-        == jl.step_records
+    want = reference_trace(trace_path)
+    for path in (trace_path, columnar_path):
+        got = load_trace(path)
+        assert got.meta == want.meta
+        assert got.schedule == want.schedule
+        assert got.flow_keys == want.flow_keys
+        assert got.expected_step_times == want.expected_step_times
+        assert got.pfc_xoff_bytes == want.pfc_xoff_bytes
+        assert got.step_records == want.step_records
+        assert got.reports == want.reports
 
 
 def test_read_header_dispatches(trace_path, columnar_path):
-    jh = read_header(trace_path)
-    ch = read_header(columnar_path)
-    assert jh.schedule.nodes == ch.schedule.nodes
-    assert jh.flow_keys == ch.flow_keys
-    assert jh.expected_step_times == ch.expected_step_times
-    assert jh.meta["topology"] == ch.meta["topology"]
-
-
-def test_stream_events_dispatches(trace_path, columnar_path):
-    jl = [(e.kind, e.payload) for e in stream_events(trace_path)]
-    cl = [(e.kind, e.payload) for e in stream_events(columnar_path)]
-    assert jl == cl
-
-
-def test_byte_offset_contract_stays_jsonl_only(columnar_path):
-    with pytest.raises(TraceFormatError, match="byte-offset"):
-        scan_resume_offset(columnar_path)
-    with pytest.raises(TraceFormatError):
-        list(stream_events(columnar_path, start_offset=100))
+    want = reference_header(trace_path)
+    assert read_header(trace_path) == want
+    assert read_header(columnar_path) == want
 
 
 # ----------------------------------------------------------------------
@@ -920,42 +975,51 @@ def _diagnosis_json(trace) -> str:
                       sort_keys=True)
 
 
+def reference_header(path) -> TraceHeader:
+    trace = reference_trace(path)
+    return TraceHeader(trace.schedule, trace.flow_keys,
+                       trace.expected_step_times, trace.pfc_xoff_bytes,
+                       trace.meta)
+
+
 def test_batch_diagnosis_bit_equal(trace_path, columnar_path):
-    jl = _diagnosis_json(load_trace(trace_path))
-    cl = _diagnosis_json(load_trace(columnar_path))
-    assert jl == cl
+    want = _diagnosis_json(reference_trace(trace_path))
+    assert _diagnosis_json(load_trace(trace_path)) == want
+    assert _diagnosis_json(load_trace(columnar_path)) == want
 
 
 def test_live_replay_bit_equal(trace_path, columnar_path):
     from repro.live import LivePipeline, PipelineConfig
     from repro.live.checkpoint import TraceReplayer
-    from repro.traces import trace_events
 
-    finals = []
-    for path in (trace_path, columnar_path):
-        header = read_header(path)
+    def final_json(header, events) -> str:
         pipeline = LivePipeline.from_header(
             header, PipelineConfig(snapshot_every=16))
-        final = TraceReplayer(pipeline, trace_events(path)).run()
-        finals.append(json.dumps(final.to_dict(), sort_keys=True))
-    assert finals[0] == finals[1]
+        final = TraceReplayer(pipeline, events).run()
+        return json.dumps(final.to_dict(), sort_keys=True)
+
+    want = final_json(reference_header(trace_path),
+                      reference_events(trace_path))
+    for path in (trace_path, columnar_path):
+        assert final_json(read_header(path), trace_events(path)) == want
 
 
 def test_fleet_tenant_bit_equal(trace_path, columnar_path, tmp_path):
     from repro.fleet.tenancy import TenantPolicy, TenantRuntime
 
-    digests = []
-    for name, path in (("jl", trace_path), ("cl", columnar_path)):
+    def digest(**source) -> str:
         tenant = TenantRuntime(
-            f"tenant-{name}", shard_id=0,
+            "tenant", shard_id=0,
             policy=TenantPolicy(snapshot_every=32, checkpoint_every=0),
-            trace=str(path))
+            **source)
         while not tenant.done:
             tenant.step(64)
-        snapshot = tenant.finalize()
-        digests.append(json.dumps(snapshot.to_dict(),
-                                  sort_keys=True))
-    assert digests[0] == digests[1]
+        return json.dumps(tenant.finalize().to_dict(), sort_keys=True)
+
+    want = digest(header=reference_header(trace_path),
+                  events=iter(reference_events(trace_path)))
+    assert digest(trace=str(trace_path)) == want
+    assert digest(trace=str(columnar_path)) == want
 
 
 def test_golden_gate_digest_survives_convert(tmp_path):
