@@ -253,10 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shard count tenants are hashed across")
     fserve.add_argument("--vnodes", type=int, default=64,
                         help="virtual ring points per shard")
-    fserve.add_argument("--in-process", action="store_true",
-                        help="run every shard inside this process "
-                             "(default: one supervised worker process "
-                             "per shard)")
     fserve.add_argument("--budget", type=int, default=0,
                         help="per-tenant event budget (0 = unlimited)")
     fserve.add_argument("--snapshot-every", type=int, default=32,
@@ -324,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment directory (default: a "
                              "temporary directory)")
     fchaos.add_argument("--transport", action="store_true",
-                        help="stream reports over the socket "
-                             "transport with injected network faults "
-                             "and health-aware degraded snapshots")
+                        help="inject network faults into the socket "
+                             "fan-in and hold the killed shard down "
+                             "into health-aware degraded snapshots")
     fchaos.add_argument("--net-drop", type=float, default=0.0,
                         help="with --transport: probability of "
                              "dropping a received chunk")
@@ -1015,7 +1011,6 @@ def cmd_fleet_serve(args) -> int:
 
     from repro.fleet import (
         FleetAggregator,
-        FleetService,
         MetricsExporter,
         plan_shards,
         render_prometheus,
@@ -1035,10 +1030,12 @@ def cmd_fleet_serve(args) -> int:
         tmp = tempfile.TemporaryDirectory(prefix="repro-fleet-")
         workdir = Path(tmp.name)
     config = _fleet_config(args, workdir / "state")
-    print(f"fleet: {len(specs)} tenants over {config.shards} shards "
-          f"({'in-process' if args.in_process else 'worker processes'}"
-          f", budget="
+    print(f"fleet: {len(specs)} tenants over {config.shards} shard "
+          f"worker processes (budget="
           f"{config.policy.event_budget or 'unlimited'})")
+    plan = plan_shards(specs, config.shards, config.vnodes)
+    scrape = _FleetScrape(FleetAggregator(
+        sorted(plan), config.mailbox_capacity, health=HealthPolicy()))
 
     def publish(snapshot) -> None:
         scrape.publish(snapshot)
@@ -1049,41 +1046,22 @@ def cmd_fleet_serve(args) -> int:
 
     exporter = None
     try:
-        if args.in_process:
-            service = FleetService(config, specs)
-            scrape = _FleetScrape(service.aggregator)
-            # the shard runtimes are in reach: per-shard counters and
-            # the ingest-to-snapshot histograms ride along
-            registry_fn = service.build_registry
-
-            def run():
-                return service.run(on_merge=publish)
-        else:
-            plan = plan_shards(specs, config.shards, config.vnodes)
-            scrape = _FleetScrape(FleetAggregator(
-                sorted(plan), config.mailbox_capacity,
-                health=HealthPolicy()))
-            registry_fn = scrape.registry
-
-            def run():
-                return run_fleet_streaming(
-                    config, plan, str(workdir / "reports"),
-                    on_merge=publish,
-                    aggregator=scrape.aggregator).final
         if not args.no_http:
-            exporter = MetricsExporter(registry_fn, port=args.port,
+            exporter = MetricsExporter(scrape.registry, port=args.port,
                                        status_fn=scrape.status)
             print(f"metrics: http://127.0.0.1:{exporter.start()}"
                   f"/metrics")
         try:
-            final = run()
+            final = run_fleet_streaming(
+                config, plan, str(workdir / "reports"),
+                on_merge=publish, aggregator=scrape.aggregator).final
         except WorkerCrashed as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
 
         if args.scrape_out:
             with open(args.scrape_out, "w") as handle:
-                handle.write(render_prometheus(registry_fn()))
+                handle.write(render_prometheus(scrape.registry()))
             print(f"exposition written to {args.scrape_out}")
         _print_fleet_snapshot(final.to_dict())
         if args.linger > 0 and exporter is not None:

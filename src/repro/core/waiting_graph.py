@@ -418,9 +418,13 @@ class WaitingGraph:
         self._forget_derived()
         self._ingested = int(state["ingested"])
         self.pruned_total = int(state["pruned_total"])
-        self.windows = {int(idx): [float(low), float(high)]
-                        for idx, (low, high)
-                        in state["windows"].items()}
+        # in step order, as ingest builds them: a checkpoint document's
+        # keys are sorted as strings ("10" before "2"), and Eq. 3 sums
+        # the windows in the order they are held
+        self.windows = {idx: [float(low), float(high)]
+                        for idx, (low, high) in sorted(
+                            (int(idx), window) for idx, window
+                            in state["windows"].items())}
         self.durations = {(node, int(idx)): float(duration)
                           for node, idx, duration
                           in state["durations"]}

@@ -4,12 +4,15 @@ One :class:`~repro.live.pipeline.LivePipeline` diagnoses one
 collective.  This package scales that to a *fleet*: tenants
 (monitored collectives) are consistent-hashed across N shards
 (:mod:`~repro.fleet.sharding`), each shard replays its tenants under
-per-tenant isolation budgets (:mod:`~repro.fleet.tenancy`) — in
-process (:mod:`~repro.fleet.service`) or as supervised worker
-processes (:mod:`~repro.fleet.worker`) — and per-shard reports fan in
-through bounded mailboxes into deterministic fleet snapshots
+per-tenant isolation budgets (:mod:`~repro.fleet.tenancy`) in a
+supervised worker process (:mod:`~repro.fleet.worker`), and per-shard
+reports stream back over a socket (:mod:`~repro.fleet.transport`,
+whose ``run_fleet_streaming`` is the one fleet orchestrator) through
+bounded mailboxes into deterministic fleet snapshots
 (:mod:`~repro.fleet.aggregator`), scrapeable over HTTP in Prometheus
-text format (:mod:`~repro.fleet.exporter`).
+text format (:mod:`~repro.fleet.exporter`).  ``FleetService``
+(:mod:`~repro.fleet.service`) runs the same shards inside one process
+as the reference the worker fleet is tested against.
 
 The load-bearing contract, proven by :mod:`~repro.fleet.chaos`
 (``repro fleet chaos``): SIGKILL any shard worker mid-replay, let

@@ -183,8 +183,8 @@ class ShardReport:
     publish_fallbacks: int = 0
     transport_retries: int = 0
     breaker_state: int = 0
-    #: optional serialized lateness Histogram state (process-mode
-    #: bench carries ingest-to-snapshot latency home through this)
+    #: optional serialized ingest-to-snapshot Histogram state (worker
+    #: processes ship it home for the exporter and the benchmark)
     lateness: Optional[dict] = None
 
     @property
@@ -521,10 +521,11 @@ class FleetAggregator:
     def export_into(self, registry: MetricsRegistry
                     ) -> MetricsRegistry:
         """Aggregation-tier operational series: merge cost, per-shard
-        mailbox drops, transport counters from the freshest reports,
-        breaker state, heartbeat ages and liveness codes.  Distinct
-        names from the snapshot-level series, so both can share a
-        registry.
+        mailbox drops, and what the freshest report of each shard
+        carries — events consumed, restarts, checkpoints, transport
+        counters, breaker state, the ingest-to-snapshot histogram —
+        plus heartbeat ages and liveness codes.  Distinct names from
+        the snapshot-level series, so both can share a registry.
         """
         health = self.shard_health()
         registry.attach(self.merge_seconds)
@@ -536,9 +537,36 @@ class FleetAggregator:
             "fleet_degraded_snapshots_total",
             "rolling merges that excluded health-dead shards",
         ).inc(self.degraded_snapshots)
+        lateness = registry.histogram(
+            "fleet_ingest_to_snapshot_seconds",
+            "wall time from event arrival to the snapshot including "
+            "it, across every tenant of the fleet")
         for shard in self.expected:
             labels = {"shard": str(shard)}
             box = self.mailboxes[shard]
+            report = box.latest()
+            registry.counter(
+                "fleet_shard_events_consumed_total",
+                "stream events the shard consumed",
+                labels=labels).inc(
+                report.events_consumed if report else 0)
+            registry.counter(
+                "fleet_shard_restarts_total",
+                "supervised restarts of the shard worker",
+                labels=labels).inc(report.restarts if report else 0)
+            registry.counter(
+                "fleet_shard_checkpoints_written_total",
+                "checkpoint snapshots persisted by the shard",
+                labels=labels).inc(
+                report.checkpoints_written if report else 0)
+            shard_lateness = registry.histogram(
+                "fleet_shard_ingest_to_snapshot_seconds",
+                "wall time from event arrival to the snapshot "
+                "including it, across every tenant of the shard",
+                labels=labels)
+            if report is not None and report.lateness:
+                shard_lateness.load_state(report.lateness)
+                lateness.merge_from(shard_lateness)
             registry.counter(
                 "fleet_shard_reports_offered_total",
                 "reports offered to the shard's bounded mailbox",
@@ -548,7 +576,6 @@ class FleetAggregator:
                 "reports shed (drop-oldest) by the shard's bounded "
                 "mailbox",
                 labels=labels).inc(box.dropped)
-            report = box.latest()
             registry.counter(
                 "fleet_shard_publish_failures_total",
                 "report publishes the shard's transport channel "

@@ -15,15 +15,17 @@ Kill points are deterministic (the worker hang-flag protocol in
 count and the supervisor SIGKILLs it, so the same seed reproduces the
 same experiment.
 
-``transport=True`` raises the stakes once more: workers stream their
-reports over the socket channel (:mod:`repro.fleet.transport`) while
-seeded network faults drop/garble received chunks, reset connections
-and stall heartbeats — and the SIGKILLed shard's restart backoff is
-tuned long enough that the health tracker declares it *dead*, forcing
-degraded rolling snapshots.  The experiment passes only if the fleet
-went degraded-then-recovered **and** the final diagnosis is still
-bit-equal to the uninterrupted baseline (the atomic report files are
-always the final fan-in, so no streamed fault can corrupt it).
+The chaos fleet runs the way ``repro fleet serve`` does, through
+:func:`~repro.fleet.transport.run_fleet_streaming`: workers stream
+their reports over the socket channel, and the atomic report files are
+always the final fan-in.  ``transport=True`` raises the stakes once
+more: seeded network faults drop/garble received chunks, reset
+connections and stall heartbeats — and the SIGKILLed shard's restart
+backoff is tuned long enough that the health tracker declares it
+*dead*, forcing degraded rolling snapshots.  The experiment passes
+only if the fleet went degraded-then-recovered **and** the final
+diagnosis is still bit-equal to the uninterrupted baseline (no
+streamed fault can reach the report files).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.fleet.sharding import (
     shard_workdir,
     tenant_checkpoint_dir,
 )
-from repro.fleet.worker import run_fleet_multiprocess
+from repro.fleet.transport import run_fleet_streaming
 from repro.live.chaos import corrupt_newest_checkpoint
 from repro.live.checkpoint import CheckpointManager
 from repro.live.supervisor import RestartPolicy
@@ -69,8 +71,8 @@ class FleetChaosPlan:
     corrupt_checkpoint: bool = False
     #: truncate (instead of bit-flip) that checkpoint
     truncate_checkpoint: bool = False
-    #: stream reports over the socket transport with injected
-    #: network faults and health-aware degraded snapshots
+    #: inject network faults into the socket fan-in and hold the
+    #: killed shard down until it is health-dead (degraded snapshots)
     transport: bool = False
     #: parent-side probability of dropping a received chunk
     net_drop: float = 0.0
@@ -97,7 +99,7 @@ class FleetChaosReport:
     recovered_digest: str = ""
     equal: bool = False
     survivors_clean: bool = False
-    # transport-mode observations (zero / empty in file-only runs)
+    # fan-in observations (degraded snapshots need ``transport``)
     degraded_snapshots: int = 0
     recovered: bool = True
     transport_stats: dict = field(default_factory=dict)
@@ -232,10 +234,10 @@ def run_fleet_chaos(tenants: Sequence[TenantSpec],
     supervised back to completion.  Both fleets' final snapshots are
     compared on their diagnosis content.
 
-    With ``plan.transport`` the chaos run streams its reports over
-    the socket channel under the plan's network faults; ``on_merge``
-    observes every rolling snapshot and ``aggregator`` lets a caller
-    (the CLI's metrics exporter) hold the live aggregation state.
+    With ``plan.transport`` the chaos run's socket fan-in suffers the
+    plan's network faults; ``on_merge`` observes every rolling
+    snapshot and ``aggregator`` lets a caller (the CLI's metrics
+    exporter) hold the live aggregation state.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -290,42 +292,29 @@ def run_fleet_chaos(tenants: Sequence[TenantSpec],
         corrupt_done["done"] = True
 
     if plan.transport:
-        from repro.fleet.transport import run_fleet_streaming
-
         parent_faults, worker_faults = transport_failpoints(plan)
-        failpoints.configure(parent_faults, seed=plan.seed)
-        try:
-            outcome = run_fleet_streaming(
-                chaos_config, fleet_plan, str(workdir / "reports"),
-                health=health or transport_health_policy(),
-                hang_at=hang_at,
-                policy=restart_policy
-                or transport_restart_policy(plan.seed),
-                on_crash=on_crash, on_merge=on_merge,
-                merge_every_s=0.05,
-                worker_failpoints=worker_faults,
-                failpoint_seed=plan.seed,
-                aggregator=aggregator)
-        finally:
-            failpoints.clear()
-        results = outcome.results
-        recovered_final = outcome.final
-        report.degraded_snapshots = outcome.degraded_snapshots
-        report.recovered = not recovered_final.degraded
-        report.transport_stats = dict(outcome.transport)
+        health = health or transport_health_policy()
+        restart_policy = restart_policy \
+            or transport_restart_policy(plan.seed)
     else:
-        results = run_fleet_multiprocess(
+        parent_faults = worker_faults = ""
+        restart_policy = restart_policy \
+            or default_restart_policy(plan.seed)
+    failpoints.configure(parent_faults, seed=plan.seed)
+    try:
+        outcome = run_fleet_streaming(
             chaos_config, fleet_plan, str(workdir / "reports"),
-            hang_at=hang_at,
-            policy=restart_policy
-            or default_restart_policy(plan.seed),
-            on_crash=on_crash)
-        final_aggregator = FleetAggregator(sorted(fleet_plan),
-                                           config.mailbox_capacity)
-        for shard_report in results.values():
-            final_aggregator.offer(shard_report)
-        recovered_final = final_aggregator.merge(final=True)
-    report.restarts = sum(r.restarts for r in results.values())
+            health=health, hang_at=hang_at, policy=restart_policy,
+            on_crash=on_crash, on_merge=on_merge, merge_every_s=0.05,
+            worker_failpoints=worker_faults, failpoint_seed=plan.seed,
+            aggregator=aggregator)
+    finally:
+        failpoints.clear()
+    recovered_final = outcome.final
+    report.degraded_snapshots = outcome.degraded_snapshots
+    report.recovered = not recovered_final.degraded
+    report.transport_stats = dict(outcome.transport)
+    report.restarts = sum(r.restarts for r in outcome.results.values())
     report.recovered_digest = recovered_final.diagnosis_digest()
     report.equal = recovered_final.diagnosis_json() \
         == baseline_final.diagnosis_json()

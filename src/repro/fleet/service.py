@@ -1,14 +1,15 @@
-"""The in-process fleet: shard runtimes, scheduler, fan-in, metrics.
+"""Shard runtimes, the in-process reference fleet, status and metrics.
 
-:class:`FleetService` is the single-process execution mode: every
-shard is a :class:`ShardRuntime` stepped round-robin by one scheduler
-loop, and rolling :class:`~repro.fleet.aggregator.FleetSnapshot`\\ s
-fan in through a :class:`~repro.fleet.aggregator.FleetAggregator`.
-It is the reference semantics for the multi-process mode
-(:mod:`repro.fleet.worker` runs one ``ShardRuntime`` per OS process):
-both build shard state through :func:`build_shard_runtime`, so a
-supervised fleet that crashes and resumes must converge to the same
-final fleet snapshot this service produces uninterrupted.
+A worker process (:mod:`repro.fleet.worker`, orchestrated by
+:func:`~repro.fleet.transport.run_fleet_streaming`) runs one
+:class:`ShardRuntime`.  :class:`FleetService` is the reference
+semantics and nothing else: it steps every shard round-robin inside
+one process and fans rolling
+:class:`~repro.fleet.aggregator.FleetSnapshot`\\ s in through a
+:class:`~repro.fleet.aggregator.FleetAggregator`.  Both build shard
+state through :func:`build_shard_runtime`, so a supervised fleet that
+crashes and resumes must converge to the same final fleet snapshot
+this service produces uninterrupted.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.fleet.aggregator import (
     FleetSnapshot,
     ShardReport,
     TenantDigest,
-    merge_reports,
 )
 from repro.fleet.sharding import (
     HashRing,
@@ -89,7 +89,7 @@ def build_shard_runtime(
                                            Optional[str]],
                                           TenantRuntime]] = None,
 ) -> "ShardRuntime":
-    """The one constructor both execution modes share.
+    """The one constructor worker processes and the reference share.
 
     ``workdir`` (the *fleet* root) turns on per-tenant durability:
     each tenant gets its own checkpoint directory under the shard's
@@ -121,7 +121,6 @@ class ShardRuntime:
         self.shard_id = shard_id
         self.tenants = sorted(tenants, key=lambda t: t.tenant)
         self.events_consumed = 0
-        self.restarts = 0
         #: tenant -> (snapshot, counts, digest) of its last report
         self._digests: dict[str, tuple] = {}
 
@@ -173,7 +172,6 @@ class ShardRuntime:
             shard_id=self.shard_id,
             final=final,
             tenants=[self._digest(t, final) for t in self.tenants],
-            restarts=self.restarts,
             checkpoints_written=self.checkpoints_written(),
             events_consumed=self.events_consumed,
         )
@@ -192,12 +190,13 @@ class ShardRuntime:
 
 
 class FleetService:
-    """Single-process fleet over in-process shard runtimes."""
+    """The reference fleet: every shard runtime in this process, no
+    worker, socket or exporter (``fleet serve`` runs worker
+    processes)."""
 
     def __init__(self, config: FleetConfig,
                  tenants: Sequence[TenantSpec],
-                 tenant_factory=None,
-                 status_path: Optional[str] = None) -> None:
+                 tenant_factory=None) -> None:
         self.config = config
         self.ring = HashRing(config.shards, config.vnodes)
         self.plan = self.ring.assign(tenants)
@@ -209,7 +208,6 @@ class FleetService:
         ]
         self.aggregator = FleetAggregator(
             sorted(self.plan), config.mailbox_capacity)
-        self.status_path = status_path
         self.rounds = 0
         self.latest: Optional[FleetSnapshot] = None
 
@@ -223,8 +221,6 @@ class FleetService:
             self.aggregator.offer(shard.report(final=final))
         snapshot = self.aggregator.merge(final=final)
         self.latest = snapshot
-        if self.status_path is not None:
-            write_status(self.status_path, snapshot)
         return snapshot
 
     def run(self,
@@ -248,49 +244,6 @@ class FleetService:
             on_merge(snapshot)
         return snapshot
 
-    # ------------------------------------------------------------------
-    def snapshot_lateness(self) -> Histogram:
-        """Fleet-wide ingest-to-snapshot latency (p99 is the bench
-        headline number)."""
-        merged = Histogram(
-            "fleet_ingest_to_snapshot_seconds",
-            "wall time from event arrival to the snapshot including "
-            "it, across every tenant of the fleet",
-        )
-        for shard in self.shards:
-            merged.merge_from(shard.merged_latency())
-        return merged
-
-    def build_registry(self) -> MetricsRegistry:
-        """One registry holding fleet-, shard- and tenant-level series
-        (the exporter's backing store): everything the newest merge
-        carries (:func:`registry_from_snapshot`), the aggregation
-        tier's own series, and what only the shard runtimes know."""
-        snapshot = self.latest if self.latest is not None \
-            else merge_reports((), self.aggregator.expected)
-        registry = self.aggregator.export_into(registry_from_snapshot(
-            snapshot, self.aggregator.dropped_total()))
-        registry.attach(self.snapshot_lateness())
-        for shard in self.shards:
-            labels = {"shard": str(shard.shard_id)}
-            registry.counter(
-                "fleet_shard_events_consumed_total",
-                "stream events the shard consumed",
-                labels=labels).inc(shard.events_consumed)
-            registry.counter(
-                "fleet_shard_restarts_total",
-                "supervised restarts of the shard worker",
-                labels=labels).inc(shard.restarts)
-            registry.counter(
-                "fleet_shard_checkpoints_written_total",
-                "checkpoint snapshots persisted by the shard",
-                labels=labels).inc(shard.checkpoints_written())
-            shard_latency = shard.merged_latency()
-            shard_latency.name = "fleet_shard_ingest_to_snapshot_seconds"
-            shard_latency.labels = dict(labels)
-            registry.attach(shard_latency)
-        return registry
-
 
 def registry_from_snapshot(snapshot: FleetSnapshot,
                            dropped_reports: int = 0
@@ -298,10 +251,10 @@ def registry_from_snapshot(snapshot: FleetSnapshot,
     """Fleet/shard/tenant series rebuilt from a merged snapshot alone
     — the one place they are declared.
 
-    The multiprocess serve mode scrapes through this: the exporter
-    lives in the parent, shards are separate OS processes, and the
-    fleet snapshot is the only shared state.
-    :meth:`FleetService.build_registry` starts from the same call.
+    Every exporter scrapes through this plus
+    :meth:`FleetAggregator.export_into`: the exporter lives in the
+    parent, shards are separate OS processes, and the merged snapshot
+    and the shards' freshest reports are the only shared state.
     """
     registry = MetricsRegistry()
     registry.gauge(
@@ -399,16 +352,17 @@ def registry_from_snapshot(snapshot: FleetSnapshot,
     return registry
 
 
-def write_status(path: str, snapshot: FleetSnapshot) -> None:
-    """Atomically publish the newest fleet snapshot as JSON (the
-    ``repro fleet status`` data source)."""
+def publish_json(path: str, data: dict) -> None:
+    """Atomic publish (tmp + fsync + rename): a reader never sees a
+    torn file, and a SIGKILL mid-write leaves the previous one.  Shard
+    reports and fleet status files both go out through here."""
     target = os.path.abspath(path)
     directory = os.path.dirname(target) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(snapshot.to_dict(), handle, sort_keys=True)
+            json.dump(data, handle, sort_keys=True)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, target)
@@ -418,6 +372,12 @@ def write_status(path: str, snapshot: FleetSnapshot) -> None:
         except OSError:  # repro: noqa RPR030 - best-effort tmp cleanup; the original error re-raises below
             pass
         raise
+
+
+def write_status(path: str, snapshot: FleetSnapshot) -> None:
+    """Publish the newest fleet snapshot (the ``repro fleet status``
+    data source)."""
+    publish_json(path, snapshot.to_dict())
 
 
 def read_status(path: str) -> Optional[dict]:
@@ -440,6 +400,7 @@ __all__ = [
     "ShardRuntime",
     "build_shard_runtime",
     "registry_from_snapshot",
+    "publish_json",
     "write_status",
     "read_status",
     "specs_from_plan",

@@ -6,7 +6,9 @@ dict (the same idiom as :mod:`repro.experiments.runner` — specs must
 cross a ``spawn`` pickle boundary), replays its tenants, and publishes
 :class:`~repro.fleet.aggregator.ShardReport` JSON atomically to a
 well-known path.  The parent process never shares memory with a
-shard; the report file *is* the fan-in edge.
+shard; the report file *is* the final fan-in edge.  The one code that
+starts a fleet of these workers is
+:func:`~repro.fleet.transport.run_fleet_streaming`.
 
 Supervision reuses :class:`~repro.live.supervisor.Supervisor`: the
 target spawns the worker process and raises
@@ -29,14 +31,14 @@ import multiprocessing
 import os
 import signal
 import sys
-import tempfile
 import threading
 import time
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core import failpoints
 from repro.fleet.aggregator import ShardReport
-from repro.fleet.service import FleetConfig, build_shard_runtime
+from repro.fleet.service import (FleetConfig, build_shard_runtime,
+                                 publish_json)
 from repro.fleet.sharding import TenantSpec
 
 if TYPE_CHECKING:   # the supervising parent's, not a worker's
@@ -88,29 +90,13 @@ def make_shard_spec(config: FleetConfig, shard_id: int,
 
 
 def write_report(path: str, report: ShardReport) -> None:
-    """Atomic publish (tmp + fsync + rename): a reader never sees a
-    torn report, and a SIGKILL mid-write leaves the previous one.
+    """Atomic publish (:func:`~repro.fleet.service.publish_json`).
 
     Failpoint site ``worker.report.write`` (``error`` fails the
     publish, ``drop`` silently skips it, ``delay`` stalls it)."""
     if failpoints.fire("worker.report.write") == "drop":
         return
-    target = os.path.abspath(path)
-    directory = os.path.dirname(target) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:  # repro: noqa RPR030 - best-effort tmp cleanup; the original error re-raises below
-            pass
-        raise
+    publish_json(path, report.to_dict())
 
 
 def read_report(path: str) -> Optional[ShardReport]:
@@ -338,43 +324,6 @@ def run_fleet_supervised(
     return results
 
 
-def run_fleet_multiprocess(
-        config: FleetConfig,
-        plan: dict[int, list[TenantSpec]],
-        report_dir: str,
-        hang_at: Optional[dict[int, int]] = None,
-        policy: Optional[RestartPolicy] = None,
-        on_crash=None,
-        report_every_rounds: int = 8,
-        endpoint: Optional[list] = None,
-        heartbeat_every_rounds: int = 1,
-        worker_failpoints: str = "",
-        failpoint_seed: int = 0,
-        preload_traces: bool = False,
-) -> dict[int, ShardReport]:
-    """Run every shard of ``plan`` as a supervised worker process
-    (one supervising thread per shard) and collect final reports.
-    With an ``endpoint``, workers additionally stream rolling reports
-    and heartbeats there (see :mod:`repro.fleet.transport`)."""
-    os.makedirs(report_dir, exist_ok=True)
-    hang_at = hang_at or {}
-    specs = {
-        shard_id: make_shard_spec(
-            config, shard_id, tenant_specs,
-            os.path.join(report_dir, f"shard-{shard_id:03d}.json"),
-            hang_at=hang_at.get(shard_id, 0),
-            report_every_rounds=report_every_rounds,
-            endpoint=endpoint,
-            heartbeat_every_rounds=heartbeat_every_rounds,
-            worker_failpoints=worker_failpoints,
-            failpoint_seed=failpoint_seed,
-            preload_traces=preload_traces)
-        for shard_id, tenant_specs in sorted(plan.items())
-    }
-    return run_fleet_supervised(specs, policy=policy,
-                                on_crash=on_crash)
-
-
 __all__ = [
     "WorkerCrashed",
     "make_shard_spec",
@@ -385,5 +334,4 @@ __all__ = [
     "run_worker_process",
     "run_shard_supervised",
     "run_fleet_supervised",
-    "run_fleet_multiprocess",
 ]

@@ -1030,16 +1030,6 @@ class ColumnarTrace:
                        line_col[i],
                        raw.decode("utf-8", errors="replace").strip())
 
-    # ------------------------------------------------------------------
-    # zero-copy query layer
-    # ------------------------------------------------------------------
-    def _time_column(self, kind: str) -> memoryview:
-        if kind == "step_record":
-            return self.col("s.end")
-        if kind == "switch_report":
-            return self.col("r.time")
-        raise ValueError(f"unknown data kind: {kind!r}")
-
     def time_range(self, kind: str, start: float, end: float
                    ) -> list[int]:
         """Record indices of ``kind`` with event time in
@@ -1049,76 +1039,14 @@ class ColumnarTrace:
         sorted (always true for recorder-written traces), otherwise
         scans it.
         """
-        times = self._time_column(kind)
+        if kind not in ("step_record", "switch_report"):
+            raise ValueError(f"unknown data kind: {kind!r}")
+        times = self.col("s.end" if kind == "step_record" else "r.time")
         if self.time_sorted.get(kind):
             return list(range(bisect_left(times, start),
                               bisect_right(times, end)))
         return [i for i in range(len(times))
                 if start <= times[i] <= end]
-
-    def flow_id(self, flow: FlowKey) -> Optional[int]:
-        try:
-            return self.flows.index(flow)
-        except ValueError:
-            return None
-
-    def steps_for_flow(self, flow: FlowKey) -> list[int]:
-        """Step-record indices whose 5-tuple equals ``flow``."""
-        fid = self.flow_id(flow)
-        if fid is None:
-            return []
-        column = self.col("s.flow")
-        return [i for i in range(len(column)) if column[i] == fid]
-
-    def reports_for_flow(self, flow: FlowKey) -> list[int]:
-        """Switch-report indices that mention ``flow`` in any per-port
-        counter (``flow_pkts`` / ``inqueue`` / ``wait_weights``) or in
-        ``ttl_drops`` — an integer scan over child columns only."""
-        fid = self.flow_id(flow)
-        if fid is None:
-            return []
-        col = self.col
-        ports_off = col("r.ports")
-        p_fp, p_iq, p_ww = col("p.fp"), col("p.iq"), col("p.ww")
-        fp_flow, iq_flow = col("fp.flow"), col("iq.flow")
-        ww_fi, ww_fj = col("ww.fi"), col("ww.fj")
-        ttl_off, ttl_flow = col("r.ttl"), col("ttl.flow")
-        hits = []
-        with self._data_errors():
-            for i in range(self.counts["switch_report"]):
-                found = any(ttl_flow[k] == fid
-                            for k in range(ttl_off[i], ttl_off[i + 1]))
-                for p in range(ports_off[i], ports_off[i + 1]):
-                    if found:
-                        break
-                    found = (
-                        any(fp_flow[k] == fid
-                            for k in range(p_fp[p], p_fp[p + 1]))
-                        or any(iq_flow[k] == fid
-                               for k in range(p_iq[p], p_iq[p + 1]))
-                        or any(ww_fi[k] == fid or ww_fj[k] == fid
-                               for k in range(p_ww[p], p_ww[p + 1])))
-                if found:
-                    hits.append(i)
-        return hits
-
-    def reports_for_port(self, switch_id: str, port: int
-                         ) -> list[int]:
-        """Switch-report indices from ``switch_id`` carrying a
-        telemetry entry for ``port``."""
-        try:
-            sid = self.strings.index(switch_id)
-        except ValueError:
-            return []
-        col = self.col
-        switches = col("r.switch")
-        ports_off, p_port = col("r.ports"), col("p.port")
-        with self._data_errors():
-            return [i for i in range(self.counts["switch_report"])
-                    if switches[i] == sid
-                    and any(p_port[p] == port
-                            for p in range(ports_off[i],
-                                           ports_off[i + 1]))]
 
 
 # ----------------------------------------------------------------------

@@ -98,14 +98,15 @@ def test_src_tree_is_clean_strict():
 
 
 # ----------------------------------------------------------------------
-# the audit annotations in fleet/worker.py are load-bearing
+# the audit annotations in the fleet's worker plumbing are load-bearing
 # ----------------------------------------------------------------------
 def test_rpr030_catches_unannotated_worker_swallow(tmp_path):
-    """Strip the rationale noqa from the real write_report cleanup
-    handler and the pass must flag it again."""
-    source = (REPO_ROOT / "src/repro/fleet/worker.py").read_text()
+    """Strip the rationale noqa from the real cleanup handler behind a
+    worker's report publish (``service.publish_json``) and the pass
+    must flag it again."""
+    source = (REPO_ROOT / "src/repro/fleet/service.py").read_text()
     needle = "# repro: noqa RPR030"
-    assert needle in source, "worker.py annotations moved; update test"
+    assert needle in source, "service.py annotations moved; update test"
     # the tmp copy is outside fleet/: opt it back in via pragma
     clean = tmp_path / "clean.py"
     clean.write_text(LIFECYCLE_PRAGMA + source)

@@ -1,4 +1,5 @@
-"""The in-process fleet service: determinism, metrics, status files."""
+"""The in-process reference fleet: determinism, metrics, status
+files."""
 
 import pytest
 
@@ -84,23 +85,58 @@ def test_budget_quarantine_surfaces_in_the_snapshot(tenants):
     assert all(t.events_admitted == 25 for t in final.tenants)
 
 
-def test_build_registry_has_fleet_shard_and_tenant_series(tenants):
+def test_export_into_has_fleet_shard_and_tenant_series(tenants):
+    """One registry builder serves every exporter: the snapshot's
+    series plus what the aggregator's freshest reports carry."""
     service = build_service(tenants)
-    service.run()
-    registry = service.build_registry()
+    final = service.run()
+    registry = service.aggregator.export_into(registry_from_snapshot(
+        final, service.aggregator.dropped_total()))
     names = registry.names()
     assert "fleet_shards" in names
     assert "fleet_tenants" in names
     assert "fleet_merge_seconds" in names
     assert "fleet_ingest_to_snapshot_seconds" in names
-    assert any(n.startswith("fleet_shard_events_consumed_total{")
-               for n in names)
-    assert any(n.startswith(
-        "fleet_shard_ingest_to_snapshot_seconds{") for n in names)
+    for shard in service.shards:
+        labels = f'{{shard="{shard.shard_id}"}}'
+        assert registry[f"fleet_shard_events_consumed_total{labels}"] \
+            .value == shard.events_consumed > 0
+        assert registry[f"fleet_shard_restarts_total{labels}"].value == 0
+        assert registry[
+            f"fleet_shard_checkpoints_written_total{labels}"].value == 0
+        assert f"fleet_shard_ingest_to_snapshot_seconds{labels}" in names
     tenant_series = [n for n in names
                      if n.startswith("fleet_tenant_confidence{")]
     assert len(tenant_series) == 4
     assert registry["fleet_tenants"].value == 4
+
+
+def test_export_into_folds_shipped_lateness():
+    """A worker ships its shard's ingest-to-snapshot histogram home in
+    each report; the exporter labels it per shard and sums the fleet."""
+    from repro.fleet.aggregator import FleetAggregator, ShardReport
+    from repro.live.metrics import Histogram, MetricsRegistry
+
+    aggregator = FleetAggregator([0, 1, 2])
+    for shard_id, samples in ((0, [0.001, 0.002]), (1, [0.5])):
+        shipped = Histogram("shard")
+        for value in samples:
+            shipped.observe(value)
+        aggregator.offer(ShardReport(
+            shard_id=shard_id, final=True, events_consumed=7,
+            restarts=shard_id, checkpoints_written=3,
+            lateness=shipped.state_dict()))
+    registry = aggregator.export_into(MetricsRegistry())
+    fleet = registry["fleet_ingest_to_snapshot_seconds"]
+    assert fleet.total == 3 and fleet.max == 0.5
+    assert registry['fleet_shard_ingest_to_snapshot_seconds{shard="0"}'] \
+        .total == 2
+    assert registry['fleet_shard_restarts_total{shard="1"}'].value == 1
+    # a shard that has not reported yet exports zeros, not nothing
+    assert registry['fleet_shard_ingest_to_snapshot_seconds{shard="2"}'] \
+        .total == 0
+    assert registry['fleet_shard_events_consumed_total{shard="2"}'] \
+        .value == 0
 
 
 def test_registry_from_snapshot_needs_only_the_snapshot(tenants):
@@ -117,13 +153,10 @@ def test_registry_from_snapshot_needs_only_the_snapshot(tenants):
 
 def test_status_file_round_trips(tenants, tmp_path):
     status_path = str(tmp_path / "deep" / "status.json")
-    service = build_service(tenants)
-    service.status_path = status_path
-    final = service.run()
-    data = read_status(status_path)
-    assert data == final.to_dict()
-    write_status(status_path, final)
+    final = build_service(tenants).run(
+        on_merge=lambda snapshot: write_status(status_path, snapshot))
     assert read_status(status_path) == final.to_dict()
+    assert not list((tmp_path / "deep").glob("*.tmp"))
 
 
 def test_read_status_swallows_garbage(tmp_path):

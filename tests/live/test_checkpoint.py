@@ -220,6 +220,41 @@ def test_replayer_checkpoints_and_resumes(trace_path, tmp_path):
     assert manager.written >= 2
 
 
+def test_resume_keeps_step_windows_in_step_order(tmp_path):
+    """A checkpoint document's keys are sorted as strings, so step
+    "10" is stored before step "2".  Eq. 3 sums the per-step windows in
+    the graph's order, which a resume must rebuild as the integer step
+    order an uninterrupted replay builds them in (a 12-node ring has
+    11 steps)."""
+    from tests.fleet.conftest import record_scenario_trace
+
+    trace = record_scenario_trace(tmp_path / "incast-n12.jsonl",
+                                  "incast", 12)
+    header = read_header(trace)
+    config = PipelineConfig(snapshot_every=16)
+    baseline = LivePipeline.from_header(header, config)
+    expected = TraceReplayer(baseline, trace_events(trace)).run()
+    assert len(baseline.graph.windows) >= 11
+    assert list(baseline.graph.windows) \
+        == sorted(baseline.graph.windows)
+
+    manager = CheckpointManager(tmp_path / "ckpt")
+    stop_at = sum(1 for _ in trace_events(trace)) - 2
+    partial = TraceReplayer(
+        LivePipeline.from_header(header, config),
+        itertools.islice(trace_events(trace), stop_at), manager)
+    partial.run(finish=False)
+    partial.checkpoint()
+
+    resumed, cursor, was_resumed = resume_or_create(header, manager,
+                                                    config=config)
+    assert was_resumed and cursor.published == stop_at
+    final = TraceReplayer(resumed, trace_events(trace, cursor=cursor),
+                          manager, cursor).run()
+    assert list(resumed.graph.windows) == list(baseline.graph.windows)
+    assert final.canonical_json() == expected.canonical_json()
+
+
 def test_resume_or_create_fresh_skips_checkpoints(trace_path,
                                                   tmp_path):
     header = read_header(trace_path)

@@ -242,38 +242,18 @@ def test_property_queries_match_full_scan(tmp_path_factory, seed):
     synthesize_trace(src, seed, unknown=False, blank=False)
     col = write_columnar(src, tmp / "t.vcol")
     with ColumnarTrace(col) as trace:
-        steps = [trace.step_record(i)
-                 for i in range(trace.counts["step_record"])]
-        reports = [trace.switch_report(i)
-                   for i in range(trace.counts["switch_report"])]
-        times = [r.time for r in reports]
-        if times:
-            lo = times[len(times) // 4]
-            hi = times[(3 * len(times)) // 4]
-            got = trace.time_range("switch_report", lo, hi)
-            want = [i for i, t in enumerate(times) if lo <= t <= hi]
-            assert list(got) == want
-        flows = {s.flow_key for s in steps}
-        for flow in flows:
-            want = [i for i, s in enumerate(steps)
-                    if s.flow_key == flow]
-            assert trace.steps_for_flow(flow) == want
-            want_r = [
-                i for i, r in enumerate(reports)
-                if flow in r.ttl_drops
-                or any(flow in p.flow_pkts
-                       or flow in p.inqueue_flow_pkts
-                       or any(flow in pair
-                              for pair in p.wait_weights)
-                       for p in r.ports)]
-            assert trace.reports_for_flow(flow) == want_r
-        seen_ports = {(r.switch_id, p.port)
-                      for r in reports for p in r.ports}
-        for switch_id, port in sorted(seen_ports):
-            want = [i for i, r in enumerate(reports)
-                    if r.switch_id == switch_id
-                    and any(p.port == port for p in r.ports)]
-            assert trace.reports_for_port(switch_id, port) == want
+        times = {
+            "step_record": [trace.step_record(i).end_time for i
+                            in range(trace.counts["step_record"])],
+            "switch_report": [trace.switch_report(i).time for i
+                              in range(trace.counts["switch_report"])]}
+        for kind, column in times.items():
+            if column:
+                lo = column[len(column) // 4]
+                hi = column[(3 * len(column)) // 4]
+                want = [i for i, t in enumerate(column)
+                        if lo <= t <= hi]
+                assert trace.time_range(kind, lo, hi) == want
 
 
 # ----------------------------------------------------------------------
@@ -772,18 +752,12 @@ def test_data_corruption_is_reported_by_the_query_layer(
     ``TraceFormatError``."""
     data = bytearray(columnar_path.read_bytes())
     with ColumnarTrace(columnar_path) as trace:
-        switch_id = trace.strings[trace.col("r.switch")[0]]
-        flow = trace.flows[0]
         # the first report now ends far past its ports and ttl drops
         for name in ("r.ports", "r.ttl"):
             start = trace.directory["columns"][name][0]
             struct.pack_into("<Q", data, start + 8, 2**40)
     bad = _write(tmp_path / "bad.vcol", bytes(data))
     with ColumnarTrace(bad) as trace:
-        with pytest.raises(TraceFormatError, match="bad.vcol"):
-            trace.reports_for_port(switch_id, 10**6)
-        with pytest.raises(TraceFormatError, match="bad.vcol"):
-            trace.reports_for_flow(flow)
         with pytest.raises(TraceFormatError, match="bad.vcol"):
             list(trace.iter_events())
     with pytest.raises(TraceFormatError, match="bad.vcol"):
