@@ -24,18 +24,45 @@ equality and report both throughput rates.
 import time
 
 from benchmarks.conftest import print_rows
-from benchmarks.test_live_throughput import synthetic_stream
+from repro.collective.ring import ring_allgather
+from repro.collective.runtime import StepRecord
 from repro.live import LivePipeline, PipelineConfig
 from repro.live.checkpoint import (
     CheckpointManager,
     CheckpointPolicy,
     TraceReplayer,
 )
+from repro.simnet.packet import FlowKey
+from repro.traces.stream import TraceEvent
 
 NUM_NODES = 32
 ROUNDS = 3
 #: the acceptance ceiling: (replay + checkpoint) / replay, best-of-N
 MAX_OVERHEAD_RATIO = 1.10
+
+
+def synthetic_stream(num_nodes: int):
+    """A ring collective's step records in completion-time order."""
+    nodes = [f"n{i}" for i in range(num_nodes)]
+    schedule = ring_allgather(nodes, 100_000)
+    expected = {}
+    events = []
+    for idx in range(num_nodes - 1):
+        for n, node in enumerate(nodes):
+            start = idx * 1000.0 + n
+            end = start + 900.0
+            record = StepRecord(
+                node=node, step_index=idx,
+                flow_key=FlowKey(node, nodes[(n + 1) % num_nodes],
+                                 9000 + idx, 4791),
+                size_bytes=100_000,
+                start_time=start, end_time=end,
+                recv_source=None, binding_dependency="prev_send")
+            expected[(node, idx)] = 900.0
+            events.append(TraceEvent("step_record", end, record,
+                                     line_no=len(events) + 1))
+    events.sort(key=lambda e: e.time)
+    return schedule, expected, events
 
 
 def replay_once(schedule, expected, events, manager):

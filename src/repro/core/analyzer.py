@@ -24,7 +24,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import (Callable, Container, Iterable, Mapping, Optional,
+                    Sequence)
 
 from repro.core.units import Bytes
 from repro.collective.runtime import CollectiveRuntime, StepRecord
@@ -88,7 +89,8 @@ class Breakdown:
     #: Eq. 3 score per non-collective flow (empty when not rating)
     collective_scores: dict[FlowKey, float] = field(default_factory=dict)
     #: non-zero Eq. 2 scores against cf_i per step with telemetry
-    #: (None where the step has no cf_i)
+    #: (None where the step has no cf_i and, unless ``keep_graphs``,
+    #: where Eq. 3 gives it no weight)
     step_scores: dict[int, Optional[dict[FlowKey, float]]] = field(
         default_factory=dict)
     #: the step graphs themselves, on request only
@@ -163,13 +165,21 @@ class DiagnosisKernel:
         if not rate:
             return breakdown
         rows = breakdown.step_scores
-        self._score_steps(windows, timing.critical_flow_keys, rows,
+        critical = timing.critical_flow_keys
+        # Eq. 3 reads the row of a step it weighs and no other; batch
+        # also hands every row out as per_flow_scores
+        if keep_graphs:
+            rated = critical.keys()
+        else:
+            weights, _ = step_excess(critical, timing.exec_times,
+                                     timing.expect_times)
+            rated = {idx for idx, weight in weights.items() if weight > 0}
+        self._score_steps(windows, critical, rated, rows,
                           breakdown.step_provenance
                           if keep_graphs else None)
-        critical = timing.critical_flow_keys
         if not rows:        # no step saw telemetry: rate the whole run
             rows[0] = score_row(overall, critical[0]) \
-                if 0 in critical else None
+                if 0 in rated else None
         excess, denominator = step_excess(rows, timing.exec_times,
                                           timing.expect_times)
         for flow in sorted(overall.background_flows(),
@@ -180,7 +190,8 @@ class DiagnosisKernel:
         return breakdown
 
     def _score_steps(self, windows: Mapping[int, Sequence[float]],
-                     critical: Mapping[int, FlowKey], rows: dict,
+                     critical: Mapping[int, FlowKey],
+                     rated: Container[int], rows: dict,
                      graphs: Optional[dict]) -> None:
         """Fill ``rows`` (and ``graphs``, when asked for) for every
         step with telemetry in its window.
@@ -193,7 +204,11 @@ class DiagnosisKernel:
         runs through a different node at nearly every snapshot — and
         lets the graph go: from then on a step is a table lookup.
         Anything else (a window widened backwards by a late record,
-        reports out of time order) is rebuilt from the slice."""
+        reports out of time order) is rebuilt from the slice.
+
+        Without ``graphs``, a step not in ``rated`` gets a None row
+        and its state is left as it was: a later snapshot that rates
+        it catches up along the same three paths."""
         reports = self._prepared
         for idx, (start, end) in windows.items():
             cf = critical.get(idx)
@@ -201,6 +216,10 @@ class DiagnosisKernel:
             if self._ordered:
                 low = bisect_left(reports, start, key=_report_time)
                 high = bisect_right(reports, end, low, key=_report_time)
+                if graphs is None and idx not in rated:
+                    if low < high:
+                        rows[idx] = None
+                    continue
                 span = (low, high)
                 then, table, merged = self._steps.get(
                     idx, (None, None, None))
@@ -219,6 +238,10 @@ class DiagnosisKernel:
                 span = None
                 step_reports = [r for r in reports
                                 if start <= r.time <= end]
+                if graphs is None and idx not in rated:
+                    if step_reports:
+                        rows[idx] = None
+                    continue
             if merged is None:
                 if not step_reports:
                     continue

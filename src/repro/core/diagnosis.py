@@ -121,8 +121,9 @@ def _port_sharing(graph: ProvenanceGraph) -> list[tuple]:
             row = rows[port] = (
                 _port_name(port), port, victims, others,
                 len(victims) > 1 and any(
-                    pairwise.get((port, a, b), 0.0) > 0
-                    for a in victims for b in victims if a != b))
+                    pairwise[key] > 0
+                    for key in index.mutual.get(port, ())
+                    if key[1] in victims and key[2] in victims))
         sharing.append(row)
     sharing.sort(key=itemgetter(0))
     if index.rows is not None:    # a hand-filled graph may change yet
@@ -261,10 +262,12 @@ def detect_pfc_anomalies(graph: ProvenanceGraph) -> list[AnomalyFinding]:
             continue
         known = evidence.get(port)
         if known is None:
-            known = evidence[port] = _pfc_evidence(graph, index, port)
-        if known[1] is not None:
-            waits.extend((_flow_name(cf), name, cf, port, known[1])
-                         for cf in victims)
+            # the port is in what it read: its row is never newer
+            read, found = _pfc_evidence(graph, index, port)
+            known = evidence[port] = (read, found and [
+                (_flow_name(cf), name, cf, port, found) for cf in victims])
+        if known[1]:
+            waits += known[1]
     waits.sort(key=itemgetter(0, 1))
     findings: dict[tuple, AnomalyFinding] = {}
     for _, name, cf, port, (kind, roots, culprits, key, chain) in waits:

@@ -79,7 +79,7 @@ class ProvenanceGraph:
         if index is not None and index.sources is None:
             return index
         sources = (self.flow_port, self.port_flow, self.port_port,
-                   self.pause_events)
+                   self.pause_events, self.pairwise)
         if index is None or index.sizes != tuple(map(len, sources)) \
                 or any(a is not b for a, b in zip(sources, index.sources)):
             index = self._index = Adjacency(sources)
@@ -187,17 +187,17 @@ class Adjacency:
 
     __slots__ = ("sources", "sizes", "ports_of_flow", "flows_at_port",
                  "waiting_at_port", "downstream", "pause_senders",
-                 "sharing", "rows", "evidence")
+                 "mutual", "sharing", "rows", "evidence")
 
     def __init__(self, sources: Optional[tuple] = None) -> None:
-        #: the (flow_port, port_flow, port_port, pause_events) a
-        #: hand-filled graph's lists were built from, and how big they
+        #: the (flow_port, port_flow, port_port, pause_events, pairwise)
+        #: a hand-filled graph's lists were built from, and how big they
         #: were then; None on an accumulator's index, which starts
         #: empty, is extended edge by edge and is never re-validated
         self.sources = sources
         self.sizes = tuple(map(len, sources or ()))
-        flow_port, port_flow, port_port, pause_events = \
-            sources or ((), (), (), ())
+        flow_port, port_flow, port_port, pause_events, pairwise = \
+            sources or ((), (), (), (), ())
         self.ports_of_flow: dict[FlowKey, list[PortRef]] = \
             _grouped(flow_port)
         self.waiting_at_port: dict[PortRef, list[FlowKey]] = \
@@ -208,6 +208,11 @@ class Adjacency:
             _grouped(port_port)
         self.pause_senders: dict[PortRef, list[PortRef]] = _grouped(
             (e.victim, e.sender) for e in pause_events)
+        #: per port, the pairwise keys (port, f_i, f_j), f_i != f_j,
+        #: that can make collective flows queue behind each other (an
+        #: accumulator's lists only those between two collective flows)
+        self.mutual: dict[PortRef, list[tuple]] = _grouped(
+            (key[0], key) for key in pairwise if key[1] != key[2])
         #: ``diagnosis`` on an accumulator's graph: the by-port pass
         #: its detectors share, and that pass's row and the PFC
         #: evidence per port, which outlive the snapshot (all None on a
@@ -323,6 +328,11 @@ class ProvenanceAccumulator:
         self._flows_seen = 0
         self._rows: dict[PortRef, tuple] = {}
         self._evidence: dict[PortRef, tuple] = {}
+        #: pause victims as of the last finalize: (flow count, flows by
+        #: source host), and per victim (what its edges were derived
+        #: from, the flows given one, the edges)
+        self._by_source: tuple[int, dict] = (-1, {})
+        self._blocked: dict[PortRef, tuple] = {}
 
     def fold(self, report: SwitchReport) -> None:
         """Merge one report (edge-wise maximum; see the class note)."""
@@ -335,6 +345,7 @@ class ProvenanceAccumulator:
             return
         graph = self.graph
         graph.flows.update(prepared.flows)
+        collective = graph.collective_flows
         index = self.index
         for (port, qdepth, paused, pairwise_edges, port_flow_edges,
              flow_port_edges, flow_pkts) in prepared.ports:
@@ -348,23 +359,30 @@ class ProvenanceAccumulator:
             edges = graph.pairwise
             for key, weight in pairwise_edges:
                 old = edges.get(key)
-                if old is None or weight > old:
+                if old is None:
+                    edges[key] = weight
+                    _, fi, fj = key
+                    if fi != fj and fi in collective and fj in collective:
+                        index.mutual.setdefault(port, []).append(key)
+                elif weight > old:
                     edges[key] = weight
             edges = graph.port_flow
             for key, weight in port_flow_edges:
                 old = edges.get(key)
                 if old is None:
+                    edges[key] = weight
                     index.flows_at_port.setdefault(port, []).append(key[1])
-                if old is None or weight > old:
+                elif weight > old:
                     edges[key] = weight
             edges = graph.flow_port
             for key, weight in flow_port_edges:
                 old = edges.get(key)
                 if old is None:
+                    edges[key] = weight
                     flow = key[0]
                     index.ports_of_flow.setdefault(flow, []).append(port)
                     index.waiting_at_port.setdefault(port, []).append(flow)
-                if old is None or weight > old:
+                elif weight > old:
                     edges[key] = weight
             seen = self.port_window_flows.get(port)
             if seen is None:
@@ -376,10 +394,11 @@ class ProvenanceAccumulator:
             for key, value in prepared.meters:
                 old = meters.get(key)
                 if old is None:
+                    meters[key] = value
                     switch, inp, out = key
                     self._into.setdefault((switch, out), []).append(key)
                     self._fed_by.setdefault((switch, inp), []).append(key)
-                if old is None or value > old:
+                elif value > old:
                     meters[key] = value
         for dedup, pause in prepared.pauses:
             if dedup in self._seen_pauses:
@@ -412,7 +431,7 @@ class ProvenanceAccumulator:
         rows, evidence = self._rows, self._evidence
         for port in dirty.intersection(rows):
             del rows[port]
-        for port in [port for port, (read, _verdict) in evidence.items()
+        for port in [port for port, (read, _waits) in evidence.items()
                      if not dirty.isdisjoint(read)]:
             del evidence[port]
         self._touched_ports = set()
@@ -433,11 +452,10 @@ class ProvenanceAccumulator:
             pause_events=base.pause_events.copy(),
             ttl_drop_flows=base.ttl_drop_flows)
         index = Adjacency()
-        index.ports_of_flow = {flow: ports.copy() for flow, ports
-                               in self.index.ports_of_flow.items()}
-        index.waiting_at_port = {port: flows.copy() for port, flows
-                                 in self.index.waiting_at_port.items()}
+        index.ports_of_flow = self.index.ports_of_flow.copy()
+        index.waiting_at_port = self.index.waiting_at_port.copy()
         index.flows_at_port = self.index.flows_at_port
+        index.mutual = self.index.mutual
         self._drop_stale()
         return self.finalize(graph, index)
 
@@ -447,7 +465,7 @@ class ProvenanceAccumulator:
         ``graph`` and ``index`` (the accumulator's own, or copies)."""
         graph.pause_events.sort(key=_pause_time)
         if graph.pause_events:
-            _attach_pause_victims(graph, index, self.port_window_flows)
+            self._attach_pause_victims(graph, index)
             _build_port_port_edges(graph, index, self.meters, self._into,
                                    self._fed_by)
             index.pause_senders = _grouped(
@@ -455,6 +473,60 @@ class ProvenanceAccumulator:
         index.rows, index.evidence = self._rows, self._evidence
         graph._index = index
         return graph
+
+    def _attach_pause_victims(self, graph: ProvenanceGraph,
+                              index: Adjacency) -> None:
+        """Give flows halted by PFC an e(f, p) edge at the victim port.
+
+        A pause's victim may be a port whose queue had drained by
+        report time (no live in-queue entries), or a host NIC (hosts
+        report no telemetry at all).  Both still block the flows
+        transiting them: flows observed at the port within the
+        telemetry window, and — for a host-side victim — every flow
+        originating at that host.
+
+        Flows, window flows and e(f, p) edges only grow, so an unchanged
+        count is an unchanged set: the flows by source host are
+        regrouped when the flow count moved, and the edges a victim
+        gains are derived again when its window flows, its own e(f, p)
+        edges or its host's flows moved.  ``index``'s lists are
+        replaced, never extended: a snapshot's are the accumulator's.
+        """
+        if self._by_source[0] != len(graph.flows):
+            by_source: dict[str, list[FlowKey]] = {}
+            for flow in graph.flows | graph.collective_flows:
+                by_source.setdefault(flow.src, []).append(flow)
+            self._by_source = (len(graph.flows), by_source)
+        by_source = self._by_source[1]
+        flow_port = graph.flow_port
+        ports_of_flow, waiting_at_port = \
+            index.ports_of_flow, index.waiting_at_port
+        # a victim paused again adds nothing new: once per victim, in
+        # the order the pauses first name it
+        for victim in dict.fromkeys(e.victim for e in graph.pause_events):
+            graph.ports.add(victim)
+            window = self.port_window_flows.get(victim, ())
+            inputs = (len(window),
+                      len(self.index.waiting_at_port.get(victim, ())),
+                      by_source.get(victim.node, ()))
+            known = self._blocked.get(victim)
+            if known is None or known[0] != inputs:
+                blocked = set(window)
+                blocked.update(inputs[2])
+                # a blocked flow with an edge there is in graph.flows
+                added = [flow for flow in blocked
+                         if (flow, victim) not in flow_port]
+                known = self._blocked[victim] = (inputs, added, dict.fromkeys(
+                    [(flow, victim) for flow in added], 0.0))
+            _inputs, added, edges = known
+            if added:
+                graph.flows.update(added)
+                flow_port.update(edges)
+                for flow in added:
+                    ports_of_flow[flow] = [*ports_of_flow.get(flow, ()),
+                                           victim]
+                waiting_at_port[victim] = [
+                    *waiting_at_port.get(victim, ()), *added]
 
 
 def build_provenance(reports: Iterable[SwitchReport],
@@ -476,35 +548,6 @@ def build_provenance(reports: Iterable[SwitchReport],
     for report in reports:
         accumulator.fold(report)
     return accumulator.finalize(accumulator.graph, accumulator.index)
-
-
-def _attach_pause_victims(graph: ProvenanceGraph, index: Adjacency,
-                          port_window_flows: dict[PortRef, set[FlowKey]]
-                          ) -> None:
-    """Give flows halted by PFC an e(f, p) edge at the victim port.
-
-    A pause's victim may be a port whose queue had drained by report
-    time (no live in-queue entries), or a host NIC (hosts report no
-    telemetry at all).  Both still block the flows transiting them:
-    flows observed at the port within the telemetry window, and — for a
-    host-side victim — every flow originating at that host.
-    """
-    by_source: dict[str, list[FlowKey]] = {}
-    for flow in graph.flows | graph.collective_flows:
-        by_source.setdefault(flow.src, []).append(flow)
-    flow_port = graph.flow_port
-    # a victim paused again adds nothing new: once per victim, in the
-    # order the pauses first name it
-    for victim in dict.fromkeys(e.victim for e in graph.pause_events):
-        graph.ports.add(victim)
-        blocked = set(port_window_flows.get(victim, ()))
-        blocked.update(by_source.get(victim.node, ()))
-        for flow in blocked:
-            graph.flows.add(flow)
-            if (flow, victim) not in flow_port:
-                flow_port[(flow, victim)] = 0.0
-                index.ports_of_flow.setdefault(flow, []).append(victim)
-                index.waiting_at_port.setdefault(victim, []).append(flow)
 
 
 def _build_port_port_edges(

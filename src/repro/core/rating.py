@@ -151,10 +151,29 @@ def score_row(graph: ProvenanceGraph, cf: FlowKey) -> dict[FlowKey, float]:
 def score_table(graph: ProvenanceGraph
                 ) -> dict[FlowKey, dict[FlowKey, float]]:
     """:func:`score_row` for every collective flow with a non-empty
-    one (a flow that waits nowhere in ``graph`` has none)."""
+    one.  A collective flow has none when no port it waits at has a
+    non-collective flow waiting there, feeding its queue or feeding a
+    port PFC-reachable from it: Eq. 2 then has no flow to score."""
+    index = graph.adjacency()
+    collective = graph.collective_flows
+    upstream: dict[PortRef, list[PortRef]] = {}
+    for port, targets in index.downstream.items():
+        for target in targets:
+            upstream.setdefault(target, []).append(port)
+    reached: set[PortRef] = set()
+    stack = [port for port, flows in index.flows_at_port.items()
+             if not collective.issuperset(flows)]
+    while stack:
+        port = stack.pop()
+        if port not in reached:
+            reached.add(port)
+            stack.extend(upstream.get(port, ()))
+    reached.update(port for port, flows in index.waiting_at_port.items()
+                   if not collective.issuperset(flows))
     table = {}
-    for cf in graph.collective_flows.intersection(
-            graph.adjacency().ports_of_flow):
+    for cf in collective.intersection(index.ports_of_flow):
+        if reached.isdisjoint(index.ports_of_flow[cf]):
+            continue
         row = score_row(graph, cf)
         if row:
             table[cf] = row

@@ -232,6 +232,17 @@ class ShardReport:
             lateness=data.get("lateness"),
         )
 
+    @classmethod
+    def from_json(cls, text: str) -> Optional["ShardReport"]:
+        """The report a JSON document spells, or None when it spells
+        none: not JSON, or JSON of another shape (``[]``, ``"x"``, a
+        null where a number or a list belongs, nesting too deep)."""
+        try:
+            return cls.from_dict(json.loads(text))
+        except (ValueError, KeyError, TypeError, AttributeError,
+                OverflowError, RecursionError):
+            return None
+
 
 @dataclass
 class FleetSnapshot:

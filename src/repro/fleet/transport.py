@@ -96,9 +96,8 @@ def decode_report(frame: Frame) -> Optional[ShardReport]:
     """The frame's ShardReport, or None when the payload does not
     parse (a CRC collision or a version-skewed peer)."""
     try:
-        return ShardReport.from_dict(json.loads(
-            frame.payload.decode("utf-8")))
-    except (ValueError, KeyError, UnicodeDecodeError):
+        return ShardReport.from_json(frame.payload.decode("utf-8"))
+    except UnicodeDecodeError:
         return None
 
 

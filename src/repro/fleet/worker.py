@@ -102,9 +102,10 @@ def write_report(path: str, report: ShardReport) -> None:
 def read_report(path: str) -> Optional[ShardReport]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return ShardReport.from_dict(json.load(handle))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError):
+            text = handle.read()
+    except (OSError, ValueError):
         return None
+    return ShardReport.from_json(text)
 
 
 # ----------------------------------------------------------------------

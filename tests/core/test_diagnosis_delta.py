@@ -11,13 +11,14 @@ of a graph built from nothing.
 """
 
 import random
+from dataclasses import fields
 
 import pytest
 
-from repro.core.diagnosis import diagnose
+from repro.core.diagnosis import _port_sharing, diagnose
 from repro.core.provenance import (PreparedReport, ProvenanceAccumulator,
-                                   build_provenance)
-from repro.core.rating import score_table
+                                   ProvenanceGraph, build_provenance)
+from repro.core.rating import score_row, score_table
 from repro.simnet.packet import FlowKey
 from repro.simnet.pfc import PauseEvent, PortRef
 from repro.simnet.telemetry import PortTelemetryEntry, SwitchReport
@@ -66,6 +67,32 @@ def random_report(rng: random.Random, time: float) -> SwitchReport:
         ttl_drops={rng.choice(FLOWS): 1} if rng.random() < 0.05 else {})
 
 
+def hand_filled(graph: ProvenanceGraph) -> ProvenanceGraph:
+    """The same graph built field by field, with no accumulator's index."""
+    return ProvenanceGraph(**{f.name: getattr(graph, f.name)
+                              for f in fields(ProvenanceGraph) if f.init})
+
+
+def mutual_flags(graph: ProvenanceGraph) -> list[bool]:
+    """Per port, the load-imbalance flag ``_port_sharing`` keeps, checked
+    against its definition: two collective flows wait at the port and
+    one queues behind the other (every ordered pair probed)."""
+    flags = []
+    for _name, port, victims, _others, mutual in _port_sharing(graph):
+        assert mutual == (len(victims) > 1 and any(
+            graph.pairwise.get((port, a, b), 0.0) > 0
+            for a in victims for b in victims if a != b)), port
+        flags.append(mutual)
+    return flags
+
+
+def table_by_definition(graph: ProvenanceGraph) -> dict:
+    """Every non-empty :func:`score_row` of a collective flow."""
+    rows = {cf: score_row(graph, cf) for cf in graph.collective_flows
+            if graph.ports_of_flow(cf)}
+    return {cf: row for cf, row in rows.items() if row}
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_kept_rows_and_evidence_equal_from_scratch(seed):
     rng = random.Random(seed)
@@ -80,7 +107,10 @@ def test_kept_rows_and_evidence_equal_from_scratch(seed):
         scratch = build_provenance(reports[:count], CF, XOFF)
         assert snapshot == scratch
         assert diagnose(snapshot) == diagnose(scratch)
-        assert score_table(snapshot) == score_table(scratch)
+        assert score_table(snapshot) == score_table(scratch) \
+            == table_by_definition(scratch)
+        assert mutual_flags(snapshot) == mutual_flags(scratch) \
+            == mutual_flags(hand_filled(scratch))
         kinds.update(f.type.value for f in diagnose(scratch).findings)
     assert "flow_contention" in kinds
     assert kinds & {"pfc_backpressure", "pfc_storm"}

@@ -108,10 +108,10 @@ def checked(pipeline: LivePipeline, log: list) -> LivePipeline:
 # ----------------------------------------------------------------------
 # the streams
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module", params=SCENARIOS)
-def trace_path(request, tmp_path_factory):
+def record_trace(scenario: str, directory) -> str:
+    """Case 0 of ``scenario`` at scale 0.002, case seed 7, as a trace."""
     config = ScenarioConfig(scale=0.002, base_seed=7)
-    case = make_cases(request.param, 1, config)[0]
+    case = make_cases(scenario, 1, config)[0]
     system = make_system("vedrfolnir")
     network, runtime = case.build_network()
     system.attach(network, runtime)
@@ -120,9 +120,14 @@ def trace_path(request, tmp_path_factory):
     case.inject(network, runtime)
     network.run_until_quiet(max_time=config.run_deadline_ns())
     assert runtime.completed
-    path = tmp_path_factory.mktemp("kernel") / f"{request.param}.jsonl"
+    path = directory / f"{scenario}.jsonl"
     recorder.write(path)
     return path
+
+
+@pytest.fixture(scope="module", params=SCENARIOS)
+def trace_path(request, tmp_path_factory):
+    return record_trace(request.param, tmp_path_factory.mktemp("kernel"))
 
 
 def drive(pipeline: LivePipeline, events) -> LivePipeline:
@@ -211,7 +216,8 @@ def test_windows_that_widen_either_way_and_critical_flows_that_move(
     """The kernel alone, under harsher motion than a replay produces:
     windows appear, extend and widen *backwards* (a late record's
     ``start_time``), critical flows change under an unchanged slice,
-    and derived state is dropped between snapshots."""
+    Eq. 3 weights come and go, and derived state is dropped between
+    snapshots."""
     trace = load_trace(trace_path)
     cf_keys = TraceRuntime(trace).collective_flow_keys
     reports = sorted(trace.reports, key=lambda r: r.time)
@@ -224,7 +230,7 @@ def test_windows_that_widen_either_way_and_critical_flows_that_move(
     kernel = DiagnosisKernel(trace.pfc_xoff_bytes, cf_keys)
     windows: dict = {}
     fed = 0
-    for _ in range(24):
+    for turn in range(24):
         more = rng.randint(0, max(1, len(reports) // 10))
         for report in reports[fed:fed + more]:
             kernel.add_report(report)
@@ -243,14 +249,23 @@ def test_windows_that_widen_either_way_and_critical_flows_that_move(
         critical = {idx: rng.choice(seen) for idx in windows
                     if seen and rng.random() < 0.9}
         exec_times = {idx: rng.uniform(0.5, 3.0) for idx in windows}
-        expect_times = {idx: 1.0 for idx in windows}
+        # two steps hold still while their Eq. 3 weight comes and goes:
+        # 5 settles with none and then gains it; 6 has it, loses it
+        # while its slice still grows, and regains it once it settled
+        steps = {**windows, 5: (first + stride, first + 2 * stride),
+                 6: (first, first + 3 * stride)}
+        if seen:
+            critical.update({5: seen[0], 6: seen[-1]})
+        exec_times.update({5: 2.0 if turn >= 12 else 1.0,
+                           6: 2.0 if turn < 3 or turn >= 16 else 0.5})
+        expect_times = {idx: 1.0 for idx in steps}
         if rng.random() < 0.1:
             kernel.drop_derived()
         breakdown = kernel.snapshot(
-            cf_keys, windows,
+            cf_keys, steps,
             StepTiming(exec_times, expect_times, critical, []))
         overall, result, _graphs, scores = reference_tail(
-            reports[:fed], cf_keys, trace.pfc_xoff_bytes, windows,
+            reports[:fed], cf_keys, trace.pfc_xoff_bytes, steps,
             critical, exec_times, expect_times)
         assert breakdown.provenance == overall
         assert breakdown.result == result

@@ -2,11 +2,14 @@
 the fan-in equivalence property (socket path ≡ report-file path)."""
 
 import dataclasses
+import json
 import random
 import socket
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import failpoints
 from repro.core.retry import CircuitBreaker, RetryPolicy
@@ -21,6 +24,8 @@ from repro.fleet.transport import (
     HEADER_BYTES,
     KIND_HEARTBEAT,
     KIND_REPORT,
+    MAGIC,
+    Frame,
     FrameDecoder,
     FrameError,
     ReportListener,
@@ -29,6 +34,7 @@ from repro.fleet.transport import (
     encode_frame,
     encode_report,
 )
+from repro.fleet.worker import read_report
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +124,106 @@ def test_decode_report_tolerates_junk_payload():
     decoder = FrameDecoder()
     (frame,) = decoder.feed(junk)  # CRC fine, payload junk
     assert decode_report(frame) is None
+
+
+# ----------------------------------------------------------------------
+# hostile input: whatever the bytes, a frame or FrameError; whatever
+# the JSON, a report or None
+# ----------------------------------------------------------------------
+#: well-formed JSON documents of the wrong shape
+WRONG_SHAPES = ([], "x", {"shard": 1, "final": True, "tenants": None},
+                {"shard": None, "final": True, "tenants": []},
+                {"tenants": [1]})
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12)
+
+
+def _with(document: dict, key: str, value) -> dict:
+    return {**document, key: value}
+
+
+#: a real report or digest with one field swapped for any JSON value
+REPORT_SHAPES = st.one_of(
+    JSON,
+    st.builds(_with, st.just(make_report(0).to_dict()),
+              st.sampled_from(sorted(make_report(0).to_dict())), JSON),
+    st.builds(lambda key, value: _with(
+        make_report(0, tenants=0).to_dict(), "tenants",
+        [_with(make_digest(0, "t").to_dict(), key, value)]),
+        st.sampled_from(sorted(make_digest(0, "t").to_dict())), JSON))
+
+
+def frame_of(document) -> Frame:
+    (frame,) = FrameDecoder().feed(encode_frame(
+        KIND_REPORT, 0, 1, json.dumps(document).encode("utf-8")))
+    return frame
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(document=REPORT_SHAPES)
+def test_decode_report_returns_a_report_or_none(document):
+    report = decode_report(frame_of(document))
+    assert report is None or isinstance(report, ShardReport)
+
+
+@pytest.mark.parametrize("document", WRONG_SHAPES, ids=repr)
+def test_wrong_shapes_are_unparseable_on_every_path(document, tmp_path):
+    assert decode_report(frame_of(document)) is None
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(document))
+    assert read_report(str(path)) is None
+
+
+PIECES = st.lists(st.one_of(
+    st.binary(max_size=24),
+    st.builds(lambda payload: MAGIC + payload, st.binary(max_size=24)),
+    st.builds(encode_frame, st.sampled_from([KIND_REPORT, KIND_HEARTBEAT]),
+              st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1),
+              st.binary(max_size=24))), max_size=5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pieces=PIECES, cuts=st.lists(st.integers(1, 40), max_size=8),
+       flip=st.integers(0, 255))
+def test_frame_decoder_yields_frames_or_frame_error(pieces, cuts, flip):
+    stream = bytearray(b"".join(pieces))
+    if stream:
+        stream[flip % len(stream)] ^= flip
+    chunks, at = [], 0
+    for cut in cuts + [len(stream)]:
+        chunks.append(bytes(stream[at:at + cut]))
+        at += cut
+    decoder = FrameDecoder(max_payload_bytes=64)
+    decoded = []
+    try:
+        for chunk in chunks:
+            decoded += decoder.feed(chunk)
+    except FrameError:
+        return                       # the listener resets the link
+    # every frame decoded is one a peer could have encoded
+    assert b"".join(encode_frame(f.kind, f.shard_id, f.seq, f.payload)
+                    for f in decoded) \
+        == bytes(stream[:len(stream) - decoder.pending_bytes()])
+
+
+def test_listener_counts_a_wrong_shape_and_keeps_the_link():
+    reports = []
+    with ReportListener(on_report=reports.append) as listener:
+        with socket.create_connection(
+                (listener.host, listener.port), timeout=5) as sock:
+            for seq, document in enumerate(WRONG_SHAPES, 1):
+                sock.sendall(encode_frame(KIND_REPORT, 0, seq,
+                                          json.dumps(document).encode()))
+            sock.sendall(encode_report(make_report(0), 99))
+        deadline = time.monotonic() + 5.0
+        while not reports and time.monotonic() < deadline:
+            time.sleep(0.01)
+    assert [r.shard_id for r in reports] == [0]
+    assert listener.stats()["reports_bad"] == len(WRONG_SHAPES)
 
 
 # ----------------------------------------------------------------------
