@@ -362,7 +362,10 @@ def publish_json(path: str, data: dict) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, sort_keys=True)
+            # dumps, not dump: dump streams through json's pure-Python
+            # encoder, whose nested closures are a reference cycle per
+            # call; dumps runs the C encoder and writes the same bytes
+            handle.write(json.dumps(data, sort_keys=True))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, target)

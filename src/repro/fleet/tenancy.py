@@ -27,7 +27,7 @@ and its ``degraded``/``confidence`` land in the tenant's digest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.live.checkpoint import (
     CheckpointManager,
@@ -80,6 +80,20 @@ class TenantPolicy:
             "checkpoint_every", "checkpoint_retain")})
 
 
+def _budget_gate(budget: int
+                 ) -> Optional[Callable[[int, TraceEvent], bool]]:
+    """The replayer's admission gate for an event budget (None, no gate
+    at all, when the budget is unlimited): the first ``budget`` stream
+    positions are admitted, the rest shed."""
+    if budget <= 0:
+        return None
+
+    def admit(published: int, _event: TraceEvent) -> bool:
+        return published <= budget
+
+    return admit
+
+
 class TenantRuntime:
     """One tenant's replay: pipeline + cursor + budget + checkpoints.
 
@@ -127,25 +141,20 @@ class TenantRuntime:
                     f"tenant {tenant!r} needs a trace or an event "
                     f"iterator")
             events = trace_events(
-                trace, on_error=self._quarantine_line,
+                trace, on_error=pipeline.quarantine.admit,
                 cursor=cursor)
+        # the hooks handed down are no bound methods of this tenant:
+        # one held by its own replayer would make the tenant a
+        # reference cycle, freed only by the cycle collector
         self.replayer = TraceReplayer(
-            pipeline, events, manager, cursor, admit=self._admit)
+            pipeline, events, manager, cursor,
+            admit=_budget_gate(policy.event_budget))
         #: the final snapshot, once :meth:`finalize` has published it
         self.final: Optional[DiagnosisSnapshot] = None
         #: from stream end on: the final snapshot, taken and not yet
         #: published, and the one rolling reports answer until it is
         self._held: Optional[DiagnosisSnapshot] = None
         self._rolling: Optional[DiagnosisSnapshot] = None
-
-    # ------------------------------------------------------------------
-    def _quarantine_line(self, line_no: int, reason: str,
-                         snippet: str) -> None:
-        self.pipeline.quarantine.admit(line_no, reason, snippet)
-
-    def _admit(self, published: int, _event: TraceEvent) -> bool:
-        budget = self.policy.event_budget
-        return budget <= 0 or published <= budget
 
     # ------------------------------------------------------------------
     @property

@@ -16,6 +16,17 @@ target spawns the worker process and raises
 with backoff and a crash-loop budget.  Workers are spawned (never
 forked) because supervision runs one thread per shard.
 
+A spawned worker runs its whole life without the cyclic garbage
+collector: :func:`worker_entry`, whose process the fleet owns, turns
+it off before the shard is built.  That is safe only because the
+serving path allocates no reference cycles, so refcounting frees
+everything a worker drops; ``tests/fleet/test_gc_quiet.py`` is the
+gate (a shard replay, with report files and with the socket channel,
+leaves zero cyclic garbage).  A new cycle on this path is a leak for
+the worker's lifetime, not a slowdown.  :func:`worker_main` runs in
+its caller's process (tests call it in-process) and leaves the
+caller's collector alone.
+
 Deterministic kill points for the chaos harness use a *hang flag*: a
 worker given ``hang_at`` writes the flag file once it has consumed
 that many events, then spins; the supervising parent polls the flag
@@ -26,6 +37,7 @@ count, no timing races.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -222,7 +234,11 @@ def worker_main(spec: dict) -> int:
 
 
 def worker_entry(spec_json: str) -> None:
-    """Spawn entrypoint (module-level: must pickle under spawn)."""
+    """Spawn entrypoint (module-level: must pickle under spawn).
+
+    The process is the fleet's, so its collector is too: off for the
+    worker's life (see the module docstring for why that is safe)."""
+    gc.disable()
     sys.exit(worker_main(json.loads(spec_json)))
 
 

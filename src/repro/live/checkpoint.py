@@ -39,7 +39,8 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import (Callable, Iterable, Iterator, Optional, TypeVar,
+                    Union)
 
 from repro.core.units import Seconds
 from repro.live.metrics import Histogram, MetricsRegistry
@@ -119,6 +120,18 @@ class ReplayCursor:
         return cls(published=int(data.get("published", 0)),
                    counts={str(k): int(v) for k, v in
                            (data.get("counts") or {}).items()})
+
+
+#: what restoring a state of the wrong shape raises — a missing key, a
+#: list where a dict belongs, a string where a number does
+_SHAPE_ERRORS = (LookupError, TypeError, ValueError, AttributeError,
+                 ArithmeticError)
+
+T = TypeVar("T")
+
+
+def _as_is(state: dict) -> dict:
+    return state
 
 
 def _checksum(state: dict) -> str:
@@ -242,21 +255,26 @@ class CheckpointManager:
             raise CheckpointCorrupt(f"{path.name}: checksum mismatch")
         return state
 
-    def load_latest(self) -> Optional[dict]:
-        """The newest valid snapshot's state, falling back through
-        older snapshots past corrupt/partial ones; None if no valid
-        snapshot exists."""
+    def load_latest(self, restore: Callable[[dict], T] = _as_is
+                    ) -> Optional[T]:
+        """The newest valid snapshot, passed through ``restore``,
+        falling back through older snapshots past corrupt/partial ones;
+        None if no valid snapshot exists.
+
+        A checksum-valid state that ``restore`` rejects (a missing
+        key, a value of the wrong type) is corrupt as well: skipped
+        and counted like a bit flip."""
         paths = self.snapshot_paths()
         for rank, path in enumerate(reversed(paths)):
             try:
-                state = self.load(path)
-            except CheckpointCorrupt:
+                restored = restore(self.load(path))
+            except (CheckpointCorrupt, *_SHAPE_ERRORS):
                 self.corrupt_skipped += 1
                 continue
             self.loaded += 1
             if rank > 0:
                 self.fallbacks += 1
-            return state
+            return restored
         return None
 
     # ------------------------------------------------------------------
@@ -438,18 +456,23 @@ class TraceReplayer:
 def resume_or_create(header, manager: Optional[CheckpointManager],
                      config=None, clock=None, fresh: bool = False
                      ) -> tuple[LivePipeline, ReplayCursor, bool]:
-    """Restore the newest valid checkpoint, or start from scratch.
+    """Restore the newest checkpoint that validates and restores,
+    else the next older one, else start from scratch.
 
     Returns ``(pipeline, cursor, resumed)``; ``fresh=True`` skips the
     checkpoint lookup (an explicit cold start).
     """
     kwargs = {} if clock is None else {"clock": clock}
+
+    def restore(state: dict) -> tuple[LivePipeline, ReplayCursor]:
+        pipeline, cursor = LivePipeline.restore(
+            header, state, config=config, **kwargs)
+        return pipeline, ReplayCursor.from_dict(cursor)
+
     if manager is not None and not fresh:
-        state = manager.load_latest()
-        if state is not None:
-            pipeline, cursor = LivePipeline.restore(
-                header, state, config=config, **kwargs)
-            return pipeline, ReplayCursor.from_dict(cursor), True
+        restored = manager.load_latest(restore)
+        if restored is not None:
+            return (*restored, True)
     pipeline = LivePipeline.from_header(header, config=config,
                                         **kwargs)
     return pipeline, ReplayCursor(), False

@@ -19,6 +19,7 @@ slowest flows) for the steps the prune discards.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -140,6 +141,24 @@ class DiagnosisSnapshot:
                 f"anomalies={findings} top={contributor}{note}")
 
 
+def _backpressure_hook(pipeline: "LivePipeline") -> Callable[[], None]:
+    """The bus's ``block``-policy drain hook: pump one batch.
+
+    It reaches the pipeline through a weak reference.  A bound method
+    held by the pipeline's own bus would make every pipeline a
+    reference cycle, freed only by the cycle collector (which fleet
+    workers run without); once the pipeline is gone the hook drains
+    nothing and the bus reports its overflow."""
+    ref = weakref.ref(pipeline)
+
+    def drain() -> None:
+        owner = ref()
+        if owner is not None:
+            owner.pump(limit=max(1, owner.config.pump_batch))
+
+    return drain
+
+
 class LivePipeline:
     """Streaming §III-D analyzer over a telemetry event stream."""
 
@@ -158,7 +177,7 @@ class LivePipeline:
 
         cfg = self.config
         self.bus = EventBus(cfg.queue_capacity, cfg.policy,
-                            drain_hook=self._backpressure_drain)
+                            drain_hook=_backpressure_hook(self))
         self.watermark = WatermarkBuffer(cfg.lateness_bound_ns)
         self.graph = WaitingGraph(
             schedule, prune_interval=cfg.prune_interval)
@@ -239,9 +258,6 @@ class LivePipeline:
         """Live (non-trace) producers: a network's report sink."""
         return self.publish(TraceEvent("switch_report", report.time,
                                        report, line_no=0))
-
-    def _backpressure_drain(self) -> None:
-        self.pump(limit=max(1, self.config.pump_batch))
 
     def pump(self, limit: int = 0) -> int:
         """Consume up to ``limit`` events off the bus (all if 0)."""
@@ -403,8 +419,8 @@ class LivePipeline:
         from repro.traces import serialize
 
         self._seq = int(state["seq"])
-        self._ingested = {str(k): int(v)
-                          for k, v in state["ingested"].items()}
+        self._ingested = {kind: int(state["ingested"][kind])
+                          for kind in self._ingested}
         self._since_snapshot = int(state["since_snapshot"])
         self._snapshot_seq = int(state["snapshot_seq"])
         self._dupes = int(state["dupes"])

@@ -791,10 +791,14 @@ class ColumnarTrace:
 
         The record decoders hold views in their closure cells, so
         they are replaced by stubs here; decoded records are plain
-        owning objects and stay valid.
+        owning objects and stay valid.  The stubs close over the path,
+        not over ``self``: a closed trace is no reference cycle, and
+        refcounting frees it (and its parsed directory) when dropped.
         """
+        path = self.path
+
         def closed(_i: int):
-            raise ValueError(f"{self.path}: trace is closed")
+            raise ValueError(f"{path}: trace is closed")
 
         self.step_record = closed
         self.switch_report = closed

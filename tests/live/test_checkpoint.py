@@ -1,12 +1,17 @@
 """Checkpoint subsystem: atomic writes, checksum validation, fallback,
-retention, cursor round-trips, and mid-stream resume equivalence."""
+retention, cursor round-trips, mid-stream resume equivalence, and
+hostile checkpoint documents."""
 
+import hashlib
 import itertools
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.anomalies.scenarios import ScenarioConfig, make_cases
 from repro.experiments.harness import make_system
@@ -497,3 +502,121 @@ def test_resume_counts_quarantined_lines_once(
         cursor).run()
     assert final.counters["quarantined"] == 2
     assert final_json(final) == final_json(expected)
+
+
+# ----------------------------------------------------------------------
+# hostile checkpoint documents: whatever the bytes, and whatever the
+# state under a correct checksum, a resume restores a snapshot or
+# starts cold — never an exception
+# ----------------------------------------------------------------------
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12)
+FIXTURE_STATE = json.loads(FIXTURE.read_text())["state"]
+#: where a hostile value goes: at the root (the whole state), in place
+#: of a field of the fixture state, or of a field of one of its objects
+PLACES = st.one_of(
+    st.just(()),
+    st.tuples(st.sampled_from(sorted(FIXTURE_STATE))),
+    st.sampled_from(sorted(
+        key for key, value in FIXTURE_STATE.items()
+        if isinstance(value, dict) and value)).flatmap(
+        lambda key: st.tuples(st.just(key),
+                              st.sampled_from(sorted(FIXTURE_STATE[key])))))
+#: any JSON value, or ``...``: the field is missing
+VALUES = st.just(...) | JSON
+
+
+def planted(document, place: tuple, value):
+    """``document`` with ``value`` at the key path ``place`` (the key
+    dropped for ``...``).  Examples carry the place and value, not the
+    ~100 kB state, so a failure report stays small."""
+    if not place:
+        return {} if value is ... else value
+    key, *rest = place
+    planted_document = dict(document)
+    if value is ... and not rest:
+        del planted_document[key]
+    else:
+        planted_document[key] = planted(document[key], tuple(rest), value)
+    return planted_document
+
+
+def checksummed(state) -> str:
+    """A document the manager's validation accepts, whatever ``state``
+    holds."""
+    payload = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    return json.dumps({
+        "checksum": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+        "state": state, "version": CHECKPOINT_VERSION})
+
+
+def resume_from(header, newest, older_good: bool):
+    """resume_or_create over a directory whose newest snapshot holds
+    ``newest`` (text or bytes), above the fixture snapshot if
+    ``older_good``; returns its answer and the manager."""
+    with tempfile.TemporaryDirectory() as directory:
+        if older_good:
+            shutil.copy(FIXTURE, Path(directory)
+                        / f"ckpt-{FIXTURE_CUT:010d}.json")
+        target = Path(directory) / f"ckpt-{FIXTURE_CUT + 1:010d}.json"
+        if isinstance(newest, bytes):
+            target.write_bytes(newest)
+        else:
+            target.write_text(newest)
+        manager = CheckpointManager(directory)
+        return resume_or_create(
+            header, manager, config=PipelineConfig(**FIXTURE_CONFIG)), \
+            manager
+
+
+def assert_resumed_or_cold(answer, manager, older_good: bool) -> None:
+    _pipeline, cursor, resumed = answer
+    if manager.corrupt_skipped == 0:
+        assert resumed                  # the newest restored as it is
+    elif older_good:
+        assert resumed and cursor.published == FIXTURE_CUT
+        assert manager.fallbacks == 1
+    else:
+        assert not resumed and cursor.published == 0
+
+
+@pytest.fixture(scope="module")
+def incast_header(golden_incast_path):
+    return read_header(golden_incast_path)
+
+
+@pytest.mark.parametrize("older_good", [False, True],
+                         ids=["cold", "fallback"])
+@pytest.mark.parametrize("state", [
+    {}, {"cursor": {"published": 3}}, {"cursor": []},
+    {"kernel": 1, "cursor": {}}], ids=repr)
+def test_a_state_of_the_wrong_shape_counts_as_corrupt(
+        incast_header, state, older_good):
+    answer, manager = resume_from(incast_header, checksummed(state),
+                                  older_good)
+    assert manager.corrupt_skipped == 1
+    assert_resumed_or_cold(answer, manager, older_good)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          report_multiple_bugs=False)
+@given(place=PLACES, value=VALUES, older_good=st.booleans())
+def test_any_checksummed_state_resumes_or_starts_cold(
+        incast_header, place, value, older_good):
+    state = planted(FIXTURE_STATE, place, value)
+    answer, manager = resume_from(incast_header, checksummed(state),
+                                  older_good)
+    assert_resumed_or_cold(answer, manager, older_good)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          report_multiple_bugs=False)
+@given(data=st.binary(max_size=64), older_good=st.booleans())
+def test_any_bytes_resume_or_start_cold(incast_header, data, older_good):
+    answer, manager = resume_from(incast_header, data, older_good)
+    assert manager.corrupt_skipped == 1
+    assert_resumed_or_cold(answer, manager, older_good)
