@@ -23,14 +23,12 @@ from pathlib import Path
 
 from repro.anomalies.scenarios import ScenarioConfig, make_cases
 from repro.experiments.harness import make_system
+from repro.chaos import ChaosPlan, derive_kill_points, run_chaos
 from repro.live import (
-    ChaosPlan,
     CheckpointManager,
     CheckpointPolicy,
     TraceReplayer,
-    derive_kill_points,
     resume_or_create,
-    run_chaos,
 )
 from repro.traces import (TraceRecorder, open_trace, read_header,
                           trace_events)
@@ -97,11 +95,11 @@ def seeded_chaos(trace: Path, workdir: Path) -> None:
     plan = ChaosPlan(
         seed=11,
         kill_points=derive_kill_points(trace, 11, 5),
-        corrupt_latest=True)
+        corrupt_checkpoint=True)
     print(f"  kill points (seeded): {list(plan.kill_points)}")
     report = run_chaos(trace, workdir / "chaos", plan,
                        policy=CheckpointPolicy(interval_events=32))
-    for entry in report.kill_log:
+    for entry in report.counts["kill_log"]:
         print(f"  killed at event {entry['kill_at']}, "
               f"resumed from {entry['resumed_from']}")
     print(f"  {report.summary_line()}")

@@ -7,8 +7,8 @@ stay importable from the package; the module behind them loads when
 one is first asked for::
 
     if TYPE_CHECKING:                  # what static tools read
-        from repro.live.chaos import ChaosPlan
-    __getattr__ = lazy_exports(__name__, {"chaos": ("ChaosPlan",)})
+        from repro.live.supervisor import Supervisor
+    __getattr__ = lazy_exports(__name__, {"supervisor": ("Supervisor",)})
 """
 
 from __future__ import annotations

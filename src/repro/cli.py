@@ -137,28 +137,46 @@ def build_parser() -> argparse.ArgumentParser:
                             "signal before exiting (a second signal "
                             "force-exits)")
 
+    # what ``repro chaos`` and ``repro fleet chaos`` both take
+    chaos_common = argparse.ArgumentParser(add_help=False)
+    chaos_common.add_argument(
+        "--seed", type=int, default=0,
+        help="seed for kill placement, perturbations and checkpoint "
+             "damage")
+    chaos_common.add_argument(
+        "--corrupt-checkpoint", action="store_true",
+        help="flip a byte of a victim's newest checkpoint between "
+             "kill and resume")
+    chaos_common.add_argument(
+        "--truncate-checkpoint", action="store_true",
+        help="truncate (instead of bit-flip) that checkpoint")
+    chaos_common.add_argument(
+        "--workdir",
+        help="experiment directory (default: a temporary directory)")
+    chaos_common.add_argument(
+        "--snapshot-every", type=int, default=32,
+        help="rolling-snapshot cadence (per tenant in a fleet)")
+    chaos_common.add_argument(
+        "--checkpoint-every", type=int, default=64,
+        help="checkpoint cadence in published events (per tenant in "
+             "a fleet)")
+    chaos_common.add_argument(
+        "--json", action="store_true",
+        help="emit the machine-readable chaos report")
+
     chaos = sub.add_parser(
-        "chaos",
+        "chaos", parents=[chaos_common],
         help="seeded kill/corrupt/resume harness asserting the "
              "recovery contract: resumed final snapshot bit-equal to "
              "an uninterrupted run")
     chaos.add_argument("--trace", required=True,
                        help="JSONL trace file")
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="seed for kill placement, perturbations "
-                            "and checkpoint damage")
     chaos.add_argument("--kills", type=int, default=3,
                        help="number of seeded kill points spread over "
                             "the stream")
     chaos.add_argument("--kill-at", type=int, action="append",
                        help="explicit kill point (published-event "
                             "count; repeatable, overrides --kills)")
-    chaos.add_argument("--corrupt-checkpoint", action="store_true",
-                       help="flip a byte of the newest checkpoint "
-                            "before each resume")
-    chaos.add_argument("--truncate-checkpoint", action="store_true",
-                       help="truncate (instead of bit-flip) the "
-                            "newest checkpoint before each resume")
     chaos.add_argument("--duplicate-every", type=int, default=0,
                        help="deliver every k-th event twice")
     chaos.add_argument("--reorder-window", type=int, default=0,
@@ -166,15 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--probe-truncation", action="store_true",
                        help="also probe mid-record trace truncation "
                             "detection and resume")
-    chaos.add_argument("--workdir",
-                       help="checkpoint/fixture directory (default: a "
-                            "temporary directory)")
-    chaos.add_argument("--snapshot-every", type=int, default=32,
-                       help="pipeline rolling-snapshot cadence")
-    chaos.add_argument("--checkpoint-every", type=int, default=64,
-                       help="checkpoint cadence in published events")
-    chaos.add_argument("--json", action="store_true",
-                       help="emit the machine-readable chaos report")
 
     tail = sub.add_parser(
         "tail", help="print diagnosis snapshots as they land")
@@ -289,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the raw snapshot JSON")
 
     fchaos = fleet_sub.add_parser(
-        "chaos",
+        "chaos", parents=[chaos_common],
         help="SIGKILL real shard workers mid-replay and assert the "
              "fleet recovery contract (final diagnosis bit-equal to "
              "an uninterrupted run)")
@@ -299,26 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="clone each trace into N logical tenants")
     fchaos.add_argument("--shards", type=int, default=4,
                         help="shard count")
-    fchaos.add_argument("--seed", type=int, default=0,
-                        help="seed for victim choice and damage")
     fchaos.add_argument("--kills", type=int, default=1,
                         help="shard workers to SIGKILL")
     fchaos.add_argument("--kill-frac", type=float, default=0.5,
                         help="kill point as a fraction of the victim "
                              "shard's event stream")
-    fchaos.add_argument("--corrupt-checkpoint", action="store_true",
-                        help="also damage one victim tenant's newest "
-                             "checkpoint between kill and restart")
-    fchaos.add_argument("--truncate-checkpoint", action="store_true",
-                        help="truncate (instead of bit-flip) that "
-                             "checkpoint")
-    fchaos.add_argument("--snapshot-every", type=int, default=32,
-                        help="per-tenant rolling-snapshot cadence")
-    fchaos.add_argument("--checkpoint-every", type=int, default=64,
-                        help="per-tenant checkpoint cadence")
-    fchaos.add_argument("--workdir",
-                        help="experiment directory (default: a "
-                             "temporary directory)")
     fchaos.add_argument("--transport", action="store_true",
                         help="inject network faults into the socket "
                              "fan-in and hold the killed shard down "
@@ -343,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     fchaos.add_argument("--linger", type=float, default=0.0,
                         help="keep serving /metrics this many seconds "
                              "after the experiment finishes")
-    fchaos.add_argument("--json", action="store_true",
-                        help="emit the machine-readable chaos report")
     return parser
 
 
@@ -616,71 +608,82 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
+def _run_chaos(args, experiment, describe=None) -> int:
+    """Both chaos verbs: run ``experiment(workdir)`` in ``--workdir``
+    or a temporary directory, then print the report (``--json``, or
+    ``describe``'s lines and the summary line).  Exit 0 on a pass, 1
+    on a failed contract or a crash-looping shard, 2 on bad input."""
     import json
     import tempfile
 
-    from repro.live.chaos import (
-        ChaosPlan,
-        derive_kill_points,
-        run_chaos,
-    )
-    from repro.live.checkpoint import CheckpointPolicy
-    from repro.live.pipeline import PipelineConfig
+    from repro.fleet.worker import WorkerCrashed
 
     try:
-        if args.kill_at:
-            kill_points = tuple(sorted(set(args.kill_at)))
-        else:
-            kill_points = derive_kill_points(
-                args.trace, args.seed, args.kills,
-                args.duplicate_every)
-        plan = ChaosPlan(
-            seed=args.seed,
-            kill_points=kill_points,
-            corrupt_latest=args.corrupt_checkpoint,
-            truncate_checkpoint=args.truncate_checkpoint,
-            duplicate_every=args.duplicate_every,
-            reorder_window=args.reorder_window,
-            probe_truncation=args.probe_truncation,
-        )
-        config = PipelineConfig(snapshot_every=args.snapshot_every)
-        policy = CheckpointPolicy(
-            interval_events=args.checkpoint_every,
-            max_unflushed_events=max(256, 4 * args.checkpoint_every))
         if args.workdir:
-            report = run_chaos(args.trace, args.workdir, plan,
-                               config=config, policy=policy)
+            report = experiment(args.workdir)
         else:
             with tempfile.TemporaryDirectory(
                     prefix="repro-chaos-") as workdir:
-                report = run_chaos(args.trace, workdir, plan,
-                                   config=config, policy=policy)
+                report = experiment(workdir)
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-
+    except WorkerCrashed as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
-        print(f"chaos over {args.trace}: "
-              f"kill points {list(plan.kill_points)}"
-              + (", corrupting newest checkpoint before each resume"
-                 if plan.corrupt_latest or plan.truncate_checkpoint
-                 else ""))
-        for entry in report.kill_log:
-            damage = f", damaged {entry['damaged']}" \
-                if entry["damaged"] else ""
-            print(f"  killed at event {entry['kill_at']}, resumed "
-                  f"from event {entry['resumed_from']}{damage}")
-        if report.truncation is not None:
-            probe = report.truncation
-            print(f"  truncation probe: detected="
-                  f"{probe['detected']} resume_offset="
-                  f"{probe['resume_offset']} "
-                  f"resumed_ok={probe['resumed_ok']}")
+        for line in describe(report) if describe is not None else ():
+            print(line)
         print(report.summary_line())
     return 0 if report.passed else 1
+
+
+def cmd_chaos(args) -> int:
+    from repro.chaos import ChaosPlan, derive_kill_points, run_chaos
+    from repro.live.checkpoint import CheckpointPolicy
+    from repro.live.pipeline import PipelineConfig
+
+    def experiment(workdir):
+        kill_points = tuple(sorted(set(args.kill_at))) if args.kill_at \
+            else derive_kill_points(args.trace, args.seed, args.kills,
+                                    args.duplicate_every)
+        plan = ChaosPlan(
+            seed=args.seed,
+            corrupt_checkpoint=args.corrupt_checkpoint,
+            truncate_checkpoint=args.truncate_checkpoint,
+            kill_points=kill_points,
+            duplicate_every=args.duplicate_every,
+            reorder_window=args.reorder_window,
+            probe_truncation=args.probe_truncation)
+        return run_chaos(
+            args.trace, workdir, plan,
+            config=PipelineConfig(snapshot_every=args.snapshot_every),
+            policy=CheckpointPolicy(
+                interval_events=args.checkpoint_every,
+                max_unflushed_events=max(256,
+                                         4 * args.checkpoint_every)))
+
+    def describe(report):
+        plan = report.plan
+        yield (f"chaos over {args.trace}: "
+               f"kill points {list(plan.kill_points)}"
+               + (", damaging the newest checkpoint before each resume"
+                  if plan.corrupt_checkpoint or plan.truncate_checkpoint
+                  else ""))
+        for entry in report.counts["kill_log"]:
+            damage = f", damaged {entry['damaged']}" \
+                if entry["damaged"] else ""
+            yield (f"  killed at event {entry['kill_at']}, resumed "
+                   f"from event {entry['resumed_from']}{damage}")
+        probe = report.counts["truncation"]
+        if probe is not None:
+            yield (f"  truncation probe: detected={probe['detected']} "
+                   f"resume_offset={probe['resume_offset']} "
+                   f"resumed_ok={probe['resumed_ok']}")
+
+    return _run_chaos(args, experiment, describe)
 
 
 def _format_snapshot_dict(entry: dict) -> str:
@@ -1107,24 +1110,18 @@ def cmd_fleet_status(args) -> int:
 
 
 def cmd_fleet_chaos(args) -> int:
-    import json
-    import tempfile
     import time as _time
 
+    from repro.chaos import (FleetChaosPlan, run_fleet_chaos,
+                             transport_health_policy)
     from repro.fleet import replicate_tenants
-    from repro.fleet.chaos import (
-        FleetChaosPlan,
-        run_fleet_chaos,
-        transport_health_policy,
-    )
 
-    specs = replicate_tenants(args.trace, args.replicate)
     plan = FleetChaosPlan(
         seed=args.seed,
-        kills=args.kills,
-        kill_event_frac=args.kill_frac,
         corrupt_checkpoint=args.corrupt_checkpoint,
         truncate_checkpoint=args.truncate_checkpoint,
+        kills=args.kills,
+        kill_event_frac=args.kill_frac,
         transport=args.transport,
         net_drop=args.net_drop,
         net_garble=args.net_garble,
@@ -1132,55 +1129,35 @@ def cmd_fleet_chaos(args) -> int:
         stall_heartbeats=args.stall_heartbeats,
     )
     config = _fleet_config(args, None)
-
     # optional live exporter during a transport experiment: the CLI
     # owns the aggregator so /metrics can watch the degraded window
-    aggregator = None
-    exporter = None
-    on_merge = None
-    if args.transport and args.port is not None:
-        from repro.fleet.aggregator import FleetAggregator
-        from repro.fleet.exporter import MetricsExporter
-
-        aggregator = FleetAggregator(
-            range(config.shards), config.mailbox_capacity,
-            health=transport_health_policy())
-        scrape = _FleetScrape(aggregator)
-        on_merge = scrape.publish
-        exporter = MetricsExporter(scrape.registry, port=args.port)
-        port = exporter.start()
-        print(f"chaos metrics exporter on "
-              f"http://127.0.0.1:{port}/metrics", flush=True)
-
+    aggregator = scrape = exporter = None
     try:
-        if args.workdir:
-            report = run_fleet_chaos(specs, args.workdir, plan,
-                                     config=config,
-                                     on_merge=on_merge,
-                                     aggregator=aggregator)
-        else:
-            with tempfile.TemporaryDirectory(
-                    prefix="repro-fleet-chaos-") as workdir:
-                report = run_fleet_chaos(specs, workdir, plan,
-                                         config=config,
-                                         on_merge=on_merge,
-                                         aggregator=aggregator)
-    except (OSError, ValueError) as error:
-        if exporter is not None:
-            exporter.stop()
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.summary_line())
-    if exporter is not None:
-        if args.linger > 0:
+        if args.transport and args.port is not None:
+            from repro.fleet.aggregator import FleetAggregator
+            from repro.fleet.exporter import MetricsExporter
+
+            aggregator = FleetAggregator(
+                range(config.shards), config.mailbox_capacity,
+                health=transport_health_policy())
+            scrape = _FleetScrape(aggregator)
+            exporter = MetricsExporter(scrape.registry, port=args.port)
+            print(f"chaos metrics exporter on "
+                  f"http://127.0.0.1:{exporter.start()}/metrics",
+                  flush=True)
+        code = _run_chaos(args, lambda workdir: run_fleet_chaos(
+            replicate_tenants(args.trace, args.replicate), workdir,
+            plan, config=config,
+            on_merge=scrape.publish if scrape is not None else None,
+            aggregator=aggregator))
+        if exporter is not None and args.linger > 0:
             print(f"lingering {args.linger:g}s for final scrapes",
                   flush=True)
             _time.sleep(args.linger)
-        exporter.stop()
-    return 0 if report.passed else 1
+        return code
+    finally:
+        if exporter is not None:
+            exporter.stop()
 
 
 FLEET_COMMANDS = {

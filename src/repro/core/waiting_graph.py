@@ -430,6 +430,19 @@ class WaitingGraph:
                           in state["durations"]}
         self._slowest = {int(idx): (float(duration), node)
                          for idx, duration, node in state["slowest"]}
+        # what a diagnosis reads must be there: a duration for every
+        # retained record and every step's slowest, a window for every
+        # step with a duration
+        missing = [key for key in self.records
+                   if key not in self.durations] \
+            + [(node, idx) for idx, (_took, node) in self._slowest.items()
+               if (node, idx) not in self.durations] \
+            + [idx for _node, idx in self.durations
+               if idx not in self.windows]
+        if missing:
+            raise ValueError(
+                f"inconsistent waiting-graph state: no duration or "
+                f"window for {missing[:3]}")
 
     # ------------------------------------------------------------------
     # the Fig. 4 view

@@ -14,7 +14,7 @@ text format (:mod:`~repro.fleet.exporter`).  ``FleetService``
 (:mod:`~repro.fleet.service`) runs the same shards inside one process
 as the reference the worker fleet is tested against.
 
-The load-bearing contract, proven by :mod:`~repro.fleet.chaos`
+The load-bearing contract, proven by :mod:`repro.chaos`
 (``repro fleet chaos``): SIGKILL any shard worker mid-replay, let
 supervision resume it from its tenants' checkpoints, and the final
 fleet snapshot's diagnosis content is bit-equal to an uninterrupted

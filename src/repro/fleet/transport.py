@@ -481,7 +481,7 @@ def run_fleet_streaming(
         plan: dict[int, list[TenantSpec]],
         report_dir: str,
         health: Optional[HealthPolicy] = None,
-        hang_at: Optional[dict[int, int]] = None,
+        kill_at: Optional[dict[int, int]] = None,
         policy=None,
         on_crash=None,
         on_merge: Optional[Callable[[FleetSnapshot], None]] = None,
@@ -501,12 +501,14 @@ def run_fleet_streaming(
     always write), so the final snapshot is bit-equal to a run with
     no streaming at all — streamed frames only make rolling
     snapshots fresher, never the final diagnosis different.
+    ``kill_at`` maps a shard to the event count at which its worker
+    kills itself once (the :mod:`repro.chaos` kill rule).
     """
     from repro.fleet.worker import make_shard_spec, \
         run_fleet_supervised
 
     os.makedirs(report_dir, exist_ok=True)
-    hang_at = hang_at or {}
+    kill_at = kill_at or {}
     health = health if health is not None else HealthPolicy()
     if not failpoints.active():
         # honor REPRO_FAILPOINTS for the parent-side sites
@@ -547,7 +549,7 @@ def run_fleet_streaming(
                 config, shard_id, tenant_specs,
                 os.path.join(report_dir,
                              f"shard-{shard_id:03d}.json"),
-                hang_at=hang_at.get(shard_id, 0),
+                kill_at=kill_at.get(shard_id, 0),
                 report_every_rounds=report_every_rounds,
                 endpoint=listener.endpoint(),
                 heartbeat_every_rounds=heartbeat_every_rounds,

@@ -27,12 +27,11 @@ the worker's lifetime, not a slowdown.  :func:`worker_main` runs in
 its caller's process (tests call it in-process) and leaves the
 caller's collector alone.
 
-Deterministic kill points for the chaos harness use a *hang flag*: a
-worker given ``hang_at`` writes the flag file once it has consumed
-that many events, then spins; the supervising parent polls the flag
-and SIGKILLs the pid.  The flag persists, so the restarted attempt
-sails past the kill point — one crash per flag, at an exact event
-count, no timing races.
+The chaos harness (:mod:`repro.chaos`) kills a worker by its one kill
+rule: a worker given ``kill_at`` that has consumed that many events
+writes its *kill flag* file and SIGKILLs itself, unfinalized.  The
+flag persists, so the restarted attempt sails past the kill point —
+one crash per flag, at a deterministic event count, no timing races.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ import os
 import signal
 import sys
 import threading
-import time
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core import failpoints
 from repro.fleet.aggregator import ShardReport
@@ -73,7 +71,7 @@ class WorkerCrashed(RuntimeError):
 
 def make_shard_spec(config: FleetConfig, shard_id: int,
                     specs: list[TenantSpec], report_path: str,
-                    hang_at: int = 0,
+                    kill_at: int = 0,
                     report_every_rounds: int = 8,
                     endpoint: Optional[list] = None,
                     heartbeat_every_rounds: int = 1,
@@ -88,8 +86,8 @@ def make_shard_spec(config: FleetConfig, shard_id: int,
         "batch_events": config.batch_events,
         "report_every_rounds": report_every_rounds,
         "report_path": report_path,
-        "hang_at": hang_at,
-        "hang_flag": f"{report_path}.hang",
+        "kill_at": kill_at,
+        "kill_flag": f"{report_path}.kill",
         # streaming channel (None = report files only)
         "endpoint": endpoint,
         "heartbeat_every_rounds": heartbeat_every_rounds,
@@ -179,8 +177,8 @@ def worker_main(spec: dict) -> int:
     batch = int(spec.get("batch_events", 64))
     report_every = max(1, int(spec.get("report_every_rounds", 8)))
     report_path = spec["report_path"]
-    hang_at = int(spec.get("hang_at", 0) or 0)
-    hang_flag = spec.get("hang_flag")
+    kill_at = int(spec.get("kill_at", 0) or 0)
+    kill_flag = spec.get("kill_flag")
     endpoint = spec.get("endpoint")
     heartbeat_every = max(1, int(spec.get("heartbeat_every_rounds",
                                           1)))
@@ -210,16 +208,14 @@ def worker_main(spec: dict) -> int:
         while not runtime.done:
             runtime.step(batch)
             rounds += 1
-            if hang_at and hang_flag \
-                    and runtime.events_consumed >= hang_at \
-                    and not os.path.exists(hang_flag):
-                # deterministic chaos kill point: raise the flag, then
-                # spin until the supervising parent SIGKILLs us.  The
+            if kill_at and kill_flag \
+                    and runtime.events_consumed >= kill_at \
+                    and not os.path.exists(kill_flag):
+                # the chaos kill rule: stop here, never finalized.  The
                 # flag outlives the kill, so the restart runs through.
-                with open(hang_flag, "w", encoding="utf-8") as handle:
+                with open(kill_flag, "w", encoding="utf-8") as handle:
                     handle.write(str(runtime.events_consumed))
-                while True:  # pragma: no cover - terminated by SIGKILL
-                    time.sleep(0.05)  # repro: noqa RPR026 - unbounded by design: the supervising parent SIGKILLs this pid
+                os.kill(os.getpid(), signal.SIGKILL)
             if publisher is not None \
                     and rounds % heartbeat_every == 0:
                 publisher.heartbeat()
@@ -246,35 +242,17 @@ def worker_entry(spec_json: str) -> None:
 # parent-side supervision
 # ----------------------------------------------------------------------
 
-def run_worker_process(spec: dict, ctx=None,
-                       poll_s: float = 0.02,
-                       on_kill: Optional[Callable[[int], None]] = None
-                       ) -> Optional[int]:
-    """Spawn one worker attempt and wait for it; SIGKILL it if it
-    raises its hang flag (the chaos kill protocol).  Returns the exit
-    code (negative = death by signal)."""
+def run_worker_process(spec: dict, ctx=None) -> Optional[int]:
+    """Spawn one worker attempt and wait for it.  Returns the exit
+    code (negative = death by signal; a chaos kill is -9)."""
     ctx = ctx or multiprocessing.get_context("spawn")
     process = ctx.Process(target=worker_entry,
                           args=(json.dumps(spec),))
-    hang_flag = spec.get("hang_flag")
-    # a flag already on disk is a *spent* kill point: the restarted
-    # worker skips the hang, and the parent must not re-kill it
-    armed = bool(hang_flag) and not os.path.exists(hang_flag)
     process.start()
-    killed = False
     try:
-        while process.is_alive():
-            process.join(poll_s)
-            if armed and not killed and process.is_alive() \
-                    and os.path.exists(hang_flag):
-                assert process.pid is not None
-                os.kill(process.pid, signal.SIGKILL)
-                killed = True
-                if on_kill is not None:
-                    on_kill(process.pid)
+        process.join()
     finally:
-        # an on_kill callback raising (or a KeyboardInterrupt in the
-        # poll loop) must not orphan the spawned child
+        # a KeyboardInterrupt in the wait must not orphan the child
         if process.is_alive():
             process.kill()
         process.join()

@@ -17,9 +17,9 @@ persists atomic, versioned snapshots of the full pipeline state keyed
 to a durable stream cursor (per-kind record counts, the same against
 either trace format), :mod:`repro.live.supervisor` restarts a
 crashed serve loop with capped backoff and drains gracefully on
-SIGTERM, and :mod:`repro.live.chaos` is the seeded kill/corrupt/resume
-harness proving the recovery contract (resumed final snapshot
-bit-equal to an uninterrupted run).
+SIGTERM; :mod:`repro.chaos` is the seeded kill/corrupt/resume harness
+proving the recovery contract (resumed final snapshot bit-equal to an
+uninterrupted run).
 
     header = read_header("run.jsonl")
     pipeline = LivePipeline.from_header(header)
@@ -60,15 +60,7 @@ from repro.live.pipeline import (
 from repro.live.robustness import DegradationTracker, Quarantine
 from repro.live.watermark import WatermarkBuffer
 
-if TYPE_CHECKING:   # a pipeline needs neither: loaded on first use
-    from repro.live.chaos import (
-        ChaosPlan,
-        ChaosReport,
-        SimulatedCrash,
-        derive_kill_points,
-        perturbed_events,
-        run_chaos,
-    )
+if TYPE_CHECKING:   # a pipeline does not need it: loaded on first use
     from repro.live.supervisor import (
         CrashLoopError,
         GracefulShutdown,
@@ -77,8 +69,6 @@ if TYPE_CHECKING:   # a pipeline needs neither: loaded on first use
     )
 
 __getattr__ = lazy_exports(__name__, {
-    "chaos": ("ChaosPlan", "ChaosReport", "SimulatedCrash",
-              "derive_kill_points", "perturbed_events", "run_chaos"),
     "supervisor": ("CrashLoopError", "GracefulShutdown",
                    "RestartPolicy", "Supervisor"),
 })
@@ -109,10 +99,4 @@ __all__ = [
     "RestartPolicy",
     "CrashLoopError",
     "GracefulShutdown",
-    "ChaosPlan",
-    "ChaosReport",
-    "SimulatedCrash",
-    "run_chaos",
-    "derive_kill_points",
-    "perturbed_events",
 ]

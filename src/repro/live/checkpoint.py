@@ -313,9 +313,6 @@ class TraceReplayer:
       sleeps in ``repro serve``);
     * ``should_stop()`` — polled each event; True breaks the loop
       (graceful SIGTERM/SIGINT drain);
-    * ``on_publish(published)`` — called after each publish with the
-      cursor's event count (``repro chaos`` raises its seeded
-      :class:`~repro.live.chaos.SimulatedCrash` here);
     * ``admit(published, event)`` — pre-publish gate: returning False
       advances the cursor but skips the pipeline (the fleet's
       per-tenant event budgets shed load here, deterministically —
@@ -330,7 +327,6 @@ class TraceReplayer:
                  pump_at: Optional[int] = None,
                  pacing: Optional[Callable[[TraceEvent], None]] = None,
                  should_stop: Optional[Callable[[], bool]] = None,
-                 on_publish: Optional[Callable[[int], None]] = None,
                  admit: Optional[Callable[[int, TraceEvent], bool]]
                  = None) -> None:
         self.pipeline = pipeline
@@ -345,7 +341,6 @@ class TraceReplayer:
         self.pump_at = max(1, pump_at)
         self.pacing = pacing
         self.should_stop = should_stop
-        self.on_publish = on_publish
         self.admit = admit
         self.stopped = False
         self.exhausted = False
@@ -420,8 +415,6 @@ class TraceReplayer:
             self.cursor.advance(event)
             self._since_checkpoint += 1
             consumed += 1
-            if self.on_publish is not None:
-                self.on_publish(self.cursor.published)
             if len(pipeline.bus) >= self.pump_at:
                 pipeline.pump(pipeline.config.pump_batch)
             if self._checkpoint_due():

@@ -119,7 +119,7 @@ class DiagnosisSnapshot:
 
     def canonical_json(self, top: int = 5) -> str:
         """Key-sorted JSON of :meth:`to_dict` — the byte-equality form
-        the chaos harnesses (single-pipeline and fleet) digest."""
+        the chaos harness (:mod:`repro.chaos`) digests."""
         import json
 
         return json.dumps(self.to_dict(top), sort_keys=True)

@@ -124,32 +124,14 @@ def test_rpr032_catches_unsupervised_worker_process(tmp_path):
     source = (REPO_ROOT / "src/repro/fleet/worker.py").read_text()
     degraded = source.replace(
         """    try:
-        while process.is_alive():
-            process.join(poll_s)
-            if armed and not killed and process.is_alive() \\
-                    and os.path.exists(hang_flag):
-                assert process.pid is not None
-                os.kill(process.pid, signal.SIGKILL)
-                killed = True
-                if on_kill is not None:
-                    on_kill(process.pid)
+        process.join()
     finally:
-        # an on_kill callback raising (or a KeyboardInterrupt in the
-        # poll loop) must not orphan the spawned child
+        # a KeyboardInterrupt in the wait must not orphan the child
         if process.is_alive():
             process.kill()
         process.join()
 """,
-        """    while process.is_alive():
-        process.join(poll_s)
-        if armed and not killed and process.is_alive() \\
-                and os.path.exists(hang_flag):
-            assert process.pid is not None
-            os.kill(process.pid, signal.SIGKILL)
-            killed = True
-            if on_kill is not None:
-                on_kill(process.pid)
-    process.join()
+        """    process.join()
 """)
     assert degraded != source, "worker.py reap block moved; update test"
     target = tmp_path / "degraded.py"

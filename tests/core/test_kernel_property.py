@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro.anomalies.scenarios import SCENARIOS, ScenarioConfig, make_cases
+from repro.chaos import _duplicated, _reordered
 from repro.core.analyzer import (DiagnosisKernel, StepTiming,
                                  VedrfolnirAnalyzer)
 from repro.core.diagnosis import DiagnosisResult, diagnose
@@ -27,7 +28,6 @@ from repro.core.rating import contribution_to_flow
 from repro.core.waiting_graph import WaitingGraph
 from repro.experiments.harness import make_system
 from repro.live import LivePipeline, PipelineConfig
-from repro.live.chaos import _duplicated, _reordered
 from repro.traces import (TraceRecorder, TraceRuntime, analyze_trace,
                           load_trace, read_header, trace_events)
 from tests.core.test_waiting_graph import (ReferenceWaitingGraph,

@@ -93,3 +93,21 @@ def test_fleet_status_round_trips(served, tmp_path, capsys):
     assert "[FINAL] fleet" in capsys.readouterr().out
     assert main(["fleet", "status", "--status",
                  str(tmp_path / "missing.json")]) == 2
+
+
+def test_fleet_chaos_maps_a_crash_looping_shard_to_exit_1(
+        monkeypatch, capsys):
+    """A shard that crash-loops past its restart budget is an
+    ``error:`` line and exit 1, the way ``fleet serve`` reports it —
+    not a traceback."""
+    import repro.chaos
+    from repro.fleet.worker import WorkerCrashed
+
+    def crash_loop(*_args, **_kwargs):
+        raise WorkerCrashed(0, -9)
+
+    monkeypatch.setattr(repro.chaos, "run_fleet_chaos", crash_loop)
+    assert main(["fleet", "chaos", "--trace", "never-read.jsonl"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: shard 0 worker exited with -9\n"
+    assert "Traceback" not in captured.out + captured.err

@@ -23,7 +23,7 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 #: never needed to replay a shard's tenants
 UNWANTED = ("repro.checks.ir", "repro.checks.lint", "repro.checks.units",
             "repro.checks.concurrency", "repro.checks.lifecycle",
-            "http.server", "repro.fleet.exporter", "repro.live.chaos",
+            "http.server", "repro.fleet.exporter", "repro.chaos",
             "repro.live.supervisor", "networkx",
             # a trace reader needs simnet.packet / .pfc / .telemetry only
             "repro.simnet.engine", "repro.simnet.network",
@@ -86,13 +86,12 @@ def test_lazy_exports_are_the_modules_own_objects():
     from repro.checks.lint import check_paths as direct
     from repro.fleet import MetricsExporter
     from repro.fleet.exporter import MetricsExporter as exporter
-    from repro.live import Supervisor, run_chaos
-    from repro.live.chaos import run_chaos as chaos
+    from repro.live import Supervisor
     from repro.live.supervisor import Supervisor as supervisor
 
     assert check_paths is direct
     assert MetricsExporter is exporter
-    assert Supervisor is supervisor and run_chaos is chaos
+    assert Supervisor is supervisor
     # resolved once, then an ordinary attribute of the package
     import repro.live
     assert repro.live.__dict__["Supervisor"] is supervisor

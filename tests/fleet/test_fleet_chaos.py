@@ -1,20 +1,23 @@
-"""Fleet recovery under real SIGKILL: worker plumbing + the chaos
-contract (resume ≡ uninterrupted, survivors untouched)."""
+"""Fleet recovery under real SIGKILL: worker plumbing, the kill rule
+and the chaos contract (resume ≡ uninterrupted, survivors untouched)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.fleet.aggregator import ShardReport, TenantDigest
-from repro.fleet.chaos import (
+from repro.chaos import (
     FleetChaosPlan,
     default_restart_policy,
     run_fleet_chaos,
+    transport_failpoints,
 )
+from repro.fleet.aggregator import ShardReport, TenantDigest
 from repro.fleet.service import FleetConfig
 from repro.fleet.sharding import replicate_tenants
 from repro.fleet.tenancy import TenantPolicy
-from repro.fleet.worker import read_report, write_report
+from repro.fleet.worker import (make_shard_spec, read_report,
+                                run_worker_process, write_report)
 
 
 def test_report_file_round_trips(tmp_path):
@@ -45,6 +48,29 @@ def test_read_report_survives_garbage(tmp_path):
     assert read_report(str(wrong_shape)) is None
 
 
+def one_shard_spec(trace_path, tmp_path, **kwargs) -> dict:
+    tenants = replicate_tenants([str(trace_path)], replicate=1)
+    config = FleetConfig(shards=1, policy=TenantPolicy(),
+                         batch_events=64)
+    return make_shard_spec(config, 0, tenants,
+                           str(tmp_path / "shard-000.json"), **kwargs)
+
+
+def test_a_worker_kills_itself_once_at_its_kill_point(trace_path,
+                                                      tmp_path):
+    """The fleet half of the kill rule: the first attempt SIGKILLs
+    itself at ``kill_at``, unfinalized, and leaves its flag; the flag
+    lets the next attempt on the same spec run through."""
+    spec = one_shard_spec(trace_path, tmp_path, kill_at=1)
+    assert run_worker_process(spec) == -9
+    assert int(Path(spec["kill_flag"]).read_text()) >= 1
+    report = read_report(spec["report_path"])
+    assert report is None or not report.final
+    assert run_worker_process(spec) == 0
+    report = read_report(spec["report_path"])
+    assert report is not None and report.final
+
+
 @pytest.mark.slow
 def test_sigkilled_fleet_recovers_bit_equal(trace_path, tmp_path):
     """The tentpole contract, end to end with real OS processes:
@@ -62,18 +88,19 @@ def test_sigkilled_fleet_recovers_bit_equal(trace_path, tmp_path):
     report = run_fleet_chaos(tenants, tmp_path / "chaos", plan,
                              config=config,
                              restart_policy=default_restart_policy(7))
-    assert report.kills_delivered == len(report.victims) == 1
-    assert report.restarts >= 1
-    assert report.checkpoints_corrupted == 1
+    counts = report.counts
+    assert counts["kills_delivered"] == len(counts["victims"]) == 1
+    assert counts["restarts"] >= 1
+    assert counts["checkpoints_corrupted"] == 1
     assert report.equal, (
         f"diagnosis diverged: baseline={report.baseline_digest} "
         f"recovered={report.recovered_digest}")
-    assert report.survivors_clean
+    assert report.checks["survivors_clean"]
     assert report.passed
     # the report serializes for the CLI --json view
     as_dict = report.to_dict()
     assert as_dict["passed"] is True
-    assert as_dict["victims"] == report.victims
+    assert as_dict["victims"] == counts["victims"]
     assert "PASS" in report.summary_line()
 
 
@@ -86,8 +113,6 @@ def test_transport_chaos_goes_degraded_then_recovers_bit_equal(
     it goes health-dead — the fleet publishes degraded snapshots
     instead of stalling, then recovers, and the final diagnosis is
     still bit-equal to the uninterrupted baseline."""
-    from repro.fleet.chaos import transport_failpoints
-
     tenants = replicate_tenants([str(trace_path)], replicate=4)
     config = FleetConfig(
         shards=2,
@@ -105,60 +130,67 @@ def test_transport_chaos_goes_degraded_then_recovers_bit_equal(
     rolling = []
     report = run_fleet_chaos(tenants, tmp_path / "chaos", plan,
                              config=config, on_merge=rolling.append)
-    assert report.kills_delivered == 1
-    assert report.restarts >= 1
+    counts = report.counts
+    assert counts["kills_delivered"] == 1
+    assert counts["restarts"] >= 1
     # the killed shard outlived dead_after_s: degraded window observed
-    assert report.degraded_snapshots >= 1
+    assert counts["degraded_snapshots"] >= 1
     assert any(s.degraded for s in rolling)
     # ... and the final snapshot recovered (every shard live again)
-    assert report.recovered
+    assert report.checks["recovered"]
     assert not rolling[-1].degraded
     assert rolling[-1].final
     # degraded, never wrong: bit-equal despite every injected fault
     assert report.equal, (
         f"diagnosis diverged: baseline={report.baseline_digest} "
         f"recovered={report.recovered_digest}")
-    assert report.survivors_clean
+    assert report.checks["survivors_clean"]
     assert report.passed
-    assert report.transport_stats.get("reports_received", 0) >= 1
+    assert counts["transport_stats"].get("reports_received", 0) >= 1
     as_dict = report.to_dict()
     assert as_dict["transport"] is True
-    assert as_dict["degraded_snapshots"] == report.degraded_snapshots
-    assert "degraded=" in report.summary_line()
+    assert as_dict["degraded_snapshots"] == counts["degraded_snapshots"]
+    assert "degraded-snapshots=" in report.summary_line()
     assert "recovered=true" in report.summary_line()
 
 
 @pytest.mark.slow
 def test_poll_failure_does_not_orphan_the_worker(trace_path, tmp_path):
-    """If the parent's polling loop dies while the child is alive
-    (here: a bad poll interval; in production: KeyboardInterrupt or a
-    raising on_kill callback), run_worker_process must still reap the
-    spawned child instead of leaving it spinning forever."""
+    """If the parent's wait dies while the child is alive (here: a
+    ``join`` that raises once; in production: KeyboardInterrupt),
+    run_worker_process must still reap the spawned child instead of
+    leaving it running unsupervised."""
     import multiprocessing
 
-    from repro.fleet.tenancy import TenantPolicy as _TenantPolicy
-    from repro.fleet.worker import make_shard_spec, run_worker_process
-
-    tenants = replicate_tenants([str(trace_path)], replicate=1)
-    config = FleetConfig(shards=1, policy=_TenantPolicy(),
-                         batch_events=64)
-    # hang_at=1 puts the worker into its spin-until-SIGKILL state, so
-    # an unreaped child would outlive the parent call indefinitely
-    spec = make_shard_spec(config, 0, tenants,
-                           str(tmp_path / "shard-000.json"), hang_at=1)
-
+    spec = one_shard_spec(trace_path, tmp_path)
     spawned = []
     real_ctx = multiprocessing.get_context("spawn")
+
+    class Interrupted(Exception):
+        pass
+
+    class JoinRaisesOnce:
+        def __init__(self, process) -> None:
+            self.process = process
+            self.raised = False
+
+        def __getattr__(self, name):
+            return getattr(self.process, name)
+
+        def join(self, *args):
+            if not self.raised:
+                self.raised = True
+                raise Interrupted
+            return self.process.join(*args)
 
     class RecordingContext:
         def Process(self, *args, **kwargs):
             process = real_ctx.Process(*args, **kwargs)
             spawned.append(process)
-            return process
+            return JoinRaisesOnce(process)
 
-    with pytest.raises(TypeError):
-        run_worker_process(spec, ctx=RecordingContext(),
-                           poll_s=object())
+    with pytest.raises(Interrupted):
+        run_worker_process(spec, ctx=RecordingContext())
     assert len(spawned) == 1
     child = spawned[0]
     child.join(timeout=10)

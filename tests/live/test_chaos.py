@@ -5,9 +5,8 @@ import json
 
 import pytest
 
-from repro.live.chaos import (
+from repro.chaos import (
     ChaosPlan,
-    corrupt_newest_checkpoint,
     derive_kill_points,
     perturbed_events,
     probe_trace_truncation,
@@ -38,11 +37,11 @@ def test_recovery_contract_five_kill_points(trace_path, tmp_path):
     assert len(plan.kill_points) == 5
     report = run_chaos(trace_path, tmp_path, plan,
                        config=CONFIG, policy=POLICY)
-    assert report.kills_survived == 5
+    assert report.counts["kills_survived"] == 5
     assert report.equal, (report.baseline_digest,
                           report.recovered_digest)
     assert report.passed
-    assert report.checkpoints_written >= 2
+    assert report.counts["checkpoints_written"] >= 2
     assert report.baseline_digest == report.recovered_digest
 
 
@@ -53,13 +52,14 @@ def test_corrupted_latest_snapshot_converges(trace_path, tmp_path):
     plan = ChaosPlan(
         seed=3,
         kill_points=derive_kill_points(trace_path, 3, 3),
-        corrupt_latest=True)
+        corrupt_checkpoint=True)
     report = run_chaos(trace_path, tmp_path, plan,
                        config=CONFIG, policy=POLICY)
+    counts = report.counts
     assert report.equal
-    assert report.checkpoints_corrupted >= 1
-    assert report.corrupt_skipped >= 1
-    assert report.fallbacks + report.resumes_from_scratch >= 1
+    assert counts["checkpoints_corrupted"] >= 1
+    assert counts["corrupt_skipped"] >= 1
+    assert counts["fallbacks"] + counts["resumes_from_scratch"] >= 1
 
 
 def test_truncated_checkpoint_converges(trace_path, tmp_path):
@@ -82,7 +82,11 @@ def test_contract_under_duplicates_and_reordering(trace_path,
         reorder_window=5)
     report = run_chaos(trace_path, tmp_path, plan,
                        config=CONFIG, policy=POLICY)
-    assert report.kills_survived == 3
+    assert report.counts["kills_survived"] == 3
+    # the kill rule: each victim stopped at exactly its planned
+    # consumed-event count, in plan order
+    assert [entry["kill_at"] for entry in report.counts["kill_log"]] \
+        == list(plan.kill_points)
     assert report.equal
 
 
@@ -90,8 +94,8 @@ def test_no_kills_still_passes(trace_path, tmp_path):
     report = run_chaos(trace_path, tmp_path, ChaosPlan(seed=1),
                        config=CONFIG, policy=POLICY)
     assert report.equal
-    assert report.kills_survived == 0
-    assert report.resumes == 0
+    assert report.counts["kills_survived"] == 0
+    assert report.counts["resumes"] == 0
 
 
 def test_report_json_roundtrips(trace_path, tmp_path):
@@ -101,7 +105,10 @@ def test_report_json_roundtrips(trace_path, tmp_path):
     data = json.loads(json.dumps(report.to_dict()))
     assert data["passed"] is True
     assert data["kill_points"] == [10]
+    assert data["corrupt_checkpoint"] is False
+    assert data["kill_log"][0]["kill_at"] == 10
     assert "PASS" in report.summary_line()
+    assert "bit-equal=true" in report.summary_line()
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +159,8 @@ def test_corrupt_newest_checkpoint_no_snapshots(tmp_path):
     import random
 
     manager = CheckpointManager(tmp_path)
-    assert corrupt_newest_checkpoint(manager, random.Random(0)) is None
+    plan = ChaosPlan(corrupt_checkpoint=True)
+    assert plan.damage_newest(manager, random.Random(0)) is None
 
 
 def test_probe_trace_truncation(trace_path, tmp_path):

@@ -602,6 +602,47 @@ def test_a_state_of_the_wrong_shape_counts_as_corrupt(
     assert_resumed_or_cold(answer, manager, older_good)
 
 
+def without_duration(node: str, step: int) -> dict:
+    return dict(FIXTURE_STATE, durations=[
+        entry for entry in FIXTURE_STATE["durations"]
+        if entry[:2] != [node, step]])
+
+
+#: well-shaped states whose fields disagree: each restored once, then
+#: raised mid-replay (a KeyError in ``finish()``) or diagnosed without
+#: a step.  In the fixture, ("h0", 0) is retained and not a slowest,
+#: ("h10", 6) is step 6's slowest and already pruned.
+INCONSISTENT = {
+    "retained-record-without-duration": without_duration("h0", 0),
+    "slowest-without-duration": without_duration("h10", 6),
+    "duration-without-window": dict(FIXTURE_STATE, windows={
+        step: window for step, window in FIXTURE_STATE["windows"].items()
+        if step != "6"}),
+}
+
+
+@pytest.mark.parametrize("state", INCONSISTENT.values(),
+                         ids=INCONSISTENT.keys())
+def test_an_inconsistent_state_starts_cold_to_the_same_verdict(
+        golden_incast_path, tmp_path, state):
+    header = read_header(golden_incast_path)
+    config = PipelineConfig(**FIXTURE_CONFIG)
+    expected = TraceReplayer(
+        LivePipeline.from_header(header, config),
+        trace_events(golden_incast_path)).run()
+
+    (tmp_path / f"ckpt-{FIXTURE_CUT:010d}.json").write_text(
+        checksummed(state))
+    manager = CheckpointManager(tmp_path)
+    pipeline, cursor, resumed = resume_or_create(header, manager,
+                                                 config=config)
+    assert not resumed and cursor.published == 0
+    assert manager.corrupt_skipped == 1
+    final = TraceReplayer(pipeline, trace_events(golden_incast_path),
+                          manager, cursor).run()
+    assert final.canonical_json() == expected.canonical_json()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True,
           report_multiple_bugs=False)
 @given(place=PLACES, value=VALUES, older_good=st.booleans())
