@@ -17,7 +17,8 @@ frozen plan; they share the seed, the checkpoint damage, one kill rule
 and one :class:`ChaosReport`.
 
 **The kill rule.**  A victim stops at an exact consumed-event count
-and is never finalized:
+and is never finalized (a victim resumed past its point stops at its
+next event):
 
 * one pipeline: ``replayer.step(kill_at - cursor.published)``, then the
   replayer is dropped;
@@ -176,12 +177,16 @@ class ChaosReport:
                 "passed": self.passed}
 
     def summary_line(self) -> str:
-        """The verdict, the seed, every integer count and every
-        check."""
+        """The verdict, the seed, every integer count, the victim
+        shards and every check.  Kills survived are shown against the
+        planned kill points, so a kill that never fired is visible."""
         shown = {"seed": self.plan.seed,
                  **{name: value for name, value in self.counts.items()
-                    if isinstance(value, int)},
+                    if isinstance(value, int) or name == "victims"},
                  "bit-equal": self.equal, **self.checks}
+        if isinstance(self.plan, ChaosPlan):
+            shown["kills_survived"] = (f"{shown['kills_survived']}/"
+                                       f"{len(self.plan.kill_points)}")
         verdict = "PASS" if self.passed else "FAIL"
         return f"[{verdict}] " + " ".join(
             f"{name.replace('_', '-')}={str(value).lower()}"
@@ -331,7 +336,9 @@ def run_chaos(trace_path: PathLike, workdir: PathLike, plan: ChaosPlan,
                                        cursor.published, None),
             manager, cursor)
         if pending:
-            replayer.step(pending[0] - cursor.published)
+            # a cursor already past the point (a reused workdir) dies at
+            # its next event, as a fleet worker's ``>= kill_at`` does
+            replayer.step(max(1, pending[0] - cursor.published))
             if not replayer.exhausted:
                 # the kill: the replayer is dropped, never finalized
                 pending.pop(0)

@@ -2,6 +2,7 @@
 and the chaos contract (resume ≡ uninterrupted, survivors untouched)."""
 
 import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,7 @@ def test_sigkilled_fleet_recovers_bit_equal(trace_path, tmp_path):
     assert as_dict["passed"] is True
     assert as_dict["victims"] == counts["victims"]
     assert "PASS" in report.summary_line()
+    assert f"victims={counts['victims']}" in report.summary_line()
 
 
 @pytest.mark.slow
@@ -159,7 +161,9 @@ def test_poll_failure_does_not_orphan_the_worker(trace_path, tmp_path):
     """If the parent's wait dies while the child is alive (here: a
     ``join`` that raises once; in production: KeyboardInterrupt),
     run_worker_process must still reap the spawned child instead of
-    leaving it running unsupervised."""
+    leaving it running unsupervised.  The child could finish the small
+    trace by itself, so the test demands the parent's SIGKILL: an
+    unfinalized report and exit code -9, not a clean exit."""
     import multiprocessing
 
     spec = one_shard_spec(trace_path, tmp_path)
@@ -195,4 +199,6 @@ def test_poll_failure_does_not_orphan_the_worker(trace_path, tmp_path):
     child = spawned[0]
     child.join(timeout=10)
     assert not child.is_alive()
-    assert child.exitcode is not None
+    assert child.exitcode == -signal.SIGKILL
+    report = read_report(spec["report_path"])
+    assert report is None or not report.final

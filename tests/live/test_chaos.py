@@ -109,6 +109,31 @@ def test_report_json_roundtrips(trace_path, tmp_path):
     assert data["kill_log"][0]["kill_at"] == 10
     assert "PASS" in report.summary_line()
     assert "bit-equal=true" in report.summary_line()
+    assert "kills-survived=1/1" in report.summary_line()
+
+
+def test_a_resume_past_a_kill_point_still_kills(trace_path, tmp_path):
+    """A reused workdir whose checkpoint is already past the first kill
+    point: that kill lands on the first event after the resume instead
+    of being skipped, and the later one at its exact count."""
+    from repro.live.checkpoint import TraceReplayer
+    from repro.live.pipeline import LivePipeline
+    from repro.traces import read_header
+
+    plan = ChaosPlan(seed=4, kill_points=(10, 60))
+    manager = CheckpointManager(tmp_path / "checkpoints", POLICY)
+    seeded = TraceReplayer(
+        LivePipeline.from_header(read_header(trace_path), config=CONFIG),
+        perturbed_events(trace_path, plan), manager)
+    seeded.step(40)
+    seeded.checkpoint()
+
+    report = run_chaos(trace_path, tmp_path, plan,
+                       config=CONFIG, policy=POLICY)
+    assert [entry["kill_at"] for entry in report.counts["kill_log"]] \
+        == [41, 60]
+    assert report.equal
+    assert "kills-survived=2/2" in report.summary_line()
 
 
 # ----------------------------------------------------------------------
