@@ -130,6 +130,16 @@ class DiagnosisKernel:
         #: moves, then (report slice, {cf: score row}, None)
         self._steps: dict[int, tuple] = {}
 
+    def release(self) -> None:
+        """Let every report and everything derived from them go, for an
+        owner that adds no report and takes no snapshot again (a held
+        fleet tenant): either would raise."""
+        self.reports.clear()
+        self._collective_flows = set()
+        self._prepared = []
+        self._overall = None
+        self._steps = {}
+
     def _digest(self, report: SwitchReport) -> None:
         prepared = PreparedReport(report)
         self._prepared.append(prepared)

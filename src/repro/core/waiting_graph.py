@@ -292,12 +292,15 @@ class WaitingGraph:
         return len(doomed)
 
     def clear(self) -> None:
-        """Let every retained record and per-step scalar go (for an
-        owner done asking); the counters stay."""
+        """Let every retained record, per-step scalar and schedule edge
+        go (for an owner done asking and done submitting); the counters
+        stay."""
         self.records = {}
         self.windows.clear()
         self.durations.clear()
         self._slowest.clear()
+        self._depends_on = {}
+        self._expected = set()
         self._forget_derived()
 
     def stats(self) -> dict:

@@ -3,8 +3,8 @@
 A worker process (:mod:`repro.fleet.worker`, orchestrated by
 :func:`~repro.fleet.transport.run_fleet_streaming`) runs one
 :class:`ShardRuntime`.  :class:`FleetService` is the reference
-semantics and nothing else: it steps every shard round-robin inside
-one process and fans rolling
+semantics and nothing else: it steps every shard inside one process
+and fans rolling
 :class:`~repro.fleet.aggregator.FleetSnapshot`\\ s in through a
 :class:`~repro.fleet.aggregator.FleetAggregator`.  Both build shard
 state through :func:`build_shard_runtime`, so a supervised fleet that
@@ -48,7 +48,9 @@ class FleetConfig:
     policy: TenantPolicy = field(default_factory=TenantPolicy)
     #: fleet state root (per-shard checkpoint dirs); None = stateless
     workdir: Optional[str] = None
-    #: stream events granted to each tenant per scheduling round
+    #: a scheduling round's event budget per tenant unfinished at its
+    #: start (shortest remaining stream first; <= 0 = every tenant to
+    #: its end in one round)
     batch_events: int = 64
     #: scheduling rounds between rolling fleet merges
     merge_every_rounds: int = 4
@@ -113,8 +115,14 @@ def build_shard_runtime(
     return ShardRuntime(shard_id, tenants)
 
 
+def _shortest_first(tenant: TenantRuntime) -> tuple:
+    remaining = tenant.remaining
+    return (remaining is None, remaining or 0, tenant.tenant)
+
+
 class ShardRuntime:
-    """One shard: its tenants, a round-robin scheduler, a reporter."""
+    """One shard: its tenants, a shortest-stream-first scheduler, a
+    reporter."""
 
     def __init__(self, shard_id: int,
                  tenants: Sequence[TenantRuntime]) -> None:
@@ -137,12 +145,29 @@ class ShardRuntime:
                    if t.manager is not None)
 
     def step(self, batch_events: int) -> int:
-        """One scheduling round: every unfinished tenant advances by
-        up to ``batch_events`` — a stuck or budget-shedding tenant
-        cannot starve its shard-mates."""
+        """One scheduling round, shortest remaining stream first.
+
+        The round spends at most ``batch_events`` events per tenant
+        unfinished at its start.  Tenants are served in ``(remaining,
+        name)`` order, each until its stream ends or the budget is
+        spent, so a mouse ends — and releases its working set — before
+        a longer stream starts.  A stream of unknown length sorts last
+        and takes ``batch_events`` a round: with no length known this
+        is round-robin.  ``batch_events <= 0`` runs every tenant to
+        its end."""
+        queue = sorted((t for t in self.tenants if not t.done),
+                       key=_shortest_first)
+        budget = batch_events * len(queue)
         consumed = 0
-        for tenant in self.tenants:
-            consumed += tenant.step(batch_events)
+        for tenant in queue:
+            grant = 0       # TenantRuntime.step(0): to the stream's end
+            if batch_events > 0:
+                grant = budget - consumed
+                if grant <= 0:
+                    break
+                if tenant.remaining is None:
+                    grant = min(grant, batch_events)
+            consumed += tenant.step(grant)
         self.events_consumed += consumed
         return consumed
 

@@ -26,8 +26,10 @@ and its ``degraded``/``confidence`` land in the tenant's digest.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.live.checkpoint import (
     CheckpointManager,
@@ -36,7 +38,8 @@ from repro.live.checkpoint import (
     resume_or_create,
 )
 from repro.live.pipeline import DiagnosisSnapshot, PipelineConfig
-from repro.traces import TraceEvent, read_header, trace_events
+from repro.traces import (ColumnarTrace, TraceEvent, open_trace,
+                          read_header)
 
 
 @dataclass
@@ -94,12 +97,23 @@ def _budget_gate(budget: int
     return admit
 
 
+def _replay(trace: ColumnarTrace, skip: dict[str, int]
+            ) -> Iterator[TraceEvent]:
+    """``trace``'s events past ``skip``, closing it at the stream's
+    end."""
+    with trace:
+        yield from trace.iter_events(skip=skip)
+
+
 class TenantRuntime:
     """One tenant's replay: pipeline + cursor + budget + checkpoints.
 
     ``events`` defaults to the tenant's trace stream resumed at the
-    checkpoint cursor; in-memory fleets (the benchmark) inject a
-    pre-decoded event list instead.
+    checkpoint cursor, opened once for header, length and events.
+    In-memory fleets (the benchmark) inject a pre-decoded event list —
+    the whole stream, which a resumed tenant skips into — or an
+    iterator, whose length is unknown.  :attr:`remaining` is what a
+    shard schedules by.
 
     Lifecycle: *streaming* until the :meth:`step` that finds the
     stream at its end, which takes the final snapshot while the fold
@@ -113,13 +127,26 @@ class TenantRuntime:
                  policy: TenantPolicy,
                  trace: Optional[str] = None,
                  checkpoint_dir: Optional[str] = None,
-                 events: Optional[Iterator[TraceEvent]] = None,
+                 events: Optional[Iterable[TraceEvent]] = None,
                  header=None) -> None:
         self.tenant = tenant
         self.shard_id = shard_id
         self.policy = policy
         self.trace = trace
-        if header is None:
+        opened = None
+        if events is None:
+            if trace is None:
+                raise ValueError(
+                    f"tenant {tenant!r} needs a trace or an event "
+                    f"iterator")
+            # malformed lines are reported at open, before the
+            # pipeline that quarantines them exists
+            malformed: list[tuple] = []
+            opened = open_trace(
+                trace, on_error=lambda *line: malformed.append(line))
+            if header is None:
+                header = opened.header()
+        elif header is None:
             if trace is None:
                 raise ValueError(
                     f"tenant {tenant!r} needs a trace or a header")
@@ -135,14 +162,19 @@ class TenantRuntime:
             header, manager, config=policy.pipeline_config())
         self.pipeline = pipeline
 
-        if events is None:
-            if trace is None:
-                raise ValueError(
-                    f"tenant {tenant!r} needs a trace or an event "
-                    f"iterator")
-            events = trace_events(
-                trace, on_error=pipeline.quarantine.admit,
-                cursor=cursor)
+        #: events in the whole stream; None when it is an iterator
+        self.length: Optional[int] = None
+        if opened is not None:
+            self.length = opened.data_records
+            skip = cursor.resume_counts()
+            # a resumed run's quarantine state travels in its checkpoint
+            if not any(skip.values()):
+                for line in malformed:
+                    pipeline.quarantine.admit(*line)
+            events = _replay(opened, skip)
+        elif isinstance(events, Sequence):
+            self.length = len(events)
+            events = islice(events, cursor.published, None)
         # the hooks handed down are no bound methods of this tenant:
         # one held by its own replayer would make the tenant a
         # reference cycle, freed only by the cycle collector
@@ -155,11 +187,21 @@ class TenantRuntime:
         #: published, and the one rolling reports answer until it is
         self._held: Optional[DiagnosisSnapshot] = None
         self._rolling: Optional[DiagnosisSnapshot] = None
+        #: (cursor position, on-demand snapshot taken there) while the
+        #: pipeline has emitted none
+        self._peek: Optional[tuple[int, DiagnosisSnapshot]] = None
 
     # ------------------------------------------------------------------
     @property
     def done(self) -> bool:
         return self.final is not None or self.replayer.done
+
+    @property
+    def remaining(self) -> Optional[int]:
+        """Stream events still to consume; None for an iterator."""
+        if self.length is None:
+            return None
+        return self.length - self.replayer.cursor.published
 
     @property
     def events_admitted(self) -> int:
@@ -183,14 +225,19 @@ class TenantRuntime:
         """The freshest *published* diagnosis: the final snapshot once
         :meth:`finalize` handed it out, else the last rolling snapshot,
         else one made on demand — outside the snapshot sequence, so a
-        rolling report never changes what the tenant emits later."""
+        rolling report never changes what the tenant emits later — and
+        made again only once the cursor has moved."""
         if self.final is not None:
             return self.final
         if self._rolling is not None:
             return self._rolling
         if self.pipeline.snapshots:
             return self.pipeline.snapshots[-1]
-        return self.pipeline.peek_snapshot()
+        published = self.replayer.cursor.published
+        peek = self._peek
+        if peek is None or peek[0] != published:
+            peek = self._peek = (published, self.pipeline.peek_snapshot())
+        return peek[1]
 
     # ------------------------------------------------------------------
     def step(self, max_events: int) -> int:
@@ -209,6 +256,7 @@ class TenantRuntime:
         taken now and held: what the tenant *publishes* changes only
         in :meth:`finalize`, when its shard ends."""
         self._rolling = self.latest_snapshot()
+        self._peek = None
         self._held = self.replayer.finalize()
         # nothing will ask this pipeline for another snapshot
         self.pipeline.release()

@@ -126,23 +126,25 @@ def _preload_factory(tenants: list[TenantSpec]):
     """A tenant factory replaying each distinct trace from memory
     (decode once per trace file, not once per tenant) — the bench's
     in-memory idiom, available to worker processes via the
-    ``preload_traces`` spec key."""
+    ``preload_traces`` spec key.  Each tenant gets the list itself, so
+    its shard knows the stream's length."""
     from repro.fleet.tenancy import TenantRuntime
-    from repro.traces import read_header, trace_events
+    from repro.traces import open_trace
 
     cache = {}
     for spec in tenants:
         if spec.trace not in cache:
-            # trace_events sniffs the on-disk format, so a fleet spec
+            # open_trace sniffs the on-disk format, so a fleet spec
             # can point tenants at columnar conversions for the cheap
             # decode path without any spec change
-            cache[spec.trace] = (read_header(spec.trace),
-                                 list(trace_events(spec.trace)))
+            with open_trace(spec.trace) as trace:
+                cache[spec.trace] = (trace.header(),
+                                     list(trace.iter_events()))
 
     def factory(spec, shard_id, tenant_policy, ckpt_dir):
         header, events = cache[spec.trace]
         return TenantRuntime(spec.tenant, shard_id, tenant_policy,
-                             events=iter(events), header=header,
+                             events=events, header=header,
                              checkpoint_dir=ckpt_dir)
 
     return factory

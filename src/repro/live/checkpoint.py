@@ -390,7 +390,7 @@ class TraceReplayer:
         Returns the number of events consumed off the stream (admitted
         or shed).  Zero means the stream is exhausted (``exhausted``)
         or a graceful stop was requested (``stopped``); fleet shards
-        interleave many replayers by calling this round-robin.
+        schedule many replayers by calling this with a bound.
         """
         if self._iter is None:
             self._iter = iter(self.events)

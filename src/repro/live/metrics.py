@@ -112,6 +112,11 @@ def default_buckets(start: float = 1e-6, factor: float = 2.0,
     return [start * factor ** i for i in range(count)]
 
 
+#: the bounds of every histogram built without its own, one list for
+#: all of them (a fleet shard builds two per tenant); never mutated
+_DEFAULT_BOUNDS = default_buckets()
+
+
 class Histogram:
     """Fixed log-bucket histogram with quantile estimation.
 
@@ -126,7 +131,7 @@ class Histogram:
         self.name = name
         self.help = help
         self.labels = dict(labels) if labels else None
-        self.bounds = sorted(buckets or default_buckets())
+        self.bounds = sorted(buckets) if buckets else _DEFAULT_BOUNDS
         #: counts[i] observations <= bounds[i]; the last slot overflows
         self.counts = [0] * (len(self.bounds) + 1)
         self.total = 0

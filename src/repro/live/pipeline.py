@@ -366,15 +366,18 @@ class LivePipeline:
     def release(self) -> None:
         """After :meth:`finish` (bus and watermark are drained), give
         back what only another snapshot would read — the snapshots
-        emitted so far, the switch reports, the waiting graph's records
-        and per-step scalars — for an owner that keeps the finished
-        pipeline around (a fleet shard holds hundreds until it ends).
-        Counters, histograms, the watermark and the degradation
-        verdict stay readable."""
+        emitted so far, the switch reports and the kernel's fold state,
+        the waiting graph's records, per-step scalars and schedule
+        edges, the header's flow keys and expected step times — for an
+        owner that keeps the finished pipeline around (a fleet shard
+        holds hundreds until it ends).  Counters, histograms, the
+        watermark and the degradation verdict stay readable."""
         self.snapshots.clear()
-        self.kernel.reports.clear()
+        self.kernel.release()
         self.graph.clear()
         self._arrival_wall.clear()
+        self.flow_keys = {}
+        self.expected_step_times = {}
 
     # ------------------------------------------------------------------
     # checkpointing (crash-safe resume; see repro.live.checkpoint)

@@ -36,6 +36,32 @@ def trace_path(tmp_path_factory):
         tmp_path_factory.mktemp("fleet") / "fc.jsonl")
 
 
+#: the end-to-end benchmark's corpus: four 8-node mice, one 12-node
+#: elephant, case seed 42
+CORPUS = (("flow_contention", 8), ("incast", 8), ("pfc_storm", 8),
+          ("pfc_backpressure", 8), ("incast", 12))
+LABELS = [f"{scenario}-n{nodes}" for scenario, nodes in CORPUS]
+ELEPHANT = LABELS[-1]
+MICE = LABELS[:-1]
+
+
+@pytest.fixture(scope="session")
+def corpus(tmp_path_factory, trace_path):
+    """label -> (trace path, stream events); the session's
+    flow-contention capture is the corpus's first case."""
+    from repro.traces import open_trace
+
+    root = tmp_path_factory.mktemp("corpus")
+    traces = {}
+    for (scenario, nodes), label in zip(CORPUS, LABELS):
+        path = trace_path if (scenario, nodes) == CORPUS[0] \
+            else record_scenario_trace(root / f"{label}.jsonl",
+                                       scenario, nodes)
+        with open_trace(path) as opened:
+            traces[label] = (str(path), opened.data_records)
+    return traces
+
+
 @pytest.fixture(scope="session")
 def trace_events(trace_path):
     """The trace pre-decoded once: (header, list of events)."""

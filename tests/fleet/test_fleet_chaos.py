@@ -3,6 +3,7 @@ and the chaos contract (resume ≡ uninterrupted, survivors untouched)."""
 
 import json
 import signal
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,12 @@ from repro.chaos import (
     transport_failpoints,
 )
 from repro.fleet.aggregator import ShardReport, TenantDigest
-from repro.fleet.service import FleetConfig
-from repro.fleet.sharding import replicate_tenants
+from repro.fleet.service import FleetConfig, build_shard_runtime
+from repro.fleet.sharding import TenantSpec, replicate_tenants
 from repro.fleet.tenancy import TenantPolicy
 from repro.fleet.worker import (make_shard_spec, read_report,
                                 run_worker_process, write_report)
+from tests.fleet.conftest import ELEPHANT, MICE
 
 
 def test_report_file_round_trips(tmp_path):
@@ -70,6 +72,86 @@ def test_a_worker_kills_itself_once_at_its_kill_point(trace_path,
     assert run_worker_process(spec) == 0
     report = read_report(spec["report_path"])
     assert report is not None and report.final
+
+
+def srpt_shard_specs(corpus) -> list[TenantSpec]:
+    """The corpus's elephant behind six mice: under shortest remaining
+    stream first, rounds end inside mice before the elephant starts."""
+    labels = [ELEPHANT] + [MICE[index % len(MICE)] for index in range(6)]
+    return [TenantSpec(tenant=f"tenant-{index}", trace=corpus[label][0])
+            for index, label in enumerate(labels)]
+
+
+def in_flight(runtime) -> list:
+    return [t for t in runtime.tenants
+            if not t.done and t.replayer.cursor.published > 0]
+
+
+def kill_points(specs, config) -> dict[str, int]:
+    """Where a worker's kill rule can land inside a mouse's stream and
+    inside the elephant's, read off a dry run of the shard's schedule:
+    the first round end with that tenant in flight (the worker checks
+    its ``kill_at`` at round ends)."""
+    runtime = build_shard_runtime(0, specs, config.policy)
+    points: dict[str, int] = {}
+    while not runtime.done:
+        runtime.step(config.batch_events)
+        for tenant in in_flight(runtime):
+            kind = "elephant" if tenant.tenant == "tenant-0" else "mouse"
+            points.setdefault(kind, runtime.events_consumed)
+    return points
+
+
+@pytest.mark.parametrize("victim", ["mouse", "elephant"])
+def test_a_kill_inside_a_stream_resumes_by_restored_cursors(
+        corpus, tmp_path, victim):
+    """Shortest-stream-first under the kill rule: a worker killed while
+    a mouse (or the elephant) is in flight restarts with every tenant
+    at its restored cursor — the ended ones at their stream's end, the
+    victim mid-stream and first of what has work left — and its final
+    report equals an uninterrupted shard's."""
+    specs = srpt_shard_specs(corpus)
+    config = FleetConfig(shards=1, batch_events=64, policy=TenantPolicy(
+        snapshot_every=32, checkpoint_every=16))
+    kill_at = kill_points(specs, config)[victim]
+    uninterrupted = build_shard_runtime(0, specs, config.policy)
+    while not uninterrupted.done:
+        uninterrupted.step(config.batch_events)
+    uninterrupted.finalize()
+    expected = [t.to_dict()
+                for t in uninterrupted.report(final=True).tenants]
+
+    spec = make_shard_spec(replace(config, workdir=str(tmp_path / "state")),
+                           0, specs, str(tmp_path / "shard-000.json"),
+                           kill_at=kill_at)
+    assert run_worker_process(spec) == -9
+    assert int(Path(spec["kill_flag"]).read_text()) == kill_at
+
+    restarted = build_shard_runtime(0, specs, config.policy,
+                                    spec["workdir"])
+    assert restarted.resumed
+    started = [t for t in restarted.tenants
+               if t.replayer.cursor.published > 0]
+    ended = [t for t in started if t.remaining == 0]
+    victims = [t for t in started if t.remaining > 0]
+    assert ended and len(victims) == 1
+    (resumed,) = victims
+    assert (resumed.tenant == "tenant-0") == (victim == "elephant")
+    assert all(resumed.remaining < t.remaining
+               for t in restarted.tenants if t not in started)
+    # one round of the restart: the ended tenants see their end, then
+    # the victim runs on; a longer stream starts only once it has ended
+    restored = resumed.replayer.cursor.published
+    restarted.step(config.batch_events)
+    assert all(t.done for t in ended)
+    assert resumed.replayer.cursor.published > restored
+    assert len(in_flight(restarted)) <= 1
+    assert resumed.done or in_flight(restarted) == [resumed]
+
+    assert run_worker_process(spec) == 0
+    report = read_report(spec["report_path"])
+    assert report is not None and report.final
+    assert [t.to_dict() for t in report.tenants] == expected
 
 
 @pytest.mark.slow

@@ -24,13 +24,8 @@ from repro.fleet.service import (FleetConfig, FleetService,
 from repro.fleet.sharding import TenantSpec
 from repro.fleet.tenancy import TenantPolicy, TenantRuntime
 from repro.fleet.worker import make_shard_spec, read_report, worker_main
-from repro.traces import open_trace
-from tests.fleet.conftest import record_scenario_trace
+from tests.fleet.conftest import LABELS
 
-#: the end-to-end benchmark's corpus: four 8-node mice, one 12-node
-#: elephant, case seed 42
-CORPUS = (("flow_contention", 8), ("incast", 8), ("pfc_storm", 8),
-          ("pfc_backpressure", 8), ("incast", 12))
 BATCH = 64
 
 
@@ -50,22 +45,6 @@ class DeferredTenant(TenantRuntime):
         if self.final is None:
             self.final = self.replayer.finalize()
         return self.final
-
-
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory, trace_path):
-    """label -> (trace path, stream events); the session's
-    flow-contention capture is the corpus's first case."""
-    root = tmp_path_factory.mktemp("corpus")
-    traces = {}
-    for scenario, nodes in CORPUS:
-        label = f"{scenario}-n{nodes}"
-        path = trace_path if (scenario, nodes) == CORPUS[0] \
-            else record_scenario_trace(root / f"{label}.jsonl",
-                                       scenario, nodes)
-        with open_trace(path) as opened:
-            traces[label] = (str(path), opened.data_records)
-    return traces
 
 
 def policy_for(events: int, budget: bool, checkpoints: bool
@@ -92,9 +71,6 @@ def facts(tenant: TenantRuntime) -> dict:
             "seq": final.seq, "counters": final.counters,
             "checkpoints": tenant.manager.written
             if tenant.manager is not None else 0}
-
-
-LABELS = [f"{scenario}-n{nodes}" for scenario, nodes in CORPUS]
 
 
 # ----------------------------------------------------------------------

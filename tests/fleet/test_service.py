@@ -173,7 +173,22 @@ def test_specs_from_plan_flattens_in_shard_order(tenants):
         == sorted(s.tenant for s in tenants)
 
 
-def test_report_digests_only_what_changed(trace_events, monkeypatch):
+@pytest.fixture
+def digest_calls(monkeypatch) -> list:
+    """The tenant of every ``TenantDigest.from_snapshot`` call."""
+    calls = []
+    real = TenantDigest.from_snapshot.__func__
+
+    def counting(cls, shard_id, tenant, *args, **kwargs):
+        calls.append(tenant)
+        return real(cls, shard_id, tenant, *args, **kwargs)
+
+    monkeypatch.setattr(TenantDigest, "from_snapshot",
+                        classmethod(counting))
+    return calls
+
+
+def test_report_digests_only_what_changed(trace_events, digest_calls):
     """``TenantDigest.from_snapshot`` is canonical JSON + SHA-256 +
     ranking; a tenant whose snapshot object and counts did not change
     since the last report keeps its digest."""
@@ -185,15 +200,7 @@ def test_report_digests_only_what_changed(trace_events, monkeypatch):
     shard = ShardRuntime(0, [
         TenantRuntime(name, 0, policy, events=iter(events), header=header)
         for name in ("a", "b", "c")])
-    calls = []
-    real = TenantDigest.from_snapshot.__func__
-
-    def counting(cls, shard_id, tenant, *args, **kwargs):
-        calls.append(tenant)
-        return real(cls, shard_id, tenant, *args, **kwargs)
-
-    monkeypatch.setattr(TenantDigest, "from_snapshot",
-                        classmethod(counting))
+    calls = digest_calls
     shard.step(80)
     assert all(t.pipeline.snapshots for t in shard.tenants)
     first = shard.report()
@@ -210,3 +217,32 @@ def test_report_digests_only_what_changed(trace_events, monkeypatch):
     shard.finalize()
     assert all(t.final for t in shard.report(final=True).tenants)
     assert sorted(calls) == ["a", "b", "c"]
+
+
+def test_an_unstarted_tenant_is_digested_once(trace_events,
+                                              digest_calls):
+    """A tenant that has not started answers every rolling report with
+    one on-demand snapshot, so its digest is made once, not per report
+    — shortest-stream-first leaves most tenants unstarted early on."""
+    from repro.fleet.service import ShardRuntime
+    from repro.fleet.tenancy import TenantRuntime
+
+    header, events = trace_events
+    policy = TenantPolicy(snapshot_every=16, checkpoint_every=0)
+    shard = ShardRuntime(0, [
+        TenantRuntime(name, 0, policy, events=events, header=header)
+        for name in ("a", "b", "c")])
+    first = shard.report()
+    for _ in range(3):
+        assert shard.report().tenants == first.tenants
+    assert sorted(digest_calls) == ["a", "b", "c"]
+    digest_calls.clear()
+    shard.step(8)                   # "a" (equal lengths: by name) starts
+    assert shard.tenants[0].replayer.cursor.published == 24
+    assert [t.replayer.cursor.published for t in shard.tenants[1:]] \
+        == [0, 0]
+    second = shard.report()
+    shard.report()
+    assert digest_calls == ["a"]
+    assert second.tenants[1] is first.tenants[1]
+    assert second.tenants[2] is first.tenants[2]
