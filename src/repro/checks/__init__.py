@@ -1,40 +1,26 @@
 """Correctness tooling: static analysis and the runtime sanitizer.
 
-``repro.checks`` is the enforcement layer for the two properties every
-diagnosis result in this repo silently depends on — bit-for-bit
-deterministic simulation and consistent units (ns / bytes / bps):
+``repro.checks`` enforces the contracts the diagnosis results depend
+on: bit-for-bit deterministic simulation, atomic durable state,
+resume ≡ uninterrupted, and a fleet that reaps what it spawns.  Every
+rule in it either caught a real bug in this tree or guards a written
+contract nothing else checks (the audit table in ``docs/CHECKS.md``):
 
-* :mod:`repro.checks.lint` — an AST-based static pass with
-  repo-specific rules (RPR001–RPR006), exposed as the ``repro check``
-  CLI verb and gated in CI;
-* :mod:`repro.checks.units` — a whole-program, interprocedural
-  unit-of-measure dataflow pass (RPR010–RPR013) over the
-  :mod:`repro.core.units` NewType layer, exposed as
-  ``repro check --units``;
-* :mod:`repro.checks.concurrency` — the concurrency & durability
-  discipline pass (RPR020–RPR025) for the live/fleet multiprocess
-  stack (thread-shared state, atomic durable writes, spawn-boundary
-  primitives, signal-handler discipline, ``state_dict``/``load_state``
-  symmetry, unbounded growth), exposed as
-  ``repro check --concurrency``;
-* :mod:`repro.checks.lifecycle` — the exception-safety &
-  resource-lifecycle pass (RPR030–RPR036: silent exception
-  swallowing, shutdown-signal-eating loop handlers, leaked
-  processes/sockets/files, unpaired lock acquires, dishonest
-  ``finally`` blocks, undocumented exit codes, cause-losing
-  re-raises), exposed as ``repro check --lifecycle``;
-* :mod:`repro.checks.ir` — the shared analysis IR underneath all of
-  the above: one parse per file (:class:`ParseCache`), a project-wide
-  symbol table, and the suppression/scope-pragma machinery, so
-  ``repro check --all`` runs every rule family in a single
-  invocation;
+* :mod:`repro.checks.lint` — the per-file rules (RPR001 determinism,
+  RPR003 float-timestamp equality, RPR013 raw unit conversions,
+  RPR027 one trace reader) and the one driver behind ``repro check``;
+* :mod:`repro.checks.project` — the project-wide rules of the
+  live/fleet stack (RPR021 atomic durable writes, RPR022 spawn-boundary
+  primitives, RPR024 ``state_dict``/``load_state`` symmetry, RPR025
+  unbounded growth, RPR032 resource release);
+* :mod:`repro.checks.ir` — the shared substrate: one parse per file
+  (:class:`ParseCache`), the finding type and the ``# repro: noqa``
+  machinery (RPR000 and RPR006 are its infrastructure codes);
 * :mod:`repro.checks.sanitizer` — :class:`SimSanitizer`, a runtime
   invariant checker hooked into the simulation engine and data plane
   behind ``Simulator(sanitize=True)`` / ``REPRO_SANITIZE=1``, raising
   structured :class:`InvariantViolation` errors with the offending
   event trace.
-
-See ``docs/CHECKS.md`` for the rule catalog and suppression syntax.
 """
 
 from typing import TYPE_CHECKING
@@ -47,18 +33,7 @@ from repro.checks.sanitizer import (
 )
 
 if TYPE_CHECKING:   # the simulator imports the sanitizer, never these
-    from repro.checks.concurrency import (
-        CONCURRENCY_RULES,
-        check_concurrency,
-    )
-    from repro.checks.ir import (
-        ParseCache,
-        build_project,
-    )
-    from repro.checks.lifecycle import (
-        LIFECYCLE_RULES,
-        check_lifecycle,
-    )
+    from repro.checks.ir import ParseCache
     from repro.checks.lint import (
         Finding,
         RULES,
@@ -67,35 +42,19 @@ if TYPE_CHECKING:   # the simulator imports the sanitizer, never these
         iter_python_files,
         render_findings,
     )
-    from repro.checks.units import (
-        UNIT_RULES,
-        Unit,
-        check_units,
-    )
 
 __getattr__ = lazy_exports(__name__, {
-    "concurrency": ("CONCURRENCY_RULES", "check_concurrency"),
-    "ir": ("ParseCache", "build_project"),
-    "lifecycle": ("LIFECYCLE_RULES", "check_lifecycle"),
+    "ir": ("ParseCache",),
     "lint": ("Finding", "RULES", "check_paths", "check_source",
              "iter_python_files", "render_findings"),
-    "units": ("UNIT_RULES", "Unit", "check_units"),
 })
 
 __all__ = [
-    "CONCURRENCY_RULES",
     "Finding",
-    "LIFECYCLE_RULES",
     "ParseCache",
     "RULES",
-    "UNIT_RULES",
-    "Unit",
-    "build_project",
-    "check_concurrency",
-    "check_lifecycle",
     "check_paths",
     "check_source",
-    "check_units",
     "iter_python_files",
     "render_findings",
     "InvariantViolation",

@@ -1,38 +1,25 @@
-"""Shared static-analysis IR for every ``repro check`` pass.
-
-The rule passes (lint RPR000s, units RPR010s, concurrency RPR020s,
-lifecycle RPR030s) used to each re-read and re-parse the analyzed
-tree and re-derive their own symbol tables.  This module is the one
-substrate they all build on:
+"""Shared substrate for every ``repro check`` rule.
 
 * :class:`ParseCache` — one read + one :func:`ast.parse` per file for
-  an entire ``repro check --all`` invocation, with unreadable and
-  unparseable files represented explicitly (the base pass turns them
-  into RPR000; every other pass degrades to silence);
-* :class:`Finding` and :func:`apply_noqa` — the shared finding type
-  and per-pass ``# repro: noqa`` suppression machinery, including the
-  ``--strict`` dead-suppression judgement scoped to each pass's rule
-  universe;
-* small AST helpers (:func:`walk_local`, :func:`walk_with_contexts`,
-  :func:`call_name`, :func:`is_self_attr`, :func:`bound_names`) and
-  :class:`ModuleAliases` for stdlib import resolution;
-* the project-wide symbol table (:class:`Project`,
-  :func:`build_project`): module, class, function and attribute-type
-  indexes with annotation-driven unit facts, used by the
-  interprocedural passes for call and attribute resolution.
+  a whole ``repro check`` invocation, with unreadable and unparseable
+  files represented explicitly (the driver turns them into RPR000);
+* :class:`Finding` and :func:`apply_noqa` — the finding type and the
+  ``# repro: noqa`` suppression machinery, including the ``--strict``
+  judgement of dead suppressions and of codes the catalog lacks;
+* small AST helpers (:func:`walk_local`, :func:`name_of`,
+  :func:`is_self_attr`, :func:`expr_tokens`) and
+  :class:`ModuleAliases` for stdlib import resolution.
 
-Everything here is analysis infrastructure; rule knowledge (what to
-flag and why) stays in the pass modules.
+Rule knowledge (what to flag and why) stays in the rule modules.
 """
 
 from __future__ import annotations
 
 import ast
-import enum
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -60,6 +47,12 @@ class Finding:
     def to_dict(self) -> dict:
         return {"path": self.path, "line": self.line, "col": self.col,
                 "rule": self.rule, "message": self.message}
+
+
+def finding_at(display: str, node: ast.AST, rule: str,
+               message: str) -> Finding:
+    return Finding(display, getattr(node, "lineno", 0),
+                   getattr(node, "col_offset", 0) + 1, rule, message)
 
 
 # ----------------------------------------------------------------------
@@ -98,10 +91,8 @@ class SourceFile:
 
 
 class ParseCache:
-    """Read and parse each file at most once across all passes.
+    """Read and parse each file at most once per invocation.
 
-    ``repro check --all`` threads a single cache through every pass so
-    a four-pass run still costs one :func:`ast.parse` per file;
     :attr:`parse_count` exists so tests can assert exactly that.
     """
 
@@ -161,17 +152,13 @@ def has_scope_pragma(source: str, keyword: str) -> bool:
 
 
 def apply_noqa(findings: list[Finding], source: str, path: str,
-               strict: bool, universe: Iterable[str],
-               base_pass: bool = False) -> list[Finding]:
-    """Filter suppressed findings; in strict mode flag unused noqa.
+               strict: bool, catalog: Iterable[str]) -> list[Finding]:
+    """Filter suppressed findings; in strict mode flag dead noqa.
 
-    ``universe`` is the rule catalogue of the calling pass.  Coded
-    suppressions naming rules outside the universe are left for the
-    pass that owns them; coded suppressions naming rules inside it
-    that match no finding on the line are flagged as RPR006 per dead
-    code.  Blanket ``# repro: noqa`` comments are judged only by the
-    base pass (``base_pass=True``) so multiple passes never
-    double-report the same comment.
+    Every rule in ``catalog`` has run over the file, so under
+    ``--strict`` a suppression is judged once and for all: a comment
+    matching no finding on its line, a named code matching none, and a
+    code ``catalog`` does not contain are each reported as RPR006.
     """
     suppressors: dict[int, Optional[set[str]]] = {}
     try:
@@ -190,9 +177,7 @@ def apply_noqa(findings: list[Finding], source: str, path: str,
             {code.strip() for code in codes.split(",")}
     if not suppressors:
         return findings
-    universe_rules = set(universe)
     kept: list[Finding] = []
-    used: set[int] = set()
     used_codes: dict[int, set[str]] = {}
     for finding in findings:
         allowed = suppressors.get(finding.line, ...)
@@ -200,72 +185,45 @@ def apply_noqa(findings: list[Finding], source: str, path: str,
                               and finding.rule not in allowed):
             kept.append(finding)
         else:
-            used.add(finding.line)
             used_codes.setdefault(finding.line, set()).add(
                 finding.rule)
-    if strict:
-        for line_no in sorted(suppressors):
-            codes = suppressors[line_no]
-            if codes is None:
-                # blanket noqa: only the base pass judges it, so
-                # stacked passes never double-report one comment
-                if base_pass and line_no not in used:
-                    kept.append(Finding(
-                        path, line_no, 1, "RPR006",
-                        "suppression comment does not match any "
-                        "finding on this line"))
+    if not strict:
+        return kept
+    known = set(catalog)
+    for line_no in sorted(suppressors):
+        codes = suppressors[line_no]
+        used = used_codes.get(line_no, set())
+        for code in sorted((codes or set()) - known):
+            kept.append(Finding(
+                path, line_no, 1, "RPR006",
+                f"suppressed code {code} is not in the rule catalog"))
+        if codes is not None:
+            codes = codes & known
+            if not codes:
                 continue
-            relevant = codes & universe_rules
-            if not relevant:
-                # names only another pass's rules: judged there
-                continue
-            dead = relevant - used_codes.get(line_no, set())
-            if dead == relevant and line_no not in used:
+        if not used:
+            kept.append(Finding(
+                path, line_no, 1, "RPR006",
+                "suppression comment does not match any finding on "
+                "this line"))
+        elif codes is not None:
+            for code in sorted(codes - used):
                 kept.append(Finding(
                     path, line_no, 1, "RPR006",
-                    "suppression comment does not match any finding "
-                    "on this line"))
-            else:
-                for code in sorted(dead):
-                    kept.append(Finding(
-                        path, line_no, 1, "RPR006",
-                        f"suppressed code {code} matches no finding "
-                        f"on this line"))
+                    f"suppressed code {code} matches no finding on "
+                    f"this line"))
     return kept
 
 
 # ----------------------------------------------------------------------
 # small AST helpers
 # ----------------------------------------------------------------------
-def numeric_literal(node: ast.expr) -> Optional[Union[int, float]]:
-    """The value of a bare (possibly negated) numeric literal, else
-    None."""
-    if isinstance(node, ast.UnaryOp) \
-            and isinstance(node.op, (ast.USub, ast.UAdd)):
-        inner = numeric_literal(node.operand)
-        if inner is None:
-            return None
-        return -inner if isinstance(node.op, ast.USub) else inner
-    if isinstance(node, ast.Constant) \
-            and isinstance(node.value, (int, float)) \
-            and not isinstance(node.value, bool):
-        return node.value
-    return None
-
-
 def name_of(node: ast.expr) -> Optional[str]:
+    """``x`` -> ``"x"``, ``a.b`` -> ``"b"``, else None."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
-    return None
-
-
-def call_name(func: ast.expr) -> Optional[str]:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
     return None
 
 
@@ -305,64 +263,6 @@ def walk_local(root: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def bound_names(fn: ast.AST) -> set[str]:
-    """Names local to ``fn``: parameters plus any plain-name store."""
-    bound: set[str] = set()
-    args = fn.args
-    for arg in (args.posonlyargs + args.args + args.kwonlyargs):
-        bound.add(arg.arg)
-    if args.vararg:
-        bound.add(args.vararg.arg)
-    if args.kwarg:
-        bound.add(args.kwarg.arg)
-    for node in walk_local(fn):
-        if isinstance(node, ast.Name) and isinstance(node.ctx,
-                                                     ast.Store):
-            bound.add(node.id)
-        elif isinstance(node, (ast.Nonlocal, ast.Global)):
-            bound.difference_update(node.names)
-    return bound
-
-
-def walk_with_contexts(root: ast.AST, skip: Sequence[ast.AST] = (),
-                       include_item_exprs: bool = True
-                       ) -> Iterator[tuple[ast.AST, tuple]]:
-    """Yield ``(node, with_contexts)`` for ``root.body`` in document
-    order, without entering nested function/lambda/class scopes (the
-    scope node itself is yielded, its body is not).
-
-    ``with_contexts`` is the tuple of enclosing ``with``-statement
-    context expressions, innermost last — the substrate for lock-guard
-    and resource-lifetime tracking.  ``with``-item ``as`` targets are
-    not visited; context expressions are visited (under the *outer*
-    contexts) unless ``include_item_exprs`` is False.  Subtrees listed
-    in ``skip`` are not entered.
-    """
-    skip_ids = {id(node) for node in skip}
-
-    def visit(node: ast.AST, contexts: tuple
-              ) -> Iterator[tuple[ast.AST, tuple]]:
-        if id(node) in skip_ids:
-            return
-        yield node, contexts
-        if isinstance(node, SCOPE_NODES):
-            return
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            inner = contexts + tuple(item.context_expr
-                                     for item in node.items)
-            if include_item_exprs:
-                for item in node.items:
-                    yield from visit(item.context_expr, contexts)
-            for stmt in node.body:
-                yield from visit(stmt, inner)
-            return
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, contexts)
-
-    for stmt in getattr(root, "body", []):
-        yield from visit(stmt, ())
-
-
 class ModuleAliases:
     """Local names of imported modules / imported names, for resolving
     stdlib calls (``mp.Process``, ``from os import replace``)."""
@@ -391,539 +291,19 @@ class ModuleAliases:
         return False
 
 
-# ----------------------------------------------------------------------
-# the unit lattice (annotation-driven facts shared by the passes)
-# ----------------------------------------------------------------------
-class Unit(enum.Enum):
-    """One point of the unit lattice."""
-
-    SECONDS = "s"
-    MILLISECONDS = "ms"
-    MICROSECONDS = "us"
-    NANOSECONDS = "ns"
-    BYTES = "bytes"
-    BITS = "bits"
-    BPS = "bps"
-    GBPS = "gbps"
-    DIMENSIONLESS = "dimensionless"
-    UNKNOWN = "unknown"
-
-    @property
-    def known(self) -> bool:
-        return self not in (Unit.DIMENSIONLESS, Unit.UNKNOWN)
-
-
-TIME_UNITS = frozenset({Unit.SECONDS, Unit.MILLISECONDS,
-                        Unit.MICROSECONDS, Unit.NANOSECONDS})
-DATA_UNITS = frozenset({Unit.BYTES, Unit.BITS})
-RATE_UNITS = frozenset({Unit.BPS, Unit.GBPS})
-
-#: annotation name (repro.core.units NewTypes) -> unit
-ANNOTATION_UNITS = {
-    "Seconds": Unit.SECONDS,
-    "Milliseconds": Unit.MILLISECONDS,
-    "Microseconds": Unit.MICROSECONDS,
-    "Nanoseconds": Unit.NANOSECONDS,
-    "Bytes": Unit.BYTES,
-    "Bits": Unit.BITS,
-    "BitsPerSecond": Unit.BPS,
-    "Gbps": Unit.GBPS,
-    "Dimensionless": Unit.DIMENSIONLESS,
-}
-
-#: name suffix -> unit (matched case-insensitively, longest first)
-SUFFIX_UNITS = (
-    ("_gbps", Unit.GBPS),
-    ("_bytes", Unit.BYTES),
-    ("_bits", Unit.BITS),
-    ("_bps", Unit.BPS),
-    ("_sec", Unit.SECONDS),
-    ("_ns", Unit.NANOSECONDS),
-    ("_us", Unit.MICROSECONDS),
-    ("_ms", Unit.MILLISECONDS),
-    ("_s", Unit.SECONDS),
-)
-
-#: directories whose files are in sim/diagnosis scope (RPR012 / RPR013)
-UNITS_SCOPE_DIRS = frozenset({"simnet", "core", "live"})
-#: modules allowed to use raw conversion factors (they *define* them)
-CONVERTER_MODULES = frozenset({"repro.simnet.units",
-                               "repro.core.units"})
-
-
-def suffix_unit(name: Optional[str]) -> Unit:
-    """Unit implied by a trailing name suffix, else UNKNOWN."""
-    if not name:
-        return Unit.UNKNOWN
-    lowered = name.lower()
-    for suffix, unit in SUFFIX_UNITS:
-        if lowered.endswith(suffix):
-            return unit
-    return Unit.UNKNOWN
-
-
-def join(a: Unit, b: Unit) -> Unit:
-    """Lattice join: dimensionless is compatible with anything."""
-    if a == b:
-        return a
-    if a == Unit.DIMENSIONLESS:
-        return b
-    if b == Unit.DIMENSIONLESS:
-        return a
-    return Unit.UNKNOWN
-
-
-# ----------------------------------------------------------------------
-# project model
-# ----------------------------------------------------------------------
-@dataclass
-class Param:
-    name: str
-    unit: Unit
-    annotated: bool            # carries a recognized unit annotation
-    type_name: Optional[str]   # class named by a non-unit annotation
-    lineno: int
-    col: int
-
-
-@dataclass
-class FunctionInfo:
-    name: str
-    node: ast.AST
-    module: "ModuleInfo"
-    class_name: Optional[str]
-    params: list            # of Param, excluding self/cls
-    has_vararg: bool
-    return_unit: Unit
-    return_annotated: bool
-    is_public: bool
-
-    @property
-    def display(self) -> str:
-        if self.class_name:
-            return f"{self.class_name}.{self.name}"
-        return self.name
-
-
-@dataclass
-class ClassInfo:
-    name: str
-    node: ast.ClassDef
-    module: "ModuleInfo"
-    bases: list
-    methods: dict = field(default_factory=dict)
-    attr_units: dict = field(default_factory=dict)
-    attr_types: dict = field(default_factory=dict)
-    #: attr name -> constructor expression name, resolved lazily
-    attr_ctors: dict = field(default_factory=dict)
-    is_dataclass: bool = False
-    fields: list = field(default_factory=list)  # of (Param, default)
-    is_public: bool = True
-
-    def constructor_params(self) -> tuple:
-        """(params, has_vararg) of ``Cls(...)`` calls."""
-        init = self.methods.get("__init__")
-        if init is not None:
-            return init.params, init.has_vararg
-        if self.is_dataclass:
-            return [param for param, _ in self.fields], False
-        return [], True  # unknown constructor: check nothing
-
-
-@dataclass
-class ModuleInfo:
-    path: Path
-    display: str
-    name: str                   # dotted module name
-    tree: ast.Module
-    source: str
-    units_scope: bool
-    functions: dict = field(default_factory=dict)
-    classes: dict = field(default_factory=dict)
-    imports: dict = field(default_factory=dict)
-    constants: dict = field(default_factory=dict)  # name -> Unit
-
-    @property
-    def is_converter_module(self) -> bool:
-        return self.name in CONVERTER_MODULES
-
-
-def module_name(path: Path) -> str:
-    parts = list(path.with_suffix("").parts)
-    if parts and parts[-1] == "__init__":
-        parts.pop()
-    if "repro" in parts:
-        parts = parts[len(parts) - 1 - parts[::-1].index("repro"):]
-    else:
-        parts = parts[-1:]
-    return ".".join(parts)
-
-
-def _is_units_scope(path: Path, source: str) -> bool:
-    if UNITS_SCOPE_DIRS.intersection(path.parts) \
-            and "repro" in path.parts:
-        return True
-    return has_scope_pragma(source, "sim")
-
-
-def annotation_unit(node: Optional[ast.expr]) -> tuple:
-    """(unit, recognized) for an annotation expression."""
-    if node is None:
-        return Unit.UNKNOWN, False
-    if isinstance(node, ast.Name):
-        unit = ANNOTATION_UNITS.get(node.id)
-        return (unit, True) if unit is not None \
-            else (Unit.UNKNOWN, False)
-    if isinstance(node, ast.Attribute):
-        unit = ANNOTATION_UNITS.get(node.attr)
-        return (unit, True) if unit is not None \
-            else (Unit.UNKNOWN, False)
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            inner = ast.parse(node.value, mode="eval").body
-        except SyntaxError:
-            return Unit.UNKNOWN, False
-        return annotation_unit(inner)
-    if isinstance(node, ast.Subscript):
-        head = node.value
-        if isinstance(head, ast.Attribute):
-            head_name = head.attr
-        elif isinstance(head, ast.Name):
-            head_name = head.id
-        else:
-            return Unit.UNKNOWN, False
-        if head_name in ("Optional", "Final", "ClassVar"):
-            return annotation_unit(node.slice)
-        if head_name in ("list", "List", "tuple", "Tuple", "set",
-                         "Set", "frozenset", "FrozenSet", "Sequence",
-                         "Iterable", "Iterator", "Collection", "Deque",
-                         "deque"):
-            # a container of unit magnitudes counts as annotated, but
-            # the container itself is not a magnitude
-            inner = node.slice
-            if isinstance(inner, ast.Tuple) and inner.elts:
-                inner = inner.elts[0]
-            _, recognized = annotation_unit(inner)
-            return Unit.UNKNOWN, recognized
-        if head_name in ("dict", "Dict", "Mapping", "MutableMapping",
-                         "DefaultDict", "defaultdict"):
-            inner = node.slice
-            if isinstance(inner, ast.Tuple) and len(inner.elts) == 2:
-                _, recognized = annotation_unit(inner.elts[1])
-                return Unit.UNKNOWN, recognized
-            return Unit.UNKNOWN, False
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
-        # Nanoseconds | None
-        for side in (node.left, node.right):
-            if isinstance(side, ast.Constant) and side.value is None:
-                continue
-            return annotation_unit(side)
-    return Unit.UNKNOWN, False
-
-
-def annotation_class(node: Optional[ast.expr]) -> Optional[str]:
-    """Class name referenced by an annotation, for call resolution."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        name = node.value.strip()
-        return name if name.isidentifier() else None
-    if isinstance(node, ast.Subscript):
-        head = annotation_class(node.value)
-        if head == "Optional":
-            return annotation_class(node.slice)
-    return None
-
-
-def decorator_names(node) -> set:
-    names = set()
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) \
-            else decorator
-        if isinstance(target, ast.Name):
-            names.add(target.id)
-        elif isinstance(target, ast.Attribute):
-            names.add(target.attr)
-    return names
-
-
-def collect_params(node, skip_first: bool) -> tuple:
-    """(params, has_vararg) for a function definition."""
-    args = node.args
-    params = []
-    positional = list(args.posonlyargs) + list(args.args)
-    if skip_first and positional:
-        positional = positional[1:]
-    for arg in positional + list(args.kwonlyargs):
-        unit, annotated = annotation_unit(arg.annotation)
-        if not annotated:
-            unit = suffix_unit(arg.arg)
-        params.append(Param(
-            arg.arg, unit, annotated,
-            None if annotated else annotation_class(arg.annotation),
-            arg.lineno, arg.col_offset + 1))
-    return params, args.vararg is not None
-
-
-class Project:
-    """All analyzed modules plus cross-module resolution indexes."""
-
-    def __init__(self, modules: Sequence[ModuleInfo]) -> None:
-        self.modules = list(modules)
-        self.functions_q: dict = {}
-        self.classes_q: dict = {}
-        self._classes_simple: dict = {}
-        for module in self.modules:
-            for name, fn in module.functions.items():
-                self.functions_q[f"{module.name}.{name}"] = fn
-            for name, cls in module.classes.items():
-                self.classes_q[f"{module.name}.{name}"] = cls
-                if name in self._classes_simple:
-                    self._classes_simple[name] = None  # ambiguous
-                else:
-                    self._classes_simple[name] = cls
-
-    def class_names(self) -> set:
-        """Simple names of every top-level class in the project."""
-        return {name for module in self.modules
-                for name in module.classes}
-
-    def class_named(self, module: ModuleInfo,
-                    name: Optional[str]) -> Optional[ClassInfo]:
-        if not name:
-            return None
-        if name in module.classes:
-            return module.classes[name]
-        qualified = module.imports.get(name)
-        if qualified is not None and qualified in self.classes_q:
-            return self.classes_q[qualified]
-        return self._classes_simple.get(name)
-
-    def method_of(self, cls: Optional[ClassInfo],
-                  name: str) -> Optional[FunctionInfo]:
-        seen = 0
-        while cls is not None and seen < 8:
-            if name in cls.methods:
-                return cls.methods[name]
-            nxt = None
-            for base in cls.bases:
-                candidate = self.class_named(cls.module, base)
-                if candidate is not None:
-                    nxt = candidate
-                    break
-            cls = nxt
-            seen += 1
-        return None
-
-    def attr_info(self, cls: Optional[ClassInfo], name: str) -> tuple:
-        """(unit, type_name) for an attribute, walking base classes."""
-        seen = 0
-        while cls is not None and seen < 8:
-            if name in cls.attr_units or name in cls.attr_types:
-                return (cls.attr_units.get(name, Unit.UNKNOWN),
-                        cls.attr_types.get(name))
-            nxt = None
-            for base in cls.bases:
-                candidate = self.class_named(cls.module, base)
-                if candidate is not None:
-                    nxt = candidate
-                    break
-            cls = nxt
-            seen += 1
-        return Unit.UNKNOWN, None
-
-
-# ----------------------------------------------------------------------
-# collection
-# ----------------------------------------------------------------------
-def _collect_imports(module: ModuleInfo) -> None:
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                module.imports[alias.asname or
-                               alias.name.split(".")[0]] = \
-                    alias.name if alias.asname else \
-                    alias.name.split(".")[0]
-                if alias.asname:
-                    module.imports[alias.asname] = alias.name
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                package = module.name.rsplit(".", node.level)[0] \
-                    if module.name.count(".") >= node.level else ""
-                base = f"{package}.{base}".strip(".") if base \
-                    else package
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                module.imports[alias.asname or alias.name] = \
-                    f"{base}.{alias.name}" if base else alias.name
-
-
-def _collect_class(module: ModuleInfo, node: ast.ClassDef) -> ClassInfo:
-    cls = ClassInfo(
-        name=node.name, node=node, module=module,
-        bases=[b.id if isinstance(b, ast.Name) else b.attr
-               for b in node.bases
-               if isinstance(b, (ast.Name, ast.Attribute))],
-        is_dataclass="dataclass" in decorator_names(node),
-        is_public=not node.name.startswith("_"))
-    for item in node.body:
-        if isinstance(item, FUNCTION_NODES):
-            decorators = decorator_names(item)
-            skip_first = "staticmethod" not in decorators
-            params, has_vararg = collect_params(item, skip_first)
-            ret_unit, ret_annotated = annotation_unit(item.returns)
-            cls.methods[item.name] = FunctionInfo(
-                item.name, item, module, node.name, params, has_vararg,
-                ret_unit if ret_annotated else Unit.UNKNOWN,
-                ret_annotated,
-                is_public=cls.is_public
-                and (not item.name.startswith("_")
-                     or item.name == "__init__"))
-        elif isinstance(item, ast.AnnAssign) \
-                and isinstance(item.target, ast.Name):
-            unit, annotated = annotation_unit(item.annotation)
-            if not annotated:
-                unit = suffix_unit(item.target.id)
-            param = Param(item.target.id, unit, annotated,
-                          None if annotated
-                          else annotation_class(item.annotation),
-                          item.lineno, item.col_offset + 1)
-            cls.fields.append((param, item.value))
-            if unit != Unit.UNKNOWN:
-                cls.attr_units[param.name] = unit
-            type_name = annotation_class(item.annotation)
-            if type_name and not annotated:
-                cls.attr_types[param.name] = type_name
-    # instance attributes assigned in methods (self.x = ..., self.x: T)
-    for method in cls.methods.values():
-        for stmt in ast.walk(method.node):
-            if isinstance(stmt, ast.AnnAssign) \
-                    and isinstance(stmt.target, ast.Attribute) \
-                    and isinstance(stmt.target.value, ast.Name) \
-                    and stmt.target.value.id == "self":
-                unit, annotated = annotation_unit(stmt.annotation)
-                if annotated:
-                    cls.attr_units.setdefault(stmt.target.attr, unit)
-                else:
-                    type_name = annotation_class(stmt.annotation)
-                    if type_name:
-                        cls.attr_types.setdefault(stmt.target.attr,
-                                                  type_name)
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Attribute) \
-                            and isinstance(target.value, ast.Name) \
-                            and target.value.id == "self" \
-                            and isinstance(stmt.value, ast.Call):
-                        ctor = stmt.value.func
-                        name = ctor.id if isinstance(ctor, ast.Name) \
-                            else ctor.attr \
-                            if isinstance(ctor, ast.Attribute) else None
-                        if name:
-                            cls.attr_ctors.setdefault(target.attr, name)
-    return cls
-
-
-def collect_module(path: Path, source: str,
-                   tree: ast.Module) -> ModuleInfo:
-    module = ModuleInfo(
-        path=path, display=str(path), name=module_name(path),
-        tree=tree, source=source,
-        units_scope=_is_units_scope(path, source))
-    _collect_imports(module)
-    for node in tree.body:
-        if isinstance(node, FUNCTION_NODES):
-            params, has_vararg = collect_params(node, skip_first=False)
-            ret_unit, ret_annotated = annotation_unit(node.returns)
-            module.functions[node.name] = FunctionInfo(
-                node.name, node, module, None, params, has_vararg,
-                ret_unit if ret_annotated else Unit.UNKNOWN,
-                ret_annotated,
-                is_public=not node.name.startswith("_"))
-        elif isinstance(node, ast.ClassDef):
-            module.classes[node.name] = _collect_class(module, node)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    unit = suffix_unit(target.id)
-                    if unit != Unit.UNKNOWN:
-                        module.constants[target.id] = unit
-        elif isinstance(node, ast.AnnAssign) \
-                and isinstance(node.target, ast.Name):
-            unit, annotated = annotation_unit(node.annotation)
-            if not annotated:
-                unit = suffix_unit(node.target.id)
-            if unit != Unit.UNKNOWN:
-                module.constants[node.target.id] = unit
-    # resolve deferred constructor names into attribute types
-    for cls in module.classes.values():
-        for attr, ctor in cls.attr_ctors.items():
-            if attr not in cls.attr_types:
-                cls.attr_types[attr] = ctor
-    return module
-
-
-def build_project(paths: Sequence[Union[str, Path]],
-                  cache: Optional[ParseCache] = None) -> Project:
-    """Parse (through ``cache``) and index every file under ``paths``.
-
-    Unreadable/unparseable files are skipped — the base pass reports
-    them as RPR000; the interprocedural passes degrade to silence.
-    """
-    cache = cache if cache is not None else ParseCache()
-    modules = []
-    for record in cache.files(paths):
-        if record.tree is None or record.source is None:
-            continue
-        modules.append(collect_module(record.path, record.source,
-                                      record.tree))
-    return Project(modules)
-
-
 __all__ = [
-    "ANNOTATION_UNITS",
-    "CONVERTER_MODULES",
-    "ClassInfo",
-    "DATA_UNITS",
     "FUNCTION_NODES",
     "Finding",
-    "FunctionInfo",
     "ModuleAliases",
-    "ModuleInfo",
-    "Param",
     "ParseCache",
-    "Project",
-    "RATE_UNITS",
     "SCOPE_NODES",
-    "SUFFIX_UNITS",
     "SourceFile",
-    "TIME_UNITS",
-    "UNITS_SCOPE_DIRS",
-    "Unit",
-    "annotation_class",
-    "annotation_unit",
     "apply_noqa",
-    "bound_names",
-    "build_project",
-    "call_name",
-    "collect_module",
-    "collect_params",
-    "decorator_names",
     "expr_tokens",
+    "finding_at",
     "has_scope_pragma",
     "is_self_attr",
     "iter_python_files",
-    "join",
-    "module_name",
     "name_of",
-    "numeric_literal",
-    "suffix_unit",
     "walk_local",
-    "walk_with_contexts",
 ]

@@ -1,34 +1,30 @@
-"""AST-based static analysis with repo-specific rules (``repro check``).
+"""Per-file rules and the one ``repro check`` driver.
 
-The simulator's diagnosis results are only trustworthy because every run
-is bit-for-bit deterministic and every quantity is in consistent units
-(ns / bytes / bps).  These rules enforce those properties in CI instead
-of leaving them to post-hoc debugging of divergent traces:
+Every rule here reads a single module.  Together with the project-wide
+rules of :mod:`repro.checks.project` they form the whole catalog, and
+:func:`check_paths` runs all of it in one invocation over one parse
+per file:
 
+* **RPR000** — the file does not parse (or cannot be read);
 * **RPR001** — no unseeded randomness or wall-clock reads (and no
   hash-order-dependent set iteration) in simulation-critical paths;
-* **RPR002** — time/rate magnitudes must be built from
-  :mod:`repro.simnet.units` helpers (``us(2)``, not ``2000.0``), and
-  byte counts must be integers;
 * **RPR003** — no ``==``/``!=`` comparisons between float timestamps;
-* **RPR004** — trace writer and reader schemas must stay
-  field-compatible (``encode_x``/``decode_x`` key symmetry, and every
-  emitted record ``kind`` must have a reader branch);
-* **RPR005** — event callbacks must not mutate ``Simulator.now`` or
-  schedule into the past;
 * **RPR006** — (``--strict`` only) a ``# repro: noqa`` comment that
-  suppresses nothing is itself an error;
+  suppresses nothing, or names a code the catalog does not have;
+* **RPR013** — a raw conversion constant (``* 8.0``, ``/ 1e9``)
+  applied to a value whose name carries a unit suffix, where a checked
+  converter from :mod:`repro.core.units` exists;
 * **RPR027** — no raw ``json.loads``/``json.dumps`` over trace
   records outside the trace store: hand-rolled line parsing silently
   diverges from the columnar format, quarantine semantics and resume
   cursors that :mod:`repro.traces` centralises.
 
-Scope: RPR001 and RPR005 apply to files under ``simnet``/``core``/
-``collective`` directories, plus any file that opts in with a
-``# repro: check-scope sim`` pragma.  RPR027 skips files under a
-``traces`` directory (the store, serializers and converters) and
-files that declare ``# repro: check-scope trace-store``.  The other
-rules apply everywhere.
+Scope: RPR001 applies to files under ``simnet``/``core``/``collective``
+directories, RPR013 to files under ``simnet``/``core``/``live`` in the
+``repro`` package (the two unit modules that *define* the factors are
+exempt); a ``# repro: check-scope sim`` pragma opts any file into
+both.  RPR027 skips files under a ``traces`` directory and files that
+declare ``# repro: check-scope trace-store``.
 
 Suppression: append ``# repro: noqa`` (all rules) or
 ``# repro: noqa RPR003`` / ``# repro: noqa RPR001,RPR003`` (specific
@@ -38,18 +34,18 @@ rules) to the offending line.
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
+from repro.checks import project
 from repro.checks.ir import (
     Finding,
     ParseCache,
     apply_noqa,
+    finding_at,
     has_scope_pragma,
     iter_python_files,
-    name_of as _name_of,
-    numeric_literal as _numeric_literal,
+    name_of,
 )
 
 __all__ = [
@@ -57,22 +53,25 @@ __all__ = [
     "check_source", "iter_python_files", "render_findings",
 ]
 
-RULES = {
+#: the whole catalog: every code ``repro check`` can report
+RULES = dict(sorted({
+    "RPR000": "file does not parse (or cannot be read)",
     "RPR001": "unseeded randomness / wall-clock / set-order dependence "
               "in a simulation path",
-    "RPR002": "unit-unsafe literal (use repro.simnet.units helpers)",
     "RPR003": "==/!= comparison between float timestamps",
-    "RPR004": "trace writer/reader schema drift",
-    "RPR005": "event-loop discipline (clock mutation / scheduling into "
-              "the past)",
-    "RPR006": "suppression comment that suppresses nothing (strict)",
+    "RPR006": "suppression comment that suppresses nothing, or names a "
+              "code outside the catalog (strict)",
+    "RPR013": "raw conversion constant where a checked converter "
+              "exists",
     "RPR027": "raw json over trace records outside the trace store "
               "(use repro.traces readers/writers)",
-}
+    **project.RULES,
+}.items()))
 
-#: directories whose files are simulation-critical (RPR001 / RPR005)
+#: directories whose files are simulation-critical (RPR001)
 SIM_SCOPE_DIRS = frozenset({"simnet", "core", "collective"})
-
+#: directories (under ``repro``) whose arithmetic is unit-checked (RPR013)
+UNITS_SCOPE_DIRS = frozenset({"simnet", "core", "live"})
 #: directories whose files ARE the trace store (exempt from RPR027)
 TRACE_STORE_DIRS = frozenset({"traces"})
 
@@ -94,52 +93,115 @@ _WALL_CLOCK_FNS = frozenset({
 _DATETIME_NOW_FNS = frozenset({"now", "utcnow", "today"})
 #: attribute names that denote a timestamp (RPR003)
 _TIME_NAMES = frozenset({"now", "time"})
-#: keyword/parameter suffixes that denote a time or rate magnitude
-_UNIT_SUFFIX = re.compile(r"(_ns|_us|_ms|_bps)$")
-_BYTES_SUFFIX = re.compile(r"_bytes$")
-#: bare literals below this magnitude are tolerated for _ns/_bps params
-#: (0 disables a feature; small counts like ttl are not unit mistakes)
-UNIT_LITERAL_THRESHOLD = 1000
+
+#: name suffix -> unit family (RPR013)
+_SUFFIX_FAMILIES = (
+    ("_gbps", "rate"), ("_bps", "rate"),
+    ("_bytes", "data"), ("_bits", "data"),
+    ("_sec", "time"), ("_ns", "time"), ("_us", "time"),
+    ("_ms", "time"), ("_s", "time"),
+)
+#: a bare number: compatible with every unit family
+_DIMENSIONLESS = "dimensionless"
+#: conversion factors a checked converter replaces, per family
+_FACTORS = {
+    "time": frozenset({1e3, 1e6, 1e9, 1e-3, 1e-6, 1e-9}),
+    "data": frozenset({8.0, 0.125}),
+    "rate": frozenset({1e9, 1e-9}),
+}
+_CONVERTER_HINTS = {
+    "time": "a checked time converter (us_to_ns, ns_to_us, ns_to_s, "
+            "ms_to_ns, ...)",
+    "data": "bytes_to_bits / bits_to_bytes (or serialization_delay)",
+    "rate": "gbps_to_bps / bps_to_gbps",
+}
 
 
-def _is_sim_scope(path: Path, source: str) -> bool:
-    if SIM_SCOPE_DIRS.intersection(path.parts):
-        return True
-    return has_scope_pragma(source, "sim")
+def _is_number(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) \
+        and isinstance(node.value, (int, float)) \
+        and not isinstance(node.value, bool)
 
 
-def _is_trace_store_scope(path: Path, source: str) -> bool:
-    if TRACE_STORE_DIRS.intersection(path.parts):
-        return True
-    return has_scope_pragma(source, "trace-store")
+def _conversion(node: ast.BinOp) -> Optional[tuple]:
+    """``(family, factor)`` when ``node`` converts a known-unit value
+    with a raw factor, else None."""
+    if isinstance(node.op, ast.Mult):
+        pairs = ((node.left, node.right), (node.right, node.left))
+    elif isinstance(node.op, ast.Div):
+        pairs = ((node.left, node.right),)
+    else:
+        return None
+    for value, factor in pairs:
+        family = _family(value)
+        if family in _FACTORS and _is_number(factor) \
+                and float(factor.value) in _FACTORS[family]:
+            return family, factor
+    return None
+
+
+def _family(node: ast.expr) -> Optional[str]:
+    """Unit family of an expression from name suffixes, propagated
+    through arithmetic; None when unknown (never reported)."""
+    if _is_number(node):
+        return _DIMENSIONLESS
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        lowered = name_of(node).lower()
+        return next((family for suffix, family in _SUFFIX_FAMILIES
+                     if lowered.endswith(suffix)), None)
+    if isinstance(node, ast.UnaryOp):
+        return _family(node.operand)
+    if not isinstance(node, ast.BinOp) or _conversion(node):
+        return None  # a converted value has left its family
+    left, right = _family(node.left), _family(node.right)
+    if isinstance(node.op, (ast.Add, ast.Sub)):
+        if right in (left, _DIMENSIONLESS):
+            return left
+        return right if left == _DIMENSIONLESS else None
+    if isinstance(node.op, ast.Mult) and left == _DIMENSIONLESS:
+        return right
+    if isinstance(node.op, ast.Div) and left == right \
+            and left not in (None, _DIMENSIONLESS):
+        return _DIMENSIONLESS  # ratio of like quantities
+    if isinstance(node.op, (ast.Mult, ast.Div, ast.FloorDiv, ast.Mod)) \
+            and right == _DIMENSIONLESS:
+        return left
+    return None
 
 
 def _is_timestamp_name(node: ast.expr) -> bool:
-    name = _name_of(node)
+    name = name_of(node)
     if name is None:
         return False
     return name in _TIME_NAMES or name.endswith("_time")
 
 
+def _is_units_scope(path: Path, source: str) -> bool:
+    parts = path.parts
+    if path.name == "units.py" and path.parent.name in ("simnet", "core"):
+        return False  # the converter modules define the factors
+    return bool(UNITS_SCOPE_DIRS.intersection(parts)
+                and "repro" in parts) \
+        or has_scope_pragma(source, "sim")
+
+
 class _FileChecker(ast.NodeVisitor):
-    """Single-file visitor implementing RPR001/002/003/005."""
+    """Single-file visitor implementing RPR001/003/013/027."""
 
     def __init__(self, path: str, sim_scope: bool,
-                 trace_store_scope: bool = False) -> None:
+                 trace_store_scope: bool, units_scope: bool) -> None:
         self.path = path
         self.sim_scope = sim_scope
         self.trace_store_scope = trace_store_scope
+        self.units_scope = units_scope
         self.findings: list[Finding] = []
-        #: local aliases of the random/time/datetime modules
+        #: local aliases of the random/time/datetime/json modules
         self._module_alias: dict[str, str] = {}
         #: names imported directly from those modules -> "module.func"
         self._from_imports: dict[str, str] = {}
-        self._class_stack: list[str] = []
 
     def report(self, node: ast.AST, rule: str, message: str) -> None:
-        self.findings.append(Finding(
-            self.path, getattr(node, "lineno", 0),
-            getattr(node, "col_offset", 0) + 1, rule, message))
+        self.findings.append(finding_at(self.path, node, rule, message))
 
     # -- imports -------------------------------------------------------
     def visit_Import(self, node: ast.Import) -> None:
@@ -155,7 +217,6 @@ class _FileChecker(ast.NodeVisitor):
                 self._from_imports[alias.asname or alias.name] = \
                     f"{node.module}.{alias.name}"
         self.generic_visit(node)
-
     # -- RPR001: nondeterminism sources --------------------------------
     def _check_nondeterministic_call(self, node: ast.Call) -> None:
         func = node.func
@@ -215,58 +276,6 @@ class _FileChecker(ast.NodeVisitor):
             self._check_set_iteration(node.iter, node.iter)
         self.generic_visit(node)
 
-    # -- RPR002: unit safety -------------------------------------------
-    def _check_unit_binding(self, node: ast.AST, param: str,
-                            value: ast.expr) -> None:
-        literal = _numeric_literal(value)
-        if literal is None:
-            return
-        if _UNIT_SUFFIX.search(param) \
-                and abs(literal) >= UNIT_LITERAL_THRESHOLD:
-            self.report(
-                value, "RPR002",
-                f"bare literal {literal!r} bound to {param!r}; build "
-                f"time/rate magnitudes from repro.simnet.units "
-                f"helpers (us/ms/sec/gbps)")
-        elif _BYTES_SUFFIX.search(param) and isinstance(literal, float):
-            self.report(
-                value, "RPR002",
-                f"float literal {literal!r} bound to {param!r}; byte "
-                f"counts are integers — a float here suggests a unit "
-                f"mix-up")
-
-    def _check_call_units(self, node: ast.Call) -> None:
-        for keyword in node.keywords:
-            if keyword.arg is not None:
-                self._check_unit_binding(node, keyword.arg,
-                                         keyword.value)
-
-    def _check_def_defaults(self, node) -> None:
-        args = node.args
-        positional = args.posonlyargs + args.args
-        for arg, default in zip(positional[len(positional)
-                                           - len(args.defaults):],
-                                args.defaults):
-            self._check_unit_binding(node, arg.arg, default)
-        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                self._check_unit_binding(node, arg.arg, default)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_def_defaults(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node) -> None:
-        self._check_def_defaults(node)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        # dataclass-style field defaults: window_ns: float = 1_000_000.0
-        if isinstance(node.target, ast.Name) and node.value is not None:
-            self._check_unit_binding(node, node.target.id, node.value)
-        self._check_now_assignment(node.target)
-        self.generic_visit(node)
-
     # -- RPR003: float timestamp equality ------------------------------
     def visit_Compare(self, node: ast.Compare) -> None:
         operands = [node.left, *node.comparators]
@@ -286,57 +295,6 @@ class _FileChecker(ast.NodeVisitor):
                         "==/!= on float timestamps is brittle; compare "
                         "with </> or an explicit tolerance")
         self.generic_visit(node)
-
-    # -- RPR005: event-loop discipline ---------------------------------
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
-        self.generic_visit(node)
-        self._class_stack.pop()
-
-    def _check_now_assignment(self, target: ast.expr) -> None:
-        if not self.sim_scope:
-            return
-        if isinstance(target, ast.Attribute) and target.attr == "now":
-            # the clock's owner may advance it; everyone else may not
-            if "Simulator" in self._class_stack:
-                return
-            self.report(target, "RPR005",
-                        "callbacks must not mutate Simulator.now; "
-                        "schedule an event instead")
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._check_now_assignment(target)
-            # constant bindings: TIMEOUT_NS = 5_000_000.0
-            if isinstance(target, ast.Name):
-                self._check_unit_binding(node, target.id.lower(),
-                                         node.value)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_now_assignment(node.target)
-        self.generic_visit(node)
-
-    def _check_schedule_call(self, node: ast.Call) -> None:
-        if not self.sim_scope:
-            return
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) \
-            else func.id if isinstance(func, ast.Name) else None
-        if name in ("schedule", "post") and node.args:
-            literal = _numeric_literal(node.args[0])
-            if literal is not None and literal < 0:
-                self.report(node, "RPR005",
-                            f"{name}() with negative delay "
-                            f"{literal!r} fires in the past")
-        elif name == "schedule_at" and node.args:
-            arg = node.args[0]
-            if isinstance(arg, ast.BinOp) \
-                    and isinstance(arg.op, ast.Sub) \
-                    and _name_of(arg.left) == "now":
-                self.report(node, "RPR005",
-                            "schedule_at(now - ...) targets the past; "
-                            "events must be scheduled at >= now")
 
     # -- RPR027: raw json over trace records ---------------------------
     def _json_call_target(self, node: ast.Call) -> Optional[str]:
@@ -378,7 +336,7 @@ class _FileChecker(ast.NodeVisitor):
                         f"repro.traces (TraceRecorder / serialize)")
                     return
         # trace-named payloads: json.loads(trace_line), dumps(record)
-        arg_name = _name_of(payload)
+        arg_name = name_of(payload)
         if arg_name is None:
             return
         lowered = arg_name.lower()
@@ -390,146 +348,48 @@ class _FileChecker(ast.NodeVisitor):
                 f"(open_trace, trace_events, write_columnar, "
                 f"write_jsonl)")
 
+    # -- RPR013: raw conversion constants ------------------------------
+    def visit_BinOp(self, node: ast.BinOp) -> None:
+        conversion = _conversion(node) if self.units_scope else None
+        if conversion is not None:
+            family, factor = conversion
+            self.report(
+                node, "RPR013",
+                f"raw conversion constant {factor.value!r} applied to "
+                f"a {family} value; use {_CONVERTER_HINTS[family]} "
+                f"from repro.core.units")
+        self.generic_visit(node)
+
     # -- shared call dispatcher ----------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         if self.sim_scope:
             self._check_nondeterministic_call(node)
-        self._check_call_units(node)
-        self._check_schedule_call(node)
         self._check_raw_trace_json(node)
         self.generic_visit(node)
 
 
 # ----------------------------------------------------------------------
-# RPR004: trace writer / reader schema drift (module-level analysis)
+# driver
 # ----------------------------------------------------------------------
-def _dict_keys_written(tree: ast.AST) -> set[str]:
-    keys: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Dict):
-            for key in node.keys:
-                if isinstance(key, ast.Constant) \
-                        and isinstance(key.value, str):
-                    keys.add(key.value)
-    return keys
-
-
-def _dict_keys_read(tree: ast.AST) -> set[str]:
-    keys: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript):
-            index = node.slice
-            if isinstance(index, ast.Constant) \
-                    and isinstance(index.value, str):
-                keys.add(index.value)
-        elif isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "get" and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Constant) \
-                    and isinstance(first.value, str):
-                keys.add(first.value)
-    return keys
-
-
-def _check_schema_drift(path: str, tree: ast.Module) -> list[Finding]:
-    findings: list[Finding] = []
-    encoders: dict[str, ast.FunctionDef] = {}
-    decoders: dict[str, ast.FunctionDef] = {}
-    for node in tree.body:
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        name = node.name.lstrip("_")
-        if name.startswith("encode_"):
-            encoders[name[len("encode_"):]] = node
-        elif name.startswith("decode_"):
-            decoders[name[len("decode_"):]] = node
-
-    for suffix, encoder in sorted(encoders.items()):
-        decoder = decoders.get(suffix)
-        if decoder is None:
-            continue
-        written = _dict_keys_written(encoder)
-        read = _dict_keys_read(decoder)
-        if not written or not read:
-            continue  # list-shaped payloads carry no field names
-        for key in sorted(written - read):
-            findings.append(Finding(
-                path, encoder.lineno, encoder.col_offset + 1, "RPR004",
-                f"{encoder.name}() writes field {key!r} that "
-                f"{decoder.name}() never reads"))
-        for key in sorted(read - written):
-            findings.append(Finding(
-                path, decoder.lineno, decoder.col_offset + 1, "RPR004",
-                f"{decoder.name}() reads field {key!r} that "
-                f"{encoder.name}() never writes"))
-
-    # every emitted record kind must have a reader branch in the same
-    # module (the store's write()/load_trace() contract)
-    emitted: dict[str, int] = {}
-    recognized: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Name) \
-                and node.func.id == "emit" and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Constant) \
-                    and isinstance(first.value, str):
-                emitted.setdefault(first.value, node.lineno)
-        elif isinstance(node, ast.Compare):
-            for op, operand in zip(node.ops, node.comparators):
-                if isinstance(op, (ast.Eq, ast.In)):
-                    for const in ast.walk(operand):
-                        if isinstance(const, ast.Constant) \
-                                and isinstance(const.value, str):
-                            recognized.add(const.value)
-        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            for element in node.elts:
-                if isinstance(element, ast.Constant) \
-                        and isinstance(element.value, str):
-                    recognized.add(element.value)
-    if emitted and recognized:
-        for kind, lineno in sorted(emitted.items()):
-            if kind not in recognized:
-                findings.append(Finding(
-                    path, lineno, 1, "RPR004",
-                    f"record kind {kind!r} is written but no reader "
-                    f"branch in this module recognizes it"))
-    return findings
-
-
-# ----------------------------------------------------------------------
-# suppression and driver
-# ----------------------------------------------------------------------
-def _apply_noqa(findings: list[Finding], source: str, path: str,
-                strict: bool,
-                universe: Optional[dict] = None) -> list[Finding]:
-    """Filter suppressed findings; in strict mode flag unused noqa.
-
-    ``universe`` is the rule catalogue of the calling pass (defaults
-    to this module's ``RULES``).  The base pass — and only the base
-    pass — also judges blanket ``# repro: noqa`` comments in strict
-    mode; the shared machinery lives in :mod:`repro.checks.ir`.
-    """
-    return apply_noqa(findings, source, path, strict,
-                      universe=RULES if universe is None else universe,
-                      base_pass=universe is None)
+def _class_names(tree: ast.Module) -> set[str]:
+    return {node.name for node in tree.body
+            if isinstance(node, ast.ClassDef)}
 
 
 def check_source(source: str, path: Union[str, Path],
-                 sim_scope: Optional[bool] = None,
                  strict: bool = False,
-                 tree: Optional[ast.Module] = None) -> list[Finding]:
-    """Lint one file's source; returns unsuppressed findings.
+                 tree: Optional[ast.Module] = None,
+                 classes: Optional[frozenset] = None) -> list[Finding]:
+    """Every rule over one file's source; returns unsuppressed findings.
 
     ``tree`` lets a caller supply the already-parsed AST (the shared
     :class:`~repro.checks.ir.ParseCache`); without it the source is
-    parsed here and a syntax error becomes RPR000.
+    parsed here and a syntax error becomes RPR000.  ``classes`` is the
+    set of class names the analyzed tree defines (RPR022); it defaults
+    to this file's own.
     """
     path = Path(path)
     display = str(path)
-    if sim_scope is None:
-        sim_scope = _is_sim_scope(path, source)
     if tree is None:
         try:
             tree = ast.parse(source, filename=display)
@@ -537,36 +397,50 @@ def check_source(source: str, path: Union[str, Path],
             return [Finding(display, error.lineno or 0,
                             (error.offset or 0) or 1, "RPR000",
                             f"file does not parse: {error.msg}")]
-    checker = _FileChecker(display, sim_scope,
-                           _is_trace_store_scope(path, source))
+    checker = _FileChecker(
+        display,
+        sim_scope=bool(SIM_SCOPE_DIRS.intersection(path.parts))
+        or has_scope_pragma(source, "sim"),
+        trace_store_scope=bool(TRACE_STORE_DIRS.intersection(path.parts))
+        or has_scope_pragma(source, "trace-store"),
+        units_scope=_is_units_scope(path, source))
     checker.visit(tree)
-    findings = checker.findings + _check_schema_drift(display, tree)
-    findings = _apply_noqa(findings, source, display, strict)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    if classes is None:
+        classes = frozenset(_class_names(tree))
+    findings = checker.findings + project.check_module(
+        display, path, source, tree, classes)
+    findings = apply_noqa(findings, source, display, strict, RULES)
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule,
+                                 f.message))
     return findings
 
 
 def check_paths(paths: Sequence[Union[str, Path]],
                 strict: bool = False,
                 cache: Optional[ParseCache] = None) -> list[Finding]:
-    """Lint every Python file under ``paths``."""
+    """Every rule over every Python file under ``paths``, one parse
+    per file."""
     cache = cache if cache is not None else ParseCache()
+    records = cache.files(paths)
+    classes = frozenset(name for record in records if record.ok
+                        for name in _class_names(record.tree))
     findings: list[Finding] = []
-    for record in cache.files(paths):
+    for record in records:
         if record.read_error is not None:
             findings.append(Finding(
                 record.display, 0, 1, "RPR000",
                 f"unreadable: {record.read_error}"))
-            continue
-        if record.syntax_error is not None:
+        elif record.syntax_error is not None:
             error = record.syntax_error
             findings.append(Finding(
                 record.display, error.lineno or 0,
                 (error.offset or 0) or 1, "RPR000",
                 f"file does not parse: {error.msg}"))
-            continue
-        findings.extend(check_source(record.source, record.path,
-                                     strict=strict, tree=record.tree))
+        else:
+            findings.extend(check_source(record.source, record.path,
+                                         strict=strict, tree=record.tree,
+                                         classes=classes))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
 

@@ -152,7 +152,7 @@ class SimSanitizer:
 
     def after_event(self, time: float, seq: int, callback: Any) -> None:
         """Detect callbacks that mutate ``Simulator.now``."""
-        if self.sim.now != time:  # repro: noqa RPR003
+        if self.sim.now != time:  # repro: noqa RPR003 - exact by design
             self.violation(
                 "clock_mutated",
                 "callback mutated Simulator.now (callbacks must only "

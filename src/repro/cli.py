@@ -15,7 +15,7 @@
     python -m repro tail --snapshots run.snapshots.jsonl --follow
     python -m repro metrics --file run.live-metrics.json
     python -m repro figure --id 13b --cases 2
-    python -m repro check src/ --strict --units
+    python -m repro check --strict src
     python -m repro fleet serve --trace run.jsonl --replicate 8 --shards 4
     python -m repro fleet chaos --trace run.jsonl --kills 2 --corrupt-checkpoint
 
@@ -202,31 +202,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser(
         "check",
-        help="static analysis: determinism / unit-safety / event-loop "
-             "rules (RPR001-RPR006, RPR027), plus interprocedural unit "
-             "dataflow with --units (RPR010-RPR013), the concurrency "
-             "& durability pass with --concurrency (RPR020-RPR026), "
-             "the exception-safety & resource-lifecycle pass with "
-             "--lifecycle (RPR030-RPR036), or every pass at once "
-             "with --all (one parse per file)")
+        help="static analysis: every rule in the catalog (determinism, "
+             "unit conversions, trace access, atomic durable writes, "
+             "spawn primitives, checkpoint symmetry, bounded growth, "
+             "resource release) in one pass, one parse per file")
     chk.add_argument("paths", nargs="*", default=["src"],
                      help="files or directories to lint (default: src)")
     chk.add_argument("--strict", action="store_true",
                      help="also flag suppression comments that "
-                          "suppress nothing (RPR006)")
-    chk.add_argument("--units", action="store_true",
-                     help="also run the whole-program unit-of-measure "
-                          "dataflow pass (RPR010-RPR013)")
-    chk.add_argument("--concurrency", action="store_true",
-                     help="also run the concurrency & durability "
-                          "discipline pass (RPR020-RPR026)")
-    chk.add_argument("--lifecycle", action="store_true",
-                     help="also run the exception-safety & resource-"
-                          "lifecycle pass (RPR030-RPR036)")
-    chk.add_argument("--all", dest="all_passes", action="store_true",
-                     help="run every rule family in one invocation "
-                          "(base lint + units + concurrency + "
-                          "lifecycle), parsing each file once")
+                          "suppress nothing or name an unknown code "
+                          "(RPR006)")
     chk.add_argument("--json", action="store_true",
                      help="emit findings as a JSON array "
                           "(same as --format json)")
@@ -729,7 +714,7 @@ def cmd_tail(args) -> int:
                 saw_final = True
         if not args.follow or saw_final:
             return 0
-        _time.sleep(args.interval)  # repro: noqa RPR026 - tail -f follows forever until the final snapshot or Ctrl-C
+        _time.sleep(args.interval)  # tail -f follows forever until the final snapshot or Ctrl-C
 
 
 def cmd_metrics(args) -> int:
@@ -759,7 +744,6 @@ def _github_annotation(finding) -> str:
 def cmd_check(args) -> int:
     import json
 
-    from repro.checks.ir import ParseCache
     from repro.checks.lint import (check_paths, iter_python_files,
                                    render_findings)
 
@@ -768,38 +752,7 @@ def cmd_check(args) -> int:
               f"{', '.join(args.paths)}", file=sys.stderr)
         return 2
     fmt = args.format or ("json" if args.json else "text")
-    run_units = args.units or args.all_passes
-    run_concurrency = args.concurrency or args.all_passes
-    run_lifecycle = args.lifecycle or args.all_passes
-    # one parse per file and one symbol table, shared by every pass
-    cache = ParseCache()
-    project = None
-    if run_units or run_lifecycle:
-        from repro.checks.ir import build_project
-
-        project = build_project(args.paths, cache=cache)
-    findings = check_paths(args.paths, strict=args.strict,
-                           cache=cache)
-    if run_units:
-        from repro.checks.units import check_units
-
-        findings.extend(check_units(args.paths, strict=args.strict,
-                                    cache=cache, project=project))
-    if run_concurrency:
-        from repro.checks.concurrency import check_concurrency
-
-        findings.extend(check_concurrency(args.paths,
-                                          strict=args.strict,
-                                          cache=cache,
-                                          project=project))
-    if run_lifecycle:
-        from repro.checks.lifecycle import check_lifecycle
-
-        findings.extend(check_lifecycle(args.paths,
-                                        strict=args.strict,
-                                        cache=cache,
-                                        project=project))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    findings = check_paths(args.paths, strict=args.strict)
     if fmt == "json":
         print(json.dumps([f.to_dict() for f in findings], indent=2))
     elif fmt == "github":

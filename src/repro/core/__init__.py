@@ -1,7 +1,8 @@
 """Vedrfolnir core: the paper's primary contribution.
 
 * :mod:`repro.core.units` — the typed unit-of-measure layer (NewTypes
-  plus checked converters) enforced by ``repro check --units``.
+  plus checked converters); ``repro check`` flags raw conversion
+  factors where a converter exists (RPR013).
 * :mod:`repro.core.waiting_graph` — the per-step waiting graph (§III-B)
   and its one construction (§III-D1: ingest in order, prune in-degree
   zero, critical path), asked once in batch and repeatedly live.

@@ -147,7 +147,7 @@ class CircuitBreaker:
 
 def call_with_retry(fn: Callable[[], T],
                     policy: Optional[RetryPolicy] = None,
-                    deadline: Optional[Deadline] = None,  # repro: noqa RPR012 - Deadline is a budget object, not a bare magnitude
+                    deadline: Optional[Deadline] = None,  # Deadline is a budget object, not a bare magnitude
                     breaker: Optional[CircuitBreaker] = None,
                     retry_on: tuple = (OSError,),
                     sleep: Callable[[float], None] = time.sleep,

@@ -10,23 +10,17 @@ signature's *contract*:
 
 * :data:`Nanoseconds`, :data:`Microseconds`, :data:`Seconds`,
   :data:`Bytes`, :data:`Gbps`, ... are :func:`typing.NewType` aliases —
-  free at runtime, but visible to the interprocedural dataflow pass in
-  :mod:`repro.checks.units` (``repro check --units``), which propagates
-  them through assignments, arithmetic, returns and call arguments;
+  free at runtime, annotated onto every public time/size/rate
+  signature in ``repro.simnet``, ``repro.core`` and ``repro.live``;
 * ``us_to_ns``, ``ns_to_s``, ``bytes_to_bits``, ... are *checked
   converters*: the only sanctioned way to change scale.  They validate
-  their input and carry precise unit signatures, so a conversion done
-  through them is understood by the checker while a raw ``* 1000.0``
-  is flagged (rule RPR013 in scope).
+  their input and carry precise unit signatures; a raw ``* 1000.0``
+  applied to a unit-suffixed name is flagged by ``repro check`` (rule
+  RPR013 in scope).
 
-Annotation guidelines (see also ``docs/CHECKS.md``):
-
-* every public time/size/rate parameter in ``repro.simnet``,
-  ``repro.core`` and ``repro.live`` must carry one of these NewTypes
-  (rule RPR012);
-* construct magnitudes with :mod:`repro.simnet.units` helpers
-  (``us(2)`` is 2 us expressed in ns) and convert with the checked
-  converters here — never with bare ``1e3`` / ``1e9`` / ``8`` factors.
+Construct magnitudes with :mod:`repro.simnet.units` helpers (``us(2)``
+is 2 us expressed in ns) and convert with the checked converters here —
+never with bare ``1e3`` / ``1e9`` / ``8`` factors.
 
 This module must stay dependency-free (stdlib only): it is imported
 from ``repro.simnet`` at runtime, below everything else in the package

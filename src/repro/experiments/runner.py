@@ -168,7 +168,7 @@ class ResultCache:
         except BaseException:
             try:
                 os.unlink(tmp)
-            except OSError:  # repro: noqa RPR030 - best-effort tmp cleanup; the original error re-raises below
+            except OSError:  # best-effort tmp cleanup; the original error re-raises below
                 pass
             raise
 

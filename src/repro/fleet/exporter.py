@@ -162,7 +162,7 @@ class MetricsExporter:
                         self._send(404,
                                    "text/plain; charset=utf-8",
                                    b"not found\n")
-                except BrokenPipeError:  # repro: noqa RPR030 - scraper went away mid-write; nothing to surface
+                except BrokenPipeError:  # scraper went away mid-write; nothing to surface
                     pass
 
         return Handler

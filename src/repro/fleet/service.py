@@ -397,7 +397,7 @@ def publish_json(path: str, data: dict) -> None:
     except BaseException:
         try:
             os.unlink(tmp)
-        except OSError:  # repro: noqa RPR030 - best-effort tmp cleanup; the original error re-raises below
+        except OSError:  # best-effort tmp cleanup; the original error re-raises below
             pass
         raise
 

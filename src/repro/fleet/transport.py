@@ -186,7 +186,7 @@ class ReportPublisher:
         if self._sock is not None:
             try:
                 self._sock.close()
-            except OSError:  # repro: noqa RPR030 - closing an already-broken socket; nothing to recover
+            except OSError:  # closing an already-broken socket; nothing to recover
                 pass
             self._sock = None
 
@@ -392,7 +392,7 @@ class ReportListener:
                 self._conns.discard(conn)
             try:
                 conn.close()
-            except OSError:  # repro: noqa RPR030 - peer already gone; nothing to release twice
+            except OSError:  # peer already gone; nothing to release twice
                 pass
 
     def _dispatch(self, frame: Frame, last_report_seq: int) -> int:
@@ -434,16 +434,16 @@ class ReportListener:
             # close() alone leaves a thread blocked in accept() asleep
             # on Linux; shutdown() wakes it with an OSError
             self._server.shutdown(socket.SHUT_RDWR)
-        except OSError:  # repro: noqa RPR030 - never connected / already torn down
+        except OSError:  # never connected / already torn down
             pass
         try:
             self._server.close()
-        except OSError:  # repro: noqa RPR030 - listener socket already torn down
+        except OSError:  # listener socket already torn down
             pass
         for conn in conns:
             try:
                 conn.close()
-            except OSError:  # repro: noqa RPR030 - racing the connection thread's own close
+            except OSError:  # racing the connection thread's own close
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)

@@ -300,13 +300,13 @@ def run_fleet_supervised(
         try:
             # each thread owns its shard_id key and every thread is
             # joined before the dicts are read, so no lock is needed
-            results[shard_id] = run_shard_supervised(  # repro: noqa RPR020
+            results[shard_id] = run_shard_supervised(
                 specs[shard_id], policy=policy,
                 on_crash=(lambda record, s=shard_id:
                           on_crash(s, record))
                 if on_crash is not None else None)
         except BaseException as error:  # noqa: BLE001 - joined below
-            errors[shard_id] = error  # repro: noqa RPR020
+            errors[shard_id] = error
 
     threads = [threading.Thread(target=supervise, args=(shard_id,),
                                 name=f"fleet-shard-{shard_id}")

@@ -221,7 +221,7 @@ class CheckpointManager:
             return
         try:
             os.fsync(fd)
-        except OSError:  # pragma: no cover  # repro: noqa RPR030 - dir fsync is best-effort on platforms without it
+        except OSError:  # pragma: no cover  # dir fsync is best-effort on platforms without it
             pass
         finally:
             os.close(fd)

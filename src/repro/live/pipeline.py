@@ -35,6 +35,7 @@ from repro.live.robustness import DegradationTracker, Quarantine
 from repro.live.watermark import WatermarkBuffer
 from repro.simnet.packet import FlowKey
 from repro.simnet.telemetry import SwitchReport
+from repro.simnet.units import MS
 from repro.traces.stream import TraceEvent, TraceHeader
 
 
@@ -135,7 +136,7 @@ class DiagnosisSnapshot:
         tag = "FINAL" if self.final else f"#{self.seq}"
         note = "" if self.confidence >= 1.0 \
             else f" confidence={self.confidence:.2f}"
-        return (f"[{tag}] wm={self.watermark_ns / 1e6:.3f}ms "
+        return (f"[{tag}] wm={self.watermark_ns / MS:.3f}ms "
                 f"steps={self.step_records_ingested} "
                 f"reports={self.switch_reports_ingested} "
                 f"anomalies={findings} top={contributor}{note}")

@@ -230,7 +230,7 @@ class GracefulShutdown:
         self.requested = True
         # operator-facing notice; logging's lock is reentrant-safe
         # here because the handler runs on the main thread only
-        log.warning("signal %d: draining (signal again to force-exit "  # repro: noqa RPR023
+        log.warning("signal %d: draining (signal again to force-exit "
                     "with code %d)", signum, self.force_exit_code)
 
     def wait_out_grace(self,

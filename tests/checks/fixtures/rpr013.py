@@ -25,6 +25,13 @@ def line_rate(rate_gbps: Gbps) -> float:
     return rate_gbps * 1e9  # expect: RPR013
 
 
+def base_rtt_term(packet_bytes: Bytes, ack_bytes: Bytes,
+                  bandwidth_bps: float) -> float:
+    # the historical EcmpRouting.base_rtt_ns serialization term
+    return ((packet_bytes + ack_bytes) * 8.0  # expect: RPR013
+            / bandwidth_bps * 1_000_000_000.0)
+
+
 def checked(window_us: Microseconds) -> Nanoseconds:
     return us_to_ns(window_us)
 

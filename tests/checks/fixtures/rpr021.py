@@ -18,4 +18,7 @@ def write_status(directory, payload) -> None:
 
 def rotate_bench(path) -> None:
     handle = open(os.path.join(path, "bench.json"), "x")  # expect: RPR021
-    handle.close()
+    try:
+        handle.write("{}")
+    finally:
+        handle.close()

@@ -25,7 +25,8 @@ def make_worker_spec(shard_id: int):
     }
 
 
-def launch(spec) -> None:
+def launch(spec):
     ctx = multiprocessing.get_context("spawn")
     proc = ctx.Process(target=entry, args=(lambda: spec,))  # expect: RPR022
     proc.start()
+    return proc  # the caller owns (and reaps) the worker

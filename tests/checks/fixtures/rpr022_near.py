@@ -28,7 +28,8 @@ def make_tenant_spec(tenant: str, policy: TenantPolicy):
     }
 
 
-def launch(spec) -> None:
+def launch(spec):
     ctx = multiprocessing.get_context("spawn")
     proc = ctx.Process(target=entry, args=(json.dumps(spec),))
     proc.start()
+    return proc  # the caller owns (and reaps) the worker

@@ -112,17 +112,19 @@ def test_sim_scope_pragma_via_cli(tmp_path, capsys):
 
 
 def test_concurrency_scope_pragma_via_cli(tmp_path, capsys):
-    write_tree(tmp_path, grow="""\
-        # repro: check-scope concurrency
+    grower = """\
         LOG = []
 
 
         def note(entry):
             LOG.append(entry)
-        """)
-    assert main(["check", str(tmp_path)]) == 0  # pass not requested
+        """
+    write_tree(tmp_path, grow=grower)
+    assert main(["check", str(tmp_path)]) == 0  # out of growth scope
     capsys.readouterr()
-    assert main(["check", "--concurrency", str(tmp_path)]) == 1
+    write_tree(tmp_path, grow="# repro: check-scope concurrency\n"
+               + textwrap.dedent(grower))
+    assert main(["check", str(tmp_path)]) == 1
     assert "RPR025" in capsys.readouterr().out
 
 
@@ -180,87 +182,91 @@ def test_format_github_clean_prints_clean_line(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# pass stacking
+# one invocation runs every rule
 # ----------------------------------------------------------------------
 def test_all_passes_stack_and_sort(tmp_path, capsys):
-    """Base + units + concurrency findings interleave sorted by
-    file/line, and the summary counts every rule family."""
+    """Per-file and project-wide findings come from one invocation,
+    interleaved and sorted by file/line."""
     write_tree(
         tmp_path,
         mixed="""\
-        import threading
-
-
         def f(now, end_time):
             return now == end_time
 
 
-        def spawn(shared):
-            def fill():
-                shared["x"] = 1
+        def save(directory):
+            with open(directory + "/status.json", "w") as out:
+                out.write("{}")
 
-            worker = threading.Thread(target=fill)
-            worker.start()
-            return shared["x"]
+
+        def peek(path):
+            handle = open(path)
+            return handle.read()
         """)
-    code = main(["check", "--units", "--concurrency", str(tmp_path)])
+    code = main(["check", str(tmp_path)])
     assert code == 1
     captured = capsys.readouterr()
-    assert "RPR003" in captured.out
-    assert "RPR020" in captured.out
+    for rule in ("RPR003", "RPR021", "RPR032"):
+        assert rule in captured.out
     reported = [line.split(":")[1] for line in
                 captured.out.splitlines() if ".py:" in line]
-    assert reported == sorted(reported, key=int)
+    assert reported == ["2", "6", "11"]
+    assert "3 finding(s) [RPR003, RPR021, RPR032]" in captured.err
 
 
 def test_all_flag_runs_every_rule_family(tmp_path, capsys):
-    """``--all`` stacks base + units + concurrency + lifecycle in one
-    invocation, still sorted by file/line."""
+    """What ``--all`` used to opt into is now the default: one plain
+    invocation reports a base, a units, a concurrency and a lifecycle
+    rule, still sorted by file/line."""
     write_tree(
         tmp_path,
         mixed="""\
-        import threading
+        # repro: check-scope sim
+        import multiprocessing
+
+        from repro.core.units import Microseconds, Nanoseconds
 
 
         def f(now, end_time):
             return now == end_time
 
 
-        def spawn(shared):
-            def fill():
-                shared["x"] = 1
-
-            worker = threading.Thread(target=fill)
-            worker.start()
-            return shared["x"]
+        def to_engine_time(window_us: Microseconds) -> Nanoseconds:
+            return window_us * 1000.0
 
 
-        def close_quietly(reader):
-            try:
-                return reader.consume()
-            finally:
-                return None
+        def make_worker_spec(shard_id):
+            return {"shard_id": shard_id, "flags": {"chaos"}}
+
+
+        def peek(path):
+            handle = open(path)
+            return handle.read()
         """)
-    code = main(["check", "--all", str(tmp_path)])
+    code = main(["check", str(tmp_path)])
     assert code == 1
     captured = capsys.readouterr()
-    for rule in ("RPR003", "RPR020", "RPR034"):
+    for rule in ("RPR003", "RPR013", "RPR022", "RPR032"):
         assert rule in captured.out
     reported = [line.split(":")[1] for line in
                 captured.out.splitlines() if ".py:" in line]
     assert reported == sorted(reported, key=int)
 
 
+@pytest.mark.parametrize("flag", ["--units", "--concurrency",
+                                  "--lifecycle", "--all"])
+def test_removed_pass_flags_are_rejected(flag, tmp_path, capsys):
+    """Every rule always runs: the per-pass flags are gone, and asking
+    for one is a usage error, not a silent no-op."""
+    write_tree(tmp_path, ok=CLEAN)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", flag, str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_check_whole_repo_strict_all_passes():
-    """The acceptance gate: every pass, strict, whole src tree, one
-    consolidated invocation (what CI and pre-commit now run)."""
-    code = main(["check", "--strict", "--all",
-                 str(REPO_ROOT / "src")])
-    assert code == 0
-
-
-def test_cli_check_whole_repo_strict_stacked_flags():
-    """The per-pass flags still work and still agree with --all."""
-    code = main(["check", "--strict", "--units", "--concurrency",
-                 "--lifecycle", str(REPO_ROOT / "src")])
+    """The acceptance gate: every rule, strict, whole src tree, one
+    invocation (what CI and pre-commit run)."""
+    code = main(["check", "--strict", str(REPO_ROOT / "src")])
     assert code == 0

@@ -1,5 +1,5 @@
-"""Exact-location tests for the concurrency & durability pass
-(``repro check --concurrency``, rules RPR020-RPR026).
+"""Exact-location tests for the durability rules of
+:mod:`repro.checks.project` (RPR021, RPR022, RPR024, RPR025).
 
 Mirrors ``test_lint.py`` / ``test_units.py``: each
 ``fixtures/rpr02x.py`` file tags its deliberately-bad lines with a
@@ -14,16 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks import CONCURRENCY_RULES, check_concurrency
-from repro.checks.lint import check_source, render_findings
-from repro.cli import main
+from repro.checks.lint import check_paths, check_source, render_findings
+from repro.checks.project import RULES as PROJECT_RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 _EXPECT = re.compile(r"#\s*expect:\s*(RPR\d{3})")
 
-FIXTURE_NAMES = ["rpr020", "rpr021", "rpr022", "rpr023", "rpr024",
-                 "rpr025", "rpr026"]
+FIXTURE_NAMES = ["rpr021", "rpr022", "rpr024", "rpr025"]
 
 
 def expected_findings(path: Path) -> set:
@@ -41,7 +39,7 @@ def run_on(tmp_path, strict=False, **files):
         target = tmp_path / f"{name}.py"
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(source))
-    return check_concurrency([tmp_path], strict=strict)
+    return check_paths([tmp_path], strict=strict)
 
 
 # ----------------------------------------------------------------------
@@ -50,7 +48,7 @@ def run_on(tmp_path, strict=False, **files):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_reports_exact_lines(name):
     path = FIXTURES / f"{name}.py"
-    findings = check_concurrency([path])
+    findings = check_paths([path])
     got = {(f.line, f.rule) for f in findings}
     want = expected_findings(path)
     assert want, f"{name} fixture has no expect markers"
@@ -63,25 +61,26 @@ def test_fixture_reports_exact_lines(name):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_near_twin_is_silent(name):
     path = FIXTURES / f"{name}_near.py"
-    findings = check_concurrency([path], strict=True)
+    findings = check_paths([path], strict=True)
     assert findings == [], render_findings(findings)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixtures_clean_under_base_lint(name):
-    """The concurrency fixtures must not add RPR001-006 noise to the
-    fixtures directory (``test_cli_check_fixtures_exits_nonzero``
-    lints it whole)."""
+    """A fixture and its twin trip no rule but their own, strict — no
+    noise in the fixtures directory
+    (``test_cli_check_fixtures_exits_nonzero`` checks it whole)."""
     for suffix in ("", "_near"):
         path = FIXTURES / f"{name}{suffix}.py"
-        findings = check_source(path.read_text(), path, strict=True)
+        findings = [f for f in check_paths([path], strict=True)
+                    if f.rule != name.upper()]
         assert findings == [], render_findings(findings)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_render_format(name):
     path = FIXTURES / f"{name}.py"
-    for finding in check_concurrency([path]):
+    for finding in check_paths([path]):
         assert re.fullmatch(
             rf"{re.escape(str(path))}:\d+:\d+: RPR\d{{3}} .+",
             finding.render())
@@ -91,7 +90,7 @@ def test_fixture_render_format(name):
 # the repo's own sources must be clean (the CI gate)
 # ----------------------------------------------------------------------
 def test_src_tree_is_clean_strict():
-    findings = check_concurrency([REPO_ROOT / "src"], strict=True)
+    findings = check_paths([REPO_ROOT / "src"], strict=True)
     assert findings == [], render_findings(findings)
 
 
@@ -107,12 +106,12 @@ def test_rpr024_catches_seeded_pipeline_drift(tmp_path):
     # pristine copy is clean
     clean = tmp_path / "clean.py"
     clean.write_text(source)
-    assert check_concurrency([clean]) == []
+    assert check_paths([clean]) == []
     # seeded drift: writer renamed, reader left behind
     drifted = tmp_path / "drifted.py"
     drifted.write_text(source.replace(
         needle, '"snapshot_generation": self._snapshot_seq,'))
-    findings = check_concurrency([drifted])
+    findings = check_paths([drifted])
     assert {f.rule for f in findings} == {"RPR024"}
     messages = " ".join(f.message for f in findings)
     assert "snapshot_generation" in messages
@@ -129,31 +128,19 @@ def test_rpr024_catches_seeded_pipeline_drift(tmp_path):
 # ----------------------------------------------------------------------
 # suppression and strict mechanics (shared noqa machinery)
 # ----------------------------------------------------------------------
-THREAD_RACE = """\
-    import threading
-
-
-    class Collector:
-        def __init__(self) -> None:
-            self.samples = 0
-
-        def start(self) -> None:
-            threading.Thread(target=self._drain).start()
-
-        def _drain(self) -> None:
-            self.samples = 1{noqa}
-
-        def snapshot(self) -> int:
-            return self.samples
+DURABLE_WRITE = """\
+    def save_report(path, text):
+        with open(path + ".report", "w") as handle:{noqa}
+            handle.write(text)
 """
 
 
 def test_noqa_suppresses_concurrency_finding(tmp_path):
-    dirty = run_on(tmp_path, racy=THREAD_RACE.format(noqa=""))
-    assert [f.rule for f in dirty] == ["RPR020"]
+    dirty = run_on(tmp_path, save=DURABLE_WRITE.format(noqa=""))
+    assert [f.rule for f in dirty] == ["RPR021"]
     clean = run_on(
         tmp_path,
-        racy=THREAD_RACE.format(noqa="  # repro: noqa RPR020"))
+        save=DURABLE_WRITE.format(noqa="  # repro: noqa RPR021"))
     assert clean == []
 
 
@@ -164,57 +151,31 @@ def test_strict_flags_dead_concurrency_noqa(tmp_path):
     assert [(f.rule, f.line) for f in findings] == [("RPR006", 1)]
 
 
-def test_strict_leaves_other_pass_codes_alone(tmp_path):
-    """A noqa naming base-lint or units codes is not this pass's to
-    judge — no RPR006 double report."""
-    findings = run_on(
-        tmp_path, strict=True,
-        other=("VALUE = 1  # repro: noqa RPR003\n"
-               "OTHER = 2  # repro: noqa RPR012\n"
-               "BOTH = 3  # repro: noqa\n"))
-    assert findings == []
-
-
 def test_strict_flags_dead_code_in_multi_code_comment(tmp_path):
-    """``RPR020,RPR025`` where only RPR020 fires: the dead RPR025
+    """``RPR021,RPR025`` where only RPR021 fires: the dead RPR025
     half is reported per code."""
     findings = run_on(
         tmp_path, strict=True,
-        racy=THREAD_RACE.format(
-            noqa="  # repro: noqa RPR020,RPR025"))
+        save=DURABLE_WRITE.format(
+            noqa="  # repro: noqa RPR021,RPR025"))
     assert [(f.rule) for f in findings] == ["RPR006"]
     assert "RPR025" in findings[0].message
 
 
 def test_base_pass_still_judges_multi_code_comments(tmp_path):
-    """The lint pass gained the same per-code strict judgement."""
+    """Per-code judgement holds for any mix of per-file and
+    project-wide codes on one line."""
     source = ("def f(now, end_time):\n"
               "    return now == end_time  "
-              "# repro: noqa RPR003,RPR005\n")
+              "# repro: noqa RPR003,RPR025\n")
     findings = check_source(source, "x.py", strict=True)
     assert [f.rule for f in findings] == ["RPR006"]
-    assert "RPR005" in findings[0].message
+    assert "RPR025" in findings[0].message
 
 
 # ----------------------------------------------------------------------
 # hard cases: dynamic constructs degrade to silence
 # ----------------------------------------------------------------------
-def test_dynamic_thread_target_is_silent(tmp_path):
-    findings = run_on(tmp_path, dyn="""\
-        import threading
-
-        REGISTRY = {}
-
-
-        def launch(name, shared):
-            worker = threading.Thread(target=REGISTRY[name])
-            worker.start()
-            shared["launched"] = True
-            return shared
-        """)
-    assert findings == []
-
-
 def test_computed_state_payload_is_silent(tmp_path):
     findings = run_on(tmp_path, dyn="""\
         def merge(base, extra):
@@ -263,9 +224,9 @@ def test_cross_module_class_in_spec_is_flagged(tmp_path):
 
 
 def test_syntax_error_degrades_to_silence(tmp_path):
-    """The base pass owns RPR000; this pass just skips the file."""
+    """The driver reports RPR000; no project rule sees the file."""
     findings = run_on(tmp_path, broken="def broken(:\n")
-    assert findings == []
+    assert [f.rule for f in findings] == ["RPR000"]
 
 
 # ----------------------------------------------------------------------
@@ -298,25 +259,30 @@ def test_rpr025_pragma_opts_a_file_in(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# catalog and CLI
+# RPR025 catches the bug it found, re-seeded into the live source
+# ----------------------------------------------------------------------
+def test_rpr025_catches_unbounded_supervisor_crashes(tmp_path):
+    """Drop the eviction ``Supervisor.crashes`` gained when this rule
+    first ran, and the rule must flag the list again."""
+    source = (REPO_ROOT / "src/repro/live/supervisor.py").read_text()
+    eviction = """                if len(self.crashes) > self.policy.max_crash_records:
+                    del self.crashes[
+                        :-self.policy.max_crash_records]
+"""
+    assert eviction in source, "crash-record eviction moved; update test"
+    target = tmp_path / "live" / "supervisor.py"
+    target.parent.mkdir()
+    target.write_text(source)
+    assert check_paths([target]) == []
+    target.write_text(source.replace(eviction, ""))
+    findings = check_paths([target])
+    assert [f.rule for f in findings] == ["RPR025"]
+    assert "'crashes' of Supervisor" in findings[0].message
+
+
+# ----------------------------------------------------------------------
+# catalog
 # ----------------------------------------------------------------------
 def test_rules_catalog_covers_reported_ids():
-    assert set(CONCURRENCY_RULES) == {f"RPR02{i}" for i in range(7)}
-
-
-def test_cli_concurrency_flag_gates_the_pass(capsys):
-    fixture = str(FIXTURES / "rpr024.py")
-    assert main(["check", fixture]) == 0
-    capsys.readouterr()
-    code = main(["check", "--concurrency", fixture])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert "RPR024" in captured.out
-    assert "finding(s)" in captured.err
-
-
-def test_cli_concurrency_src_is_clean(capsys):
-    code = main(["check", "--strict", "--concurrency",
-                 str(REPO_ROOT / "src")])
-    assert code == 0
-    assert "clean" in capsys.readouterr().out
+    assert set(PROJECT_RULES) == {"RPR021", "RPR022", "RPR024",
+                                  "RPR025", "RPR032"}

@@ -1,48 +1,24 @@
 """Tests for the shared analysis IR (:mod:`repro.checks.ir`).
 
-The contract every pass now rides on: one read + one parse per file
-(:class:`ParseCache`), one project-wide symbol table, and ``--all``
-producing exactly the union of the separate per-pass invocations.
+The contract every rule rides on: one read + one parse per file
+(:class:`ParseCache`) for the whole ``repro check`` invocation.
 """
 
 import ast
 from pathlib import Path
 
-from repro.checks.concurrency import check_concurrency
-from repro.checks.ir import (
-    ParseCache,
-    build_project,
-    iter_python_files,
-)
-from repro.checks.lifecycle import check_lifecycle
+from repro.checks.ir import ParseCache, iter_python_files
 from repro.checks.lint import check_paths
-from repro.checks.units import check_units
 
-FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
-
-
-def _run_all_shared(paths, strict=False):
-    """Every pass through one cache + one project, like ``--all``."""
-    cache = ParseCache()
-    project = build_project(paths, cache=cache)
-    findings = check_paths(paths, strict=strict, cache=cache)
-    findings += check_units(paths, strict=strict, cache=cache,
-                            project=project)
-    findings += check_concurrency(paths, strict=strict, cache=cache,
-                                  project=project)
-    findings += check_lifecycle(paths, strict=strict, cache=cache,
-                                project=project)
-    return findings, cache
 
 
 # ----------------------------------------------------------------------
 # one parse per file
 # ----------------------------------------------------------------------
 def test_every_pass_shares_one_parse_per_file(monkeypatch):
-    """Running all four rule families over src parses each file
-    exactly once — the tentpole property of the shared IR."""
+    """Running every rule over src parses each file exactly once."""
     real_parse = ast.parse
     counts = {}
 
@@ -53,8 +29,8 @@ def test_every_pass_shares_one_parse_per_file(monkeypatch):
         return real_parse(source, filename, mode, *args, **kwargs)
 
     monkeypatch.setattr(ast, "parse", counting_parse)
-    findings, cache = _run_all_shared([SRC], strict=True)
-    assert findings == []
+    cache = ParseCache()
+    assert check_paths([SRC], strict=True, cache=cache) == []
     files = list(iter_python_files([SRC]))
     assert files, "src tree vanished?"
     assert cache.parse_count == len(files)
@@ -84,42 +60,3 @@ def test_parse_cache_captures_errors(tmp_path):
     assert missing.read_error is not None and not missing.ok
     # a failed read never counts as a parse
     assert cache.parse_count == 1
-
-
-# ----------------------------------------------------------------------
-# --all produces the union of the separate invocations
-# ----------------------------------------------------------------------
-def test_shared_cache_matches_separate_invocations():
-    """The fixtures tree fires every rule family; the shared-IR run
-    must agree finding-for-finding with four standalone runs."""
-    shared, _cache = _run_all_shared([FIXTURES])
-    separate = (check_paths([FIXTURES])
-                + check_units([FIXTURES])
-                + check_concurrency([FIXTURES])
-                + check_lifecycle([FIXTURES]))
-
-    def key(finding):
-        return (finding.path, finding.line, finding.col,
-                finding.rule, finding.message)
-
-    assert sorted(shared, key=key) == sorted(separate, key=key)
-    families = {f.rule[:5] for f in shared}
-    assert {"RPR00", "RPR01", "RPR02", "RPR03"} <= families
-
-
-def test_project_table_is_shared_not_rebuilt(tmp_path):
-    """Passing the prebuilt project skips the rebuild entirely: the
-    pass sees classes from files it was never pointed at."""
-    runtime = tmp_path / "runtime.py"
-    runtime.write_text("class ShardRuntime:\n    pass\n")
-    spec = tmp_path / "spec.py"
-    spec.write_text(
-        "from runtime import ShardRuntime\n\n\n"
-        "def make_shard_spec(shard_id):\n"
-        "    return {'shard': shard_id, 'rt': ShardRuntime()}\n")
-    project = build_project([tmp_path])
-    # analyze only spec.py: the class definition lives elsewhere and
-    # is only visible through the supplied project table
-    findings = check_concurrency([spec], project=project)
-    assert [f.rule for f in findings] == ["RPR022"]
-    assert check_concurrency([spec]) == []

@@ -1,8 +1,8 @@
-"""Exact-location tests for the ``repro check`` static-analysis pass.
+"""Exact-location tests for the per-file rules of ``repro check``.
 
 Each fixture file under ``fixtures/`` tags its deliberately-bad lines
-with a trailing ``# expect: RPR00x`` marker; the tests assert that the
-linter reports exactly those (line, rule) pairs — nothing missing,
+with a trailing ``# expect: RPR0xx`` marker; the tests assert that the
+checker reports exactly those (line, rule) pairs — nothing missing,
 nothing extra — so rule regressions show up as precise diffs.
 """
 
@@ -20,8 +20,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 _EXPECT = re.compile(r"#\s*expect:\s*(RPR\d{3})")
 
-FIXTURE_NAMES = ["rpr001", "rpr002", "rpr003", "rpr004", "rpr005",
-                 "rpr027"]
+FIXTURE_NAMES = ["rpr001", "rpr003", "rpr006", "rpr027"]
 
 
 def expected_findings(path: Path) -> set:
@@ -39,7 +38,7 @@ def expected_findings(path: Path) -> set:
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_reports_exact_lines(name):
     path = FIXTURES / f"{name}.py"
-    findings = check_source(path.read_text(), path)
+    findings = check_source(path.read_text(), path, strict=True)
     got = {(f.line, f.rule) for f in findings}
     want = expected_findings(path)
     assert want, f"{name} fixture has no expect markers"
@@ -52,7 +51,7 @@ def test_fixture_reports_exact_lines(name):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_render_format(name):
     path = FIXTURES / f"{name}.py"
-    for finding in check_source(path.read_text(), path):
+    for finding in check_source(path.read_text(), path, strict=True):
         assert re.fullmatch(
             rf"{re.escape(str(path))}:\d+:\d+: RPR\d{{3}} .+",
             finding.render())
@@ -60,8 +59,10 @@ def test_fixture_render_format(name):
 
 def test_fixtures_clean_under_strict_too():
     """The noqa comments in the fixtures all suppress real findings,
-    so --strict adds no RPR006 noise."""
+    so --strict adds no RPR006 noise (rpr006 exists to make some)."""
     for name in FIXTURE_NAMES:
+        if name == "rpr006":
+            continue
         path = FIXTURES / f"{name}.py"
         strict = check_source(path.read_text(), path, strict=True)
         lax = check_source(path.read_text(), path)
@@ -74,6 +75,34 @@ def test_fixtures_clean_under_strict_too():
 def test_src_tree_is_clean_strict():
     findings = check_paths([REPO_ROOT / "src"], strict=True)
     assert findings == [], render_findings(findings)
+
+
+# ----------------------------------------------------------------------
+# the bug RPR003 found, re-seeded into the live source
+# ----------------------------------------------------------------------
+def test_rpr003_catches_the_historical_event_ordering(tmp_path):
+    """Put back ``Event.__lt__``'s ``if self.time != other.time`` (the
+    float-equality bug this rule found) and the rule must flag it."""
+    source = (REPO_ROOT / "src/repro/simnet/engine.py").read_text()
+    ordering = """        if self.time < other.time:
+            return True
+        if other.time < self.time:
+            return False
+        return self.seq < other.seq
+"""
+    assert ordering in source, "Event.__lt__ moved; update test"
+    target = tmp_path / "engine.py"
+    target.write_text(source)
+    assert check_paths([target]) == []
+    target.write_text(source.replace(ordering, """\
+        if self.time != other.time:
+            return self.time < other.time
+        return self.seq < other.seq
+"""))
+    findings = check_paths([target])
+    assert [f.rule for f in findings] == ["RPR003"]
+    assert "if self.time != other.time:" in \
+        target.read_text().splitlines()[findings[0].line - 1]
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +137,7 @@ def test_noqa_with_other_code_does_not_suppress():
 
 
 def test_strict_flags_unused_noqa():
-    source = "VALUE = 3  # repro: noqa RPR002\n"
+    source = "VALUE = 3  # repro: noqa RPR003\n"
     assert check_source(source, "x.py") == []
     strict = check_source(source, "x.py", strict=True)
     assert [(f.rule, f.line) for f in strict] == [("RPR006", 1)]
@@ -127,8 +156,25 @@ def test_syntax_error_reports_rpr000():
 
 
 def test_rules_catalog_covers_reported_ids():
-    assert set(RULES) == ({f"RPR00{i}" for i in range(1, 7)}
-                          | {"RPR027"})
+    """The audited catalog: nine rules plus the RPR000 / RPR006
+    infrastructure codes."""
+    assert set(RULES) == {"RPR000", "RPR001", "RPR003", "RPR006",
+                          "RPR013", "RPR021", "RPR022", "RPR024",
+                          "RPR025", "RPR027", "RPR032"}
+
+
+def test_strict_flags_codes_missing_from_the_catalog():
+    """A deleted rule's id (or a typo) can never match a finding; under
+    --strict it is reported, alone or next to a live code."""
+    source = ("def f(now, end_time):\n"
+              "    return now == end_time  # repro: noqa RPR003,RPR030\n"
+              "VALUE = 1  # repro: noqa RPR999\n")
+    assert check_source(source, "x.py") == []
+    strict = check_source(source, "x.py", strict=True)
+    assert [(f.rule, f.line) for f in strict] == [("RPR006", 2),
+                                                  ("RPR006", 3)]
+    assert "RPR030 is not in the rule catalog" in strict[0].message
+    assert "RPR999 is not in the rule catalog" in strict[1].message
 
 
 # ----------------------------------------------------------------------
@@ -173,16 +219,16 @@ def test_rpr027_import_alias_and_from_import():
 
 
 def test_finding_to_dict_roundtrip():
-    finding = Finding("a.py", 3, 7, "RPR002", "msg")
+    finding = Finding("a.py", 3, 7, "RPR003", "msg")
     assert finding.to_dict() == {"path": "a.py", "line": 3, "col": 7,
-                                 "rule": "RPR002", "message": "msg"}
+                                 "rule": "RPR003", "message": "msg"}
 
 
 # ----------------------------------------------------------------------
 # CLI verb
 # ----------------------------------------------------------------------
 def test_cli_check_fixtures_exits_nonzero(capsys):
-    code = main(["check", str(FIXTURES)])
+    code = main(["check", "--strict", str(FIXTURES)])
     assert code == 1
     captured = capsys.readouterr()
     for name in FIXTURE_NAMES:

@@ -1,17 +1,17 @@
-"""Exact-location tests for the interprocedural units pass.
+"""Exact-location tests for RPR013, the raw-conversion rule.
 
-Mirrors ``test_lint.py``: each ``fixtures/rpr01x.py`` file tags its
-deliberately-wrong lines with ``# expect: RPR01x`` and the tests assert
-the pass reports exactly those (line, rule) pairs.  Every rule also has
-a ``rpr01x_near.py`` twin full of near-misses that must stay silent —
-most importantly, dynamic calls the call graph cannot resolve.
+Mirrors ``test_lint.py``: ``fixtures/rpr013.py`` tags its
+deliberately-wrong lines with ``# expect: RPR013`` and the tests assert
+the checker reports exactly those (line, rule) pairs; its
+``rpr013_near.py`` twin holds near-misses that must stay silent.
 
-The call-graph hard cases (callback registration, method resolution
-through attribute types, cross-module return-unit propagation) build
-tiny multi-file projects in ``tmp_path`` and run :func:`check_units`
-over the directory.
+The rule's unit inference is deliberately small — name suffixes,
+propagated through arithmetic — and exactly enough to catch the bug it
+found: ``EcmpRouting.base_rtt_ns`` hand-rolling its serialization term
+as ``bytes * 8.0 / bps * 1e9``.
 """
 
+import ast
 import json
 import re
 import textwrap
@@ -19,16 +19,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks import UNIT_RULES, Unit, check_units
-from repro.checks.lint import RULES, check_source
-from repro.checks.units import join, suffix_unit
+from repro.checks import RULES, check_paths, check_source
+from repro.checks.lint import _family
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 _EXPECT = re.compile(r"#\s*expect:\s*(RPR\d{3})")
 
-FIXTURE_NAMES = ["rpr010", "rpr011", "rpr012", "rpr013"]
+FIXTURE_NAMES = ["rpr013"]
 
 
 def expected_findings(path: Path) -> set:
@@ -40,10 +39,8 @@ def expected_findings(path: Path) -> set:
     return marks
 
 
-def run_on(tmp_path: Path, **files: str) -> list:
-    for name, source in files.items():
-        (tmp_path / f"{name}.py").write_text(textwrap.dedent(source))
-    return check_units([tmp_path])
+def family(expression: str):
+    return _family(ast.parse(expression, mode="eval").body)
 
 
 # ----------------------------------------------------------------------
@@ -52,7 +49,7 @@ def run_on(tmp_path: Path, **files: str) -> list:
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_reports_exact_lines(name):
     path = FIXTURES / f"{name}.py"
-    findings = check_units([path])
+    findings = check_source(path.read_text(), path)
     got = {(f.line, f.rule) for f in findings}
     want = expected_findings(path)
     assert want, f"{name} fixture has no expect markers"
@@ -65,245 +62,136 @@ def test_fixture_reports_exact_lines(name):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_near_miss_fixture_is_silent(name):
     path = FIXTURES / f"{name}_near.py"
-    findings = check_units([path])
+    findings = check_source(path.read_text(), path)
     assert findings == [], [f.render() for f in findings]
 
 
 @pytest.mark.parametrize(
     "name", FIXTURE_NAMES + [f"{n}_near" for n in FIXTURE_NAMES])
 def test_units_fixtures_clean_under_base_lint(name):
-    """The units fixtures must not add RPR001-006 noise to the
-    fixtures directory (``test_cli_check_fixtures_exits_nonzero`` lints
-    it without --units)."""
+    """The units fixtures trip no rule but their own, and their noqa
+    comments (none) leave nothing for --strict to report."""
     path = FIXTURES / f"{name}.py"
     findings = check_source(path.read_text(), path, strict=True)
-    assert findings == [], [f.render() for f in findings]
+    others = [f for f in findings if f.rule != "RPR013"]
+    assert others == [], [f.render() for f in others]
 
 
 def test_fixture_render_format():
-    path = FIXTURES / "rpr010.py"
-    for finding in check_units([path]):
+    path = FIXTURES / "rpr013.py"
+    for finding in check_source(path.read_text(), path):
         assert re.fullmatch(
             rf"{re.escape(str(path))}:\d+:\d+: RPR\d{{3}} .+",
             finding.render())
 
 
 # ----------------------------------------------------------------------
-# call-graph hard cases
+# the bug RPR013 found, re-seeded into the live source
 # ----------------------------------------------------------------------
-def test_callback_registration_maps_trailing_args(tmp_path):
-    """``schedule(delay, callback, *args)``: the trailing args are
-    checked against the *callback's* parameters."""
-    findings = run_on(
-        tmp_path,
-        engine="""\
-        def schedule(delay_ns, callback, *args):
-            callback(*args)
-        """,
-        worker="""\
-        from engine import schedule
+def test_rpr013_catches_the_historical_base_rtt_term(tmp_path):
+    """Put back ``base_rtt_ns``'s hand-rolled serialization term (the
+    bug this rule found) and the rule must flag its ``* 8.0``."""
+    source = (REPO_ROOT / "src/repro/simnet/routing.py").read_text()
+    fixed = """            total += serialization_delay(packet_bytes + ack_bytes,
+                                         link.bandwidth_bps)
+"""
+    assert fixed in source, "base_rtt_ns moved; update test"
+    target = tmp_path / "repro" / "simnet" / "routing.py"
+    target.parent.mkdir(parents=True)
+    target.write_text(source)
+    assert check_paths([target]) == []
+    target.write_text(source.replace(fixed, """\
+            total += (packet_bytes + ack_bytes) * 8.0 \\
+                / link.bandwidth_bps * 1_000_000_000.0
+"""))
+    findings = check_paths([target])
+    assert [f.rule for f in findings] == ["RPR013"]
+    assert "8.0" in findings[0].message
+    assert "data value" in findings[0].message
 
 
-        def on_fire(window_ns):
-            return window_ns
-
-
-        def kick(delay_ns, payload_us):
-            schedule(delay_ns, on_fire, payload_us)
-        """)
-    assert [f.rule for f in findings] == ["RPR010"]
-    assert "on_fire() registered here" in findings[0].message
-    assert "expects ns, got us" in findings[0].message
-
-
-def test_callback_registration_correct_units_is_silent(tmp_path):
-    findings = run_on(
-        tmp_path,
-        engine="""\
-        def schedule(delay_ns, callback, *args):
-            callback(*args)
-        """,
-        worker="""\
-        from engine import schedule
-
-
-        def on_fire(window_ns):
-            return window_ns
-
-
-        def kick(delay_ns, payload_ns):
-            schedule(delay_ns, on_fire, payload_ns)
-        """)
-    assert findings == [], [f.render() for f in findings]
-
-
-def test_method_resolution_through_attribute_type(tmp_path):
-    """``self.port = Port()`` infers the attribute's class, so
-    ``self.port.send_at(...)`` resolves to ``Port.send_at``."""
-    findings = run_on(
-        tmp_path,
-        port="""\
-        class Port:
-            def send_at(self, when_ns):
-                return when_ns
-        """,
-        host="""\
-        from port import Port
-
-
-        class Host:
-            def __init__(self):
-                self.port = Port()
-
-            def flush(self, stamp_us):
-                self.port.send_at(stamp_us)
-        """)
-    assert [(f.rule, f.line) for f in findings] == [("RPR010", 9)]
-    assert "send_at()" in findings[0].message
-
-
-def test_return_unit_propagates_across_modules(tmp_path):
-    """An unannotated function's return unit is inferred from its
-    return expressions and flows into callers in other modules."""
-    findings = run_on(
-        tmp_path,
-        horizon="""\
-        def horizon():
-            limit_ns = 10.0
-            return limit_ns
-        """,
-        caller="""\
-        from horizon import horizon
-
-
-        def sink(window_us):
-            return window_us
-
-
-        def drive():
-            return sink(horizon())
-        """)
-    assert [(f.rule, f.line) for f in findings] == [("RPR010", 9)]
-    assert "expects us, got ns" in findings[0].message
-
-
-def test_unresolvable_dynamic_call_degrades_to_unknown(tmp_path):
-    """A callable pulled out of a dict/loop cannot be resolved; the
-    pass must stay silent rather than guess."""
-    findings = run_on(
-        tmp_path,
-        dynamic="""\
-        def arm(deadline_ns):
-            return deadline_ns
-
-
-        def jump(table, timeout_us):
-            handler = table["arm"]
-            handler(timeout_us)
-
-
-        def spin(timeout_us):
-            for handler in (arm,):
-                handler(timeout_us)
-        """)
-    assert findings == [], [f.render() for f in findings]
-
-
+# ----------------------------------------------------------------------
+# scope and suppression
+# ----------------------------------------------------------------------
 def test_scope_gating_by_directory(tmp_path):
-    """RPR012 fires under ``repro/simnet`` but not outside it."""
-    source = "def drain(budget_ns):\n    return budget_ns\n"
+    """RPR013 fires under ``repro/simnet`` but not outside it, and not
+    in the unit modules that define the factors."""
+    source = "def to_s(total_ns):\n    return total_ns / 1e9\n"
     scoped = tmp_path / "repro" / "simnet"
     scoped.mkdir(parents=True)
     (scoped / "mod.py").write_text(source)
+    (scoped / "units.py").write_text(source)
     (tmp_path / "tool.py").write_text(source)
-    findings = check_units([tmp_path])
-    assert [f.rule for f in findings] == ["RPR012"]
-    assert "simnet" in findings[0].path
+    findings = check_paths([tmp_path])
+    assert [f.rule for f in findings] == ["RPR013"]
+    assert findings[0].path.endswith("mod.py")
 
 
 def test_noqa_suppresses_units_rules(tmp_path):
-    source = (
-        "def arm(deadline_ns):\n"
-        "    return deadline_ns\n"
-        "\n"
-        "\n"
-        "def go(timeout_us):\n"
-        "    arm(timeout_us)  # repro: noqa RPR010\n"
-        "    arm(timeout_us)  # repro: noqa\n"
-        "    arm(timeout_us)\n")
+    source = textwrap.dedent("""\
+        # repro: check-scope sim
+        def go(total_ns):
+            a = total_ns / 1e9  # repro: noqa RPR013
+            b = total_ns / 1e9  # repro: noqa
+            return a + b + total_ns / 1e9
+        """)
     (tmp_path / "mod.py").write_text(source)
-    findings = check_units([tmp_path])
-    assert [(f.rule, f.line) for f in findings] == [("RPR010", 8)]
+    findings = check_paths([tmp_path], strict=True)
+    assert [(f.rule, f.line) for f in findings] == [("RPR013", 5)]
 
 
 def test_syntax_error_is_skipped_here(tmp_path):
-    """Unparseable files are the base pass's job (RPR000)."""
+    """An unparseable file gets RPR000 from the driver, nothing else."""
     (tmp_path / "broken.py").write_text("def broken(:\n")
-    assert check_units([tmp_path]) == []
+    assert [f.rule for f in check_paths([tmp_path])] == ["RPR000"]
 
 
 # ----------------------------------------------------------------------
-# lattice and catalog
+# the inference and the catalog
 # ----------------------------------------------------------------------
 def test_unit_rules_catalog():
-    assert set(UNIT_RULES) == {f"RPR01{i}" for i in range(4)}
-    assert not set(UNIT_RULES) & set(RULES)
+    """RPR013 is the one unit rule the audit kept."""
+    assert {rule for rule in RULES if rule.startswith("RPR01")} \
+        == {"RPR013"}
 
 
 def test_join_lattice():
-    assert join(Unit.NANOSECONDS, Unit.NANOSECONDS) == Unit.NANOSECONDS
-    assert join(Unit.DIMENSIONLESS, Unit.BYTES) == Unit.BYTES
-    assert join(Unit.GBPS, Unit.DIMENSIONLESS) == Unit.GBPS
-    assert join(Unit.NANOSECONDS, Unit.MICROSECONDS) == Unit.UNKNOWN
-    assert not Unit.UNKNOWN.known
-    assert not Unit.DIMENSIONLESS.known
-    assert Unit.SECONDS.known
+    assert family("a_bytes + b_bytes") == "data"
+    assert family("window_ns + 5") == "time"
+    assert family("2 * rate_gbps") == "rate"
+    assert family("window_ns - other") is None
+    assert family("window_ns + size_bytes") is None
+    assert family("window_ns / other_ns") == "dimensionless"
+    # a converted value has left its family: no cascade of reports
+    assert family("size_bytes * 8.0") is None
 
 
 def test_suffix_unit_table():
-    assert suffix_unit("window_ns") == Unit.NANOSECONDS
-    assert suffix_unit("retention_us") == Unit.MICROSECONDS
-    assert suffix_unit("elapsed_s") == Unit.SECONDS
-    assert suffix_unit("RATE_GBPS") == Unit.GBPS
-    assert suffix_unit("qdepth_bytes") == Unit.BYTES
-    assert suffix_unit("bandwidth_bps") == Unit.BPS
-    assert suffix_unit("label") == Unit.UNKNOWN
-    assert suffix_unit(None) == Unit.UNKNOWN
+    assert family("window_ns") == "time"
+    assert family("retention_us") == "time"
+    assert family("elapsed_s") == "time"
+    assert family("RATE_GBPS") == "rate"
+    assert family("link.bandwidth_bps") == "rate"
+    assert family("qdepth_bytes") == "data"
+    assert family("label") is None
+    assert family("3") == "dimensionless"
 
 
 # ----------------------------------------------------------------------
 # the repo's own sources must be clean (the CI gate)
 # ----------------------------------------------------------------------
 def test_src_tree_is_clean_under_units_pass():
-    findings = check_units([REPO_ROOT / "src"], strict=True)
+    findings = check_paths([REPO_ROOT / "src"], strict=True)
     assert findings == [], [f.render() for f in findings]
 
 
 # ----------------------------------------------------------------------
 # CLI verb
 # ----------------------------------------------------------------------
-def test_cli_units_flag_gates_the_pass(capsys):
-    path = str(FIXTURES / "rpr010.py")
-    assert main(["check", path]) == 0  # base lint alone: clean
-    capsys.readouterr()
-    assert main(["check", "--units", path]) == 1
-    captured = capsys.readouterr()
-    assert re.search(r"rpr010\.py:\d+:\d+: RPR010", captured.out)
-    assert "RPR010" in captured.err
-
-
 def test_cli_units_json_output(capsys):
-    code = main(["check", "--units", "--json",
-                 str(FIXTURES / "rpr013.py")])
+    code = main(["check", "--json", str(FIXTURES / "rpr013.py")])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert {entry["rule"] for entry in payload} == {"RPR013"}
     assert all({"path", "line", "col", "rule", "message"}
                <= set(entry) for entry in payload)
-
-
-def test_cli_units_strict_src_is_clean(capsys):
-    code = main(["check", "--units", "--strict",
-                 str(REPO_ROOT / "src")])
-    assert code == 0
-    assert "clean" in capsys.readouterr().out

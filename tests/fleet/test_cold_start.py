@@ -21,8 +21,7 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 #: never needed to replay a shard's tenants
-UNWANTED = ("repro.checks.ir", "repro.checks.lint", "repro.checks.units",
-            "repro.checks.concurrency", "repro.checks.lifecycle",
+UNWANTED = ("repro.checks.ir", "repro.checks.lint", "repro.checks.project",
             "http.server", "repro.fleet.exporter", "repro.chaos",
             "repro.live.supervisor", "networkx",
             # a trace reader needs simnet.packet / .pfc / .telemetry only
