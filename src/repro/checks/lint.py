@@ -20,11 +20,11 @@ per file:
   cursors that :mod:`repro.traces` centralises.
 
 Scope: RPR001 applies to files under ``simnet``/``core``/``collective``
-directories, RPR013 to files under ``simnet``/``core``/``live`` in the
-``repro`` package (the two unit modules that *define* the factors are
-exempt); a ``# repro: check-scope sim`` pragma opts any file into
-both.  RPR027 skips files under a ``traces`` directory and files that
-declare ``# repro: check-scope trace-store``.
+directories, RPR013 to files under ``simnet``/``core``/``live``/``fleet``
+in the ``repro`` package and to ``repro/cli.py`` (the two unit modules
+that *define* the factors are exempt); a ``# repro: check-scope sim``
+pragma opts any file into both.  RPR027 skips files under a ``traces``
+directory and files that declare ``# repro: check-scope trace-store``.
 
 Suppression: append ``# repro: noqa`` (all rules) or
 ``# repro: noqa RPR003`` / ``# repro: noqa RPR001,RPR003`` (specific
@@ -71,7 +71,9 @@ RULES = dict(sorted({
 #: directories whose files are simulation-critical (RPR001)
 SIM_SCOPE_DIRS = frozenset({"simnet", "core", "collective"})
 #: directories (under ``repro``) whose arithmetic is unit-checked (RPR013)
-UNITS_SCOPE_DIRS = frozenset({"simnet", "core", "live"})
+UNITS_SCOPE_DIRS = frozenset({"simnet", "core", "live", "fleet"})
+#: files directly in ``repro`` whose arithmetic is unit-checked (RPR013)
+UNITS_SCOPE_FILES = frozenset({"cli.py"})
 #: directories whose files ARE the trace store (exempt from RPR027)
 TRACE_STORE_DIRS = frozenset({"traces"})
 
@@ -180,9 +182,10 @@ def _is_units_scope(path: Path, source: str) -> bool:
     parts = path.parts
     if path.name == "units.py" and path.parent.name in ("simnet", "core"):
         return False  # the converter modules define the factors
-    return bool(UNITS_SCOPE_DIRS.intersection(parts)
-                and "repro" in parts) \
-        or has_scope_pragma(source, "sim")
+    in_repro = "repro" in parts and bool(
+        UNITS_SCOPE_DIRS.intersection(parts)
+        or (path.parent.name == "repro" and path.name in UNITS_SCOPE_FILES))
+    return in_repro or has_scope_pragma(source, "sim")
 
 
 class _FileChecker(ast.NodeVisitor):

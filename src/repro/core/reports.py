@@ -1,20 +1,28 @@
 """Operator-facing diagnostic reports.
 
-:class:`VedrfolnirDiagnosis` is a programmatic result; operators want a
-document.  :func:`render_text` produces a sectioned plain-text report
-(summary, bottleneck analysis, anomaly breakdown, contributor ranking,
-recommended actions), and :func:`render_json` a stable JSON structure
-for dashboards/ticketing integrations.
+:class:`VedrfolnirDiagnosis` and a live
+:class:`~repro.live.pipeline.DiagnosisSnapshot` are programmatic
+results; operators want a document.  :func:`render_text` produces a
+sectioned plain-text report (bottleneck analysis, anomaly breakdown,
+contributor ranking, recommended actions) over either, and
+:func:`render_json` a stable JSON structure for dashboards/ticketing
+integrations whose critical-path, finding and contributor entries are
+the ones a snapshot's ``to_dict`` prints.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.analyzer import VedrfolnirDiagnosis
-from repro.core.diagnosis import AnomalyType
+from repro.core.diagnosis import AnomalyFinding, AnomalyType
+from repro.core.waiting_graph import CriticalPathEntry
+from repro.simnet.packet import FlowKey
 from repro.viz import format_critical_path
+
+if TYPE_CHECKING:
+    from repro.live.pipeline import DiagnosisSnapshot
 
 #: per anomaly type: what a NOC runbook would say
 RECOMMENDED_ACTIONS = {
@@ -41,20 +49,39 @@ RECOMMENDED_ACTIONS = {
 }
 
 
-def render_text(diagnosis: VedrfolnirDiagnosis,
-                title: str = "Vedrfolnir diagnostic report",
-                top_contributors: int = 5) -> str:
-    """A complete plain-text report."""
-    lines = [title, "=" * len(title), ""]
+def critical_path_entry(entry: CriticalPathEntry) -> dict:
+    """One critical-path step, as every JSON document prints it."""
+    return {"node": entry.node, "step": entry.step_index,
+            "start_ns": entry.start_time, "end_ns": entry.end_time,
+            "entered_via": entry.entered_via}
 
-    graph = diagnosis.waiting_graph
-    total_ms = graph.total_time_ns() / 1e6
-    lines.append(f"collective: {graph.schedule.algorithm} "
-                 f"{graph.schedule.op.value}, "
-                 f"{len(graph.schedule.nodes)} nodes, "
-                 f"{len(graph.records)} steps recorded, "
-                 f"{total_ms:.3f} ms total")
-    lines.append("")
+
+def finding_entry(finding: AnomalyFinding) -> dict:
+    """A finding's type, detail, root ports and culprit flows — the
+    whole finding in a live snapshot, the head of one in
+    :func:`render_json`."""
+    return {"type": finding.type.value, "detail": finding.detail,
+            "root_ports": [str(p) for p in finding.root_ports],
+            "culprit_flows": sorted(
+                f.short() for f in finding.culprit_flows)}
+
+
+def contributor_entry(flow: FlowKey, score: float) -> dict:
+    """One row of the Eq. 3 contributor ranking."""
+    return {"flow": flow.short(), "score": score}
+
+
+def render_text(diagnosis: Union[VedrfolnirDiagnosis, DiagnosisSnapshot],
+                title: str = "Vedrfolnir diagnostic report",
+                top_contributors: int = 5,
+                collective: str = "") -> str:
+    """A complete plain-text report over a batch diagnosis or a live
+    snapshot: it reads only the fields both carry.  ``collective`` is
+    the caller's one-line description of the collective, printed under
+    the title."""
+    lines = [title, "=" * len(title), ""]
+    if collective:
+        lines += [collective, ""]
 
     lines.append("performance bottleneck")
     lines.append("-" * 22)
@@ -114,29 +141,18 @@ def render_json(diagnosis: VedrfolnirDiagnosis,
             "total_time_ns": graph.total_time_ns(),
         },
         "bottleneck_steps": diagnosis.bottleneck_steps,
-        "critical_path": [
-            {
-                "node": entry.node,
-                "step": entry.step_index,
-                "start_ns": entry.start_time,
-                "end_ns": entry.end_time,
-                "entered_via": entry.entered_via,
-            } for entry in diagnosis.critical_path],
+        "critical_path": [critical_path_entry(entry)
+                          for entry in diagnosis.critical_path],
         "findings": [
-            {
-                "type": finding.type.value,
-                "detail": finding.detail,
-                "root_ports": [str(p) for p in finding.root_ports],
-                "victim_ports": [str(p) for p in finding.victim_ports],
-                "culprit_flows": sorted(
-                    f.short() for f in finding.culprit_flows),
-                "victim_flows": sorted(
-                    f.short() for f in finding.victim_flows),
-                "recommended_action":
-                    RECOMMENDED_ACTIONS.get(finding.type, ""),
-            } for finding in diagnosis.result.findings],
+            {**finding_entry(finding),
+             "victim_ports": [str(p) for p in finding.victim_ports],
+             "victim_flows": sorted(
+                 f.short() for f in finding.victim_flows),
+             "recommended_action":
+                 RECOMMENDED_ACTIONS.get(finding.type, "")}
+            for finding in diagnosis.result.findings],
         "contributors": [
-            {"flow": flow.short(), "score": score}
+            contributor_entry(flow, score)
             for flow, score in diagnosis.top_contributors(
                 top_contributors)],
     }

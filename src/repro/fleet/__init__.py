@@ -51,10 +51,10 @@ from repro.fleet.sharding import (
 from repro.fleet.tenancy import TenantPolicy, TenantRuntime
 
 if TYPE_CHECKING:   # http.server and ssl: loaded when a fleet serves
-    from repro.fleet.exporter import MetricsExporter, render_prometheus
+    from repro.fleet.exporter import MetricsExporter
 
 __getattr__ = lazy_exports(__name__, {
-    "exporter": ("MetricsExporter", "render_prometheus"),
+    "exporter": ("MetricsExporter",),
 })
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "moved_tenants",
     "plan_shards",
     "registry_from_snapshot",
-    "render_prometheus",
     "replicate_tenants",
     "stable_hash",
 ]

@@ -1,11 +1,12 @@
-"""Scrapeable HTTP metrics endpoint (Prometheus text exposition).
+"""Scrapeable HTTP metrics endpoint.
 
 Stdlib-only (:mod:`http.server`): a daemon-threaded
 ``ThreadingHTTPServer`` serving
 
-* ``GET /metrics`` — the fleet registry rendered in Prometheus text
-  exposition format 0.0.4, with ``shard``/``tenant`` labels on the
-  per-shard and per-tenant series;
+* ``GET /metrics`` — the fleet registry through
+  :func:`repro.live.metrics.render_prometheus` (text exposition format
+  0.0.4, the same renderer ``repro serve --metrics`` writes with), with
+  ``shard``/``tenant`` labels on the per-shard and per-tenant series;
 * ``GET /healthz`` — liveness probe;
 * ``GET /fleet``  — the newest fleet snapshot as JSON.
 
@@ -18,93 +19,13 @@ counters.
 from __future__ import annotations
 
 import json
-import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 
-from repro.live.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    escape_help,
-    full_name,
-)
+from repro.live.metrics import MetricsRegistry, render_prometheus
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-
-def _fmt(value) -> str:
-    """A Prometheus-parseable sample value."""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    if math.isnan(value):
-        return "NaN"
-    if float(value).is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
-
-
-def _type_of(metric) -> str:
-    if isinstance(metric, Counter):
-        return "counter"
-    if isinstance(metric, Gauge):
-        return "gauge"
-    if isinstance(metric, Histogram):
-        return "histogram"
-    return "untyped"
-
-
-def _histogram_lines(metric: Histogram) -> list[str]:
-    base = dict(metric.labels or {})
-    lines = []
-    cumulative = 0
-    for bound, count in zip(metric.bounds, metric.counts):
-        cumulative += count
-        lines.append(
-            f"{full_name(metric.name + '_bucket', {**base, 'le': _fmt(bound)})}"
-            f" {cumulative}")
-    lines.append(
-        f"{full_name(metric.name + '_bucket', {**base, 'le': '+Inf'})}"
-        f" {metric.total}")
-    lines.append(
-        f"{full_name(metric.name + '_sum', metric.labels)}"
-        f" {_fmt(metric.sum)}")
-    lines.append(
-        f"{full_name(metric.name + '_count', metric.labels)}"
-        f" {metric.total}")
-    return lines
-
-
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format 0.0.4.
-
-    Metrics sharing a base name form one family: a single
-    ``# HELP``/``# TYPE`` header followed by every labeled sample,
-    in deterministic (exposition-name) order.
-    """
-    families: dict[str, list] = {}
-    for metric in registry.metrics():
-        families.setdefault(metric.name, []).append(metric)
-    lines: list[str] = []
-    for name in sorted(families):
-        members = families[name]
-        head = members[0]
-        if head.help:
-            lines.append(f"# HELP {name} {escape_help(head.help)}")
-        lines.append(f"# TYPE {name} {_type_of(head)}")
-        for metric in members:
-            if isinstance(metric, Histogram):
-                lines.extend(_histogram_lines(metric))
-            else:
-                lines.append(
-                    f"{metric.exposition_name} {_fmt(metric.value)}")
-    return "\n".join(lines) + "\n"
 
 
 class MetricsExporter:
@@ -201,4 +122,4 @@ class MetricsExporter:
         self.stop()
 
 
-__all__ = ["MetricsExporter", "render_prometheus", "CONTENT_TYPE"]
+__all__ = ["MetricsExporter", "CONTENT_TYPE"]

@@ -50,7 +50,7 @@ from repro.live.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    render_metrics_text,
+    render_prometheus,
 )
 from repro.live.pipeline import (
     DiagnosisSnapshot,
@@ -86,7 +86,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "render_metrics_text",
+    "render_prometheus",
     "Quarantine",
     "DegradationTracker",
     "CheckpointCorrupt",

@@ -1,18 +1,18 @@
-"""Self-observability for the live pipeline.
+"""Self-observability for the live pipeline and the fleet.
 
 A diagnosis service that cannot report on *itself* is just another
 opaque component to diagnose.  This module is a dependency-free
 miniature of the Prometheus client model: :class:`Counter` (monotonic),
 :class:`Gauge` (point-in-time), :class:`Histogram` (log-bucketed, with
-quantile estimates), all registered in a :class:`MetricsRegistry` that
-exports stable JSON (``repro serve --metrics``) and renders as the
-``repro metrics`` CLI view.
+quantile estimates), all registered in a :class:`MetricsRegistry`.
+:func:`render_prometheus` is the one exposition: the text format 0.0.4
+that ``repro serve --metrics`` writes, the fleet's ``/metrics``
+endpoint answers and ``repro fleet serve --scrape-out`` saves.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from typing import Optional, Union
 
@@ -73,13 +73,6 @@ class Counter:
             raise ValueError(f"counter {self.name} cannot decrease")
         self.value += amount
 
-    def to_dict(self) -> dict:
-        data = {"type": "counter", "help": self.help,
-                "value": self.value}
-        if self.labels:
-            data["labels"] = dict(self.labels)
-        return data
-
 
 class Gauge:
     """A value that goes up and down (queue depth, rates, ratios)."""
@@ -97,13 +90,6 @@ class Gauge:
 
     def set(self, value: Number) -> None:
         self.value = value
-
-    def to_dict(self) -> dict:
-        data = {"type": "gauge", "help": self.help,
-                "value": self.value}
-        if self.labels:
-            data["labels"] = dict(self.labels)
-        return data
 
 
 def default_buckets(start: float = 1e-6, factor: float = 2.0,
@@ -213,14 +199,9 @@ class Histogram:
             cumulative += count
         return self.max
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.total if self.total else 0.0
-
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Full JSON-safe state — unlike :meth:`to_dict` (a rendered
-        summary), this round-trips exactly through
+        """Full JSON-safe state that round-trips exactly through
         :meth:`load_state`, so a worker process can ship its latency
         distribution home inside a ShardReport."""
         return {
@@ -244,27 +225,9 @@ class Histogram:
             else float(state["max"])
         return self
 
-    def to_dict(self) -> dict:
-        data = {
-            "type": "histogram", "help": self.help,
-            "count": self.total, "sum": self.sum,
-            "min": self.min if self.total else 0.0,
-            "max": self.max if self.total else 0.0,
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
-            "buckets": [[bound, count] for bound, count
-                        in zip(self.bounds, self.counts)
-                        if count > 0],
-            "overflow": self.counts[-1],
-        }
-        if self.labels:
-            data["labels"] = dict(self.labels)
-        return data
-
 
 class MetricsRegistry:
-    """Named metrics with one-call JSON export."""
+    """Named metrics, keyed by exposition name."""
 
     def __init__(self) -> None:
         self._metrics: dict[str, Union[Counter, Gauge, Histogram]] = {}
@@ -304,40 +267,74 @@ class MetricsRegistry:
         """All registered metric objects, in exposition-name order."""
         return [self._metrics[name] for name in self.names()]
 
-    def to_dict(self) -> dict:
-        return {name: self._metrics[name].to_dict()
-                for name in self.names()}
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-
-def render_metrics_text(data: dict) -> str:
-    """The ``repro metrics`` view over an exported metrics dict."""
-    lines: list[str] = []
-    width = max((len(name) for name in data), default=0)
-    for name in sorted(data):
-        entry = data[name]
-        kind = entry.get("type", "?")
-        if kind == "histogram":
-            value = (f"count={entry['count']} "
-                     f"mean={_fmt(entry['mean'])} "
-                     f"p50={_fmt(entry['p50'])} "
-                     f"p99={_fmt(entry['p99'])} "
-                     f"max={_fmt(entry['max'])}")
-        else:
-            value = _fmt(entry.get("value", 0))
-        lines.append(f"{name:<{width}}  {kind:<9} {value}")
-        if entry.get("help"):
-            lines.append(f"{'':<{width}}    {entry['help']}")
-    return "\n".join(lines)
-
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000 or abs(value) < 0.001:
-            return f"{value:.3e}"
-        return f"{value:.4g}"
-    return str(value)
+    """A Prometheus-parseable sample value."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    if math.isnan(value):
+        return "NaN"
+    if float(value).is_integer() and abs(value) < 1e15:
+        return str(int(value))
+    return repr(float(value))
+
+
+def _type_of(metric) -> str:
+    if isinstance(metric, Counter):
+        return "counter"
+    if isinstance(metric, Gauge):
+        return "gauge"
+    if isinstance(metric, Histogram):
+        return "histogram"
+    return "untyped"
+
+
+def _histogram_lines(metric: Histogram) -> list[str]:
+    base = dict(metric.labels or {})
+    lines = []
+    cumulative = 0
+    for bound, count in zip(metric.bounds, metric.counts):
+        cumulative += count
+        lines.append(
+            f"{full_name(metric.name + '_bucket', {**base, 'le': _fmt(bound)})}"
+            f" {cumulative}")
+    lines.append(
+        f"{full_name(metric.name + '_bucket', {**base, 'le': '+Inf'})}"
+        f" {metric.total}")
+    lines.append(
+        f"{full_name(metric.name + '_sum', metric.labels)}"
+        f" {_fmt(metric.sum)}")
+    lines.append(
+        f"{full_name(metric.name + '_count', metric.labels)}"
+        f" {metric.total}")
+    return lines
+
+
+def render_prometheus(registry: MetricsRegistry) -> str:
+    """The registry in Prometheus text exposition format 0.0.4.
+
+    Metrics sharing a base name form one family: a single
+    ``# HELP``/``# TYPE`` header followed by every labeled sample,
+    in deterministic (exposition-name) order.
+    """
+    families: dict[str, list] = {}
+    for metric in registry.metrics():
+        families.setdefault(metric.name, []).append(metric)
+    lines: list[str] = []
+    for name in sorted(families):
+        members = families[name]
+        head = members[0]
+        if head.help:
+            lines.append(f"# HELP {name} {escape_help(head.help)}")
+        lines.append(f"# TYPE {name} {_type_of(head)}")
+        for metric in members:
+            if isinstance(metric, Histogram):
+                lines.extend(_histogram_lines(metric))
+            else:
+                lines.append(
+                    f"{metric.exposition_name} {_fmt(metric.value)}")
+    return "\n".join(lines) + "\n"

@@ -127,6 +127,23 @@ def test_scope_gating_by_directory(tmp_path):
     assert findings[0].path.endswith("mod.py")
 
 
+def test_fleet_and_cli_are_in_scope(tmp_path):
+    """The operator-facing code that prints ``_ns`` values is
+    unit-checked too: files under ``repro/fleet`` and ``repro/cli.py``
+    (but not a ``cli.py`` outside the package root)."""
+    source = "def to_ms(watermark_ns):\n    return watermark_ns / 1e6\n"
+    fleet = tmp_path / "repro" / "fleet"
+    fleet.mkdir(parents=True)
+    (fleet / "aggregator.py").write_text(source)
+    (tmp_path / "repro" / "cli.py").write_text(source)
+    (tmp_path / "cli.py").write_text(source)
+    findings = check_paths([tmp_path])
+    assert sorted(Path(f.path).relative_to(tmp_path).as_posix()
+                  for f in findings) == ["repro/cli.py",
+                                         "repro/fleet/aggregator.py"]
+    assert {f.rule for f in findings} == {"RPR013"}
+
+
 def test_noqa_suppresses_units_rules(tmp_path):
     source = textwrap.dedent("""\
         # repro: check-scope sim

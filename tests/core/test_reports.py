@@ -83,5 +83,7 @@ def test_json_indent_option(diagnoses):
 
 def test_custom_title(diagnoses):
     _, contended = diagnoses
-    text = render_text(contended, title="Incident 4711")
-    assert text.startswith("Incident 4711")
+    text = render_text(contended, title="Incident 4711",
+                       collective="collective: ring allgather")
+    assert text.startswith("Incident 4711\n=============\n\n"
+                           "collective: ring allgather\n")

@@ -6,12 +6,8 @@ import urllib.request
 
 import pytest
 
-from repro.fleet.exporter import (
-    CONTENT_TYPE,
-    MetricsExporter,
-    render_prometheus,
-)
-from repro.live.metrics import MetricsRegistry
+from repro.fleet.exporter import CONTENT_TYPE, MetricsExporter
+from repro.live.metrics import MetricsRegistry, render_prometheus
 
 
 def test_render_groups_label_variants_into_one_family():

@@ -158,11 +158,10 @@ def test_register_metrics(tmp_path):
     manager.load_latest()
     registry = MetricsRegistry()
     manager.register_metrics(registry)
-    data = registry.to_dict()
-    assert data["live_checkpoints_written_total"]["value"] == 1
-    assert data["live_checkpoints_loaded_total"]["value"] == 1
-    assert data["live_checkpoint_bytes"]["value"] > 0
-    assert "live_checkpoint_write_seconds" in data
+    assert registry["live_checkpoints_written_total"].value == 1
+    assert registry["live_checkpoints_loaded_total"].value == 1
+    assert registry["live_checkpoint_bytes"].value > 0
+    assert "live_checkpoint_write_seconds" in registry
 
 
 # ----------------------------------------------------------------------

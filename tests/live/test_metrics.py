@@ -1,7 +1,5 @@
 """Pipeline self-observability primitives."""
 
-import json
-
 import pytest
 
 from repro.live.metrics import (
@@ -9,7 +7,7 @@ from repro.live.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    render_metrics_text,
+    render_prometheus,
 )
 
 
@@ -33,12 +31,11 @@ def test_histogram_stats():
     hist = Histogram("h", buckets=[1.0, 10.0, 100.0])
     for value in [0.5, 2.0, 3.0, 50.0, 500.0]:
         hist.observe(value)
-    data = hist.to_dict()
-    assert data["count"] == 5
-    assert data["min"] == 0.5
-    assert data["max"] == 500.0
-    assert data["sum"] == pytest.approx(555.5)
-    assert data["overflow"] == 1
+    assert hist.total == 5
+    assert hist.min == 0.5
+    assert hist.max == 500.0
+    assert hist.sum == pytest.approx(555.5)
+    assert hist.counts == [1, 2, 1, 1]    # the last slot overflows
 
 
 def test_histogram_percentiles_ordered():
@@ -55,20 +52,18 @@ def test_histogram_percentiles_ordered():
 def test_empty_histogram_is_quiet():
     hist = Histogram("h")
     assert hist.percentile(99) == 0.0
-    assert hist.mean == 0.0
-    assert hist.to_dict()["count"] == 0
+    assert hist.total == 0
 
 
-def test_registry_round_trips_json():
+def test_registry_exposition_carries_every_metric():
     registry = MetricsRegistry()
     registry.counter("events", "total events").inc(7)
     registry.gauge("depth").set(2)
     registry.histogram("lat").observe(0.25)
-    data = json.loads(registry.to_json())
-    assert data["events"]["value"] == 7
-    assert data["events"]["type"] == "counter"
-    assert data["depth"]["value"] == 2
-    assert data["lat"]["count"] == 1
+    text = render_prometheus(registry)
+    assert "# TYPE events counter\nevents 7\n" in text
+    assert "# TYPE depth gauge\ndepth 2\n" in text
+    assert "lat_count 1\n" in text
     assert registry.names() == ["depth", "events", "lat"]
 
 
@@ -83,12 +78,13 @@ def test_render_text_view():
     registry = MetricsRegistry()
     registry.counter("live_events_total", "all events").inc(42)
     registry.histogram("live_latency_seconds").observe(0.001)
-    text = render_metrics_text(registry.to_dict())
-    assert "live_events_total" in text
-    assert "42" in text
-    assert "counter" in text
-    assert "p99" in text
-    assert "all events" in text
+    text = render_prometheus(registry)
+    assert "# HELP live_events_total all events" in text
+    assert "# TYPE live_events_total counter" in text
+    assert "\nlive_events_total 42\n" in text
+    assert "# TYPE live_latency_seconds histogram" in text
+    assert 'live_latency_seconds_bucket{le="+Inf"} 1' in text
+    assert "live_latency_seconds_sum 0.001" in text
 
 
 # ----------------------------------------------------------------------
@@ -110,10 +106,9 @@ def test_labeled_counters_coexist_in_registry():
                               labels={"policy": "drop-newest"})
     oldest.inc(3)
     newest.inc(4)
-    data = registry.to_dict()
-    assert data['dropped_total{policy="drop-oldest"}']["value"] == 3
-    assert data['dropped_total{policy="drop-newest"}']["value"] == 4
-    assert data['dropped_total{policy="drop-oldest"}']["labels"] == \
+    assert registry['dropped_total{policy="drop-oldest"}'].value == 3
+    assert registry['dropped_total{policy="drop-newest"}'].value == 4
+    assert registry['dropped_total{policy="drop-oldest"}'].labels == \
         {"policy": "drop-oldest"}
     # same name + same labels is still a duplicate
     with pytest.raises(ValueError):
@@ -235,14 +230,14 @@ def test_pipeline_exports_drop_and_quarantine_breakdowns():
                        policy=BusPolicy.DROP_OLDEST))
     pipeline.quarantine.admit(1, "ValueError: bad")
     pipeline.quarantine.admit(2, "  : odd reason")
-    data = pipeline.build_metrics().to_dict()
+    registry = pipeline.build_metrics()
     assert 'live_bus_dropped_events_total{policy="drop-oldest"}' \
-        in data
+        in registry
     assert 'live_bus_dropped_events_total{policy="drop-newest"}' \
-        in data
-    assert data[
+        in registry
+    assert registry[
         'live_quarantined_by_reason_total{reason="ValueError"}'
-    ]["value"] == 1
-    assert data[
+    ].value == 1
+    assert registry[
         'live_quarantined_by_reason_total{reason="odd reason"}'
-    ]["value"] == 1
+    ].value == 1

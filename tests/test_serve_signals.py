@@ -113,13 +113,15 @@ def test_resumed_serve_completes_after_kill(trace_path, slow_speed,
         [sys.executable, "-m", "repro", "serve",
          "--trace", str(trace_path), "--speed", "0", "--quiet",
          "--checkpoint-dir", str(checkpoint_dir), "--resume",
-         "--metrics", str(tmp_path / "metrics.json")],
+         "--metrics", str(tmp_path / "metrics.prom")],
         capture_output=True, text=True, timeout=120, env=env())
     assert finish.returncode == 0, finish.stdout + finish.stderr
     assert "resumed from checkpoint at event" in finish.stdout
     assert "final diagnosis" in finish.stdout
-    metrics = json.loads((tmp_path / "metrics.json").read_text())
-    assert metrics["live_checkpoints_loaded_total"]["value"] >= 1
+    samples = dict(line.rsplit(" ", 1) for line in
+                   (tmp_path / "metrics.prom").read_text().splitlines()
+                   if not line.startswith("#"))
+    assert float(samples["live_checkpoints_loaded_total"]) >= 1
 
 
 def test_chaos_cli_verb(trace_path, tmp_path):
