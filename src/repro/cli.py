@@ -207,13 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also flag suppression comments that "
                           "suppress nothing or name an unknown code "
                           "(RPR006)")
-    chk.add_argument("--json", action="store_true",
-                     help="emit findings as a JSON array "
-                          "(same as --format json)")
     chk.add_argument("--format", choices=["text", "json", "github"],
-                     default=None,
-                     help="output format; 'github' emits "
-                          "::error workflow annotations")
+                     default="text",
+                     help="output format; 'json' emits a JSON array, "
+                          "'github' emits ::error workflow annotations")
 
     fig = sub.add_parser("figure", help="regenerate one paper figure")
     fig.add_argument("--id", required=True,
@@ -725,11 +722,10 @@ def cmd_check(args) -> int:
         print(f"repro check: no Python files matched: "
               f"{', '.join(args.paths)}", file=sys.stderr)
         return 2
-    fmt = args.format or ("json" if args.json else "text")
     findings = check_paths(args.paths, strict=args.strict)
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps([f.to_dict() for f in findings], indent=2))
-    elif fmt == "github":
+    elif args.format == "github":
         for finding in findings:
             print(_github_annotation(finding))
     elif findings:
@@ -739,7 +735,7 @@ def cmd_check(args) -> int:
         print(f"{len(findings)} finding(s) [{', '.join(rules)}]",
               file=sys.stderr)
         return 1
-    if fmt != "json":
+    if args.format != "json":
         print(f"repro check: clean "
               f"({', '.join(args.paths)})")
     return 0

@@ -156,6 +156,10 @@ class EventBus:
         return True
 
     # ------------------------------------------------------------------
+    def peek(self) -> Optional[TelemetryEvent]:
+        """The oldest queued event, left on the queue; None when empty."""
+        return self._queue[0] if self._queue else None
+
     def take(self) -> Optional[TelemetryEvent]:
         """Dequeue the oldest event, or None when empty."""
         if not self._queue:

@@ -131,15 +131,14 @@ def test_concurrency_scope_pragma_via_cli(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # output formats
 # ----------------------------------------------------------------------
-def test_format_json_matches_json_flag(tmp_path, capsys):
+def test_format_json_is_the_one_machine_spelling(tmp_path, capsys):
     write_tree(tmp_path, bad=DIRTY)
-    assert main(["check", "--json", str(tmp_path)]) == 1
-    legacy = capsys.readouterr().out
     assert main(["check", "--format", "json", str(tmp_path)]) == 1
-    modern = capsys.readouterr().out
-    assert json.loads(legacy) == json.loads(modern)
-    payload = json.loads(modern)
+    payload = json.loads(capsys.readouterr().out)
     assert {entry["rule"] for entry in payload} == {"RPR003"}
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "--json", str(tmp_path)])
+    assert exit_info.value.code == 2
 
 
 def test_format_json_clean_emits_empty_array(tmp_path, capsys):

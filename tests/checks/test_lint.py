@@ -245,7 +245,8 @@ def test_cli_check_src_is_clean(capsys):
 
 
 def test_cli_check_json_output(capsys):
-    code = main(["check", "--json", str(FIXTURES / "rpr003.py")])
+    code = main(["check", "--format", "json",
+                 str(FIXTURES / "rpr003.py")])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert {entry["rule"] for entry in payload} == {"RPR003"}

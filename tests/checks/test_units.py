@@ -206,7 +206,8 @@ def test_src_tree_is_clean_under_units_pass():
 # CLI verb
 # ----------------------------------------------------------------------
 def test_cli_units_json_output(capsys):
-    code = main(["check", "--json", str(FIXTURES / "rpr013.py")])
+    code = main(["check", "--format", "json",
+                 str(FIXTURES / "rpr013.py")])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert {entry["rule"] for entry in payload} == {"RPR013"}

@@ -85,3 +85,40 @@ def test_fig11_rows_real():
     rows = figures.fig11_host_overhead(message_bytes=400_000, repeats=1)
     assert [r["monitor"] for r in rows] == ["disabled", "enabled"]
     assert "cpu_overhead_pct" in rows[1]
+
+
+def test_fig9_matrix_replays_from_env_cache(tmp_path, monkeypatch):
+    """``REPRO_CACHE_DIR`` reaches the figure entry points: a second
+    pass over the same matrix is all cache hits and simulates
+    nothing."""
+    from repro.experiments import runner
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "figcache"))
+    caches = []
+
+    def recorded_cache():
+        caches.append(runner.cache_from_env())
+        return caches[-1]
+
+    monkeypatch.setattr(figures, "cache_from_env", recorded_cache)
+
+    def matrix():
+        figures._matrix_cache.clear()
+        return figures.fig9_fig10_matrix(
+            cases_per_scenario=1, scale=0.002, systems=("vedrfolnir",),
+            scenarios=("flow_contention",))
+
+    try:
+        cold = matrix()
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the warm pass simulated a case")
+
+        monkeypatch.setattr(runner, "run_case", no_simulation)
+        warm = matrix()
+    finally:
+        figures._matrix_cache.clear()
+    assert [r.outcome for r in warm] == [r.outcome for r in cold]
+    assert [c.root for c in caches] == [tmp_path / "figcache"] * 2
+    assert (caches[0].hits, caches[0].misses) == (0, 1)
+    assert (caches[1].hits, caches[1].misses) == (1, 0)

@@ -224,16 +224,25 @@ def test_replayer_checkpoints_and_resumes(trace_path, tmp_path):
     assert manager.written >= 2
 
 
-def test_resume_keeps_step_windows_in_step_order(tmp_path):
+@pytest.fixture(scope="module")
+def elephant_trace(tmp_path_factory):
+    """The benchmark corpus's elephant: a 12-node incast capture whose
+    643 events are mostly switch reports."""
+    from tests.fleet.conftest import record_scenario_trace
+
+    return record_scenario_trace(
+        tmp_path_factory.mktemp("elephant") / "incast-n12.jsonl",
+        "incast", 12)
+
+
+def test_resume_keeps_step_windows_in_step_order(elephant_trace,
+                                                 tmp_path):
     """A checkpoint document's keys are sorted as strings, so step
     "10" is stored before step "2".  Eq. 3 sums the per-step windows in
     the graph's order, which a resume must rebuild as the integer step
     order an uninterrupted replay builds them in (a 12-node ring has
     11 steps)."""
-    from tests.fleet.conftest import record_scenario_trace
-
-    trace = record_scenario_trace(tmp_path / "incast-n12.jsonl",
-                                  "incast", 12)
+    trace = elephant_trace
     header = read_header(trace)
     config = PipelineConfig(snapshot_every=16)
     baseline = LivePipeline.from_header(header, config)
@@ -257,6 +266,34 @@ def test_resume_keeps_step_windows_in_step_order(tmp_path):
                           manager, cursor).run()
     assert list(resumed.graph.windows) == list(baseline.graph.windows)
     assert final.canonical_json() == expected.canonical_json()
+
+
+#: checkpoint bytes per ingested record.  Every switch report is
+#: re-encoded in each checkpoint, so the reports set the size; the
+#: elephant peaks at 1,007 B per record (192 events in).  Anything the
+#: kernel derives from the reports is refolded on resume, never stored.
+MAX_CHECKPOINT_BYTES_PER_RECORD = 1_100
+
+
+def test_checkpoints_follow_the_cadence_and_hold_only_the_state(
+        elephant_trace, tmp_path):
+    header = read_header(elephant_trace)
+    events = list(trace_events(elephant_trace))
+    plain = LivePipeline.from_header(header)
+    TraceReplayer(plain, iter(events)).run()
+
+    manager = CheckpointManager(tmp_path, CheckpointPolicy(
+        interval_events=64, retain=len(events)))
+    pipeline = LivePipeline.from_header(header)
+    TraceReplayer(pipeline, iter(events), manager).run()
+    assert pipeline.counters() == plain.counters()
+    # ten full intervals of 64, then the final flush of the last 3
+    assert len(events) == 643
+    assert manager.written == len(manager.snapshot_paths()) == 11
+    for path in manager.snapshot_paths():
+        ingested = sum(manager.load(path)["ingested"].values())
+        assert path.stat().st_size \
+            <= MAX_CHECKPOINT_BYTES_PER_RECORD * ingested, path.name
 
 
 def test_resume_or_create_fresh_skips_checkpoints(trace_path,

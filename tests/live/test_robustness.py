@@ -136,6 +136,39 @@ def test_burst_exceeding_queue_bound_drop_newest(clean_trace):
     assert pipeline.bus.stats.dropped_newest > 0
 
 
+def assert_stamps_bounded(pipeline) -> None:
+    """An arrival stamp lives only as long as its event is in flight:
+    on the bus or under the watermark."""
+    assert len(pipeline._arrival_wall) \
+        <= len(pipeline.bus) + pipeline.watermark.buffered
+
+
+def test_shed_events_leave_no_arrival_stamp(clean_trace):
+    # drop-oldest overload: the whole trace as one burst into 8 slots
+    pipeline = LivePipeline.from_header(
+        read_header(clean_trace),
+        PipelineConfig(queue_capacity=8, policy=BusPolicy.DROP_OLDEST))
+    for event in trace_events(clean_trace):
+        pipeline.publish(event)
+        assert_stamps_bounded(pipeline)
+    assert pipeline.bus.stats.dropped_oldest > 0
+
+    # a reordered stream: what arrives behind the watermark is dropped
+    events = list(trace_events(clean_trace))
+    rng = random.Random(5)
+    for start in range(0, len(events), 12):
+        window = events[start:start + 12]
+        rng.shuffle(window)
+        events[start:start + 12] = window
+    pipeline = LivePipeline.from_header(
+        read_header(clean_trace), PipelineConfig(lateness_bound_ns=500.0))
+    for event in events:
+        pipeline.publish(event)
+        pipeline.pump()
+        assert_stamps_bounded(pipeline)
+    assert pipeline.watermark.late_discarded > 0
+
+
 def test_unknown_event_kind_is_quarantined():
     from repro.live.bus import TelemetryEvent
 

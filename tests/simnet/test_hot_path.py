@@ -10,8 +10,9 @@ way round itself:
   keeps the append -> ``_try_transmit`` -> pop service discipline;
 * forwarding table — a switch's ``flow -> EgressPort`` table against
   the routing object it caches;
-* frame budget — Python frames per executed event on a golden case
-  (deterministic, so it is the regression gate wall time cannot be);
+* frame budget — Python frames per executed event on a golden case,
+  and with the sanitizer on against off (deterministic, so it is the
+  regression gate wall time cannot be);
 * the two scheduling verbs — ``post`` and ``schedule`` interleaved
   execute in one ``(time, seq)`` order with exact accounting.
 """
@@ -376,6 +377,29 @@ def test_transient_loop_trace_is_byte_equal(tmp_path):
 # (c) frame budget
 # ----------------------------------------------------------------------
 FRAME_BUDGET = 5.5  # 8.01 before the per-hop diet
+#: the sanitizer's contract is "cheap enough to leave on in CI": 8.51
+#: frames per event on the ring below (4.75 unchecked), 9.55 when
+#: ``before_event`` renders the callback label of every event
+SANITIZED_FRAME_BUDGET = 9.0
+SANITIZER_MAX_RATIO = 2.0
+
+
+def frames_per_event(network: Network, max_time: float) -> float:
+    """Python frames entered per executed event while ``network`` runs
+    until quiet."""
+    calls = 0
+
+    def count_calls(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count_calls)
+    try:
+        network.run_until_quiet(max_time=max_time)
+    finally:
+        sys.setprofile(None)
+    return calls / network.sim.events_processed
 
 
 @pytest.mark.skipif(_env_sanitize(),
@@ -388,22 +412,39 @@ def test_frames_per_event_within_budget():
     TraceRecorder.attach(network, runtime)
     runtime.start()
     case.inject(network, runtime)
-    calls = 0
+    frames = frames_per_event(network, config.run_deadline_ns())
+    assert network.sim.events_processed == GOLDEN["incast_case0"]["events"]
+    assert frames <= FRAME_BUDGET, \
+        f"{frames:.2f} Python frames per executed event"
 
-    def count_calls(frame, event, arg) -> None:
-        nonlocal calls
-        if event == "call":
-            calls += 1
 
-    sys.setprofile(count_calls)
-    try:
-        network.run_until_quiet(max_time=config.run_deadline_ns())
-    finally:
-        sys.setprofile(None)
-    events = network.sim.events_processed
-    assert events == GOLDEN["incast_case0"]["events"]
-    assert calls / events <= FRAME_BUDGET, \
-        f"{calls / events:.2f} Python frames per executed event"
+def contended_ring(sanitize: bool) -> tuple[Network, float]:
+    """Ring AllGather over h0/h4/h8/h12 (400 KB) against a background
+    flow on a k=4 fat-tree, with the sanitizer off or on."""
+    network = Network(build_fat_tree(4), sanitize=sanitize)
+    runtime = CollectiveRuntime(
+        network, ring_allgather(["h0", "h4", "h8", "h12"], 400_000))
+    runtime.start()
+    network.create_flow("h1", "h4", 2_000_000, tag="background").start()
+    frames = frames_per_event(network, ms(200))
+    assert runtime.completed
+    return network, frames
+
+
+def test_sanitizer_frames_per_event_within_budget():
+    plain, plain_frames = contended_ring(sanitize=False)
+    checked, checked_frames = contended_ring(sanitize=True)
+    sanitizer = checked.sim.sanitizer
+    assert plain.sim.sanitizer is None
+    # both runs executed the same events, and the sanitizer checked
+    # every one of them and raised nothing
+    assert sanitizer.events_checked == checked.sim.events_processed \
+        == plain.sim.events_processed == 41_733
+    assert sanitizer.violations_raised == 0
+    assert checked_frames <= SANITIZED_FRAME_BUDGET, \
+        f"{checked_frames:.2f} frames per event with the sanitizer on"
+    assert checked_frames / plain_frames <= SANITIZER_MAX_RATIO, \
+        f"sanitizer costs {checked_frames / plain_frames:.2f}x frames"
 
 
 # ----------------------------------------------------------------------
