@@ -16,7 +16,6 @@ Three acts:
 Run:  python examples/chaos_recovery.py
 """
 
-import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -27,7 +26,6 @@ from repro.chaos import ChaosPlan, derive_kill_points, run_chaos
 from repro.live import (
     CheckpointManager,
     CheckpointPolicy,
-    TraceReplayer,
     resume_or_create,
 )
 from repro.traces import (TraceRecorder, open_trace, read_header,
@@ -61,30 +59,30 @@ def manual_crash_and_resume(trace: Path, workdir: Path) -> None:
     header = read_header(trace)
     policy = CheckpointPolicy(interval_events=32)
 
+    def events(_pipeline):
+        return trace_events(trace)
+
     # the reference: one uninterrupted run
-    pipeline, cursor, _ = resume_or_create(header, None)
-    baseline = TraceReplayer(pipeline, trace_events(trace),
-                             cursor=cursor).run()
+    baseline, _ = resume_or_create(header, None, events)
+    baseline = baseline.run()
 
     # the incident: replay halts halfway ("power cord", no final flush)
     total = count_events(trace)
     manager = CheckpointManager(workdir / "ckpt", policy)
-    pipeline, cursor, _ = resume_or_create(header, manager)
-    TraceReplayer(pipeline,
-                  itertools.islice(trace_events(trace), total // 2),
-                  manager, cursor).run(finish=False)
-    print(f"  crashed at event {cursor.published}/{total}; snapshots:",
-          [p.name for p in manager.snapshot_paths()])
+    crashed, _ = resume_or_create(header, manager, events)
+    crashed.step(total // 2)
+    print(f"  crashed at event {crashed.published}/{total}; "
+          f"snapshots:", [p.name for p in manager.snapshot_paths()])
 
-    # the restart: newest valid snapshot + the rest of the stream
-    pipeline, cursor, resumed = resume_or_create(header, manager)
+    # the restart: replay the stream up to the newest valid snapshot's
+    # cursor, check its counters, then serve the rest
+    recovered, resumed = resume_or_create(header, manager, events)
     assert resumed
-    print(f"  resumed from event {cursor.published} "
-          f"(lost {total // 2 - cursor.published} unflushed events, "
-          f"re-read from the cursor's per-kind record counts)")
-    recovered = TraceReplayer(
-        pipeline, trace_events(trace, cursor=cursor),
-        manager, cursor).run()
+    published = recovered.published
+    print(f"  resumed from event {published} "
+          f"(re-read {published} events to rebuild the state, lost "
+          f"{total // 2 - published} unflushed events)")
+    recovered = recovered.run()
 
     match = final_json(recovered) == final_json(baseline)
     print(f"  final diagnosis bit-equal to uninterrupted run: {match}")

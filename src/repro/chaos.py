@@ -20,7 +20,7 @@ and one :class:`ChaosReport`.
 and is never finalized (a victim resumed past its point stops at its
 next event):
 
-* one pipeline: ``replayer.step(kill_at - cursor.published)``, then the
+* one pipeline: ``replayer.step(kill_at - replayer.published)``, then the
   replayer is dropped;
 * a fleet: a shard worker that reaches its ``kill_at`` writes its kill
   flag and SIGKILLs itself (:func:`repro.fleet.worker.worker_main`).
@@ -36,7 +36,6 @@ verdict every time.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -52,7 +51,6 @@ from repro.fleet.transport import run_fleet_streaming
 from repro.live.checkpoint import (
     CheckpointManager,
     CheckpointPolicy,
-    ReplayCursor,
     TraceReplayer,
     resume_or_create,
 )
@@ -208,8 +206,8 @@ def perturbed_events(path: PathLike, plan: ChaosPlan,
     Duplication and reordering are a pure function of ``plan.seed``
     and the event sequence, so re-creating this generator replays the
     *identical* perturbed stream — that is what lets a resumed run
-    skip ``cursor.published`` events and land exactly where the killed
-    one stopped.
+    replay ``replayer.published`` events and land exactly where the
+    killed one stopped.
     """
     events: Iterable[TraceEvent] = trace_events(path, on_error)
     if plan.duplicate_every > 1:
@@ -258,8 +256,15 @@ def probe_trace_truncation(trace_path: PathLike,
                            workdir: PathLike) -> dict:
     """Cut the trace mid-way through its final record and verify the
     reader (a) detects the partial record, (b) reports the byte it
-    starts at, and (c) resumes cleanly — from a count cursor taken at
-    the cut — once the writer completes the file."""
+    starts at, and (c) that a run checkpointed at the end of the intact
+    prefix resumes from that checkpoint — not cold — once the writer
+    completes the file, reads only the events past it and reaches the
+    final diagnosis of an uninterrupted replay of the completed file.
+
+    The completed record may sort into the middle of the merged
+    stream; the checkpoint still verifies, because it holds counters
+    only and the resume rebuilds everything else from the completed
+    file's own prefix."""
     data = Path(trace_path).read_bytes()
     body = data.rstrip(b"\n")
     last_start = body.rfind(b"\n") + 1
@@ -272,23 +277,36 @@ def probe_trace_truncation(trace_path: PathLike,
         open_trace(copy).close()
     except TraceTruncated as error:
         resume_offset = error.byte_offset
-    # a lenient reader delivers the intact prefix
-    cursor = ReplayCursor()
-    for event in trace_events(copy, on_error=lambda *_: None):
-        cursor.advance(event)
-    partial = cursor.published
-    # the writer finishes the file; resume from the cursor
+    header = read_header(copy)
+    manager = CheckpointManager(Path(workdir) / "truncation-checkpoints")
+    # a lenient reader delivers the intact prefix; checkpoint its end
+    cut_run, _ = resume_or_create(
+        header, manager,
+        lambda _pipeline: trace_events(copy, on_error=lambda *_: None))
+    cut_run.run(finish=False)
+    cut_run.checkpoint()
+    # the writer finishes the file; resume against it
     copy.write_bytes(data)
-    resumed = sum(1 for _ in trace_events(copy, cursor=cursor))
+    resumed, from_checkpoint = resume_or_create(
+        header, manager, lambda _pipeline: trace_events(copy))
+    resumed_at = resumed.published
+    after = 0
+    while not resumed.done:
+        after += resumed.step()
+    expected, _ = resume_or_create(
+        header, None, lambda _pipeline: trace_events(copy))
     return {
         "detected": resume_offset is not None,
         "cut_at": cut,
         "resume_offset": resume_offset,
         "offset_correct": resume_offset == last_start,
-        "events_before_cut": partial,
-        "events_after_resume": resumed,
-        "resumed_ok": resume_offset == last_start
-        and partial + resumed == _data_records(copy),
+        "events_before_cut": cut_run.published,
+        "events_after_resume": after,
+        "resumed_ok": resume_offset == last_start and from_checkpoint
+        and resumed_at == cut_run.published
+        and resumed_at + after == _data_records(copy)
+        and resumed.finalize().canonical_json()
+        == expected.run().canonical_json(),
     }
 
 
@@ -308,8 +326,7 @@ def run_chaos(trace_path: PathLike, workdir: PathLike, plan: ChaosPlan,
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     config = config or PipelineConfig(snapshot_every=32)
-    policy = policy or CheckpointPolicy(interval_events=64,
-                                        max_unflushed_events=256)
+    policy = policy or CheckpointPolicy(interval_events=64)
     header = read_header(trace_path)
     baseline = LivePipeline.from_header(header, config=config)
     expected = TraceReplayer(
@@ -322,29 +339,22 @@ def run_chaos(trace_path: PathLike, workdir: PathLike, plan: ChaosPlan,
     cold_starts = 0
     final = None
     while final is None:
-        pipeline, cursor, resumed = resume_or_create(
-            header, manager, config=config)
+        replayer, resumed = resume_or_create(
+            header, manager, lambda _pipeline: perturbed_events(
+                trace_path, plan), config=config)
         if kill_log:
-            kill_log[-1]["resumed_from"] = cursor.published
+            kill_log[-1]["resumed_from"] = replayer.published
             cold_starts += not resumed
-        # a perturbed stream cannot seek (the reorder RNG is part of
-        # its state): replay it from the start and skip what the cursor
-        # consumed — deterministic, so the rest is exactly the unread
-        # tail of the killed run
-        replayer = TraceReplayer(
-            pipeline, itertools.islice(perturbed_events(trace_path, plan),
-                                       cursor.published, None),
-            manager, cursor)
         if pending:
             # a cursor already past the point (a reused workdir) dies at
             # its next event, as a fleet worker's ``>= kill_at`` does
-            replayer.step(max(1, pending[0] - cursor.published))
+            replayer.step(max(1, pending[0] - replayer.published))
             if not replayer.exhausted:
                 # the kill: the replayer is dropped, never finalized
                 pending.pop(0)
                 damaged = plan.damage_newest(manager, damage_rng)
                 kill_log.append({
-                    "kill_at": cursor.published, "resumed_from": None,
+                    "kill_at": replayer.published, "resumed_from": None,
                     "damaged": damaged.name if damaged else None})
                 continue
         final = replayer.run()

@@ -15,7 +15,8 @@ its contract (the audit table in ``docs/CHECKS.md``):
   elements and ``make_*_spec`` dict values must stay JSON primitives;
 * **RPR024** — ``state_dict`` / ``load_state`` key drift: every
   top-level key a ``state_dict`` writes must be consumed by the paired
-  ``load_state`` and vice versa (the resume ≡ uninterrupted contract);
+  ``load_state`` and vice versa (state a shard worker ships home must
+  round-trip into the fleet's merge);
 * **RPR025** — unbounded growth: a long-lived ``list`` / ``dict`` /
   ``deque`` appended to with no eviction, bound, or reset anywhere in
   its class (scoped to ``live`` / ``fleet`` directories, plus the
@@ -54,7 +55,7 @@ RULES = {
     "RPR021": "non-atomic write to a durable path (use tmp + fsync + "
               "os.replace)",
     "RPR022": "non-primitive value crossing a spawn boundary",
-    "RPR024": "state_dict/load_state checkpoint key drift",
+    "RPR024": "state_dict/load_state key drift",
     "RPR025": "long-lived container grows without bound or eviction",
     "RPR032": "resource acquired without deterministic release on all "
               "paths",
@@ -282,12 +283,12 @@ class _ModuleChecker:
             self.report(
                 state_dict, "RPR024",
                 f"{cls.name}.state_dict() writes key {key!r} that "
-                f"load_state() never reads (checkpoint schema drift)")
+                f"load_state() never reads (state schema drift)")
         for key in sorted(read - written):
             self.report(
                 load_state, "RPR024",
                 f"{cls.name}.load_state() reads key {key!r} that "
-                f"state_dict() never writes (checkpoint schema drift)")
+                f"state_dict() never writes (state schema drift)")
 
     @staticmethod
     def _state_dict_keys(fn: ast.AST) -> Optional[set[str]]:

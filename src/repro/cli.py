@@ -450,7 +450,6 @@ def cmd_serve(args) -> int:
     from repro.live.checkpoint import (
         CheckpointManager,
         CheckpointPolicy,
-        TraceReplayer,
         resume_or_create,
     )
     from repro.live.metrics import render_prometheus
@@ -463,6 +462,9 @@ def cmd_serve(args) -> int:
     )
     from repro.traces import read_header, trace_events
 
+    if args.resume and not args.checkpoint_dir:
+        print("error: --resume needs --checkpoint-dir", file=sys.stderr)
+        return 2
     try:
         header = read_header(args.trace)
     except (OSError, ValueError) as error:
@@ -489,32 +491,6 @@ def cmd_serve(args) -> int:
 
     def serve_once(attempt: int):
         """One (re)start of the serve loop; the supervisor target."""
-        fresh = attempt == 0 and not args.resume
-        pipeline, cursor, resumed = resume_or_create(
-            header, manager, config=config, fresh=fresh)
-        if resumed:
-            print(f"resumed from checkpoint at event "
-                  f"{cursor.published}")
-        append = resumed or attempt > 0
-        snapshot_sink = open(args.snapshots, "a" if append else "w") \
-            if args.snapshots else None
-
-        def on_snapshot(snapshot) -> None:
-            if args.quiet and snapshot_sink is None:
-                return
-            entry = snapshot.to_dict(args.top)
-            if not args.quiet:
-                print(snapshot_line(entry))
-            if snapshot_sink is not None:
-                snapshot_sink.write(json.dumps(entry) + "\n")
-                snapshot_sink.flush()
-
-        pipeline.on_snapshot.append(on_snapshot)
-
-        def quarantine_line(line_no: int, reason: str,
-                            snippet: str) -> None:
-            pipeline.quarantine.admit(line_no, reason, snippet)
-
         last_time = [None]
 
         def pacing(event) -> None:
@@ -531,11 +507,31 @@ def cmd_serve(args) -> int:
             last_time[0] = event.time if last is None \
                 else max(last, event.time)
 
-        events = trace_events(args.trace, on_error=quarantine_line,
-                              cursor=cursor)
-        replayer = TraceReplayer(
-            pipeline, events, manager, cursor, pacing=pacing,
-            should_stop=lambda: shutdown.requested)
+        replayer, resumed = resume_or_create(
+            header, manager,
+            lambda pipeline: trace_events(
+                args.trace, on_error=pipeline.quarantine.admit),
+            config=config, fresh=attempt == 0 and not args.resume,
+            pacing=pacing, should_stop=lambda: shutdown.requested)
+        pipeline = replayer.pipeline
+        if resumed:
+            print(f"resumed from checkpoint at event "
+                  f"{replayer.published}")
+        append = resumed or attempt > 0
+        snapshot_sink = open(args.snapshots, "a" if append else "w") \
+            if args.snapshots else None
+
+        def on_snapshot(snapshot) -> None:
+            if args.quiet and snapshot_sink is None:
+                return
+            entry = snapshot.to_dict(args.top)
+            if not args.quiet:
+                print(snapshot_line(entry))
+            if snapshot_sink is not None:
+                snapshot_sink.write(json.dumps(entry) + "\n")
+                snapshot_sink.flush()
+
+        pipeline.on_snapshot.append(on_snapshot)
         try:
             final = replayer.run()
         finally:
@@ -645,9 +641,7 @@ def cmd_chaos(args) -> int:
             args.trace, workdir, plan,
             config=PipelineConfig(snapshot_every=args.snapshot_every),
             policy=CheckpointPolicy(
-                interval_events=args.checkpoint_every,
-                max_unflushed_events=max(256,
-                                         4 * args.checkpoint_every)))
+                interval_events=args.checkpoint_every))
 
     def describe(report):
         plan = report.plan

@@ -354,100 +354,6 @@ class WaitingGraph:
             - min(start for start, _end in self.windows.values())
 
     # ------------------------------------------------------------------
-    # checkpoint hooks (the live service's crash-safe snapshots)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of the construction state: the retained
-        records, the not-yet-arrived step set, the per-step scalars and
-        the monotonic counters; the worklist, anchor and chain are
-        recounted on load.  Records are stored **columnar** (one list
-        per field) rather than as per-record objects: the retained set
-        dominates checkpoint size, and the columnar form keeps the
-        serialized payload — and therefore the synchronous checkpoint
-        pause — small.
-        """
-        from repro.traces import serialize
-
-        records = [self.records[key] for key in sorted(self.records)]
-        return {
-            "records": {
-                "node": [r.node for r in records],
-                "step": [r.step_index for r in records],
-                "flow": [serialize.encode_flow_key(r.flow_key)
-                         for r in records],
-                "bytes": [r.size_bytes for r in records],
-                "start": [r.start_time for r in records],
-                "end": [r.end_time for r in records],
-                "recv_source": [r.recv_source for r in records],
-                "binding": [r.binding_dependency for r in records],
-            },
-            "expected": [[node, idx]
-                         for node, idx in sorted(self._expected)],
-            "ingested": self._ingested,
-            "pruned_total": self.pruned_total,
-            "windows": {str(idx): list(window)
-                        for idx, window in sorted(self.windows.items())},
-            "durations": [[node, idx, duration]
-                          for (node, idx), duration
-                          in sorted(self.durations.items())],
-            "slowest": [[idx, duration, node]
-                        for idx, (duration, node)
-                        in sorted(self._slowest.items())],
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output."""
-        from repro.traces import serialize
-
-        self.records = {}
-        columns = state["records"]
-        for node, step, flow, size, start, end, recv, binding in zip(
-                columns["node"], columns["step"], columns["flow"],
-                columns["bytes"], columns["start"], columns["end"],
-                columns["recv_source"], columns["binding"]):
-            record = StepRecord(
-                node=node,
-                step_index=int(step),
-                flow_key=serialize.decode_flow_key(flow),
-                size_bytes=int(size),
-                start_time=float(start),
-                end_time=float(end),
-                recv_source=recv,
-                binding_dependency=binding,
-            )
-            self.records[(record.node, record.step_index)] = record
-        self._expected = {(node, int(idx))
-                          for node, idx in state["expected"]}
-        self._forget_derived()
-        self._ingested = int(state["ingested"])
-        self.pruned_total = int(state["pruned_total"])
-        # in step order, as ingest builds them: a checkpoint document's
-        # keys are sorted as strings ("10" before "2"), and Eq. 3 sums
-        # the windows in the order they are held
-        self.windows = {idx: [float(low), float(high)]
-                        for idx, (low, high) in sorted(
-                            (int(idx), window) for idx, window
-                            in state["windows"].items())}
-        self.durations = {(node, int(idx)): float(duration)
-                          for node, idx, duration
-                          in state["durations"]}
-        self._slowest = {int(idx): (float(duration), node)
-                         for idx, duration, node in state["slowest"]}
-        # what a diagnosis reads must be there: a duration for every
-        # retained record and every step's slowest, a window for every
-        # step with a duration
-        missing = [key for key in self.records
-                   if key not in self.durations] \
-            + [(node, idx) for idx, (_took, node) in self._slowest.items()
-               if (node, idx) not in self.durations] \
-            + [idx for _node, idx in self.durations
-               if idx not in self.windows]
-        if missing:
-            raise ValueError(
-                f"inconsistent waiting-graph state: no duration or "
-                f"window for {missing[:3]}")
-
-    # ------------------------------------------------------------------
     # the Fig. 4 view
     # ------------------------------------------------------------------
     @property

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.live.checkpoint import (
@@ -64,7 +63,6 @@ class TenantPolicy:
     def checkpoint_policy(self) -> CheckpointPolicy:
         return CheckpointPolicy(
             interval_events=max(1, self.checkpoint_every),
-            max_unflushed_events=max(256, 4 * self.checkpoint_every),
             retain=self.checkpoint_retain)
 
     def to_dict(self) -> dict:
@@ -97,23 +95,25 @@ def _budget_gate(budget: int
     return admit
 
 
-def _replay(trace: ColumnarTrace, skip: dict[str, int]
+def _replay(reader: Callable[[], ColumnarTrace]
             ) -> Iterator[TraceEvent]:
-    """``trace``'s events past ``skip``, closing it at the stream's
-    end."""
-    with trace:
-        yield from trace.iter_events(skip=skip)
+    """The events of the trace ``reader()`` opens — on the first
+    ``next``, so a stream that is never iterated holds no reader —
+    closing it at the stream's end (or when the stream is dropped)."""
+    with reader() as trace:
+        yield from trace.iter_events()
 
 
 class TenantRuntime:
     """One tenant's replay: pipeline + cursor + budget + checkpoints.
 
-    ``events`` defaults to the tenant's trace stream resumed at the
-    checkpoint cursor, opened once for header, length and events.
-    In-memory fleets (the benchmark) inject a pre-decoded event list —
-    the whole stream, which a resumed tenant skips into — or an
-    iterator, whose length is unknown.  :attr:`remaining` is what a
-    shard schedules by.
+    ``events`` defaults to the tenant's trace stream, opened once for
+    header, length and events; a resumed tenant replays its prefix
+    (:func:`~repro.live.checkpoint.resume_or_create`).  In-memory
+    fleets (the benchmark) inject a pre-decoded event list — the whole
+    stream — or an iterator, whose length is unknown and which a resume
+    cannot replay (so it takes no checkpoints).
+    :attr:`remaining` is what a shard schedules by.
 
     Lifecycle: *streaming* until the :meth:`step` that finds the
     stream at its end, which takes the final snapshot while the fold
@@ -133,54 +133,66 @@ class TenantRuntime:
         self.shard_id = shard_id
         self.policy = policy
         self.trace = trace
-        opened = None
+        #: events in the whole stream; None when it is an iterator
+        self.length: Optional[int] = None
         if events is None:
             if trace is None:
                 raise ValueError(
                     f"tenant {tenant!r} needs a trace or an event "
                     f"iterator")
             # malformed lines are reported at open, before the
-            # pipeline that quarantines them exists
+            # pipelines that quarantine them exist
             malformed: list[tuple] = []
-            opened = open_trace(
+            first = open_trace(
                 trace, on_error=lambda *line: malformed.append(line))
             if header is None:
-                header = opened.header()
-        elif header is None:
-            if trace is None:
-                raise ValueError(
-                    f"tenant {tenant!r} needs a trace or a header")
-            header = read_header(trace)
+                header = first.header()
+            self.length = first.data_records
+            opened = [first]
+
+            def stream(pipeline) -> Iterator[TraceEvent]:
+                # the reader opened for the header feeds the first
+                # stream iterated; a resume that rejects a checkpoint
+                # drops that stream, and the next one opens its own
+                def reader() -> ColumnarTrace:
+                    if opened:
+                        for line in malformed:
+                            pipeline.quarantine.admit(*line)
+                        return opened.pop()
+                    return open_trace(
+                        trace, on_error=pipeline.quarantine.admit)
+                return _replay(reader)
+        else:
+            if header is None:
+                if trace is None:
+                    raise ValueError(
+                        f"tenant {tenant!r} needs a trace or a header")
+                header = read_header(trace)
+            if isinstance(events, Sequence):
+                self.length = len(events)
+
+            def stream(_pipeline) -> Iterable[TraceEvent]:
+                return events
         self.header = header
 
         manager = None
         if checkpoint_dir is not None and policy.checkpoint_every > 0:
+            if self.length is None:
+                # a resume replays the stream from its start, and a
+                # rejected checkpoint replays it again
+                raise ValueError(
+                    f"tenant {tenant!r}: an event iterator cannot be "
+                    f"replayed, so it cannot be checkpointed")
             manager = CheckpointManager(checkpoint_dir,
                                         policy.checkpoint_policy())
         self.manager = manager
-        pipeline, cursor, self.resumed = resume_or_create(
-            header, manager, config=policy.pipeline_config())
-        self.pipeline = pipeline
-
-        #: events in the whole stream; None when it is an iterator
-        self.length: Optional[int] = None
-        if opened is not None:
-            self.length = opened.data_records
-            skip = cursor.resume_counts()
-            # a resumed run's quarantine state travels in its checkpoint
-            if not any(skip.values()):
-                for line in malformed:
-                    pipeline.quarantine.admit(*line)
-            events = _replay(opened, skip)
-        elif isinstance(events, Sequence):
-            self.length = len(events)
-            events = islice(events, cursor.published, None)
         # the hooks handed down are no bound methods of this tenant:
         # one held by its own replayer would make the tenant a
         # reference cycle, freed only by the cycle collector
-        self.replayer = TraceReplayer(
-            pipeline, events, manager, cursor,
+        self.replayer, self.resumed = resume_or_create(
+            header, manager, stream, config=policy.pipeline_config(),
             admit=_budget_gate(policy.event_budget))
+        self.pipeline = self.replayer.pipeline
         #: the final snapshot, once :meth:`finalize` has published it
         self.final: Optional[DiagnosisSnapshot] = None
         #: from stream end on: the final snapshot, taken and not yet
@@ -201,22 +213,22 @@ class TenantRuntime:
         """Stream events still to consume; None for an iterator."""
         if self.length is None:
             return None
-        return self.length - self.replayer.cursor.published
+        return self.length - self.replayer.published
 
     @property
     def events_admitted(self) -> int:
         budget = self.policy.event_budget
-        published = self.replayer.cursor.published
+        published = self.replayer.published
         return published if budget <= 0 else min(published, budget)
 
     @property
     def events_shed(self) -> int:
-        return self.replayer.cursor.published - self.events_admitted
+        return self.replayer.published - self.events_admitted
 
     @property
     def budget_exhausted(self) -> bool:
         budget = self.policy.event_budget
-        return budget > 0 and self.replayer.cursor.published >= budget
+        return budget > 0 and self.replayer.published >= budget
 
     def watermark_ns(self) -> float:
         return self.pipeline.watermark.watermark
@@ -233,7 +245,7 @@ class TenantRuntime:
             return self._rolling
         if self.pipeline.snapshots:
             return self.pipeline.snapshots[-1]
-        published = self.replayer.cursor.published
+        published = self.replayer.published
         peek = self._peek
         if peek is None or peek[0] != published:
             peek = self._peek = (published, self.pipeline.peek_snapshot())

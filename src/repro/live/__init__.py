@@ -13,9 +13,10 @@ itself (:mod:`repro.live.metrics`), and malformed-input quarantine plus
 telemetry-loss degradation (:mod:`repro.live.robustness`).
 
 Durability: the service is crash-safe.  :mod:`repro.live.checkpoint`
-persists atomic, versioned snapshots of the full pipeline state keyed
-to a durable stream cursor (per-kind record counts, the same against
-either trace format), :mod:`repro.live.supervisor` restarts a
+persists atomic, versioned documents of a stream cursor (the events
+published, the same against either trace format) and five counters,
+and resumes by replaying the stream up to the cursor;
+:mod:`repro.live.supervisor` restarts a
 crashed serve loop with capped backoff and drains gracefully on
 SIGTERM; :mod:`repro.chaos` is the seeded kill/corrupt/resume harness
 proving the recovery contract (resumed final snapshot bit-equal to an
@@ -41,7 +42,6 @@ from repro.live.checkpoint import (
     CheckpointCorrupt,
     CheckpointManager,
     CheckpointPolicy,
-    ReplayCursor,
     TraceReplayer,
     resume_or_create,
 )
@@ -92,7 +92,6 @@ __all__ = [
     "CheckpointCorrupt",
     "CheckpointManager",
     "CheckpointPolicy",
-    "ReplayCursor",
     "TraceReplayer",
     "resume_or_create",
     "Supervisor",

@@ -40,38 +40,6 @@ class BusOverflow(RuntimeError):
     space (no drain hook, or the hook consumed nothing)."""
 
 
-def encode_telemetry_event(event: "TelemetryEvent") -> dict:
-    """JSON-safe encoding of one in-flight event (checkpointing)."""
-    from repro.traces import serialize
-
-    if event.kind == "step_record":
-        payload = serialize.encode_step_record(event.payload)
-    elif event.kind == "switch_report":
-        payload = serialize.encode_switch_report(event.payload)
-    else:
-        # unknown kinds carry no decodable payload; they are
-        # quarantined at ingest either way, so None round-trips the
-        # observable behavior
-        payload = None
-    return {"kind": event.kind, "time": event.time,
-            "seq": event.seq, "payload": payload}
-
-
-def decode_telemetry_event(data: dict) -> "TelemetryEvent":
-    """Inverse of :func:`encode_telemetry_event`."""
-    from repro.traces import serialize
-
-    kind = data["kind"]
-    payload = data["payload"]
-    if payload is not None:
-        if kind == "step_record":
-            payload = serialize.decode_step_record(payload)
-        elif kind == "switch_report":
-            payload = serialize.decode_switch_report(payload)
-    return TelemetryEvent(kind=kind, time=float(data["time"]),
-                          payload=payload, seq=int(data["seq"]))
-
-
 @dataclass(frozen=True)
 class TelemetryEvent:
     """One unit of monitoring data on the bus.
@@ -174,28 +142,3 @@ class EventBus:
             taken += 1
             self.stats.consumed += 1
             yield self._queue.popleft()
-
-    # ------------------------------------------------------------------
-    # checkpoint hooks
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of the queue and its counters."""
-        stats = self.stats
-        return {
-            "queue": [encode_telemetry_event(e) for e in self._queue],
-            "stats": {
-                "published": stats.published,
-                "consumed": stats.consumed,
-                "dropped_oldest": stats.dropped_oldest,
-                "dropped_newest": stats.dropped_newest,
-                "backpressure_stalls": stats.backpressure_stalls,
-                "high_watermark": stats.high_watermark,
-            },
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._queue = deque(decode_telemetry_event(e)
-                            for e in state["queue"])
-        counters = state["stats"]
-        self.stats = BusStats(**{key: int(counters[key])
-                                 for key in counters})

@@ -1,34 +1,35 @@
 """Crash-safe checkpoint/resume for the live diagnosis service.
 
 A killed ``repro serve`` used to lose all incremental waiting-graph
-state and re-read the stream from byte 0.  This module makes the
-pipeline durable:
+state and re-read the stream from byte 0.  The analyzer is a pure
+function of the events it is fed, and the trace it reads them from is
+already a durable, append-only log of them, so a checkpoint needs no
+copy of the diagnosis state: it is a **cursor plus five counters**.
 
-* :class:`CheckpointManager` writes **versioned, atomic snapshots** of
-  the full :class:`~repro.live.pipeline.LivePipeline` state (graph
-  aggregates, watermark heap, bus queue, quarantine/degradation
-  counters) keyed to a durable trace-stream cursor — per-kind record
-  counts, which mean the same against a JSONL and its ``.vcol``; the
-  quarantine state travels in the snapshot, so a resumed
-  :func:`repro.traces.trace_events` does not report a file's bad lines
-  a second time.  Writes go through
-  ``tmp + fsync + rename`` so a crash mid-write never corrupts the
-  latest good snapshot; loads verify a SHA-256 checksum and fall back
-  through older snapshots when the newest is truncated or bit-flipped.
+* :class:`CheckpointManager` writes **versioned, atomic documents**
+  holding :meth:`~repro.live.pipeline.LivePipeline.state_dict` — the
+  count of events published, and the pipeline's ``seq``,
+  ``ingested``, ``since_snapshot``, ``snapshot_seq`` and ``dupes``.
+  Writes go through ``tmp + fsync + rename`` so a crash mid-write
+  never corrupts the latest good document; loads verify a SHA-256
+  checksum and fall back through older documents when the newest is
+  truncated, bit-flipped or fails verification.
+* :func:`resume_or_create` resumes by **replaying the prefix**: a
+  fresh pipeline is fed the stream's first ``published`` events
+  through the same :class:`TraceReplayer` loop a live run uses, with
+  no pacing, no checkpoints and no snapshot computation
+  (:meth:`TraceReplayer.fast_forward`); its counters must then equal
+  the document's.  A cursor past the stream's end or any disagreement
+  (a document written against another trace, say) makes the document
+  corrupt, exactly like a bit flip.
 * :class:`CheckpointPolicy` decides *when*: every ``interval_events``
-  published events (rate-limited by ``min_interval_s`` of wall clock),
-  forced at ``max_unflushed_events``, retaining the last ``retain``
-  snapshots for fallback.
-* :class:`TraceReplayer` is the serve loop shared by ``repro serve``
-  and ``repro chaos``: it feeds merged trace events into a pipeline,
-  maintains the :class:`ReplayCursor`, takes due checkpoints, and on
-  finish (end of stream or graceful stop) flushes a final checkpoint
-  before emitting the last snapshot.
+  published events, retaining the last ``retain`` documents for
+  fallback.
 
 Recovery contract (tested by ``repro chaos``): *resume from checkpoint
 + remaining stream produces a final DiagnosisSnapshot bit-equal to an
-uninterrupted run* — the PR-1 incremental-vs-batch equivalence, now
-extended across process death.
+uninterrupted run* — it holds by construction, because the resumed
+pipeline has been fed exactly what the killed one was.
 """
 
 from __future__ import annotations
@@ -37,17 +38,15 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import (Callable, Iterable, Iterator, Optional, TypeVar,
-                    Union)
+from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
-from repro.core.units import Seconds
 from repro.live.metrics import Histogram, MetricsRegistry
 from repro.live.pipeline import DiagnosisSnapshot, LivePipeline
 from repro.traces.stream import TraceEvent
 
-#: on-disk snapshot schema version; bump on incompatible state changes
+#: on-disk document schema version; bump on incompatible state changes
 CHECKPOINT_VERSION = 1
 
 #: canonical JSON encoding the checksum is computed over
@@ -55,83 +54,47 @@ _CANONICAL = {"sort_keys": True, "separators": (",", ":")}
 
 
 class CheckpointCorrupt(RuntimeError):
-    """A snapshot file failed validation (truncated, bit-flipped, or
-    written by an incompatible version)."""
+    """A checkpoint document failed validation (truncated,
+    bit-flipped, written by an incompatible version, or not reproduced
+    by replaying its stream prefix)."""
 
 
 @dataclass
 class CheckpointPolicy:
-    """When to checkpoint and how many snapshots to keep.
+    """When to checkpoint and how many documents to keep.
 
-    ``interval_events`` is the normal cadence in published events;
-    ``min_interval_s`` rate-limits it under event bursts (0 disables
-    the wall-clock gate, keeping tests deterministic);
-    ``max_unflushed_events`` overrides the rate limit — the upper
-    bound on events a crash may force the service to re-read;
-    ``retain`` keeps the last K snapshots so a corrupt latest can fall
+    ``interval_events`` is the cadence in published events — the most
+    a crash makes the next run replay past its newest document;
+    ``retain`` keeps the last K documents so a corrupt latest can fall
     back to an older good one.
     """
 
     interval_events: int = 512
-    min_interval_s: Seconds = 0.0
-    max_unflushed_events: int = 4096
     retain: int = 3
 
 
-@dataclass
-class ReplayCursor:
-    """Durable position in the trace stream.
-
-    The one resume coordinate is **per-kind record counts**: ``counts``
-    maps each record kind to how many records of that kind the
-    deterministic merged stream has delivered.  Because the merge
-    order is a pure function of the trace contents, a count cursor
-    resumes against *either* on-disk format — a checkpoint taken while
-    replaying JSONL resumes against the columnar conversion of the
-    same capture, and vice versa (see
-    :func:`repro.traces.trace_events`).
-
-    ``published`` counts all events delivered (both kinds), the
-    checkpoint filename key.
-    """
-
-    published: int = 0
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def advance(self, event: TraceEvent) -> None:
-        self.published += 1
-        self.counts[event.kind] = self.counts.get(event.kind, 0) + 1
-
-    def resume_counts(self) -> dict[str, int]:
-        """Per-kind records already consumed — the resume coordinate
-        for :func:`repro.traces.trace_events`."""
-        return {kind: int(count)
-                for kind, count in self.counts.items()}
-
-    def to_dict(self) -> dict:
-        return {"published": self.published,
-                "counts": {k: int(v)
-                           for k, v in sorted(self.counts.items())}}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReplayCursor":
-        # documents written before counts were the only coordinate
-        # also carry a ``positions`` key (JSONL byte offsets): ignored
-        return cls(published=int(data.get("published", 0)),
-                   counts={str(k): int(v) for k, v in
-                           (data.get("counts") or {}).items()})
-
-
-#: what restoring a state of the wrong shape raises — a missing key, a
-#: list where a dict belongs, a string where a number does
+#: what reading a document of the wrong shape raises — a missing key,
+#: a list where a dict belongs, a string where a number does
 _SHAPE_ERRORS = (LookupError, TypeError, ValueError, AttributeError,
                  ArithmeticError)
 
 T = TypeVar("T")
 
+#: ``events(pipeline)``: the whole stream from its first event, a fresh
+#: iterator per call, reporting malformed input to ``pipeline``
+EventSource = Callable[[LivePipeline], Iterable[TraceEvent]]
+
 
 def _as_is(state: dict) -> dict:
     return state
+
+
+def _published(state: dict) -> int:
+    """The document's cursor: how many stream events its run had
+    delivered.  The cursor is a ``{"published": N}`` object; documents
+    of older writers also carry per-kind ``counts`` and JSONL byte
+    ``positions`` there, which are ignored."""
+    return int(state["cursor"]["published"])
 
 
 def _checksum(state: dict) -> str:
@@ -189,8 +152,7 @@ class CheckpointManager:
         from repro.core import failpoints
 
         failpoints.fire("checkpoint.save")
-        cursor = ReplayCursor.from_dict(state.get("cursor") or {})
-        path = self.path_for(cursor.published)
+        path = self.path_for(_published(state))
         start = time.perf_counter()
         # serialize the state exactly once: the canonical payload is
         # both the checksum input and the bytes embedded on disk
@@ -233,6 +195,17 @@ class CheckpointManager:
             stale.unlink(missing_ok=True)
             self.pruned += 1
 
+    def discard_after(self, published: int) -> None:
+        """Remove every snapshot numbered above ``published``, where a
+        run has chosen to start.  Each is a leftover of an earlier run
+        or one the resume rejected; retention keeps the highest
+        numbers, so left in place they would prune this run's own
+        saves as soon as they are written."""
+        start = self.path_for(published).name
+        for path in self.snapshot_paths():
+            if path.name > start:
+                path.unlink(missing_ok=True)
+
     # ------------------------------------------------------------------
     def load(self, path: Path) -> dict:
         """Validate and return one snapshot's state dict."""
@@ -261,14 +234,16 @@ class CheckpointManager:
         falling back through older snapshots past corrupt/partial ones;
         None if no valid snapshot exists.
 
-        A checksum-valid state that ``restore`` rejects (a missing
-        key, a value of the wrong type) is corrupt as well: skipped
-        and counted like a bit flip."""
+        A checksum-valid state that ``restore`` rejects by raising
+        :class:`CheckpointCorrupt` is corrupt as well: skipped and
+        counted like a bit flip.  Any other exception ``restore``
+        raises is a fault of the code, not of the document, and
+        propagates."""
         paths = self.snapshot_paths()
         for rank, path in enumerate(reversed(paths)):
             try:
                 restored = restore(self.load(path))
-            except (CheckpointCorrupt, *_SHAPE_ERRORS):
+            except CheckpointCorrupt:
                 self.corrupt_skipped += 1
                 continue
             self.loaded += 1
@@ -300,14 +275,13 @@ class CheckpointManager:
 
 
 class TraceReplayer:
-    """Feed a (possibly resumed) event stream into a pipeline with
-    periodic atomic checkpoints.
+    """Feed an event stream into a pipeline with periodic atomic
+    checkpoints.
 
-    ``events`` must already be positioned at ``cursor`` (use
-    :func:`repro.traces.trace_events` with ``cursor=cursor``, which
-    skips the records the cursor has counted; or skip
-    ``cursor.published`` events of a transformed stream).  Optional
-    hooks:
+    ``events`` starts at the stream's first event; ``published``
+    counts the events delivered so far (the checkpoint's cursor).  A
+    resume positions the replayer by :meth:`fast_forward` before the
+    hooks are attached (see :func:`resume_or_create`).  Optional hooks:
 
     * ``pacing(event)`` — called before each publish (replay-speed
       sleeps in ``repro serve``);
@@ -323,7 +297,6 @@ class TraceReplayer:
     def __init__(self, pipeline: LivePipeline,
                  events: Iterable[TraceEvent],
                  manager: Optional[CheckpointManager] = None,
-                 cursor: Optional[ReplayCursor] = None,
                  pump_at: Optional[int] = None,
                  pacing: Optional[Callable[[TraceEvent], None]] = None,
                  should_stop: Optional[Callable[[], bool]] = None,
@@ -333,7 +306,10 @@ class TraceReplayer:
         self.events = events
         self._iter: Optional[Iterator[TraceEvent]] = None
         self.manager = manager
-        self.cursor = cursor or ReplayCursor()
+        #: stream events delivered (admitted or shed).  The merged
+        #: stream is a pure function of the trace contents, so the
+        #: count means the same against a JSONL and its ``.vcol``
+        self.published = 0
         config = pipeline.config
         if pump_at is None:
             pump_at = config.pump_batch if config.queue_capacity <= 0 \
@@ -351,25 +327,11 @@ class TraceReplayer:
         #: synchronous, so this is exactly the time it adds to replay
         self.checkpoint_seconds: float = 0.0
         self._since_checkpoint = 0
-        self._last_checkpoint_wall: Optional[float] = None
 
     # ------------------------------------------------------------------
     def _checkpoint_due(self) -> bool:
-        if self.manager is None or self._since_checkpoint == 0:
-            return False
-        policy = self.manager.policy
-        if self._since_checkpoint >= max(1,
-                                         policy.max_unflushed_events):
-            return True
-        if self._since_checkpoint < max(1, policy.interval_events):
-            return False
-        if policy.min_interval_s > 0 \
-                and self._last_checkpoint_wall is not None:
-            now = self.pipeline.clock()
-            if now - self._last_checkpoint_wall \
-                    < policy.min_interval_s:
-                return False
-        return True
+        return self.manager is not None and self._since_checkpoint \
+            >= max(1, self.manager.policy.interval_events)
 
     def checkpoint(self) -> Optional[Path]:
         """Persist the pipeline state at the current cursor now."""
@@ -377,11 +339,44 @@ class TraceReplayer:
             return None
         start = time.perf_counter()
         path = self.manager.save(
-            self.pipeline.state_dict(self.cursor.to_dict()))
+            self.pipeline.state_dict(self.published))
         self.checkpoint_seconds += time.perf_counter() - start
         self._since_checkpoint = 0
-        self._last_checkpoint_wall = self.pipeline.clock()
         return path
+
+    def fast_forward(self, state: dict) -> None:
+        """Replay the events ``state`` (a checkpoint document) counts
+        the way the run that wrote it did: through :meth:`step`, so the
+        pump cadence, the ``admit`` gate and the bus's backpressure
+        behave the same, with no snapshot computation.  Call it before
+        attaching ``manager``, ``pacing`` and ``should_stop``.
+
+        Raises :class:`CheckpointCorrupt` when the document has the
+        wrong shape, the stream ends before its cursor, or the
+        pipeline's counters then differ from the document's.  What the
+        replay itself raises propagates: it is no fault of the
+        document."""
+        try:
+            target = _published(state)
+            expected = {key: state[key]
+                        for key in self.pipeline.checkpoint_counters()}
+        except _SHAPE_ERRORS as error:
+            raise CheckpointCorrupt(
+                f"malformed checkpoint ({error!r})") from error
+        if target < 0:
+            raise CheckpointCorrupt(f"negative cursor {target}")
+        with self.pipeline.fast_forwarding():
+            if target:
+                self.step(target)
+        if self.published != target:
+            raise CheckpointCorrupt(
+                f"the stream ends at event {self.published}, "
+                f"before the checkpoint's cursor at {target}")
+        if self.pipeline.checkpoint_counters() != expected:
+            raise CheckpointCorrupt(
+                f"replaying {target} events does not reproduce the "
+                f"checkpoint's counters")
+        self._since_checkpoint = 0
 
     # ------------------------------------------------------------------
     def step(self, max_events: int = 0) -> int:
@@ -407,12 +402,12 @@ class TraceReplayer:
             if self.pacing is not None:
                 self.pacing(event)
             admitted = self.admit is None \
-                or self.admit(self.cursor.published + 1, event)
+                or self.admit(self.published + 1, event)
             if admitted:
                 pipeline.publish(event)
             else:
                 self.shed += 1
-            self.cursor.advance(event)
+            self.published += 1
             self._since_checkpoint += 1
             consumed += 1
             if len(pipeline.bus) >= self.pump_at:
@@ -447,25 +442,49 @@ class TraceReplayer:
 
 
 def resume_or_create(header, manager: Optional[CheckpointManager],
-                     config=None, clock=None, fresh: bool = False
-                     ) -> tuple[LivePipeline, ReplayCursor, bool]:
-    """Restore the newest checkpoint that validates and restores,
-    else the next older one, else start from scratch.
+                     events: EventSource, config=None, clock=None,
+                     fresh: bool = False, pump_at=None, pacing=None,
+                     should_stop=None, admit=None
+                     ) -> tuple[TraceReplayer, bool]:
+    """A replayer over ``events`` positioned where the newest
+    checkpoint that verifies left off, else where the next older one
+    did, else at the stream's start.
 
-    Returns ``(pipeline, cursor, resumed)``; ``fresh=True`` skips the
+    Each document tried gets a fresh pipeline, fed the first
+    ``published`` events of a fresh ``events(pipeline)`` stream by
+    :meth:`TraceReplayer.fast_forward`; one that does not verify is
+    skipped as corrupt.  Once the start is chosen, every document
+    numbered above it is discarded
+    (:meth:`CheckpointManager.discard_after`) and ``manager``,
+    ``pacing`` and ``should_stop`` are attached; ``pump_at`` and
+    ``admit`` shape the prefix as they shaped the run that wrote the
+    document (all are :class:`TraceReplayer` options).
+
+    Returns ``(replayer, resumed)``; ``fresh=True`` skips the
     checkpoint lookup (an explicit cold start).
     """
     kwargs = {} if clock is None else {"clock": clock}
 
-    def restore(state: dict) -> tuple[LivePipeline, ReplayCursor]:
-        pipeline, cursor = LivePipeline.restore(
-            header, state, config=config, **kwargs)
-        return pipeline, ReplayCursor.from_dict(cursor)
+    def start() -> TraceReplayer:
+        pipeline = LivePipeline.from_header(header, config=config,
+                                            **kwargs)
+        return TraceReplayer(pipeline, events(pipeline),
+                             pump_at=pump_at, admit=admit)
 
+    def restore(state: dict) -> TraceReplayer:
+        replayer = start()
+        replayer.fast_forward(state)
+        return replayer
+
+    replayer = None
     if manager is not None and not fresh:
-        restored = manager.load_latest(restore)
-        if restored is not None:
-            return (*restored, True)
-    pipeline = LivePipeline.from_header(header, config=config,
-                                        **kwargs)
-    return pipeline, ReplayCursor(), False
+        replayer = manager.load_latest(restore)
+    resumed = replayer is not None
+    if replayer is None:
+        replayer = start()
+    if manager is not None:
+        manager.discard_after(replayer.published)
+    replayer.manager = manager
+    replayer.pacing = pacing
+    replayer.should_stop = should_stop
+    return replayer, resumed

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import time
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.core.units import Bytes, Nanoseconds
 from repro.collective.primitives import StepSchedule
@@ -201,6 +202,8 @@ class LivePipeline:
         self._arrival_wall: dict[int, float] = {}
         self._started_wall: Optional[float] = None
         self._snapshot_seq = 0
+        #: set only by :meth:`fast_forwarding`
+        self._fast_forward = False
         self.snapshots: list[DiagnosisSnapshot] = []
         self.on_snapshot: list[Callable[[DiagnosisSnapshot], None]] = []
 
@@ -304,7 +307,11 @@ class LivePipeline:
         self._since_snapshot += 1
         every = self.config.snapshot_every
         if every > 0 and self._since_snapshot >= every:
-            self.emit_snapshot(final=False)
+            if self._fast_forward:
+                self._snapshot_seq += 1
+                self._since_snapshot = 0
+            else:
+                self.emit_snapshot(final=False)
 
     # ------------------------------------------------------------------
     # diagnosis
@@ -387,80 +394,42 @@ class LivePipeline:
     # ------------------------------------------------------------------
     # checkpointing (crash-safe resume; see repro.live.checkpoint)
     # ------------------------------------------------------------------
-    def state_dict(self, cursor: Optional[dict] = None) -> dict:
-        """JSON-safe snapshot of everything the diagnosis depends on.
-
-        Captures the in-flight bus queue and watermark heap alongside
-        the waiting graph and its O(steps) scalars, so a resume
-        from this state plus the remaining stream produces a final
-        :class:`DiagnosisSnapshot` bit-equal to an uninterrupted run
-        (the recovery contract, tested by ``repro chaos``).  Wall-clock
-        observability (latency histograms, arrival stamps) is excluded
-        — it describes the dead process, not the diagnosis.
-        """
-        from repro.traces import serialize
-
-        # CHECKPOINT_VERSION 1 keeps the per-step scalars beside the
-        # graph's records, not among them
-        graph = self.graph.state_dict()
+    def checkpoint_counters(self) -> dict:
+        """The five counters a checkpoint document holds: what
+        replaying its stream prefix into a fresh pipeline must
+        reproduce."""
         return {
-            "cursor": dict(cursor) if cursor else {},
             "seq": self._seq,
             "ingested": dict(self._ingested),
             "since_snapshot": self._since_snapshot,
             "snapshot_seq": self._snapshot_seq,
             "dupes": self._dupes,
-            "windows": graph.pop("windows"),
-            "durations": graph.pop("durations"),
-            "slowest": graph.pop("slowest"),
-            "reports": [serialize.encode_switch_report(r)
-                        for r in self.reports],
-            "bus": self.bus.state_dict(),
-            "watermark": self.watermark.state_dict(),
-            "graph": graph,
-            "quarantine": self.quarantine.state_dict(),
-            "degradation": self.degradation.state_dict(),
         }
 
-    def load_state(self, state: dict) -> dict:
-        """Restore :meth:`state_dict` output; returns the cursor."""
-        from repro.traces import serialize
+    def state_dict(self, published: int = 0) -> dict:
+        """The checkpoint document: the cursor — ``published``, the
+        stream events delivered so far — and
+        :meth:`checkpoint_counters`.  Everything else a resume rebuilds
+        by replaying the stream up to the cursor
+        (:meth:`repro.live.checkpoint.TraceReplayer.fast_forward`)."""
+        return {"cursor": {"published": published},
+                **self.checkpoint_counters()}
 
-        self._seq = int(state["seq"])
-        self._ingested = {kind: int(state["ingested"][kind])
-                          for kind in self._ingested}
-        self._since_snapshot = int(state["since_snapshot"])
-        self._snapshot_seq = int(state["snapshot_seq"])
-        self._dupes = int(state["dupes"])
-        # derived state is never checkpointed: refold the reports
-        self.kernel = DiagnosisKernel(self.pfc_xoff_bytes,
-                                      self.collective_flow_keys)
-        for encoded in state["reports"]:
-            self.kernel.add_report(
-                serialize.decode_switch_report(encoded))
-        self.bus.load_state(state["bus"])
-        self.watermark.load_state(state["watermark"])
-        self.graph.load_state({
-            **state["graph"], "windows": state["windows"],
-            "durations": state["durations"], "slowest": state["slowest"]})
-        self.quarantine.load_state(state["quarantine"])
-        self.degradation.load_state(state["degradation"])
-        # wall-clock bookkeeping restarts with the new process
+    @contextmanager
+    def fast_forwarding(self) -> Iterator[None]:
+        """While a resume replays the checkpointed prefix into this
+        fresh pipeline, a rolling snapshot that falls due is counted
+        but not computed: the run being resumed already emitted it.
+        Afterwards the wall-clock bookkeeping restarts with this
+        process."""
+        self._fast_forward = True
+        try:
+            yield
+        finally:
+            self._fast_forward = False
         self._arrival_wall.clear()
         self._pending_arrivals.clear()
         self._started_wall = None
-        self.snapshots.clear()
-        return dict(state.get("cursor") or {})
-
-    @classmethod
-    def restore(cls, header: TraceHeader, state: dict,
-                config: Optional[PipelineConfig] = None,
-                clock: Callable[[], float] = time.monotonic
-                ) -> tuple["LivePipeline", dict]:
-        """Rebuild a pipeline from a trace header + checkpoint state."""
-        pipeline = cls.from_header(header, config=config, clock=clock)
-        cursor = pipeline.load_state(state)
-        return pipeline, cursor
 
     # ------------------------------------------------------------------
     # observability

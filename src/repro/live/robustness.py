@@ -18,7 +18,6 @@ without crashing:
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 from repro.core.units import Nanoseconds
@@ -91,22 +90,6 @@ class Quarantine:
                 for e in self.entries],
         }
 
-    # -- checkpoint hooks ----------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "by_reason": dict(sorted(self.by_reason.items())),
-            "entries": [[e.line_no, e.reason, e.snippet]
-                        for e in self.entries],
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.count = int(state["count"])
-        self.by_reason = {str(k): int(v)
-                          for k, v in state["by_reason"].items()}
-        self.entries = [QuarantinedEntry(int(line), reason, snippet)
-                        for line, reason, snippet in state["entries"]]
-
 
 class DegradationTracker:
     """Confidence widening under switch-telemetry loss.
@@ -171,26 +154,3 @@ class DegradationTracker:
             "step_events": self.step_events,
             "report_events": self.report_events,
         }
-
-    # -- checkpoint hooks ----------------------------------------------
-    def state_dict(self) -> dict:
-        # -inf (nothing seen yet) is not valid JSON; use None sentinels
-        return {
-            "last_step_time": None if math.isinf(self.last_step_time)
-            else self.last_step_time,
-            "last_report_time":
-                None if math.isinf(self.last_report_time)
-                else self.last_report_time,
-            "step_events": self.step_events,
-            "report_events": self.report_events,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.last_step_time = float("-inf") \
-            if state["last_step_time"] is None \
-            else float(state["last_step_time"])
-        self.last_report_time = float("-inf") \
-            if state["last_report_time"] is None \
-            else float(state["last_report_time"])
-        self.step_events = int(state["step_events"])
-        self.report_events = int(state["report_events"])

@@ -19,15 +19,10 @@ buffered (end of stream).
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Iterator
 
 from repro.core.units import Nanoseconds
-from repro.live.bus import (
-    TelemetryEvent,
-    decode_telemetry_event,
-    encode_telemetry_event,
-)
+from repro.live.bus import TelemetryEvent
 
 
 class WatermarkBuffer:
@@ -83,35 +78,3 @@ class WatermarkBuffer:
     def flush(self) -> Iterator[TelemetryEvent]:
         """Release everything buffered (stream end / forced snapshot)."""
         yield from self._release(float("inf"))
-
-    # ------------------------------------------------------------------
-    # checkpoint hooks
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot (±inf sentinels encoded as None)."""
-        return {
-            "max_time_seen": None if math.isinf(self._max_time_seen)
-            else self._max_time_seen,
-            "released_through":
-                None if math.isinf(self._released_through)
-                else self._released_through,
-            "late_discarded": self.late_discarded,
-            "observed": self.observed,
-            "heap": [encode_telemetry_event(e)
-                     for _, _, e in sorted(self._heap,
-                                           key=lambda t: t[:2])],
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._max_time_seen = float("-inf") \
-            if state["max_time_seen"] is None \
-            else float(state["max_time_seen"])
-        self._released_through = float("-inf") \
-            if state["released_through"] is None \
-            else float(state["released_through"])
-        self.late_discarded = int(state["late_discarded"])
-        self.observed = int(state["observed"])
-        self._heap = [(event.time, event.seq, event) for event in
-                      (decode_telemetry_event(e)
-                       for e in state["heap"])]
-        heapq.heapify(self._heap)

@@ -25,7 +25,7 @@ columns once, at this edge).  :func:`read_header`, :func:`trace_events`
 and :func:`load_trace` are thin calls over it::
 
     write_columnar("run.jsonl", "run.vcol")
-    for event in trace_events("run.vcol", cursor=cursor):
+    for event in trace_events("run.vcol"):
         pipeline.publish(event)
 """
 

@@ -960,20 +960,10 @@ class ColumnarTrace:
         self.switch_report = switch_report
 
     # ------------------------------------------------------------------
-    def iter_events(self, skip: Optional[dict[str, int]] = None
-                    ) -> Iterator[TraceEvent]:
+    def iter_events(self) -> Iterator[TraceEvent]:
         """All data events in completion-time order (the stored merge
-        permutation).
-
-        ``skip`` maps a kind to the number of its records already
-        consumed (a :meth:`~repro.live.checkpoint.ReplayCursor.
-        resume_counts` dict); those are skipped without decoding.
-        """
+        permutation)."""
         mg_kind, mg_idx = self.col("mg.kind"), self.col("mg.idx")
-        s_skip = w_skip = 0
-        if skip:
-            s_skip = int(skip.get("step_record", 0))
-            w_skip = int(skip.get("switch_report", 0))
         s_lines, w_lines = self.col("s.line"), self.col("r.line")
         s_times, w_times = self.col("s.end"), self.col("r.time")
         step, report = self.step_record, self.switch_report
@@ -987,22 +977,15 @@ class ColumnarTrace:
         with self._data_errors():
             for j in range(len(mg_kind)):
                 i = mg_idx[j]
+                event = new(event_cls)
                 if mg_kind[j] == 0:
-                    if i < s_skip:
-                        continue
-                    event = new(event_cls)
                     setattr_(event, "__dict__", {
                         "kind": "step_record", "time": s_times[i],
-                        "payload": step(i), "line_no": s_lines[i],
-                        "index": i})
+                        "payload": step(i), "line_no": s_lines[i]})
                 else:
-                    if i < w_skip:
-                        continue
-                    event = new(event_cls)
                     setattr_(event, "__dict__", {
                         "kind": "switch_report", "time": w_times[i],
-                        "payload": report(i), "line_no": w_lines[i],
-                        "index": i})
+                        "payload": report(i), "line_no": w_lines[i]})
                 yield event
 
     def decode_all(self) -> tuple[list[StepRecord], list[SwitchReport]]:
@@ -1291,31 +1274,18 @@ def read_header(path: Union[str, Path],
     return _decode_header(builder.prologue(), path)
 
 
-def _already_reported(line_no: int, reason: str, snippet: str) -> None:
-    """The sink of a resumed lenient replay."""
-
-
 def trace_events(path: Union[str, Path],
-                 on_error: Optional[ErrorSink] = None,
-                 cursor=None) -> Iterator[TraceEvent]:
+                 on_error: Optional[ErrorSink] = None
+                 ) -> Iterator[TraceEvent]:
     """The completion-time event stream of a trace in either format —
     the one replay entry point (``repro serve``, fleet tenants,
-    benchmarks).
-
-    ``cursor`` (a :class:`~repro.live.checkpoint.ReplayCursor`) resumes
-    it: the first ``cursor.resume_counts()`` records of each kind are
-    skipped without decoding, and the suffix is what an uninterrupted
-    replay would have yielded from there on, whichever format the
-    cursor was taken against.  Malformed lines go to ``on_error`` once
-    per stream, at open; a cursor that has consumed anything reports
-    none, because the run that wrote it already counted them and its
-    quarantine state travels in the checkpoint.
+    benchmarks).  Malformed lines go to ``on_error`` once per stream,
+    at open.  A resume replays the stream from its start
+    (:func:`repro.live.checkpoint.resume_or_create`), so a stream
+    reports each bad line exactly once, whatever its cut.
     """
-    consumed = cursor.resume_counts() if cursor is not None else {}
-    if on_error is not None and any(consumed.values()):
-        on_error = _already_reported
     with open_trace(path, on_error) as trace:
-        yield from trace.iter_events(skip=consumed)
+        yield from trace.iter_events()
 
 
 assert set(_CHILD_GROUPS) <= set(_COLUMN_TYPES), \

@@ -19,11 +19,10 @@ format — and these are the shapes it speaks:
   is the first byte of the partial record: everything before it is
   intact.
 
-Resumability has one coordinate: the per-kind record index
-(:attr:`TraceEvent.index`, counted by
-:class:`repro.live.checkpoint.ReplayCursor`).  It is a pure function of
-the capture's contents, so a cursor taken against one on-disk format
-resumes against the other.
+Resumability has one coordinate: how many events of the merged stream
+were delivered (:attr:`repro.live.checkpoint.TraceReplayer.published`).
+The merge order is a pure function of the capture's contents, so a cursor
+taken against one on-disk format resumes against the other.
 """
 
 from __future__ import annotations
@@ -79,13 +78,10 @@ class TraceEvent:
     ``time`` is the event's completion/emission time in simulation
     nanoseconds — a step record's ``end_time``, a switch report's
     ``time``.  ``line_no`` is the record's line in the JSONL form of
-    the capture (0 for synthetic events).  ``index`` is the resume
-    coordinate: the event's per-kind record index (0-based position
-    among records of its kind), -1 when unknown.
+    the capture (0 for synthetic events).
     """
 
     kind: str
     time: float
     payload: object
     line_no: int
-    index: int = -1

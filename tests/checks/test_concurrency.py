@@ -95,14 +95,15 @@ def test_src_tree_is_clean_strict():
 
 
 # ----------------------------------------------------------------------
-# RPR024 catches seeded drift in the real LivePipeline
+# RPR024 catches seeded drift in the real Histogram
 # ----------------------------------------------------------------------
-def test_rpr024_catches_seeded_pipeline_drift(tmp_path):
-    """Rename one state_dict key of the real LivePipeline and the
-    pass must flag both halves of the broken pair."""
-    source = (REPO_ROOT / "src/repro/live/pipeline.py").read_text()
-    needle = '"snapshot_seq": self._snapshot_seq,'
-    assert needle in source, "pipeline state_dict changed; update test"
+def test_rpr024_catches_seeded_histogram_drift(tmp_path):
+    """Rename one state_dict key of the real Histogram (the state a
+    shard worker ships home) and the pass must flag both halves of the
+    broken pair."""
+    source = (REPO_ROOT / "src/repro/live/metrics.py").read_text()
+    needle = '"total": self.total,'
+    assert needle in source, "Histogram state_dict changed; update test"
     # pristine copy is clean
     clean = tmp_path / "clean.py"
     clean.write_text(source)
@@ -110,17 +111,16 @@ def test_rpr024_catches_seeded_pipeline_drift(tmp_path):
     # seeded drift: writer renamed, reader left behind
     drifted = tmp_path / "drifted.py"
     drifted.write_text(source.replace(
-        needle, '"snapshot_generation": self._snapshot_seq,'))
+        needle, '"observations": self.total,'))
     findings = check_paths([drifted])
     assert {f.rule for f in findings} == {"RPR024"}
     messages = " ".join(f.message for f in findings)
-    assert "snapshot_generation" in messages
-    assert "snapshot_seq" in messages
+    assert "observations" in messages
+    assert "'total'" in messages
     lines = drifted.read_text().splitlines()
     want_lines = {i for i, text in enumerate(lines, 1)
                   if text.lstrip().startswith(
-                      ("def state_dict", "def load_state"))
-                  and "LivePipeline" not in text}
+                      ("def state_dict", "def load_state"))}
     assert {f.line for f in findings} <= want_lines
     assert len(findings) == 2
 

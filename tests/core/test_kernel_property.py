@@ -27,7 +27,8 @@ from repro.core.provenance import build_provenance
 from repro.core.rating import contribution_to_flow
 from repro.core.waiting_graph import WaitingGraph
 from repro.experiments.harness import make_system
-from repro.live import LivePipeline, PipelineConfig
+from repro.live import (CheckpointManager, LivePipeline, PipelineConfig,
+                        resume_or_create)
 from repro.traces import (TraceRecorder, TraceRuntime, analyze_trace,
                           load_trace, read_header, trace_events)
 from tests.core.test_waiting_graph import (ReferenceWaitingGraph,
@@ -178,7 +179,9 @@ def test_reordered_within_lateness_stream(trace_path):
     assert len(log) == len(pipeline.snapshots) > 3
 
 
-def test_checkpoint_round_trip_mid_stream(trace_path):
+def test_checkpoint_round_trip_mid_stream(trace_path, tmp_path):
+    """A resume replays the checkpointed prefix into a fresh pipeline:
+    every snapshot it emits afterwards is the uninterrupted run's."""
     header = read_header(trace_path)
     events = list(trace_events(trace_path))
     whole: list = []
@@ -186,12 +189,23 @@ def test_checkpoint_round_trip_mid_stream(trace_path):
 
     cut = len(events) // 2
     resumed: list = []
-    first = drive(rolling(header, resumed), events[:cut])
-    state = first.state_dict()
+    manager = CheckpointManager(tmp_path)
+
+    def resume() -> tuple:
+        # the replayer pumps the way ``drive`` does
+        return resume_or_create(header, manager, lambda _p: events,
+                                config=PipelineConfig(snapshot_every=9),
+                                pump_at=16)
+
+    first, _ = resume()
+    checked(first.pipeline, resumed)
+    first.step(cut)
+    state = manager.load(first.checkpoint())
     assert "kernel" not in state        # derived, never checkpointed
-    second, _cursor = LivePipeline.restore(
-        header, state, config=first.config)
-    drive(checked(second, resumed), events[cut:]).finish()
+    second, was_resumed = resume()
+    assert was_resumed and second.published == cut
+    checked(second.pipeline, resumed)
+    second.run()
     assert resumed == whole
 
 

@@ -84,7 +84,7 @@ def srpt_shard_specs(corpus) -> list[TenantSpec]:
 
 def in_flight(runtime) -> list:
     return [t for t in runtime.tenants
-            if not t.done and t.replayer.cursor.published > 0]
+            if not t.done and t.replayer.published > 0]
 
 
 def kill_points(specs, config) -> dict[str, int]:
@@ -131,7 +131,7 @@ def test_a_kill_inside_a_stream_resumes_by_restored_cursors(
                                     spec["workdir"])
     assert restarted.resumed
     started = [t for t in restarted.tenants
-               if t.replayer.cursor.published > 0]
+               if t.replayer.published > 0]
     ended = [t for t in started if t.remaining == 0]
     victims = [t for t in started if t.remaining > 0]
     assert ended and len(victims) == 1
@@ -141,10 +141,10 @@ def test_a_kill_inside_a_stream_resumes_by_restored_cursors(
                for t in restarted.tenants if t not in started)
     # one round of the restart: the ended tenants see their end, then
     # the victim runs on; a longer stream starts only once it has ended
-    restored = resumed.replayer.cursor.published
+    restored = resumed.replayer.published
     restarted.step(config.batch_events)
     assert all(t.done for t in ended)
-    assert resumed.replayer.cursor.published > restored
+    assert resumed.replayer.published > restored
     assert len(in_flight(restarted)) <= 1
     assert resumed.done or in_flight(restarted) == [resumed]
 

@@ -123,7 +123,7 @@ def test_killed_between_stream_end_and_shard_end(corpus, tmp_path,
     second = TenantRuntime("t", 0, policy, trace=trace,
                            checkpoint_dir=ckpt)
     assert second.resumed
-    assert second.replayer.cursor.published == events
+    assert second.replayer.published == events
     assert not second.done               # the stream's end is unseen
     assert second.step(BATCH) == 0 and second.done
     resumed = facts(second)

@@ -238,8 +238,8 @@ def test_an_unstarted_tenant_is_digested_once(trace_events,
     assert sorted(digest_calls) == ["a", "b", "c"]
     digest_calls.clear()
     shard.step(8)                   # "a" (equal lengths: by name) starts
-    assert shard.tenants[0].replayer.cursor.published == 24
-    assert [t.replayer.cursor.published for t in shard.tenants[1:]] \
+    assert shard.tenants[0].replayer.published == 24
+    assert [t.replayer.published for t in shard.tenants[1:]] \
         == [0, 0]
     second = shard.report()
     shard.report()

@@ -107,7 +107,7 @@ def test_at_most_one_known_length_tenant_is_in_flight(streams):
     def in_flight(shard: ShardRuntime) -> list[str]:
         return [t.tenant for t in shard.tenants
                 if t.remaining is not None and not t.done
-                and t.replayer.cursor.published > 0]
+                and t.replayer.published > 0]
 
     seen = []
     replay(build_shard(streams, known=True),
@@ -123,7 +123,7 @@ def test_at_most_one_known_length_tenant_is_in_flight(streams):
     replay(build_shard(streams, known=False),
            lambda shard: first.append(shard.tenants) if not first
            else None)
-    assert all(t.replayer.cursor.published > 0 for t in first[0])
+    assert all(t.replayer.published > 0 for t in first[0])
 
 
 def test_batch_events_zero_runs_every_tenant_to_its_end(streams):
@@ -146,9 +146,9 @@ def test_a_resumed_list_is_scheduled_by_its_restored_cursor(streams,
     first.step(40)                  # past two checkpoints, then "crash"
     second = TenantRuntime("t", 0, policy, events=events, header=header,
                            checkpoint_dir=str(tmp_path))
-    assert second.resumed and 0 < second.replayer.cursor.published <= 40
+    assert second.resumed and 0 < second.replayer.published <= 40
     assert second.remaining \
-        == len(events) - second.replayer.cursor.published
+        == len(events) - second.replayer.published
     while not second.done:
         second.step(BATCH)
     lone = TenantRuntime("t", 0, POLICY, events=events, header=header)

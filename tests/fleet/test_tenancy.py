@@ -40,7 +40,7 @@ def test_budget_sheds_the_exact_tail(trace_path):
     assert capped.events_shed == total - budget
     assert capped.budget_exhausted
     # the cursor still covers the whole stream (resume stays correct)
-    assert capped.replayer.cursor.published == total
+    assert capped.replayer.published == total
 
 
 def test_budget_shedding_is_deterministic(trace_path):
@@ -97,7 +97,7 @@ def test_rolling_report_before_the_first_snapshot_changes_nothing(
     """A shard's rolling report looks at a tenant that has emitted no
     snapshot yet; the look must stay outside the snapshot sequence, or
     the final digest differs from a lone replay's — uninterrupted and
-    across a resume (``load_state`` drops the emitted snapshots too)."""
+    across a resume (whose prefix replay emits no snapshot either)."""
     from repro.fleet.aggregator import TenantDigest
     from repro.fleet.service import ShardRuntime
 

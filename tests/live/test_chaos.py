@@ -14,6 +14,7 @@ from repro.chaos import (
 )
 from repro.live.checkpoint import CheckpointManager, CheckpointPolicy
 from repro.live.pipeline import PipelineConfig
+from repro.traces import trace_events
 
 from tests.live.test_checkpoint import record_scenario_trace
 
@@ -25,7 +26,7 @@ def trace_path(tmp_path_factory):
 
 
 CONFIG = PipelineConfig(snapshot_every=32)
-POLICY = CheckpointPolicy(interval_events=24, max_unflushed_events=96)
+POLICY = CheckpointPolicy(interval_events=24)
 
 
 def test_recovery_contract_five_kill_points(trace_path, tmp_path):
@@ -193,5 +194,8 @@ def test_probe_trace_truncation(trace_path, tmp_path):
     assert probe["detected"]
     assert probe["offset_correct"]
     assert probe["resumed_ok"]
-    assert probe["events_after_resume"] >= 0
+    total = sum(1 for _ in trace_events(trace_path))
+    assert probe["events_before_cut"] + probe["events_after_resume"] \
+        == total
+    assert probe["events_after_resume"] > 0
     assert probe["resume_offset"] < probe["cut_at"]

@@ -1,7 +1,9 @@
 """Checkpoint subsystem: atomic writes, checksum validation, fallback,
-retention, cursor round-trips, mid-stream resume equivalence, and
-hostile checkpoint documents."""
+retention, cursor round-trips, resume by prefix replay and its
+equivalence with an uninterrupted run, and hostile checkpoint
+documents."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -21,12 +23,11 @@ from repro.live.checkpoint import (
     CheckpointCorrupt,
     CheckpointManager,
     CheckpointPolicy,
-    ReplayCursor,
     TraceReplayer,
     resume_or_create,
 )
-from repro.traces import (TraceEvent, TraceRecorder, read_header,
-                          trace_events, write_columnar)
+from repro.traces import (TraceRecorder, read_header, trace_events,
+                          write_columnar)
 
 
 def record_scenario_trace(path):
@@ -56,13 +57,24 @@ def final_json(snapshot) -> str:
     return json.dumps(snapshot.to_dict(), sort_keys=True)
 
 
+def events_of(path, on_error=None):
+    """The stream factory over a trace file: the whole stream, fresh
+    per pipeline."""
+    return lambda _pipeline: trace_events(path, on_error)
+
+
 # ----------------------------------------------------------------------
-# ReplayCursor
+# the cursor: TraceReplayer.published
 # ----------------------------------------------------------------------
-def test_cursor_ignores_synthetic_events():
-    cursor = ReplayCursor()
-    cursor.advance(TraceEvent("step_record", 1.0, None, 0))
-    assert cursor.published == 1
+def test_cursor_ignores_synthetic_events(trace_path):
+    event = next(iter(trace_events(trace_path)))
+    synthetic = dataclasses.replace(event, line_no=0)
+    pipeline = LivePipeline.from_header(read_header(trace_path))
+    replayer = TraceReplayer(pipeline, [synthetic])
+    assert replayer.step() == 1
+    assert replayer.published == 1
+    assert pipeline.state_dict(replayer.published)["cursor"] \
+        == {"published": 1}
 
 
 # ----------------------------------------------------------------------
@@ -164,34 +176,59 @@ def test_register_metrics(tmp_path):
     assert "live_checkpoint_write_seconds" in registry
 
 
+def test_a_cold_start_keeps_its_own_checkpoints(trace_path, tmp_path):
+    """A fresh run in a directory an earlier run used writes lower
+    numbers than the leftovers; retention keeps the highest, so each
+    save used to be pruned as it was written, and a supervised restart
+    resumed at the dead run's end.  The start discards what lies
+    above it."""
+    header = read_header(trace_path)
+    policy = CheckpointPolicy(interval_events=32, retain=3)
+    earlier, _ = resume_or_create(
+        header, CheckpointManager(tmp_path, policy), events_of(trace_path))
+    earlier.run()
+    assert [p.name for p in earlier.manager.snapshot_paths()] == [
+        "ckpt-0000000192.json", "ckpt-0000000224.json",
+        "ckpt-0000000226.json"]
+
+    manager = CheckpointManager(tmp_path, policy)
+    fresh, resumed = resume_or_create(header, manager,
+                                      events_of(trace_path), fresh=True)
+    assert not resumed
+    fresh.step(100)                   # killed at event 100
+    assert [p.name for p in manager.snapshot_paths()] == [
+        "ckpt-0000000032.json", "ckpt-0000000064.json",
+        "ckpt-0000000096.json"]
+
+    restarted, resumed = resume_or_create(header, manager,
+                                          events_of(trace_path))
+    assert resumed and restarted.published == 96
+
+
 # ----------------------------------------------------------------------
-# pipeline state round-trip + resume equivalence
+# resume replays the prefix: equivalence with an uninterrupted run
 # ----------------------------------------------------------------------
-def test_pipeline_state_roundtrip_mid_stream(trace_path):
+def test_pipeline_state_roundtrip_mid_stream(trace_path, tmp_path):
     header = read_header(trace_path)
     config = PipelineConfig(snapshot_every=16)
-    pipeline = LivePipeline.from_header(header, config)
     events = list(trace_events(trace_path))
+    expected = TraceReplayer(LivePipeline.from_header(header, config),
+                             events).run()
     cut = len(events) // 2
-    for event in events[:cut]:
-        pipeline.publish(event)
-        if len(pipeline.bus) >= 32:
-            pipeline.pump(32)
+    manager = CheckpointManager(tmp_path)
+    first, _ = resume_or_create(header, manager, lambda _p: events,
+                                config=config)
+    first.step(cut)
+    state = manager.load(first.checkpoint())
+    assert state == first.pipeline.state_dict(cut)
 
-    state = pipeline.state_dict({"published": cut, "positions": {}})
-    # the state must survive a JSON round-trip bit-exactly
-    state = json.loads(json.dumps(state))
-    restored, cursor = LivePipeline.restore(header, state,
-                                            config=config)
-    assert cursor["published"] == cut
-
-    for original in (pipeline, restored):
-        for event in events[cut:]:
-            original.publish(event)
-            if len(original.bus) >= 32:
-                original.pump(32)
-    assert final_json(pipeline.finish()) == \
-        final_json(restored.finish())
+    restored, resumed = resume_or_create(header, manager,
+                                         lambda _p: events, config=config)
+    assert resumed and restored.published == cut
+    assert restored.pipeline.counters() == first.pipeline.counters()
+    assert restored.pipeline.checkpoint_counters() \
+        == first.pipeline.checkpoint_counters()
+    assert final_json(restored.run()) == final_json(expected)
 
 
 def test_replayer_checkpoints_and_resumes(trace_path, tmp_path):
@@ -204,24 +241,57 @@ def test_replayer_checkpoints_and_resumes(trace_path, tmp_path):
 
     manager = CheckpointManager(
         tmp_path, CheckpointPolicy(interval_events=32))
-    pipeline = LivePipeline.from_header(header, config)
     total = sum(1 for _ in trace_events(trace_path))
     stop_at = total // 2
 
-    partial = TraceReplayer(
-        pipeline, itertools.islice(trace_events(trace_path), stop_at),
-        manager)
-    partial.run(finish=False)
+    partial, _ = resume_or_create(header, manager,
+                                  events_of(trace_path), config=config)
+    partial.step(stop_at)
     partial.checkpoint()
 
-    resumed, cursor, was_resumed = resume_or_create(header, manager,
-                                                    config=config)
+    resumed, was_resumed = resume_or_create(
+        header, manager, events_of(trace_path), config=config)
     assert was_resumed
-    assert cursor.published == stop_at
-    rest = trace_events(trace_path, cursor=cursor)
-    final = TraceReplayer(resumed, rest, manager, cursor).run()
+    assert resumed.published == stop_at
+    final = resumed.run()
     assert final_json(final) == final_json(expected)
     assert manager.written >= 2
+
+
+def test_resume_computes_nothing_it_will_not_use(trace_path, tmp_path,
+                                                monkeypatch):
+    """The prefix replay reads exactly the checkpointed events, takes
+    no snapshot, and lands on the document's snapshot counters."""
+    from repro.core.analyzer import DiagnosisKernel
+
+    header = read_header(trace_path)
+    config = PipelineConfig(snapshot_every=10)
+    manager = CheckpointManager(tmp_path)
+    partial, _ = resume_or_create(header, manager,
+                                  events_of(trace_path), config=config)
+    partial.step(155)
+    state = manager.load(partial.checkpoint())
+    assert state["snapshot_seq"] > 0 < state["since_snapshot"]
+
+    snapshots = []
+    real = DiagnosisKernel.snapshot
+    monkeypatch.setattr(DiagnosisKernel, "snapshot",
+                        lambda *a, **k: snapshots.append(1) or real(*a, **k))
+    read = []
+
+    def counted(_pipeline):
+        for event in trace_events(trace_path):
+            read.append(event)
+            yield event
+
+    resumed, was_resumed = resume_or_create(header, manager, counted,
+                                            config=config)
+    assert was_resumed and not snapshots
+    assert len(read) == resumed.published == 155
+    pipeline = resumed.pipeline
+    assert pipeline._snapshot_seq == state["snapshot_seq"]
+    assert pipeline._since_snapshot == state["since_snapshot"]
+    assert not pipeline.snapshots
 
 
 @pytest.fixture(scope="module")
@@ -237,11 +307,10 @@ def elephant_trace(tmp_path_factory):
 
 def test_resume_keeps_step_windows_in_step_order(elephant_trace,
                                                  tmp_path):
-    """A checkpoint document's keys are sorted as strings, so step
-    "10" is stored before step "2".  Eq. 3 sums the per-step windows in
-    the graph's order, which a resume must rebuild as the integer step
-    order an uninterrupted replay builds them in (a 12-node ring has
-    11 steps)."""
+    """Eq. 3 sums the per-step windows in the graph's order, which a
+    resume must rebuild as the integer step order an uninterrupted
+    replay builds them in (a 12-node ring has 11 steps) — once broken
+    by a checkpoint document whose keys sorted step "10" before "2"."""
     trace = elephant_trace
     header = read_header(trace)
     config = PipelineConfig(snapshot_every=16)
@@ -253,26 +322,24 @@ def test_resume_keeps_step_windows_in_step_order(elephant_trace,
 
     manager = CheckpointManager(tmp_path / "ckpt")
     stop_at = sum(1 for _ in trace_events(trace)) - 2
-    partial = TraceReplayer(
-        LivePipeline.from_header(header, config),
-        itertools.islice(trace_events(trace), stop_at), manager)
-    partial.run(finish=False)
+    partial, _ = resume_or_create(header, manager, events_of(trace),
+                                  config=config)
+    partial.step(stop_at)
     partial.checkpoint()
 
-    resumed, cursor, was_resumed = resume_or_create(header, manager,
-                                                    config=config)
-    assert was_resumed and cursor.published == stop_at
-    final = TraceReplayer(resumed, trace_events(trace, cursor=cursor),
-                          manager, cursor).run()
+    replayer, was_resumed = resume_or_create(
+        header, manager, events_of(trace), config=config)
+    resumed = replayer.pipeline
+    assert was_resumed and replayer.published == stop_at
+    final = replayer.run()
     assert list(resumed.graph.windows) == list(baseline.graph.windows)
     assert final.canonical_json() == expected.canonical_json()
 
 
-#: checkpoint bytes per ingested record.  Every switch report is
-#: re-encoded in each checkpoint, so the reports set the size; the
-#: elephant peaks at 1,007 B per record (192 events in).  Anything the
-#: kernel derives from the reports is refolded on resume, never stored.
-MAX_CHECKPOINT_BYTES_PER_RECORD = 1_100
+#: a checkpoint is a cursor and five counters, the same few bytes at
+#: any position; re-encoding the switch reports made the elephant's
+#: 48-505 kB
+MAX_CHECKPOINT_BYTES = 512
 
 
 def test_checkpoints_follow_the_cadence_and_hold_only_the_state(
@@ -291,9 +358,7 @@ def test_checkpoints_follow_the_cadence_and_hold_only_the_state(
     assert len(events) == 643
     assert manager.written == len(manager.snapshot_paths()) == 11
     for path in manager.snapshot_paths():
-        ingested = sum(manager.load(path)["ingested"].values())
-        assert path.stat().st_size \
-            <= MAX_CHECKPOINT_BYTES_PER_RECORD * ingested, path.name
+        assert path.stat().st_size <= MAX_CHECKPOINT_BYTES, path.name
 
 
 def test_resume_or_create_fresh_skips_checkpoints(trace_path,
@@ -304,64 +369,46 @@ def test_resume_or_create_fresh_skips_checkpoints(trace_path,
     TraceReplayer(pipeline, trace_events(trace_path), manager).run()
     assert manager.snapshot_paths()
 
-    _fresh, cursor, resumed = resume_or_create(header, manager,
-                                               fresh=True)
+    replayer, resumed = resume_or_create(header, manager,
+                                         events_of(trace_path),
+                                         fresh=True)
     assert not resumed
-    assert cursor.published == 0
-
-
-def test_checkpoint_policy_max_unflushed_forces_save(trace_path,
-                                                     tmp_path):
-    header = read_header(trace_path)
-    manager = CheckpointManager(
-        tmp_path, CheckpointPolicy(interval_events=10 ** 9,
-                                   max_unflushed_events=16))
-    pipeline = LivePipeline.from_header(header)
-    TraceReplayer(pipeline, trace_events(trace_path), manager).run()
-    # every 16 events the unflushed bound forces a checkpoint even
-    # though the normal cadence would never fire
-    assert manager.written >= 3
+    assert replayer.published == 0
 
 
 # ----------------------------------------------------------------------
-# cross-format resume (the (format, kind, record-index) contract)
+# cross-format resume (the cursor counts events of the merged stream)
 # ----------------------------------------------------------------------
-def test_cursor_counts_round_trip():
-    cursor = ReplayCursor()
-    cursor.advance(TraceEvent("step_record", 1.0, None, 10))
-    cursor.advance(TraceEvent("switch_report", 2.0, None, 11))
-    cursor.advance(TraceEvent("step_record", 3.0, None, 12))
-    assert cursor.resume_counts() == {"step_record": 2,
-                                      "switch_report": 1}
-    assert set(cursor.to_dict()) == {"published", "counts"}
-    clone = ReplayCursor.from_dict(cursor.to_dict())
-    assert clone == cursor
-    # a pre-counts checkpoint document still loads (counts default {})
-    legacy = dict(cursor.to_dict())
-    legacy.pop("counts")
-    assert ReplayCursor.from_dict(legacy).counts == {}
-    # and so does one that carries the JSONL byte offsets of old
-    dated = dict(cursor.to_dict(),
-                 positions={"step_record": [300, 13]})
-    assert ReplayCursor.from_dict(dated) == cursor
+def test_cursor_counts_round_trip(trace_path, tmp_path):
+    pipeline = LivePipeline.from_header(read_header(trace_path))
+    state = pipeline.state_dict(3)
+    assert state["cursor"] == {"published": 3}
+    manager = CheckpointManager(tmp_path)
+    assert manager.save(state).name == "ckpt-0000000003.json"
+    # a document of an older writer carries per-kind counts and the
+    # JSONL byte offsets of old: ignored
+    dated = dict(state, cursor=dict(state["cursor"],
+                                    counts={"step_record": 2},
+                                    positions={"step_record": [300, 13]}))
+    assert manager.save(dated).name == "ckpt-0000000003.json"
 
 
 def test_columnar_events_advance_counts_not_positions(trace_path,
                                                       tmp_path):
     columnar = write_columnar(trace_path, tmp_path / "run.vcol")
-    cursor = ReplayCursor()
-    for event in itertools.islice(trace_events(columnar), 5):
-        cursor.advance(event)
-    assert cursor.published == 5
-    assert sum(cursor.resume_counts().values()) == 5
+    pipeline = LivePipeline.from_header(read_header(columnar))
+    replayer = TraceReplayer(pipeline, trace_events(columnar))
+    assert replayer.step(5) == 5
+    assert pipeline.state_dict(replayer.published)["cursor"] \
+        == {"published": 5}
 
 
 @pytest.mark.parametrize("resume_format", ["jsonl", "columnar"])
 def test_cross_format_resume(trace_path, tmp_path, resume_format):
     """A checkpoint taken against one format resumes against the
-    other: the cursor's per-kind record counts are the portable
-    coordinate, and the diagnosis is bit-equal to an uninterrupted
-    replay either way."""
+    other: the merged stream is the same in both, so its event count
+    is the portable coordinate, and the diagnosis is bit-equal to an
+    uninterrupted replay either way."""
     columnar = write_columnar(trace_path, tmp_path / "run.vcol")
     resume_path = trace_path if resume_format == "jsonl" else columnar
     header = read_header(trace_path)
@@ -374,37 +421,34 @@ def test_cross_format_resume(trace_path, tmp_path, resume_format):
     manager = CheckpointManager(
         tmp_path / f"ckpt-{resume_format}",
         CheckpointPolicy(interval_events=32))
-    pipeline = LivePipeline.from_header(header, config)
     total = sum(1 for _ in trace_events(trace_path))
     stop_at = total // 2
     # the interrupted half replays from the OTHER format than the
     # resume, so the checkpoint itself crosses formats
     first_half_path = columnar if resume_format == "jsonl" \
         else trace_path
-    partial = TraceReplayer(
-        pipeline,
-        itertools.islice(trace_events(first_half_path), stop_at),
-        manager)
-    partial.run(finish=False)
+    partial, _ = resume_or_create(header, manager,
+                                  events_of(first_half_path),
+                                  config=config)
+    partial.step(stop_at)
     partial.checkpoint()
 
-    resumed, cursor, was_resumed = resume_or_create(header, manager,
-                                                    config=config)
+    resumed, was_resumed = resume_or_create(
+        header, manager, events_of(resume_path), config=config)
     assert was_resumed
-    assert cursor.published == stop_at
-    rest = trace_events(resume_path, cursor=cursor)
-    final = TraceReplayer(resumed, rest, manager, cursor).run()
+    assert resumed.published == stop_at
+    final = resumed.run()
     assert final_json(final) == final_json(expected)
-    assert cursor.published == total
+    assert resumed.published == total
 
 
 # ----------------------------------------------------------------------
 # two checkpoint documents, both 95 events into the golden incast trace
 # under FIXTURE_CONFIG.  OLD_FIXTURE (checkpoint_incast_case0.json) was
-# written before the waiting graph owned the per-step scalars and while
-# the cursor still carried JSONL byte offsets (``cursor.positions``):
-# it must still resume.  FIXTURE is what the pipeline writes today, and
-# differs from it in nothing but that key and the checksum.
+# written when a checkpoint held the whole pipeline state and the
+# cursor carried JSONL byte offsets (``cursor.positions``): it must
+# still resume, its extra keys ignored.  FIXTURE is what the pipeline
+# writes today: the cursor and five counters.
 # ----------------------------------------------------------------------
 OLD_FIXTURE = Path(__file__).parent.parent / "fixtures" \
     / "checkpoint_incast_case0.json"
@@ -445,14 +489,13 @@ def test_checkpoint_document_is_byte_identical_to_the_fixture(
     assert written.read_bytes() == FIXTURE.read_bytes()
 
 
-def test_fixtures_differ_only_in_cursor_positions_and_checksum():
-    old = json.loads(OLD_FIXTURE.read_text())
-    new = json.loads(FIXTURE.read_text())
-    assert old.pop("checksum") != new.pop("checksum")
-    assert old["state"]["cursor"].pop("positions") == {
-        "step_record": [24155, 169], "switch_report": [139136, 212]}
-    assert "positions" not in new["state"]["cursor"]
-    assert old == new
+def test_the_fixture_is_the_old_state_restricted_to_the_kept_keys():
+    old = json.loads(OLD_FIXTURE.read_text())["state"]
+    new = json.loads(FIXTURE.read_text())["state"]
+    assert set(new) == {"cursor", "seq", "ingested", "since_snapshot",
+                        "snapshot_seq", "dupes"}
+    assert new == {**{key: old[key] for key in new},
+                   "cursor": {"published": old["cursor"]["published"]}}
 
 
 @pytest.mark.parametrize("resume_format", ["jsonl", "columnar"])
@@ -467,13 +510,12 @@ def test_fixture_checkpoint_resumes_to_the_uninterrupted_verdict(
     shutil.copy(OLD_FIXTURE,
                 tmp_path / f"ckpt-{FIXTURE_CUT:010d}.json")
     manager = CheckpointManager(tmp_path)
-    resumed, cursor, was_resumed = resume_or_create(header, manager,
-                                                    config=config)
-    assert was_resumed and cursor.published == FIXTURE_CUT
     resume_path = golden_incast_path if resume_format == "jsonl" \
         else write_columnar(golden_incast_path, tmp_path / "run.vcol")
-    rest = trace_events(resume_path, cursor=cursor)
-    final = TraceReplayer(resumed, rest, manager, cursor).run()
+    resumed, was_resumed = resume_or_create(
+        header, manager, events_of(resume_path), config=config)
+    assert was_resumed and resumed.published == FIXTURE_CUT
+    final = resumed.run()
     assert final.canonical_json() == expected.canonical_json()
     assert final.counters["graph_pruned"] > 0
 
@@ -499,9 +541,9 @@ def hostile_incast(golden_incast_path, tmp_path_factory):
                                        on_error=lambda *_: None)}
 
 
-def lenient_events(path, pipeline, cursor=None):
-    return trace_events(path, on_error=pipeline.quarantine.admit,
-                        cursor=cursor)
+def lenient_events(path):
+    return lambda pipeline: trace_events(
+        path, on_error=pipeline.quarantine.admit)
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "columnar"])
@@ -512,9 +554,9 @@ def test_resume_counts_quarantined_lines_once(
     path = hostile_incast[fmt]
     header = read_header(path)
     config = PipelineConfig(snapshot_every=16)
-    baseline = LivePipeline.from_header(header, config)
-    expected = TraceReplayer(
-        baseline, lenient_events(path, baseline)).run()
+    baseline, _ = resume_or_create(header, None, lenient_events(path),
+                                   config=config)
+    expected = baseline.run()
     assert expected.counters["quarantined"] == 2
 
     # cut where the stream has delivered that many step records: before
@@ -523,19 +565,15 @@ def test_resume_counts_quarantined_lines_once(
     cut = [i for i, kind in enumerate(kinds, 1)
            if kind == "step_record"][steps_before_cut - 1]
     manager = CheckpointManager(tmp_path)
-    pipeline = LivePipeline.from_header(header, config)
-    partial = TraceReplayer(
-        pipeline,
-        itertools.islice(lenient_events(path, pipeline), cut), manager)
-    partial.run(finish=False)
+    partial, _ = resume_or_create(header, manager, lenient_events(path),
+                                  config=config)
+    partial.step(cut)
     partial.checkpoint()
 
-    resumed, cursor, was_resumed = resume_or_create(header, manager,
-                                                    config=config)
-    assert was_resumed and cursor.published == cut
-    final = TraceReplayer(
-        resumed, lenient_events(path, resumed, cursor), manager,
-        cursor).run()
+    resumed, was_resumed = resume_or_create(
+        header, manager, lenient_events(path), config=config)
+    assert was_resumed and resumed.published == cut
+    final = resumed.run()
     assert final.counters["quarantined"] == 2
     assert final_json(final) == final_json(expected)
 
@@ -569,7 +607,7 @@ VALUES = st.just(...) | JSON
 def planted(document, place: tuple, value):
     """``document`` with ``value`` at the key path ``place`` (the key
     dropped for ``...``).  Examples carry the place and value, not the
-    ~100 kB state, so a failure report stays small."""
+    whole state, so a failure report stays small."""
     if not place:
         return {} if value is ... else value
     key, *rest = place
@@ -590,10 +628,11 @@ def checksummed(state) -> str:
         "state": state, "version": CHECKPOINT_VERSION})
 
 
-def resume_from(header, newest, older_good: bool):
+def resume_from(incast, newest, older_good: bool):
     """resume_or_create over a directory whose newest snapshot holds
     ``newest`` (text or bytes), above the fixture snapshot if
     ``older_good``; returns its answer and the manager."""
+    header, events = incast
     with tempfile.TemporaryDirectory() as directory:
         if older_good:
             shutil.copy(FIXTURE, Path(directory)
@@ -605,24 +644,25 @@ def resume_from(header, newest, older_good: bool):
             target.write_text(newest)
         manager = CheckpointManager(directory)
         return resume_or_create(
-            header, manager, config=PipelineConfig(**FIXTURE_CONFIG)), \
-            manager
+            header, manager, lambda _pipeline: events,
+            config=PipelineConfig(**FIXTURE_CONFIG)), manager
 
 
 def assert_resumed_or_cold(answer, manager, older_good: bool) -> None:
-    _pipeline, cursor, resumed = answer
+    replayer, resumed = answer
     if manager.corrupt_skipped == 0:
         assert resumed                  # the newest restored as it is
     elif older_good:
-        assert resumed and cursor.published == FIXTURE_CUT
+        assert resumed and replayer.published == FIXTURE_CUT
         assert manager.fallbacks == 1
     else:
-        assert not resumed and cursor.published == 0
+        assert not resumed and replayer.published == 0
 
 
 @pytest.fixture(scope="module")
-def incast_header(golden_incast_path):
-    return read_header(golden_incast_path)
+def incast(golden_incast_path):
+    return (read_header(golden_incast_path),
+            list(trace_events(golden_incast_path)))
 
 
 @pytest.mark.parametrize("older_good", [False, True],
@@ -631,29 +671,28 @@ def incast_header(golden_incast_path):
     {}, {"cursor": {"published": 3}}, {"cursor": []},
     {"kernel": 1, "cursor": {}}], ids=repr)
 def test_a_state_of_the_wrong_shape_counts_as_corrupt(
-        incast_header, state, older_good):
-    answer, manager = resume_from(incast_header, checksummed(state),
+        incast, state, older_good):
+    answer, manager = resume_from(incast, checksummed(state),
                                   older_good)
     assert manager.corrupt_skipped == 1
     assert_resumed_or_cold(answer, manager, older_good)
 
 
-def without_duration(node: str, step: int) -> dict:
-    return dict(FIXTURE_STATE, durations=[
-        entry for entry in FIXTURE_STATE["durations"]
-        if entry[:2] != [node, step]])
+def off_by_one(key: str) -> dict:
+    value = FIXTURE_STATE[key]
+    if isinstance(value, dict):
+        return dict(FIXTURE_STATE, **{key: dict(
+            value, step_record=value["step_record"] + 1)})
+    return dict(FIXTURE_STATE, **{key: value + 1})
 
 
-#: well-shaped states whose fields disagree: each restored once, then
-#: raised mid-replay (a KeyError in ``finish()``) or diagnosed without
-#: a step.  In the fixture, ("h0", 0) is retained and not a slowest,
-#: ("h10", 6) is step 6's slowest and already pruned.
+#: well-shaped documents the stream does not reproduce: each of the
+#: five counters off by one, and a cursor past the stream's end
 INCONSISTENT = {
-    "retained-record-without-duration": without_duration("h0", 0),
-    "slowest-without-duration": without_duration("h10", 6),
-    "duration-without-window": dict(FIXTURE_STATE, windows={
-        step: window for step, window in FIXTURE_STATE["windows"].items()
-        if step != "6"}),
+    **{f"{key}-off-by-one": off_by_one(key) for key in (
+        "seq", "ingested", "since_snapshot", "snapshot_seq", "dupes")},
+    "cursor-past-the-end": dict(FIXTURE_STATE,
+                                cursor={"published": 10 ** 6}),
 }
 
 
@@ -670,22 +709,69 @@ def test_an_inconsistent_state_starts_cold_to_the_same_verdict(
     (tmp_path / f"ckpt-{FIXTURE_CUT:010d}.json").write_text(
         checksummed(state))
     manager = CheckpointManager(tmp_path)
-    pipeline, cursor, resumed = resume_or_create(header, manager,
-                                                 config=config)
-    assert not resumed and cursor.published == 0
+    replayer, resumed = resume_or_create(
+        header, manager, events_of(golden_incast_path), config=config)
+    assert not resumed and replayer.published == 0
     assert manager.corrupt_skipped == 1
-    final = TraceReplayer(pipeline, trace_events(golden_incast_path),
-                          manager, cursor).run()
+    final = replayer.run()
     assert final.canonical_json() == expected.canonical_json()
+
+
+def test_a_checkpoint_of_another_trace_starts_cold(trace_path,
+                                                    tmp_path):
+    """A flow_contention checkpoint in the directory a pfc_storm trace
+    is then served from: the prefix replay does not reproduce it, so
+    the pfc_storm verdict comes out as if served alone.  (Skipping
+    into the new trace by the old cursor served a wrong verdict.)"""
+    from tests.fleet.conftest import record_scenario_trace
+
+    storm = record_scenario_trace(tmp_path / "storm.jsonl", "pfc_storm")
+    config = PipelineConfig(snapshot_every=16)
+    manager = CheckpointManager(tmp_path / "ckpt")
+    contention, _ = resume_or_create(read_header(trace_path), manager,
+                                     events_of(trace_path), config=config)
+    contention.step(150)
+    contention.checkpoint()
+
+    header = read_header(storm)
+    expected = TraceReplayer(LivePipeline.from_header(header, config),
+                             trace_events(storm)).run()
+    replayer, resumed = resume_or_create(header, manager,
+                                         events_of(storm), config=config)
+    assert not resumed and manager.corrupt_skipped == 1
+    final = replayer.run()
+    assert final.canonical_json() == expected.canonical_json()
+    assert {f["type"] for f in final.to_dict()["findings"]} \
+        == {"pfc_storm"}
+
+
+def test_a_fault_in_the_prefix_replay_keeps_the_checkpoint(
+        golden_incast_path, tmp_path):
+    """An exception the replay itself raises is a fault of the code,
+    not of the document: it propagates, and the checkpoint is neither
+    counted corrupt nor discarded."""
+    def faulty(pipeline):
+        events = trace_events(golden_incast_path)
+        yield from itertools.islice(events, FIXTURE_CUT // 2)
+        raise ValueError("a fault in the pipeline")
+
+    path = tmp_path / f"ckpt-{FIXTURE_CUT:010d}.json"
+    path.write_text(checksummed(FIXTURE_STATE))
+    manager = CheckpointManager(tmp_path)
+    with pytest.raises(ValueError, match="a fault in the pipeline"):
+        resume_or_create(read_header(golden_incast_path), manager,
+                         faulty, config=PipelineConfig(**FIXTURE_CONFIG))
+    assert manager.corrupt_skipped == 0
+    assert manager.snapshot_paths() == [path]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True,
           report_multiple_bugs=False)
 @given(place=PLACES, value=VALUES, older_good=st.booleans())
 def test_any_checksummed_state_resumes_or_starts_cold(
-        incast_header, place, value, older_good):
+        incast, place, value, older_good):
     state = planted(FIXTURE_STATE, place, value)
-    answer, manager = resume_from(incast_header, checksummed(state),
+    answer, manager = resume_from(incast, checksummed(state),
                                   older_good)
     assert_resumed_or_cold(answer, manager, older_good)
 
@@ -693,7 +779,7 @@ def test_any_checksummed_state_resumes_or_starts_cold(
 @settings(max_examples=100, deadline=None, derandomize=True,
           report_multiple_bugs=False)
 @given(data=st.binary(max_size=64), older_good=st.booleans())
-def test_any_bytes_resume_or_start_cold(incast_header, data, older_good):
-    answer, manager = resume_from(incast_header, data, older_good)
+def test_any_bytes_resume_or_start_cold(incast, data, older_good):
+    answer, manager = resume_from(incast, data, older_good)
     assert manager.corrupt_skipped == 1
     assert_resumed_or_cold(answer, manager, older_good)

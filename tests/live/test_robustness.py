@@ -239,34 +239,3 @@ def test_admit_aggregates_equivalent_reasons_once():
     # retained samples keep the stripped full reason, not the label
     assert quarantine.entries[1].reason == ":ValueError: other bad json"
 
-
-def test_quarantine_state_roundtrip():
-    quarantine = Quarantine(keep=2)
-    quarantine.admit(1, "A: x", "snippet-1")
-    quarantine.admit(2, "B: y", "snippet-2")
-    quarantine.admit(3, "A: z", "snippet-3")  # beyond keep
-
-    restored = Quarantine(keep=2)
-    restored.load_state(quarantine.state_dict())
-    assert restored.count == 3
-    assert restored.by_reason == {"A": 2, "B": 1}
-    assert [e.snippet for e in restored.entries] == \
-        ["snippet-1", "snippet-2"]
-
-
-def test_degradation_state_roundtrip_with_infinities():
-    tracker = DegradationTracker(report_gap_ns=1000.0)
-    # nothing observed: both watermarks are -inf -> None sentinels
-    state = tracker.state_dict()
-    assert state["last_step_time"] is None
-    restored = DegradationTracker(report_gap_ns=1000.0)
-    restored.load_state(state)
-    assert restored.last_step_time == float("-inf")
-    assert restored.confidence() == tracker.confidence()
-
-    tracker.observe_step(5000.0)
-    restored = DegradationTracker(report_gap_ns=1000.0)
-    restored.load_state(tracker.state_dict())
-    assert restored.last_step_time == 5000.0
-    assert restored.last_report_time == float("-inf")
-    assert restored.confidence() == tracker.confidence()

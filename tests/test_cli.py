@@ -137,6 +137,16 @@ def test_serve_missing_trace(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_serve_resume_needs_a_checkpoint_dir(capsys, cli_trace):
+    """Without a directory to resume from, ``--resume`` is an error,
+    not a silent cold start."""
+    assert main(["serve", "--trace", str(cli_trace), "--speed", "0",
+                 "--quiet", "--resume"]) == 2
+    captured = capsys.readouterr()
+    assert "--resume needs --checkpoint-dir" in captured.err
+    assert "serving" not in captured.out
+
+
 def test_tail_prints_snapshots(capsys, cli_trace, tmp_path):
     snapshots = tmp_path / "snaps.jsonl"
     assert main(["serve", "--trace", str(cli_trace), "--speed", "0",

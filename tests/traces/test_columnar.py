@@ -174,7 +174,7 @@ def synthesize_trace(path, seed: int, records: int = 40,
 
 
 def _event_tuples(events):
-    return [(e.kind, e.time, e.line_no, e.index, e.payload)
+    return [(e.kind, e.time, e.line_no, e.payload)
             for e in events]
 
 
@@ -373,15 +373,12 @@ def reference_events(path, bad=None) -> list:
     sort of the decoded data records by ``(time, kind rank,
     line_no)``."""
     rank = {"step_record": 0, "switch_report": 1}
-    seen = dict.fromkeys(rank, 0)
     events = []
     for line_no, kind, payload in reference_entries(path, bad):
         if kind in rank:
             time = payload.end_time if kind == "step_record" \
                 else payload.time
-            events.append(TraceEvent(kind, time, payload, line_no,
-                                     seen[kind]))
-            seen[kind] += 1
+            events.append(TraceEvent(kind, time, payload, line_no))
     return sorted(events,
                   key=lambda e: (e.time, rank[e.kind], e.line_no))
 

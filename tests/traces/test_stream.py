@@ -62,10 +62,10 @@ def test_header_matches_full_load(trace_path):
 def test_stream_yields_same_events_as_load(trace_path):
     trace = load_trace(trace_path)
     events = list(trace_events(trace_path))
-    by_index = sorted(events, key=lambda e: e.index)
-    assert [e.payload for e in by_index
+    by_line = sorted(events, key=lambda e: e.line_no)
+    assert [e.payload for e in by_line
             if e.kind == "step_record"] == trace.step_records
-    assert [e.payload for e in by_index
+    assert [e.payload for e in by_line
             if e.kind == "switch_report"] == trace.reports
     assert all(e.line_no > 0 for e in events)
 
