@@ -97,11 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--speed", type=float, default=1.0,
                        help="replay speed multiplier vs simulated time "
                             "(0 = as fast as possible)")
-    serve.add_argument("--queue", type=int, default=4096,
-                       help="event-bus capacity (<=0 = unbounded)")
-    serve.add_argument("--policy", default="block",
-                       choices=["block", "drop-oldest", "drop-newest"],
-                       help="backpressure policy when the bus is full")
     serve.add_argument("--lateness-us", type=float, default=0.0,
                        help="watermark lateness bound (microseconds of "
                             "event time)")
@@ -446,7 +441,6 @@ def cmd_serve(args) -> int:
     from repro.core.reports import render_text
     from repro.core.units import Microseconds, us_to_ns
     from repro.live import PipelineConfig
-    from repro.live.bus import BusPolicy
     from repro.live.checkpoint import (
         CheckpointManager,
         CheckpointPolicy,
@@ -471,8 +465,6 @@ def cmd_serve(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     config = PipelineConfig(
-        queue_capacity=args.queue,
-        policy=BusPolicy(args.policy),
         lateness_bound_ns=us_to_ns(Microseconds(args.lateness_us)),
         snapshot_every=args.snapshot_every,
     )
@@ -573,7 +565,6 @@ def cmd_serve(args) -> int:
               f"(switch telemetry degraded)")
     counters = final.counters
     print(f"pipeline: {counters['consumed']} events consumed, "
-          f"{counters['dropped']} dropped, "
           f"{counters['late_discarded']} late, "
           f"{counters['quarantined']} quarantined, "
           f"{counters['graph_pruned']} graph records pruned")

@@ -22,8 +22,8 @@
   bundle (monitors + agents + analyzer) applications attach to a run.
 * :mod:`repro.core.failpoints` — named, seeded fault injection at
   annotated sites (``REPRO_FAILPOINTS``).
-* :mod:`repro.core.retry` — retry policies, monotonic deadlines and a
-  circuit breaker shared by the live / fleet resilience paths.
+* :mod:`repro.core.retry` — retry policies and a circuit breaker
+  shared by the live / fleet resilience paths.
 
 Exports resolve lazily (PEP 562) so that leaf modules — in particular
 :mod:`repro.core.units`, which :mod:`repro.simnet` imports at runtime —
@@ -54,12 +54,10 @@ _EXPORTS = {
     "VedrfolnirAnalyzer": "repro.core.analyzer",
     "VedrfolnirSystem": "repro.core.system",
     "VedrfolnirConfig": "repro.core.system",
-    "replay_pairwise_weights": "repro.core.replay",
     "render_json": "repro.core.reports",
     "render_text": "repro.core.reports",
     "FailpointError": "repro.core.failpoints",
     "FailpointSpec": "repro.core.failpoints",
-    "Deadline": "repro.core.retry",
     "RetryPolicy": "repro.core.retry",
     "CircuitBreaker": "repro.core.retry",
     "RetryBudgetExceeded": "repro.core.retry",

@@ -1,4 +1,4 @@
-"""Retry policies, deadlines, and circuit breaking.
+"""Retry policies and circuit breaking.
 
 One place for the "try again, but not forever" discipline the live
 and fleet layers kept reinventing:
@@ -8,12 +8,10 @@ and fleet layers kept reinventing:
   :class:`repro.live.supervisor.Supervisor` has always used (``raw +
   raw * jitter_frac * rng.random()``, capped), and the supervisor now
   delegates here — same seed, bit-identical restart schedule.
-* :class:`Deadline` — a monotonic wall-clock budget that several
-  attempts (or several layers) can share.
 * :class:`CircuitBreaker` — closed / open / half-open.  Consecutive
   failures past a threshold open it; after ``reset_after_s`` one
   trial call is let through, and its outcome closes or re-opens.
-* :func:`call_with_retry` — drives a callable under all three.
+* :func:`call_with_retry` — drives a callable under both.
 
 Everything wall-clock is injectable (``clock`` / ``sleep``) and every
 random draw comes from a caller-visible seeded RNG, so retry
@@ -33,37 +31,15 @@ T = TypeVar("T")
 
 
 class RetryBudgetExceeded(OSError):
-    """Retries exhausted (attempt cap, deadline, or open breaker)."""
-
-
-class Deadline:
-    """A monotonic time budget shared across attempts."""
-
-    def __init__(self, budget_s: Seconds,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        self.budget_s = budget_s
-        self.clock = clock
-        self._start = clock()
-
-    def elapsed_s(self) -> float:
-        return self.clock() - self._start
-
-    def remaining_s(self) -> float:
-        return max(0.0, self.budget_s - self.elapsed_s())
-
-    def expired(self) -> bool:
-        return self.elapsed_s() >= self.budget_s
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Deadline(budget_s={self.budget_s!r}, "
-                f"remaining_s={self.remaining_s():.3f})")
+    """Retries exhausted (attempt cap or open breaker)."""
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Seeded capped exponential backoff with jitter."""
 
-    #: attempts allowed in total (first try included); 0 = unlimited
+    #: attempts allowed in total (first try included); must be
+    #: positive for :func:`call_with_retry`
     max_attempts: int = 5
     #: first backoff delay; grows by ``factor`` per consecutive failure
     base_delay_s: Seconds = 0.05
@@ -147,7 +123,6 @@ class CircuitBreaker:
 
 def call_with_retry(fn: Callable[[], T],
                     policy: Optional[RetryPolicy] = None,
-                    deadline: Optional[Deadline] = None,  # Deadline is a budget object, not a bare magnitude
                     breaker: Optional[CircuitBreaker] = None,
                     retry_on: tuple = (OSError,),
                     sleep: Callable[[float], None] = time.sleep,
@@ -155,20 +130,21 @@ def call_with_retry(fn: Callable[[], T],
                     on_retry: Optional[Callable[[int, BaseException,
                                                  float], None]] = None
                     ) -> T:
-    """Call ``fn`` under a retry policy / deadline / breaker.
+    """Call ``fn`` under a retry policy / breaker.
 
     Raises :class:`RetryBudgetExceeded` when the breaker rejects the
-    call outright; re-raises the last error once attempts or the
-    deadline run out.  ``on_retry(attempt, error, delay_s)`` observes
-    every scheduled retry.
+    call outright; re-raises the last error once attempts run out, and
+    ``ValueError`` for a policy without a positive ``max_attempts`` (the
+    attempt cap is the only thing that ends the loop).
+    ``on_retry(attempt, error, delay_s)`` observes every scheduled
+    retry.
     """
     policy = policy if policy is not None else RetryPolicy()
     rng = rng if rng is not None else policy.rng()
     failures = 0
-    # bounded by policy.max_attempts / deadline / breaker below; the
-    # unlimited (max_attempts=0) form requires an explicit deadline
-    if policy.max_attempts <= 0 and deadline is None:
-        raise ValueError("unlimited max_attempts requires a deadline")
+    if policy.max_attempts <= 0:
+        raise ValueError(
+            f"max_attempts must be positive, got {policy.max_attempts}")
     while True:
         if breaker is not None and not breaker.allow():
             raise RetryBudgetExceeded(
@@ -179,13 +155,9 @@ def call_with_retry(fn: Callable[[], T],
             if breaker is not None:
                 breaker.record_failure()
             failures += 1
-            out_of_attempts = 0 < policy.max_attempts <= failures
-            if out_of_attempts or (deadline is not None
-                                   and deadline.expired()):
+            if failures >= policy.max_attempts:
                 raise
             delay = policy.delay_s(failures - 1, rng)
-            if deadline is not None:
-                delay = min(delay, deadline.remaining_s())
             if on_retry is not None:
                 on_retry(failures, error, delay)
             if delay > 0:
@@ -197,7 +169,6 @@ def call_with_retry(fn: Callable[[], T],
 
 
 __all__ = [
-    "Deadline",
     "RetryPolicy",
     "CircuitBreaker",
     "RetryBudgetExceeded",

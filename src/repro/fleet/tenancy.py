@@ -1,4 +1,4 @@
-"""Per-tenant isolation: event budgets, quarantine, bounded buses.
+"""Per-tenant isolation: event budgets, quarantine, one pipeline each.
 
 A fleet's availability story is per-tenant: one collective emitting a
 pathological event volume must degrade *its own* diagnosis, never its
@@ -15,9 +15,9 @@ shard-mates'.  Three mechanisms, all deterministic:
   (``budget_exhausted``) and surfaced in every fleet snapshot and the
   ``/metrics`` export; its pipeline keeps serving whatever was
   admitted;
-* **bounded buses** — each tenant pipeline keeps its own bounded
-  :class:`~repro.live.bus.EventBus`; a noisy tenant can fill only its
-  own queue.
+* **one pipeline each** — each tenant has its own
+  :class:`~repro.live.pipeline.LivePipeline`: a noisy tenant's events
+  queue only on its own bus, never more than one pump batch of them.
 
 Degradation (missing switch telemetry) stays per-tenant as well: each
 pipeline owns a :class:`~repro.live.robustness.DegradationTracker`,
@@ -47,8 +47,6 @@ class TenantPolicy:
 
     #: stream events a tenant may admit; 0 = unlimited
     event_budget: int = 0
-    #: per-tenant bus bound (events); <= 0 = unbounded
-    bus_capacity: int = 4096
     #: rolling-snapshot cadence of each tenant pipeline
     snapshot_every: int = 32
     #: checkpoint cadence in published events (0 disables durability)
@@ -57,8 +55,7 @@ class TenantPolicy:
     checkpoint_retain: int = 3
 
     def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(queue_capacity=self.bus_capacity,
-                              snapshot_every=self.snapshot_every)
+        return PipelineConfig(snapshot_every=self.snapshot_every)
 
     def checkpoint_policy(self) -> CheckpointPolicy:
         return CheckpointPolicy(
@@ -68,7 +65,6 @@ class TenantPolicy:
     def to_dict(self) -> dict:
         return {
             "event_budget": self.event_budget,
-            "bus_capacity": self.bus_capacity,
             "snapshot_every": self.snapshot_every,
             "checkpoint_every": self.checkpoint_every,
             "checkpoint_retain": self.checkpoint_retain,
@@ -77,7 +73,7 @@ class TenantPolicy:
     @classmethod
     def from_dict(cls, data: dict) -> "TenantPolicy":
         return cls(**{key: int(data[key]) for key in (
-            "event_budget", "bus_capacity", "snapshot_every",
+            "event_budget", "snapshot_every",
             "checkpoint_every", "checkpoint_retain")})
 
 

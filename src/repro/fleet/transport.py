@@ -487,7 +487,6 @@ def run_fleet_streaming(
         on_merge: Optional[Callable[[FleetSnapshot], None]] = None,
         merge_every_s: Seconds = 0.1,
         report_every_rounds: int = 8,
-        heartbeat_every_rounds: int = 1,
         worker_failpoints: str = "",
         failpoint_seed: int = 0,
         preload_traces: bool = False,
@@ -552,7 +551,6 @@ def run_fleet_streaming(
                 kill_at=kill_at.get(shard_id, 0),
                 report_every_rounds=report_every_rounds,
                 endpoint=listener.endpoint(),
-                heartbeat_every_rounds=heartbeat_every_rounds,
                 worker_failpoints=worker_failpoints,
                 failpoint_seed=failpoint_seed,
                 preload_traces=preload_traces)

@@ -74,7 +74,6 @@ def make_shard_spec(config: FleetConfig, shard_id: int,
                     kill_at: int = 0,
                     report_every_rounds: int = 8,
                     endpoint: Optional[list] = None,
-                    heartbeat_every_rounds: int = 1,
                     worker_failpoints: str = "",
                     failpoint_seed: int = 0,
                     preload_traces: bool = False) -> dict:
@@ -90,7 +89,6 @@ def make_shard_spec(config: FleetConfig, shard_id: int,
         "kill_flag": f"{report_path}.kill",
         # streaming channel (None = report files only)
         "endpoint": endpoint,
-        "heartbeat_every_rounds": heartbeat_every_rounds,
         # worker-side fault injection (chaos; "" = none)
         "failpoints": worker_failpoints,
         "failpoint_seed": failpoint_seed,
@@ -153,8 +151,8 @@ def _preload_factory(tenants: list[TenantSpec]):
 def worker_main(spec: dict) -> int:
     """Run one shard to completion inside the current process.
 
-    With an ``endpoint`` in the spec, rolling reports and heartbeats
-    stream to the parent's :class:`~repro.fleet.transport
+    With an ``endpoint`` in the spec, rolling reports and one heartbeat
+    per round stream to the parent's :class:`~repro.fleet.transport
     .ReportListener`; a broken channel falls back to the atomic
     report file, and the **final** report is always written to the
     file regardless — the streamed copies only make the parent's
@@ -182,8 +180,6 @@ def worker_main(spec: dict) -> int:
     kill_at = int(spec.get("kill_at", 0) or 0)
     kill_flag = spec.get("kill_flag")
     endpoint = spec.get("endpoint")
-    heartbeat_every = max(1, int(spec.get("heartbeat_every_rounds",
-                                          1)))
     publisher = None
     if endpoint:
         from repro.fleet.transport import ReportPublisher
@@ -218,8 +214,7 @@ def worker_main(spec: dict) -> int:
                 with open(kill_flag, "w", encoding="utf-8") as handle:
                     handle.write(str(runtime.events_consumed))
                 os.kill(os.getpid(), signal.SIGKILL)
-            if publisher is not None \
-                    and rounds % heartbeat_every == 0:
+            if publisher is not None:
                 publisher.heartbeat()
             if rounds % report_every == 0:
                 emit(final=False)

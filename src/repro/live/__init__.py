@@ -3,8 +3,8 @@
 In deployment the analyzer is not a post-mortem script: §III-D1 has it
 "queue the collected data entries in order of their completion time and
 construct the waiting graph sequentially".  This package is that
-service layer — a bounded event bus with explicit backpressure
-(:mod:`repro.live.bus`), completion-time watermarking for out-of-order
+service layer — an event bus the pipeline pumps itself, one batch at
+a time (:mod:`repro.live.bus`), completion-time watermarking for out-of-order
 and late telemetry (:mod:`repro.live.watermark`), the diagnosis
 pipeline that wires both into the batch analyzer's own
 :class:`~repro.core.waiting_graph.WaitingGraph` and §III-D kernel
@@ -25,19 +25,14 @@ uninterrupted run).
     header = read_header("run.jsonl")
     pipeline = LivePipeline.from_header(header)
     for event in trace_events("run.jsonl"):
-        pipeline.publish(event)
+        pipeline.publish(event)     # pumps every pump_batch events
     snapshot = pipeline.finish()        # == batch analyze_trace result
 """
 
 from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
-from repro.live.bus import (
-    BusOverflow,
-    BusPolicy,
-    EventBus,
-    TelemetryEvent,
-)
+from repro.live.bus import EventBus, TelemetryEvent
 from repro.live.checkpoint import (
     CheckpointCorrupt,
     CheckpointManager,
@@ -74,8 +69,6 @@ __getattr__ = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "BusOverflow",
-    "BusPolicy",
     "EventBus",
     "TelemetryEvent",
     "WatermarkBuffer",

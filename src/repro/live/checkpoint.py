@@ -297,7 +297,6 @@ class TraceReplayer:
     def __init__(self, pipeline: LivePipeline,
                  events: Iterable[TraceEvent],
                  manager: Optional[CheckpointManager] = None,
-                 pump_at: Optional[int] = None,
                  pacing: Optional[Callable[[TraceEvent], None]] = None,
                  should_stop: Optional[Callable[[], bool]] = None,
                  admit: Optional[Callable[[int, TraceEvent], bool]]
@@ -310,11 +309,6 @@ class TraceReplayer:
         #: stream is a pure function of the trace contents, so the
         #: count means the same against a JSONL and its ``.vcol``
         self.published = 0
-        config = pipeline.config
-        if pump_at is None:
-            pump_at = config.pump_batch if config.queue_capacity <= 0 \
-                else min(config.pump_batch, config.queue_capacity)
-        self.pump_at = max(1, pump_at)
         self.pacing = pacing
         self.should_stop = should_stop
         self.admit = admit
@@ -347,9 +341,9 @@ class TraceReplayer:
     def fast_forward(self, state: dict) -> None:
         """Replay the events ``state`` (a checkpoint document) counts
         the way the run that wrote it did: through :meth:`step`, so the
-        pump cadence, the ``admit`` gate and the bus's backpressure
-        behave the same, with no snapshot computation.  Call it before
-        attaching ``manager``, ``pacing`` and ``should_stop``.
+        ``admit`` gate and the pipeline's pump cadence behave the same,
+        with no snapshot computation.  Call it before attaching
+        ``manager``, ``pacing`` and ``should_stop``.
 
         Raises :class:`CheckpointCorrupt` when the document has the
         wrong shape, the stream ends before its cursor, or the
@@ -410,8 +404,6 @@ class TraceReplayer:
             self.published += 1
             self._since_checkpoint += 1
             consumed += 1
-            if len(pipeline.bus) >= self.pump_at:
-                pipeline.pump(pipeline.config.pump_batch)
             if self._checkpoint_due():
                 self.checkpoint()
         return consumed
@@ -443,7 +435,7 @@ class TraceReplayer:
 
 def resume_or_create(header, manager: Optional[CheckpointManager],
                      events: EventSource, config=None, clock=None,
-                     fresh: bool = False, pump_at=None, pacing=None,
+                     fresh: bool = False, pacing=None,
                      should_stop=None, admit=None
                      ) -> tuple[TraceReplayer, bool]:
     """A replayer over ``events`` positioned where the newest
@@ -456,9 +448,9 @@ def resume_or_create(header, manager: Optional[CheckpointManager],
     skipped as corrupt.  Once the start is chosen, every document
     numbered above it is discarded
     (:meth:`CheckpointManager.discard_after`) and ``manager``,
-    ``pacing`` and ``should_stop`` are attached; ``pump_at`` and
-    ``admit`` shape the prefix as they shaped the run that wrote the
-    document (all are :class:`TraceReplayer` options).
+    ``pacing`` and ``should_stop`` are attached; ``admit`` shapes the
+    prefix as it shaped the run that wrote the document (all are
+    :class:`TraceReplayer` options).
 
     Returns ``(replayer, resumed)``; ``fresh=True`` skips the
     checkpoint lookup (an explicit cold start).
@@ -468,8 +460,7 @@ def resume_or_create(header, manager: Optional[CheckpointManager],
     def start() -> TraceReplayer:
         pipeline = LivePipeline.from_header(header, config=config,
                                             **kwargs)
-        return TraceReplayer(pipeline, events(pipeline),
-                             pump_at=pump_at, admit=admit)
+        return TraceReplayer(pipeline, events(pipeline), admit=admit)
 
     def restore(state: dict) -> TraceReplayer:
         replayer = start()

@@ -1,6 +1,6 @@
 """The online diagnosis pipeline: bus → watermark → graph → snapshot.
 
-Wires the bounded :class:`~repro.live.bus.EventBus` and the
+Wires the :class:`~repro.live.bus.EventBus` and the
 :class:`~repro.live.watermark.WatermarkBuffer` into the
 :class:`~repro.core.waiting_graph.WaitingGraph` and the
 :class:`~repro.core.analyzer.DiagnosisKernel` the batch analyzer uses,
@@ -19,7 +19,6 @@ slowest flows) for the steps the prune discards.
 from __future__ import annotations
 
 import time
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
@@ -35,7 +34,7 @@ from repro.core.reports import (
     finding_entry,
 )
 from repro.core.waiting_graph import CriticalPathEntry, WaitingGraph
-from repro.live.bus import BusPolicy, EventBus, TelemetryEvent
+from repro.live.bus import EventBus, TelemetryEvent
 from repro.live.metrics import Histogram, MetricsRegistry
 from repro.live.robustness import DegradationTracker, Quarantine
 from repro.live.watermark import WatermarkBuffer
@@ -44,23 +43,17 @@ from repro.simnet.telemetry import SwitchReport
 from repro.simnet.units import MS
 from repro.traces.stream import TraceEvent, TraceHeader
 
-#: a global: an enum member lookup costs ~200 ns per publish on 3.11
-_DROP_OLDEST = BusPolicy.DROP_OLDEST
-
 
 @dataclass
 class PipelineConfig:
     """Knobs of the live service."""
 
-    #: bus bound; <= 0 = unbounded
-    queue_capacity: int = 4096
-    #: what to do when the bus is full
-    policy: BusPolicy = BusPolicy.BLOCK
     #: out-of-order tolerance of the watermark (event-time ns)
     lateness_bound_ns: Nanoseconds = 0.0
     #: emit a rolling snapshot every N ingested events (0 = final only)
     snapshot_every: int = 0
-    #: events pumped off the bus per :meth:`LivePipeline.pump` batch
+    #: :meth:`LivePipeline.publish` pumps the bus once this many
+    #: events are queued, so the bus never holds more
     pump_batch: int = 64
     #: prune cadence of the waiting graph
     prune_interval: int = 16
@@ -146,24 +139,6 @@ def snapshot_line(entry: dict) -> str:
             f"anomalies={findings} top={top}{note}")
 
 
-def _backpressure_hook(pipeline: "LivePipeline") -> Callable[[], None]:
-    """The bus's ``block``-policy drain hook: pump one batch.
-
-    It reaches the pipeline through a weak reference.  A bound method
-    held by the pipeline's own bus would make every pipeline a
-    reference cycle, freed only by the cycle collector (which fleet
-    workers run without); once the pipeline is gone the hook drains
-    nothing and the bus reports its overflow."""
-    ref = weakref.ref(pipeline)
-
-    def drain() -> None:
-        owner = ref()
-        if owner is not None:
-            owner.pump(limit=max(1, owner.config.pump_batch))
-
-    return drain
-
-
 class LivePipeline:
     """Streaming §III-D analyzer over a telemetry event stream."""
 
@@ -181,8 +156,7 @@ class LivePipeline:
         self.clock = clock
 
         cfg = self.config
-        self.bus = EventBus(cfg.queue_capacity, cfg.policy,
-                            drain_hook=_backpressure_hook(self))
+        self.bus = EventBus()
         self.watermark = WatermarkBuffer(cfg.lateness_bound_ns)
         self.graph = WaitingGraph(
             schedule, prune_interval=cfg.prune_interval)
@@ -241,34 +215,31 @@ class LivePipeline:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def publish(self, event: TraceEvent) -> bool:
-        """Enqueue one decoded trace event onto the bus.
-
-        Returns False when the event was shed by a drop policy."""
+    def publish(self, event: TraceEvent) -> None:
+        """Enqueue one decoded trace event onto the bus, and pump a
+        batch off it once ``pump_batch`` events are queued: the one
+        flow-control rule of the pipeline, which keeps the bus at most
+        one batch deep whoever the producer is."""
         if self._started_wall is None:
             self._started_wall = self.clock()
         self._seq += 1
-        wrapped = TelemetryEvent(kind=event.kind, time=event.time,
-                                 payload=event.payload, seq=self._seq)
-        bus = self.bus
-        if bus.policy is _DROP_OLDEST and bus.full:
-            # admitting this event sheds the oldest queued one
-            self._arrival_wall.pop(bus.peek().seq, None)
         self._arrival_wall[self._seq] = self.clock()
-        admitted = bus.publish(wrapped)
-        if not admitted:
-            self._arrival_wall.pop(self._seq, None)
-        return admitted
+        bus = self.bus
+        bus.publish(TelemetryEvent(kind=event.kind, time=event.time,
+                                   payload=event.payload, seq=self._seq))
+        batch = self.config.pump_batch
+        if len(bus) >= batch:
+            self.pump(batch)
 
-    def publish_step_record(self, record: StepRecord) -> bool:
+    def publish_step_record(self, record: StepRecord) -> None:
         """Live (non-trace) producers: a runtime's step-end listener."""
-        return self.publish(TraceEvent("step_record", record.end_time,
-                                       record, line_no=0))
+        self.publish(TraceEvent("step_record", record.end_time, record,
+                                line_no=0))
 
-    def publish_switch_report(self, report: SwitchReport) -> bool:
+    def publish_switch_report(self, report: SwitchReport) -> None:
         """Live (non-trace) producers: a network's report sink."""
-        return self.publish(TraceEvent("switch_report", report.time,
-                                       report, line_no=0))
+        self.publish(TraceEvent("switch_report", report.time, report,
+                                line_no=0))
 
     def pump(self, limit: int = 0) -> int:
         """Consume up to ``limit`` events off the bus (all if 0)."""
@@ -441,8 +412,6 @@ class LivePipeline:
         return {
             "published": stats.published,
             "consumed": stats.consumed,
-            "dropped": stats.dropped,
-            "backpressure_stalls": stats.backpressure_stalls,
             "bus_depth": len(self.bus),
             "bus_high_watermark": stats.high_watermark,
             "late_discarded": self.watermark.late_discarded,
@@ -477,17 +446,6 @@ class LivePipeline:
         counter("live_switch_reports_total",
                 "switch reports ingested",
                 self._ingested["switch_report"])
-        counter("live_bus_dropped_total",
-                "events shed by drop-oldest/drop-newest",
-                stats.dropped)
-        for policy, value in (("drop-oldest", stats.dropped_oldest),
-                              ("drop-newest", stats.dropped_newest)):
-            counter("live_bus_dropped_events_total",
-                    "events shed, by the bus policy that shed them",
-                    value, {"policy": policy})
-        counter("live_bus_backpressure_total",
-                "publishes that stalled on a full bus",
-                stats.backpressure_stalls)
         counter("live_late_discarded_total",
                 "events behind the watermark's lateness bound",
                 self.watermark.late_discarded)

@@ -26,7 +26,7 @@ and :func:`load_trace` are thin calls over it::
 
     write_columnar("run.jsonl", "run.vcol")
     for event in trace_events("run.vcol"):
-        pipeline.publish(event)
+        pipeline.publish(event)     # a LivePipeline pumps itself
 """
 
 from repro.traces.columnar import (

@@ -63,8 +63,6 @@ def counted_replay(path, monkeypatch) -> dict:
         read_header(path), PipelineConfig(snapshot_every=32))
     for event in trace_events(path):
         pipeline.publish(event)
-        if len(pipeline.bus) >= 64:
-            pipeline.pump()
     pipeline.finish()
     return counts
 

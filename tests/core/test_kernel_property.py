@@ -134,14 +134,13 @@ def trace_path(request, tmp_path_factory):
 def drive(pipeline: LivePipeline, events) -> LivePipeline:
     for event in events:
         pipeline.publish(event)
-        if len(pipeline.bus) >= 16:
-            pipeline.pump(16)
     return pipeline
 
 
 def rolling(header, log: list, **config) -> LivePipeline:
     return checked(LivePipeline.from_header(
-        header, PipelineConfig(snapshot_every=9, **config)), log)
+        header, PipelineConfig(snapshot_every=9, pump_batch=16,
+                               **config)), log)
 
 
 def test_every_rolling_snapshot_equals_from_scratch(trace_path):
@@ -192,10 +191,10 @@ def test_checkpoint_round_trip_mid_stream(trace_path, tmp_path):
     manager = CheckpointManager(tmp_path)
 
     def resume() -> tuple:
-        # the replayer pumps the way ``drive`` does
-        return resume_or_create(header, manager, lambda _p: events,
-                                config=PipelineConfig(snapshot_every=9),
-                                pump_at=16)
+        # configured like ``rolling``, so it pumps the same batches
+        return resume_or_create(
+            header, manager, lambda _p: events,
+            config=PipelineConfig(snapshot_every=9, pump_batch=16))
 
     first, _ = resume()
     checked(first.pipeline, resumed)

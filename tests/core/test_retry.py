@@ -1,4 +1,4 @@
-"""Retry policies, deadlines, circuit breaking, call_with_retry."""
+"""Retry policies, circuit breaking, call_with_retry."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.retry import (
     CircuitBreaker,
-    Deadline,
     RetryBudgetExceeded,
     RetryPolicy,
     call_with_retry,
@@ -59,22 +58,6 @@ def test_supervisor_backoff_is_bit_identical_to_retry_policy():
     expected = [restart.retry_policy().delay_s(a, rng)
                 for a in range(6)]
     assert [supervisor.backoff_delay(a) for a in range(6)] == expected
-
-
-# ----------------------------------------------------------------------
-# Deadline
-# ----------------------------------------------------------------------
-def test_deadline_budget_accounting():
-    clock = FakeClock()
-    deadline = Deadline(2.0, clock=clock)
-    assert not deadline.expired()
-    assert deadline.remaining_s() == 2.0
-    clock.advance(1.5)
-    assert deadline.elapsed_s() == 1.5
-    assert deadline.remaining_s() == pytest.approx(0.5)
-    clock.advance(1.0)
-    assert deadline.expired()
-    assert deadline.remaining_s() == 0.0  # clamped, never negative
 
 
 # ----------------------------------------------------------------------
@@ -170,35 +153,12 @@ def test_retry_only_catches_retry_on():
     assert fn.state["calls"] == 1  # not retried at all
 
 
-def test_retry_respects_the_deadline_budget():
-    clock = FakeClock()
-    deadline = Deadline(1.0, clock=clock)
-    policy = RetryPolicy(max_attempts=50, base_delay_s=0.4,
-                         factor=1.0, max_delay_s=0.4, jitter_frac=0.0)
-    slept = []
-
-    def sleep(delay):
-        slept.append(delay)
-        clock.advance(delay)
-
-    fn = flaky(99)
-    with pytest.raises(OSError):
-        call_with_retry(fn, policy=policy, deadline=deadline,
-                        sleep=sleep)
-    # 0.4 + 0.4 spent; the third delay is clamped to the remaining
-    # 0.2, after which the deadline is expired and the error surfaces
-    assert slept == [0.4, 0.4, pytest.approx(0.2)]
-    assert fn.state["calls"] == 4
-
-
-def test_unlimited_attempts_require_a_deadline():
-    with pytest.raises(ValueError):
-        call_with_retry(lambda: 1, policy=RetryPolicy(max_attempts=0))
-    clock = FakeClock()
-    result = call_with_retry(
-        lambda: "ok", policy=RetryPolicy(max_attempts=0),
-        deadline=Deadline(1.0, clock=clock))
-    assert result == "ok"
+@pytest.mark.parametrize("attempts", [0, -1])
+def test_a_policy_without_positive_attempts_is_rejected(attempts):
+    fn = flaky(0)
+    with pytest.raises(ValueError, match="max_attempts must be positive"):
+        call_with_retry(fn, policy=RetryPolicy(max_attempts=attempts))
+    assert fn.state["calls"] == 0
 
 
 def test_open_breaker_rejects_without_calling():

@@ -21,10 +21,7 @@ from repro.cli import main
 #: ``repro serve --metrics`` with a checkpoint directory and one
 #: quarantined line, so every conditional family is present
 LIVE_CATALOGUE = {
-    "live_bus_backpressure_total": "counter",
     "live_bus_depth": "gauge",
-    "live_bus_dropped_events_total": "counter",
-    "live_bus_dropped_total": "counter",
     "live_bus_high_watermark": "gauge",
     "live_checkpoint_bytes": "gauge",
     "live_checkpoint_fallbacks_total": "counter",

@@ -1,8 +1,6 @@
-"""Bounded event bus: policies, counters, backpressure."""
+"""Event bus: FIFO order and depth counters."""
 
-import pytest
-
-from repro.live.bus import BusOverflow, BusPolicy, EventBus, TelemetryEvent
+from repro.live.bus import EventBus, TelemetryEvent
 
 
 def ev(seq: int, time: float = 0.0) -> TelemetryEvent:
@@ -11,7 +9,7 @@ def ev(seq: int, time: float = 0.0) -> TelemetryEvent:
 
 
 def test_fifo_order():
-    bus = EventBus(capacity=10)
+    bus = EventBus()
     for i in range(5):
         bus.publish(ev(i))
     assert [e.seq for e in bus.drain()] == [0, 1, 2, 3, 4]
@@ -19,55 +17,8 @@ def test_fifo_order():
     assert bus.stats.consumed == 5
 
 
-def test_policy_accepts_string():
-    assert EventBus(policy="drop-oldest").policy is BusPolicy.DROP_OLDEST
-
-
-def test_unbounded_when_capacity_nonpositive():
-    bus = EventBus(capacity=0, policy=BusPolicy.DROP_NEWEST)
-    for i in range(10_000):
-        assert bus.publish(ev(i))
-    assert bus.stats.dropped == 0
-
-
-def test_drop_oldest_evicts_head():
-    bus = EventBus(capacity=3, policy=BusPolicy.DROP_OLDEST)
-    for i in range(5):
-        assert bus.publish(ev(i))
-    assert [e.seq for e in bus.drain()] == [2, 3, 4]
-    assert bus.stats.dropped_oldest == 2
-    assert bus.stats.dropped == 2
-
-
-def test_drop_newest_rejects_incoming():
-    bus = EventBus(capacity=3, policy=BusPolicy.DROP_NEWEST)
-    results = [bus.publish(ev(i)) for i in range(5)]
-    assert results == [True, True, True, False, False]
-    assert [e.seq for e in bus.drain()] == [0, 1, 2]
-    assert bus.stats.dropped_newest == 2
-
-
-def test_block_invokes_drain_hook():
-    bus = EventBus(capacity=2, policy=BusPolicy.BLOCK)
-    consumed = []
-    bus.drain_hook = lambda: consumed.extend(bus.drain(limit=1))
-    for i in range(5):
-        bus.publish(ev(i))
-    # every publish beyond capacity stalled and drained one event
-    assert bus.stats.backpressure_stalls == 3
-    assert len(consumed) == 3
-    assert len(bus) == 2
-
-
-def test_block_without_hook_overflows():
-    bus = EventBus(capacity=1, policy=BusPolicy.BLOCK)
-    bus.publish(ev(0))
-    with pytest.raises(BusOverflow):
-        bus.publish(ev(1))
-
-
 def test_high_watermark_tracks_depth():
-    bus = EventBus(capacity=10)
+    bus = EventBus()
     for i in range(7):
         bus.publish(ev(i))
     list(bus.drain(limit=5))
@@ -81,6 +32,5 @@ def test_drain_limit():
         bus.publish(ev(i))
     assert [e.seq for e in bus.drain(limit=2)] == [0, 1]
     assert len(bus) == 4
-    assert bus.take().seq == 2
-    assert [e.seq for e in bus.drain()] == [3, 4, 5]
-    assert bus.take() is None
+    assert [e.seq for e in bus.drain()] == [2, 3, 4, 5]
+    assert len(bus) == 0

@@ -219,22 +219,14 @@ def test_merge_from_rejects_mismatched_buckets():
         left.merge_from(right)
 
 
-def test_pipeline_exports_drop_and_quarantine_breakdowns():
+def test_pipeline_exports_the_quarantine_breakdown():
     from repro.collective.ring import ring_allgather
-    from repro.live import LivePipeline, PipelineConfig
-    from repro.live.bus import BusPolicy
+    from repro.live import LivePipeline
 
-    pipeline = LivePipeline(
-        ring_allgather(["h0", "h1"], 1024), {}, {}, 0,
-        PipelineConfig(queue_capacity=2,
-                       policy=BusPolicy.DROP_OLDEST))
+    pipeline = LivePipeline(ring_allgather(["h0", "h1"], 1024), {}, {}, 0)
     pipeline.quarantine.admit(1, "ValueError: bad")
     pipeline.quarantine.admit(2, "  : odd reason")
     registry = pipeline.build_metrics()
-    assert 'live_bus_dropped_events_total{policy="drop-oldest"}' \
-        in registry
-    assert 'live_bus_dropped_events_total{policy="drop-newest"}' \
-        in registry
     assert registry[
         'live_quarantined_by_reason_total{reason="ValueError"}'
     ].value == 1

@@ -9,7 +9,6 @@ from repro.collective.ring import ring_allgather
 from repro.collective.runtime import CollectiveRuntime
 from repro.core.system import VedrfolnirSystem
 from repro.live import LivePipeline, PipelineConfig
-from repro.live.bus import BusPolicy
 from repro.live.pipeline import snapshot_line
 from repro.simnet.network import Network
 from repro.simnet.topology import build_fat_tree
@@ -40,18 +39,10 @@ def replay(path, config=None) -> LivePipeline:
     pipeline = LivePipeline.from_header(read_header(path), config)
     for event in trace_events(path):
         pipeline.publish(event)
-        if len(pipeline.bus) >= 32:
-            pipeline.pump(32)
     return pipeline
 
 
-def test_final_snapshot_matches_batch(trace_path):
-    batch = analyze_trace(load_trace(trace_path))
-    pipeline = replay(trace_path,
-                      PipelineConfig(snapshot_every=50,
-                                     prune_interval=8))
-    final = pipeline.finish()
-
+def assert_matches_batch(final, batch) -> None:
     assert [(e.node, e.step_index) for e in final.critical_path] == \
         [(e.node, e.step_index) for e in batch.critical_path]
     assert final.bottleneck_steps == batch.bottleneck_steps
@@ -66,6 +57,31 @@ def test_final_snapshot_matches_batch(trace_path):
         assert math.isclose(final.collective_scores[key], score,
                             rel_tol=1e-9, abs_tol=1e-9)
     assert final.top_contributors(1) == batch.top_contributors(1)
+
+
+def test_final_snapshot_matches_batch(trace_path):
+    batch = analyze_trace(load_trace(trace_path))
+    pipeline = replay(trace_path,
+                      PipelineConfig(snapshot_every=50,
+                                     prune_interval=8))
+    assert_matches_batch(pipeline.finish(), batch)
+
+
+def test_a_burst_never_queues_more_than_one_batch(trace_path):
+    """The whole trace published with no explicit pump: ``publish``
+    pumps the bus itself, so it never holds more than one batch, and
+    nothing is lost — the final snapshot is the batch diagnosis."""
+    events = list(trace_events(trace_path))
+    batch = 4
+    assert len(events) > 4 * batch
+    pipeline = LivePipeline.from_header(
+        read_header(trace_path), PipelineConfig(pump_batch=batch))
+    for event in events:
+        pipeline.publish(event)
+        assert len(pipeline.bus) <= batch
+    final = pipeline.finish()
+    assert final.counters["bus_high_watermark"] == batch
+    assert_matches_batch(final, analyze_trace(load_trace(trace_path)))
 
 
 def test_final_snapshot_renders_like_batch(trace_path):
@@ -93,7 +109,6 @@ def test_rolling_snapshots_emitted(trace_path):
     # counters land in every snapshot
     assert final.counters["consumed"] == final.counters["published"]
     assert final.counters["quarantined"] == 0
-    assert final.counters["dropped"] == 0
 
 
 def test_snapshot_callbacks_and_summary(trace_path):
@@ -132,6 +147,9 @@ def test_live_attachment_to_running_collective():
     final = pipeline.finish()
     assert final.step_records_ingested == len(runtime.records)
     assert final.critical_path
+    # the producer never pumps: publish keeps the bus one batch deep
+    assert final.counters["bus_high_watermark"] \
+        <= pipeline.config.pump_batch
 
 
 def test_degradation_when_reports_missing(trace_path):
@@ -167,16 +185,3 @@ def test_metrics_export(trace_path):
         len(pipeline.snapshots)
     assert registry["live_ingest_to_snapshot_seconds"].total > 0
     assert registry["live_ingest_rate_per_sec"].value > 0
-
-
-def test_block_policy_backpressures_instead_of_dropping(trace_path):
-    pipeline = replay(trace_path,
-                      PipelineConfig(queue_capacity=8,
-                                     policy=BusPolicy.BLOCK,
-                                     pump_batch=4))
-    final = pipeline.finish()
-    assert final.counters["backpressure_stalls"] > 0
-    assert final.counters["dropped"] == 0
-    batch = analyze_trace(load_trace(trace_path))
-    # backpressure loses nothing: the diagnosis is still exact
-    assert final.detected_flows == batch.detected_flows

@@ -1,4 +1,4 @@
-"""Property-based tests on the diagnosis-side math (Eqs. 1-3, replay,
+"""Property-based tests on the diagnosis-side math (Eqs. 1-3,
 provenance merging)."""
 
 import pytest
@@ -10,7 +10,6 @@ from repro.core.rating import (
     contribution_to_flow,
     contribution_to_port,
 )
-from repro.core.replay import replay_pairwise_weights
 from repro.simnet.packet import FlowKey
 from repro.simnet.pfc import PortRef
 from repro.simnet.telemetry import PortTelemetryEntry, SwitchReport
@@ -83,28 +82,6 @@ def test_eq1_monotone_in_local_weight(graph):
     for port in graph.ports:
         after = contribution_to_port(graph, BF, port)
         assert after >= before[port] - 1e-9
-
-
-# ----------------------------------------------------------------------
-# replay
-# ----------------------------------------------------------------------
-@given(st.dictionaries(
-    st.integers(min_value=0, max_value=4).map(
-        lambda i: FlowKey(f"h{i}", "h9", i, 4791)),
-    st.floats(min_value=1.0, max_value=1e4),
-    min_size=2, max_size=5),
-    st.integers(min_value=1, max_value=500))
-@settings(max_examples=60)
-def test_replay_weights_sum_bounded(flow_pkts, qdepth):
-    entry = PortTelemetryEntry(
-        port=0, qdepth_pkts=qdepth, qdepth_bytes=qdepth * 4096,
-        paused=False, flow_pkts=flow_pkts, inqueue_flow_pkts={},
-        wait_weights={})
-    estimate = replay_pairwise_weights(entry)
-    # Σ_j w(f_i, f_j) <= pkt_num(f_i) * qdepth for every f_i
-    for fi, count_i in flow_pkts.items():
-        row = sum(w for (a, _b), w in estimate.items() if a == fi)
-        assert row <= count_i * qdepth + 1e-6
 
 
 # ----------------------------------------------------------------------
