@@ -1,7 +1,7 @@
 """Anomaly injection and scenario generation (§II-B, §IV-A).
 
 * :mod:`repro.anomalies.injectors` — primitive injectors: background
-  flows, incast bursts, PFC storms, forwarding loops.
+  flows, PFC storms, forwarding loops, ECMP imbalance.
 * :mod:`repro.anomalies.scenarios` — the paper's four evaluation
   scenario generators (flow contention, incast, PFC storm, PFC
   backpressure) with ground truth for scoring, plus loop/deadlock
@@ -11,7 +11,6 @@
 from repro.anomalies.injectors import (
     BackgroundFlowSpec,
     inject_background_flows,
-    inject_incast,
     inject_pfc_storm,
     inject_forwarding_loop,
 )
@@ -20,9 +19,6 @@ from repro.anomalies.scenarios import (
     ScenarioCase,
     ScenarioConfig,
     make_contention_cases,
-    make_incast_cases,
-    make_pfc_storm_cases,
-    make_pfc_backpressure_cases,
     make_cases,
     SCENARIOS,
 )
@@ -30,16 +26,12 @@ from repro.anomalies.scenarios import (
 __all__ = [
     "BackgroundFlowSpec",
     "inject_background_flows",
-    "inject_incast",
     "inject_pfc_storm",
     "inject_forwarding_loop",
     "GroundTruth",
     "ScenarioCase",
     "ScenarioConfig",
     "make_contention_cases",
-    "make_incast_cases",
-    "make_pfc_storm_cases",
-    "make_pfc_backpressure_cases",
     "make_cases",
     "SCENARIOS",
 ]

@@ -40,14 +40,6 @@ def inject_background_flows(network: Network,
     return flows
 
 
-def inject_incast(network: Network, sources: Sequence[str], target: str,
-                  size_bytes: int, start_ns: float) -> list[RdmaFlow]:
-    """Simultaneous same-size flows from ``sources`` to one target."""
-    specs = [BackgroundFlowSpec(src, target, size_bytes, start_ns)
-             for src in sources]
-    return inject_background_flows(network, specs)
-
-
 def inject_pfc_storm(network: Network, switch_id: str, port: int,
                      start_ns: float, duration_ns: float,
                      refresh_ns: Optional[float] = None) -> PfcStormInjector:
@@ -96,12 +88,6 @@ def inject_ecmp_imbalance(network: Network, flow_keys: Sequence[FlowKey],
     dst_agg = f"a{dst_pod * half + agg_position}"
     core_switch = network.switches[core]
     return PortRef(core, core_switch.neighbor_port[dst_agg])
-
-
-def path_links(network: Network, key: FlowKey) -> list[tuple[str, str]]:
-    """(a, b) node pairs along a flow's current path."""
-    path = network.routing.path(key)
-    return list(zip(path, path[1:]))
 
 
 def ingress_port_on_path(network: Network, key: FlowKey,

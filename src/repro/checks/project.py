@@ -7,9 +7,8 @@ its contract (the audit table in ``docs/CHECKS.md``):
 
 * **RPR021** — a plain ``open(..., "w")`` write to a durable-looking
   path (checkpoint / report / status / snapshot / bench) that bypasses
-  the ``tmp + fsync + os.replace`` idiom of
-  :meth:`repro.live.checkpoint.CheckpointManager.save` and
-  :func:`repro.fleet.service.publish_json`;
+  :func:`repro.core.durable.atomic_write` (tmp + fsync +
+  ``os.replace``);
 * **RPR022** — a non-primitive value (project-class instance, lambda,
   set, bytes) crossing a spawn boundary: ``Process(args=...)``
   elements and ``make_*_spec`` dict values must stay JSON primitives;
@@ -52,8 +51,8 @@ from repro.checks.ir import (
 )
 
 RULES = {
-    "RPR021": "non-atomic write to a durable path (use tmp + fsync + "
-              "os.replace)",
+    "RPR021": "non-atomic write to a durable path (use "
+              "repro.core.durable.atomic_write)",
     "RPR022": "non-primitive value crossing a spawn boundary",
     "RPR024": "state_dict/load_state key drift",
     "RPR025": "long-lived container grows without bound or eviction",
@@ -199,9 +198,9 @@ class _ModuleChecker:
                 self.report(
                     node, "RPR021",
                     f"open(..., {mode_expr.value!r}) writes a durable "
-                    f"path in place; publish via tmp + fsync + "
-                    f"os.replace (see CheckpointManager.save / "
-                    f"fleet.service.publish_json)")
+                    f"path in place; write it through "
+                    f"repro.core.durable.atomic_write (tmp + fsync + "
+                    f"os.replace)")
 
     # -- RPR022: spawn-boundary primitives -----------------------------
     def _nonprimitive(self, node: ast.expr) -> Optional[str]:

@@ -24,6 +24,9 @@
   annotated sites (``REPRO_FAILPOINTS``).
 * :mod:`repro.core.retry` — retry policies and a circuit breaker
   shared by the live / fleet resilience paths.
+* :mod:`repro.core.durable` — :func:`~repro.core.durable.atomic_write`,
+  the one way a file is replaced (tmp sibling + ``os.replace``, fsynced
+  when durable).
 
 Exports resolve lazily (PEP 562) so that leaf modules — in particular
 :mod:`repro.core.units`, which :mod:`repro.simnet` imports at runtime —

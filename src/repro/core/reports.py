@@ -13,13 +13,13 @@ the ones a snapshot's ``to_dict`` prints.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from repro.core.analyzer import VedrfolnirDiagnosis
 from repro.core.diagnosis import AnomalyFinding, AnomalyType
+from repro.core.units import ns_to_us
 from repro.core.waiting_graph import CriticalPathEntry
 from repro.simnet.packet import FlowKey
-from repro.viz import format_critical_path
 
 if TYPE_CHECKING:
     from repro.live.pipeline import DiagnosisSnapshot
@@ -69,6 +69,28 @@ def finding_entry(finding: AnomalyFinding) -> dict:
 def contributor_entry(flow: FlowKey, score: float) -> dict:
     """One row of the Eq. 3 contributor ranking."""
     return {"flow": flow.short(), "score": score}
+
+
+def format_critical_path(path: Iterable[CriticalPathEntry],
+                         total_width: int = 60) -> str:
+    """ASCII timeline of the critical path: one bar per step, scaled to
+    the chain's total duration."""
+    entries = list(path)
+    if not entries:
+        return "(empty critical path)"
+    start = min(e.start_time for e in entries)
+    end = max(e.end_time for e in entries)
+    span = max(end - start, 1e-9)
+    lines = []
+    for entry in entries:
+        offset = int((entry.start_time - start) / span * total_width)
+        width = max(1, int(entry.duration_ns / span * total_width))
+        bar = " " * offset + "#" * width
+        label = f"F[{entry.node}]S{entry.step_index}"
+        via = f" (via {entry.entered_via})" if entry.entered_via else ""
+        lines.append(f"{label:<12} |{bar:<{total_width}}| "
+                     f"{ns_to_us(entry.duration_ns):.1f}us{via}")
+    return "\n".join(lines)
 
 
 def render_text(diagnosis: Union[VedrfolnirDiagnosis, DiagnosisSnapshot],

@@ -20,7 +20,6 @@ from repro.experiments.harness import (
 from repro.experiments.metrics import (
     ScenarioSystemMetrics,
     aggregate,
-    format_table,
 )
 from repro.experiments import figures
 
@@ -33,6 +32,5 @@ __all__ = [
     "make_system",
     "ScenarioSystemMetrics",
     "aggregate",
-    "format_table",
     "figures",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.experiments.harness import CaseResult
 
@@ -70,20 +70,3 @@ def _mean(values) -> float:
     values = list(values)
     return sum(values) / len(values) if values else 0.0
 
-
-def format_table(metrics: dict[tuple[str, str], ScenarioSystemMetrics],
-                 columns: Optional[list[str]] = None) -> str:
-    """Fixed-width text table, one row per (scenario, system)."""
-    columns = columns or ["precision", "recall", "avg_processing_kb",
-                          "avg_bandwidth_kb"]
-    header = f"{'scenario':<18} {'system':<14}" + "".join(
-        f" {c:>18}" for c in columns)
-    lines = [header, "-" * len(header)]
-    for (_scenario, _system), m in sorted(metrics.items()):
-        row = f"{m.scenario:<18} {m.system:<14}"
-        for column in columns:
-            value = getattr(m, column)
-            row += f" {value:>18.3f}" if isinstance(value, float) \
-                else f" {value:>18}"
-        lines.append(row)
-    return "\n".join(lines)

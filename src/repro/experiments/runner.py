@@ -33,7 +33,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
@@ -44,6 +43,7 @@ from repro.anomalies.scenarios import (
     make_cases,
 )
 from repro.baselines.adapter import DiagnosisSystemAdapter
+from repro.core.durable import atomic_write
 from repro.experiments.harness import (
     CaseResult,
     DEFAULT_SYSTEMS,
@@ -159,18 +159,8 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         doc = {"schema": RESULT_SCHEMA_VERSION, "key": key,
                "result": result_to_dict(result)}
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(doc, handle, indent=1)
-                handle.write("\n")
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:  # best-effort tmp cleanup; the original error re-raises below
-                pass
-            raise
+        with atomic_write(self._path(key)) as handle:
+            handle.write((json.dumps(doc, indent=1) + "\n").encode("utf-8"))
 
     @property
     def hit_rate(self) -> float:

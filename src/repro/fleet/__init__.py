@@ -43,7 +43,6 @@ from repro.fleet.sharding import (
     HashRing,
     TenantSpec,
     key_for_flow,
-    moved_tenants,
     plan_shards,
     replicate_tenants,
     stable_hash,
@@ -74,7 +73,6 @@ __all__ = [
     "build_shard_runtime",
     "key_for_flow",
     "merge_reports",
-    "moved_tenants",
     "plan_shards",
     "registry_from_snapshot",
     "replicate_tenants",

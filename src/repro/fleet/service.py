@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
+from repro.core.durable import atomic_write
 from repro.fleet.aggregator import (
     FleetAggregator,
     FleetSnapshot,
@@ -378,34 +378,17 @@ def registry_from_snapshot(snapshot: FleetSnapshot,
 
 
 def publish_json(path: str, data: dict) -> None:
-    """Atomic publish (tmp + fsync + rename): a reader never sees a
+    """Atomic, durable publish
+    (:func:`~repro.core.durable.atomic_write`): a reader never sees a
     torn file, and a SIGKILL mid-write leaves the previous one.  Shard
     reports and fleet status files both go out through here."""
-    target = os.path.abspath(path)
-    directory = os.path.dirname(target) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            # dumps, not dump: dump streams through json's pure-Python
-            # encoder, whose nested closures are a reference cycle per
-            # call; dumps runs the C encoder and writes the same bytes
-            handle.write(json.dumps(data, sort_keys=True))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:  # best-effort tmp cleanup; the original error re-raises below
-            pass
-        raise
-
-
-def write_status(path: str, snapshot: FleetSnapshot) -> None:
-    """Publish the newest fleet snapshot (the ``repro fleet status``
-    data source)."""
-    publish_json(path, snapshot.to_dict())
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    # dumps, not dump: dump streams through json's pure-Python encoder,
+    # whose nested closures are a reference cycle per call; dumps runs
+    # the C encoder and writes the same bytes
+    payload = json.dumps(data, sort_keys=True).encode("utf-8")
+    with atomic_write(path, durable=True) as handle:
+        handle.write(payload)
 
 
 def read_status(path: str) -> Optional[dict]:
@@ -416,12 +399,6 @@ def read_status(path: str) -> Optional[dict]:
         return None
 
 
-def specs_from_plan(plan: dict[int, Iterable[TenantSpec]]
-                    ) -> list[TenantSpec]:
-    return [spec for _, specs in sorted(plan.items())
-            for spec in specs]
-
-
 __all__ = [
     "FleetConfig",
     "FleetService",
@@ -429,7 +406,5 @@ __all__ = [
     "build_shard_runtime",
     "registry_from_snapshot",
     "publish_json",
-    "write_status",
     "read_status",
-    "specs_from_plan",
 ]

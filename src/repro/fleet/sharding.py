@@ -137,18 +137,6 @@ def _stem(path: str) -> str:
     return name.rsplit(".", 1)[0] if "." in name else name
 
 
-def moved_tenants(before: dict[int, list[TenantSpec]],
-                  after: dict[int, list[TenantSpec]]) -> int:
-    """How many tenants changed shard between two plans (the
-    consistent-hash stability metric the tests pin)."""
-    owner_before = {t.tenant: shard
-                    for shard, specs in before.items() for t in specs}
-    owner_after = {t.tenant: shard
-                   for shard, specs in after.items() for t in specs}
-    return sum(1 for tenant, shard in owner_before.items()
-               if owner_after.get(tenant, shard) != shard)
-
-
 def shard_workdir(root, shard_id: int) -> str:
     """The per-shard state directory (checkpoints, results) under the
     fleet workdir."""
@@ -170,7 +158,6 @@ __all__ = [
     "key_for_flow",
     "plan_shards",
     "replicate_tenants",
-    "moved_tenants",
     "shard_workdir",
     "tenant_checkpoint_dir",
 ]

@@ -33,7 +33,6 @@ from typing import Callable, Iterable, Iterator, Optional
 from repro.live.checkpoint import (
     CheckpointManager,
     CheckpointPolicy,
-    TraceReplayer,
     resume_or_create,
 )
 from repro.live.pipeline import DiagnosisSnapshot, PipelineConfig
@@ -51,30 +50,25 @@ class TenantPolicy:
     snapshot_every: int = 32
     #: checkpoint cadence in published events (0 disables durability)
     checkpoint_every: int = 64
-    #: checkpoint snapshots retained per tenant
-    checkpoint_retain: int = 3
 
     def pipeline_config(self) -> PipelineConfig:
         return PipelineConfig(snapshot_every=self.snapshot_every)
 
     def checkpoint_policy(self) -> CheckpointPolicy:
         return CheckpointPolicy(
-            interval_events=max(1, self.checkpoint_every),
-            retain=self.checkpoint_retain)
+            interval_events=max(1, self.checkpoint_every))
 
     def to_dict(self) -> dict:
         return {
             "event_budget": self.event_budget,
             "snapshot_every": self.snapshot_every,
             "checkpoint_every": self.checkpoint_every,
-            "checkpoint_retain": self.checkpoint_retain,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "TenantPolicy":
         return cls(**{key: int(data[key]) for key in (
-            "event_budget", "snapshot_every",
-            "checkpoint_every", "checkpoint_retain")})
+            "event_budget", "snapshot_every", "checkpoint_every")})
 
 
 def _budget_gate(budget: int

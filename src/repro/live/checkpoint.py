@@ -10,7 +10,8 @@ copy of the diagnosis state: it is a **cursor plus five counters**.
   holding :meth:`~repro.live.pipeline.LivePipeline.state_dict` — the
   count of events published, and the pipeline's ``seq``,
   ``ingested``, ``since_snapshot``, ``snapshot_seq`` and ``dupes``.
-  Writes go through ``tmp + fsync + rename`` so a crash mid-write
+  Writes go through :func:`repro.core.durable.atomic_write` (tmp +
+  fsync + rename + directory fsync) so a crash mid-write
   never corrupts the latest good document; loads verify a SHA-256
   checksum and fall back through older documents when the newest is
   truncated, bit-flipped or fails verification.
@@ -36,12 +37,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
+from repro.core.durable import atomic_write
 from repro.live.metrics import Histogram, MetricsRegistry
 from repro.live.pipeline import DiagnosisSnapshot, LivePipeline
 from repro.traces.stream import TraceEvent
@@ -162,31 +163,14 @@ class CheckpointManager:
         document = (f'{{"checksum":"{checksum}",'
                     f'"state":{payload},'
                     f'"version":{CHECKPOINT_VERSION}}}\n')
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(document)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        self._fsync_directory()
+        with atomic_write(path, durable=True) as handle:
+            handle.write(document.encode("utf-8"))
         self.write_seconds.observe(
             max(0.0, time.perf_counter() - start))
         self.written += 1
         self.last_bytes = path.stat().st_size
         self._prune_retention()
         return path
-
-    def _fsync_directory(self) -> None:
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform-specific
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover  # dir fsync is best-effort on platforms without it
-            pass
-        finally:
-            os.close(fd)
 
     def _prune_retention(self) -> None:
         keep = max(1, self.policy.retain)

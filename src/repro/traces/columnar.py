@@ -3,9 +3,8 @@
 The JSONL trace format keeps the capture greppable, but a consumer that
 reads it pays ``json.loads`` per line per pass.  This module is the
 read-optimized sibling format: the same records, stored as per-kind
-columns (extending the ``ColumnarRing`` idiom from
-:mod:`repro.simnet.ringbuf` onto disk) so a replay decodes values
-straight out of an ``mmap`` with no JSON in the path.
+columns of ``array``-module values so a replay decodes values straight
+out of an ``mmap`` with no JSON in the path.
 
 It is also the only reader either format has.  :func:`open_trace`
 sniffs a file once and returns a :class:`ColumnarTrace`: the mapped
@@ -91,6 +90,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from repro.collective.runtime import StepRecord
+from repro.core.durable import atomic_write
 from repro.simnet.packet import FlowKey, intern_flow_key
 from repro.simnet.pfc import PauseEvent, PortRef
 from repro.simnet.telemetry import PortTelemetryEntry, SwitchReport
@@ -535,18 +535,11 @@ def write_columnar(src: Union[str, Path], dst: Union[str, Path],
     yields identical bytes — which is what makes
     :func:`content_address` a stable cache key.
     """
-    import os
-
     dst = Path(dst)
     with Path(src).open("rb") as handle:
         builder = _build_from_jsonl(handle, on_error)
-    tmp = dst.with_name(dst.name + ".tmp")
-    try:
-        with tmp.open("wb") as handle:
-            _emit(builder, handle)
-        os.replace(tmp, dst)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(dst) as handle:
+        _emit(builder, handle)
     return dst
 
 
@@ -1189,16 +1182,9 @@ def iter_jsonl_lines(trace: ColumnarTrace) -> Iterator[bytes]:
 
 def write_jsonl(src: Union[str, Path], dst: Union[str, Path]) -> Path:
     """Convert a columnar trace back to JSONL (atomically)."""
-    import os
-
     dst = Path(dst)
-    tmp = dst.with_name(dst.name + ".tmp")
-    try:
-        with ColumnarTrace(src) as trace, tmp.open("wb") as handle:
-            handle.writelines(iter_jsonl_lines(trace))
-        os.replace(tmp, dst)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with ColumnarTrace(src) as trace, atomic_write(dst) as handle:
+        handle.writelines(iter_jsonl_lines(trace))
     return dst
 
 

@@ -7,9 +7,7 @@ from repro.anomalies.injectors import (
     ingress_port_on_path,
     inject_background_flows,
     inject_forwarding_loop,
-    inject_incast,
     inject_pfc_storm,
-    path_links,
 )
 from repro.simnet.network import Network
 from repro.simnet.pfc import PortRef
@@ -31,13 +29,6 @@ def test_background_flows_start_and_finish(net):
     assert all(f.tag == "background" for f in flows)
 
 
-def test_incast_targets_one_node(net):
-    flows = inject_incast(net, ["h4", "h8", "h12"], "h0", 200_000, 0.0)
-    assert {f.key.dst for f in flows} == {"h0"}
-    net.run_until_quiet(max_time=ms(20))
-    assert all(f.completed for f in flows)
-
-
 def test_storm_injection_arms(net):
     injector = inject_pfc_storm(net, "e0", 2, us(10), us(300),
                                 refresh_ns=us(100))
@@ -57,11 +48,6 @@ def test_forwarding_loop_causes_ttl_drops(net):
     drops = sum(s.telemetry._ttl_drops.get(flow.key, 0)
                 for s in net.switches.values())
     assert drops > 0
-
-
-def test_path_links_pairs(net):
-    flow = net.create_flow("h0", "h1", 1000)
-    assert path_links(net, flow.key) == [("h0", "e0"), ("e0", "h1")]
 
 
 def test_ingress_port_on_path(net):

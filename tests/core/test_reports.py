@@ -5,10 +5,12 @@ import json
 import pytest
 
 from repro.collective.ring import ring_allgather
-from repro.collective.runtime import CollectiveRuntime
-from repro.core.reports import render_json, render_text
+from repro.collective.runtime import CollectiveRuntime, StepRecord
+from repro.core.reports import format_critical_path, render_json, render_text
 from repro.core.system import VedrfolnirSystem
+from repro.core.waiting_graph import WaitingGraph
 from repro.simnet.network import Network
+from repro.simnet.packet import FlowKey
 from repro.simnet.topology import build_fat_tree
 from repro.simnet.units import ms
 
@@ -87,3 +89,21 @@ def test_custom_title(diagnoses):
                        collective="collective: ring allgather")
     assert text.startswith("Incident 4711\n=============\n\n"
                            "collective: ring allgather\n")
+
+
+def test_format_critical_path_bars():
+    schedule = ring_allgather(["n0", "n1"], 100)
+    records = [
+        StepRecord("n0", 0, FlowKey("n0", "n1", 1, 4791), 100,
+                   0.0, 10_000.0, None, None),
+        StepRecord("n1", 0, FlowKey("n1", "n0", 2, 4791), 100,
+                   0.0, 12_000.0, None, None),
+    ]
+    graph = WaitingGraph(schedule, records, mode="full")
+    text = format_critical_path(graph.critical_path())
+    assert "#" in text
+    assert "F[n1]S0" in text
+
+
+def test_format_critical_path_empty():
+    assert "empty" in format_critical_path([])

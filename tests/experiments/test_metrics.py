@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.harness import CaseResult
-from repro.experiments.metrics import aggregate, format_table
+from repro.experiments.metrics import aggregate
 
 
 def case(scenario="flow_contention", system="vedrfolnir", outcome="tp",
@@ -48,13 +48,6 @@ def test_overhead_averages():
     assert m.avg_bandwidth_bytes == 6000
     assert m.avg_processing_kb == 2.0
     assert m.avg_bandwidth_kb == 6.0
-
-
-def test_format_table_contains_rows():
-    table = format_table(aggregate([case(), case(system="full-polling")]))
-    assert "vedrfolnir" in table
-    assert "full-polling" in table
-    assert "precision" in table
 
 
 def test_empty_aggregate():

@@ -7,10 +7,9 @@ from repro.fleet.aggregator import TenantDigest
 from repro.fleet.service import (
     FleetConfig,
     FleetService,
+    publish_json,
     read_status,
     registry_from_snapshot,
-    specs_from_plan,
-    write_status,
 )
 from repro.fleet.sharding import replicate_tenants
 from repro.fleet.tenancy import TenantPolicy
@@ -154,7 +153,8 @@ def test_registry_from_snapshot_needs_only_the_snapshot(tenants):
 def test_status_file_round_trips(tenants, tmp_path):
     status_path = str(tmp_path / "deep" / "status.json")
     final = build_service(tenants).run(
-        on_merge=lambda snapshot: write_status(status_path, snapshot))
+        on_merge=lambda snapshot: publish_json(status_path,
+                                               snapshot.to_dict()))
     assert read_status(status_path) == final.to_dict()
     assert not list((tmp_path / "deep").glob("*.tmp"))
 
@@ -164,13 +164,6 @@ def test_read_status_swallows_garbage(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert read_status(str(bad)) is None
-
-
-def test_specs_from_plan_flattens_in_shard_order(tenants):
-    service = build_service(tenants)
-    flat = specs_from_plan(service.plan)
-    assert sorted(s.tenant for s in flat) \
-        == sorted(s.tenant for s in tenants)
 
 
 @pytest.fixture

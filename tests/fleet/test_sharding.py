@@ -6,7 +6,6 @@ from repro.fleet.sharding import (
     HashRing,
     TenantSpec,
     key_for_flow,
-    moved_tenants,
     plan_shards,
     replicate_tenants,
     shard_workdir,
@@ -14,6 +13,18 @@ from repro.fleet.sharding import (
     tenant_checkpoint_dir,
 )
 from repro.simnet.packet import FlowKey
+
+
+def moved_tenants(before: dict[int, list[TenantSpec]],
+                  after: dict[int, list[TenantSpec]]) -> int:
+    """How many tenants changed shard between two plans (the
+    consistent-hash stability metric)."""
+    owner_before = {t.tenant: shard
+                    for shard, assigned in before.items() for t in assigned}
+    owner_after = {t.tenant: shard
+                   for shard, assigned in after.items() for t in assigned}
+    return sum(1 for tenant, shard in owner_before.items()
+               if owner_after.get(tenant, shard) != shard)
 
 
 def specs(n: int) -> list[TenantSpec]:

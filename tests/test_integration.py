@@ -10,7 +10,6 @@ from repro.core.detection import DetectionConfig
 from repro.simnet.network import Network
 from repro.simnet.topology import build_dumbbell, build_fat_tree
 from repro.simnet.units import ms
-from repro.viz import provenance_to_dot, waiting_graph_to_dot
 
 
 def test_halving_doubling_with_vedrfolnir_and_contention():
@@ -86,7 +85,7 @@ def test_collective_on_dumbbell():
     assert system.analyze().critical_path
 
 
-def test_dot_export_of_live_diagnosis():
+def test_live_diagnosis_waiting_graph_covers_every_node():
     from repro.collective.ring import ring_allgather
 
     net = Network(build_fat_tree(4))
@@ -97,12 +96,9 @@ def test_dot_export_of_live_diagnosis():
     net.create_flow("h1", "h4", 2_500_000, tag="background").start()
     net.run_until_quiet(max_time=ms(100))
     diagnosis = system.analyze()
-    wg_dot = waiting_graph_to_dot(diagnosis.waiting_graph)
-    pg_dot = provenance_to_dot(diagnosis.provenance)
-    assert "digraph" in wg_dot and "digraph" in pg_dot
-    # every collective node appears in the waiting graph export
-    for node in nodes:
-        assert f"F[{node}]" in wg_dot
+    # every collective node appears in the waiting graph
+    assert set(nodes) <= {vertex.node
+                          for vertex in diagnosis.waiting_graph.vertices}
 
 
 def test_low_effort_config_still_detects_heavy_anomaly():
