@@ -16,7 +16,9 @@ graph and into each step graph whose window it falls in, and a step's
 graph is rebuilt only when the slice of reports in its window changed,
 so a rolling snapshot costs what changed since the last one.  The batch
 analyzer is the same waiting graph and the same kernel as the live
-pipeline's, fed everything and asked for one snapshot.
+pipeline's, fed everything and asked for one snapshot.  Every snapshot,
+batch or live, rates a step only when Eq. 3 weighs it: its critical
+flow is known and it ran slower than expected.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from repro.core.provenance import (
     ProvenanceGraph,
 )
 from repro.core.rating import (
-    contribution_to_flow,
     score_row,
     score_table,
     step_excess,
@@ -86,14 +87,14 @@ class Breakdown:
 
     provenance: ProvenanceGraph
     result: DiagnosisResult
-    #: Eq. 3 score per non-collective flow (empty when not rating)
+    #: Eq. 3 score per non-collective flow
     collective_scores: dict[FlowKey, float] = field(default_factory=dict)
     #: non-zero Eq. 2 scores against cf_i per step with telemetry
-    #: (None where the step has no cf_i and, unless ``keep_graphs``,
-    #: where Eq. 3 gives it no weight)
+    #: (None where Eq. 3 gives the step no weight)
     step_scores: dict[int, Optional[dict[FlowKey, float]]] = field(
         default_factory=dict)
-    #: the step graphs themselves, on request only
+    #: the graph of each rated step this snapshot built — every rated
+    #: step with telemetry when nothing was cached, as in batch
     step_provenance: dict[int, ProvenanceGraph] = field(
         default_factory=dict)
 
@@ -166,27 +167,19 @@ class DiagnosisKernel:
 
     def snapshot(self, collective_flows: set[FlowKey],
                  windows: Mapping[int, Sequence[float]],
-                 timing: StepTiming, rate: bool = True,
-                 keep_graphs: bool = False) -> Breakdown:
+                 timing: StepTiming) -> Breakdown:
         """Diagnose everything reported so far.  ``windows`` maps each
         step to its ``(start, end)`` over all of its records."""
         overall = self.provenance(collective_flows)
         breakdown = Breakdown(overall, diagnose(overall))
-        if not rate:
-            return breakdown
         rows = breakdown.step_scores
         critical = timing.critical_flow_keys
-        # Eq. 3 reads the row of a step it weighs and no other; batch
-        # also hands every row out as per_flow_scores
-        if keep_graphs:
-            rated = critical.keys()
-        else:
-            weights, _ = step_excess(critical, timing.exec_times,
-                                     timing.expect_times)
-            rated = {idx for idx, weight in weights.items() if weight > 0}
+        # Eq. 3 reads the row of a step it weighs and no other
+        weights, _ = step_excess(critical, timing.exec_times,
+                                 timing.expect_times)
+        rated = {idx for idx, weight in weights.items() if weight > 0}
         self._score_steps(windows, critical, rated, rows,
-                          breakdown.step_provenance
-                          if keep_graphs else None)
+                          breakdown.step_provenance)
         if not rows:        # no step saw telemetry: rate the whole run
             rows[0] = score_row(overall, critical[0]) \
                 if 0 in rated else None
@@ -202,9 +195,9 @@ class DiagnosisKernel:
     def _score_steps(self, windows: Mapping[int, Sequence[float]],
                      critical: Mapping[int, FlowKey],
                      rated: Container[int], rows: dict,
-                     graphs: Optional[dict]) -> None:
-        """Fill ``rows`` (and ``graphs``, when asked for) for every
-        step with telemetry in its window.
+                     graphs: dict) -> None:
+        """Fill ``rows`` for every step with telemetry in its window,
+        and ``graphs`` with each graph built for a step in ``rated``.
 
         Reports arrive in time order, so a window is a slice of them.
         A step whose slice grew at the end merges in just the new
@@ -216,28 +209,27 @@ class DiagnosisKernel:
         Anything else (a window widened backwards by a late record,
         reports out of time order) is rebuilt from the slice.
 
-        Without ``graphs``, a step not in ``rated`` gets a None row
-        and its state is left as it was: a later snapshot that rates
-        it catches up along the same three paths."""
+        A step not in ``rated`` gets a None row and its state is left
+        as it was: a later snapshot that rates it catches up along the
+        same three paths."""
         reports = self._prepared
         for idx, (start, end) in windows.items():
-            cf = critical.get(idx)
             merged = None
             if self._ordered:
                 low = bisect_left(reports, start, key=_report_time)
                 high = bisect_right(reports, end, low, key=_report_time)
-                if graphs is None and idx not in rated:
+                if idx not in rated:
                     if low < high:
                         rows[idx] = None
                     continue
                 span = (low, high)
                 then, table, merged = self._steps.get(
                     idx, (None, None, None))
-                if then == span and graphs is None:
+                if then == span:
                     if merged is not None:
                         table = score_table(merged.snapshot())
                         self._steps[idx] = (span, table, None)
-                    rows[idx] = None if cf is None else table.get(cf, {})
+                    rows[idx] = table.get(critical[idx], {})
                     continue
                 if merged is not None and then[0] == low:
                     low = then[1]           # merge in the new tail only
@@ -248,7 +240,7 @@ class DiagnosisKernel:
                 span = None
                 step_reports = [r for r in reports
                                 if start <= r.time <= end]
-                if graphs is None and idx not in rated:
+                if idx not in rated:
                     if step_reports:
                         rows[idx] = None
                     continue
@@ -260,11 +252,10 @@ class DiagnosisKernel:
             for report in step_reports:
                 merged.merge(report)
             graph = merged.snapshot()
-            rows[idx] = None if cf is None else score_row(graph, cf)
+            rows[idx] = score_row(graph, critical[idx])
             if span is not None:
                 self._steps[idx] = (span, None, merged)
-            if graphs is not None:
-                graphs[idx] = graph
+            graphs[idx] = graph
 
 
 @dataclass
@@ -276,13 +267,11 @@ class VedrfolnirDiagnosis:
     #: steps whose critical flow ran slower than slowdown_factor x ideal
     bottleneck_steps: list[int]
     provenance: ProvenanceGraph
+    #: the graph of each step Eq. 3 weighs that saw telemetry
     step_provenance: dict[int, ProvenanceGraph]
     result: DiagnosisResult
     #: Eq. 3 score per non-collective flow
     collective_scores: dict[FlowKey, float] = field(default_factory=dict)
-    #: Eq. 2 score of each background flow against each critical flow
-    per_flow_scores: dict[tuple[FlowKey, FlowKey], float] = field(
-        default_factory=dict)
 
     @property
     def detected_flows(self) -> set[FlowKey]:
@@ -339,25 +328,13 @@ class VedrfolnirAnalyzer:
         for report in self.reports:
             kernel.add_report(report)
         breakdown = kernel.snapshot(runtime.collective_flow_keys,
-                                    waiting.windows, timing,
-                                    keep_graphs=True)
-
-        overall = breakdown.provenance
-        per_flow_scores: dict[tuple[FlowKey, FlowKey], float] = {}
-        for flow in breakdown.collective_scores:
-            for idx, cf in timing.critical_flow_keys.items():
-                row = breakdown.step_scores.get(idx)
-                per_flow_scores[(flow, cf)] = row.get(flow, 0.0) \
-                    if row is not None \
-                    else contribution_to_flow(overall, flow, cf)
-
+                                    waiting.windows, timing)
         return VedrfolnirDiagnosis(
             waiting_graph=waiting,
             critical_path=waiting.critical_path(),
             bottleneck_steps=timing.bottleneck_steps,
-            provenance=overall,
+            provenance=breakdown.provenance,
             step_provenance=breakdown.step_provenance,
             result=breakdown.result,
             collective_scores=breakdown.collective_scores,
-            per_flow_scores=per_flow_scores,
         )

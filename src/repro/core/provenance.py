@@ -128,32 +128,6 @@ class ProvenanceGraph:
         graph.add_edges_from(self.port_port.keys())
         return [list(cycle) for cycle in nx.simple_cycles(graph)]
 
-    def connected_component_from_cf(self) -> set:
-        """Vertices reachable (undirected) from the collective flows —
-        §III-D3's 'largest connected subgraph' evaluation scope."""
-        adjacency: dict = {}
-
-        def link(a, b):
-            adjacency.setdefault(a, set()).add(b)
-            adjacency.setdefault(b, set()).add(a)
-
-        for (f, p) in self.flow_port:
-            link(("flow", f), ("port", p))
-        for (p, f) in self.port_flow:
-            link(("port", p), ("flow", f))
-        for (pi, pj) in self.port_port:
-            link(("port", pi), ("port", pj))
-        seen: set = set()
-        stack = [("flow", cf) for cf in self.collective_flows
-                 if ("flow", cf) in adjacency]
-        while stack:
-            vertex = stack.pop()
-            if vertex in seen:
-                continue
-            seen.add(vertex)
-            stack.extend(adjacency.get(vertex, ()))
-        return seen
-
 
 def _acyclic(downstream: dict[PortRef, list[PortRef]]) -> bool:
     """Kahn's algorithm: peel vertices nothing points at until none is

@@ -179,14 +179,3 @@ def score_table(graph: ProvenanceGraph
             table[cf] = row
     return table
 
-
-def rate_contributors(graph: ProvenanceGraph,
-                      cf: FlowKey) -> dict[FlowKey, float]:
-    """Eq. 2 for every non-collective flow in the CF-connected component,
-    sorted descending — the operator-facing ranking."""
-    component = graph.connected_component_from_cf()
-    candidates = {f for kind, f in component
-                  if kind == "flow" and f not in graph.collective_flows}
-    scores = {flow: contribution_to_flow(graph, flow, cf)
-              for flow in candidates}
-    return dict(sorted(scores.items(), key=lambda kv: -kv[1]))

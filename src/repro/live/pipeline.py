@@ -59,8 +59,6 @@ class PipelineConfig:
     prune_interval: int = 16
     #: bottleneck threshold, as in :class:`VedrfolnirAnalyzer`
     slowdown_factor: float = 1.5
-    #: compute Eq. 1-3 contributor scores in each snapshot
-    rate_contributors: bool = True
     #: switch-report staleness before confidence degrades; None = auto
     #: (4x the largest expected step time)
     report_gap_ns: Optional[Nanoseconds] = None
@@ -296,8 +294,7 @@ class LivePipeline:
             lambda key: self.expected_step_times.get(key, 0.0),
             self.flow_keys, cfg.slowdown_factor)
         breakdown = self.kernel.snapshot(
-            self.collective_flow_keys, self.graph.windows, timing,
-            rate=cfg.rate_contributors)
+            self.collective_flow_keys, self.graph.windows, timing)
         return DiagnosisSnapshot(
             seq=self._snapshot_seq,
             final=final,

@@ -90,7 +90,6 @@ class RdmaFlow:
         self._window_bytes = network.effective_window_bytes()
         self._next_pace_time = start_time
         self._pace_event = None
-        self._send_times: dict[int, float] = {}
         self._done = False
         self._started = False
         self._rto_event = None
@@ -171,7 +170,6 @@ class RdmaFlow:
                 packet.payload["msg_bytes"] = self.size_bytes
             if self.stats.first_send_time is None:
                 self.stats.first_send_time = now
-            self._send_times[self._next_seq] = now
             self._next_seq += 1
             self._inflight_bytes += payload
             self.stats.packets_sent += 1
@@ -205,7 +203,6 @@ class RdmaFlow:
         last = self.num_packets - 1
         while self._acked_packets <= ack_seq:
             seq = self._acked_packets
-            self._send_times.pop(seq, None)
             payload = self._last_payload if seq == last else self.mtu
             self._inflight_bytes = max(0, self._inflight_bytes - payload)
             self.stats.bytes_acked += payload

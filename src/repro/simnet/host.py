@@ -82,11 +82,6 @@ class HostNode(Node):
             flow.kick()
 
     def receive(self, packet: Packet, ingress_port: int) -> None:
-        hops = packet._hops  # inlined packet.record_hop()
-        if hops is None:
-            packet._hops = [self.node_id]
-        else:
-            hops.append(self.node_id)
         kind = packet.kind
         if kind is KIND_DATA:
             receiver = self.receivers.get(packet.flow)

@@ -6,11 +6,10 @@ pair numbers in RDMA terms), distinct from the physical switch ports
 modelled in :mod:`repro.simnet.switch`.
 
 Packets are the highest-volume allocation in the simulator, so
-:class:`Packet` is a ``__slots__`` class (not a dataclass) with lazy
-``payload``/``hops`` containers: the dict and list only materialise when
-first touched, which most data packets never do.  :func:`intern_flow_key`
-deduplicates equal 5-tuples so flow-keyed dict lookups hit the identity
-fast path.
+:class:`Packet` is a ``__slots__`` class (not a dataclass) with a lazy
+``payload``: the dict only materialises when first touched, which most
+data packets never do.  :func:`intern_flow_key` deduplicates equal
+5-tuples so flow-keyed dict lookups hit the identity fast path.
 """
 
 from __future__ import annotations
@@ -108,12 +107,12 @@ class Packet:
     ``size`` is the on-wire size in bytes including headers.  ``payload``
     carries kind-specific metadata (e.g. polling scope, notification
     budget) and never affects the wire size accounting beyond ``size``.
-    ``payload`` and ``hops`` allocate lazily on first access.
+    ``payload`` allocates lazily on first access.
     """
 
     __slots__ = ("kind", "flow", "src", "dst", "size", "priority", "seq",
                  "ecn_capable", "ecn_marked", "ttl", "create_time",
-                 "pkt_id", "_payload", "_hops")
+                 "pkt_id", "_payload")
 
     def __init__(self, kind: PacketKind, flow: Optional[FlowKey],
                  src: str, dst: str, size: int,
@@ -121,8 +120,7 @@ class Packet:
                  ecn_capable: bool = True, ecn_marked: bool = False,
                  ttl: int = 64, create_time: float = 0.0,
                  payload: Optional[dict] = None,
-                 pkt_id: Optional[int] = None,
-                 hops: Optional[list] = None) -> None:
+                 pkt_id: Optional[int] = None) -> None:
         if size <= 0:
             raise ValueError(f"packet size must be positive, got {size}")
         self.kind = kind
@@ -138,7 +136,6 @@ class Packet:
         self.create_time = create_time
         self.pkt_id = next(_packet_ids) if pkt_id is None else pkt_id
         self._payload = payload
-        self._hops = hops
 
     @property
     def payload(self) -> dict:
@@ -147,23 +144,6 @@ class Packet:
         if payload is None:
             payload = self._payload = {}
         return payload
-
-    @property
-    def hops(self) -> list:
-        """Node-id hop trace (created on first access)."""
-        hops = self._hops
-        if hops is None:
-            hops = self._hops = []
-        return hops
-
-    def record_hop(self, node_id: str) -> None:
-        """Append a node to the packet's hop trace (loop detection uses
-        this; it is also handy in tests)."""
-        hops = self._hops
-        if hops is None:
-            self._hops = [node_id]
-        else:
-            hops.append(node_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         fk = self.flow.short() if self.flow else "-"

@@ -64,11 +64,6 @@ class SwitchNode(Node):
         """One packet-hop: everything a packet costs at this switch up
         to its egress queue runs in this frame (the rare halves — RED
         marking, PAUSE emission, a forwarding-table miss — are calls)."""
-        hops = packet._hops  # inlined packet.record_hop()
-        if hops is None:
-            packet._hops = [self.node_id]
-        else:
-            hops.append(self.node_id)
         if packet.kind is KIND_POLL \
                 and not self._handle_poll(packet, ingress_port):
             return

@@ -2,6 +2,7 @@
 
 from repro.collective.ring import ring_allgather
 from repro.collective.runtime import CollectiveRuntime
+from repro.core.provenance import build_provenance
 from repro.core.system import VedrfolnirConfig, VedrfolnirSystem
 from repro.simnet.network import Network
 from repro.simnet.topology import build_fat_tree
@@ -60,12 +61,41 @@ def test_bottleneck_steps_identified_under_load():
     assert diagnosis.bottleneck_steps
 
 
+def weighed_steps(diagnosis, runtime, reports) -> tuple[set, set]:
+    """The steps Eq. 3 weighs (critical flow known, slower than
+    expected) that saw telemetry, and every step that saw telemetry."""
+    waiting = diagnosis.waiting_graph
+    weighed, seen = set(), set()
+    for idx, node in waiting.critical_flows_by_step().items():
+        start, end = waiting.windows[idx]
+        if not any(start <= r.time <= end for r in reports):
+            continue
+        seen.add(idx)
+        expected = runtime.expected_step_time_ns(
+            runtime.schedule.step(node, idx))
+        if (node, idx) in runtime.flow_keys \
+                and waiting.durations[(node, idx)] > expected:
+            weighed.add(idx)
+    return weighed, seen
+
+
 def test_step_provenance_sliced_by_window():
+    """A step graph is built for each step Eq. 3 weighs that saw
+    telemetry, and for no other; each is the provenance of the reports
+    in that step's window."""
     _, runtime, system, _ = run_system(
         background=[("h1", "h4", 2_000_000)])
     diagnosis = system.analyze()
+    reports = system.analyzer.reports
+    weighed, seen = weighed_steps(diagnosis, runtime, reports)
+    assert weighed < seen      # one step saw telemetry Eq. 3 ignores
+    assert set(diagnosis.step_provenance) == weighed
+    windows = diagnosis.waiting_graph.windows
     for idx, graph in diagnosis.step_provenance.items():
-        assert 0 <= idx < runtime.schedule.num_steps
+        start, end = windows[idx]
+        assert graph == build_provenance(
+            [r for r in reports if start <= r.time <= end],
+            runtime.collective_flow_keys, system.analyzer.pfc_xoff_bytes)
 
 
 def test_summary_is_readable():
@@ -104,13 +134,3 @@ def test_critical_path_nonempty():
     assert diagnosis.critical_path
     ends = [e.end_time for e in diagnosis.critical_path]
     assert ends == sorted(ends)
-
-
-def test_per_flow_scores_cover_critical_flows():
-    _, _, system, flows = run_system(
-        background=[("h1", "h4", 3_000_000)])
-    diagnosis = system.analyze()
-    key = flows[0].key
-    related = [score for (flow, _cf), score
-               in diagnosis.per_flow_scores.items() if flow == key]
-    assert related, "background flow should be scored against cf_i"

@@ -1,13 +1,15 @@
-"""What one rolling replay makes the §III-D kernel do, counted.
+"""What a rolling replay and a batch analysis make the §III-D kernel
+do, counted.
 
-A rolling snapshot rates only the steps Eq. 3 weighs (a critical flow
-known, slower than expected) and derives a pause victim's edges only
-when what they are derived from moved.  Timing cannot show that on a
-shared machine; these counts can, and they are deterministic.  The
-trace is the incast case ``test_kernel_property`` records, replayed at
-the ``live_stream`` benchmark's cadence.  Each bound sits next to what
-the kernel did before either rule (in the comment): a change that rates
-a step Eq. 3 ignores, or re-derives victim edges nothing moved, fails.
+A snapshot, rolling or batch, rates only the steps Eq. 3 weighs (a
+critical flow known, slower than expected), and a rolling one derives
+a pause victim's edges only when what they are derived from moved.
+Timing cannot show that on a shared machine; these counts can, and they
+are deterministic.  The trace is the incast case ``test_kernel_property``
+records, replayed at the ``live_stream`` benchmark's cadence.  Each
+bound sits next to what the kernel did before either rule (in the
+comment): a change that rates a step Eq. 3 ignores, or re-derives
+victim edges nothing moved, fails.
 """
 
 import pytest
@@ -15,7 +17,9 @@ import pytest
 from repro.core import analyzer
 from repro.core.provenance import ProvenanceAccumulator
 from repro.live import LivePipeline, PipelineConfig
-from repro.traces import read_header, trace_events
+from repro.traces import (TraceRuntime, analyze_trace, load_trace,
+                          read_header, trace_events)
+from tests.core.test_analyzer import weighed_steps
 from tests.core.test_kernel_property import record_trace
 
 #: upper bounds per replay (5 rolling snapshots)
@@ -33,20 +37,21 @@ def incast(tmp_path_factory):
     return record_trace("incast", tmp_path_factory.mktemp("counts"))
 
 
+def counting(monkeypatch, counts: dict, owner, name: str, key: str):
+    real = getattr(owner, name)
+
+    def wrapper(*args):
+        counts[key] += 1
+        return real(*args)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 def counted_replay(path, monkeypatch) -> dict:
     counts = dict.fromkeys(BOUNDS, 0)
-
-    def counting(owner, name, key):
-        real = getattr(owner, name)
-
-        def wrapper(*args):
-            counts[key] += 1
-            return real(*args)
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counting(ProvenanceAccumulator, "snapshot", "graph snapshots")
-    counting(analyzer, "score_row", "score_row")
-    counting(analyzer, "score_table", "score_table")
+    counting(monkeypatch, counts, ProvenanceAccumulator, "snapshot",
+             "graph snapshots")
+    counting(monkeypatch, counts, analyzer, "score_row", "score_row")
+    counting(monkeypatch, counts, analyzer, "score_table", "score_table")
     attach = ProvenanceAccumulator._attach_pause_victims
 
     def attach_counted(self, graph, index):
@@ -73,3 +78,21 @@ def test_a_rolling_replay_rates_only_what_eq3_weighs(incast, monkeypatch):
     over = {name: (count, BOUNDS[name]) for name, count in counts.items()
             if count > BOUNDS[name]}
     assert not over, over
+
+
+def test_a_batch_analysis_rates_only_what_eq3_weighs(incast, monkeypatch):
+    """Batch ``analyze_trace`` follows the rolling rule: one graph
+    snapshot for the overall graph, then a graph and a ``score_row``
+    for each step Eq. 3 weighs that saw telemetry, and no other step."""
+    trace = load_trace(incast)
+    counts = {"graph snapshots": 0, "score_row": 0}
+    counting(monkeypatch, counts, ProvenanceAccumulator, "snapshot",
+             "graph snapshots")
+    counting(monkeypatch, counts, analyzer, "score_row", "score_row")
+    diagnosis = analyze_trace(trace)
+    weighed, seen = weighed_steps(diagnosis, TraceRuntime(trace),
+                                  trace.reports)
+    assert weighed < seen
+    assert counts == {"graph snapshots": 1 + len(weighed),
+                      "score_row": len(weighed)}
+    assert set(diagnosis.step_provenance) == weighed

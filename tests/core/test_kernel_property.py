@@ -302,19 +302,18 @@ def reference_analysis(trace, reports):
     overall, result, step_graphs, scores = reference_tail(
         reports, runtime.collective_flow_keys, trace.pfc_xoff_bytes,
         waiting.windows, critical_flow_keys, exec_times, expect_times)
-    per_flow = {
-        (flow, cf): contribution_to_flow(
-            step_graphs.get(idx, overall), flow, cf)
-        for flow in scores for idx, cf in critical_flow_keys.items()}
-    return overall, result, step_graphs, scores, per_flow
+    # the graphs of the steps Eq. 3 weighs: the only ones batch builds
+    rated = {idx: graph for idx, graph in step_graphs.items()
+             if idx in critical_flow_keys
+             and exec_times.get(idx, 0.0) > expect_times.get(idx, 0.0)}
+    return overall, result, rated, scores
 
 
 def assert_same_analysis(diagnosis, reference) -> None:
-    overall, result, step_graphs, scores, per_flow = reference
+    overall, result, step_graphs, scores = reference
     assert diagnosis.result == result
     assert isinstance(diagnosis.result, DiagnosisResult)
     assert list(diagnosis.collective_scores.items()) == list(scores.items())
-    assert list(diagnosis.per_flow_scores.items()) == list(per_flow.items())
     assert list(diagnosis.step_provenance) == list(step_graphs)
     for idx, graph in step_graphs.items():
         assert diagnosis.step_provenance[idx] == graph

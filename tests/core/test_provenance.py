@@ -159,18 +159,6 @@ def test_background_flows_property():
     assert graph.background_flows() == {BF}
 
 
-def test_connected_component_from_cf():
-    rep = report(ports=[
-        entry(port=0, qdepth=4, flow_pkts={CF: 2.0, BF: 2.0},
-              wait_weights={(CF, BF): 1.0}),
-        entry(port=1, qdepth=4, flow_pkts={BF2: 2.0}),  # disconnected
-    ])
-    graph = build_provenance([rep], [CF], XOFF)
-    component = graph.connected_component_from_cf()
-    assert ("flow", BF) in component
-    assert ("flow", BF2) not in component
-
-
 def test_port_port_cycle_detection():
     p1, p2 = PortRef("s0", 0), PortRef("s1", 0)
     pauses = [

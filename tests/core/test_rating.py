@@ -7,7 +7,6 @@ from repro.core.rating import (
     contribution_to_collective,
     contribution_to_flow,
     contribution_to_port,
-    rate_contributors,
 )
 from repro.simnet.packet import FlowKey
 from repro.simnet.pfc import PortRef
@@ -151,28 +150,3 @@ def test_eq3_skips_steps_without_excess():
         BF, {0: graph_a, 1: graph_b}, {0: CF, 1: CF},
         {0: 200.0, 1: 100.0}, {0: 100.0, 1: 100.0})
     assert score == pytest.approx(10.0)  # step 1 had no excess
-
-
-def test_rate_contributors_ranks_descending():
-    bf2 = FlowKey("h9", "h3", 3, 4791)
-    graph = make_graph()
-    graph.flows.add(bf2)
-    graph.flow_port[(CF, P1)] = 20.0
-    graph.port_flow[(P1, BF)] = 2.0
-    graph.port_flow[(P1, bf2)] = 11.0
-    scores = rate_contributors(graph, CF)
-    assert list(scores) == [bf2, BF]
-    assert scores[bf2] > scores[BF]
-
-
-def test_rate_contributors_limits_to_cf_component():
-    isolated = FlowKey("h10", "h11", 4, 4791)
-    graph = make_graph()
-    graph.flows.add(isolated)
-    graph.flow_port[(CF, P1)] = 20.0
-    graph.port_flow[(P1, BF)] = 2.0
-    # isolated flow only appears at P3, unconnected to CF
-    graph.port_flow[(P3, isolated)] = 50.0
-    scores = rate_contributors(graph, CF)
-    assert isolated not in scores
-    assert BF in scores

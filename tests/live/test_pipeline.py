@@ -131,8 +131,7 @@ def test_live_attachment_to_running_collective():
     net = Network(build_fat_tree(4))
     runtime = CollectiveRuntime(net, ring_allgather(NODES, 150_000))
     pipeline = LivePipeline(
-        runtime.schedule, {}, {}, net.config.pfc_xoff_bytes,
-        PipelineConfig(rate_contributors=False))
+        runtime.schedule, {}, {}, net.config.pfc_xoff_bytes)
     runtime.step_end_listeners.append(pipeline.publish_step_record)
     net.set_report_sink(pipeline.publish_switch_report)
     runtime.start()

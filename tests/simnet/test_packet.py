@@ -73,12 +73,5 @@ def test_packet_ids_unique(key):
     assert a.pkt_id != b.pkt_id
 
 
-def test_record_hop_trace(key):
-    packet = make_data_packet(key, 0, 100, 0.0)
-    packet.record_hop("e0")
-    packet.record_hop("a0")
-    assert packet.hops == ["e0", "a0"]
-
-
 def test_priority_ordering():
     assert Priority.CONTROL < Priority.DATA
