@@ -30,75 +30,17 @@ Packages:
   figures.
 """
 
-from typing import TYPE_CHECKING
-
 from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:   # importing a subpackage must not load the others
-    from repro.collective import (
-        CollectiveOp,
-        CollectiveRuntime,
-        StepSchedule,
-        halving_doubling_allreduce,
-        ring_allgather,
-        ring_allreduce,
-        ring_reduce_scatter,
-    )
-    from repro.core import (
-        AnomalyType,
-        DetectionConfig,
-        VedrfolnirConfig,
-        VedrfolnirSystem,
-        WaitingGraph,
-        diagnose,
-    )
-    from repro.simnet import (
-        FlowKey,
-        Network,
-        NetworkConfig,
-        RdmaFlow,
-        TelemetryConfig,
-        Topology,
-        build_dumbbell,
-        build_fat_tree,
-        build_linear,
-    )
-
-__getattr__ = lazy_exports(__name__, {
-    "simnet": ("Network", "NetworkConfig", "Topology", "build_fat_tree",
-               "build_dumbbell", "build_linear", "FlowKey", "RdmaFlow",
-               "TelemetryConfig"),
-    "collective": ("CollectiveOp", "CollectiveRuntime", "StepSchedule",
-                   "ring_allgather", "ring_reduce_scatter",
-                   "ring_allreduce", "halving_doubling_allreduce"),
-    "core": ("VedrfolnirSystem", "VedrfolnirConfig", "DetectionConfig",
-             "WaitingGraph", "AnomalyType", "diagnose"),
-})
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Network",
-    "NetworkConfig",
-    "Topology",
-    "build_fat_tree",
-    "build_dumbbell",
-    "build_linear",
-    "FlowKey",
-    "RdmaFlow",
-    "TelemetryConfig",
-    "CollectiveOp",
-    "CollectiveRuntime",
-    "StepSchedule",
-    "ring_allgather",
-    "ring_reduce_scatter",
-    "ring_allreduce",
-    "halving_doubling_allreduce",
-    "VedrfolnirSystem",
-    "VedrfolnirConfig",
-    "DetectionConfig",
-    "WaitingGraph",
-    "AnomalyType",
-    "diagnose",
-    "__version__",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "simnet.network": ("Network",),
+    "simnet.topology": ("build_fat_tree",),
+    "collective.runtime": ("CollectiveRuntime",),
+    "collective.ring": ("ring_allgather",),
+    "collective.halving_doubling": ("halving_doubling_allreduce",),
+    "core.system": ("VedrfolnirSystem",),
+    "core.diagnosis": ("AnomalyType", "diagnose"),
+})
+__all__.append("__version__")

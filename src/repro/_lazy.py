@@ -1,14 +1,16 @@
 """Package exports that import their module on first use.
 
-A package ``__init__`` that re-exports everything pays, on every
-import of any submodule, for code most processes never run (a fleet
-shard worker does not lint, serve HTTP or inject chaos).  The names
-stay importable from the package; the module behind them loads when
-one is first asked for::
+A package exports only the names some caller imports from it, and
+always the same way: one map from each defining module (relative to
+the package) to the names it gives the package.  The module behind a
+name loads when the name is first asked for, so importing one
+submodule never pays for the rest (a fleet shard worker does not
+lint, serve HTTP or inject chaos)::
 
-    if TYPE_CHECKING:                  # what static tools read
-        from repro.live.supervisor import Supervisor
-    __getattr__ = lazy_exports(__name__, {"supervisor": ("Supervisor",)})
+    __getattr__, __all__ = lazy_exports(__name__, {
+        "checkpoint": ("CheckpointManager", "resume_or_create"),
+        "pipeline": ("LivePipeline",),
+    })
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from typing import Any, Callable, Iterable, Mapping
 
 
 def lazy_exports(package: str, modules: Mapping[str, Iterable[str]]
-                 ) -> Callable[[str], Any]:
-    """A module-level ``__getattr__`` for ``package``: ``modules`` maps
-    a submodule to the names it defines for the package."""
+                 ) -> tuple[Callable[[str], Any], list[str]]:
+    """The module-level ``__getattr__`` and ``__all__`` for
+    ``package``: ``modules`` maps a defining module, relative to
+    ``package``, to the names it exports through the package."""
     home = {name: module for module, names in modules.items()
             for name in names}
 
@@ -35,4 +38,4 @@ def lazy_exports(package: str, modules: Mapping[str, Iterable[str]]
         setattr(sys.modules[package], name, value)
         return value
 
-    return __getattr__
+    return __getattr__, list(home)

@@ -9,17 +9,3 @@
 Both reuse the same switch telemetry substrate as Vedrfolnir, exactly as
 in the paper's NS-3 setup; the differences under test are the *policies*.
 """
-
-from repro.baselines.adapter import DiagnosisSystemAdapter, SystemOutput
-from repro.baselines.hawkeye import HawkeyeSystem, HawkeyeConfig
-from repro.baselines.full_polling import FullPollingSystem
-from repro.baselines.vedrfolnir_adapter import VedrfolnirAdapter
-
-__all__ = [
-    "DiagnosisSystemAdapter",
-    "SystemOutput",
-    "HawkeyeSystem",
-    "HawkeyeConfig",
-    "FullPollingSystem",
-    "VedrfolnirAdapter",
-]

@@ -22,42 +22,3 @@ contract nothing else checks (the audit table in ``docs/CHECKS.md``):
   structured :class:`InvariantViolation` errors with the offending
   event trace.
 """
-
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-from repro.checks.sanitizer import (
-    InvariantViolation,
-    SimSanitizer,
-    TracedEvent,
-)
-
-if TYPE_CHECKING:   # the simulator imports the sanitizer, never these
-    from repro.checks.ir import ParseCache
-    from repro.checks.lint import (
-        Finding,
-        RULES,
-        check_paths,
-        check_source,
-        iter_python_files,
-        render_findings,
-    )
-
-__getattr__ = lazy_exports(__name__, {
-    "ir": ("ParseCache",),
-    "lint": ("Finding", "RULES", "check_paths", "check_source",
-             "iter_python_files", "render_findings"),
-})
-
-__all__ = [
-    "Finding",
-    "ParseCache",
-    "RULES",
-    "check_paths",
-    "check_source",
-    "iter_python_files",
-    "render_findings",
-    "InvariantViolation",
-    "SimSanitizer",
-    "TracedEvent",
-]

@@ -8,48 +8,8 @@ its data chunk or its destination changes.  This package provides
 * schedule generators for Ring and Halving-and-Doubling algorithms over
   AllGather / ReduceScatter / AllReduce
   (:mod:`repro.collective.ring`, :mod:`repro.collective.halving_doubling`),
-* a runtime that executes a schedule on a :class:`repro.simnet.Network`,
-  enforcing the data dependencies between flows
+* a runtime that executes a schedule on a
+  :class:`~repro.simnet.network.Network`, enforcing the data
+  dependencies between flows
   (:mod:`repro.collective.runtime`).
 """
-
-from repro.collective.primitives import (
-    CollectiveOp,
-    SendStep,
-    StepSchedule,
-    validate_schedule,
-)
-from repro.collective.ring import (
-    ring_allgather,
-    ring_reduce_scatter,
-    ring_allreduce,
-)
-from repro.collective.halving_doubling import (
-    halving_doubling_allreduce,
-    halving_doubling_reduce_scatter,
-    halving_doubling_allgather,
-)
-from repro.collective.extra import (
-    all_to_all,
-    binomial_broadcast,
-    pipeline_broadcast,
-)
-from repro.collective.runtime import CollectiveRuntime, StepRecord
-
-__all__ = [
-    "CollectiveOp",
-    "SendStep",
-    "StepSchedule",
-    "validate_schedule",
-    "ring_allgather",
-    "ring_reduce_scatter",
-    "ring_allreduce",
-    "halving_doubling_allreduce",
-    "halving_doubling_reduce_scatter",
-    "halving_doubling_allgather",
-    "all_to_all",
-    "binomial_broadcast",
-    "pipeline_broadcast",
-    "CollectiveRuntime",
-    "StepRecord",
-]

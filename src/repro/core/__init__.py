@@ -28,58 +28,8 @@
   the one way a file is replaced (tmp sibling + ``os.replace``, fsynced
   when durable).
 
-Exports resolve lazily (PEP 562) so that leaf modules — in particular
-:mod:`repro.core.units`, which :mod:`repro.simnet` imports at runtime —
-can be imported without dragging in the analyzer stack and its reverse
+The package exports nothing itself, so importing a leaf module — in
+particular :mod:`repro.core.units`, which :mod:`repro.simnet` imports
+at runtime — never drags in the analyzer stack and its reverse
 dependency on the simulator.
 """
-
-import importlib
-
-#: public name -> defining submodule (resolved on first attribute access)
-_EXPORTS = {
-    "WaitingGraph": "repro.core.waiting_graph",
-    "WaitingVertex": "repro.core.waiting_graph",
-    "EdgeKind": "repro.core.waiting_graph",
-    "HostMonitor": "repro.core.monitor",
-    "WaitingState": "repro.core.monitor",
-    "DetectionAgent": "repro.core.detection",
-    "DetectionConfig": "repro.core.detection",
-    "ProvenanceGraph": "repro.core.provenance",
-    "build_provenance": "repro.core.provenance",
-    "AnomalyType": "repro.core.diagnosis",
-    "AnomalyFinding": "repro.core.diagnosis",
-    "DiagnosisResult": "repro.core.diagnosis",
-    "diagnose": "repro.core.diagnosis",
-    "contribution_to_port": "repro.core.rating",
-    "contribution_to_flow": "repro.core.rating",
-    "contribution_to_collective": "repro.core.rating",
-    "VedrfolnirAnalyzer": "repro.core.analyzer",
-    "VedrfolnirSystem": "repro.core.system",
-    "VedrfolnirConfig": "repro.core.system",
-    "render_json": "repro.core.reports",
-    "render_text": "repro.core.reports",
-    "FailpointError": "repro.core.failpoints",
-    "FailpointSpec": "repro.core.failpoints",
-    "RetryPolicy": "repro.core.retry",
-    "CircuitBreaker": "repro.core.retry",
-    "RetryBudgetExceeded": "repro.core.retry",
-    "call_with_retry": "repro.core.retry",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache: resolve each export once
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))

@@ -192,12 +192,6 @@ def active() -> bool:
     return bool(_ARMED)
 
 
-def snapshot() -> dict[str, int]:
-    """Fire counts per armed failpoint (test/observability hook)."""
-    with _LOCK:
-        return {name: armed.fires for name, armed in _ARMED.items()}
-
-
 def _evaluate(name: str) -> Optional[FailpointSpec]:
     """Roll the site's spec; returns it if it fires this time."""
     armed = _ARMED.get(name)
@@ -272,7 +266,6 @@ __all__ = [
     "configure_from_env",
     "clear",
     "active",
-    "snapshot",
     "fire",
     "mangle",
 ]

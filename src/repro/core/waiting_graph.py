@@ -428,19 +428,6 @@ class WaitingGraph:
             self._edges = [e for e in self._edges
                            if e.src not in doomed and e.dst not in doomed]
 
-    def to_networkx(self):
-        """Export to a networkx.DiGraph for analysis or visualization."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for vertex in self.vertices:
-            graph.add_node(vertex.label, node=vertex.node,
-                           step=vertex.step_index, point=vertex.point)
-        for edge in self.edges:
-            graph.add_edge(edge.src.label, edge.dst.label,
-                           kind=edge.kind.value, weight=edge.weight_ns)
-        return graph
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"WaitingGraph({len(self.vertices)} vertices, "
                 f"{len(self.edges)} edges, mode={self.mode})")

@@ -8,29 +8,3 @@ and regenerates the paper's tables and figures.
 * :mod:`repro.experiments.figures` — one entry point per paper figure
   (Figs. 9-14), each returning printable rows.
 """
-
-from repro.experiments.harness import (
-    CaseResult,
-    run_case,
-    run_matrix,
-    score_case,
-    SYSTEM_FACTORIES,
-    make_system,
-)
-from repro.experiments.metrics import (
-    ScenarioSystemMetrics,
-    aggregate,
-)
-from repro.experiments import figures
-
-__all__ = [
-    "CaseResult",
-    "run_case",
-    "run_matrix",
-    "score_case",
-    "SYSTEM_FACTORIES",
-    "make_system",
-    "ScenarioSystemMetrics",
-    "aggregate",
-    "figures",
-]

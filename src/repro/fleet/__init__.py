@@ -21,60 +21,13 @@ fleet snapshot's diagnosis content is bit-equal to an uninterrupted
 run — with surviving shards' tenants untouched.
 """
 
-from typing import TYPE_CHECKING
-
 from repro._lazy import lazy_exports
-from repro.fleet.aggregator import (
-    FleetAggregator,
-    FleetSnapshot,
-    ShardMailbox,
-    ShardReport,
-    TenantDigest,
-    merge_reports,
-)
-from repro.fleet.service import (
-    FleetConfig,
-    FleetService,
-    ShardRuntime,
-    build_shard_runtime,
-    registry_from_snapshot,
-)
-from repro.fleet.sharding import (
-    HashRing,
-    TenantSpec,
-    key_for_flow,
-    plan_shards,
-    replicate_tenants,
-    stable_hash,
-)
-from repro.fleet.tenancy import TenantPolicy, TenantRuntime
 
-if TYPE_CHECKING:   # http.server and ssl: loaded when a fleet serves
-    from repro.fleet.exporter import MetricsExporter
-
-__getattr__ = lazy_exports(__name__, {
+__getattr__, __all__ = lazy_exports(__name__, {
+    "aggregator": ("FleetAggregator", "TenantDigest", "merge_reports"),
     "exporter": ("MetricsExporter",),
+    "service": ("FleetConfig", "FleetService"),
+    "sharding": ("HashRing", "TenantSpec", "plan_shards",
+                 "replicate_tenants"),
+    "tenancy": ("TenantPolicy", "TenantRuntime"),
 })
-
-__all__ = [
-    "FleetAggregator",
-    "FleetConfig",
-    "FleetService",
-    "FleetSnapshot",
-    "HashRing",
-    "MetricsExporter",
-    "ShardMailbox",
-    "ShardReport",
-    "ShardRuntime",
-    "TenantDigest",
-    "TenantPolicy",
-    "TenantRuntime",
-    "TenantSpec",
-    "build_shard_runtime",
-    "key_for_flow",
-    "merge_reports",
-    "plan_shards",
-    "registry_from_snapshot",
-    "replicate_tenants",
-    "stable_hash",
-]

@@ -29,66 +29,11 @@ uninterrupted run).
     snapshot = pipeline.finish()        # == batch analyze_trace result
 """
 
-from typing import TYPE_CHECKING
-
 from repro._lazy import lazy_exports
-from repro.live.bus import EventBus, TelemetryEvent
-from repro.live.checkpoint import (
-    CheckpointCorrupt,
-    CheckpointManager,
-    CheckpointPolicy,
-    TraceReplayer,
-    resume_or_create,
-)
-from repro.live.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    render_prometheus,
-)
-from repro.live.pipeline import (
-    DiagnosisSnapshot,
-    LivePipeline,
-    PipelineConfig,
-)
-from repro.live.robustness import DegradationTracker, Quarantine
-from repro.live.watermark import WatermarkBuffer
 
-if TYPE_CHECKING:   # a pipeline does not need it: loaded on first use
-    from repro.live.supervisor import (
-        CrashLoopError,
-        GracefulShutdown,
-        RestartPolicy,
-        Supervisor,
-    )
-
-__getattr__ = lazy_exports(__name__, {
-    "supervisor": ("CrashLoopError", "GracefulShutdown",
-                   "RestartPolicy", "Supervisor"),
+__getattr__, __all__ = lazy_exports(__name__, {
+    "checkpoint": ("CheckpointManager", "CheckpointPolicy",
+                   "resume_or_create"),
+    "metrics": ("Histogram",),
+    "pipeline": ("LivePipeline", "PipelineConfig"),
 })
-
-__all__ = [
-    "EventBus",
-    "TelemetryEvent",
-    "WatermarkBuffer",
-    "LivePipeline",
-    "PipelineConfig",
-    "DiagnosisSnapshot",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "render_prometheus",
-    "Quarantine",
-    "DegradationTracker",
-    "CheckpointCorrupt",
-    "CheckpointManager",
-    "CheckpointPolicy",
-    "TraceReplayer",
-    "resume_or_create",
-    "Supervisor",
-    "RestartPolicy",
-    "CrashLoopError",
-    "GracefulShutdown",
-]

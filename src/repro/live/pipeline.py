@@ -229,16 +229,6 @@ class LivePipeline:
         if len(bus) >= batch:
             self.pump(batch)
 
-    def publish_step_record(self, record: StepRecord) -> None:
-        """Live (non-trace) producers: a runtime's step-end listener."""
-        self.publish(TraceEvent("step_record", record.end_time, record,
-                                line_no=0))
-
-    def publish_switch_report(self, report: SwitchReport) -> None:
-        """Live (non-trace) producers: a network's report sink."""
-        self.publish(TraceEvent("switch_report", report.time, report,
-                                line_no=0))
-
     def pump(self, limit: int = 0) -> int:
         """Consume up to ``limit`` events off the bus (all if 0)."""
         processed = 0

@@ -5,11 +5,3 @@ recorded traces (SHA-256), so a fast-path optimisation is provably
 order-preserving.  Timing lives outside the package, in
 ``benchmarks/e2e`` (the ``BENCHMARK.json`` contract).
 """
-
-from repro.perf.golden import (
-    GOLDEN_SCALE,
-    StreamHasher,
-    capture_digests,
-)
-
-__all__ = ["GOLDEN_SCALE", "StreamHasher", "capture_digests"]

@@ -29,64 +29,13 @@ and :func:`load_trace` are thin calls over it::
         pipeline.publish(event)     # a LivePipeline pumps itself
 """
 
-from repro.traces.columnar import (
-    ColumnarTrace,
-    content_address,
-    jsonl_digest,
-    open_trace,
-    read_header,
-    sniff_format,
-    trace_events,
-    write_columnar,
-    write_jsonl,
-)
-from repro.traces.serialize import (
-    decode_flow_key,
-    decode_step_record,
-    decode_switch_report,
-    encode_flow_key,
-    encode_step_record,
-    encode_switch_report,
-)
-from repro.traces.store import (
-    Trace,
-    TraceFormatError,
-    TraceRecorder,
-    TraceRuntime,
-    analyze_trace,
-    load_trace,
-)
-from repro.traces.stream import (
-    ErrorSink,
-    TraceEvent,
-    TraceHeader,
-    TraceTruncated,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "encode_flow_key",
-    "decode_flow_key",
-    "encode_step_record",
-    "decode_step_record",
-    "encode_switch_report",
-    "decode_switch_report",
-    "Trace",
-    "TraceFormatError",
-    "TraceRecorder",
-    "TraceRuntime",
-    "load_trace",
-    "analyze_trace",
-    "ErrorSink",
-    "TraceEvent",
-    "TraceHeader",
-    "TraceTruncated",
-    "open_trace",
-    "read_header",
-    "trace_events",
-    "ColumnarTrace",
-    "content_address",
-    "jsonl_digest",
-    "sniff_format",
-    "write_columnar",
-    "write_jsonl",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "columnar": ("ColumnarTrace", "content_address", "jsonl_digest",
+                 "open_trace", "read_header", "sniff_format",
+                 "trace_events", "write_columnar", "write_jsonl"),
+    "store": ("TraceRecorder", "TraceRuntime", "analyze_trace",
+              "load_trace"),
+    "stream": ("TraceEvent", "TraceTruncated"),
+})

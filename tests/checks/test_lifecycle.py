@@ -14,8 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks import RULES
-from repro.checks.lint import check_paths, render_findings
+from repro.checks.lint import RULES, check_paths, render_findings
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]

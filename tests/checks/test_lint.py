@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks import RULES, check_paths, check_source
+from repro.checks.lint import RULES, check_paths, check_source
 from repro.checks.lint import Finding, render_findings
 from repro.cli import main
 

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.checks.sanitizer import InvariantViolation
 from repro.collective.halving_doubling import halving_doubling_allgather
 from repro.collective.ring import ring_allgather
 from repro.collective.runtime import CollectiveRuntime
-from repro.simnet import InvariantViolation, Network, Simulator
-from repro.simnet.engine import _env_sanitize
+from repro.simnet.engine import Simulator, _env_sanitize
+from repro.simnet.network import Network
 from repro.simnet.packet import FlowKey, make_data_packet
 from repro.simnet.pfc import PauseEvent, PortRef, ResumeEvent
 from repro.simnet.topology import build_fat_tree
@@ -231,9 +232,5 @@ def test_env_var_off_values(monkeypatch, value):
     assert Simulator().sanitizer is None
 
 
-def test_invariant_violation_importable_from_simnet():
-    import repro.simnet as simnet
-
-    assert simnet.InvariantViolation is InvariantViolation
-    assert "InvariantViolation" in simnet.__all__
+def test_invariant_violation_is_a_value_error():
     assert issubclass(InvariantViolation, ValueError)

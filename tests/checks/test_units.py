@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks import RULES, check_paths, check_source
+from repro.checks.lint import RULES, check_paths, check_source
 from repro.checks.lint import _family
 from repro.cli import main
 

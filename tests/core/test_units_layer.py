@@ -11,7 +11,6 @@ import math
 
 import pytest
 
-import repro.core
 from repro.core.units import (
     Bits,
     BitsPerSecond,
@@ -36,6 +35,7 @@ from repro.core.units import (
     us_to_ns,
     us_to_s,
 )
+from tests.fleet.test_cold_start import run_probe
 
 
 # ----------------------------------------------------------------------
@@ -94,14 +94,11 @@ def test_newtypes_are_free_at_runtime():
     assert isinstance(Bytes(4096), int)
 
 
-def test_lazy_core_package_exports():
-    """``repro.core`` resolves its submodule exports lazily (PEP 562),
-    so importing ``repro.core.units`` never drags in the analyzer."""
-    assert repro.core.VedrfolnirAnalyzer is not None
-    assert "VedrfolnirAnalyzer" in dir(repro.core)
-    assert "WaitingGraph" in repro.core.__all__
-    with pytest.raises(AttributeError):
-        repro.core.does_not_exist
+def test_core_units_import_leaves_the_analyzer_unloaded():
+    """``repro.core`` exports nothing, so importing
+    ``repro.core.units`` never drags in the analyzer."""
+    run_probe("import sys, repro.core.units\n"
+              "assert 'repro.core.analyzer' not in sys.modules\n")
 
 
 # ----------------------------------------------------------------------

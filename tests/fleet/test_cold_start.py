@@ -3,9 +3,10 @@
 Every worker process pays ``import repro.fleet.worker`` before its
 first event.  The static-analysis passes, the HTTP exporter, the chaos
 harness, networkx and the simulator a replayed trace never runs are
-for other processes: their packages export them lazily
-(:mod:`repro._lazy`), and every public name stays importable from
-where it was.
+for other processes.  A package exports only the names its callers
+import from it, through one lazy map (:mod:`repro._lazy`), so
+importing one submodule loads none of the rest, and every exported
+name resolves to its defining module's own object.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ def test_worker_import_leaves_the_rest_unloaded():
     run_probe(probe)
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.simnet",
-                                     "repro.checks", "repro.live",
-                                     "repro.fleet"])
+@pytest.mark.parametrize("package", ["repro", "repro.fleet",
+                                     "repro.live", "repro.traces"])
 def test_every_public_name_is_still_importable(package):
     module = importlib.import_module(package)
     for name in module.__all__:
@@ -69,28 +69,14 @@ def test_top_level_import_still_builds_a_network():
     run_probe(probe)
 
 
-def test_simnet_star_import_resolves_every_name():
-    probe = (
-        "import repro.simnet\n"
-        "from repro.simnet import *\n"
-        "missing = [n for n in repro.simnet.__all__\n"
-        "           if n not in globals()]\n"
-        "assert not missing, missing\n"
-        "assert Simulator.__module__ == 'repro.simnet.engine'\n")
-    run_probe(probe)
-
-
 def test_lazy_exports_are_the_modules_own_objects():
-    from repro.checks import check_paths
-    from repro.checks.lint import check_paths as direct
     from repro.fleet import MetricsExporter
     from repro.fleet.exporter import MetricsExporter as exporter
-    from repro.live import Supervisor
-    from repro.live.supervisor import Supervisor as supervisor
+    from repro.live import LivePipeline
+    from repro.live.pipeline import LivePipeline as pipeline
 
-    assert check_paths is direct
     assert MetricsExporter is exporter
-    assert Supervisor is supervisor
+    assert LivePipeline is pipeline
     # resolved once, then an ordinary attribute of the package
     import repro.live
-    assert repro.live.__dict__["Supervisor"] is supervisor
+    assert repro.live.__dict__["LivePipeline"] is pipeline

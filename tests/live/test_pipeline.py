@@ -13,8 +13,8 @@ from repro.live.pipeline import snapshot_line
 from repro.simnet.network import Network
 from repro.simnet.topology import build_fat_tree
 from repro.simnet.units import ms
-from repro.traces import (TraceRecorder, analyze_trace, load_trace,
-                          read_header, trace_events)
+from repro.traces import (TraceEvent, TraceRecorder, analyze_trace,
+                          load_trace, read_header, trace_events)
 
 NODES = ["h0", "h4", "h8", "h12"]
 
@@ -132,8 +132,10 @@ def test_live_attachment_to_running_collective():
     runtime = CollectiveRuntime(net, ring_allgather(NODES, 150_000))
     pipeline = LivePipeline(
         runtime.schedule, {}, {}, net.config.pfc_xoff_bytes)
-    runtime.step_end_listeners.append(pipeline.publish_step_record)
-    net.set_report_sink(pipeline.publish_switch_report)
+    runtime.step_end_listeners.append(lambda record: pipeline.publish(
+        TraceEvent("step_record", record.end_time, record, line_no=0)))
+    net.set_report_sink(lambda report: pipeline.publish(
+        TraceEvent("switch_report", report.time, report, line_no=0)))
     runtime.start()
     net.create_flow("h1", "h4", 1_000_000).start()
     net.run_until_quiet(max_time=ms(100))

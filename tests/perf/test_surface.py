@@ -6,17 +6,15 @@ import importlib
 
 import pytest
 
-import repro.perf
+import repro.perf.golden
 from repro.cli import build_parser
 
-GOLDEN = {"GOLDEN_SCALE", "StreamHasher", "capture_digests"}
 
-
-def test_perf_exports_only_the_golden_names():
-    assert set(repro.perf.__all__) == GOLDEN
+def test_perf_holds_only_the_golden_module():
+    assert not hasattr(repro.perf, "__all__")
     public = {name for name in vars(repro.perf)
               if not name.startswith("_")}
-    assert public == GOLDEN | {"golden"}
+    assert public == {"golden"}
 
 
 @pytest.mark.parametrize("package, module", [("repro.perf", "bench"),

@@ -1,15 +1,28 @@
 """Every public src name has a caller outside the tests.
 
-A public (non-``_``) module-level ``def`` or ``class`` under
-``src/repro`` counts as called when its name appears as an
-``ast.Name`` id or an ``ast.Attribute`` attr in any src module, or in
-any Python file under ``benchmarks/``, ``examples/`` or ``tools/``.
-Tests never count as callers: code only a test reaches is deleted, or
-moved into the test that needs it.
+The callers are every src module and every Python file under
+``benchmarks/``, ``examples/`` or ``tools/``.  Tests never count as
+callers: code only a test reaches is deleted, or moved into the test
+that needs it.
 
-The walk is over the AST, not tokens, so a name in a docstring, an
-``__all__`` string or a ``from ... import`` alias is not a call, and
-f-strings read the same on every Python version.
+* A public (non-``_``) module-level ``def`` or ``class`` counts as
+  called only through a binding that reaches its own module: a bare
+  use inside that module; a use of the name that ``from <module>
+  import name`` binds (or an import of it through a package whose
+  export map names that module, or through another module that
+  imported it); or ``<module>.name`` on a name bound to that module.
+  A method, field or keyword of the same spelling is not a call.
+* A public name in a package's ``__all__`` counts as used only when a
+  caller that is not a package ``__init__`` imports it from that
+  package (``from repro.<pkg> import name``) or reads
+  ``repro.<pkg>.name``.  A submodule imports without an entry.
+* A package ``__init__`` is its docstring, or its docstring and one
+  :func:`repro._lazy.lazy_exports` map keyed by the modules that
+  define the names.
+
+The walk is over the AST, not tokens, so a name in a docstring or a
+string is not a use, and f-strings read the same on every Python
+version.
 
 A name that stays without a caller is on ``ALLOWLIST`` with a reason.
 """
@@ -17,6 +30,8 @@ A name that stays without a caller is on ``ALLOWLIST`` with a reason.
 from __future__ import annotations
 
 import ast
+import importlib
+from functools import cached_property
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,38 +79,167 @@ def _py_files(base: Path) -> list[Path]:
                   if "__pycache__" not in p.parts)
 
 
-def _referenced(tree: ast.AST) -> set[str]:
-    names = set()
+def _dotted(path: Path) -> str:
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _export_map(tree: ast.Module) -> dict[str, str]:
+    """name -> defining module (relative to the package) of the
+    package's ``lazy_exports`` map, if it has one."""
+    homes = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "lazy_exports"):
+            modules = ast.literal_eval(node.args[1])
+            homes |= {name: module for module, names in modules.items()
+                      for name in names}
+    return homes
 
 
-def _public_definitions(tree: ast.Module) -> list[str]:
-    return [node.name for node in tree.body
+class Module:
+    """One parsed file: what it defines and what it binds by import."""
+
+    def __init__(self, path: Path, name: str | None):
+        self.path = path
+        self.name = name            # dotted, for a src module
+        self.tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+    @cached_property
+    def definitions(self) -> list[str]:
+        """Public module-level ``def`` / ``class`` names."""
+        return [node.name for node in self.tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef))
+                and not node.name.startswith("_")]
+
+    @cached_property
+    def defined(self) -> set[str]:
+        """Every module-level name the module itself assigns."""
+        names = set()
+        for node in self.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_")]
+                                 ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names |= {target.id for target in targets
+                          if isinstance(target, ast.Name)}
+        return names
+
+    @cached_property
+    def imports(self) -> list[tuple[str, str, str | None]]:
+        """``(bound name, module, imported name)``; the imported name
+        is None when the binding is the module itself."""
+        bound = []
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        bound.append((alias.asname, alias.name, None))
+                    else:
+                        top = alias.name.split(".")[0]
+                        bound.append((top, top, None))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                bound += [(alias.asname or alias.name, node.module,
+                           alias.name) for alias in node.names]
+        return bound
+
+
+class Project:
+    """The src modules and the callers, with import bindings resolved
+    to the module that defines each name."""
+
+    def __init__(self):
+        self.src = {_dotted(path): Module(path, _dotted(path))
+                    for path in _py_files(SRC)}
+        self.exports = {name: _export_map(module.tree)
+                        for name, module in self.src.items()
+                        if module.path.name == "__init__.py"}
+        self.called: set[tuple[str, str | None]] = set()
+        self.imported_from_package: set[tuple[str, str]] = set()
+        for module in list(self.src.values()) + [
+                Module(path, None)
+                for directory in CALLER_DIRS
+                for path in _py_files(ROOT / directory)]:
+            self._walk(module)
+
+    def resolve(self, module: str, name: str | None, seen=frozenset()):
+        """The ``(module, name)`` definitions ``module.name`` reaches;
+        a module (``name`` None, or a submodule) is ``(module, None)``."""
+        if name is None:
+            return {(module, None)}
+        if (module, name) in seen or module not in self.src:
+            return set()
+        seen = seen | {(module, name)}
+        if name in self.src[module].defined:
+            return {(module, name)}
+        home = self.exports.get(module, {}).get(name)
+        if home is not None:
+            return self.resolve(f"{module}.{home}", name, seen)
+        reached = set()
+        for bound, source, imported in self.src[module].imports:
+            if bound == name:
+                reached |= self.resolve(source, imported, seen)
+        if not reached and f"{module}.{name}" in self.src:
+            reached = {(f"{module}.{name}", None)}
+        return reached
+
+    def _walk(self, module: Module) -> None:
+        # a package's own imports are re-exports, not callers
+        through_package = set() if module.name in self.exports \
+            else self.imported_from_package
+        binds: dict[str, set] = {}
+        for bound, source, imported in module.imports:
+            binds.setdefault(bound, set()).update(
+                self.resolve(source, imported))
+            if imported is not None and source in self.exports:
+                through_package.add((source, imported))
+
+        def modules_of(node) -> set[str]:
+            if isinstance(node, ast.Name):
+                return {target for target, name in binds.get(node.id, ())
+                        if name is None}
+            if isinstance(node, ast.Attribute):
+                return {f"{base}.{node.attr}"
+                        for base in modules_of(node.value)
+                        if f"{base}.{node.attr}" in self.src}
+            return set()
+
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                self.called |= binds.get(node.id, set())
+                if module.name and node.id in module.defined:
+                    self.called.add((module.name, node.id))
+            elif isinstance(node, ast.Attribute):
+                for base in modules_of(node.value):
+                    self.called |= self.resolve(base, node.attr)
+                    if base in self.exports:
+                        through_package.add((base, node.attr))
+
+
+PROJECT = Project()
 
 
 def uncalled() -> list[str]:
     """``module::name`` of every public src definition with no caller."""
-    defined: list[tuple[str, str]] = []
-    called: set[str] = set()
-    for path in _py_files(SRC):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        module = path.relative_to(SRC).as_posix()
-        defined += [(module, name) for name in _public_definitions(tree)]
-        called |= _referenced(tree)
-    for directory in CALLER_DIRS:
-        for path in _py_files(ROOT / directory):
-            called |= _referenced(
-                ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    return [f"{module}::{name}" for module, name in defined
-            if name not in called]
+    return [f"{module.path.relative_to(SRC).as_posix()}::{name}"
+            for dotted, module in PROJECT.src.items()
+            for name in module.definitions
+            if (dotted, name) not in PROJECT.called]
+
+
+def unimported_exports() -> list[str]:
+    """``package::name`` of every public ``__all__`` entry that no
+    caller imports from its package, or that names a submodule."""
+    return [f"{package}::{name}"
+            for package in PROJECT.exports
+            for name in getattr(importlib.import_module(package), "__all__",
+                                ())
+            if not name.startswith("_")
+            and (f"{package}.{name}" in PROJECT.src
+                 or (package, name) not in PROJECT.imported_from_package)]
 
 
 def test_every_public_src_name_has_a_caller():
@@ -116,3 +260,30 @@ def test_every_allowlisted_name_exists_and_is_uncalled():
     assert not stale, f"allowlist entries that are not uncalled: {stale}"
     for module in ALLOWED_MODULES:
         assert (SRC / module).is_file(), module
+
+
+def test_every_package_export_has_a_caller():
+    unused = unimported_exports()
+    assert not unused, (
+        f"{len(unused)} package exports that no src module, benchmark, "
+        "example or tool imports from the package (drop them from the "
+        "export map; a submodule needs no entry):\n  "
+        + "\n  ".join(unused))
+
+
+def test_every_package_init_is_its_docstring_or_one_export_map():
+    wrong = []
+    for package, homes in PROJECT.exports.items():
+        body = PROJECT.src[package].tree.body[1:]
+        for node in body:
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module == "repro._lazy":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom, ast.If,
+                                 ast.FunctionDef)):
+                wrong.append(f"{package}: line {node.lineno} is an "
+                             f"{type(node).__name__}")
+        wrong += [f"{package}::{name} is not defined in {home}"
+                  for name, home in homes.items()
+                  if name not in PROJECT.src[f"{package}.{home}"].defined]
+    assert not wrong, "\n".join(wrong)

@@ -202,7 +202,8 @@ def test_full_waiting_graph_is_acyclic(data):
 
     schedule, records = data
     graph = WaitingGraph(schedule, records, mode="full")
-    assert nx.is_directed_acyclic_graph(graph.to_networkx())
+    assert nx.is_directed_acyclic_graph(nx.DiGraph(
+        (edge.src.label, edge.dst.label) for edge in graph.edges))
 
 
 # ----------------------------------------------------------------------

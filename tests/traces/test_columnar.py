@@ -33,10 +33,7 @@ from repro.simnet.telemetry import PortTelemetryEntry, SwitchReport
 from repro.simnet.topology import build_fat_tree
 from repro.simnet.units import ms
 from repro.traces import (
-    Trace,
     TraceEvent,
-    TraceFormatError,
-    TraceHeader,
     TraceRecorder,
     columnar,
     load_trace,
@@ -44,6 +41,8 @@ from repro.traces import (
     serialize,
     trace_events,
 )
+from repro.traces.store import Trace, TraceFormatError
+from repro.traces.stream import TraceHeader
 from repro.traces.columnar import (
     ColumnarTrace,
     content_address,

@@ -100,7 +100,7 @@ def test_known_kinds_leave_no_unknown_counts(recorded_run):
 
 
 def test_version_mismatch_rejected(tmp_path):
-    from repro.traces import TraceFormatError
+    from repro.traces.store import TraceFormatError
 
     path = tmp_path / "future.jsonl"
     path.write_text('\n{"kind": "meta", "version": 99}\n')

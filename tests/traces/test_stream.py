@@ -16,7 +16,6 @@ from repro.simnet.network import Network
 from repro.simnet.topology import build_fat_tree
 from repro.simnet.units import ms
 from repro.traces import (
-    TraceFormatError,
     TraceRecorder,
     TraceTruncated,
     load_trace,
@@ -25,6 +24,7 @@ from repro.traces import (
     trace_events,
     write_columnar,
 )
+from repro.traces.store import TraceFormatError
 from tests.traces.test_columnar import (
     _event_tuples,
     reference_events,
