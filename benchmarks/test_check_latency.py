@@ -11,7 +11,8 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import print_rows
-from repro.checks.lint import check_paths, iter_python_files
+from repro.checks.ir import iter_python_files
+from repro.checks.lint import check_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"

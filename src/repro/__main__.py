@@ -3,8 +3,4 @@
 from repro.cli import main
 
 if __name__ == "__main__":
-    try:
-        raise SystemExit(main())
-    except KeyboardInterrupt:
-        # the documented interrupted-by-user code (128 + SIGINT)
-        raise SystemExit(130) from None
+    raise SystemExit(main())

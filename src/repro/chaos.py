@@ -241,7 +241,7 @@ def derive_kill_points(trace_path: PathLike, plan_seed: int,
                        kills: int,
                        duplicate_every: int = 0) -> tuple[int, ...]:
     """Spread ``kills`` seeded kill points over the stream's length
-    (``repro chaos --kills N`` when no explicit points are given)."""
+    (``repro chaos --kills N``)."""
     total = _data_records(trace_path)
     if duplicate_every > 1:
         total += total // duplicate_every
@@ -526,19 +526,3 @@ def run_fleet_chaos(tenants: Sequence[TenantSpec],
          "checkpoints_corrupted": len(damaged),
          "degraded_snapshots": outcome.degraded_snapshots,
          "transport_stats": dict(outcome.transport)})
-
-
-__all__ = [
-    "ChaosPlan",
-    "FleetChaosPlan",
-    "ChaosReport",
-    "perturbed_events",
-    "derive_kill_points",
-    "probe_trace_truncation",
-    "run_chaos",
-    "default_restart_policy",
-    "transport_restart_policy",
-    "transport_health_policy",
-    "transport_failpoints",
-    "run_fleet_chaos",
-]

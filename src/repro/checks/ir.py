@@ -289,21 +289,3 @@ class ModuleAliases:
         if isinstance(func, ast.Name):
             return self.from_names.get(func.id) == f"{module}.{name}"
         return False
-
-
-__all__ = [
-    "FUNCTION_NODES",
-    "Finding",
-    "ModuleAliases",
-    "ParseCache",
-    "SCOPE_NODES",
-    "SourceFile",
-    "apply_noqa",
-    "expr_tokens",
-    "finding_at",
-    "has_scope_pragma",
-    "is_self_attr",
-    "iter_python_files",
-    "name_of",
-    "walk_local",
-]

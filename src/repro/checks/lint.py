@@ -44,14 +44,9 @@ from repro.checks.ir import (
     apply_noqa,
     finding_at,
     has_scope_pragma,
-    iter_python_files,
     name_of,
 )
 
-__all__ = [
-    "Finding", "RULES", "SIM_SCOPE_DIRS", "check_paths",
-    "check_source", "iter_python_files", "render_findings",
-]
 
 #: the whole catalog: every code ``repro check`` can report
 RULES = dict(sorted({

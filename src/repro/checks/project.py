@@ -597,11 +597,3 @@ def check_module(display: str, path: Path, source: str,
     growth_scope = bool(GROWTH_SCOPE_DIRS.intersection(path.parts)) \
         or has_scope_pragma(source, "concurrency")
     return _ModuleChecker(display, tree, growth_scope, classes).run()
-
-
-__all__ = [
-    "DURABLE_PATH_TOKENS",
-    "GROWTH_SCOPE_DIRS",
-    "RULES",
-    "check_module",
-]

@@ -1,24 +1,45 @@
 """Command-line interface.
 
-::
+Every verb, with every flag it takes::
 
     python -m repro scenarios
     python -m repro topology --k 4
     python -m repro run-scenario --scenario flow_contention --system vedrfolnir \
-        --case 3 --scale 0.005 --trace run.jsonl
-    python -m repro diagnose --trace run.jsonl
+        --case 3 --scale 0.005 --seed 42 --trace run.jsonl
+    python -m repro diagnose --trace run.jsonl --json
     python -m repro trace convert run.jsonl run.vcol
     python -m repro trace info run.vcol
-    python -m repro serve --trace run.jsonl --speed 10
-    python -m repro serve --trace run.jsonl --checkpoint-dir ckpt --resume
-    python -m repro chaos --trace run.jsonl --seed 7 --kills 3
+    python -m repro serve --trace run.jsonl --speed 10 --snapshot-every 64 \
+        --snapshots run.snapshots.jsonl --metrics run.prom --quiet
+    python -m repro serve --trace run.jsonl --checkpoint-dir ckpt \
+        --checkpoint-every 512 --resume --supervise 3 --drain-grace 5
+    python -m repro chaos --trace run.jsonl --seed 7 --kills 3 \
+        --corrupt-checkpoint --duplicate-every 7 --reorder-window 5 \
+        --probe-truncation --workdir chaos --json
     python -m repro tail --snapshots run.snapshots.jsonl --follow
-    python -m repro figure --id 13b --cases 2
-    python -m repro check --strict src
-    python -m repro fleet serve --trace run.jsonl --replicate 8 --shards 4
-    python -m repro fleet chaos --trace run.jsonl --kills 2 --corrupt-checkpoint
+    python -m repro figure --id 13b --cases 2 --scale 0.002
+    python -m repro check --strict --format github src
+    python -m repro fleet serve --trace run.jsonl --replicate 8 --shards 4 \
+        --budget 5000 --status status.json --port 9317 --linger 5 --quiet
+    python -m repro fleet serve --trace run.jsonl --no-http --scrape-out m.prom
+    python -m repro fleet status --status status.json --json
+    python -m repro fleet chaos --trace run.jsonl --truncate-checkpoint
+    python -m repro fleet chaos --trace run.jsonl --replicate 4 --shards 2 \
+        --transport --net-drop 0.05 --net-garble 0.05 --net-resets 2 \
+        --stall-heartbeats 0.2 --port 9321
 
-Every subcommand prints human-readable text and exits 0 on success.
+Every verb prints human-readable text.  Its exit code is set in one
+place, :func:`main`, and means the same for every verb:
+
+* 0 — success;
+* 1 — the verb's own check failed (``check`` findings, a broken chaos
+  contract, a ``trace convert`` digest mismatch), a shard worker
+  crashed, or a supervised ``serve`` crash-looped;
+* 2 — bad input: an argparse usage error, an unreadable or malformed
+  file, an unknown scenario or system, no Python file to check;
+* 130 — interrupted: Ctrl-C, or a second stop signal while ``serve``
+  drains (128 + SIGINT).
+
 Timing is not a verb: ``python3 benchmarks/e2e/run.py`` (contract in
 ``BENCHMARK.json``) is the one benchmark.
 """
@@ -28,15 +49,16 @@ from __future__ import annotations
 import argparse
 import sys
 import threading
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=float, default=0.005,
-                        help="size/time scale vs. the paper (default "
-                             "0.005 = 1.8 MB steps)")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="base seed for case generation")
+def _verb(subparsers, name: str, handler, **kwargs
+          ) -> argparse.ArgumentParser:
+    """A subcommand that :func:`main` runs through ``handler``."""
+    parser = subparsers.add_parser(name, **kwargs)
+    parser.set_defaults(handler=handler)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,13 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "collective communications")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("scenarios", help="list evaluation scenarios")
+    _verb(sub, "scenarios", cmd_scenarios, help="list evaluation scenarios")
 
-    topo = sub.add_parser("topology", help="describe a fat-tree")
+    topo = _verb(sub, "topology", cmd_topology, help="describe a fat-tree")
     topo.add_argument("--k", type=int, default=4, help="fat-tree arity")
 
-    run = sub.add_parser("run-scenario",
-                         help="run one case under one diagnosis system")
+    run = _verb(sub, "run-scenario", cmd_run_scenario,
+                help="run one case under one diagnosis system")
     run.add_argument("--scenario", required=True,
                      help="flow_contention | incast | pfc_storm | "
                           "pfc_backpressure")
@@ -61,14 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
                           "full-polling")
     run.add_argument("--case", type=int, default=0, help="case id")
     run.add_argument("--trace", help="write a JSONL trace here")
-    _add_scenario_args(run)
+    run.add_argument("--scale", type=float, default=0.005,
+                     help="size/time scale vs. the paper (default "
+                          "0.005 = 1.8 MB steps)")
+    run.add_argument("--seed", type=int, default=42,
+                     help="base seed for case generation")
 
-    diag = sub.add_parser("diagnose",
-                          help="offline analysis of a recorded trace")
+    diag = _verb(sub, "diagnose", cmd_diagnose,
+                 help="offline analysis of a recorded trace")
     diag.add_argument("--trace", required=True,
                       help="trace file (JSONL or columnar)")
-    diag.add_argument("--top", type=int, default=5,
-                      help="contributors to print")
     diag.add_argument("--json", action="store_true",
                       help="emit the machine-readable report")
 
@@ -77,29 +101,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="on-disk trace store utilities (convert / info)")
     trace_sub = trace.add_subparsers(dest="trace_command",
                                      required=True)
-    tconv = trace_sub.add_parser(
-        "convert",
+    tconv = _verb(
+        trace_sub, "convert", cmd_trace_convert,
         help="convert a trace between JSONL and the columnar store "
-             "(direction auto-detected from the input format)")
+             "(direction auto-detected from the input format) and "
+             "verify the canonical-JSONL digest round-trips")
     tconv.add_argument("input", help="source trace (JSONL or columnar)")
     tconv.add_argument("output", help="destination path")
-    tconv.add_argument("--no-verify", action="store_true",
-                       help="skip the canonical-JSONL digest round-"
-                            "trip check after converting")
-    tinfo = trace_sub.add_parser(
-        "info", help="describe a trace file (format, counts, header)")
+    tinfo = _verb(
+        trace_sub, "info", cmd_trace_info,
+        help="describe a trace file (format, counts, header)")
     tinfo.add_argument("path", help="trace file (JSONL or columnar)")
 
-    serve = sub.add_parser(
-        "serve",
+    serve = _verb(
+        sub, "serve", cmd_serve,
         help="replay a JSONL trace through the live streaming pipeline")
     serve.add_argument("--trace", required=True, help="JSONL trace file")
     serve.add_argument("--speed", type=float, default=1.0,
                        help="replay speed multiplier vs simulated time "
                             "(0 = as fast as possible)")
-    serve.add_argument("--lateness-us", type=float, default=0.0,
-                       help="watermark lateness bound (microseconds of "
-                            "event time)")
     serve.add_argument("--snapshot-every", type=int, default=64,
                        help="emit a rolling snapshot every N events "
                             "(0 = final snapshot only)")
@@ -110,8 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write pipeline metrics in Prometheus text "
                             "format here (default: "
                             "<trace>.live-metrics.prom)")
-    serve.add_argument("--top", type=int, default=5,
-                       help="contributors to print in the final report")
     serve.add_argument("--quiet", action="store_true",
                        help="suppress per-snapshot lines")
     serve.add_argument("--checkpoint-dir",
@@ -119,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(enables crash-safe resume)")
     serve.add_argument("--checkpoint-every", type=int, default=512,
                        help="checkpoint every N published events")
-    serve.add_argument("--checkpoint-retain", type=int, default=3,
-                       help="keep the last K snapshots for fallback")
     serve.add_argument("--resume", action="store_true",
                        help="resume from the newest valid checkpoint "
                             "in --checkpoint-dir")
@@ -132,8 +148,23 @@ def build_parser() -> argparse.ArgumentParser:
                             "signal before exiting (a second signal "
                             "force-exits)")
 
+    # the per-tenant state of chaos, fleet serve and fleet chaos
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument(
+        "--workdir",
+        help="experiment or fleet state directory (default: a "
+             "temporary directory)")
+    state.add_argument(
+        "--snapshot-every", type=int, default=32,
+        help="rolling-snapshot cadence (per tenant in a fleet)")
+    state.add_argument(
+        "--checkpoint-every", type=int, default=64,
+        help="checkpoint cadence in published events (per tenant in "
+             "a fleet; 0 disables fleet durability)")
+
     # what ``repro chaos`` and ``repro fleet chaos`` both take
-    chaos_common = argparse.ArgumentParser(add_help=False)
+    chaos_common = argparse.ArgumentParser(add_help=False,
+                                           parents=[state])
     chaos_common.add_argument(
         "--seed", type=int, default=0,
         help="seed for kill placement, perturbations and checkpoint "
@@ -146,21 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--truncate-checkpoint", action="store_true",
         help="truncate (instead of bit-flip) that checkpoint")
     chaos_common.add_argument(
-        "--workdir",
-        help="experiment directory (default: a temporary directory)")
-    chaos_common.add_argument(
-        "--snapshot-every", type=int, default=32,
-        help="rolling-snapshot cadence (per tenant in a fleet)")
-    chaos_common.add_argument(
-        "--checkpoint-every", type=int, default=64,
-        help="checkpoint cadence in published events (per tenant in "
-             "a fleet)")
-    chaos_common.add_argument(
         "--json", action="store_true",
         help="emit the machine-readable chaos report")
 
-    chaos = sub.add_parser(
-        "chaos", parents=[chaos_common],
+    chaos = _verb(
+        sub, "chaos", cmd_chaos, parents=[chaos_common],
         help="seeded kill/corrupt/resume harness asserting the "
              "recovery contract: resumed final snapshot bit-equal to "
              "an uninterrupted run")
@@ -169,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--kills", type=int, default=3,
                        help="number of seeded kill points spread over "
                             "the stream")
-    chaos.add_argument("--kill-at", type=int, action="append",
-                       help="explicit kill point (published-event "
-                            "count; repeatable, overrides --kills)")
     chaos.add_argument("--duplicate-every", type=int, default=0,
                        help="deliver every k-th event twice")
     chaos.add_argument("--reorder-window", type=int, default=0,
@@ -180,18 +198,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also probe mid-record trace truncation "
                             "detection and resume")
 
-    tail = sub.add_parser(
-        "tail", help="print diagnosis snapshots as they land")
+    tail = _verb(sub, "tail", cmd_tail,
+                 help="print diagnosis snapshots as they land")
     tail.add_argument("--snapshots", required=True,
                       help="snapshot JSONL file written by repro serve")
     tail.add_argument("--follow", action="store_true",
                       help="keep polling for new snapshots until the "
                            "final one lands")
-    tail.add_argument("--interval", type=float, default=0.5,
-                      help="poll interval in seconds with --follow")
 
-    chk = sub.add_parser(
-        "check",
+    chk = _verb(
+        sub, "check", cmd_check,
         help="static analysis: every rule in the catalog (determinism, "
              "unit conversions, trace access, atomic durable writes, "
              "spawn primitives, checkpoint symmetry, bounded growth, "
@@ -207,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output format; 'json' emits a JSON array, "
                           "'github' emits ::error workflow annotations")
 
-    fig = sub.add_parser("figure", help="regenerate one paper figure")
+    fig = _verb(sub, "figure", cmd_figure,
+                help="regenerate one paper figure")
     fig.add_argument("--id", required=True,
                      choices=["9", "10", "11", "12", "13a", "13b", "14"])
     fig.add_argument("--cases", type=int, default=3,
@@ -221,29 +238,29 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_sub = fleet.add_subparsers(dest="fleet_command",
                                      required=True)
 
-    fserve = fleet_sub.add_parser(
-        "serve",
+    # what ``repro fleet serve`` and ``repro fleet chaos`` both take
+    fleet_common = argparse.ArgumentParser(add_help=False)
+    fleet_common.add_argument(
+        "--trace", action="append", required=True,
+        help="JSONL trace file (repeatable; each becomes one tenant)")
+    fleet_common.add_argument(
+        "--replicate", type=int, default=1,
+        help="clone each trace into N logical tenants")
+    fleet_common.add_argument(
+        "--shards", type=int, default=4,
+        help="shard count tenants are hashed across")
+    fleet_common.add_argument(
+        "--linger", type=float, default=0.0,
+        help="keep serving /metrics this many seconds after the run "
+             "finishes")
+
+    fserve = _verb(
+        fleet_sub, "serve", cmd_fleet_serve,
+        parents=[state, fleet_common],
         help="replay traces as fleet tenants across supervised shard "
              "workers, with a scrapeable /metrics endpoint")
-    fserve.add_argument("--trace", action="append", required=True,
-                        help="JSONL trace file (repeatable; each "
-                             "becomes one tenant)")
-    fserve.add_argument("--replicate", type=int, default=1,
-                        help="clone each trace into N logical tenants")
-    fserve.add_argument("--shards", type=int, default=4,
-                        help="shard count tenants are hashed across")
-    fserve.add_argument("--vnodes", type=int, default=64,
-                        help="virtual ring points per shard")
     fserve.add_argument("--budget", type=int, default=0,
                         help="per-tenant event budget (0 = unlimited)")
-    fserve.add_argument("--snapshot-every", type=int, default=32,
-                        help="per-tenant rolling-snapshot cadence")
-    fserve.add_argument("--checkpoint-every", type=int, default=64,
-                        help="per-tenant checkpoint cadence "
-                             "(0 disables durability)")
-    fserve.add_argument("--workdir",
-                        help="fleet state root (checkpoints, reports, "
-                             "status); default: a temporary directory")
     fserve.add_argument("--status",
                         help="write the newest fleet snapshot JSON "
                              "here (the repro fleet status input)")
@@ -255,36 +272,25 @@ def build_parser() -> argparse.ArgumentParser:
     fserve.add_argument("--scrape-out",
                         help="also write the final Prometheus text "
                              "exposition to this file")
-    fserve.add_argument("--linger", type=float, default=0.0,
-                        help="keep serving /metrics this many seconds "
-                             "after the fleet finishes")
     fserve.add_argument("--quiet", action="store_true",
                         help="suppress rolling fleet summary lines")
 
-    fstatus = fleet_sub.add_parser(
-        "status", help="summarize a fleet status file")
+    fstatus = _verb(fleet_sub, "status", cmd_fleet_status,
+                    help="summarize a fleet status file")
     fstatus.add_argument("--status", required=True,
                          help="status JSON written by repro fleet "
                               "serve --status")
     fstatus.add_argument("--json", action="store_true",
                          help="print the raw snapshot JSON")
 
-    fchaos = fleet_sub.add_parser(
-        "chaos", parents=[chaos_common],
+    fchaos = _verb(
+        fleet_sub, "chaos", cmd_fleet_chaos,
+        parents=[chaos_common, fleet_common],
         help="SIGKILL real shard workers mid-replay and assert the "
              "fleet recovery contract (final diagnosis bit-equal to "
              "an uninterrupted run)")
-    fchaos.add_argument("--trace", action="append", required=True,
-                        help="JSONL trace file (repeatable)")
-    fchaos.add_argument("--replicate", type=int, default=1,
-                        help="clone each trace into N logical tenants")
-    fchaos.add_argument("--shards", type=int, default=4,
-                        help="shard count")
     fchaos.add_argument("--kills", type=int, default=1,
                         help="shard workers to SIGKILL")
-    fchaos.add_argument("--kill-frac", type=float, default=0.5,
-                        help="kill point as a fraction of the victim "
-                             "shard's event stream")
     fchaos.add_argument("--transport", action="store_true",
                         help="inject network faults into the socket "
                              "fan-in and hold the killed shard down "
@@ -306,9 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --transport: serve live /metrics "
                              "on this port during the experiment "
                              "(0 = ephemeral; omit = no exporter)")
-    fchaos.add_argument("--linger", type=float, default=0.0,
-                        help="keep serving /metrics this many seconds "
-                             "after the experiment finishes")
     return parser
 
 
@@ -357,17 +360,8 @@ def cmd_run_scenario(args) -> int:
     from repro.traces import TraceRecorder
 
     config = ScenarioConfig(scale=args.scale, base_seed=args.seed)
-    try:
-        cases = make_cases(args.scenario, args.case + 1, config)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    case = cases[args.case]
-    try:
-        system = make_system(args.system)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    case = make_cases(args.scenario, args.case + 1, config)[args.case]
+    system = make_system(args.system)
 
     network, runtime = case.build_network()
     system.attach(network, runtime)
@@ -413,15 +407,10 @@ def cmd_diagnose(args) -> int:
     from repro.core.units import ns_to_ms
     from repro.traces import analyze_trace, load_trace
 
-    try:
-        trace = load_trace(args.trace)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    trace = load_trace(args.trace)
     diagnosis = analyze_trace(trace)
     if args.json:
-        print(render_json(diagnosis, top_contributors=args.top,
-                          indent=2))
+        print(render_json(diagnosis, top_contributors=5, indent=2))
         return 0
     print(f"trace: {args.trace} "
           f"({len(trace.step_records)} step records, "
@@ -429,8 +418,7 @@ def cmd_diagnose(args) -> int:
     graph = diagnosis.waiting_graph
     collective = (_collective_line(graph.schedule, len(graph.records))
                   + f", {ns_to_ms(graph.total_time_ns()):.3f} ms total")
-    print(render_text(diagnosis, top_contributors=args.top,
-                      collective=collective))
+    print(render_text(diagnosis, collective=collective))
     return 0
 
 
@@ -439,7 +427,6 @@ def cmd_serve(args) -> int:
     import time as _time
 
     from repro.core.reports import render_text
-    from repro.core.units import Microseconds, us_to_ns
     from repro.live import PipelineConfig
     from repro.live.checkpoint import (
         CheckpointManager,
@@ -449,7 +436,6 @@ def cmd_serve(args) -> int:
     from repro.live.metrics import render_prometheus
     from repro.live.pipeline import snapshot_line
     from repro.live.supervisor import (
-        CrashLoopError,
         GracefulShutdown,
         RestartPolicy,
         Supervisor,
@@ -457,23 +443,13 @@ def cmd_serve(args) -> int:
     from repro.traces import read_header, trace_events
 
     if args.resume and not args.checkpoint_dir:
-        print("error: --resume needs --checkpoint-dir", file=sys.stderr)
-        return 2
-    try:
-        header = read_header(args.trace)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    config = PipelineConfig(
-        lateness_bound_ns=us_to_ns(Microseconds(args.lateness_us)),
-        snapshot_every=args.snapshot_every,
-    )
-    manager = None
-    if args.checkpoint_dir:
-        manager = CheckpointManager(
-            args.checkpoint_dir,
-            CheckpointPolicy(interval_events=args.checkpoint_every,
-                             retain=args.checkpoint_retain))
+        raise ValueError("--resume needs --checkpoint-dir")
+    header = read_header(args.trace)
+    config = PipelineConfig(snapshot_every=args.snapshot_every)
+    manager = CheckpointManager(
+        args.checkpoint_dir,
+        CheckpointPolicy(interval_events=args.checkpoint_every)) \
+        if args.checkpoint_dir else None
     shutdown = GracefulShutdown(
         drain_grace_s=args.drain_grace).install()
     print(f"serving {args.trace}: "
@@ -516,7 +492,7 @@ def cmd_serve(args) -> int:
         def on_snapshot(snapshot) -> None:
             if args.quiet and snapshot_sink is None:
                 return
-            entry = snapshot.to_dict(args.top)
+            entry = snapshot.to_dict()
             if not args.quiet:
                 print(snapshot_line(entry))
             if snapshot_sink is not None:
@@ -532,15 +508,10 @@ def cmd_serve(args) -> int:
         return pipeline, replayer, final
 
     if args.supervise > 0:
-        supervisor = Supervisor(
+        outcome = Supervisor(
             serve_once,
             RestartPolicy(max_restarts=args.supervise),
-            should_stop=lambda: shutdown.requested)
-        try:
-            outcome = supervisor.run()
-        except CrashLoopError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
+            should_stop=lambda: shutdown.requested).run()
         if outcome is None:
             print("stopped between restarts; state is in the last "
                   "checkpoint")
@@ -557,7 +528,7 @@ def cmd_serve(args) -> int:
 
     print()
     print(render_text(
-        final, title="final diagnosis", top_contributors=args.top,
+        final, title="final diagnosis",
         collective=_collective_line(header.schedule,
                                     final.step_records_ingested)))
     if final.confidence < 1.0:
@@ -579,29 +550,30 @@ def cmd_serve(args) -> int:
     return 0
 
 
+@contextmanager
+def _workdir(args, prefix: str):
+    """``--workdir`` as a ``Path``, made if missing, or a temporary
+    directory that is removed on exit."""
+    import tempfile
+    from pathlib import Path
+
+    if args.workdir:
+        Path(args.workdir).mkdir(parents=True, exist_ok=True)
+        yield Path(args.workdir)
+    else:
+        with tempfile.TemporaryDirectory(prefix=prefix) as workdir:
+            yield Path(workdir)
+
+
 def _run_chaos(args, experiment, describe=None) -> int:
     """Both chaos verbs: run ``experiment(workdir)`` in ``--workdir``
     or a temporary directory, then print the report (``--json``, or
     ``describe``'s lines and the summary line).  Exit 0 on a pass, 1
-    on a failed contract or a crash-looping shard, 2 on bad input."""
+    on a failed contract."""
     import json
-    import tempfile
 
-    from repro.fleet.worker import WorkerCrashed
-
-    try:
-        if args.workdir:
-            report = experiment(args.workdir)
-        else:
-            with tempfile.TemporaryDirectory(
-                    prefix="repro-chaos-") as workdir:
-                report = experiment(workdir)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except WorkerCrashed as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    with _workdir(args, "repro-chaos-") as workdir:
+        report = experiment(workdir)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -616,26 +588,17 @@ def cmd_chaos(args) -> int:
     from repro.live.checkpoint import CheckpointPolicy
     from repro.live.pipeline import PipelineConfig
 
-    def experiment(workdir):
-        kill_points = tuple(sorted(set(args.kill_at))) if args.kill_at \
-            else derive_kill_points(args.trace, args.seed, args.kills,
-                                    args.duplicate_every)
-        plan = ChaosPlan(
-            seed=args.seed,
-            corrupt_checkpoint=args.corrupt_checkpoint,
-            truncate_checkpoint=args.truncate_checkpoint,
-            kill_points=kill_points,
-            duplicate_every=args.duplicate_every,
-            reorder_window=args.reorder_window,
-            probe_truncation=args.probe_truncation)
-        return run_chaos(
-            args.trace, workdir, plan,
-            config=PipelineConfig(snapshot_every=args.snapshot_every),
-            policy=CheckpointPolicy(
-                interval_events=args.checkpoint_every))
+    plan = ChaosPlan(
+        seed=args.seed,
+        corrupt_checkpoint=args.corrupt_checkpoint,
+        truncate_checkpoint=args.truncate_checkpoint,
+        kill_points=derive_kill_points(args.trace, args.seed, args.kills,
+                                       args.duplicate_every),
+        duplicate_every=args.duplicate_every,
+        reorder_window=args.reorder_window,
+        probe_truncation=args.probe_truncation)
 
     def describe(report):
-        plan = report.plan
         yield (f"chaos over {args.trace}: "
                f"kill points {list(plan.kill_points)}"
                + (", damaging the newest checkpoint before each resume"
@@ -652,7 +615,11 @@ def cmd_chaos(args) -> int:
                    f"resume_offset={probe['resume_offset']} "
                    f"resumed_ok={probe['resumed_ok']}")
 
-    return _run_chaos(args, experiment, describe)
+    return _run_chaos(args, lambda workdir: run_chaos(
+        args.trace, workdir, plan,
+        config=PipelineConfig(snapshot_every=args.snapshot_every),
+        policy=CheckpointPolicy(interval_events=args.checkpoint_every)),
+        describe)
 
 
 def cmd_tail(args) -> int:
@@ -667,11 +634,10 @@ def cmd_tail(args) -> int:
         try:
             with open(args.snapshots) as handle:
                 lines = handle.readlines()
-        except OSError as error:
+        except OSError:
             if not args.follow:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            lines = []
+                raise
+            lines = []      # not written yet: poll again
         for line in lines[consumed:]:
             if args.follow and not line.endswith("\n"):
                 break   # still being written: read it again next poll
@@ -685,7 +651,7 @@ def cmd_tail(args) -> int:
             saw_final = saw_final or bool(entry["final"])
         if not args.follow or saw_final:
             return 0
-        _time.sleep(args.interval)  # tail -f follows forever until the final snapshot or Ctrl-C
+        _time.sleep(0.5)  # tail -f follows forever until the final snapshot or Ctrl-C
 
 
 def _github_annotation(finding) -> str:
@@ -700,13 +666,12 @@ def _github_annotation(finding) -> str:
 def cmd_check(args) -> int:
     import json
 
-    from repro.checks.lint import (check_paths, iter_python_files,
-                                   render_findings)
+    from repro.checks.ir import iter_python_files
+    from repro.checks.lint import check_paths, render_findings
 
     if not any(True for _ in iter_python_files(args.paths)):
-        print(f"repro check: no Python files matched: "
-              f"{', '.join(args.paths)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no Python files matched: "
+                         f"{', '.join(args.paths)}")
     findings = check_paths(args.paths, strict=args.strict)
     if args.format == "json":
         print(json.dumps([f.to_dict() for f in findings], indent=2))
@@ -735,36 +700,28 @@ def cmd_trace_convert(args) -> int:
     )
 
     malformed: list = []
-
-    def preserve(line_no: int, reason: str, snippet: str) -> None:
-        malformed.append((line_no, reason))
-
-    try:
-        source = sniff_format(args.input)
-        if source == "jsonl":
-            write_columnar(args.input, args.output, on_error=preserve)
-            direction = "jsonl -> columnar"
-        else:
-            write_jsonl(args.input, args.output)
-            direction = "columnar -> jsonl"
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    if sniff_format(args.input) == "jsonl":
+        write_columnar(args.input, args.output,
+                       on_error=lambda line_no, reason, _snippet:
+                       malformed.append((line_no, reason)))
+        direction = "jsonl -> columnar"
+    else:
+        write_jsonl(args.input, args.output)
+        direction = "columnar -> jsonl"
     print(f"converted {direction}: {args.input} -> {args.output}")
     if malformed:
         first = malformed[0]
         print(f"warning: {len(malformed)} malformed line(s) preserved "
               f"byte-exact (first: line {first[0]}: {first[1]})",
               file=sys.stderr)
-    if not args.no_verify:
-        before = jsonl_digest(args.input)
-        after = jsonl_digest(args.output)
-        if before != after:
-            print(f"round-trip verification FAILED:\n"
-                  f"  source {before}\n  output {after}",
-                  file=sys.stderr)
-            return 1
-        print(f"canonical JSONL digest verified: {before}")
+    before = jsonl_digest(args.input)
+    after = jsonl_digest(args.output)
+    if before != after:
+        print(f"round-trip verification FAILED:\n"
+              f"  source {before}\n  output {after}",
+              file=sys.stderr)
+        return 1
+    print(f"canonical JSONL digest verified: {before}")
     return 0
 
 
@@ -775,14 +732,9 @@ def cmd_trace_info(args) -> int:
     from repro.traces.stream import DATA_KINDS
 
     path = Path(args.path)
-    try:
-        fmt = sniff_format(path)
-        print(f"{path}: {fmt} trace, {path.stat().st_size:,} bytes")
-        trace = open_trace(path)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    with trace:
+    fmt = sniff_format(path)
+    print(f"{path}: {fmt} trace, {path.stat().st_size:,} bytes")
+    with open_trace(path) as trace:
         header = trace.header()
         schedule = header.schedule
         print(f"  schedule: {schedule.algorithm} {schedule.op.value} "
@@ -808,59 +760,42 @@ def cmd_trace_info(args) -> int:
     return 0
 
 
-TRACE_COMMANDS = {
-    "convert": cmd_trace_convert,
-    "info": cmd_trace_info,
-}
-
-
-def cmd_trace(args) -> int:
-    return TRACE_COMMANDS[args.trace_command](args)
-
-
 def cmd_figure(args) -> int:
     from repro.experiments import figures
 
-    def show(rows) -> None:
-        if not rows:
-            print("(no rows)")
-            return
-        columns = list(rows[0])
-        print(" | ".join(columns))
-        for row in rows:
-            print(" | ".join(str(row.get(c)) for c in columns))
-
-    fig_id = args.id
-    if fig_id == "9":
-        show(figures.fig9_precision_recall(args.cases, args.scale))
-    elif fig_id == "10":
-        show(figures.fig10_overhead(args.cases, args.scale))
-    elif fig_id == "11":
-        show(figures.fig11_host_overhead(scale=args.scale))
-    elif fig_id == "12":
-        show(figures.fig12_param_sweep(args.cases, args.scale))
-    elif fig_id == "13a":
-        show(figures.fig13a_threshold_ablation(args.cases, args.scale))
-    elif fig_id == "13b":
-        show(figures.fig13b_count_ablation(args.cases, args.scale))
-    elif fig_id == "14":
+    if args.id == "14":
         out = figures.fig14_case_study(scale=args.scale)
         for key in ("collective_ms", "critical_path", "findings",
                     "bf_scores"):
             print(f"{key}: {out[key]}")
+        return 0
+    if args.id == "11":
+        rows = figures.fig11_host_overhead(scale=args.scale)
+    else:
+        rows = {"9": figures.fig9_precision_recall,
+                "10": figures.fig10_overhead,
+                "12": figures.fig12_param_sweep,
+                "13a": figures.fig13a_threshold_ablation,
+                "13b": figures.fig13b_count_ablation,
+                }[args.id](args.cases, args.scale)
+    if not rows:
+        print("(no rows)")
+        return 0
+    columns = list(rows[0])
+    print(" | ".join(columns))
+    for row in rows:
+        print(" | ".join(str(row.get(c)) for c in columns))
     return 0
 
 
-def _fleet_config(args, workdir):
+def _fleet_config(args, workdir, budget: int = 0):
     from repro.fleet import FleetConfig, TenantPolicy
 
     policy = TenantPolicy(
-        event_budget=getattr(args, "budget", 0),
+        event_budget=budget,
         snapshot_every=args.snapshot_every,
         checkpoint_every=args.checkpoint_every)
-    return FleetConfig(shards=args.shards,
-                       vnodes=getattr(args, "vnodes", 64),
-                       policy=policy,
+    return FleetConfig(shards=args.shards, policy=policy,
                        workdir=str(workdir) if workdir else None)
 
 
@@ -899,9 +834,7 @@ class _FleetScrape:
 
 
 def cmd_fleet_serve(args) -> int:
-    import tempfile
     import time as _time
-    from pathlib import Path
 
     from repro.fleet import (
         FleetAggregator,
@@ -912,63 +845,50 @@ def cmd_fleet_serve(args) -> int:
     from repro.fleet.aggregator import HealthPolicy, fleet_line
     from repro.fleet.service import publish_json
     from repro.fleet.transport import run_fleet_streaming
-    from repro.fleet.worker import WorkerCrashed
     from repro.live.metrics import render_prometheus
 
     specs = replicate_tenants(args.trace, args.replicate)
-    tmp = None
-    if args.workdir:
-        workdir = Path(args.workdir)
-        workdir.mkdir(parents=True, exist_ok=True)
-    else:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-fleet-")
-        workdir = Path(tmp.name)
-    config = _fleet_config(args, workdir / "state")
-    print(f"fleet: {len(specs)} tenants over {config.shards} shard "
-          f"worker processes (budget="
-          f"{config.policy.event_budget or 'unlimited'})")
-    plan = plan_shards(specs, config.shards, config.vnodes)
-    scrape = _FleetScrape(FleetAggregator(
-        sorted(plan), config.mailbox_capacity, health=HealthPolicy()))
+    with _workdir(args, "repro-fleet-") as workdir:
+        config = _fleet_config(args, workdir / "state", args.budget)
+        print(f"fleet: {len(specs)} tenants over {config.shards} shard "
+              f"worker processes (budget="
+              f"{config.policy.event_budget or 'unlimited'})")
+        plan = plan_shards(specs, config.shards, config.vnodes)
+        scrape = _FleetScrape(FleetAggregator(
+            sorted(plan), config.mailbox_capacity, health=HealthPolicy()))
 
-    def publish(snapshot) -> None:
-        scrape.publish(snapshot)
-        # one dict per merge; the line alone needs no tenant list
-        data = snapshot.to_dict() if args.status \
-            else snapshot.head_dict()
-        if args.status:
-            publish_json(args.status, data)
-        if not args.quiet:
-            print(fleet_line(data))
+        def publish(snapshot) -> None:
+            scrape.publish(snapshot)
+            # one dict per merge; the line alone needs no tenant list
+            data = snapshot.to_dict() if args.status \
+                else snapshot.head_dict()
+            if args.status:
+                publish_json(args.status, data)
+            if not args.quiet:
+                print(fleet_line(data))
 
-    exporter = None
-    try:
-        if not args.no_http:
-            exporter = MetricsExporter(scrape.registry, port=args.port,
-                                       status_fn=scrape.status)
-            print(f"metrics: http://127.0.0.1:{exporter.start()}"
-                  f"/metrics")
+        exporter = None
         try:
+            if not args.no_http:
+                exporter = MetricsExporter(scrape.registry, port=args.port,
+                                           status_fn=scrape.status)
+                print(f"metrics: http://127.0.0.1:{exporter.start()}"
+                      f"/metrics")
             final = run_fleet_streaming(
                 config, plan, str(workdir / "reports"),
                 on_merge=publish, aggregator=scrape.aggregator).final
-        except WorkerCrashed as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
 
-        if args.scrape_out:
-            with open(args.scrape_out, "w") as handle:
-                handle.write(render_prometheus(scrape.registry()))
-            print(f"exposition written to {args.scrape_out}")
-        print(fleet_line(final.head_dict()))
-        if args.linger > 0 and exporter is not None:
-            _time.sleep(args.linger)
-        return 0
-    finally:
-        if exporter is not None:
-            exporter.stop()
-        if tmp is not None:
-            tmp.cleanup()
+            if args.scrape_out:
+                with open(args.scrape_out, "w") as handle:
+                    handle.write(render_prometheus(scrape.registry()))
+                print(f"exposition written to {args.scrape_out}")
+            print(fleet_line(final.head_dict()))
+            if args.linger > 0 and exporter is not None:
+                _time.sleep(args.linger)
+            return 0
+        finally:
+            if exporter is not None:
+                exporter.stop()
 
 
 def cmd_fleet_status(args) -> int:
@@ -981,9 +901,8 @@ def cmd_fleet_status(args) -> int:
     try:
         head = fleet_line(snapshot)
     except (KeyError, TypeError):   # missing, or not a fleet snapshot
-        print(f"error: no readable fleet status at {args.status}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(
+            f"no readable fleet status at {args.status}") from None
     if args.json:
         print(json.dumps(snapshot, indent=2, sort_keys=True))
         return 0
@@ -1018,7 +937,6 @@ def cmd_fleet_chaos(args) -> int:
         corrupt_checkpoint=args.corrupt_checkpoint,
         truncate_checkpoint=args.truncate_checkpoint,
         kills=args.kills,
-        kill_event_frac=args.kill_frac,
         transport=args.transport,
         net_drop=args.net_drop,
         net_garble=args.net_garble,
@@ -1057,40 +975,32 @@ def cmd_fleet_chaos(args) -> int:
             exporter.stop()
 
 
-FLEET_COMMANDS = {
-    "serve": cmd_fleet_serve,
-    "status": cmd_fleet_status,
-    "chaos": cmd_fleet_chaos,
-}
+def _crash_errors() -> tuple[type[Exception], ...]:
+    """A dead shard worker, or a supervised serve that kept dying.
+    Python evaluates an ``except`` clause only when an exception
+    reaches it, so a verb that runs no worker never imports these."""
+    from repro.fleet.worker import WorkerCrashed
+    from repro.live.supervisor import CrashLoopError
 
-
-def cmd_fleet(args) -> int:
-    return FLEET_COMMANDS[args.fleet_command](args)
-
-
-COMMANDS = {
-    "scenarios": cmd_scenarios,
-    "topology": cmd_topology,
-    "run-scenario": cmd_run_scenario,
-    "diagnose": cmd_diagnose,
-    "trace": cmd_trace,
-    "serve": cmd_serve,
-    "chaos": cmd_chaos,
-    "tail": cmd_tail,
-    "check": cmd_check,
-    "figure": cmd_figure,
-    "fleet": cmd_fleet,
-}
+    return WorkerCrashed, CrashLoopError
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one verb and return its exit code: the one place an
+    exception becomes an exit code (the list in the module
+    docstring)."""
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        return args.handler(args)
+    except KeyboardInterrupt:
+        return 130      # 128 + SIGINT
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    except _crash_errors() as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover
-    try:
-        raise SystemExit(main())
-    except KeyboardInterrupt:
-        # the documented interrupted-by-user code (128 + SIGINT)
-        raise SystemExit(130) from None
+    raise SystemExit(main())

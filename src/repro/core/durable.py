@@ -65,6 +65,3 @@ def _fsync_directory(directory: str) -> None:
         pass
     finally:
         os.close(fd)
-
-
-__all__ = ["atomic_write"]

@@ -255,17 +255,3 @@ def mangle(name: str, payload: bytes,
     garbled = bytearray(payload)
     garbled[garble_at] ^= 0xFF
     return bytes(garbled)
-
-
-__all__ = [
-    "ENV_VAR",
-    "FailpointError",
-    "FailpointSpec",
-    "parse_specs",
-    "configure",
-    "configure_from_env",
-    "clear",
-    "active",
-    "fire",
-    "mangle",
-]

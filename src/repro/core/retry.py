@@ -166,11 +166,3 @@ def call_with_retry(fn: Callable[[], T],
             if breaker is not None:
                 breaker.record_success()
             return result
-
-
-__all__ = [
-    "RetryPolicy",
-    "CircuitBreaker",
-    "RetryBudgetExceeded",
-    "call_with_retry",
-]

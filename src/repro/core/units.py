@@ -32,14 +32,6 @@ from __future__ import annotations
 import math
 from typing import NewType
 
-__all__ = [
-    "Seconds", "Milliseconds", "Microseconds", "Nanoseconds",
-    "Bytes", "Bits", "BitsPerSecond", "Gbps", "Dimensionless",
-    "s_to_ms", "ms_to_s", "s_to_us", "us_to_s", "s_to_ns", "ns_to_s",
-    "ms_to_ns", "ns_to_ms", "us_to_ns", "ns_to_us",
-    "bytes_to_bits", "bits_to_bytes",
-    "gbps_to_bps", "bps_to_gbps",
-]
 
 # -- magnitude types ---------------------------------------------------
 #: wall of simulated time, in seconds

@@ -637,15 +637,3 @@ class FleetAggregator:
                     labels=labels).set(
                     {"live": 0, "stale": 1, "dead": 2}[health[shard]])
         return registry
-
-
-__all__ = [
-    "TenantDigest",
-    "HealthPolicy",
-    "ShardReport",
-    "FleetSnapshot",
-    "ShardMailbox",
-    "FleetAggregator",
-    "fleet_line",
-    "merge_reports",
-]

@@ -120,6 +120,3 @@ class MetricsExporter:
 
     def __exit__(self, *_exc) -> None:
         self.stop()
-
-
-__all__ = ["MetricsExporter", "CONTENT_TYPE"]

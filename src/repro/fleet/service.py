@@ -397,14 +397,3 @@ def read_status(path: str) -> Optional[dict]:
             return json.load(handle)
     except (OSError, json.JSONDecodeError):
         return None
-
-
-__all__ = [
-    "FleetConfig",
-    "FleetService",
-    "ShardRuntime",
-    "build_shard_runtime",
-    "registry_from_snapshot",
-    "publish_json",
-    "read_status",
-]

@@ -149,15 +149,3 @@ def tenant_checkpoint_dir(shard_dir, tenant: str) -> str:
     safe = "".join(c if c.isalnum() or c in "-_." else "_"
                    for c in tenant)
     return str(Path(shard_dir) / f"tenant-{safe}" / "checkpoints")
-
-
-__all__ = [
-    "HashRing",
-    "TenantSpec",
-    "stable_hash",
-    "key_for_flow",
-    "plan_shards",
-    "replicate_tenants",
-    "shard_workdir",
-    "tenant_checkpoint_dir",
-]

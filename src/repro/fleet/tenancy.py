@@ -272,6 +272,3 @@ class TenantRuntime:
             self.final = self._held if self._held is not None \
                 else self._finish()
         return self.final
-
-
-__all__ = ["TenantPolicy", "TenantRuntime"]

@@ -573,21 +573,3 @@ def run_fleet_streaming(
     return FleetStreamOutcome(
         results=results, final=final, aggregator=aggregator,
         transport=listener.stats(), degraded_snapshots=degraded)
-
-
-__all__ = [
-    "MAGIC",
-    "KIND_REPORT",
-    "KIND_HEARTBEAT",
-    "HEADER_BYTES",
-    "Frame",
-    "FrameError",
-    "FrameDecoder",
-    "encode_frame",
-    "encode_report",
-    "decode_report",
-    "ReportPublisher",
-    "ReportListener",
-    "FleetStreamOutcome",
-    "run_fleet_streaming",
-]

@@ -314,16 +314,3 @@ def run_fleet_supervised(
         shard_id, error = sorted(errors.items())[0]
         raise WorkerCrashed(shard_id, None) from error
     return results
-
-
-__all__ = [
-    "WorkerCrashed",
-    "make_shard_spec",
-    "write_report",
-    "read_report",
-    "worker_main",
-    "worker_entry",
-    "run_worker_process",
-    "run_shard_supervised",
-    "run_fleet_supervised",
-]

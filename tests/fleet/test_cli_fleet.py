@@ -111,3 +111,22 @@ def test_fleet_chaos_maps_a_crash_looping_shard_to_exit_1(
     captured = capsys.readouterr()
     assert captured.err == "error: shard 0 worker exited with -9\n"
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_fleet_serve_maps_a_crashed_worker_to_exit_1(
+        monkeypatch, capsys, trace_path, tmp_path):
+    """``fleet serve`` reports a shard worker that died the way
+    ``fleet chaos`` does: one ``error:`` line and exit 1."""
+    import repro.fleet.transport
+    from repro.fleet.worker import WorkerCrashed
+
+    def crashed(*_args, **_kwargs):
+        raise WorkerCrashed(1, -9)
+
+    monkeypatch.setattr(repro.fleet.transport, "run_fleet_streaming",
+                        crashed)
+    assert main(["fleet", "serve", "--trace", str(trace_path),
+                 "--no-http", "--quiet",
+                 "--workdir", str(tmp_path / "fleet")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: shard 1 worker exited with -9\n"

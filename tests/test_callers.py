@@ -18,7 +18,12 @@ that needs it.
   ``repro.<pkg>.name``.  A submodule imports without an entry.
 * A package ``__init__`` is its docstring, or its docstring and one
   :func:`repro._lazy.lazy_exports` map keyed by the modules that
-  define the names.
+  define the names.  No other module defines ``__all__``: only a star
+  import reads one, and no caller makes one.
+* Every long option of ``repro`` appears in a documented caller: the
+  usage block of the :mod:`repro.cli` docstring, ``README.md``,
+  ``docs/``, the CI workflow, ``examples/`` or ``tools/``.  A flag no
+  one passes is pinned to its default and deleted.
 
 The walk is over the AST, not tokens, so a name in a docstring or a
 string is not a use, and f-strings read the same on every Python
@@ -29,14 +34,18 @@ A name that stays without a caller is on ``ALLOWLIST`` with a reason.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
+import re
 from functools import cached_property
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 CALLER_DIRS = ("benchmarks", "examples", "tools")
+CLI_CALLERS = ("README.md", "docs/*.md", ".github/workflows/ci.yml",
+               "examples/**/*", "tools/**/*")
 
 _CONVERTERS = ("the converter vocabulary that RPR013's messages tell "
                "users to call")
@@ -287,3 +296,55 @@ def test_every_package_init_is_its_docstring_or_one_export_map():
                   for name, home in homes.items()
                   if name not in PROJECT.src[f"{package}.{home}"].defined]
     assert not wrong, "\n".join(wrong)
+
+
+def test_only_a_package_init_defines_all():
+    wrong = []
+    for module in PROJECT.src.values():
+        for node in module.tree.body:
+            stores_all = any(isinstance(name, ast.Name)
+                             and name.id == "__all__"
+                             and isinstance(name.ctx, ast.Store)
+                             for name in ast.walk(node))
+            value = getattr(node, "value", None)
+            through_map = (module.path.name == "__init__.py"
+                           and isinstance(value, ast.Call)
+                           and getattr(value.func, "id", None)
+                           == "lazy_exports")
+            if stores_all and not through_map:
+                wrong.append(f"{module.path.relative_to(SRC).as_posix()}"
+                             f":{node.lineno}")
+    assert not wrong, (
+        "modules that define __all__ outside a package's lazy_exports "
+        "map (no caller star-imports them; delete the list):\n  "
+        + "\n  ".join(wrong))
+
+
+def long_options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every ``--flag`` of ``parser`` and of its subcommands."""
+    options = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                options |= long_options(child)
+        else:
+            options |= {option for option in action.option_strings
+                        if option.startswith("--")}
+    return options - {"--help"}
+
+
+def test_every_cli_flag_has_a_documented_caller():
+    import repro.cli
+
+    text = repro.cli.__doc__ + "".join(
+        path.read_text(encoding="utf-8")
+        for pattern in CLI_CALLERS for path in sorted(ROOT.glob(pattern))
+        if path.is_file() and "__pycache__" not in path.parts)
+    undocumented = sorted(
+        flag for flag in long_options(repro.cli.build_parser())
+        if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text))
+    assert not undocumented, (
+        "repro flags that no usage line, README, doc, CI step, example "
+        "or tool passes (pin each to its default and delete it, or show "
+        "it in the repro.cli usage block):\n  "
+        + "\n  ".join(undocumented))

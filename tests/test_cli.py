@@ -137,6 +137,30 @@ def test_serve_missing_trace(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_serve_unwritable_snapshots_is_one_error_line(capsys, cli_trace,
+                                                     tmp_path):
+    """A snapshot file in a missing directory is bad input: exit 2 and
+    one ``error:`` line, not a traceback."""
+    assert main(["serve", "--trace", str(cli_trace), "--speed", "0",
+                 "--quiet", "--snapshots",
+                 str(tmp_path / "missing" / "s.jsonl"),
+                 "--metrics", str(tmp_path / "m.prom")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_ctrl_c_exits_130_from_main(monkeypatch):
+    """Every entry point (``python -m repro``, the ``repro`` script,
+    ``python -m repro.cli``) runs ``main``, which maps Ctrl-C to 130."""
+    import repro.cli
+
+    def interrupted(_args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(repro.cli, "cmd_scenarios", interrupted)
+    assert main(["scenarios"]) == 130
+
+
 def test_serve_resume_needs_a_checkpoint_dir(capsys, cli_trace):
     """Without a directory to resume from, ``--resume`` is an error,
     not a silent cold start."""
