@@ -22,7 +22,6 @@ Vedrfolnir, as in the paper's setup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.baselines.adapter import DiagnosisSystemAdapter, SystemOutput
@@ -35,31 +34,25 @@ from repro.simnet.telemetry import SwitchReport
 from repro.simnet.units import us
 
 
-@dataclass
-class HawkeyeConfig:
-    """Hawkeye parameters."""
-
-    #: "max" = Hawkeye-MaxR, "min" = Hawkeye-MinR
-    mode: str = "max"
-    rtt_threshold_factor: float = 1.2
-    #: analyzer retains one telemetry burst per host per this interval
-    retention_ns: float = us(50)
-    #: hard floor between a host's consecutive triggers (processing
-    #: limits of the real agent; far below Vedrfolnir's step spacing)
-    min_trigger_gap_ns: float = us(10)
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("max", "min"):
-            raise ValueError(f"mode must be 'max' or 'min', got {self.mode}")
+#: the fixed threshold is this multiple of the picked base RTT
+RTT_THRESHOLD_FACTOR = 1.2
+#: analyzer retains one telemetry burst per host per this interval
+RETENTION_NS = us(50)
+#: hard floor between a host's consecutive triggers (processing limits
+#: of the real agent; far below Vedrfolnir's step spacing)
+MIN_TRIGGER_GAP_NS = us(10)
 
 
 class HawkeyeSystem(DiagnosisSystemAdapter):
-    """Hawkeye under the harness interface."""
+    """Hawkeye under the harness interface: ``mode`` "max" is
+    Hawkeye-MaxR, "min" Hawkeye-MinR."""
 
-    def __init__(self, config: Optional[HawkeyeConfig] = None) -> None:
+    def __init__(self, mode: str) -> None:
+        if mode not in ("max", "min"):
+            raise ValueError(f"mode must be 'max' or 'min', got {mode}")
         super().__init__()
-        self.config = config or HawkeyeConfig()
-        self.name = f"hawkeye-{self.config.mode}r"
+        self.mode = mode
+        self.name = f"hawkeye-{mode}r"
         self.threshold_ns: Optional[float] = None
         self.reports: list[SwitchReport] = []
         self.retained_poll_ids: set[str] = set()
@@ -80,14 +73,10 @@ class HawkeyeSystem(DiagnosisSystemAdapter):
                          runtime: CollectiveRuntime) -> float:
         """120% of the max (MaxR) or min (MinR) base RTT over all the
         collective's step flows — computed once, never re-evaluated."""
-        base_rtts = []
-        for step in runtime.schedule.all_steps():
-            base_rtts.append(network.routing.base_rtt_ns(
-                step.node, step.peer,
-                packet_bytes=network.config.mtu_payload_bytes + 66))
-        pick = max(base_rtts) if self.config.mode == "max" \
-            else min(base_rtts)
-        return self.config.rtt_threshold_factor * pick
+        base_rtts = [network.routing.base_rtt_ns(step.node, step.peer)
+                     for step in runtime.schedule.all_steps()]
+        pick = max(base_rtts) if self.mode == "max" else min(base_rtts)
+        return RTT_THRESHOLD_FACTOR * pick
 
     # ------------------------------------------------------------------
     def _on_step_start(self, step: SendStep, flow, waiting_source,
@@ -100,13 +89,13 @@ class HawkeyeSystem(DiagnosisSystemAdapter):
             return
         host = flow.key.src
         if now - self._last_trigger.get(host, -1e18) \
-                < self.config.min_trigger_gap_ns:
+                < MIN_TRIGGER_GAP_NS:
             return
         self._last_trigger[host] = now
         poll_id = self.network.poll_flow(flow.key)
         self.triggers += 1
         if now - self._last_retained.get(host, -1e18) \
-                >= self.config.retention_ns:
+                >= RETENTION_NS:
             self._last_retained[host] = now
             self.retained_poll_ids.add(poll_id)
         else:

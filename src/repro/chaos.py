@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.core import failpoints
+from repro.core.retry import RetryPolicy
 from repro.fleet.aggregator import FleetAggregator, FleetSnapshot, \
     HealthPolicy
 from repro.fleet.service import FleetConfig, FleetService
@@ -65,6 +66,10 @@ from repro.traces import (
 )
 
 PathLike = Union[str, Path]
+
+#: where in a victim shard's stream its kill lands (fraction of its
+#: total event count)
+KILL_EVENT_FRAC = 0.5
 
 
 @dataclass(frozen=True)
@@ -120,9 +125,6 @@ class FleetChaosPlan(_Plan):
 
     #: shard workers to kill (chosen seeded among non-empty shards)
     kills: int = 1
-    #: where in a victim shard's stream its kill lands (fraction of
-    #: its total event count)
-    kill_event_frac: float = 0.5
     #: inject network faults into the socket fan-in and hold the
     #: killed shard down until it is health-dead (degraded snapshots)
     transport: bool = False
@@ -385,10 +387,8 @@ def run_chaos(trace_path: PathLike, workdir: PathLike, plan: ChaosPlan,
 def default_restart_policy(seed: int = 0) -> RestartPolicy:
     """Fast, bounded backoff: chaos experiments restart quickly but a
     deterministically-dying shard still trips the breaker."""
-    return RestartPolicy(max_restarts=8, window_s=60.0,
-                         backoff_base_s=0.05, backoff_factor=2.0,
-                         backoff_cap_s=0.5, jitter_frac=0.1,
-                         seed=seed)
+    return RestartPolicy(max_restarts=8, backoff=RetryPolicy(
+        base_delay_s=0.05, max_delay_s=0.5, seed=seed))
 
 
 def transport_restart_policy(seed: int = 0) -> RestartPolicy:
@@ -396,10 +396,8 @@ def transport_restart_policy(seed: int = 0) -> RestartPolicy:
     down well past ``dead_after_s``, so the health tracker
     deterministically declares it dead and the fleet publishes
     degraded snapshots before the restart recovers it."""
-    return RestartPolicy(max_restarts=8, window_s=60.0,
-                         backoff_base_s=1.0, backoff_factor=2.0,
-                         backoff_cap_s=2.0, jitter_frac=0.1,
-                         seed=seed)
+    return RestartPolicy(max_restarts=8, backoff=RetryPolicy(
+        base_delay_s=1.0, max_delay_s=2.0, seed=seed))
 
 
 def transport_health_policy() -> HealthPolicy:
@@ -469,7 +467,7 @@ def run_fleet_chaos(tenants: Sequence[TenantSpec],
                         if specs)
     victims = sorted(random.Random(plan.seed).sample(
         candidates, min(max(0, plan.kills), len(candidates))))
-    kill_at = {victim: max(1, int(plan.kill_event_frac * sum(
+    kill_at = {victim: max(1, int(KILL_EVENT_FRAC * sum(
         _data_records(spec.trace) for spec in shards[victim])))
         for victim in victims}
 

@@ -38,7 +38,10 @@ place, :func:`main`, and means the same for every verb:
 * 2 — bad input: an argparse usage error, an unreadable or malformed
   file, an unknown scenario or system, no Python file to check;
 * 130 — interrupted: Ctrl-C, or a second stop signal while ``serve``
-  drains (128 + SIGINT).
+  drains (128 + SIGINT);
+* 141 — stdout's reader went away (``... | head``), with nothing on
+  stderr (128 + SIGPIPE); a broken pipe to any other file the verb
+  writes is an ``error:`` line and 2.
 
 Timing is not a verb: ``python3 benchmarks/e2e/run.py`` (contract in
 ``BENCHMARK.json``) is the one benchmark.
@@ -47,6 +50,8 @@ Timing is not a verb: ``python3 benchmarks/e2e/run.py`` (contract in
 from __future__ import annotations
 
 import argparse
+import os
+import select
 import sys
 import threading
 from contextlib import contextmanager
@@ -985,16 +990,33 @@ def _crash_errors() -> tuple[type[Exception], ...]:
     return WorkerCrashed, CrashLoopError
 
 
+def _stdout_closed() -> bool:
+    """Whether stdout is a pipe whose reader went away, rather than
+    some other file a verb writes (a ``--snapshots`` FIFO)."""
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+    except (OSError, ValueError):     # not a real file descriptor
+        return False
+    return any(events & select.POLLERR for _, events in poller.poll(0))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one verb and return its exit code: the one place an
     exception becomes an exit code (the list in the module
     docstring)."""
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except KeyboardInterrupt:
         return 130      # 128 + SIGINT
     except (OSError, ValueError) as error:
+        if isinstance(error, BrokenPipeError) and _stdout_closed():
+            # the interpreter's last flush of stdout goes nowhere instead
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141      # 128 + SIGPIPE
         print(f"error: {error}", file=sys.stderr)
         return 2
     except _crash_errors() as error:

@@ -49,6 +49,10 @@ from repro.simnet.telemetry import SwitchReport
 
 _report_time = attrgetter("time")
 
+#: multiple of the ideal step time above which a step counts as a
+#: performance bottleneck — batch and live read this one value
+SLOWDOWN_FACTOR = 1.5
+
 
 @dataclass
 class StepTiming:
@@ -59,14 +63,14 @@ class StepTiming:
     expect_times: dict[int, float]
     #: cf_i — absent where the critical node's flow key is unknown
     critical_flow_keys: dict[int, FlowKey]
-    #: steps slower than ``slowdown_factor`` x expected, ascending
+    #: steps slower than ``SLOWDOWN_FACTOR`` x expected, ascending
     bottleneck_steps: list[int]
 
 
 def step_timing(graph: WaitingGraph,
                 expected_of: Callable[[tuple[str, int]], float],
-                flow_keys: Mapping[tuple[str, int], FlowKey],
-                slowdown_factor: float) -> StepTiming:
+                flow_keys: Mapping[tuple[str, int], FlowKey]
+                ) -> StepTiming:
     """Per-step timing of ``graph``'s critical flows."""
     timing = StepTiming({}, {}, {}, [])
     for idx, node in graph.critical_flows_by_step().items():
@@ -77,7 +81,7 @@ def step_timing(graph: WaitingGraph,
             timing.critical_flow_keys[idx] = flow_key
     timing.bottleneck_steps = sorted(
         idx for idx, t in timing.exec_times.items()
-        if t > slowdown_factor * timing.expect_times[idx])
+        if t > SLOWDOWN_FACTOR * timing.expect_times[idx])
     return timing
 
 
@@ -264,7 +268,7 @@ class VedrfolnirDiagnosis:
 
     waiting_graph: WaitingGraph
     critical_path: list[CriticalPathEntry]
-    #: steps whose critical flow ran slower than slowdown_factor x ideal
+    #: steps whose critical flow ran slower than SLOWDOWN_FACTOR x ideal
     bottleneck_steps: list[int]
     provenance: ProvenanceGraph
     #: the graph of each step Eq. 3 weighs that saw telemetry
@@ -300,10 +304,8 @@ class VedrfolnirDiagnosis:
 class VedrfolnirAnalyzer:
     """Collects monitoring data and produces diagnoses."""
 
-    def __init__(self, pfc_xoff_bytes: Bytes,
-                 slowdown_factor: float = 1.5) -> None:
+    def __init__(self, pfc_xoff_bytes: Bytes) -> None:
         self.pfc_xoff_bytes = pfc_xoff_bytes
-        self.slowdown_factor = slowdown_factor
         self.step_records: list[StepRecord] = []
         self.reports: list[SwitchReport] = []
 
@@ -322,7 +324,7 @@ class VedrfolnirAnalyzer:
             waiting,
             lambda key: runtime.expected_step_time_ns(
                 runtime.schedule.step(*key)),
-            runtime.flow_keys, self.slowdown_factor)
+            runtime.flow_keys)
         kernel = DiagnosisKernel(self.pfc_xoff_bytes,
                                  runtime.collective_flow_keys)
         for report in self.reports:

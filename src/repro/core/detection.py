@@ -13,9 +13,9 @@ Per host, a :class:`DetectionAgent`:
   its unused detection opportunities to the monitor of the flow that was
   waiting on it (Fig. 7), so the slowest flow of each step accumulates
   the most opportunities;
-* optionally detects fully-stalled flows (no ACK progress) with a stall
-  timer — the simple fix §V proposes for pause-type anomalies that stop
-  all traffic (PFC deadlock/storm) and hence produce no RTT samples.
+* detects fully-stalled flows (no ACK progress) with a stall timer —
+  the simple fix §V proposes for pause-type anomalies that stop all
+  traffic (PFC deadlock/storm) and hence produce no RTT samples.
 """
 
 from __future__ import annotations
@@ -33,8 +33,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.flow import RdmaFlow
     from repro.simnet.network import Network
 
+#: hard floor between consecutive triggers even when unrestricted
+MIN_TRIGGER_GAP_NS: Nanoseconds = us(10)
+#: a flow with no ACK for this many thresholds counts as stalled
+STALL_FACTOR = 5.0
 
-@dataclass
+
+@dataclass(slots=True)
 class DetectionConfig:
     """Detection parameters (the knobs swept in Figs. 12-13)."""
 
@@ -50,11 +55,6 @@ class DetectionConfig:
     #: enforce the even-spacing trigger interval (Fig. 5); False =
     #: unrestricted triggering (Fig. 13b ablation / Hawkeye-like)
     restrict_trigger_interval: bool = True
-    #: hard floor between consecutive triggers even when unrestricted
-    min_trigger_gap_ns: Nanoseconds = us(10)
-    #: detect stalled flows (no ACK for stall_factor x threshold)
-    stall_detection: bool = True
-    stall_factor: float = 5.0
 
 
 @dataclass
@@ -115,20 +115,18 @@ class DetectionAgent:
             self.trigger_interval_ns = estimated_fct / \
                 cfg.detections_per_step
         else:
-            self.trigger_interval_ns = cfg.min_trigger_gap_ns
+            self.trigger_interval_ns = MIN_TRIGGER_GAP_NS
         self.last_ack_time = now
         flow.rtt_observers.append(self._on_rtt_sample)
-        if cfg.stall_detection:
-            self._arm_stall_timer()
+        self._arm_stall_timer()
 
     def _compute_threshold(self, step: SendStep) -> float:
         cfg = self.config
         if cfg.fixed_rtt_threshold_ns is not None:
             return cfg.fixed_rtt_threshold_ns
         key = self.runtime.flow_keys[(step.node, step.step_index)]
-        base = self.network.routing.base_rtt_ns(
-            step.node, step.peer, flow=key,
-            packet_bytes=self.network.config.mtu_payload_bytes + 66)
+        base = self.network.routing.base_rtt_ns(step.node, step.peer,
+                                                flow=key)
         return cfg.rtt_threshold_factor * base
 
     def _on_step_end(self, record: StepRecord) -> None:
@@ -182,7 +180,7 @@ class DetectionAgent:
         if self.budget <= 0:
             return
         gap = now - self.last_trigger_time
-        if gap < self.config.min_trigger_gap_ns:
+        if gap < MIN_TRIGGER_GAP_NS:
             return
         if self.config.restrict_trigger_interval \
                 and self.trigger_interval_ns is not None \
@@ -205,7 +203,7 @@ class DetectionAgent:
     # ------------------------------------------------------------------
     def _stall_timeout_ns(self) -> float:
         threshold = self.threshold_ns or us(100)
-        return self.config.stall_factor * threshold
+        return STALL_FACTOR * threshold
 
     def _arm_stall_timer(self) -> None:
         self._disarm_stall_timer()

@@ -4,10 +4,8 @@ One place for the "try again, but not forever" discipline the live
 and fleet layers kept reinventing:
 
 * :class:`RetryPolicy` — seeded capped exponential backoff with
-  jitter.  Its :meth:`~RetryPolicy.delay_s` formula is exactly the one
-  :class:`repro.live.supervisor.Supervisor` has always used (``raw +
-  raw * jitter_frac * rng.random()``, capped), and the supervisor now
-  delegates here — same seed, bit-identical restart schedule.
+  jitter (``raw + raw * JITTER_FRAC * rng.random()``, capped); it is
+  also the restart backoff of :class:`repro.live.supervisor.Supervisor`.
 * :class:`CircuitBreaker` — closed / open / half-open.  Consecutive
   failures past a threshold open it; after ``reset_after_s`` one
   trial call is let through, and its outcome closes or re-opens.
@@ -30,6 +28,12 @@ from repro.core.units import Seconds
 T = TypeVar("T")
 
 
+#: multiplier between consecutive delays
+FACTOR = 2.0
+#: uniform jitter fraction added on top of the raw delay
+JITTER_FRAC = 0.1
+
+
 class RetryBudgetExceeded(OSError):
     """Retries exhausted (attempt cap or open breaker)."""
 
@@ -41,14 +45,10 @@ class RetryPolicy:
     #: attempts allowed in total (first try included); must be
     #: positive for :func:`call_with_retry`
     max_attempts: int = 5
-    #: first backoff delay; grows by ``factor`` per consecutive failure
+    #: first backoff delay; grows by ``FACTOR`` per consecutive failure
     base_delay_s: Seconds = 0.05
-    #: multiplier between consecutive delays
-    factor: float = 2.0
     #: delays never exceed this, jitter included
     max_delay_s: Seconds = 1.0
-    #: uniform jitter fraction added on top of the raw delay
-    jitter_frac: float = 0.1
     #: seed of the jitter RNG (deterministic retry schedule)
     seed: int = 0
 
@@ -59,11 +59,11 @@ class RetryPolicy:
                 rng: Optional[random.Random] = None) -> float:
         """Backoff before retry number ``attempt`` (0-based count of
         consecutive failures).  With an explicit ``rng`` the caller
-        owns the jitter stream (the supervisor passes its own, so the
-        historical restart schedule is preserved bit-for-bit)."""
+        owns the jitter stream (the supervisor keeps one across
+        restarts)."""
         rng = rng if rng is not None else self.rng()
-        raw = self.base_delay_s * self.factor ** attempt
-        jitter = raw * self.jitter_frac * rng.random()
+        raw = self.base_delay_s * FACTOR ** attempt
+        jitter = raw * JITTER_FRAC * rng.random()
         return min(raw + jitter, self.max_delay_s)
 
 

@@ -26,14 +26,11 @@ from repro.core.monitor import HostMonitor
 from repro.simnet.network import Network
 
 
-@dataclass
+@dataclass(slots=True)
 class VedrfolnirConfig:
     """Top-level configuration for a Vedrfolnir deployment."""
 
     detection: DetectionConfig = field(default_factory=DetectionConfig)
-    #: multiple of the ideal step time above which a step counts as a
-    #: performance bottleneck in the analysis
-    slowdown_factor: float = 1.5
     #: disable host monitoring entirely (overhead baseline, Fig. 11)
     monitoring_enabled: bool = True
 
@@ -47,8 +44,7 @@ class VedrfolnirSystem:
         self.runtime = runtime
         self.config = config or VedrfolnirConfig()
         self.analyzer = VedrfolnirAnalyzer(
-            pfc_xoff_bytes=network.config.pfc_xoff_bytes,
-            slowdown_factor=self.config.slowdown_factor)
+            pfc_xoff_bytes=network.config.pfc_xoff_bytes)
         self.monitors: dict[str, HostMonitor] = {}
         self.agents: dict[str, DetectionAgent] = {}
         if self.config.monitoring_enabled:

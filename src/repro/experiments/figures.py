@@ -239,9 +239,8 @@ def fig13a_threshold_ablation(cases: int = 3,
     # reference base RTT: the max across the topology (what a fixed
     # threshold would realistically be derived from)
     probe_net, probe_rt = case_list[0].build_network()
-    base_rtts = [probe_net.routing.base_rtt_ns(
-        s.node, s.peer, packet_bytes=probe_net.config.mtu_payload_bytes + 66)
-        for s in probe_rt.schedule.all_steps()]
+    base_rtts = [probe_net.routing.base_rtt_ns(s.node, s.peer)
+                 for s in probe_rt.schedule.all_steps()]
     max_base = max(base_rtts)
 
     settings: list[tuple[str, Optional[float]]] = [("step-aware", None)]

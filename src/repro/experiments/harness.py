@@ -19,14 +19,14 @@ from typing import Callable, Optional
 from repro.anomalies.scenarios import GroundTruth, ScenarioCase
 from repro.baselines.adapter import DiagnosisSystemAdapter, SystemOutput
 from repro.baselines.full_polling import FullPollingSystem
-from repro.baselines.hawkeye import HawkeyeConfig, HawkeyeSystem
+from repro.baselines.hawkeye import HawkeyeSystem
 from repro.baselines.vedrfolnir_adapter import VedrfolnirAdapter
 from repro.core.diagnosis import AnomalyType, DiagnosisResult
 
 SYSTEM_FACTORIES: dict[str, Callable[[], DiagnosisSystemAdapter]] = {
     "vedrfolnir": VedrfolnirAdapter,
-    "hawkeye-maxr": lambda: HawkeyeSystem(HawkeyeConfig(mode="max")),
-    "hawkeye-minr": lambda: HawkeyeSystem(HawkeyeConfig(mode="min")),
+    "hawkeye-maxr": lambda: HawkeyeSystem("max"),
+    "hawkeye-minr": lambda: HawkeyeSystem("min"),
     "full-polling": FullPollingSystem,
 }
 

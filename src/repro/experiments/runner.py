@@ -12,14 +12,12 @@ two optimisations the figure benchmarks (Figs. 9-14) build on:
   heavier than a dict crosses the process boundary);
 * **content-addressed caching** — each result is stored on disk under
   the SHA-256 of everything that determines it (scenario, case id,
-  system, the full scenario + network configuration, and the trace
-  schema version).  A warm cache turns a figure regeneration into a
-  directory scan.
+  system, the scenario and network configuration, the simulator's
+  constants, and the trace schema version).  A warm cache turns a
+  figure regeneration into a directory scan.
 
-Cache keys deliberately hash *values*, not factory identities: two
-``ScenarioConfig``s whose ``network_config_factory``s produce equal
-``NetworkConfig``s share cache entries, and any knob change produces a
-new key (stale entries are simply never read again).
+Cache keys hash *values*: a change to any knob or simulator constant
+produces a new key (stale entries are simply never read again).
 
 Environment knobs (respected by :mod:`repro.experiments.figures`):
 
@@ -31,8 +29,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
@@ -49,6 +49,7 @@ from repro.experiments.harness import (
     DEFAULT_SYSTEMS,
     run_case,
 )
+import repro.simnet
 from repro.simnet.network import NetworkConfig
 from repro.traces.columnar import COLUMNAR_VERSION
 from repro.traces.store import FORMAT_VERSION as TRACE_SCHEMA_VERSION
@@ -93,19 +94,29 @@ def _fingerprint_default(value):
     return repr(value)
 
 
-def config_fingerprint(config: ScenarioConfig) -> dict:
-    """Every value in a ScenarioConfig that affects a run's outcome.
+def _simnet_constants() -> dict:
+    """Every module-level UPPER_CASE number of the simulator, by
+    ``module.NAME``: a run reads them, so the cache key holds them."""
+    constants = {}
+    for info in pkgutil.iter_modules(repro.simnet.__path__):
+        module = importlib.import_module(f"repro.simnet.{info.name}")
+        for name, value in vars(module).items():
+            if name.isupper() and type(value) in (int, float):
+                constants[f"{module.__name__}.{name}"] = value
+    return constants
 
-    The network-config *factory* is fingerprinted by the config it
-    produces, so equal configurations share cache entries regardless of
-    how they were constructed.
-    """
+
+def config_fingerprint(config: ScenarioConfig) -> dict:
+    """Every value in a ScenarioConfig that affects a run's outcome,
+    with the network configuration and the simulator constants every
+    case runs under (``module.NAME`` -> value)."""
     return {
         "scale": config.scale,
         "num_collective_nodes": config.num_collective_nodes,
         "fat_tree_k": config.fat_tree_k,
         "base_seed": config.base_seed,
-        "network": dataclasses.asdict(config.network_config_factory()),
+        "network": dataclasses.asdict(NetworkConfig()),
+        "simnet": _simnet_constants(),
     }
 
 
@@ -208,13 +219,6 @@ def _run_spec(spec: dict) -> dict:
     return result_to_dict(run_case(case, spec["system"]))
 
 
-def _poolable(case: ScenarioCase) -> bool:
-    """Only cases a worker can rebuild from primitives fan out; cases
-    with a custom network-config factory run in the parent (still
-    cached under their content hash)."""
-    return case.config.network_config_factory is NetworkConfig
-
-
 def cached_run_case(case: ScenarioCase, system_name: str,
                     system: Optional[DiagnosisSystemAdapter] = None,
                     cache: Optional[ResultCache] = None,
@@ -246,7 +250,7 @@ def run_matrix_parallel(cases: Sequence[ScenarioCase],
 
     Returns results in the same case-major order as
     :func:`repro.experiments.harness.run_matrix`, whatever mix of cache
-    hits, pool workers and in-parent runs produced them.
+    hits and pool workers produced them.
     """
     jobs = [(case, system) for case in cases for system in systems]
     results: list[Optional[CaseResult]] = [None] * len(jobs)
@@ -262,15 +266,12 @@ def run_matrix_parallel(cases: Sequence[ScenarioCase],
                 continue
         pending.append(index)
 
-    pooled = [i for i in pending if _poolable(jobs[i][0])]
-    if max_workers > 1 and len(pooled) > 1:
-        specs = [_case_spec(*jobs[i]) for i in pooled]
-        workers = min(max_workers, len(pooled))
+    if max_workers > 1 and len(pending) > 1:
+        specs = [_case_spec(*jobs[i]) for i in pending]
+        workers = min(max_workers, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, doc in zip(pooled, pool.map(_run_spec, specs)):
+            for index, doc in zip(pending, pool.map(_run_spec, specs)):
                 results[index] = result_from_dict(doc)
-    else:
-        pooled = []
 
     for index in pending:
         if results[index] is None:

@@ -36,7 +36,7 @@ from repro.fleet.tenancy import TenantPolicy, TenantRuntime
 from repro.live.metrics import Histogram, MetricsRegistry
 
 
-@dataclass
+@dataclass(slots=True)
 class FleetConfig:
     """Fleet-wide wiring knobs (primitives only — ships to workers)."""
 

@@ -40,7 +40,7 @@ from repro.traces import (ColumnarTrace, TraceEvent, open_trace,
                           read_header)
 
 
-@dataclass
+@dataclass(slots=True)
 class TenantPolicy:
     """Isolation knobs applied to every tenant of a fleet."""
 

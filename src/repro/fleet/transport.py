@@ -163,8 +163,8 @@ class ReportPublisher:
         self.port = int(endpoint[1])
         self.shard_id = shard_id
         self.retry = retry if retry is not None else RetryPolicy(
-            max_attempts=3, base_delay_s=0.02, factor=2.0,
-            max_delay_s=0.2, seed=shard_id)
+            max_attempts=3, base_delay_s=0.02, max_delay_s=0.2,
+            seed=shard_id)
         self.breaker = breaker if breaker is not None \
             else CircuitBreaker(failure_threshold=4,
                                 reset_after_s=0.5)

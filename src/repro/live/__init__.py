@@ -25,7 +25,7 @@ uninterrupted run).
     header = read_header("run.jsonl")
     pipeline = LivePipeline.from_header(header)
     for event in trace_events("run.jsonl"):
-        pipeline.publish(event)     # pumps every pump_batch events
+        pipeline.publish(event)     # pumps every PUMP_BATCH events
     snapshot = pipeline.finish()        # == batch analyze_trace result
 """
 

@@ -5,7 +5,7 @@ network report sink) publish :class:`TelemetryEvent`\\ s, the pipeline
 drains them.  The bus has no bound of its own and no overflow policy:
 :meth:`repro.live.pipeline.LivePipeline.publish` pumps a batch off it
 as soon as one is queued, so it never holds more than
-``PipelineConfig.pump_batch`` events and no producer can outrun it.
+``repro.live.pipeline.PUMP_BATCH`` events and no producer can outrun it.
 """
 
 from __future__ import annotations

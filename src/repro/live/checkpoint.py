@@ -24,7 +24,7 @@ copy of the diagnosis state: it is a **cursor plus five counters**.
   (a document written against another trace, say) makes the document
   corrupt, exactly like a bit flip.
 * :class:`CheckpointPolicy` decides *when*: every ``interval_events``
-  published events, retaining the last ``retain`` documents for
+  published events, retaining the last ``RETAIN`` documents for
   fallback.
 
 Recovery contract (tested by ``repro chaos``): *resume from checkpoint
@@ -60,18 +60,19 @@ class CheckpointCorrupt(RuntimeError):
     by replaying its stream prefix)."""
 
 
-@dataclass
+#: documents kept, so a corrupt latest can fall back to an older one
+RETAIN = 3
+
+
+@dataclass(slots=True)
 class CheckpointPolicy:
-    """When to checkpoint and how many documents to keep.
+    """When to checkpoint.
 
     ``interval_events`` is the cadence in published events — the most
-    a crash makes the next run replay past its newest document;
-    ``retain`` keeps the last K documents so a corrupt latest can fall
-    back to an older good one.
+    a crash makes the next run replay past its newest document.
     """
 
     interval_events: int = 512
-    retain: int = 3
 
 
 #: what reading a document of the wrong shape raises — a missing key,
@@ -173,9 +174,7 @@ class CheckpointManager:
         return path
 
     def _prune_retention(self) -> None:
-        keep = max(1, self.policy.retain)
-        paths = self.snapshot_paths()
-        for stale in paths[:-keep]:
+        for stale in self.snapshot_paths()[:-RETAIN]:
             stale.unlink(missing_ok=True)
             self.pruned += 1
 

@@ -44,24 +44,19 @@ from repro.simnet.units import MS
 from repro.traces.stream import TraceEvent, TraceHeader
 
 
-@dataclass
+#: :meth:`LivePipeline.publish` pumps the bus once this many events
+#: are queued, so the bus never holds more
+PUMP_BATCH = 64
+#: prune cadence of the waiting graph
+PRUNE_INTERVAL = 16
+
+
+@dataclass(slots=True)
 class PipelineConfig:
     """Knobs of the live service."""
 
-    #: out-of-order tolerance of the watermark (event-time ns)
-    lateness_bound_ns: Nanoseconds = 0.0
     #: emit a rolling snapshot every N ingested events (0 = final only)
     snapshot_every: int = 0
-    #: :meth:`LivePipeline.publish` pumps the bus once this many
-    #: events are queued, so the bus never holds more
-    pump_batch: int = 64
-    #: prune cadence of the waiting graph
-    prune_interval: int = 16
-    #: bottleneck threshold, as in :class:`VedrfolnirAnalyzer`
-    slowdown_factor: float = 1.5
-    #: switch-report staleness before confidence degrades; None = auto
-    #: (4x the largest expected step time)
-    report_gap_ns: Optional[Nanoseconds] = None
 
 
 @dataclass
@@ -153,15 +148,11 @@ class LivePipeline:
         self.config = config or PipelineConfig()
         self.clock = clock
 
-        cfg = self.config
         self.bus = EventBus()
-        self.watermark = WatermarkBuffer(cfg.lateness_bound_ns)
-        self.graph = WaitingGraph(
-            schedule, prune_interval=cfg.prune_interval)
+        self.watermark = WatermarkBuffer()
+        self.graph = WaitingGraph(schedule, prune_interval=PRUNE_INTERVAL)
         self.quarantine = Quarantine()
-        self.degradation = DegradationTracker(
-            cfg.report_gap_ns if cfg.report_gap_ns is not None
-            else self._auto_report_gap_ns())
+        self.degradation = DegradationTracker(self._report_gap_ns())
 
         #: the §III-D tail; owns the switch reports ingested so far
         self.kernel = DiagnosisKernel(pfc_xoff_bytes,
@@ -197,7 +188,9 @@ class LivePipeline:
                    header.expected_step_times, header.pfc_xoff_bytes,
                    config=config, clock=clock)
 
-    def _auto_report_gap_ns(self) -> float:
+    def _report_gap_ns(self) -> float:
+        """Switch-report staleness before confidence degrades: 4x the
+        largest expected step time."""
         expected = self.expected_step_times.values()
         largest = max(expected, default=0.0)
         return 4.0 * largest if largest > 0 else 1e7
@@ -215,7 +208,7 @@ class LivePipeline:
     # ------------------------------------------------------------------
     def publish(self, event: TraceEvent) -> None:
         """Enqueue one decoded trace event onto the bus, and pump a
-        batch off it once ``pump_batch`` events are queued: the one
+        batch off it once ``PUMP_BATCH`` events are queued: the one
         flow-control rule of the pipeline, which keeps the bus at most
         one batch deep whoever the producer is."""
         if self._started_wall is None:
@@ -225,9 +218,8 @@ class LivePipeline:
         bus = self.bus
         bus.publish(TelemetryEvent(kind=event.kind, time=event.time,
                                    payload=event.payload, seq=self._seq))
-        batch = self.config.pump_batch
-        if len(bus) >= batch:
-            self.pump(batch)
+        if len(bus) >= PUMP_BATCH:
+            self.pump(PUMP_BATCH)
 
     def pump(self, limit: int = 0) -> int:
         """Consume up to ``limit`` events off the bus (all if 0)."""
@@ -235,10 +227,9 @@ class LivePipeline:
         watermark = self.watermark
         for event in self.bus.drain(limit):
             processed += 1
-            late = watermark.late_discarded
-            for released in watermark.observe(event):
-                self._ingest(released)
-            if watermark.late_discarded != late:
+            if watermark.admit(event):
+                self._ingest(event)
+            else:
                 # behind the watermark: discarded, never ingested
                 self._arrival_wall.pop(event.seq, None)
         return processed
@@ -278,11 +269,10 @@ class LivePipeline:
     def _diagnose(self, final: bool) -> DiagnosisSnapshot:
         """The §III-D analysis over everything ingested so far, as a
         snapshot numbered after the last one emitted."""
-        cfg = self.config
         timing = step_timing(
             self.graph,
             lambda key: self.expected_step_times.get(key, 0.0),
-            self.flow_keys, cfg.slowdown_factor)
+            self.flow_keys)
         breakdown = self.kernel.snapshot(
             self.collective_flow_keys, self.graph.windows, timing)
         return DiagnosisSnapshot(
@@ -329,8 +319,6 @@ class LivePipeline:
     def finish(self) -> DiagnosisSnapshot:
         """Drain everything and emit the final snapshot."""
         self.pump()
-        for released in self.watermark.flush():
-            self._ingest(released)
         return self.emit_snapshot(final=True)
 
     def release(self) -> None:
@@ -434,7 +422,7 @@ class LivePipeline:
                 "switch reports ingested",
                 self._ingested["switch_report"])
         counter("live_late_discarded_total",
-                "events behind the watermark's lateness bound",
+                "events that arrived behind the watermark",
                 self.watermark.late_discarded)
         counter("live_quarantined_total",
                 "malformed inputs quarantined", self.quarantine.count)

@@ -8,7 +8,7 @@ is the process-supervision half of that story:
   exception with **exponential backoff** (seeded jitter, capped), so a
   transiently failing pipeline recovers without hammering the host;
 * :class:`CrashLoopBreaker` is the circuit breaker: more than
-  ``max_restarts`` crashes inside a sliding ``window_s`` trips it, and
+  ``max_restarts`` crashes inside a sliding ``WINDOW_S`` trips it, and
   the supervisor re-raises :class:`CrashLoopError` instead of spinning
   forever on a deterministic bug;
 * :class:`GracefulShutdown` owns SIGTERM/SIGINT: the first signal
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import os
-import random
 import signal
 import time
 from dataclasses import dataclass, field
@@ -39,42 +38,27 @@ T = TypeVar("T")
 
 #: conventional exit code for a forced (double-signal) shutdown
 FORCE_EXIT_CODE = 130
+#: sliding window the restart budget applies to
+WINDOW_S: Seconds = 60.0
+#: newest crash records kept for the post-mortem report; older ones
+#: are evicted so a long-lived supervisor stays bounded (RPR025) while
+#: ``Supervisor.crash_count`` keeps the true total
+MAX_CRASH_RECORDS = 256
 
 
-@dataclass
+def _default_backoff() -> RetryPolicy:
+    return RetryPolicy(base_delay_s=0.5, max_delay_s=30.0)
+
+
+@dataclass(slots=True)
 class RestartPolicy:
-    """Backoff and crash-loop budget of a :class:`Supervisor`."""
+    """Crash-loop budget and backoff of a :class:`Supervisor`."""
 
-    #: crashes allowed inside ``window_s`` before the breaker trips
+    #: crashes allowed inside ``WINDOW_S`` before the breaker trips
     max_restarts: int = 5
-    #: sliding window the restart budget applies to
-    window_s: Seconds = 60.0
-    #: first backoff delay; doubles per consecutive crash
-    backoff_base_s: Seconds = 0.5
-    #: multiplier between consecutive delays
-    backoff_factor: float = 2.0
-    #: backoff never exceeds this, jitter included
-    backoff_cap_s: Seconds = 30.0
-    #: uniform jitter fraction added on top of the raw delay
-    jitter_frac: float = 0.1
-    #: seed of the jitter RNG (deterministic restart schedule)
-    seed: int = 0
-    #: newest crash records kept for the post-mortem report; older
-    #: ones are evicted so a long-lived supervisor stays bounded
-    #: (RPR025) while ``Supervisor.crash_count`` keeps the true total
-    max_crash_records: int = 256
-
-    def retry_policy(self) -> RetryPolicy:
-        """This restart policy's backoff, as the shared
-        :class:`~repro.core.retry.RetryPolicy` (same formula, same
-        seed semantics — the supervisor delegates its delays here)."""
-        return RetryPolicy(
-            max_attempts=self.max_restarts,
-            base_delay_s=self.backoff_base_s,
-            factor=self.backoff_factor,
-            max_delay_s=self.backoff_cap_s,
-            jitter_frac=self.jitter_frac,
-            seed=self.seed)
+    #: the delay before each restart, and the seed of its jitter; its
+    #: ``max_attempts`` is unused — the breaker ends supervision
+    backoff: RetryPolicy = field(default_factory=_default_backoff)
 
 
 class CrashLoopError(RuntimeError):
@@ -150,19 +134,16 @@ class Supervisor:
         self.crashes: list[CrashRecord] = []
         #: total crashes ever seen; survives crash-record eviction
         self.crash_count = 0
-        self._rng = random.Random(self.policy.seed)
+        self._rng = self.policy.backoff.rng()
         self.breaker = CrashLoopBreaker(
-            self.policy.max_restarts, self.policy.window_s, clock)
+            self.policy.max_restarts, WINDOW_S, clock)
 
     # ------------------------------------------------------------------
     def backoff_delay(self, attempt: int) -> float:
         """Deterministic (seeded) capped exponential backoff with
-        jitter for the given consecutive-crash count (0-based).
-
-        Delegates to :meth:`RestartPolicy.retry_policy`, passing the
-        supervisor's own RNG — the seeded restart schedule is
-        bit-identical to what this method always produced."""
-        return self.policy.retry_policy().delay_s(attempt, self._rng)
+        jitter for the given consecutive-crash count (0-based), drawn
+        from the supervisor's own RNG stream."""
+        return self.policy.backoff.delay_s(attempt, self._rng)
 
     def run(self) -> Optional[T]:
         attempt = 0
@@ -179,15 +160,13 @@ class Supervisor:
                     at=self.clock(), backoff_s=delay)
                 self.crash_count += 1
                 self.crashes.append(record)
-                if len(self.crashes) > self.policy.max_crash_records:
-                    del self.crashes[
-                        :-self.policy.max_crash_records]
+                if len(self.crashes) > MAX_CRASH_RECORDS:
+                    del self.crashes[:-MAX_CRASH_RECORDS]
                 if self.on_crash is not None:
                     self.on_crash(record)
                 if tripped:
                     raise CrashLoopError(
-                        self.breaker.recent_crashes,
-                        self.policy.window_s) from error
+                        self.breaker.recent_crashes, WINDOW_S) from error
                 log.warning("supervised target crashed (%s); "
                             "restarting in %.2fs", record.error, delay)
                 if delay > 0:

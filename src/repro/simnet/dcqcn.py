@@ -10,13 +10,12 @@ at full link bandwidth, which is exactly what makes RoCE congestion
 "frequent and transient" in shallow-buffered fabrics.
 
 Timer constants are scaled tighter than the DCQCN paper's defaults so the
-control loop is meaningful at this reproduction's scaled-down flow sizes;
-all are configurable.
+control loop is meaningful at this reproduction's scaled-down flow sizes.
+They are module constants: every scenario runs the same reaction point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.units import BitsPerSecond, Nanoseconds
@@ -26,39 +25,30 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.engine import Simulator
 
 
-@dataclass
-class DcqcnConfig:
-    """Reaction-point parameters."""
-
-    enabled: bool = True
-    #: EWMA gain for alpha
-    g: float = 1.0 / 16.0
-    #: rate-increase / alpha-decay timer period
-    timer_ns: Nanoseconds = us(50)
-    #: consecutive timer ticks spent in fast recovery before additive
-    fast_recovery_ticks: int = 5
-    #: additive increase step
-    rate_ai_bps: BitsPerSecond = gbps(2.5)
-    #: hyper increase step
-    rate_hai_bps: BitsPerSecond = gbps(25)
-    #: floor below which the rate is never cut
-    min_rate_bps: BitsPerSecond = gbps(0.1)
-    #: NP-side minimum spacing between CNPs for one flow
-    cnp_interval_ns: Nanoseconds = us(50)
+#: EWMA gain for alpha
+G = 1.0 / 16.0
+#: rate-increase / alpha-decay timer period
+TIMER_NS: Nanoseconds = us(50)
+#: consecutive timer ticks spent in fast recovery before additive
+FAST_RECOVERY_TICKS = 5
+#: additive increase step
+RATE_AI_BPS: BitsPerSecond = gbps(2.5)
+#: hyper increase step
+RATE_HAI_BPS: BitsPerSecond = gbps(25)
+#: floor below which the rate is never cut
+MIN_RATE_BPS: BitsPerSecond = gbps(0.1)
 
 
 class DcqcnState:
     """Per-flow reaction-point state machine."""
 
-    __slots__ = ("config", "sim", "line_rate_bps", "rc", "rt", "alpha",
+    __slots__ = ("sim", "line_rate_bps", "rc", "rt", "alpha",
                  "_ticks_since_cut", "_cnp_seen_this_tick", "_timer_event",
                  "_on_rate_change", "cnps_received", "rate_cuts")
 
-    def __init__(self, sim: "Simulator", config: DcqcnConfig,
-                 line_rate_bps: BitsPerSecond,
+    def __init__(self, sim: "Simulator", line_rate_bps: BitsPerSecond,
                  on_rate_change: Optional[callable] = None) -> None:
         self.sim = sim
-        self.config = config
         self.line_rate_bps = line_rate_bps
         self.rc = line_rate_bps     # line-rate start
         self.rt = line_rate_bps
@@ -73,9 +63,8 @@ class DcqcnState:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Arm the periodic timer.  Call when the flow begins sending."""
-        if self.config.enabled and self._timer_event is None:
-            self._timer_event = self.sim.schedule(
-                self.config.timer_ns, self._on_timer)
+        if self._timer_event is None:
+            self._timer_event = self.sim.schedule(TIMER_NS, self._on_timer)
 
     def stop(self) -> None:
         """Cancel the timer.  Call when the flow completes."""
@@ -86,14 +75,11 @@ class DcqcnState:
     # ------------------------------------------------------------------
     def on_cnp(self) -> None:
         """Congestion notification: update alpha and cut the rate."""
-        if not self.config.enabled:
-            return
         self.cnps_received += 1
         self._cnp_seen_this_tick = True
-        cfg = self.config
-        self.alpha = (1 - cfg.g) * self.alpha + cfg.g
+        self.alpha = (1 - G) * self.alpha + G
         self.rt = self.rc
-        new_rate = max(cfg.min_rate_bps, self.rc * (1 - self.alpha / 2))
+        new_rate = max(MIN_RATE_BPS, self.rc * (1 - self.alpha / 2))
         if new_rate != self.rc:
             self.rc = new_rate
             self.rate_cuts += 1
@@ -101,22 +87,21 @@ class DcqcnState:
         self._ticks_since_cut = 0
 
     def _on_timer(self) -> None:
-        cfg = self.config
-        self._timer_event = self.sim.schedule(cfg.timer_ns, self._on_timer)
+        self._timer_event = self.sim.schedule(TIMER_NS, self._on_timer)
         if self._cnp_seen_this_tick:
             self._cnp_seen_this_tick = False
             return
         # alpha decay toward 0 in quiet periods
-        self.alpha = (1 - cfg.g) * self.alpha
+        self.alpha = (1 - G) * self.alpha
         if self.rc >= self.line_rate_bps:
             return
         self._ticks_since_cut += 1
-        if self._ticks_since_cut <= cfg.fast_recovery_ticks:
+        if self._ticks_since_cut <= FAST_RECOVERY_TICKS:
             pass  # fast recovery: rt frozen, close half the gap below
-        elif self._ticks_since_cut <= 2 * cfg.fast_recovery_ticks:
-            self.rt = min(self.line_rate_bps, self.rt + cfg.rate_ai_bps)
+        elif self._ticks_since_cut <= 2 * FAST_RECOVERY_TICKS:
+            self.rt = min(self.line_rate_bps, self.rt + RATE_AI_BPS)
         else:
-            self.rt = min(self.line_rate_bps, self.rt + cfg.rate_hai_bps)
+            self.rt = min(self.line_rate_bps, self.rt + RATE_HAI_BPS)
         self.rc = min(self.line_rate_bps, (self.rt + self.rc) / 2)
         self._notify()
 

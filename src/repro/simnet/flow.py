@@ -18,18 +18,23 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.core.units import Bytes, Nanoseconds
 from repro.simnet.dcqcn import DcqcnState
 from repro.simnet.packet import (
+    HEADER_BYTES,
     KIND_ACK,
+    MTU_PAYLOAD_BYTES,
     FlowKey,
     Packet,
     PacketKind,
     make_control_packet,
     make_data_packet,
 )
-from repro.simnet.units import SEC
+from repro.simnet.units import SEC, us
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.host import HostNode
     from repro.simnet.network import Network
+
+#: NP-side minimum spacing between CNPs for one flow (DCQCN)
+CNP_INTERVAL_NS: Nanoseconds = us(50)
 
 #: observer signature: (flow, rtt_ns, ack_seq, now)
 RttObserver = Callable[["RdmaFlow", float, int, float], None]
@@ -70,10 +75,10 @@ class RdmaFlow:
         self.key = key
         self.size_bytes = size_bytes
         self.tag = tag  # e.g. "collective" / "background"
-        self.mtu = network.config.mtu_payload_bytes
-        self.num_packets = max(1, math.ceil(size_bytes / self.mtu))
-        #: payload of the last packet (every other one carries ``mtu``)
-        self._last_payload = size_bytes - self.mtu * (self.num_packets - 1)
+        self.num_packets = max(1, math.ceil(size_bytes / MTU_PAYLOAD_BYTES))
+        #: payload of the last packet (every other one carries the MTU)
+        self._last_payload = size_bytes \
+            - MTU_PAYLOAD_BYTES * (self.num_packets - 1)
         self.on_sender_complete = on_sender_complete
         self.stats = FlowStats(start_time=start_time)
         self.rtt_observers: list[RttObserver] = []
@@ -81,8 +86,7 @@ class RdmaFlow:
         host = network.hosts[key.src]
         self.host: "HostNode" = host
         self.port = host.ports[0]
-        self.dcqcn = DcqcnState(
-            network.sim, network.config.dcqcn, self.port.bandwidth_bps)
+        self.dcqcn = DcqcnState(network.sim, self.port.bandwidth_bps)
 
         self._next_seq = 0
         self._acked_packets = 0
@@ -151,7 +155,7 @@ class RdmaFlow:
         now = sim.now
         while self._next_seq <= last:
             payload = self._last_payload if self._next_seq == last \
-                else self.mtu
+                else MTU_PAYLOAD_BYTES
             if self._inflight_bytes + payload > self._window_bytes:
                 return  # window-limited; resumed by the next ACK
             if now < self._next_pace_time:
@@ -161,7 +165,7 @@ class RdmaFlow:
                         max(0.0, self._next_pace_time - now),
                         self._pace_fire)
                 return
-            if not self.port.data_queue_has_room(payload + 66):
+            if not self.port.data_queue_has_room(payload + HEADER_BYTES):
                 return  # NIC queue full; resumed by host on_space
             packet = make_data_packet(self.key, self._next_seq, payload, now)
             if packet.seq == 0:
@@ -203,7 +207,8 @@ class RdmaFlow:
         last = self.num_packets - 1
         while self._acked_packets <= ack_seq:
             seq = self._acked_packets
-            payload = self._last_payload if seq == last else self.mtu
+            payload = self._last_payload if seq == last \
+                else MTU_PAYLOAD_BYTES
             self._inflight_bytes = max(0, self._inflight_bytes - payload)
             self.stats.bytes_acked += payload
             self.stats.packets_acked += 1
@@ -308,8 +313,7 @@ class FlowReceiver:
         self.host.send_packet(ack)
 
     def _maybe_send_cnp(self, now: float) -> None:
-        if now - self._last_cnp_time < \
-                self.network.config.dcqcn.cnp_interval_ns:
+        if now - self._last_cnp_time < CNP_INTERVAL_NS:
             return
         self._last_cnp_time = now
         cnp = make_control_packet(

@@ -13,15 +13,15 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.units import Bytes, Nanoseconds
-from repro.simnet.dcqcn import DcqcnConfig
 from repro.simnet.engine import Simulator
 from repro.simnet.flow import RdmaFlow
 from repro.simnet.host import HostNode
 from repro.simnet.packet import (
+    MTU_PAYLOAD_BYTES,
     FlowKey,
     Packet,
     PacketKind,
@@ -32,34 +32,31 @@ from repro.simnet.pfc import PauseEvent, ResumeEvent
 from repro.simnet.port import EgressPort
 from repro.simnet.routing import EcmpRouting
 from repro.simnet.switch import SwitchNode
-from repro.simnet.telemetry import SwitchReport, TelemetryConfig
+from repro.simnet.telemetry import SwitchReport
 from repro.simnet.topology import NodeKind, Topology
 from repro.simnet.units import KB, ms, us
 
 ReportSink = Callable[[SwitchReport], None]
 
+#: the default sender window is this multiple of the estimated max BDP
+BDP_MULTIPLIER = 1.5
+#: cap on host NIC data queue (backpressures the sender transport)
+HOST_QUEUE_CAP_BYTES: Bytes = 512 * KB
+#: management-plane latency from switch controller to analyzer
+REPORT_DELAY_NS: Nanoseconds = us(10)
 
-@dataclass
+
+@dataclass(slots=True)
 class NetworkConfig:
-    """All data-plane knobs in one place."""
+    """The data-plane knobs a scenario, figure or example sets."""
 
-    mtu_payload_bytes: Bytes = 4096
     #: receiver coalescing: ACK every N data packets (and always the last)
     ack_every: int = 1
-    #: sender byte window; None = bdp_multiplier x estimated max BDP
+    #: sender byte window; None = BDP_MULTIPLIER x estimated max BDP
     window_bytes: Optional[Bytes] = None
-    bdp_multiplier: float = 1.5
     #: PFC ingress thresholds (shallow commodity buffers, §II-A)
     pfc_xoff_bytes: Bytes = 256 * KB
     pfc_xon_bytes: Bytes = 128 * KB
-    pause_quanta_ns: Nanoseconds = us(300)
-    #: ECN / RED marking at egress queues (drives DCQCN)
-    ecn_kmin_bytes: Bytes = 32 * KB
-    ecn_kmax_bytes: Bytes = 128 * KB
-    ecn_pmax: float = 0.25
-    dcqcn: DcqcnConfig = field(default_factory=DcqcnConfig)
-    #: cap on host NIC data queue (backpressures the sender transport)
-    host_queue_cap_bytes: Bytes = 512 * KB
     #: go-back-N retransmission timeout; None disables loss recovery
     rto_ns: Optional[Nanoseconds] = ms(20)
     seed: int = 1
@@ -70,11 +67,9 @@ class Network:
 
     def __init__(self, topology: Topology,
                  config: Optional[NetworkConfig] = None,
-                 telemetry_config: Optional[TelemetryConfig] = None,
                  sanitize: Optional[bool] = None) -> None:
         self.topology = topology
         self.config = config or NetworkConfig()
-        self.telemetry_config = telemetry_config or TelemetryConfig()
         self.sim = Simulator(sanitize=sanitize)
         self.rng = random.Random(self.config.seed)
         self.routing = EcmpRouting(topology, seed=self.config.seed)
@@ -133,7 +128,7 @@ class Network:
 
     def _make_port(self, node, index: int, link) -> EgressPort:
         is_host = isinstance(node, HostNode)
-        cap = self.config.host_queue_cap_bytes if is_host else None
+        cap = HOST_QUEUE_CAP_BYTES if is_host else None
         port = EgressPort(self.sim, node.node_id, index,
                           link.bandwidth_bps, link.delay_ns,
                           data_queue_cap_bytes=cap)
@@ -166,8 +161,7 @@ class Network:
             rtt_ns = 2 * max_hops * delay
             bdp = max_bw / 8.0 * rtt_ns / 1e9
             self._window_bytes_cache = max(
-                self.config.mtu_payload_bytes * 4,
-                int(self.config.bdp_multiplier * bdp))
+                MTU_PAYLOAD_BYTES * 4, int(BDP_MULTIPLIER * bdp))
         return self._window_bytes_cache
 
     def new_flow_key(self, src: str, dst: str) -> FlowKey:
@@ -224,7 +218,7 @@ class Network:
     def submit_report(self, report: SwitchReport) -> None:
         self.report_count += 1
         self.report_bytes += report.size_bytes
-        self.sim.post(self.telemetry_config.report_delay_ns,
+        self.sim.post(REPORT_DELAY_NS,
                       self._report_sink, report)
 
     def poll_flow(self, flow_key: FlowKey, origin: Optional[str] = None

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.simnet.packet import Packet
-from repro.simnet.pfc import PortRef
+from repro.simnet.pfc import PAUSE_QUANTA_NS, PortRef
 from repro.simnet.port import EgressPort
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,7 +55,7 @@ class Node:
             sanitizer.on_pause_delivered(self.node_id, port_id)
         port = self.ports.get(port_id)
         if port is not None:
-            port.pause(self.network.config.pause_quanta_ns)
+            port.pause(PAUSE_QUANTA_NS)
 
     def on_resume_frame(self, port_id: int, event) -> None:
         sanitizer = self.network.sim.sanitizer

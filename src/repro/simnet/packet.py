@@ -97,6 +97,9 @@ _packet_ids = itertools.count()
 #: Fixed header overhead applied to every packet (Ethernet+IP+UDP+BTH).
 HEADER_BYTES = 66
 
+#: Largest DATA payload one packet carries.
+MTU_PAYLOAD_BYTES = 4096
+
 #: Size of small control packets (ACK/CNP/PFC/poll/notify) on the wire.
 CONTROL_PACKET_BYTES = 64
 

@@ -19,9 +19,9 @@ from repro.simnet.units import us
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.network import Network
 
-#: Default pause duration one PAUSE frame imposes (roughly 65535 quanta of
+#: Pause duration one PAUSE frame imposes (roughly 65535 quanta of
 #: 512 bit-times at 100 Gbps ≈ 335 us; we round to a readable value).
-DEFAULT_PAUSE_QUANTA_NS = us(300)
+PAUSE_QUANTA_NS = us(300)
 
 
 class PortRef(NamedTuple):
@@ -105,7 +105,7 @@ class PfcStormInjector:
         self.start_ns = start_ns
         self.end_ns = start_ns + duration_ns
         self.refresh_ns = refresh_ns if refresh_ns is not None \
-            else DEFAULT_PAUSE_QUANTA_NS / 2
+            else PAUSE_QUANTA_NS / 2
         self.frames_sent = 0
         self._armed = False
 

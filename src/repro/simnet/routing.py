@@ -18,7 +18,7 @@ import zlib
 from typing import Optional
 
 from repro.core.units import Bytes, Nanoseconds
-from repro.simnet.packet import FlowKey
+from repro.simnet.packet import HEADER_BYTES, MTU_PAYLOAD_BYTES, FlowKey
 from repro.simnet.topology import Topology
 from repro.simnet.units import serialization_delay
 
@@ -177,7 +177,7 @@ class EcmpRouting:
 
     def base_rtt_ns(self, src: str, dst: str, flow: Optional[FlowKey] = None,
                     per_hop_delay_ns: Optional[Nanoseconds] = None,
-                    packet_bytes: Bytes = 4096 + 66,
+                    packet_bytes: Bytes = MTU_PAYLOAD_BYTES + HEADER_BYTES,
                     ack_bytes: Bytes = 64) -> Nanoseconds:
         """Unloaded round-trip estimate between two hosts.
 

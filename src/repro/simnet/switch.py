@@ -24,14 +24,29 @@ from repro.simnet.packet import (
     PacketKind,
     make_control_packet,
 )
-from repro.simnet.pfc import PauseEvent, PortRef, ResumeEvent
+from repro.simnet.pfc import (
+    PAUSE_QUANTA_NS,
+    PauseEvent,
+    PortRef,
+    ResumeEvent,
+)
 from repro.simnet.node import Node
 from repro.simnet.port import EgressPort
 from repro.simnet.routing import RoutingError
 from repro.simnet.telemetry import SwitchTelemetry
+from repro.simnet.units import KB
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.network import Network
+
+#: ECN / RED marking at egress queues (drives DCQCN): no mark at or
+#: below KMIN, a mark with probability rising to PMAX up to KMAX, and
+#: always a mark at or above KMAX
+ECN_KMIN_BYTES = 32 * KB
+ECN_KMAX_BYTES = 128 * KB
+ECN_PMAX = 0.25
+#: safety bound on PFC chase recursion
+MAX_CHASE_DEPTH = 16
 
 
 class SwitchNode(Node):
@@ -43,7 +58,7 @@ class SwitchNode(Node):
         # and never replaced, only mutated
         self._routing = network.routing
         self._cfg = network.config
-        self.telemetry = SwitchTelemetry(node_id, network.telemetry_config)
+        self.telemetry = SwitchTelemetry(node_id)
         #: bytes buffered in this switch per ingress port (PFC accounting)
         self.ingress_usage: dict[int, int] = {}
         #: ingress ports whose upstream we have paused
@@ -87,16 +102,14 @@ class SwitchNode(Node):
             if egress is None:
                 return
         if packet.priority is PRIO_DATA:
-            cfg = self._cfg
             qbytes = egress.data_queue_bytes
-            if qbytes > cfg.ecn_kmin_bytes and packet.ecn_capable \
-                    and cfg.ecn_kmax_bytes > 0:
+            if qbytes > ECN_KMIN_BYTES and packet.ecn_capable:
                 self._mark_ecn(packet, qbytes)
             # PFC ingress accounting
             usage = self.ingress_usage.get(ingress_port, 0) + packet.size
             self.ingress_usage[ingress_port] = usage
             self._pkt_ingress[packet.pkt_id] = ingress_port
-            if usage >= cfg.pfc_xoff_bytes:
+            if usage >= self._cfg.pfc_xoff_bytes:
                 self._pause_upstream(ingress_port, usage)
             self.telemetry.on_data_enqueue(
                 self.sim.now, egress.port_id, flow)
@@ -122,13 +135,12 @@ class SwitchNode(Node):
         return egress
 
     def _mark_ecn(self, packet: Packet, qbytes: int) -> None:
-        """RED marking for a queue already above ``ecn_kmin_bytes``."""
-        cfg = self._cfg
-        if qbytes >= cfg.ecn_kmax_bytes:
+        """RED marking for a queue already above ``ECN_KMIN_BYTES``."""
+        if qbytes >= ECN_KMAX_BYTES:
             packet.ecn_marked = True
             return
-        span = cfg.ecn_kmax_bytes - cfg.ecn_kmin_bytes
-        probability = cfg.ecn_pmax * (qbytes - cfg.ecn_kmin_bytes) / span
+        probability = ECN_PMAX * (qbytes - ECN_KMIN_BYTES) \
+            / (ECN_KMAX_BYTES - ECN_KMIN_BYTES)
         if self.network.rng.random() < probability:
             packet.ecn_marked = True
 
@@ -143,7 +155,7 @@ class SwitchNode(Node):
         if not self.upstream_paused.get(ingress_port):
             self.upstream_paused[ingress_port] = True
         elif now - self._last_pause_sent.get(ingress_port, -1e18) \
-                < self._cfg.pause_quanta_ns / 2:
+                < PAUSE_QUANTA_NS / 2:
             return
         self._last_pause_sent[ingress_port] = now
         self._send_pause(ingress_port, usage, genuine=True)
@@ -254,8 +266,7 @@ class SwitchNode(Node):
         report = self.telemetry.make_report(
             now, self.ports, scope_ports=scope or None, poll_id=poll_id)
         self.network.submit_report(report)
-        cfg = self.network.telemetry_config
-        if depth >= cfg.max_chase_depth:
+        if depth >= MAX_CHASE_DEPTH:
             return
         visited = visited | {self.node_id}
         downstreams: set[str] = set()

@@ -8,7 +8,7 @@ and sends it to the analyzer.
 
 Counters are *windowed*: the store keeps a current and a previous epoch
 and rotates lazily, so a report reflects roughly the last
-``2 * window_ns`` of activity — enough to cover the anomaly that
+``2 * WINDOW_NS`` of activity — enough to cover the anomaly that
 triggered the poll without dragging in the whole run's history.
 
 The queue-composition weights implement §III-D1's
@@ -27,25 +27,17 @@ from repro.simnet.packet import FlowKey
 from repro.simnet.pfc import PauseEvent, PauseLog
 from repro.simnet.units import ms, us
 
-
-@dataclass
-class TelemetryConfig:
-    """Sizing and timing knobs for the telemetry substrate."""
-
-    window_ns: Nanoseconds = ms(1)
-    #: how recent a pause must be for a poll to chase its sender
-    pause_recency_ns: Nanoseconds = us(600)
-    #: management-plane latency from switch controller to analyzer
-    report_delay_ns: Nanoseconds = us(10)
-    #: per-record wire sizes used for overhead accounting (bytes)
-    report_header_bytes: Bytes = 64
-    port_entry_bytes: Bytes = 16
-    flow_entry_bytes: Bytes = 32
-    pair_entry_bytes: Bytes = 24
-    meter_entry_bytes: Bytes = 12
-    pause_entry_bytes: Bytes = 16
-    #: safety bound on PFC chase recursion
-    max_chase_depth: int = 16
+#: counter epoch; a report sees between one and two of them
+WINDOW_NS: Nanoseconds = ms(1)
+#: how recent a pause must be for a poll to chase its sender
+PAUSE_RECENCY_NS: Nanoseconds = us(600)
+#: per-record wire sizes used for overhead accounting
+REPORT_HEADER_BYTES: Bytes = 64
+PORT_ENTRY_BYTES: Bytes = 16
+FLOW_ENTRY_BYTES: Bytes = 32
+PAIR_ENTRY_BYTES: Bytes = 24
+METER_ENTRY_BYTES: Bytes = 12
+PAUSE_ENTRY_BYTES: Bytes = 16
 
 
 class WindowedCounter:
@@ -208,12 +200,11 @@ class SwitchReport:
 class SwitchTelemetry:
     """Telemetry store attached to one switch."""
 
-    def __init__(self, switch_id: str, config: TelemetryConfig) -> None:
+    def __init__(self, switch_id: str) -> None:
         self.switch_id = switch_id
-        self.config = config
-        self._flow_pkts = WindowedGroupCounter(config.window_ns)    # port -> flow
-        self._wait_weights = WindowedGroupCounter(config.window_ns)  # port -> (fi, fj)
-        self._port_meters = WindowedCounter(config.window_ns)       # (in, out)
+        self._flow_pkts = WindowedGroupCounter(WINDOW_NS)     # port -> flow
+        self._wait_weights = WindowedGroupCounter(WINDOW_NS)  # port -> fi, fj
+        self._port_meters = WindowedCounter(WINDOW_NS)        # (in, out)
         self._ttl_drops: dict[FlowKey, int] = {}
         self.pause_log = PauseLog()
         #: live per-port, per-flow in-queue packet counts
@@ -274,7 +265,7 @@ class SwitchTelemetry:
         and pause state).
         """
         if pause_since is None:
-            pause_since = now - self.config.pause_recency_ns
+            pause_since = now - PAUSE_RECENCY_NS
         meters = self._port_meters.snapshot(now)
 
         selected = sorted(scope_ports) if scope_ports is not None \
@@ -319,24 +310,23 @@ class SwitchTelemetry:
         return report
 
     def _report_size(self, report: SwitchReport) -> int:
-        cfg = self.config
-        size = cfg.report_header_bytes
+        size = REPORT_HEADER_BYTES
         for entry in report.ports:
-            size += cfg.port_entry_bytes
-            size += cfg.flow_entry_bytes * (len(entry.flow_pkts)
-                                            + len(entry.inqueue_flow_pkts))
-            size += cfg.pair_entry_bytes * len(entry.wait_weights)
-        size += cfg.meter_entry_bytes * len(report.port_meters)
-        size += cfg.pause_entry_bytes * (len(report.pause_received)
-                                         + len(report.pause_sent))
-        size += cfg.flow_entry_bytes * len(report.ttl_drops)
+            size += PORT_ENTRY_BYTES
+            size += FLOW_ENTRY_BYTES * (len(entry.flow_pkts)
+                                        + len(entry.inqueue_flow_pkts))
+            size += PAIR_ENTRY_BYTES * len(entry.wait_weights)
+        size += METER_ENTRY_BYTES * len(report.port_meters)
+        size += PAUSE_ENTRY_BYTES * (len(report.pause_received)
+                                     + len(report.pause_sent))
+        size += FLOW_ENTRY_BYTES * len(report.ttl_drops)
         return size
 
     def recent_pauses_on_port(self, now: Nanoseconds,
                               port: int) -> list[PauseEvent]:
         """Pause frames that halted local egress ``port`` recently —
         the trigger for chasing the PFC spreading path."""
-        since = now - self.config.pause_recency_ns
+        since = now - PAUSE_RECENCY_NS
         return self.pause_log.pauses_received_since(port, since)
 
     def egress_ports_fed_by(self, now: Nanoseconds, ingress_port: int) -> list[int]:

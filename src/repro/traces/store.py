@@ -192,12 +192,9 @@ def load_trace(path: Union[str, Path],
     )
 
 
-def analyze_trace(trace: Trace,
-                  slowdown_factor: float = 1.5) -> VedrfolnirDiagnosis:
+def analyze_trace(trace: Trace) -> VedrfolnirDiagnosis:
     """Run the full §III-D analysis over a loaded trace."""
-    analyzer = VedrfolnirAnalyzer(
-        pfc_xoff_bytes=trace.pfc_xoff_bytes,
-        slowdown_factor=slowdown_factor)
+    analyzer = VedrfolnirAnalyzer(pfc_xoff_bytes=trace.pfc_xoff_bytes)
     for record in trace.step_records:
         analyzer.add_step_record(record)
     for report in trace.reports:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.hawkeye import HawkeyeConfig, HawkeyeSystem
+from repro.baselines.hawkeye import HawkeyeSystem
 from repro.collective.ring import ring_allgather
 from repro.collective.runtime import CollectiveRuntime
 from repro.simnet.network import Network
@@ -14,10 +14,10 @@ from repro.simnet.units import ms
 NODES = ["h0", "h1", "h4", "h8"]
 
 
-def run_hawkeye(mode="max", background=(), chunk=200_000, **cfg):
+def run_hawkeye(mode="max", background=(), chunk=200_000):
     net = Network(build_fat_tree(4))
     runtime = CollectiveRuntime(net, ring_allgather(NODES, chunk))
-    system = HawkeyeSystem(HawkeyeConfig(mode=mode, **cfg))
+    system = HawkeyeSystem(mode)
     system.attach(net, runtime)
     runtime.start()
     for src, dst, size in background:
@@ -29,12 +29,12 @@ def run_hawkeye(mode="max", background=(), chunk=200_000, **cfg):
 
 def test_mode_validation():
     with pytest.raises(ValueError):
-        HawkeyeConfig(mode="median")
+        HawkeyeSystem("median")
 
 
 def test_name_reflects_mode():
-    assert HawkeyeSystem(HawkeyeConfig(mode="max")).name == "hawkeye-maxr"
-    assert HawkeyeSystem(HawkeyeConfig(mode="min")).name == "hawkeye-minr"
+    assert HawkeyeSystem("max").name == "hawkeye-maxr"
+    assert HawkeyeSystem("min").name == "hawkeye-minr"
 
 
 def test_fixed_threshold_max_exceeds_min():
@@ -46,11 +46,10 @@ def test_fixed_threshold_max_exceeds_min():
 def test_threshold_is_120pct_of_extreme_base_rtt():
     net = Network(build_fat_tree(4))
     runtime = CollectiveRuntime(net, ring_allgather(NODES, 200_000))
-    system = HawkeyeSystem(HawkeyeConfig(mode="max"))
+    system = HawkeyeSystem("max")
     system.attach(net, runtime)
-    rtts = [net.routing.base_rtt_ns(
-        s.node, s.peer, packet_bytes=net.config.mtu_payload_bytes + 66)
-        for s in runtime.schedule.all_steps()]
+    rtts = [net.routing.base_rtt_ns(s.node, s.peer)
+            for s in runtime.schedule.all_steps()]
     assert system.threshold_ns == pytest.approx(1.2 * max(rtts))
 
 
@@ -96,7 +95,7 @@ def test_no_stall_detection_under_full_halt():
     sent, and thus no detection is triggered' for Hawkeye."""
     net = Network(build_fat_tree(4))
     runtime = CollectiveRuntime(net, ring_allgather(NODES, 200_000))
-    system = HawkeyeSystem(HawkeyeConfig(mode="max"))
+    system = HawkeyeSystem("max")
     system.attach(net, runtime)
     runtime.start()
     # halt h0's NIC before any data leaves, for a long stretch

@@ -265,9 +265,8 @@ def test_rpr025_catches_unbounded_supervisor_crashes(tmp_path):
     """Drop the eviction ``Supervisor.crashes`` gained when this rule
     first ran, and the rule must flag the list again."""
     source = (REPO_ROOT / "src/repro/live/supervisor.py").read_text()
-    eviction = """                if len(self.crashes) > self.policy.max_crash_records:
-                    del self.crashes[
-                        :-self.policy.max_crash_records]
+    eviction = """                if len(self.crashes) > MAX_CRASH_RECORDS:
+                    del self.crashes[:-MAX_CRASH_RECORDS]
 """
     assert eviction in source, "crash-record eviction moved; update test"
     target = tmp_path / "live" / "supervisor.py"

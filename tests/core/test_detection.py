@@ -96,8 +96,7 @@ def test_threshold_recomputed_per_step():
     net.run_until_quiet(max_time=ms(100))
     step = runtime.schedule.step("h0", 0)
     expected = 1.2 * net.routing.base_rtt_ns(
-        "h0", step.peer, flow=runtime.flow_keys[("h0", 0)],
-        packet_bytes=net.config.mtu_payload_bytes + 66)
+        "h0", step.peer, flow=runtime.flow_keys[("h0", 0)])
     assert agent.threshold_ns == pytest.approx(expected)
 
 
@@ -189,7 +188,7 @@ def test_stall_detection_fires_when_flow_is_halted():
     can notice (no ACKs arrive)."""
     net = Network(build_fat_tree(4))
     runtime = CollectiveRuntime(net, ring_allgather(NODES, 200_000))
-    agents = deploy(net, runtime, stall_detection=True)
+    agents = deploy(net, runtime)
     runtime.start()
     # pause h0's NIC for 2 ms shortly after start
     net.sim.schedule(us(20), net.hosts["h0"].ports[0].pause, ms(2))
@@ -197,12 +196,3 @@ def test_stall_detection_fires_when_flow_is_halted():
     stall_triggers = [t for t in agents["h0"].triggers if t.stall]
     assert stall_triggers, "stalled flow should trigger detection"
 
-
-def test_stall_detection_disabled():
-    net = Network(build_fat_tree(4))
-    runtime = CollectiveRuntime(net, ring_allgather(NODES, 200_000))
-    agents = deploy(net, runtime, stall_detection=False)
-    runtime.start()
-    net.sim.schedule(us(20), net.hosts["h0"].ports[0].pause, ms(2))
-    net.run_until_quiet(max_time=ms(100))
-    assert not any(t.stall for a in agents.values() for t in a.triggers)

@@ -211,7 +211,7 @@ def test_live_path_never_draws_the_fig4_view(monkeypatch):
     records.sort(key=lambda r: r.end_time)
     pipeline = LivePipeline(
         schedule, {}, {}, 262_144,
-        config=PipelineConfig(snapshot_every=8, prune_interval=4))
+        config=PipelineConfig(snapshot_every=8))
     for record in records:
         pipeline.publish(TraceEvent("step_record", record.end_time,
                                     record, line_no=0))

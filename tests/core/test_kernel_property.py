@@ -5,8 +5,8 @@ only when its window's slice of reports changed; the reference below is
 the algorithm as it was written before that — ``build_provenance`` over
 everything seen so far, one filtered rebuild per step window, Eq. 3 by
 the book — recomputed at *every* rolling snapshot of the four paper
-scenarios, on clean, duplicated and (within the lateness bound)
-reordered streams and across one checkpoint round-trip.  Equality is
+scenarios, on clean, duplicated and reordered (late events discarded)
+streams and across one checkpoint round-trip.  Equality is
 byte equality of ``canonical_json`` with every contributor listed, so
 dict insertion order (float summation order) is pinned too.
 """
@@ -20,8 +20,8 @@ import pytest
 
 from repro.anomalies.scenarios import SCENARIOS, ScenarioConfig, make_cases
 from repro.chaos import _duplicated, _reordered
-from repro.core.analyzer import (DiagnosisKernel, StepTiming,
-                                 VedrfolnirAnalyzer)
+from repro.core.analyzer import (SLOWDOWN_FACTOR, DiagnosisKernel,
+                                 StepTiming, VedrfolnirAnalyzer)
 from repro.core.diagnosis import DiagnosisResult, diagnose
 from repro.core.provenance import build_provenance
 from repro.core.rating import contribution_to_flow
@@ -84,8 +84,7 @@ def reference_snapshot(pipeline: LivePipeline, snapshot):
             critical_flow_keys[idx] = flow_key
     bottlenecks = sorted(
         idx for idx, t in exec_times.items()
-        if t > pipeline.config.slowdown_factor
-        * expect_times.get(idx, float("inf")))
+        if t > SLOWDOWN_FACTOR * expect_times.get(idx, float("inf")))
     _overall, result, _graphs, scores = reference_tail(
         list(pipeline.reports), pipeline.collective_flow_keys,
         pipeline.pfc_xoff_bytes, graph.windows, critical_flow_keys,
@@ -137,10 +136,9 @@ def drive(pipeline: LivePipeline, events) -> LivePipeline:
     return pipeline
 
 
-def rolling(header, log: list, **config) -> LivePipeline:
+def rolling(header, log: list) -> LivePipeline:
     return checked(LivePipeline.from_header(
-        header, PipelineConfig(snapshot_every=9, pump_batch=16,
-                               **config)), log)
+        header, PipelineConfig(snapshot_every=9)), log)
 
 
 def test_every_rolling_snapshot_equals_from_scratch(trace_path):
@@ -162,19 +160,13 @@ def test_duplicated_stream(trace_path):
     assert len(log) == len(pipeline.snapshots)
 
 
-def test_reordered_within_lateness_stream(trace_path):
+def test_reordered_stream_discards_late_events(trace_path):
     events = list(_reordered(trace_events(trace_path), 6,
                              random.Random(11)))
-    newest, lateness = float("-inf"), 0.0
-    for event in events:
-        newest = max(newest, event.time)
-        lateness = max(lateness, newest - event.time)
-    assert lateness > 0
     log: list = []
-    pipeline = drive(rolling(read_header(trace_path), log,
-                             lateness_bound_ns=lateness), events)
+    pipeline = drive(rolling(read_header(trace_path), log), events)
     final = pipeline.finish()
-    assert final.counters["late_discarded"] == 0
+    assert final.counters["late_discarded"] > 0
     assert len(log) == len(pipeline.snapshots) > 3
 
 
@@ -191,10 +183,10 @@ def test_checkpoint_round_trip_mid_stream(trace_path, tmp_path):
     manager = CheckpointManager(tmp_path)
 
     def resume() -> tuple:
-        # configured like ``rolling``, so it pumps the same batches
+        # configured like ``rolling``
         return resume_or_create(
             header, manager, lambda _p: events,
-            config=PipelineConfig(snapshot_every=9, pump_batch=16))
+            config=PipelineConfig(snapshot_every=9))
 
     first, _ = resume()
     checked(first.pipeline, resumed)

@@ -27,18 +27,23 @@ class FakeClock:
 # ----------------------------------------------------------------------
 # RetryPolicy
 # ----------------------------------------------------------------------
+def schedule(base: float, cap: float, seed: int, attempts: int):
+    """The backoff formula, spelled out: doubling from ``base``, 10 %
+    uniform jitter on top, capped at ``cap``."""
+    shadow = random.Random(seed)
+    delays = []
+    for attempt in range(attempts):
+        raw = base * 2.0 ** attempt
+        delays.append(min(raw + raw * 0.1 * shadow.random(), cap))
+    return delays
+
+
 def test_delay_formula_is_capped_exponential_with_jitter():
-    policy = RetryPolicy(base_delay_s=0.1, factor=2.0, max_delay_s=1.0,
-                         jitter_frac=0.5, seed=3)
+    policy = RetryPolicy(base_delay_s=0.1, max_delay_s=1.0, seed=3)
     # with a caller-owned rng the stream is exactly reproducible
     rng = random.Random(3)
     delays = [policy.delay_s(a, rng) for a in range(8)]
-    shadow = random.Random(3)
-    expected = []
-    for attempt in range(8):
-        raw = 0.1 * 2.0 ** attempt
-        expected.append(min(raw + raw * 0.5 * shadow.random(), 1.0))
-    assert delays == expected
+    assert delays == schedule(0.1, 1.0, 3, 8)
     assert delays[-1] == 1.0  # cap reached, jitter included
 
 
@@ -48,16 +53,13 @@ def test_default_rng_restarts_the_jitter_stream():
 
 
 def test_supervisor_backoff_is_bit_identical_to_retry_policy():
-    """The supervisor's historical restart schedule survives its
-    delegation to RetryPolicy: same seed, same delays, bit for bit."""
-    restart = RestartPolicy(backoff_base_s=0.25, backoff_factor=2.0,
-                            backoff_cap_s=4.0, jitter_frac=0.2,
-                            seed=21)
+    """The supervisor's restart schedule is its RetryPolicy's formula
+    on one seeded stream across restarts, bit for bit."""
+    restart = RestartPolicy(backoff=RetryPolicy(
+        base_delay_s=0.25, max_delay_s=4.0, seed=21))
     supervisor = Supervisor(lambda attempt: None, policy=restart)
-    rng = random.Random(21)
-    expected = [restart.retry_policy().delay_s(a, rng)
-                for a in range(6)]
-    assert [supervisor.backoff_delay(a) for a in range(6)] == expected
+    assert [supervisor.backoff_delay(a) for a in range(6)] \
+        == schedule(0.25, 4.0, 21, 6)
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +122,8 @@ def flaky(failures: int, error=OSError):
 
 
 def test_retry_succeeds_and_sleeps_the_policy_schedule():
-    policy = RetryPolicy(max_attempts=5, base_delay_s=0.1, factor=2.0,
-                         max_delay_s=10.0, jitter_frac=0.0, seed=0)
+    policy = RetryPolicy(max_attempts=5, base_delay_s=0.1,
+                         max_delay_s=10.0, seed=0)
     slept = []
     observed = []
     result = call_with_retry(
@@ -129,14 +131,15 @@ def test_retry_succeeds_and_sleeps_the_policy_schedule():
         on_retry=lambda attempt, error, delay:
         observed.append((attempt, str(error), delay)))
     assert result == 4
-    assert slept == [0.1, 0.2, 0.4]
-    assert [(a, d) for a, _, d in observed] == [
-        (1, 0.1), (2, 0.2), (3, 0.4)]
+    expected = schedule(0.1, 10.0, 0, 3)
+    assert slept == expected
+    assert [(a, d) for a, _, d in observed] == list(
+        zip((1, 2, 3), expected))
     assert observed[0][1] == "boom 1"
 
 
 def test_retry_reraises_once_attempts_run_out():
-    policy = RetryPolicy(max_attempts=3, jitter_frac=0.0)
+    policy = RetryPolicy(max_attempts=3)
     slept = []
     fn = flaky(99)
     with pytest.raises(OSError, match="boom 3"):
@@ -176,8 +179,7 @@ def test_open_breaker_rejects_without_calling():
 def test_breaker_records_outcomes_through_call_with_retry():
     clock = FakeClock()
     breaker = CircuitBreaker(failure_threshold=10, clock=clock)
-    policy = RetryPolicy(max_attempts=5, jitter_frac=0.0,
-                         base_delay_s=0.0)
+    policy = RetryPolicy(max_attempts=5, base_delay_s=0.0)
     call_with_retry(flaky(2), policy=policy, breaker=breaker,
                     sleep=lambda _s: None)
     assert breaker.state == CircuitBreaker.CLOSED

@@ -122,11 +122,10 @@ def test_default_bandwidth_is_100gbps():
 
 
 def test_hawkeye_retention_is_50us():
-    from repro.baselines.hawkeye import HawkeyeConfig
+    from repro.baselines.hawkeye import RETENTION_NS
     from repro.simnet.units import us
 
-    assert HawkeyeConfig().retention_ns == us(50) \
-        == us_to_ns(Microseconds(50))
+    assert RETENTION_NS == us(50) == us_to_ns(Microseconds(50))
 
 
 def test_base_rtt_serialization_term_uses_checked_helper():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -69,21 +70,43 @@ def test_cache_key_separates_systems_and_extras():
 
 
 def test_fingerprint_hashes_network_config_values():
-    def fatter_window():
-        from repro.simnet.network import NetworkConfig
-
-        return NetworkConfig(bdp_multiplier=3.0)
-
-    plain = TINY
-    custom = ScenarioConfig(scale=0.001,
-                            network_config_factory=fatter_window)
-    assert config_fingerprint(plain) != config_fingerprint(custom)
-    # two factories producing equal configs share a fingerprint
     from repro.simnet.network import NetworkConfig
 
-    clone = ScenarioConfig(scale=0.001,
-                           network_config_factory=lambda: NetworkConfig())
-    assert config_fingerprint(plain) == config_fingerprint(clone)
+    fingerprint = config_fingerprint(TINY)
+    assert fingerprint["network"] == dataclasses.asdict(NetworkConfig())
+    assert fingerprint["network"]["pfc_xoff_bytes"] == 256_000
+    # equal configs share a fingerprint; any knob separates them
+    assert config_fingerprint(ScenarioConfig(scale=0.001)) == fingerprint
+    assert config_fingerprint(ScenarioConfig(scale=0.001,
+                                             fat_tree_k=6)) != fingerprint
+
+
+def test_fingerprint_names_every_simnet_constant():
+    """The figure benches replay cached results: the key covers every
+    number a simulator module defines at module level under an
+    UPPER_CASE name, each by ``module.NAME`` with its value."""
+    import ast
+    import importlib
+
+    import repro.simnet
+
+    fingerprint = config_fingerprint(TINY)["simnet"]
+    defined = 0
+    for path in sorted(Path(repro.simnet.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"repro.simnet.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target] if isinstance(node, ast.AnnAssign) \
+                else []
+            for name in (t.id for t in targets if isinstance(t, ast.Name)):
+                value = getattr(module, name)
+                if name.isupper() and type(value) in (int, float):
+                    defined += 1
+                    assert fingerprint[f"{module.__name__}.{name}"] == value
+    assert defined >= 24
+    assert fingerprint["repro.simnet.pfc.PAUSE_QUANTA_NS"] == 300_000
+    assert fingerprint["repro.simnet.telemetry.WINDOW_NS"] == 1_000_000
+    assert fingerprint["repro.simnet.packet.HEADER_BYTES"] == 66
 
 
 # ----------------------------------------------------------------------
@@ -166,26 +189,6 @@ def test_parallel_matrix_populates_and_replays_cache(tmp_path):
     assert cache.hits == 2
     assert [result_to_dict(r) for r in warm] \
         == [result_to_dict(r) for r in cold]
-
-
-def test_custom_network_config_runs_in_parent(tmp_path):
-    def custom():
-        from repro.simnet.network import NetworkConfig
-
-        return NetworkConfig(ack_every=2)
-
-    cfg = ScenarioConfig(scale=0.001, network_config_factory=custom)
-    cases = make_cases("flow_contention", 1, cfg)
-    cache = ResultCache(tmp_path)
-    # an unpicklable case must still run (serially) and still cache
-    results = run_matrix_parallel(cases, ("vedrfolnir",),
-                                  max_workers=4, cache=cache)
-    assert len(results) == 1
-    assert cache.misses == 1
-    replay = run_matrix_parallel(cases, ("vedrfolnir",),
-                                 max_workers=4, cache=cache)
-    assert cache.hits == 1
-    assert result_to_dict(replay[0]) == result_to_dict(results[0])
 
 
 # ----------------------------------------------------------------------

@@ -166,8 +166,7 @@ def test_sigkilled_fleet_recovers_bit_equal(trace_path, tmp_path):
         shards=2,
         policy=TenantPolicy(snapshot_every=32, checkpoint_every=64),
         batch_events=64, merge_every_rounds=2)
-    plan = FleetChaosPlan(seed=7, kills=1, kill_event_frac=0.5,
-                          corrupt_checkpoint=True)
+    plan = FleetChaosPlan(seed=7, kills=1, corrupt_checkpoint=True)
     report = run_fleet_chaos(tenants, tmp_path / "chaos", plan,
                              config=config,
                              restart_policy=default_restart_policy(7))
@@ -202,7 +201,7 @@ def test_transport_chaos_goes_degraded_then_recovers_bit_equal(
         shards=2,
         policy=TenantPolicy(snapshot_every=32, checkpoint_every=64),
         batch_events=64, merge_every_rounds=2)
-    plan = FleetChaosPlan(seed=7, kills=1, kill_event_frac=0.5,
+    plan = FleetChaosPlan(seed=7, kills=1,
                           transport=True, net_drop=0.05,
                           net_garble=0.05, net_resets=2,
                           stall_heartbeats=0.2)

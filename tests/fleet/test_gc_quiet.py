@@ -25,6 +25,7 @@ from repro.fleet.sharding import TenantSpec
 from repro.fleet.tenancy import TenantPolicy, TenantRuntime
 from repro.fleet.transport import ReportListener
 from repro.live import LivePipeline, PipelineConfig
+from repro.live.pipeline import PUMP_BATCH
 from repro.traces import open_trace, read_header, write_columnar
 
 
@@ -129,10 +130,10 @@ def test_a_pipeline_is_freed_by_refcount(trace_path, trace_events):
     def replay_and_drop() -> None:
         # no explicit pump: every batch is pumped from inside publish
         pipeline = LivePipeline.from_header(
-            header, PipelineConfig(pump_batch=4, snapshot_every=32))
+            header, PipelineConfig(snapshot_every=32))
         for event in events:
             pipeline.publish(event)
-        assert pipeline.bus.stats.consumed > 4
+        assert pipeline.bus.stats.consumed >= PUMP_BATCH
         assert pipeline.finish().final
 
     assert cyclic_garbage(replay_and_drop) == {}

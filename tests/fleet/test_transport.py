@@ -326,8 +326,7 @@ def test_publisher_falls_back_when_listener_is_gone():
     endpoint = ["127.0.0.1", blocker.getsockname()[1]]
     publisher = ReportPublisher(
         endpoint, 4,
-        retry=RetryPolicy(max_attempts=2, base_delay_s=0.0,
-                          jitter_frac=0.0, seed=4),
+        retry=RetryPolicy(max_attempts=2, base_delay_s=0.0, seed=4),
         breaker=CircuitBreaker(failure_threshold=2,
                                reset_after_s=60.0),
         connect_timeout_s=0.2, sleep=lambda _s: None)

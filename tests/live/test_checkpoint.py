@@ -153,12 +153,12 @@ def test_checksum_guards_state_tamper(tmp_path):
 
 
 def test_retention_keeps_last_k(tmp_path):
-    manager = CheckpointManager(
-        tmp_path, CheckpointPolicy(retain=2))
-    for published in (1, 2, 3, 4):
+    manager = CheckpointManager(tmp_path)
+    for published in (1, 2, 3, 4, 5):
         manager.save(make_state(published))
     names = [p.name for p in manager.snapshot_paths()]
-    assert names == ["ckpt-0000000003.json", "ckpt-0000000004.json"]
+    assert names == ["ckpt-0000000003.json", "ckpt-0000000004.json",
+                     "ckpt-0000000005.json"]
     assert manager.pruned == 2
 
 
@@ -183,7 +183,7 @@ def test_a_cold_start_keeps_its_own_checkpoints(trace_path, tmp_path):
     resumed at the dead run's end.  The start discards what lies
     above it."""
     header = read_header(trace_path)
-    policy = CheckpointPolicy(interval_events=32, retain=3)
+    policy = CheckpointPolicy(interval_events=32)
     earlier, _ = resume_or_create(
         header, CheckpointManager(tmp_path, policy), events_of(trace_path))
     earlier.run()
@@ -349,16 +349,24 @@ def test_checkpoints_follow_the_cadence_and_hold_only_the_state(
     plain = LivePipeline.from_header(header)
     TraceReplayer(plain, iter(events)).run()
 
-    manager = CheckpointManager(tmp_path, CheckpointPolicy(
-        interval_events=64, retain=len(events)))
+    manager = CheckpointManager(tmp_path,
+                                CheckpointPolicy(interval_events=64))
+    sizes = []
+    save = manager.save
+
+    def sized_save(state):
+        path = save(state)
+        sizes.append(path.stat().st_size)
+        return path
+
+    manager.save = sized_save
     pipeline = LivePipeline.from_header(header)
     TraceReplayer(pipeline, iter(events), manager).run()
     assert pipeline.counters() == plain.counters()
     # ten full intervals of 64, then the final flush of the last 3
     assert len(events) == 643
-    assert manager.written == len(manager.snapshot_paths()) == 11
-    for path in manager.snapshot_paths():
-        assert path.stat().st_size <= MAX_CHECKPOINT_BYTES, path.name
+    assert manager.written == len(sizes) == 11
+    assert max(sizes) <= MAX_CHECKPOINT_BYTES
 
 
 def test_resume_or_create_fresh_skips_checkpoints(trace_path,
@@ -443,47 +451,59 @@ def test_cross_format_resume(trace_path, tmp_path, resume_format):
 
 
 # ----------------------------------------------------------------------
-# two checkpoint documents, both 95 events into the golden incast trace
-# under FIXTURE_CONFIG.  OLD_FIXTURE (checkpoint_incast_case0.json) was
-# written when a checkpoint held the whole pipeline state and the
-# cursor carried JSONL byte offsets (``cursor.positions``): it must
-# still resume, its extra keys ignored.  FIXTURE is what the pipeline
-# writes today: the cursor and five counters.
+# two checkpoint documents, both 65 events into the golden pfc_storm
+# trace under FIXTURE_CONFIG: the pump at 64 events has pruned records,
+# and one event waits on the bus.  OLD_FIXTURE
+# (checkpoint_pfc_storm_case0.json) was written when a checkpoint held
+# the whole pipeline state and the cursor carried JSONL byte offsets
+# (``cursor.positions``): it must still resume, its extra keys ignored.
+# FIXTURE is what the pipeline writes today: the cursor and five
+# counters.
 # ----------------------------------------------------------------------
 OLD_FIXTURE = Path(__file__).parent.parent / "fixtures" \
-    / "checkpoint_incast_case0.json"
-FIXTURE = OLD_FIXTURE.with_name("checkpoint_incast_case0_counts.json")
-FIXTURE_CUT = 95
-FIXTURE_CONFIG = dict(snapshot_every=16, prune_interval=2, pump_batch=2,
-                      lateness_bound_ns=5000.0)
+    / "checkpoint_pfc_storm_case0.json"
+FIXTURE = OLD_FIXTURE.with_name("checkpoint_pfc_storm_case0_counts.json")
+FIXTURE_CUT = 65
+FIXTURE_CONFIG = dict(snapshot_every=16)
+
+
+def golden_trace(tmp_path_factory, scenario: str) -> Path:
+    """The golden capture of ``scenario``'s first case, checked
+    against its pinned digest."""
+    from repro.perf.golden import golden_anomaly
+
+    tmp = tmp_path_factory.mktemp(scenario)
+    digests = json.loads(
+        (FIXTURE.with_name("golden_digests.json")).read_text())
+    assert golden_anomaly(scenario, tmp)["trace_sha256"] \
+        == digests[f"{scenario}_case0"]["trace_sha256"]
+    return tmp / f"{scenario}.jsonl"
+
+
+@pytest.fixture(scope="module")
+def golden_storm_path(tmp_path_factory):
+    return golden_trace(tmp_path_factory, "pfc_storm")
 
 
 @pytest.fixture(scope="module")
 def golden_incast_path(tmp_path_factory):
-    from repro.perf.golden import golden_anomaly
-
-    tmp = tmp_path_factory.mktemp("golden")
-    digests = json.loads(
-        (FIXTURE.with_name("golden_digests.json")).read_text())
-    assert golden_anomaly("incast", tmp)["trace_sha256"] \
-        == digests["incast_case0"]["trace_sha256"]
-    return tmp / "incast.jsonl"
+    return golden_trace(tmp_path_factory, "incast")
 
 
 def test_checkpoint_document_is_byte_identical_to_the_fixture(
-        golden_incast_path, tmp_path):
+        golden_storm_path, tmp_path):
     pipeline = LivePipeline.from_header(
-        read_header(golden_incast_path), PipelineConfig(**FIXTURE_CONFIG))
+        read_header(golden_storm_path), PipelineConfig(**FIXTURE_CONFIG))
     replayer = TraceReplayer(
         pipeline,
-        itertools.islice(trace_events(golden_incast_path), FIXTURE_CUT),
+        itertools.islice(trace_events(golden_storm_path), FIXTURE_CUT),
         CheckpointManager(tmp_path))
     replayer.run(finish=False)
     counters = pipeline.counters()
     # the cut is worth pinning: pruned and retained records, steps
-    # still expected, an event on the bus and one under the watermark
+    # still expected, and an event published but still on the bus
     assert counters["graph_pruned"] > 0 < counters["graph_retained"]
-    assert counters["bus_depth"] > 0 < counters["watermark_buffered"]
+    assert counters["bus_depth"] > 0
     written = replayer.checkpoint()
     assert written.name == f"ckpt-{FIXTURE_CUT:010d}.json"
     assert written.read_bytes() == FIXTURE.read_bytes()
@@ -500,18 +520,18 @@ def test_the_fixture_is_the_old_state_restricted_to_the_kept_keys():
 
 @pytest.mark.parametrize("resume_format", ["jsonl", "columnar"])
 def test_fixture_checkpoint_resumes_to_the_uninterrupted_verdict(
-        golden_incast_path, tmp_path, resume_format):
-    header = read_header(golden_incast_path)
+        golden_storm_path, tmp_path, resume_format):
+    header = read_header(golden_storm_path)
     config = PipelineConfig(**FIXTURE_CONFIG)
     expected = TraceReplayer(
         LivePipeline.from_header(header, config),
-        trace_events(golden_incast_path)).run()
+        trace_events(golden_storm_path)).run()
 
     shutil.copy(OLD_FIXTURE,
                 tmp_path / f"ckpt-{FIXTURE_CUT:010d}.json")
     manager = CheckpointManager(tmp_path)
-    resume_path = golden_incast_path if resume_format == "jsonl" \
-        else write_columnar(golden_incast_path, tmp_path / "run.vcol")
+    resume_path = golden_storm_path if resume_format == "jsonl" \
+        else write_columnar(golden_storm_path, tmp_path / "run.vcol")
     resumed, was_resumed = resume_or_create(
         header, manager, events_of(resume_path), config=config)
     assert was_resumed and resumed.published == FIXTURE_CUT
@@ -628,11 +648,11 @@ def checksummed(state) -> str:
         "state": state, "version": CHECKPOINT_VERSION})
 
 
-def resume_from(incast, newest, older_good: bool):
+def resume_from(storm, newest, older_good: bool):
     """resume_or_create over a directory whose newest snapshot holds
     ``newest`` (text or bytes), above the fixture snapshot if
     ``older_good``; returns its answer and the manager."""
-    header, events = incast
+    header, events = storm
     with tempfile.TemporaryDirectory() as directory:
         if older_good:
             shutil.copy(FIXTURE, Path(directory)
@@ -660,9 +680,9 @@ def assert_resumed_or_cold(answer, manager, older_good: bool) -> None:
 
 
 @pytest.fixture(scope="module")
-def incast(golden_incast_path):
-    return (read_header(golden_incast_path),
-            list(trace_events(golden_incast_path)))
+def storm(golden_storm_path):
+    return (read_header(golden_storm_path),
+            list(trace_events(golden_storm_path)))
 
 
 @pytest.mark.parametrize("older_good", [False, True],
@@ -671,8 +691,8 @@ def incast(golden_incast_path):
     {}, {"cursor": {"published": 3}}, {"cursor": []},
     {"kernel": 1, "cursor": {}}], ids=repr)
 def test_a_state_of_the_wrong_shape_counts_as_corrupt(
-        incast, state, older_good):
-    answer, manager = resume_from(incast, checksummed(state),
+        storm, state, older_good):
+    answer, manager = resume_from(storm, checksummed(state),
                                   older_good)
     assert manager.corrupt_skipped == 1
     assert_resumed_or_cold(answer, manager, older_good)
@@ -699,18 +719,18 @@ INCONSISTENT = {
 @pytest.mark.parametrize("state", INCONSISTENT.values(),
                          ids=INCONSISTENT.keys())
 def test_an_inconsistent_state_starts_cold_to_the_same_verdict(
-        golden_incast_path, tmp_path, state):
-    header = read_header(golden_incast_path)
+        golden_storm_path, tmp_path, state):
+    header = read_header(golden_storm_path)
     config = PipelineConfig(**FIXTURE_CONFIG)
     expected = TraceReplayer(
         LivePipeline.from_header(header, config),
-        trace_events(golden_incast_path)).run()
+        trace_events(golden_storm_path)).run()
 
     (tmp_path / f"ckpt-{FIXTURE_CUT:010d}.json").write_text(
         checksummed(state))
     manager = CheckpointManager(tmp_path)
     replayer, resumed = resume_or_create(
-        header, manager, events_of(golden_incast_path), config=config)
+        header, manager, events_of(golden_storm_path), config=config)
     assert not resumed and replayer.published == 0
     assert manager.corrupt_skipped == 1
     final = replayer.run()
@@ -746,12 +766,12 @@ def test_a_checkpoint_of_another_trace_starts_cold(trace_path,
 
 
 def test_a_fault_in_the_prefix_replay_keeps_the_checkpoint(
-        golden_incast_path, tmp_path):
+        golden_storm_path, tmp_path):
     """An exception the replay itself raises is a fault of the code,
     not of the document: it propagates, and the checkpoint is neither
     counted corrupt nor discarded."""
     def faulty(pipeline):
-        events = trace_events(golden_incast_path)
+        events = trace_events(golden_storm_path)
         yield from itertools.islice(events, FIXTURE_CUT // 2)
         raise ValueError("a fault in the pipeline")
 
@@ -759,7 +779,7 @@ def test_a_fault_in_the_prefix_replay_keeps_the_checkpoint(
     path.write_text(checksummed(FIXTURE_STATE))
     manager = CheckpointManager(tmp_path)
     with pytest.raises(ValueError, match="a fault in the pipeline"):
-        resume_or_create(read_header(golden_incast_path), manager,
+        resume_or_create(read_header(golden_storm_path), manager,
                          faulty, config=PipelineConfig(**FIXTURE_CONFIG))
     assert manager.corrupt_skipped == 0
     assert manager.snapshot_paths() == [path]
@@ -769,9 +789,9 @@ def test_a_fault_in_the_prefix_replay_keeps_the_checkpoint(
           report_multiple_bugs=False)
 @given(place=PLACES, value=VALUES, older_good=st.booleans())
 def test_any_checksummed_state_resumes_or_starts_cold(
-        incast, place, value, older_good):
+        storm, place, value, older_good):
     state = planted(FIXTURE_STATE, place, value)
-    answer, manager = resume_from(incast, checksummed(state),
+    answer, manager = resume_from(storm, checksummed(state),
                                   older_good)
     assert_resumed_or_cold(answer, manager, older_good)
 
@@ -779,7 +799,7 @@ def test_any_checksummed_state_resumes_or_starts_cold(
 @settings(max_examples=100, deadline=None, derandomize=True,
           report_multiple_bugs=False)
 @given(data=st.binary(max_size=64), older_good=st.booleans())
-def test_any_bytes_resume_or_start_cold(incast, data, older_good):
-    answer, manager = resume_from(incast, data, older_good)
+def test_any_bytes_resume_or_start_cold(storm, data, older_good):
+    answer, manager = resume_from(storm, data, older_good)
     assert manager.corrupt_skipped == 1
     assert_resumed_or_cold(answer, manager, older_good)

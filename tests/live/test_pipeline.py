@@ -9,7 +9,7 @@ from repro.collective.ring import ring_allgather
 from repro.collective.runtime import CollectiveRuntime
 from repro.core.system import VedrfolnirSystem
 from repro.live import LivePipeline, PipelineConfig
-from repro.live.pipeline import snapshot_line
+from repro.live.pipeline import PUMP_BATCH, snapshot_line
 from repro.simnet.network import Network
 from repro.simnet.topology import build_fat_tree
 from repro.simnet.units import ms
@@ -61,26 +61,33 @@ def assert_matches_batch(final, batch) -> None:
 
 def test_final_snapshot_matches_batch(trace_path):
     batch = analyze_trace(load_trace(trace_path))
-    pipeline = replay(trace_path,
-                      PipelineConfig(snapshot_every=50,
-                                     prune_interval=8))
+    pipeline = replay(trace_path, PipelineConfig(snapshot_every=50))
     assert_matches_batch(pipeline.finish(), batch)
 
 
-def test_a_burst_never_queues_more_than_one_batch(trace_path):
+@pytest.fixture(scope="module")
+def long_trace_path(tmp_path_factory):
+    """The golden incast case: a few pump batches of events."""
+    from repro.perf.golden import golden_anomaly
+
+    tmp = tmp_path_factory.mktemp("golden")
+    golden_anomaly("incast", tmp)
+    return tmp / "incast.jsonl"
+
+
+def test_a_burst_never_queues_more_than_one_batch(long_trace_path):
     """The whole trace published with no explicit pump: ``publish``
     pumps the bus itself, so it never holds more than one batch, and
     nothing is lost — the final snapshot is the batch diagnosis."""
+    trace_path = long_trace_path
     events = list(trace_events(trace_path))
-    batch = 4
-    assert len(events) > 4 * batch
-    pipeline = LivePipeline.from_header(
-        read_header(trace_path), PipelineConfig(pump_batch=batch))
+    assert len(events) > PUMP_BATCH
+    pipeline = LivePipeline.from_header(read_header(trace_path))
     for event in events:
         pipeline.publish(event)
-        assert len(pipeline.bus) <= batch
+        assert len(pipeline.bus) <= PUMP_BATCH
     final = pipeline.finish()
-    assert final.counters["bus_high_watermark"] == batch
+    assert final.counters["bus_high_watermark"] == PUMP_BATCH
     assert_matches_batch(final, analyze_trace(load_trace(trace_path)))
 
 
@@ -149,8 +156,7 @@ def test_live_attachment_to_running_collective():
     assert final.step_records_ingested == len(runtime.records)
     assert final.critical_path
     # the producer never pumps: publish keeps the bus one batch deep
-    assert final.counters["bus_high_watermark"] \
-        <= pipeline.config.pump_batch
+    assert final.counters["bus_high_watermark"] <= PUMP_BATCH
 
 
 def test_degradation_when_reports_missing(trace_path):

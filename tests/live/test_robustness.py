@@ -121,7 +121,7 @@ def test_shed_events_leave_no_arrival_stamp(clean_trace):
         rng.shuffle(window)
         events[start:start + 12] = window
     pipeline = LivePipeline.from_header(
-        read_header(clean_trace), PipelineConfig(lateness_bound_ns=500.0))
+        read_header(clean_trace))
     for event in events:
         pipeline.publish(event)
         pipeline.pump()

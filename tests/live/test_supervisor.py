@@ -6,7 +6,9 @@ import signal
 
 import pytest
 
+from repro.core.retry import RetryPolicy
 from repro.live.supervisor import (
+    MAX_CRASH_RECORDS,
     CrashLoopError,
     GracefulShutdown,
     RestartPolicy,
@@ -48,9 +50,8 @@ def test_restarts_until_success():
 
 
 def test_backoff_is_deterministic_and_exponential():
-    policy = RestartPolicy(backoff_base_s=0.5, backoff_factor=2.0,
-                           backoff_cap_s=30.0, jitter_frac=0.1,
-                           seed=1234)
+    policy = RestartPolicy(backoff=RetryPolicy(
+        base_delay_s=0.5, max_delay_s=30.0, seed=1234))
     supervisor = Supervisor(lambda a: None, policy)
     delays = [supervisor.backoff_delay(i) for i in range(6)]
 
@@ -69,7 +70,8 @@ def test_backoff_is_deterministic_and_exponential():
 def test_backoff_cap_applies():
     supervisor = Supervisor(
         lambda a: None,
-        RestartPolicy(backoff_base_s=1.0, backoff_cap_s=4.0))
+        RestartPolicy(backoff=RetryPolicy(base_delay_s=1.0,
+                                          max_delay_s=4.0)))
     assert supervisor.backoff_delay(10) == 4.0
 
 
@@ -80,8 +82,7 @@ def test_crash_loop_breaker_trips():
         raise ValueError("persistent bug")
 
     supervisor = Supervisor(always_dies,
-                            RestartPolicy(max_restarts=3,
-                                          window_s=60.0),
+                            RestartPolicy(max_restarts=3),
                             clock=clock, sleep=clock.sleep)
     with pytest.raises(CrashLoopError) as info:
         supervisor.run()
@@ -104,8 +105,7 @@ def test_breaker_window_slides():
         raise RuntimeError("slow burn")
 
     supervisor = Supervisor(dies_slowly,
-                            RestartPolicy(max_restarts=2,
-                                          window_s=60.0),
+                            RestartPolicy(max_restarts=2),
                             clock=clock, sleep=clock.sleep)
     assert supervisor.run() == "recovered"
     assert len(supervisor.crashes) == 6
@@ -186,10 +186,7 @@ def test_concurrent_supervisors_restart_independently():
 
     workers = 8
     crashes_per_worker = 3
-    policy = RestartPolicy(max_restarts=crashes_per_worker + 1,
-                           window_s=60.0, backoff_base_s=0.0005,
-                           backoff_factor=2.0, backoff_cap_s=0.005,
-                           jitter_frac=0.1)
+    max_restarts = crashes_per_worker + 1
     barrier = threading.Barrier(workers)
     results: dict[int, int] = {}
     supervisors: dict[int, Supervisor] = {}
@@ -202,9 +199,9 @@ def test_concurrent_supervisors_restart_independently():
                 raise RuntimeError(f"worker {worker} boom {attempt}")
             return worker
 
-        supervisor = Supervisor(
-            flaky, RestartPolicy(**{**policy.__dict__,
-                                    "seed": worker}))
+        supervisor = Supervisor(flaky, RestartPolicy(
+            max_restarts, RetryPolicy(base_delay_s=0.0005,
+                                      max_delay_s=0.005, seed=worker)))
         supervisors[worker] = supervisor
         results[worker] = supervisor.run()
 
@@ -229,9 +226,8 @@ def test_concurrent_supervisors_restart_independently():
 def test_concurrent_breakers_trip_only_the_crash_looper():
     import threading
 
-    policy = RestartPolicy(max_restarts=2, window_s=60.0,
-                           backoff_base_s=0.0005,
-                           backoff_cap_s=0.002)
+    policy = RestartPolicy(max_restarts=2, backoff=RetryPolicy(
+        base_delay_s=0.0005, max_delay_s=0.002))
     outcomes: dict[str, object] = {}
 
     def run_worker(name: str, always_dies: bool) -> None:
@@ -265,22 +261,24 @@ def test_concurrent_breakers_trip_only_the_crash_looper():
 
 def test_crash_records_bounded_but_count_monotonic():
     # RPR025 regression: a long-lived supervisor keeps only the
-    # newest max_crash_records post-mortem entries, while crash_count
+    # newest MAX_CRASH_RECORDS post-mortem entries, while crash_count
     # and the backoff schedule keep seeing the true total.
     clock = FakeClock()
+    crashes = MAX_CRASH_RECORDS + 4
 
     def flaky(attempt: int):
-        if attempt < 10:
+        if attempt < crashes:
             raise RuntimeError(f"boom {attempt}")
         return attempt
 
-    policy = RestartPolicy(max_restarts=100, max_crash_records=4)
+    policy = RestartPolicy(max_restarts=crashes)
     supervisor = Supervisor(flaky, policy,
                             clock=clock, sleep=clock.sleep)
-    assert supervisor.run() == 10
-    assert supervisor.crash_count == 10
-    assert len(supervisor.crashes) == 4
-    assert [c.attempt for c in supervisor.crashes] == [6, 7, 8, 9]
+    assert supervisor.run() == crashes
+    assert supervisor.crash_count == crashes
+    assert len(supervisor.crashes) == MAX_CRASH_RECORDS
+    assert [c.attempt for c in supervisor.crashes] \
+        == list(range(4, crashes))
     # eviction keeps the newest records, and backoff kept escalating
     # off the monotonic count, not the evicted list length
     assert supervisor.crashes[-1].backoff_s \

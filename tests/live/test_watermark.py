@@ -1,4 +1,4 @@
-"""Completion-time watermarking: reorder, lateness, flush."""
+"""Completion-time watermarking: in-order admission, late discards."""
 
 import random
 
@@ -11,71 +11,46 @@ def ev(time: float, seq: int = 0) -> TelemetryEvent:
                           seq=seq)
 
 
-def release_all(buffer: WatermarkBuffer, times, flush=True):
-    out = []
-    for seq, time in enumerate(times):
-        out.extend(e.time for e in buffer.observe(ev(time, seq)))
-    if flush:
-        out.extend(e.time for e in buffer.flush())
-    return out
+def admitted(buffer: WatermarkBuffer, times) -> list:
+    return [time for seq, time in enumerate(times)
+            if buffer.admit(ev(time, seq))]
 
 
 def test_passthrough_without_bound():
-    buffer = WatermarkBuffer(0.0)
-    assert release_all(buffer, [1.0, 2.0, 3.0], flush=False) == \
-        [1.0, 2.0, 3.0]
+    buffer = WatermarkBuffer()
+    assert admitted(buffer, [1.0, 2.0, 2.0, 3.0]) == [1.0, 2.0, 2.0, 3.0]
     assert buffer.late_discarded == 0
-
-
-def test_reorders_within_bound():
-    buffer = WatermarkBuffer(10.0)
-    out = release_all(buffer, [5.0, 3.0, 8.0, 6.0, 20.0, 18.0])
-    assert out == sorted(out)
-    assert buffer.late_discarded == 0
-    assert buffer.observed == 6
+    assert buffer.buffered == 0
 
 
 def test_late_beyond_bound_discarded_and_counted():
-    buffer = WatermarkBuffer(2.0)
-    out = []
-    for seq, time in enumerate([10.0, 20.0, 30.0]):
-        out.extend(e.time for e in buffer.observe(ev(time, seq)))
-    # watermark is 28; an event at 5 is far behind what was released
-    out.extend(e.time for e in buffer.observe(ev(5.0, 99)))
+    buffer = WatermarkBuffer()
+    out = admitted(buffer, [10.0, 20.0, 30.0, 5.0])
     assert buffer.late_discarded == 1
-    assert 5.0 not in out
-    assert out == sorted(out)
+    assert buffer.observed == 4
+    assert out == [10.0, 20.0, 30.0]
 
 
 def test_watermark_value():
-    buffer = WatermarkBuffer(7.0)
+    buffer = WatermarkBuffer()
     assert buffer.watermark == float("-inf")
-    list(buffer.observe(ev(50.0)))
-    assert buffer.watermark == 43.0
-    list(buffer.observe(ev(40.0, 1)))   # older event does not regress it
-    assert buffer.watermark == 43.0
-
-
-def test_flush_releases_everything_in_order():
-    buffer = WatermarkBuffer(1e9)
-    for seq, time in enumerate([3.0, 1.0, 2.0]):
-        assert list(buffer.observe(ev(time, seq))) == []
-    assert buffer.buffered == 3
-    assert [e.time for e in buffer.flush()] == [1.0, 2.0, 3.0]
-    assert buffer.buffered == 0
+    assert buffer.admit(ev(50))
+    assert buffer.watermark == 50.0
+    assert isinstance(buffer.watermark, float)
+    assert not buffer.admit(ev(40.0, 1))  # older event does not regress it
+    assert buffer.watermark == 50.0
 
 
 def test_randomized_bounded_shuffle_sorts(seed=7):
     rng = random.Random(seed)
     times = [float(i) for i in range(200)]
-    # shuffle within blocks of 5: skew is at most 4 time units < bound
     shuffled = []
     for i in range(0, len(times), 5):
         block = times[i:i + 5]
         rng.shuffle(block)
         shuffled.extend(block)
-    buffer = WatermarkBuffer(6.0)
-    out = release_all(buffer, shuffled)
-    assert buffer.late_discarded == 0
+    buffer = WatermarkBuffer()
+    out = admitted(buffer, shuffled)
     assert out == sorted(out)
-    assert len(out) == 200
+    assert len(out) + buffer.late_discarded == 200
+    assert buffer.late_discarded > 0

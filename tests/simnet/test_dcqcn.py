@@ -2,17 +2,16 @@
 
 import pytest
 
-from repro.simnet.dcqcn import DcqcnConfig, DcqcnState
+from repro.simnet.dcqcn import MIN_RATE_BPS, DcqcnState
 from repro.simnet.engine import Simulator
 from repro.simnet.units import gbps, us
 
 LINE = gbps(100)
 
 
-def make_state(sim=None, **overrides):
-    sim = sim or Simulator()
-    config = DcqcnConfig(**overrides)
-    return sim, DcqcnState(sim, config, LINE)
+def make_state():
+    sim = Simulator()
+    return sim, DcqcnState(sim, LINE)
 
 
 def test_line_rate_start():
@@ -31,8 +30,9 @@ def test_cnp_cuts_rate():
 
 
 def test_first_cut_is_half_at_alpha_one():
-    _, state = make_state(g=0.0)  # keep alpha pinned at 1
+    _, state = make_state()  # alpha starts at 1 and a CNP keeps it there
     state.on_cnp()
+    assert state.alpha == 1.0
     assert state.rc == pytest.approx(LINE / 2)
 
 
@@ -45,10 +45,10 @@ def test_repeated_cnps_keep_cutting():
 
 
 def test_rate_floor_respected():
-    _, state = make_state(min_rate_bps=gbps(1))
+    _, state = make_state()
     for _ in range(200):
         state.on_cnp()
-    assert state.rc >= gbps(1)
+    assert state.rc == MIN_RATE_BPS
 
 
 def test_alpha_rises_on_cnp():
@@ -91,13 +91,6 @@ def test_full_recovery_eventually():
     state.stop()
 
 
-def test_disabled_ignores_cnp():
-    _, state = make_state(enabled=False)
-    state.on_cnp()
-    assert state.rc == LINE
-    assert state.cnps_received == 0
-
-
 def test_stop_cancels_timer():
     sim, state = make_state()
     state.start()
@@ -110,8 +103,7 @@ def test_stop_cancels_timer():
 def test_rate_change_callback():
     changes = []
     sim = Simulator()
-    state = DcqcnState(sim, DcqcnConfig(), LINE,
-                       on_rate_change=changes.append)
+    state = DcqcnState(sim, LINE, on_rate_change=changes.append)
     state.on_cnp()
     assert changes and changes[-1] == state.rc
 

@@ -82,7 +82,7 @@ def test_expect_flow_prewires_callback(net):
 def test_port_space_kick_unblocks_sender(net):
     """A flow larger than the NIC queue cap must still drain fully via
     the on_space kick path."""
-    net.config.host_queue_cap_bytes = 16_000  # tiny NIC queue
+    net.hosts["h0"].ports[0].data_queue_cap_bytes = 16_000  # tiny NIC queue
     flow = net.create_flow("h0", "h1", 400_000)
     flow.start()
     net.run_until_quiet(max_time=ms(20))

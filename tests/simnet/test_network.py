@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simnet.network import Network, NetworkConfig
+from repro.simnet.packet import MTU_PAYLOAD_BYTES
 from repro.simnet.topology import build_dumbbell, build_fat_tree
 from repro.simnet.units import ms, us
 
@@ -62,7 +63,7 @@ def test_effective_window_override():
 def test_effective_window_auto_positive():
     net = Network(build_fat_tree(4))
     window = net.effective_window_bytes()
-    assert window >= 4 * net.config.mtu_payload_bytes
+    assert window >= 4 * MTU_PAYLOAD_BYTES
 
 
 def test_poll_flow_counts_and_travels():

@@ -1,7 +1,13 @@
 """Switch internals: polling machinery, ECN, PFC accounting invariants."""
 
 from repro.simnet.network import Network, NetworkConfig
-from repro.simnet.packet import PacketKind, make_control_packet
+from repro.simnet.packet import (
+    MTU_PAYLOAD_BYTES,
+    PacketKind,
+    make_control_packet,
+    make_data_packet,
+)
+from repro.simnet.switch import ECN_KMAX_BYTES, MAX_CHASE_DEPTH
 from repro.simnet.topology import build_dumbbell, build_fat_tree, build_linear
 from repro.simnet.units import KB, ms, us
 
@@ -56,26 +62,22 @@ def test_no_ecn_marks_below_kmin():
 
 
 def test_ecn_marks_above_kmax_always():
-    config = NetworkConfig(ecn_kmin_bytes=1, ecn_kmax_bytes=2,
-                           ecn_pmax=1.0)
-    net = Network(build_dumbbell(2), config=config)
+    """Hold the bottleneck egress paused until two senders fill its
+    queue past KMAX: the next ECN-capable arrival is marked."""
+    net = Network(build_dumbbell(2),
+                  config=NetworkConfig(window_bytes=1_000_000))
+    s0 = net.switches["s0"]
+    egress = s0.ports[s0.neighbor_port["s1"]]
+    egress.pause(ms(1))
     f1 = net.create_flow("h0", "h2", 500_000)
     f2 = net.create_flow("h1", "h3", 500_000)
     f1.start()
     f2.start()
-    net.run_until_quiet(max_time=ms(20))
-    assert f1.stats.cnps_received + f2.stats.cnps_received > 0
-
-
-def test_ecn_disabled_when_kmax_zero():
-    config = NetworkConfig(ecn_kmin_bytes=0, ecn_kmax_bytes=0)
-    net = Network(build_dumbbell(2), config=config)
-    f1 = net.create_flow("h0", "h2", 1_000_000)
-    f2 = net.create_flow("h1", "h3", 1_000_000)
-    f1.start()
-    f2.start()
-    net.run_until_quiet(max_time=ms(30))
-    assert f1.stats.cnps_received == f2.stats.cnps_received == 0
+    net.run(until=us(100))
+    assert egress.data_queue_bytes >= ECN_KMAX_BYTES
+    probe = make_data_packet(f1.key, 0, MTU_PAYLOAD_BYTES, net.sim.now)
+    s0.receive(probe, s0.neighbor_port["h0"])
+    assert probe.ecn_marked
 
 
 # ----------------------------------------------------------------------
@@ -112,8 +114,9 @@ def test_poll_id_propagates_to_all_reports():
     assert all(r.poll_id == poll_id for r in net.collected_reports)
 
 
-def test_chase_poll_visits_pause_sender():
-    """Under PFC, polling must fan out to the pausing switch."""
+def pfc_linear():
+    """Three switches in a chain, three senders incast at h5 under
+    shallow PFC thresholds, 120 us in; (network, victim flow)."""
     config = NetworkConfig(pfc_xoff_bytes=32 * KB, pfc_xon_bytes=16 * KB)
     net = Network(build_linear(3, hosts_per_switch=2), config=config)
     victim = net.create_flow("h0", "h5", 1_000_000)
@@ -121,6 +124,12 @@ def test_chase_poll_visits_pause_sender():
     for src in ("h2", "h4", "h3"):
         net.create_flow(src, "h5", 2_000_000).start()
     net.run(until=us(120))
+    return net, victim
+
+
+def test_chase_poll_visits_pause_sender():
+    """Under PFC, polling must fan out to the pausing switch."""
+    net, victim = pfc_linear()
     net.poll_flow(victim.key)
     net.run_until_quiet(max_time=ms(30))
     switches = {r.switch_id for r in net.collected_reports}
@@ -129,15 +138,21 @@ def test_chase_poll_visits_pause_sender():
 
 
 def test_chase_depth_bounded():
-    net, cf, _ = contended_fat_tree()
-    net.telemetry_config.max_chase_depth = 0
-    net.run(until=us(40))
-    net.poll_flow(cf.key)
-    net.run_until_quiet(max_time=ms(20))
-    # with depth 0, only the flow-path switches report (no chases)
-    path_switches = {n for n in net.routing.path(cf.key)
-                     if n in net.switches}
-    assert {r.switch_id for r in net.collected_reports} <= path_switches
+    """A switch whose recently paused ports would be chased reports at
+    MAX_CHASE_DEPTH but sends no chase poll; one hop shallower it does."""
+    net, _ = pfc_linear()
+    now = net.sim.now
+    switch, scope = next(
+        (switch, scope) for switch in net.switches.values()
+        for scope in [{port for port in switch.ports
+                       if switch.telemetry.recent_pauses_on_port(now, port)}]
+        if scope)
+    polls, reports = net.poll_packets, net.report_count
+    switch._report_and_chase(scope, "deep", set(), MAX_CHASE_DEPTH)
+    assert net.report_count == reports + 1
+    assert net.poll_packets == polls
+    switch._report_and_chase(scope, "shallow", set(), MAX_CHASE_DEPTH - 1)
+    assert net.poll_packets > polls
 
 
 def test_chase_poll_packet_is_consumed_at_target():

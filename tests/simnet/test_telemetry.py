@@ -3,8 +3,8 @@
 from repro.simnet.network import Network
 from repro.simnet.packet import FlowKey
 from repro.simnet.telemetry import (
+    REPORT_HEADER_BYTES,
     SwitchTelemetry,
-    TelemetryConfig,
     WindowedCounter,
 )
 from repro.simnet.topology import build_dumbbell
@@ -50,7 +50,7 @@ def fk(i: int) -> FlowKey:
 
 
 def test_wait_weights_count_packets_ahead():
-    telemetry = SwitchTelemetry("s0", TelemetryConfig())
+    telemetry = SwitchTelemetry("s0")
     # queue at port 0: two packets of f0 already there, then f1 arrives
     telemetry.on_data_enqueue(0, 0, fk(0))
     telemetry.on_data_enqueue(1, 0, fk(0))
@@ -61,7 +61,7 @@ def test_wait_weights_count_packets_ahead():
 
 
 def test_wait_weights_accumulate_per_packet():
-    telemetry = SwitchTelemetry("s0", TelemetryConfig())
+    telemetry = SwitchTelemetry("s0")
     telemetry.on_data_enqueue(0, 0, fk(0))
     telemetry.on_data_enqueue(1, 0, fk(1))  # 1 ahead
     telemetry.on_data_enqueue(2, 0, fk(1))  # still 1 ahead
@@ -70,7 +70,7 @@ def test_wait_weights_accumulate_per_packet():
 
 
 def test_departure_reduces_inqueue_counts():
-    telemetry = SwitchTelemetry("s0", TelemetryConfig())
+    telemetry = SwitchTelemetry("s0")
     telemetry.on_data_enqueue(0, 0, fk(0))
     telemetry.on_data_departure(1, ingress_port=1, egress_port=0,
                                 flow=fk(0), size=1000)
@@ -80,7 +80,7 @@ def test_departure_reduces_inqueue_counts():
 
 
 def test_ports_are_independent():
-    telemetry = SwitchTelemetry("s0", TelemetryConfig())
+    telemetry = SwitchTelemetry("s0")
     telemetry.on_data_enqueue(0, 0, fk(0))
     telemetry.on_data_enqueue(1, 1, fk(1))  # different port
     snap = telemetry._wait_weights.snapshot(2)
@@ -145,7 +145,7 @@ def test_egress_ports_fed_by():
 
 
 def test_ttl_drop_recording():
-    telemetry = SwitchTelemetry("s0", TelemetryConfig())
+    telemetry = SwitchTelemetry("s0")
     telemetry.on_ttl_drop(fk(0))
     telemetry.on_ttl_drop(fk(0))
     report = telemetry.make_report(0.0, {})
@@ -153,13 +153,12 @@ def test_ttl_drop_recording():
 
 
 def test_report_poll_id_passthrough():
-    telemetry = SwitchTelemetry("s0", TelemetryConfig())
+    telemetry = SwitchTelemetry("s0")
     report = telemetry.make_report(0.0, {}, poll_id="h0#7")
     assert report.poll_id == "h0#7"
 
 
 def test_report_size_accounts_entries():
-    config = TelemetryConfig()
-    telemetry = SwitchTelemetry("s0", config)
+    telemetry = SwitchTelemetry("s0")
     empty = telemetry.make_report(0.0, {})
-    assert empty.size_bytes == config.report_header_bytes
+    assert empty.size_bytes == REPORT_HEADER_BYTES

@@ -24,12 +24,20 @@ that needs it.
   usage block of the :mod:`repro.cli` docstring, ``README.md``,
   ``docs/``, the CI workflow, ``examples/`` or ``tools/``.  A flag no
   one passes is pinned to its default and deleted.
+* Every defaulted field of a ``*Config`` / ``*Policy`` / ``*Plan``
+  dataclass has a caller that sets it to something other than its
+  default: a keyword to the class, a subclass or
+  ``dataclasses.replace``; a positional constructor argument; or a
+  store ``x.<field> = ...`` where ``x`` is not ``self``.  A literal
+  equal to the default sets nothing.  A field no caller sets is a
+  module constant next to its reader.
 
 The walk is over the AST, not tokens, so a name in a docstring or a
 string is not a use, and f-strings read the same on every Python
 version.
 
-A name that stays without a caller is on ``ALLOWLIST`` with a reason.
+A name that stays without a caller is on ``ALLOWLIST`` with a reason,
+a config field without a setter on ``CONFIG_ALLOWLIST``.
 """
 
 from __future__ import annotations
@@ -81,6 +89,17 @@ ALLOWLIST = {
     ("simnet/topology.py", "build_linear"):
         "a small topology most simnet tests build on",
 }
+
+# (class, field) -> the one-line reason it stays without a setter.
+CONFIG_ALLOWLIST = {
+    ("FleetConfig", "vnodes"):
+        "the fleet_fanin benchmark reads it, and the benchmark is frozen",
+    ("FleetConfig", "mailbox_capacity"):
+        "the fleet_fanin benchmark reads it, and the benchmark is frozen",
+    ("NetworkConfig", "ack_every"):
+        "ROADMAP simulator diet: ACK coalescing goes through it",
+}
+CONFIG_SUFFIXES = ("Config", "Policy", "Plan")
 
 
 def _py_files(base: Path) -> list[Path]:
@@ -168,10 +187,11 @@ class Project:
                         if module.path.name == "__init__.py"}
         self.called: set[tuple[str, str | None]] = set()
         self.imported_from_package: set[tuple[str, str]] = set()
-        for module in list(self.src.values()) + [
-                Module(path, None)
-                for directory in CALLER_DIRS
-                for path in _py_files(ROOT / directory)]:
+        self.callers = list(self.src.values()) + [
+            Module(path, None)
+            for directory in CALLER_DIRS
+            for path in _py_files(ROOT / directory)]
+        for module in self.callers:
             self._walk(module)
 
     def resolve(self, module: str, name: str | None, seen=frozenset()):
@@ -348,3 +368,132 @@ def test_every_cli_flag_has_a_documented_caller():
         "or tool passes (pin each to its default and delete it, or show "
         "it in the repro.cli usage block):\n  "
         + "\n  ".join(undocumented))
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any((decorator.func if isinstance(decorator, ast.Call)
+                else decorator).id == "dataclass"
+               for decorator in node.decorator_list
+               if isinstance(getattr(decorator, "func", decorator),
+                             ast.Name))
+
+
+class ConfigClass:
+    """One ``*Config`` / ``*Policy`` / ``*Plan`` dataclass of src."""
+
+    def __init__(self, node: ast.ClassDef):
+        self.name = node.name
+        self.node = node
+        self.bases: list[ConfigClass] = []
+        self.names = {node.name}     # itself and its subclasses
+        #: its own fields, ``(name, default or None)``
+        self.own = [(stmt.target.id, stmt.value) for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(stmt.annotation)]
+
+    @property
+    def fields(self) -> list[tuple[str, ast.expr | None]]:
+        """Its constructor's fields in order, inherited ones first."""
+        return [item for base in self.bases
+                for item in base.fields] + self.own
+
+
+def config_classes() -> list[ConfigClass]:
+    classes = {node.name: ConfigClass(node)
+               for module in PROJECT.src.values()
+               for node in ast.walk(module.tree)
+               if isinstance(node, ast.ClassDef) and _is_dataclass(node)}
+    for config in classes.values():
+        config.bases = [classes[base.id] for base in config.node.bases
+                        if getattr(base, "id", None) in classes]
+    for config in classes.values():
+        pending = list(config.bases)
+        while pending:
+            base = pending.pop()
+            base.names.add(config.name)
+            pending += base.bases
+    return [config for config in classes.values()
+            if config.name.endswith(CONFIG_SUFFIXES)]
+
+
+def _same(value: ast.expr, default: ast.expr | None) -> bool:
+    """Whether ``value`` is a literal equal to ``default`` (a
+    ``field(default_factory=...)`` equals no literal)."""
+    if default is None or (isinstance(default, ast.Call) and getattr(
+            default.func, "id", None) == "field"):
+        return False
+    if ast.dump(value) == ast.dump(default):
+        return True
+    try:
+        return ast.literal_eval(value) == ast.literal_eval(default)
+    except ValueError:
+        return False
+
+
+def config_fields_without_setter() -> list[str]:
+    """``Class.field`` of every defaulted config field that no caller
+    sets to something other than its default."""
+    classes = {config.name: config for config in config_classes()}
+    by_field: dict[str, list[tuple[ConfigClass, ast.expr | None]]] = {}
+    for config in classes.values():
+        for field_name, default in config.own:
+            by_field.setdefault(field_name, []).append((config, default))
+    set_fields: set[tuple[str, str]] = set()
+
+    def store(field_name: str, value: ast.expr,
+              through: str | None = None) -> None:
+        """``value`` stored into ``field_name`` of whichever class has
+        it, or only of ``through``'s own and inherited fields."""
+        set_fields.update(
+            (config.name, field_name)
+            for config, default in by_field.get(field_name, ())
+            if (through is None or through in config.names)
+            and not _same(value, default))
+
+    for module in PROJECT.callers:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) \
+                    or getattr(node.func, "attr", None)
+                if called == "replace":
+                    for kw in node.keywords:
+                        store(kw.arg, kw.value)
+                elif called in classes:
+                    for kw in node.keywords:
+                        store(kw.arg, kw.value, called)
+                    for (field_name, _), arg in zip(
+                            classes[called].fields, node.args):
+                        store(field_name, arg, called)
+            elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    if isinstance(target, ast.Attribute) and not (
+                            isinstance(target.value, ast.Name)
+                            and target.value.id == "self"):
+                        store(target.attr, node.value)
+    return [f"{config.name}.{field_name}"
+            for config in classes.values()
+            for field_name, default in config.own
+            if default is not None
+            and (config.name, field_name) not in set_fields]
+
+
+def test_every_config_field_has_a_setter():
+    flagged = [entry for entry in config_fields_without_setter()
+               if tuple(entry.split(".")) not in CONFIG_ALLOWLIST]
+    assert not flagged, (
+        f"{len(flagged)} config fields that no src module, benchmark, "
+        "example or tool sets to anything but the default (make each a "
+        "module constant next to its reader, or allowlist one with a "
+        "reason):\n  " + "\n  ".join(flagged))
+
+
+def test_every_allowlisted_config_field_exists_and_is_unset():
+    # An entry that gained a setter, or whose field is gone, is stale.
+    flagged = set(config_fields_without_setter())
+    stale = [f"{name}.{field_name}"
+             for name, field_name in CONFIG_ALLOWLIST
+             if f"{name}.{field_name}" not in flagged]
+    assert not stale, f"config allowlist entries that are set: {stale}"

@@ -1,6 +1,10 @@
 """CLI subcommands."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +163,42 @@ def test_ctrl_c_exits_130_from_main(monkeypatch):
 
     monkeypatch.setattr(repro.cli, "cmd_scenarios", interrupted)
     assert main(["scenarios"]) == 130
+
+
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr():
+    """A verb whose stdout reader is gone (``repro ... | head``) stops
+    the way a pipeline stage does, not with an ``error:`` line."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "topology", "--k", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""
+
+
+def test_a_broken_pipe_to_another_file_is_an_error(monkeypatch, capfd):
+    """Only stdout's reader going away is 141: a verb that breaks a
+    pipe of its own (a ``--snapshots`` FIFO whose reader quit) ends
+    with an ``error:`` line and 2 while stdout is still open."""
+    import repro.cli
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+
+    def writes_to_the_pipe(_args):
+        with open(write_end, "w") as sink:
+            sink.write("snapshot\n")
+        return 0
+
+    monkeypatch.setattr(repro.cli, "cmd_scenarios", writes_to_the_pipe)
+    assert main(["scenarios"]) == 2
+    assert capfd.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_serve_resume_needs_a_checkpoint_dir(capsys, cli_trace):

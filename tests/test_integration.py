@@ -102,15 +102,14 @@ def test_live_diagnosis_waiting_graph_covers_every_node():
 
 
 def test_low_effort_config_still_detects_heavy_anomaly():
-    """Even 1 detection/step with no stall timer catches a big burst."""
+    """Even 1 detection/step catches a big burst."""
     from repro.collective.ring import ring_allgather
 
     net = Network(build_fat_tree(4))
     nodes = ["h0", "h4", "h8", "h12"]
     runtime = CollectiveRuntime(net, ring_allgather(nodes, 400_000))
     system = VedrfolnirSystem(net, runtime, config=VedrfolnirConfig(
-        detection=DetectionConfig(detections_per_step=1,
-                                  stall_detection=False)))
+        detection=DetectionConfig(detections_per_step=1)))
     runtime.start()
     for src in ("h1", "h5", "h9"):
         net.create_flow(src, "h4", 3_000_000, tag="background").start()
