@@ -16,15 +16,17 @@ from repro.simnet.network import Network
 from repro.simnet.telemetry import SwitchReport
 from repro.simnet.units import us
 
+#: every switch reports every port this often
+POLL_INTERVAL_NS = us(20)
+
 
 class FullPollingSystem(DiagnosisSystemAdapter):
     """Periodic all-switch, all-port telemetry."""
 
     name = "full-polling"
 
-    def __init__(self, interval_ns: float = us(20)) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.interval_ns = interval_ns
         self.reports: list[SwitchReport] = []
         self.rounds = 0
 
@@ -44,7 +46,7 @@ class FullPollingSystem(DiagnosisSystemAdapter):
                 now, switch.ports, scope_ports=None,
                 poll_id=f"full#{self.rounds}")
             self.network.submit_report(report)
-        self.network.sim.schedule(self.interval_ns, self._poll_round)
+        self.network.sim.schedule(POLL_INTERVAL_NS, self._poll_round)
 
     def finalize(self) -> SystemOutput:
         graph = build_provenance(

@@ -12,19 +12,22 @@ reports, then produces a structured diagnosis:
 
 Steps 2-4 are :class:`DiagnosisKernel`, shared with the live pipeline:
 a report is digested once on arrival and max-merged into the overall
-graph and into each step graph whose window it falls in, and a step's
-graph is rebuilt only when the slice of reports in its window changed,
-so a rolling snapshot costs what changed since the last one.  The batch
-analyzer is the same waiting graph and the same kernel as the live
-pipeline's, fed everything and asked for one snapshot.  Every snapshot,
-batch or live, rates a step only when Eq. 3 weighs it: its critical
-flow is known and it ran slower than expected.
+graph and into each step graph whose window it falls in, a graph's
+derived state (pause-victim edges, port-port weights, the detectors'
+rows, evidence and findings) is patched where a merge moved it, and a
+step's graph is rebuilt only when the slice of reports in its window
+changed, so a rolling snapshot costs what changed since the last one.
+The batch analyzer is the same waiting graph and the same kernel as
+the live pipeline's, fed everything and asked for one snapshot.  Every
+snapshot, batch or live, rates a step only when Eq. 3 weighs it: its
+critical flow is known and it ran slower than expected.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import attrgetter
 from typing import (Callable, Container, Iterable, Mapping, Optional,
                     Sequence)
@@ -48,6 +51,8 @@ from repro.simnet.packet import FlowKey
 from repro.simnet.telemetry import SwitchReport
 
 _report_time = attrgetter("time")
+#: contributors are scored in flow-name order
+_flow_name = lru_cache(maxsize=1 << 16)(FlowKey.short)
 
 #: multiple of the ideal step time above which a step counts as a
 #: performance bottleneck — batch and live read this one value
@@ -107,7 +112,8 @@ class DiagnosisKernel:
     """Provenance -> signatures -> Eqs. 1-3 over a growing report list.
 
     Retained between snapshots: every report's prepared form, the
-    overall merge state and, per step, its report slice with either the
+    overall merge state with its derived layer and the findings the
+    detectors keep and, per step, its report slice with either the
     merge state (while the slice still moves) or the Eq. 2 score rows
     computed from it — never a graph for every step (a tenant fleet
     holds one kernel per collective).  Everything here is derived from
@@ -189,8 +195,7 @@ class DiagnosisKernel:
                 if 0 in rated else None
         excess, denominator = step_excess(rows, timing.exec_times,
                                           timing.expect_times)
-        for flow in sorted(overall.background_flows(),
-                           key=lambda f: f.short()):
+        for flow in sorted(overall.background_flows(), key=_flow_name):
             breakdown.collective_scores[flow] = weigh_step_scores(
                 lambda i, _cf: rows[i].get(flow, 0.0),
                 critical, excess, denominator)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from bisect import bisect_left, insort
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
@@ -94,56 +95,113 @@ class DiagnosisResult:
 #: the detectors' sort keys, computed once per port / flow
 _port_name = lru_cache(maxsize=4096)(str)
 _flow_name = lru_cache(maxsize=1 << 16)(FlowKey.short)
+#: where a by-port row keeps its (contention, incast, load-imbalance)
+#: findings, and its (waiting, feeding) flow counts
+_FOUND, _SIZES = 5, 6
 
 
 def _port_sharing(graph: ProvenanceGraph) -> list[tuple]:
     """Who shares each port flows wait at, by port name: (name, port,
     collective flows waiting there, other flows waiting there or
     feeding its queue, whether the collective flows queue behind each
-    other) — what every by-port detector reads.  On a graph an
-    accumulator snapshots it is one pass per snapshot, and only over
-    the ports a report touched since the last one."""
+    other, the port's (contention, incast, load-imbalance) findings or
+    None each, its (waiting, feeding) flow counts) — what every by-port
+    detector reads.  On a graph an accumulator snapshots, the rows and
+    their order are kept, and only the ports a report moved since the
+    last call are looked at again; a row that comes out the same keeps
+    its findings, one that does not replaces it in place."""
     index = graph.adjacency()
-    if index.sharing is not None:
+    rows = index.rows
+    if rows is None:        # a hand-filled graph may change yet
+        return sorted((_row(graph, index, port, waiting, None)
+                       for port, waiting in index.waiting_at_port.items()),
+                      key=itemgetter(0))
+    if index.sharing is not None and not index.stale:
         return index.sharing
-    rows = index.rows if index.rows is not None else {}
-    cf_set = graph.collective_flows
-    pairwise = graph.pairwise
-    sharing = []
-    for port, waiting in index.waiting_at_port.items():
-        row = rows.get(port)
-        if row is None:
-            others = set(waiting)
-            # flows contributing to the port (e(p,f)) contend too
-            others.update(index.flows_at_port.get(port, ()))
-            others -= cf_set
-            victims = cf_set.intersection(waiting)
-            row = rows[port] = (
-                _port_name(port), port, victims, others,
-                len(victims) > 1 and any(
-                    pairwise[key] > 0
-                    for key in index.mutual.get(port, ())
-                    if key[1] in victims and key[2] in victims))
-        sharing.append(row)
-    sharing.sort(key=itemgetter(0))
-    if index.rows is not None:    # a hand-filled graph may change yet
-        index.sharing = sharing
+    waiting_at = index.waiting_at_port
+    fresh = {}
+    for port in index.stale if index.sharing is not None else waiting_at:
+        waiting = waiting_at.get(port)
+        if waiting is not None:
+            old = rows.get(port)
+            row = _row(graph, index, port, waiting, old)
+            if row is not old:
+                rows[port] = fresh[port] = row
+    index.stale = set()
+    index.moved_rows.update(fresh)
+    sharing = index.sharing
+    if sharing is None:
+        index.sharing = sorted(fresh.values(), key=itemgetter(0))
+        return index.sharing
+    for row in fresh.values():
+        at = bisect_left(sharing, row[0], key=itemgetter(0))
+        if at < len(sharing) and sharing[at][1] == row[1]:
+            sharing[at] = row
+        else:
+            sharing.insert(at, row)
     return sharing
+
+
+def _row(graph: ProvenanceGraph, index: Adjacency, port: PortRef,
+         waiting: list[FlowKey], old: Optional[tuple]) -> tuple:
+    """``port``'s :func:`_port_sharing` row — ``old`` if it reads the
+    same.  Flow lists only grow, so ``old`` stands while they kept their
+    lengths, unless a pairwise weight may have made it mutual."""
+    sizes = (len(waiting), len(index.flows_at_port.get(port, ())))
+    if old is not None and old[_SIZES] == sizes \
+            and (old[4] or len(old[2]) < 2):
+        return old
+    cf_set = graph.collective_flows
+    others = set(waiting)
+    # flows contributing to the port (e(p,f)) contend too
+    others.update(index.flows_at_port.get(port, ()))
+    others -= cf_set
+    victims = cf_set.intersection(waiting)
+    pairwise = graph.pairwise
+    mutual = len(victims) > 1 and any(
+        pairwise[key] > 0 for key in index.mutual.get(port, ())
+        if key[1] in victims and key[2] in victims)
+    if old is not None and old[2] == victims and old[3] == others \
+            and old[4] == mutual:
+        return old if old[_SIZES] == sizes else (*old[:_SIZES], sizes)
+    name = _port_name(port)
+    contention = incast = imbalance = None
+    if victims and others:
+        contention = AnomalyFinding(
+            type=AnomalyType.FLOW_CONTENTION,
+            culprit_flows=set(others),
+            victim_ports=[port],
+            root_ports=[port],
+            victim_flows=set(victims),
+            detail=f"{len(others)} flow(s) contend with the "
+                   f"collective at {name}")
+        destinations = {flow.dst for flow in others}
+        if len(others) > 1 and len(destinations) == 1:
+            incast = AnomalyFinding(
+                type=AnomalyType.INCAST,
+                culprit_flows=set(others),
+                victim_ports=[port],
+                root_ports=[port],
+                victim_flows=set(victims),
+                detail=f"{len(others)} flows incast toward "
+                       f"{destinations.pop()}")
+    if mutual:
+        imbalance = AnomalyFinding(
+            type=AnomalyType.LOAD_IMBALANCE,
+            victim_ports=[port],
+            root_ports=[port],
+            victim_flows=set(victims),
+            detail=f"{len(victims)} collective flows converge on "
+                   f"{name} (ECMP imbalance)")
+    return (name, port, victims, others, mutual,
+            (contention, incast, imbalance), sizes)
 
 
 def detect_flow_contention(graph: ProvenanceGraph
                            ) -> list[AnomalyFinding]:
     """∃p: {f_i, cf} ⊆ F ∧ {e(f_i,p), e(cf,p)} ⊆ E ∧ f_i ≠ cf."""
-    return [AnomalyFinding(
-        type=AnomalyType.FLOW_CONTENTION,
-        culprit_flows=set(culprits),
-        victim_ports=[port],
-        root_ports=[port],
-        victim_flows=set(victims),
-        detail=f"{len(culprits)} flow(s) contend with the "
-               f"collective at {name}",
-    ) for name, port, victims, culprits, _ in _port_sharing(graph)
-        if victims and culprits]
+    return [row[_FOUND][0] for row in _port_sharing(graph)
+            if row[_FOUND][0] is not None]
 
 
 def detect_load_imbalance(graph: ProvenanceGraph
@@ -152,35 +210,14 @@ def detect_load_imbalance(graph: ProvenanceGraph
     over equal-cost paths pile onto one port and queue behind *each
     other*.  Signature: ≥2 distinct collective flows with e(cf, p) at
     the same port and mutual queueing-ahead weight between them."""
-    return [AnomalyFinding(
-        type=AnomalyType.LOAD_IMBALANCE,
-        victim_ports=[port],
-        root_ports=[port],
-        victim_flows=set(victims),
-        detail=f"{len(victims)} collective flows converge on "
-               f"{name} (ECMP imbalance)",
-    ) for name, port, victims, _, mutual in _port_sharing(graph)
-        if mutual]
+    return [row[_FOUND][2] for row in _port_sharing(graph)
+            if row[_FOUND][2] is not None]
 
 
 def detect_incast(graph: ProvenanceGraph) -> list[AnomalyFinding]:
     """Contention whose culprits converge on a single destination."""
-    findings = []
-    for _name, port, victims, culprits, _ in _port_sharing(graph):
-        if not victims or len(culprits) < 2:
-            continue
-        destinations = {flow.dst for flow in culprits}
-        if len(destinations) == 1:
-            findings.append(AnomalyFinding(
-                type=AnomalyType.INCAST,
-                culprit_flows=set(culprits),
-                victim_ports=[port],
-                root_ports=[port],
-                victim_flows=set(victims),
-                detail=f"{len(culprits)} flows incast toward "
-                       f"{destinations.pop()}",
-            ))
-    return findings
+    return [row[_FOUND][1] for row in _port_sharing(graph)
+            if row[_FOUND][1] is not None]
 
 
 def _chase_pfc_chain(downstream: dict[PortRef, list[PortRef]],
@@ -205,15 +242,16 @@ def _chase_pfc_chain(downstream: dict[PortRef, list[PortRef]],
 
 def _pfc_evidence(graph: ProvenanceGraph, index: Adjacency,
                   port: PortRef) -> tuple[Iterable[PortRef],
+                                          Iterable[PortRef],
                                           Optional[tuple]]:
     """What waiting at ``port`` implicates — (storm | backpressure, root
     ports, culprit flows, finding key, root names), or None when PFC is
-    not involved there — after the ports whose pauses, edges and flows
-    that answer was read from."""
+    not involved there — after the ports whose pauses, paused flag and
+    PFC edges that answer read, and those whose flows it read."""
     pausers = index.pause_senders.get(port, ())
     if not pausers and port not in graph.paused_ports \
             and port not in index.downstream:
-        return (port,), None
+        return (port,), (), None
     read, terminals = _chase_pfc_chain(index.downstream, port)
     ungrounded = graph.ungrounded_pause_sources
     storm_sources = {sender for victim in read
@@ -223,22 +261,23 @@ def _pfc_evidence(graph: ProvenanceGraph, index: Adjacency,
         kind = AnomalyType.PFC_STORM
         roots = sorted(storm_sources, key=_port_name)
         culprits: set[FlowKey] = set()
+        flows_of: Iterable[PortRef] = ()
     else:
         kind = AnomalyType.PFC_BACKPRESSURE
         # paused but chain info missing: root at the pause senders
         roots = [t for t in terminals if t != port] \
             or sorted(set(pausers), key=_port_name)
         if not roots:
-            return read, None
-        read.update(roots)
+            return read, (), None
+        flows_of = roots
         culprits = {flow for root in roots
                     for edges in (index.flows_at_port,
                                   index.waiting_at_port)
                     for flow in edges.get(root, ())}
         culprits -= graph.collective_flows
     names = sorted(map(_port_name, roots))
-    return read, (kind, roots, culprits, (kind, tuple(names)),
-                  ", ".join(map(_port_name, roots)))
+    return read, flows_of, (kind, roots, culprits, (kind, tuple(names)),
+                            ", ".join(map(_port_name, roots)))
 
 
 def detect_pfc_anomalies(graph: ProvenanceGraph) -> list[AnomalyFinding]:
@@ -251,42 +290,101 @@ def detect_pfc_anomalies(graph: ProvenanceGraph) -> list[AnomalyFinding]:
 
     Collective flows share ports, and what a port implicates is its
     own: evidence is worked out once per port — and, on a graph an
-    accumulator snapshots, kept until a report moves a port it read.
+    accumulator snapshots, kept with its waits until a report moves a
+    port it read; the waits stay sorted, and a finding whose waits did
+    not move is handed out again.
     """
     index = graph.adjacency()
-    evidence = index.evidence if index.evidence is not None else {}
-    #: every e(cf, p) with PFC evidence at p, by flow then port name
-    waits = []
-    for name, port, victims, _, _ in _port_sharing(graph):
-        if not victims:
-            continue
+    sharing = _port_sharing(graph)
+    evidence = index.evidence
+    if evidence is None:        # a hand-filled graph: every port, once
+        moved = []
+        for name, port, victims, *_ in sharing:
+            found = victims and _pfc_evidence(graph, index, port)[2]
+            if found:
+                moved.append((None, _waits_at(name, port, victims, found)))
+        return [finding for _, finding in _regroup({}, {}, moved).values()]
+    stale = index.stale_evidence
+    ports = stale | index.moved_rows if index.pfc is not None \
+        else index.rows
+    index.stale_evidence, index.moved_rows = set(), set()
+    moved = []
+    for port in ports:
+        row = index.rows.get(port)
+        if row is None or not row[2]:
+            continue                # no collective flow waits there
+        name, _, victims = row[:3]
         known = evidence.get(port)
-        if known is None:
-            # the port is in what it read: its row is never newer
-            read, found = _pfc_evidence(graph, index, port)
-            known = evidence[port] = (read, found and [
-                (_flow_name(cf), name, cf, port, found) for cf in victims])
-        if known[1]:
-            waits += known[1]
-    waits.sort(key=itemgetter(0, 1))
-    findings: dict[tuple, AnomalyFinding] = {}
-    for _, name, cf, port, (kind, roots, culprits, key, chain) in waits:
-        finding = findings.get(key)
-        if finding is not None:
-            finding.victim_flows.add(cf)
-            finding.culprit_flows |= culprits
-            continue
-        findings[key] = AnomalyFinding(
-            type=kind,
-            culprit_flows=set(culprits),
-            victim_ports=[port],
-            root_ports=list(roots),
-            victim_flows={cf},
-            detail="ungrounded PAUSE injection traced to " + chain
-            if kind is AnomalyType.PFC_STORM
-            else f"PFC backpressure chain from {name} to {chain}",
-        )
-    return list(findings.values())
+        if known is not None and port not in stale:
+            if known[2] is victims:
+                continue
+            read, flows_of, found = known[0], known[4], known[3]
+        else:
+            read, flows_of, found = _pfc_evidence(graph, index, port)
+        waits = known[1] if known is not None and known[2] == victims \
+            and known[3] == found \
+            else found and _waits_at(name, port, victims, found)
+        evidence[port] = (read, waits, victims, found, flows_of)
+        if known is None or waits is not known[1]:
+            moved.append((known and known[1], waits))
+    if moved or index.pfc is None:
+        index.pfc = _regroup(index.groups, index.pfc or {}, moved)
+    return [finding for _, finding in index.pfc.values()]
+
+
+def _waits_at(name: str, port: PortRef, victims: set[FlowKey],
+              found: tuple) -> list[tuple]:
+    return [(_flow_name(cf), name, cf, port, found) for cf in victims]
+
+
+#: waits sort by flow name, then port name
+_wait_order = itemgetter(0, 1)
+
+
+def _regroup(groups: dict, findings: dict, moved: list) -> dict:
+    """Move each (old waits, new waits) of ``moved`` between the sorted
+    wait groups, one per (type, root names); build again the finding of
+    each group whose waits moved, and order the findings by their first
+    wait, as a pass over every wait in order would meet them."""
+    touched = set()
+    for old, new in moved:
+        for wait in old or ():
+            groups[wait[4][3]].remove(wait)
+            touched.add(wait[4][3])
+        for wait in new or ():
+            insort(groups.setdefault(wait[4][3], []), wait,
+                   key=_wait_order)
+            touched.add(wait[4][3])
+    for key in touched:
+        members = groups.get(key)
+        if not members:
+            groups.pop(key, None)
+            findings.pop(key, None)
+        elif findings.get(key, ((),))[0] != (members := tuple(members)):
+            findings[key] = (members, _pfc_finding(members))
+    return dict(sorted(findings.items(),
+                       key=lambda item: _wait_order(item[1][0][0])))
+
+
+def _pfc_finding(members: Iterable[tuple]) -> AnomalyFinding:
+    """The finding gathering ``members``, waits in order: the first
+    names it."""
+    first, *rest = members
+    _, name, cf, port, (kind, roots, culprits, _key, chain) = first
+    finding = AnomalyFinding(
+        type=kind,
+        culprit_flows=set(culprits),
+        victim_ports=[port],
+        root_ports=list(roots),
+        victim_flows={cf},
+        detail="ungrounded PAUSE injection traced to " + chain
+        if kind is AnomalyType.PFC_STORM
+        else f"PFC backpressure chain from {name} to {chain}",
+    )
+    for _, _, cf, _, found in rest:
+        finding.victim_flows.add(cf)
+        finding.culprit_flows |= found[2]
+    return finding
 
 
 def detect_forwarding_loop(graph: ProvenanceGraph) -> list[AnomalyFinding]:

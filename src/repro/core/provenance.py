@@ -21,6 +21,7 @@ the storm signature (a buggy port pausing without congestion pressure).
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Optional
@@ -71,10 +72,10 @@ class ProvenanceGraph:
     def adjacency(self) -> "Adjacency":
         """The neighbour lists of this graph.
 
-        A graph finalised by a :class:`ProvenanceAccumulator` carries
-        the index it was built with.  A hand-filled graph gets one on
-        first use, rebuilt when an edge dict or the pause list was
-        replaced or changed size."""
+        A view a :class:`ProvenanceAccumulator` hands out carries the
+        accumulator's index.  A hand-filled graph gets one on first use,
+        rebuilt when an edge dict or the pause list was replaced or
+        changed size."""
         index = self._index
         if index is not None and index.sources is None:
             return index
@@ -120,7 +121,10 @@ class ProvenanceGraph:
         Nearly every graph has none, and a Kahn peel says so without
         importing networkx; a graph that has one is enumerated by
         ``nx.simple_cycles``."""
-        if not self.port_port or _acyclic(self.adjacency().downstream):
+        index = self.adjacency()
+        if index.acyclic is None or index.acyclic[0] is not index.downstream:
+            index.acyclic = (index.downstream, _acyclic(index.downstream))
+        if not self.port_port or index.acyclic[1]:
             return []
         import networkx as nx
 
@@ -161,13 +165,15 @@ class Adjacency:
 
     __slots__ = ("sources", "sizes", "ports_of_flow", "flows_at_port",
                  "waiting_at_port", "downstream", "pause_senders",
-                 "mutual", "sharing", "rows", "evidence")
+                 "mutual", "acyclic", "rows", "sharing", "stale",
+                 "moved_rows", "evidence", "stale_evidence", "groups",
+                 "pfc")
 
     def __init__(self, sources: Optional[tuple] = None) -> None:
         #: the (flow_port, port_flow, port_port, pause_events, pairwise)
         #: a hand-filled graph's lists were built from, and how big they
-        #: were then; None on an accumulator's index, which starts
-        #: empty, is extended edge by edge and is never re-validated
+        #: were then; None on an accumulator's index, which is kept up to
+        #: date by the accumulator and is never re-validated
         self.sources = sources
         self.sizes = tuple(map(len, sources or ()))
         flow_port, port_flow, port_port, pause_events, pairwise = \
@@ -187,13 +193,25 @@ class Adjacency:
         #: accumulator's lists only those between two collective flows)
         self.mutual: dict[PortRef, list[tuple]] = _grouped(
             (key[0], key) for key in pairwise if key[1] != key[2])
-        #: ``diagnosis`` on an accumulator's graph: the by-port pass
-        #: its detectors share, and that pass's row and the PFC
-        #: evidence per port, which outlive the snapshot (all None on a
-        #: hand-filled graph: nothing outlives a call)
-        self.sharing: Optional[list] = None
+        #: (the ``downstream`` it was peeled from, whether it is acyclic)
+        self.acyclic: Optional[tuple] = None
+        #: what ``diagnosis`` keeps across an accumulator's snapshots
+        #: (all None on a hand-filled graph: nothing outlives a call):
+        #: the by-port rows with their findings, by port and sorted by
+        #: port name, the ports whose row may have moved, and those
+        #: whose row did since the PFC detector last looked; the PFC
+        #: evidence per port, the ports whose evidence may have moved,
+        #: the waits by (type, root names), each group sorted by (flow,
+        #: port) name, and the PFC findings in order with the waits each
+        #: was built from
         self.rows: Optional[dict] = None
+        self.sharing: Optional[list] = None
+        self.stale: Optional[set] = None
+        self.moved_rows: Optional[set] = None
         self.evidence: Optional[dict] = None
+        self.stale_evidence: Optional[set] = None
+        self.groups: Optional[dict] = None
+        self.pfc: Optional[dict] = None
 
 
 class PreparedReport:
@@ -265,10 +283,27 @@ class ProvenanceAccumulator:
     idempotent — so merging each report once on arrival and taking a
     :meth:`snapshot` equals :func:`build_provenance` over the same
     reports in the same order, dict insertion order included (hence the
-    float summation order of Eqs. 1-3).  The two derivations that read
-    the *whole* collection (pause victims, port-port weights: their
-    denominators grow with every meter) are redone per snapshot on a
-    copy and never written back here.
+    float summation order of Eqs. 1-3).
+
+    The derivations that read the *whole* collection — pause victims'
+    e(f, p) edges, port-port weights (their denominators grow with
+    every meter), the ``downstream`` / ``pause_senders`` lists — are
+    kept here next to the merged state they read, apart from it, and a
+    snapshot patches only what a merge since the last one moved:
+
+    * a pause later than every known one appends its victim, link and
+      sender; an earlier one re-sorts, and re-orders what hangs off
+      that order;
+    * a victim's edges are derived again when its window flows, its
+      own e(f, p) edges or its host's flows moved;
+    * a pause sender's port-port edges are derived again when a meter
+      or a pause at its node moved, and the weights are re-assembled
+      from the kept ones when one moved;
+    * a flow's ``ports_of_flow`` list is re-assembled when it gained or
+      lost a victim or a merged port.
+
+    The detectors' rows and evidence (:class:`Adjacency`) are marked
+    stale for the ports whose inputs a merge or a derivation moved.
     """
 
     def __init__(self, collective_flows: Iterable[FlowKey],
@@ -290,23 +325,54 @@ class ProvenanceAccumulator:
         self._seen_pauses: set[tuple] = set()
         #: flows observed transiting each reported port in the window
         self.port_window_flows: dict[PortRef, set[FlowKey]] = {}
-        # what the detectors keep per port goes stale with the port:
-        # ports reported on since the last snapshot, and the switches a
-        # new meter or a new pause was seen at ...
+        # what moved since the last snapshot: ports reported on, and
+        # the switches a new meter or a new pause was seen at (whose
+        # pause senders' port-port terms it moves)
         self._touched_ports: set[PortRef] = set()
         self._touched_nodes: set[str] = set()
-        #: ... which reach every pause victim that sits on the node or
-        #: was paused from it; a new flow reaches the victims on its
-        #: source host
+        #: the pause victims that sit on each node or were paused from it
         self._victims_by_node: dict[str, set[PortRef]] = {}
-        self._flows_seen = 0
-        self._rows: dict[PortRef, tuple] = {}
-        self._evidence: dict[PortRef, tuple] = {}
-        #: pause victims as of the last finalize: (flow count, flows by
-        #: source host), and per victim (what its edges were derived
-        #: from, the flows given one, the edges)
+        # ---- the derived layer ----------------------------------------
+        #: ``graph.pause_events[:n]`` are in time order
+        self._sorted = 0
+        #: pause victims, in the order the sorted pauses first name them
+        #: (value: that rank), and (victim, sender) links likewise
+        self._victims: dict[PortRef, int] = {}
+        self._links: dict[tuple[PortRef, PortRef], None] = {}
+        #: pause senders by node, and each one's (downstream, weight)
+        #: port-port terms
+        self._senders_at: dict[str, list[PortRef]] = {}
+        self._fed: dict[PortRef, list[tuple[PortRef, float]]] = {}
+        #: a link appeared or the links were ranked again
+        self._relink = False
+        self._port_port: dict[tuple[PortRef, PortRef], float] = {}
+        self._downstream: dict[PortRef, list[PortRef]] = {}
+        self._pause_senders: dict[PortRef, list[PortRef]] = {}
+        #: (flow count, flows by source host) as of the last regroup
         self._by_source: tuple[int, dict] = (-1, {})
+        #: per victim: (what its edges were derived from, the flows
+        #: given one — those with no merged e(f, p) edge there)
         self._blocked: dict[PortRef, tuple] = {}
+        #: per flow given a victim edge, those victims in victim order
+        self._tails: dict[FlowKey, list[PortRef]] = {}
+        #: per port reported on, its (waiting, feeding) flow counts as of
+        #: the last look; the paused ports as of the last snapshot; the
+        #: ports whose pauses, paused flag or PFC edges a snapshot's
+        #: derivations moved (what a PFC chase reads)
+        self._sizes: dict[PortRef, tuple[int, int]] = {}
+        self._paused: set[PortRef] = set()
+        self._pfc_moved: set[PortRef] = set()
+        #: the snapshot's entries that differ from the merged ones:
+        #: victim e(f, p) edges in victim order, neighbour lists with
+        #: the victims' share appended, flows only a victim edge names
+        self._victim_edges: dict[tuple[FlowKey, PortRef], float] = {}
+        self._ports_of_flow: dict[FlowKey, list[PortRef]] = {}
+        self._waiting: dict[PortRef, list[FlowKey]] = {}
+        self._victim_flows: set[FlowKey] = set()
+        #: the snapshot's index, which carries what the detectors keep
+        view = self._view = Adjacency()
+        view.rows, view.stale, view.moved_rows = {}, set(), set()
+        view.evidence, view.stale_evidence, view.groups = {}, set(), {}
 
     def fold(self, report: SwitchReport) -> None:
         """Merge one report (edge-wise maximum; see the class note)."""
@@ -390,66 +456,115 @@ class ProvenanceAccumulator:
         if prepared.ttl_drops:
             graph.ttl_drop_flows.update(prepared.ttl_drops)
 
-    def _drop_stale(self) -> None:
-        """Forget what the detectors kept about every port whose state
-        may have moved since the last snapshot: its own row, and the
-        PFC evidence that read it."""
-        dirty = self._touched_ports
-        victims = self._victims_by_node
-        flows = self.graph.flows
-        if len(flows) != self._flows_seen and victims:
-            self._flows_seen = len(flows)
-            self._touched_nodes.update(flow.src for flow in flows)
-        for node in self._touched_nodes.intersection(victims):
-            dirty.update(victims[node])
-        rows, evidence = self._rows, self._evidence
-        for port in dirty.intersection(rows):
-            del rows[port]
-        for port in [port for port, (read, _waits) in evidence.items()
-                     if not dirty.isdisjoint(read)]:
-            del evidence[port]
-        self._touched_ports = set()
-        self._touched_nodes = set()
-
     def snapshot(self) -> ProvenanceGraph:
-        """The finalised graph over everything merged so far.  It owns
-        the containers :meth:`finalize` writes to and shares the rest
-        with the accumulator, so it is good until the next merge."""
-        base = self.graph
-        graph = ProvenanceGraph(
-            collective_flows=base.collective_flows,
-            flows=base.flows.copy(), ports=base.ports.copy(),
-            flow_port=base.flow_port.copy(), port_flow=base.port_flow,
-            pairwise=base.pairwise, qdepth=base.qdepth,
-            paused_ports=base.paused_ports,
-            ungrounded_pause_sources=base.ungrounded_pause_sources,
-            pause_events=base.pause_events.copy(),
-            ttl_drop_flows=base.ttl_drop_flows)
-        index = Adjacency()
-        index.ports_of_flow = self.index.ports_of_flow.copy()
-        index.waiting_at_port = self.index.waiting_at_port.copy()
-        index.flows_at_port = self.index.flows_at_port
-        index.mutual = self.index.mutual
-        self._drop_stale()
-        return self.finalize(graph, index)
+        """The finalised graph over everything merged so far.  It shares
+        its containers with the accumulator — the three that carry
+        victim edges as one dict merge of the merged and the derived
+        entries — so it is good until the next merge."""
+        graph, view = self.graph, self._view
+        grown, arrived = self._look_at_touched() \
+            if self._tails or view.sharing is not None else ((), ())
+        ranked, reordered = self._admit_pauses() \
+            if len(graph.pause_events) > self._sorted else ((), False)
+        rederived = self._derive_victims(ranked, reordered, arrived) \
+            if self._victims else ()
+        if self._relink or self._touched_nodes:
+            self._derive_links()
+        self._mark_stale(grown, rederived)
+        index = self.index
+        view.ports_of_flow = {**index.ports_of_flow, **self._ports_of_flow} \
+            if self._ports_of_flow else index.ports_of_flow
+        view.waiting_at_port = {**index.waiting_at_port, **self._waiting} \
+            if self._waiting else index.waiting_at_port
+        view.flows_at_port, view.mutual = index.flows_at_port, index.mutual
+        view.downstream = self._downstream
+        view.pause_senders = self._pause_senders
+        flows = graph.flows
+        if not self._victim_flows <= flows:
+            flows = flows | self._victim_flows
+        snapshot = ProvenanceGraph(
+            collective_flows=graph.collective_flows, flows=flows,
+            ports=graph.ports,
+            flow_port={**graph.flow_port, **self._victim_edges}
+            if self._victim_edges else graph.flow_port,
+            port_flow=graph.port_flow, port_port=self._port_port,
+            pairwise=graph.pairwise, qdepth=graph.qdepth,
+            paused_ports=graph.paused_ports,
+            ungrounded_pause_sources=graph.ungrounded_pause_sources,
+            pause_events=graph.pause_events,
+            ttl_drop_flows=graph.ttl_drop_flows)
+        snapshot._index = view
+        return snapshot
 
-    def finalize(self, graph: ProvenanceGraph,
-                 index: Adjacency) -> ProvenanceGraph:
-        """Derive pause-victim edges and port-port weights into
-        ``graph`` and ``index`` (the accumulator's own, or copies)."""
-        graph.pause_events.sort(key=_pause_time)
-        if graph.pause_events:
-            self._attach_pause_victims(graph, index)
-            _build_port_port_edges(graph, index, self.meters, self._into,
-                                   self._fed_by)
-            index.pause_senders = _grouped(
-                (e.victim, e.sender) for e in graph.pause_events)
-        index.rows, index.evidence = self._rows, self._evidence
-        graph._index = index
-        return graph
+    def _admit_pauses(self) -> tuple[list[PortRef], bool]:
+        """Sort the pauses merged since the last snapshot in.  Pauses no
+        earlier than every known one append their victims, links and
+        senders; an earlier one re-sorts them all and ranks every victim
+        and link again.  Returns the victims (re-)ranked, and whether
+        the pauses were re-sorted."""
+        pauses = self.graph.pause_events
+        known = self._sorted
+        fresh = pauses[known:]
+        fresh.sort(key=_pause_time)
+        reordered = bool(known) and fresh[0].time < pauses[known - 1].time
+        if reordered:
+            pauses.sort(key=_pause_time)   # stable: ties keep arrival
+            fresh = pauses
+            self._victims, self._links = {}, {}
+            self._pause_senders = {}
+            self._relink = True
+        else:
+            pauses[known:] = fresh
+        self._sorted = len(pauses)
+        victims, links, fed = self._victims, self._links, self._fed
+        ranked = []
+        for pause in fresh:
+            victim, sender = pause.victim, pause.sender
+            if victim not in victims:
+                victims[victim] = len(victims)
+                ranked.append(victim)
+                self.graph.ports.add(victim)
+            if (victim, sender) not in links:
+                links[victim, sender] = None
+                self._relink = True
+                if sender not in fed:
+                    # its node was touched by the pause: derived below
+                    fed[sender] = []
+                    self._senders_at.setdefault(sender.node, []).append(
+                        sender)
+            self._pause_senders.setdefault(victim, []).append(sender)
+        if self._view.sharing is not None:
+            # a new pause may make its sender ungrounded: every victim
+            # it paused reads that
+            moved = self._pfc_moved
+            for pause in fresh:
+                moved.update(self._victims_by_node[pause.sender.node])
+        return ranked, reordered
 
-    def _attach_pause_victims(self, graph: ProvenanceGraph,
-                              index: Adjacency) -> None:
+    def _look_at_touched(self) -> tuple[set[PortRef], set[FlowKey]]:
+        """The ports reported on whose waiting or feeding flows grew,
+        and the flows that gained a merged e(f, p) edge there; a port
+        newly paused moves its PFC evidence."""
+        index, sizes = self.index, self._sizes
+        waiting_at, flows_at = index.waiting_at_port, index.flows_at_port
+        grown, arrived = set(), set()
+        for port in self._touched_ports:
+            waiting = waiting_at.get(port, ())
+            size = (len(waiting), len(flows_at.get(port, ())))
+            before = sizes.get(port, (0, 0))
+            if size != before:
+                grown.add(port)
+                arrived.update(waiting[before[0]:])
+                sizes[port] = size
+        paused = self.graph.paused_ports
+        if len(paused) != len(self._paused):
+            fresh = paused - self._paused
+            self._pfc_moved |= fresh
+            self._paused |= fresh
+        return grown, arrived
+
+    def _derive_victims(self, ranked: list[PortRef], reordered: bool,
+                        arrived: Iterable[FlowKey]) -> list[PortRef]:
         """Give flows halted by PFC an e(f, p) edge at the victim port.
 
         A pause's victim may be a port whose queue had drained by
@@ -461,46 +576,177 @@ class ProvenanceAccumulator:
 
         Flows, window flows and e(f, p) edges only grow, so an unchanged
         count is an unchanged set: the flows by source host are
-        regrouped when the flow count moved, and the edges a victim
-        gains are derived again when its window flows, its own e(f, p)
-        edges or its host's flows moved.  ``index``'s lists are
-        replaced, never extended: a snapshot's are the accumulator's.
+        regrouped when the flow count moved, and a victim is derived
+        again only when its window flows, its own e(f, p) edges or its
+        host's flows moved — one newly ranked, reported on, or on a
+        host whose group changed.  Returns the victims derived again.
         """
-        if self._by_source[0] != len(graph.flows):
-            by_source: dict[str, list[FlowKey]] = {}
+        graph, index = self.graph, self.index
+        victims, blocked_by = self._victims, self._blocked
+        candidates = [*ranked, *(port for port in self._touched_ports
+                                 if port in victims)]
+        count, by_source = self._by_source
+        if count != len(graph.flows):
+            grouped = by_source
+            by_source = {}
             for flow in graph.flows | graph.collective_flows:
                 by_source.setdefault(flow.src, []).append(flow)
             self._by_source = (len(graph.flows), by_source)
-        by_source = self._by_source[1]
+            # the hosts a new flow came from, or whose flows the union
+            # now lists in another order (the order blocked sets are
+            # built in)
+            for host, flows in by_source.items():
+                if flows != grouped.get(host):
+                    candidates += self._victims_by_node.get(host, ())
+        tails = self._tails
+        # a flow given a victim edge is re-listed when it gains a
+        # merged port, or when the victims were ranked again
+        moved = set(tails) if reordered else tails.keys() & arrived
+        rank = victims.__getitem__
+        if reordered:
+            for tail in tails.values():
+                tail.sort(key=rank)
+        rederived = []
         flow_port = graph.flow_port
-        ports_of_flow, waiting_at_port = \
-            index.ports_of_flow, index.waiting_at_port
-        # a victim paused again adds nothing new: once per victim, in
-        # the order the pauses first name it
-        for victim in dict.fromkeys(e.victim for e in graph.pause_events):
-            graph.ports.add(victim)
+        for victim in dict.fromkeys(candidates):
             window = self.port_window_flows.get(victim, ())
-            inputs = (len(window),
-                      len(self.index.waiting_at_port.get(victim, ())),
+            merged = index.waiting_at_port.get(victim, ())
+            inputs = (len(window), len(merged),
                       by_source.get(victim.node, ()))
-            known = self._blocked.get(victim)
-            if known is None or known[0] != inputs:
-                blocked = set(window)
-                blocked.update(inputs[2])
-                # a blocked flow with an edge there is in graph.flows
-                added = [flow for flow in blocked
-                         if (flow, victim) not in flow_port]
-                known = self._blocked[victim] = (inputs, added, dict.fromkeys(
-                    [(flow, victim) for flow in added], 0.0))
-            _inputs, added, edges = known
+            known = blocked_by.get(victim)
+            if known is not None and known[0] == inputs:
+                continue
+            blocked = set(window)
+            blocked.update(inputs[2])
+            # a blocked flow with an edge there is in graph.flows
+            added = [flow for flow in blocked
+                     if (flow, victim) not in flow_port]
+            blocked_by[victim] = (inputs, added)
+            rederived.append(victim)
             if added:
-                graph.flows.update(added)
-                flow_port.update(edges)
+                self._waiting[victim] = [*merged, *added]
+            else:
+                self._waiting.pop(victim, None)
+            if known is None and not reordered:
+                # ranked after every victim ranked before: last in line
                 for flow in added:
-                    ports_of_flow[flow] = [*ports_of_flow.get(flow, ()),
-                                           victim]
-                waiting_at_port[victim] = [
-                    *waiting_at_port.get(victim, ()), *added]
+                    tails.setdefault(flow, []).append(victim)
+                moved.update(added)
+                continue
+            before = set(known[1]) if known is not None else set()
+            for flow in before.symmetric_difference(added):
+                tail = tails.setdefault(flow, [])
+                if flow in before:
+                    tail.remove(victim)
+                else:
+                    insort(tail, victim, key=rank)
+                moved.add(flow)
+        for flow in moved:
+            tail = tails.get(flow)
+            if tail:
+                self._ports_of_flow[flow] = [
+                    *index.ports_of_flow.get(flow, ()), *tail]
+            else:
+                tails.pop(flow, None)
+                self._ports_of_flow.pop(flow, None)
+        # every newly ranked victim was derived, first
+        if reordered or len(rederived) > len(ranked):
+            # a victim ranked before moved: its edges go back in line
+            self._victim_edges = {
+                (flow, victim): 0.0 for victim in victims
+                for flow in blocked_by[victim][1]}
+        elif ranked:        # only the newly ranked: theirs go last
+            self._victim_edges.update(
+                ((flow, victim), 0.0) for victim in ranked
+                for flow in blocked_by[victim][1])
+        for victim in rederived:
+            # a flow leaves a victim's list only once merged there
+            self._victim_flows.update(blocked_by[victim][1])
+        return rederived
+
+    def _derive_links(self) -> None:
+        """Turn pause causality + traffic meters into weighted
+        e(p_i, p_j): derive again the terms of every pause sender whose
+        node a meter or a pause moved, and re-assemble the weights in
+        link order when a sender's terms moved.
+
+        A term is ``meter(p_i, p_j) / Σ_k meter(p_k, p_j)``, summed in
+        meter order; repeated PAUSEs over one link yield the same
+        weights: once per (halted egress on switch A, pausing ingress on
+        switch B)."""
+        fed = self._fed
+        moved, self._relink = self._relink, False
+        for node in self._touched_nodes.intersection(self._senders_at):
+            for sender in self._senders_at[node]:
+                terms = self._sender_terms(sender)
+                if fed[sender] != terms:
+                    fed[sender] = terms
+                    moved = True
+        if not moved:
+            return
+        before = self._downstream
+        port_port: dict[tuple[PortRef, PortRef], float] = {}
+        downstream: dict[PortRef, list[PortRef]] = {}
+        ports = self.graph.ports
+        for upstream, sender in self._links:
+            for target, weight in fed[sender]:
+                key = (upstream, target)
+                old = port_port.get(key)
+                if old is None:
+                    downstream.setdefault(upstream, []).append(target)
+                    port_port[key] = weight
+                    ports.add(target)
+                elif weight > old:
+                    port_port[key] = weight
+        if downstream == before:
+            downstream = before     # what a chase or a peel reads held
+        elif self._view.sharing is not None:
+            # a chase reads the lists, not the weights
+            self._pfc_moved.update(
+                port for port in downstream.keys() | before.keys()
+                if downstream.get(port) != before.get(port))
+        self._port_port, self._downstream = port_port, downstream
+
+    def _sender_terms(self, sender: PortRef) -> list[tuple[PortRef, float]]:
+        """The (downstream, weight) terms a pause from ``sender`` yields,
+        in meter order."""
+        meters, into = self.meters, self._into
+        terms = []
+        # a PortRef is its (node, port) tuple, the lists' key
+        for key in self._fed_by.get(sender, ()):
+            value = meters[key]
+            if value <= 0:
+                continue
+            out = key[2]
+            denominator = sum(map(meters.__getitem__,
+                                  into[(sender.node, out)]))
+            if denominator > 0:
+                terms.append((PortRef(sender.node, out),
+                              value / denominator))
+        return terms
+
+    def _mark_stale(self, grown: Iterable[PortRef],
+                    rederived: Iterable[PortRef]) -> None:
+        """Mark stale what the detectors kept about every port whose
+        state may have moved since the last snapshot: the row of every
+        port reported on or derived again, and the PFC evidence that
+        read a port whose pauses, paused flag or PFC edges moved, or the
+        flows of a port whose flows moved."""
+        view = self._view
+        if view.sharing is not None:    # the detectors ran on it
+            view.stale |= self._touched_ports
+            view.stale.update(rederived)
+            moved = self._pfc_moved
+            flowed = {*grown, *rederived}
+            if moved or flowed:
+                view.stale_evidence.update(
+                    port for port, (read, _, _, _, flows_of)
+                    in view.evidence.items()
+                    if not moved.isdisjoint(read)
+                    or not flowed.isdisjoint(flows_of))
+        self._pfc_moved = set()
+        self._touched_ports = set()
+        self._touched_nodes = set()
 
 
 def build_provenance(reports: Iterable[SwitchReport],
@@ -521,39 +767,4 @@ def build_provenance(reports: Iterable[SwitchReport],
                                         window_start)
     for report in reports:
         accumulator.fold(report)
-    return accumulator.finalize(accumulator.graph, accumulator.index)
-
-
-def _build_port_port_edges(
-        graph: ProvenanceGraph, index: Adjacency,
-        meters: dict[tuple[str, int, int], float],
-        into: dict[tuple[str, int], list[tuple]],
-        fed_by: dict[tuple[str, int], list[tuple]]) -> None:
-    """Turn pause causality + traffic meters into weighted e(p_i, p_j).
-
-    ``into`` and ``fed_by`` list the meters' keys per egress and per
-    ingress in meter order, the order a denominator's terms are summed
-    in."""
-    port_port = graph.port_port
-    # repeated PAUSEs over one link yield the same weights: once per
-    # (halted egress on switch A, pausing ingress on switch B)
-    for upstream, sender in dict.fromkeys(
-            (e.victim, e.sender) for e in graph.pause_events):
-        graph.ports.add(upstream)
-        # a PortRef is its (node, port) tuple, the lists' key
-        for key in fed_by.get(sender, ()):
-            value = meters[key]
-            if value <= 0:
-                continue
-            out = key[2]
-            denominator = sum(map(meters.__getitem__,
-                                  into[(sender.node, out)]))
-            if denominator <= 0:
-                continue
-            downstream = PortRef(sender.node, out)
-            key = (upstream, downstream)
-            old = port_port.get(key)
-            if old is None:
-                index.downstream.setdefault(upstream, []).append(downstream)
-            port_port[key] = max(old or 0.0, value / denominator)
-            graph.ports.add(downstream)
+    return accumulator.snapshot()

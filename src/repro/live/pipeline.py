@@ -11,9 +11,13 @@ Equivalence contract (tested): on a clean, fully-delivered stream the
 contributor scores equal the batch
 :func:`~repro.traces.store.analyze_trace` result for the same data —
 the pipeline is the paper's online analyzer, not an approximation of
-it.  The waiting graph stays memory-bounded via in-degree-zero
-pruning; it keeps only O(steps) scalars (per-step windows, durations,
-slowest flows) for the steps the prune discards.
+it.  Every ``PRUNE_INTERVAL`` records the waiting graph drops the
+records nothing waits on (in-degree zero), keeping only O(steps)
+scalars (per-step windows, durations, slowest flows) for them.  In a
+ring every record is waited on by a later step until the collective's
+last steps arrive, so a stream keeps nearly all of its records until
+it ends: the golden incast case prunes none of its 56 records, the
+golden PFC-storm case 4 (``tests/live/test_pipeline.py`` pins both).
 """
 
 from __future__ import annotations

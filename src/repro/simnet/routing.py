@@ -22,6 +22,11 @@ from repro.simnet.packet import HEADER_BYTES, MTU_PAYLOAD_BYTES, FlowKey
 from repro.simnet.topology import Topology
 from repro.simnet.units import serialization_delay
 
+#: what ``base_rtt_ns`` serialises at every hop: one full data packet
+#: out and one ACK back
+RTT_PACKET_BYTES: Bytes = MTU_PAYLOAD_BYTES + HEADER_BYTES
+RTT_ACK_BYTES: Bytes = 64
+
 
 class RoutingError(Exception):
     """Raised when no route exists for a destination."""
@@ -175,10 +180,8 @@ class EcmpRouting:
             path.append(node)
         return path
 
-    def base_rtt_ns(self, src: str, dst: str, flow: Optional[FlowKey] = None,
-                    per_hop_delay_ns: Optional[Nanoseconds] = None,
-                    packet_bytes: Bytes = MTU_PAYLOAD_BYTES + HEADER_BYTES,
-                    ack_bytes: Bytes = 64) -> Nanoseconds:
+    def base_rtt_ns(self, src: str, dst: str, flow: Optional[FlowKey] = None
+                    ) -> Nanoseconds:
         """Unloaded round-trip estimate between two hosts.
 
         Vedrfolnir recomputes RTT thresholds from topology before each
@@ -191,9 +194,7 @@ class EcmpRouting:
         total = 0.0
         for i in range(len(hops) - 1):
             link = self.topology.link_between(hops[i], hops[i + 1])
-            delay = per_hop_delay_ns if per_hop_delay_ns is not None \
-                else link.delay_ns
-            total += 2 * delay
-            total += serialization_delay(packet_bytes + ack_bytes,
+            total += 2 * link.delay_ns
+            total += serialization_delay(RTT_PACKET_BYTES + RTT_ACK_BYTES,
                                          link.bandwidth_bps)
         return total

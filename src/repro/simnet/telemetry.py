@@ -41,34 +41,33 @@ PAUSE_ENTRY_BYTES: Bytes = 16
 
 
 class WindowedCounter:
-    """A dict of counters that lazily rotates every ``window_ns``.
+    """A dict of counters that lazily rotates every ``WINDOW_NS``.
 
     ``snapshot`` returns the union of the current and previous epochs, so
     readers always see between one and two windows of history.
     """
 
-    __slots__ = ("window_ns", "_cur", "_prev", "_epoch_start")
+    __slots__ = ("_cur", "_prev", "_epoch_start")
 
-    def __init__(self, window_ns: Nanoseconds) -> None:
-        self.window_ns = window_ns
+    def __init__(self) -> None:
         self._cur: dict[Hashable, float] = {}
         self._prev: dict[Hashable, float] = {}
         self._epoch_start = 0.0
 
     def _rotate(self, now: float) -> None:
         elapsed = now - self._epoch_start
-        if elapsed < self.window_ns:
+        if elapsed < WINDOW_NS:
             return
-        if elapsed >= 2 * self.window_ns:
+        if elapsed >= 2 * WINDOW_NS:
             self._prev = {}
             self._cur = {}
         else:
             self._prev = self._cur
             self._cur = {}
-        self._epoch_start = now - (elapsed % self.window_ns)
+        self._epoch_start = now - (elapsed % WINDOW_NS)
 
     def add(self, now: Nanoseconds, key: Hashable, delta: float = 1.0) -> None:
-        if now - self._epoch_start >= self.window_ns:
+        if now - self._epoch_start >= WINDOW_NS:
             self._rotate(now)
         cur = self._cur
         cur[key] = cur.get(key, 0.0) + delta
@@ -99,30 +98,29 @@ class WindowedGroupCounter:
     serialized reports are byte-identical to the historical format.
     """
 
-    __slots__ = ("window_ns", "_cur", "_prev", "_epoch_start")
+    __slots__ = ("_cur", "_prev", "_epoch_start")
 
-    def __init__(self, window_ns: Nanoseconds) -> None:
-        self.window_ns = window_ns
+    def __init__(self) -> None:
         self._cur: dict[Hashable, dict] = {}
         self._prev: dict[Hashable, dict] = {}
         self._epoch_start = 0.0
 
     def _rotate(self, now: float) -> None:
         elapsed = now - self._epoch_start
-        if elapsed < self.window_ns:
+        if elapsed < WINDOW_NS:
             return
-        if elapsed >= 2 * self.window_ns:
+        if elapsed >= 2 * WINDOW_NS:
             self._prev = {}
             self._cur = {}
         else:
             self._prev = self._cur
             self._cur = {}
-        self._epoch_start = now - (elapsed % self.window_ns)
+        self._epoch_start = now - (elapsed % WINDOW_NS)
 
     def bucket(self, now: Nanoseconds, group: Hashable) -> dict:
         """The current epoch's ``{key: value}`` of ``group``, for the
         caller to add into (rotated first when the window has passed)."""
-        if now - self._epoch_start >= self.window_ns:
+        if now - self._epoch_start >= WINDOW_NS:
             self._rotate(now)
         bucket = self._cur.get(group)
         if bucket is None:
@@ -202,9 +200,9 @@ class SwitchTelemetry:
 
     def __init__(self, switch_id: str) -> None:
         self.switch_id = switch_id
-        self._flow_pkts = WindowedGroupCounter(WINDOW_NS)     # port -> flow
-        self._wait_weights = WindowedGroupCounter(WINDOW_NS)  # port -> fi, fj
-        self._port_meters = WindowedCounter(WINDOW_NS)        # (in, out)
+        self._flow_pkts = WindowedGroupCounter()     # port -> flow
+        self._wait_weights = WindowedGroupCounter()  # port -> fi, fj
+        self._port_meters = WindowedCounter()        # (in, out)
         self._ttl_drops: dict[FlowKey, int] = {}
         self.pause_log = PauseLog()
         #: live per-port, per-flow in-queue packet counts

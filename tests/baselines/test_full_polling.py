@@ -1,19 +1,20 @@
 """Full-polling baseline semantics."""
 
+from repro.baselines import full_polling
 from repro.baselines.full_polling import FullPollingSystem
 from repro.collective.ring import ring_allgather
 from repro.collective.runtime import CollectiveRuntime
 from repro.simnet.network import Network
 from repro.simnet.topology import build_fat_tree
-from repro.simnet.units import ms, us
+from repro.simnet.units import ms
 
 NODES = ["h0", "h4", "h8", "h12"]
 
 
-def run_full_polling(background=(), interval=us(50)):
+def run_full_polling(background=()):
     net = Network(build_fat_tree(4))
     runtime = CollectiveRuntime(net, ring_allgather(NODES, 200_000))
-    system = FullPollingSystem(interval_ns=interval)
+    system = FullPollingSystem()
     system.attach(net, runtime)
     runtime.start()
     for src, dst, size in background:
@@ -41,9 +42,13 @@ def test_no_poll_packets_used():
     assert net.bandwidth_overhead_bytes == net.report_bytes
 
 
-def test_shorter_interval_more_overhead():
-    net_fast, _, _ = run_full_polling(interval=us(25))
-    net_slow, _, _ = run_full_polling(interval=us(100))
+def test_shorter_interval_more_overhead(monkeypatch):
+    """The polling cadence is a constant; what it costs is still read
+    off it."""
+    net_fast, _, _ = run_full_polling()
+    monkeypatch.setattr(full_polling, "POLL_INTERVAL_NS",
+                        4 * full_polling.POLL_INTERVAL_NS)
+    net_slow, _, _ = run_full_polling()
     assert net_fast.report_bytes > net_slow.report_bytes
 
 

@@ -92,7 +92,7 @@ def test_rpr013_catches_the_historical_base_rtt_term(tmp_path):
     """Put back ``base_rtt_ns``'s hand-rolled serialization term (the
     bug this rule found) and the rule must flag its ``* 8.0``."""
     source = (REPO_ROOT / "src/repro/simnet/routing.py").read_text()
-    fixed = """            total += serialization_delay(packet_bytes + ack_bytes,
+    fixed = """            total += serialization_delay(RTT_PACKET_BYTES + RTT_ACK_BYTES,
                                          link.bandwidth_bps)
 """
     assert fixed in source, "base_rtt_ns moved; update test"
@@ -101,7 +101,7 @@ def test_rpr013_catches_the_historical_base_rtt_term(tmp_path):
     target.write_text(source)
     assert check_paths([target]) == []
     target.write_text(source.replace(fixed, """\
-            total += (packet_bytes + ack_bytes) * 8.0 \\
+            total += (RTT_PACKET_BYTES + RTT_ACK_BYTES) * 8.0 \\
                 / link.bandwidth_bps * 1_000_000_000.0
 """))
     findings = check_paths([target])

@@ -1,8 +1,9 @@
 """Delta-driven detectors against from-scratch ones on random telemetry.
 
-An accumulator keeps, between snapshots, each port's by-port row and
-PFC evidence, and drops what a merged report may have moved (the
-dirty-port rule of ``ProvenanceAccumulator._drop_stale``).  Here a
+An accumulator keeps, between snapshots, its derived layer (pause-victim
+edges, port-port weights) and each port's by-port row, findings and
+PFC evidence, and looks again at what a merged report may have moved
+(the dirty-port rule of ``ProvenanceAccumulator._mark_stale``).  Here a
 small universe of switches, hosts, flows and pauses — host-side pause
 victims, ungrounded senders, meters arriving after the pause they
 explain — is reported in random order, and after *every* report the
@@ -78,7 +79,7 @@ def mutual_flags(graph: ProvenanceGraph) -> list[bool]:
     against its definition: two collective flows wait at the port and
     one queues behind the other (every ordered pair probed)."""
     flags = []
-    for _name, port, victims, _others, mutual in _port_sharing(graph):
+    for _name, port, victims, _others, mutual, *_ in _port_sharing(graph):
         assert mutual == (len(victims) > 1 and any(
             graph.pairwise.get((port, a, b), 0.0) > 0
             for a in victims for b in victims if a != b)), port
@@ -91,6 +92,34 @@ def table_by_definition(graph: ProvenanceGraph) -> dict:
     rows = {cf: score_row(graph, cf) for cf in graph.collective_flows
             if graph.ports_of_flow(cf)}
     return {cf: row for cf, row in rows.items() if row}
+
+
+def assert_same_order(kept: ProvenanceGraph,
+                      scratch: ProvenanceGraph) -> None:
+    """Insertion order is summation order (Eqs. 1-2) and chase order:
+    the patched derived layer lists what a from-scratch build lists, in
+    the same order, out-of-order pauses and all.  Within one victim the
+    flows given an edge come in the order a set of them iterates, which
+    only sets read: there the flows are compared as sets."""
+    def victim_blocks(graph):
+        merged = [key for key, weight in graph.flow_port.items()
+                  if weight or key[1] not in pause_victims]
+        derived = [key for key in graph.flow_port if key not in merged]
+        return merged, [port for _, port in derived], set(derived)
+
+    pause_victims = {event.victim for event in scratch.pause_events}
+    assert victim_blocks(kept) == victim_blocks(scratch)
+    assert list(kept.port_port.items()) == list(scratch.port_port.items())
+    assert kept.pause_events == scratch.pause_events
+    for flow in scratch.flows | scratch.collective_flows:
+        assert kept.ports_of_flow(flow) == scratch.ports_of_flow(flow)
+    for port in scratch.ports:
+        assert sorted(map(FlowKey.short, kept.waiting_flows_at_port(port))) \
+            == sorted(map(FlowKey.short,
+                          scratch.waiting_flows_at_port(port)))
+        assert kept.downstream_ports(port) == scratch.downstream_ports(port)
+        assert kept.adjacency().pause_senders.get(port) \
+            == scratch.adjacency().pause_senders.get(port)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -106,6 +135,7 @@ def test_kept_rows_and_evidence_equal_from_scratch(seed):
         snapshot = kept.snapshot()
         scratch = build_provenance(reports[:count], CF, XOFF)
         assert snapshot == scratch
+        assert_same_order(snapshot, scratch)
         assert diagnose(snapshot) == diagnose(scratch)
         assert score_table(snapshot) == score_table(scratch) \
             == table_by_definition(scratch)

@@ -151,6 +151,25 @@ def test_every_rolling_snapshot_equals_from_scratch(trace_path):
     assert any(s.result.findings for s in pipeline.snapshots[:-1])
 
 
+def test_kept_snapshots_render_as_they_were_emitted(trace_path):
+    """Consecutive snapshots share every finding no report moved, so
+    nothing may change a finding once ``diagnose`` handed it out: every
+    snapshot a replay kept renders, at the end, byte for byte as it did
+    when it was emitted."""
+    pipeline = LivePipeline.from_header(
+        read_header(trace_path), PipelineConfig(snapshot_every=5))
+    emitted: list = []
+    pipeline.on_snapshot.append(
+        lambda snapshot: emitted.append(snapshot.canonical_json(top=99)))
+    drive(pipeline, trace_events(trace_path)).finish()
+    assert [snapshot.canonical_json(top=99)
+            for snapshot in pipeline.snapshots] == emitted
+    findings = [finding for snapshot in pipeline.snapshots
+                for finding in snapshot.result.findings]
+    # not vacuous: findings were handed out again, not rebuilt
+    assert len({id(finding) for finding in findings}) < len(findings)
+
+
 def test_duplicated_stream(trace_path):
     log: list = []
     pipeline = drive(rolling(read_header(trace_path), log),

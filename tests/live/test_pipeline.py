@@ -192,3 +192,24 @@ def test_metrics_export(trace_path):
         len(pipeline.snapshots)
     assert registry["live_ingest_to_snapshot_seconds"].total > 0
     assert registry["live_ingest_rate_per_sec"].value > 0
+
+
+#: (graph_pruned, graph_retained) at stream end of two golden cases, 56
+#: step records each (an 8-node ring): in a ring every record is waited
+#: on by a later step until the collective's last steps arrive, so the
+#: in-degree-zero prune can only begin at the end of the stream, and at
+#: PRUNE_INTERVAL 16 the last pass (at the 48th record) comes before the
+#: incast case's last layer is in
+PRUNED_AT_END = {"incast": (0, 56), "pfc_storm": (4, 52)}
+
+
+@pytest.mark.parametrize("scenario", sorted(PRUNED_AT_END))
+def test_what_the_waiting_graph_prunes_of_a_golden_case(scenario,
+                                                        tmp_path):
+    from repro.perf.golden import golden_anomaly
+
+    golden_anomaly(scenario, tmp_path)
+    path = tmp_path / f"{scenario}.jsonl"
+    final = replay(path, PipelineConfig(snapshot_every=32)).finish()
+    assert (final.counters["graph_pruned"],
+            final.counters["graph_retained"]) == PRUNED_AT_END[scenario]

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.simnet.packet import FlowKey
-from repro.simnet.routing import EcmpRouting, RoutingError
+from repro.simnet.routing import (RTT_ACK_BYTES, RTT_PACKET_BYTES,
+                                 EcmpRouting, RoutingError)
 from repro.simnet.topology import build_dumbbell, build_fat_tree
 
 
@@ -106,8 +107,10 @@ def test_base_rtt_increases_with_distance(fat_routing):
 
 def test_base_rtt_dumbbell_value():
     routing = EcmpRouting(build_dumbbell(1))
-    # 3 links, 2 us each way = 12 us propagation plus serialization
-    rtt = routing.base_rtt_ns("h0", "h1", packet_bytes=4162, ack_bytes=64)
+    # 3 links, 2 us each way = 12 us propagation plus serialization of
+    # one full packet out and one ACK back
+    assert (RTT_PACKET_BYTES, RTT_ACK_BYTES) == (4162, 64)
+    rtt = routing.base_rtt_ns("h0", "h1")
     prop = 2 * 3 * 2_000
     serial = 3 * (4162 + 64) * 8 / 100e9 * 1e9
     assert rtt == pytest.approx(prop + serial)

@@ -4,6 +4,7 @@ from repro.simnet.network import Network
 from repro.simnet.packet import FlowKey
 from repro.simnet.telemetry import (
     REPORT_HEADER_BYTES,
+    WINDOW_NS,
     SwitchTelemetry,
     WindowedCounter,
 )
@@ -15,27 +16,27 @@ from repro.simnet.units import us
 # WindowedCounter
 # ----------------------------------------------------------------------
 def test_counter_accumulates_within_window():
-    counter = WindowedCounter(window_ns=1000)
+    counter = WindowedCounter()
     counter.add(0, "k", 2)
-    counter.add(500, "k", 3)
-    assert counter.snapshot(900) == {"k": 5.0}
+    counter.add(WINDOW_NS / 2, "k", 3)
+    assert counter.snapshot(0.9 * WINDOW_NS) == {"k": 5.0}
 
 
 def test_counter_keeps_previous_epoch():
-    counter = WindowedCounter(window_ns=1000)
-    counter.add(100, "k", 1)
-    counter.add(1100, "k", 10)  # next epoch
-    assert counter.snapshot(1500) == {"k": 11.0}
+    counter = WindowedCounter()
+    counter.add(0.1 * WINDOW_NS, "k", 1)
+    counter.add(1.1 * WINDOW_NS, "k", 10)  # next epoch
+    assert counter.snapshot(1.5 * WINDOW_NS) == {"k": 11.0}
 
 
 def test_counter_forgets_after_two_windows():
-    counter = WindowedCounter(window_ns=1000)
+    counter = WindowedCounter()
     counter.add(0, "k", 7)
-    assert counter.snapshot(2500) == {}
+    assert counter.snapshot(2.5 * WINDOW_NS) == {}
 
 
 def test_counter_multiple_keys():
-    counter = WindowedCounter(window_ns=1000)
+    counter = WindowedCounter()
     counter.add(0, "a", 1)
     counter.add(0, "b", 2)
     snap = counter.snapshot(10)

@@ -7,7 +7,7 @@ from repro.collective.ring import ring_allgather
 from repro.simnet.engine import Simulator
 from repro.simnet.packet import FlowKey, PacketKind, make_control_packet
 from repro.simnet.port import EgressPort
-from repro.simnet.telemetry import WindowedCounter
+from repro.simnet.telemetry import WINDOW_NS, WindowedCounter
 from repro.simnet.units import gbps
 
 
@@ -30,12 +30,12 @@ def test_control_queue_bytes_accounting():
 
 
 def test_windowed_counter_exact_boundary():
-    counter = WindowedCounter(window_ns=100.0)
+    counter = WindowedCounter()
     counter.add(0.0, "k", 1)
     # exactly one window later: previous epoch must still be visible
-    assert counter.snapshot(100.0) == {"k": 1.0}
+    assert counter.snapshot(WINDOW_NS) == {"k": 1.0}
     # exactly two windows later: gone
-    assert counter.snapshot(200.0) == {}
+    assert counter.snapshot(2 * WINDOW_NS) == {}
 
 
 def test_monitor_degenerate_send_ahead_state():

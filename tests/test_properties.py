@@ -14,7 +14,7 @@ from repro.core.waiting_graph import WaitingGraph
 from repro.simnet.engine import Simulator
 from repro.simnet.packet import FlowKey
 from repro.simnet.routing import EcmpRouting
-from repro.simnet.telemetry import WindowedCounter
+from repro.simnet.telemetry import WINDOW_NS, WindowedCounter
 from repro.simnet.topology import build_fat_tree
 from repro.simnet.units import serialization_delay
 
@@ -66,12 +66,12 @@ def test_serialization_delay_positive_and_linear(size, rate):
 # ----------------------------------------------------------------------
 # windowed counters
 # ----------------------------------------------------------------------
-@given(st.lists(st.tuples(st.floats(min_value=0, max_value=5_000),
+@given(st.lists(st.tuples(st.floats(min_value=0, max_value=5 * WINDOW_NS),
                           st.sampled_from("abc"),
                           st.integers(min_value=1, max_value=10)),
                 max_size=50))
 def test_windowed_counter_never_negative_and_bounded(updates):
-    counter = WindowedCounter(window_ns=1000)
+    counter = WindowedCounter()
     updates = sorted(updates, key=lambda u: u[0])
     totals = {}
     for time, key, delta in updates:
@@ -86,7 +86,7 @@ def test_windowed_counter_never_negative_and_bounded(updates):
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1,
                 max_size=20))
 def test_windowed_counter_exact_within_single_window(deltas):
-    counter = WindowedCounter(window_ns=1e9)
+    counter = WindowedCounter()
     for i, delta in enumerate(deltas):
         counter.add(float(i), "k", delta)
     assert counter.snapshot(float(len(deltas))) == {"k": sum(deltas)}
