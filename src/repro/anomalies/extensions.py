@@ -19,6 +19,10 @@ from repro.simnet.packet import FlowKey
 from repro.simnet.topology import build_switch_ring
 from repro.simnet.units import KB
 
+#: bytes each of :func:`build_deadlock_network`'s three flows sends
+DEADLOCK_FLOW_BYTES = 2_000_000
+#: the deadlock ring's PFC XOFF threshold (XON is half of it)
+DEADLOCK_XOFF_BYTES = 64 * KB
 
 @dataclass
 class LoopInjection:
@@ -31,17 +35,16 @@ class LoopInjection:
 
 
 def inject_transient_loop(network: Network, runtime: CollectiveRuntime,
-                          node: str, step: int = 0,
-                          heal_after_ns: Optional[float] = None
+                          node: str, heal_after_ns: Optional[float] = None
                           ) -> LoopInjection:
-    """Bounce one collective flow's packets back the way they came
-    (asynchronous reconfiguration gone wrong, §II-B).
+    """Bounce ``node``'s first collective flow's packets back the way
+    they came (asynchronous reconfiguration gone wrong, §II-B).
 
     The loop forms at the second switch of the flow's path and
     optionally heals after ``heal_after_ns`` — packets caught in it die
     by TTL and the sender's go-back-N recovers once routing heals.
     """
-    key = runtime.flow_keys[(node, step)]
+    key = runtime.flow_keys[(node, 0)]
     path = network.routing.path(key)
     switches = [n for n in path if n in network.switches]
     if len(switches) < 2:
@@ -58,8 +61,7 @@ def inject_transient_loop(network: Network, runtime: CollectiveRuntime,
                          heal_after_ns=heal_after_ns)
 
 
-def build_deadlock_network(flow_bytes: int = 2_000_000,
-                           xoff_bytes: int = 64 * KB) -> tuple:
+def build_deadlock_network() -> tuple:
     """A three-switch ring rigged for PFC deadlock.
 
     Three flows are each forced the *long* way around the ring, so every
@@ -74,10 +76,10 @@ def build_deadlock_network(flow_bytes: int = 2_000_000,
     """
     from repro.simnet.network import NetworkConfig
 
-    config = NetworkConfig(pfc_xoff_bytes=xoff_bytes,
-                           pfc_xon_bytes=xoff_bytes // 2,
+    config = NetworkConfig(pfc_xoff_bytes=DEADLOCK_XOFF_BYTES,
+                           pfc_xon_bytes=DEADLOCK_XOFF_BYTES // 2,
                            window_bytes=512 * KB)
-    network = Network(build_switch_ring(3, hosts_per_switch=2),
+    network = Network(build_switch_ring(hosts_per_switch=2),
                       config=config)
     # hosts: h0,h1 on s0; h2,h3 on s1; h4,h5 on s2
     routes = [
@@ -90,7 +92,7 @@ def build_deadlock_network(flow_bytes: int = 2_000_000,
         key = network.new_flow_key(src, dst)
         for here, nxt in zip(path, path[1:]):
             network.routing.set_override(here, key, nxt)
-        flow = network.create_flow(src, dst, flow_bytes, key=key,
+        flow = network.create_flow(src, dst, DEADLOCK_FLOW_BYTES, key=key,
                                    tag="background")
         flow.start()
         flows.append(flow)

@@ -201,8 +201,8 @@ def _data_records(path: PathLike) -> int:
 # ----------------------------------------------------------------------
 # one pipeline: a seeded, perturbed stream killed at planned points
 # ----------------------------------------------------------------------
-def perturbed_events(path: PathLike, plan: ChaosPlan,
-                     on_error=None) -> Iterator[TraceEvent]:
+def perturbed_events(path: PathLike, plan: ChaosPlan
+                     ) -> Iterator[TraceEvent]:
     """The merged data stream with the plan's seeded perturbations.
 
     Duplication and reordering are a pure function of ``plan.seed``
@@ -211,7 +211,7 @@ def perturbed_events(path: PathLike, plan: ChaosPlan,
     replay ``replayer.published`` events and land exactly where the
     killed one stopped.
     """
-    events: Iterable[TraceEvent] = trace_events(path, on_error)
+    events: Iterable[TraceEvent] = trace_events(path)
     if plan.duplicate_every > 1:
         events = _duplicated(events, plan.duplicate_every)
     if plan.reorder_window > 1:
@@ -437,8 +437,6 @@ def run_fleet_chaos(tenants: Sequence[TenantSpec],
                     workdir: PathLike,
                     plan: FleetChaosPlan,
                     config: Optional[FleetConfig] = None,
-                    restart_policy: Optional[RestartPolicy] = None,
-                    health: Optional[HealthPolicy] = None,
                     on_merge: Optional[Callable[[FleetSnapshot],
                                                 None]] = None,
                     aggregator: Optional[FleetAggregator] = None
@@ -492,13 +490,12 @@ def run_fleet_chaos(tenants: Sequence[TenantSpec],
 
     if plan.transport:
         parent_faults, worker_faults = transport_failpoints(plan)
-        health = health or transport_health_policy()
-        restart_policy = restart_policy \
-            or transport_restart_policy(plan.seed)
+        health = transport_health_policy()
+        restart_policy = transport_restart_policy(plan.seed)
     else:
         parent_faults = worker_faults = ""
-        restart_policy = restart_policy \
-            or default_restart_policy(plan.seed)
+        health = None
+        restart_policy = default_restart_policy(plan.seed)
     failpoints.configure(parent_faults, seed=plan.seed)
     try:
         outcome = run_fleet_streaming(

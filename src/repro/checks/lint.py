@@ -183,6 +183,31 @@ def _is_units_scope(path: Path, source: str) -> bool:
     return in_repro or has_scope_pragma(source, "sim")
 
 
+def _is_set_expr(node: ast.expr) -> bool:
+    """A set display or comprehension, ``set(...)`` or
+    ``frozenset(...)``."""
+    return isinstance(node, (ast.Set, ast.SetComp)) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("set", "frozenset"))
+
+
+def _set_locals(func: ast.FunctionDef) -> set[str]:
+    """The local names of ``func`` whose every binding is a set
+    expression."""
+    set_bound = {id(target) for stmt in ast.walk(func)
+                 if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                 and stmt.value is not None and _is_set_expr(stmt.value)
+                 for target in (stmt.targets if isinstance(stmt, ast.Assign)
+                                else [stmt.target])}
+    only_sets = {arg.arg: False for arg in ast.walk(func.args)
+                 if isinstance(arg, ast.arg)}
+    for name in ast.walk(func):
+        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+            only_sets[name.id] = only_sets.get(name.id, True) \
+                and id(name) in set_bound
+    return {name for name, only in only_sets.items() if only}
+
+
 class _FileChecker(ast.NodeVisitor):
     """Single-file visitor implementing RPR001/003/013/027."""
 
@@ -197,6 +222,8 @@ class _FileChecker(ast.NodeVisitor):
         self._module_alias: dict[str, str] = {}
         #: names imported directly from those modules -> "module.func"
         self._from_imports: dict[str, str] = {}
+        #: per enclosing function, the locals only ever bound to a set
+        self._set_locals: list[set[str]] = []
 
     def report(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(finding_at(self.path, node, rule, message))
@@ -255,14 +282,21 @@ class _FileChecker(ast.NodeVisitor):
 
     def _check_set_iteration(self, node: ast.AST,
                              iterable: ast.expr) -> None:
-        is_set = isinstance(iterable, (ast.Set, ast.SetComp)) or (
-            isinstance(iterable, ast.Call)
-            and isinstance(iterable.func, ast.Name)
-            and iterable.func.id in ("set", "frozenset"))
+        is_set = _is_set_expr(iterable) or (
+            isinstance(iterable, ast.Name) and self._set_locals
+            and iterable.id in self._set_locals[-1])
         if is_set:
             self.report(node, "RPR001",
                         "iterating a set is hash-order dependent; wrap "
                         "in sorted() for a deterministic order")
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self._set_locals.append(_set_locals(node) if self.sim_scope
+                                else set())
+        self.generic_visit(node)
+        self._set_locals.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_For(self, node: ast.For) -> None:
         if self.sim_scope:

@@ -346,15 +346,15 @@ def _regroup(groups: dict, findings: dict, moved: list) -> dict:
     wait groups, one per (type, root names); build again the finding of
     each group whose waits moved, and order the findings by their first
     wait, as a pass over every wait in order would meet them."""
-    touched = set()
+    touched = {}
     for old, new in moved:
         for wait in old or ():
             groups[wait[4][3]].remove(wait)
-            touched.add(wait[4][3])
+            touched[wait[4][3]] = None
         for wait in new or ():
             insort(groups.setdefault(wait[4][3], []), wait,
                    key=_wait_order)
-            touched.add(wait[4][3])
+            touched[wait[4][3]] = None
     for key in touched:
         members = groups.get(key)
         if not members:
@@ -423,10 +423,9 @@ SIGNATURE_DETECTORS: list[Callable[[ProvenanceGraph],
 ]
 
 
-def diagnose(graph: ProvenanceGraph,
-             detectors: Optional[list] = None) -> DiagnosisResult:
+def diagnose(graph: ProvenanceGraph) -> DiagnosisResult:
     """Run every signature detector over the provenance graph."""
     result = DiagnosisResult()
-    for detector in detectors or SIGNATURE_DETECTORS:
+    for detector in SIGNATURE_DETECTORS:
         result.findings.extend(detector(graph))
     return result

@@ -255,11 +255,10 @@ class PreparedReport:
                 if total_pkts > 0 and qdepth > 0 else ()
             # e(f, p): a flow waits at the port if other traffic queued
             # ahead of it, if its packets sit in the queue, or if the
-            # port is paused while the flow transits it
-            waiting = set(entry.inqueue_flow_pkts)
-            waiting.update(waits)
-            if entry.paused:
-                waiting.update(flow_pkts)
+            # port is paused while the flow transits it (the keys, in
+            # telemetry order, whatever the hash seed)
+            waiting = {**entry.inqueue_flow_pkts, **waits, **flow_pkts} \
+                if entry.paused else {**entry.inqueue_flow_pkts, **waits}
             flows += waiting
             flow_port = [
                 ((flow, port),
@@ -307,12 +306,10 @@ class ProvenanceAccumulator:
     """
 
     def __init__(self, collective_flows: Iterable[FlowKey],
-                 pfc_xoff_bytes: Bytes,
-                 window_start: Optional[float] = None) -> None:
+                 pfc_xoff_bytes: Bytes) -> None:
         self.graph = ProvenanceGraph(
             collective_flows=set(collective_flows))
         self.pfc_xoff_bytes = pfc_xoff_bytes
-        self.window_start = window_start
         #: e(f,p) / e(p,f) neighbour lists, extended with every new edge
         self.index = Adjacency()
         #: (switch, ingress, egress) -> bytes, for port-port weights,
@@ -323,15 +320,17 @@ class ProvenanceAccumulator:
         self._into: dict[tuple[str, int], list[tuple]] = {}
         self._fed_by: dict[tuple[str, int], list[tuple]] = {}
         self._seen_pauses: set[tuple] = set()
-        #: flows observed transiting each reported port in the window
-        self.port_window_flows: dict[PortRef, set[FlowKey]] = {}
+        #: flows observed transiting each reported port in the window:
+        #: the keys, in first-seen order
+        self.port_window_flows: dict[PortRef, dict[FlowKey, int]] = {}
         # what moved since the last snapshot: ports reported on, and
         # the switches a new meter or a new pause was seen at (whose
         # pause senders' port-port terms it moves)
         self._touched_ports: set[PortRef] = set()
         self._touched_nodes: set[str] = set()
-        #: the pause victims that sit on each node or were paused from it
-        self._victims_by_node: dict[str, set[PortRef]] = {}
+        #: the pause victims that sit on each node or were paused from
+        #: it, in first-seen order (the keys)
+        self._victims_by_node: dict[str, dict[PortRef, None]] = {}
         # ---- the derived layer ----------------------------------------
         #: ``graph.pause_events[:n]`` are in time order
         self._sorted = 0
@@ -348,7 +347,8 @@ class ProvenanceAccumulator:
         self._port_port: dict[tuple[PortRef, PortRef], float] = {}
         self._downstream: dict[PortRef, list[PortRef]] = {}
         self._pause_senders: dict[PortRef, list[PortRef]] = {}
-        #: (flow count, flows by source host) as of the last regroup
+        #: (flow count, the sorted flows from each host) as of the last
+        #: regroup
         self._by_source: tuple[int, dict] = (-1, {})
         #: per victim: (what its edges were derived from, the flows
         #: given one — those with no merged e(f, p) edge there)
@@ -380,9 +380,6 @@ class ProvenanceAccumulator:
 
     def merge(self, prepared: PreparedReport) -> None:
         """:meth:`fold` of the report ``prepared`` was made from."""
-        window_start = self.window_start
-        if window_start is not None and prepared.time < window_start:
-            return
         graph = self.graph
         graph.flows.update(prepared.flows)
         collective = graph.collective_flows
@@ -426,7 +423,7 @@ class ProvenanceAccumulator:
                     edges[key] = weight
             seen = self.port_window_flows.get(port)
             if seen is None:
-                seen = self.port_window_flows[port] = set()
+                seen = self.port_window_flows[port] = {}
             seen.update(flow_pkts)
         if prepared.meters:
             self._touched_nodes.add(prepared.switch)
@@ -444,15 +441,13 @@ class ProvenanceAccumulator:
             if dedup in self._seen_pauses:
                 continue
             self._seen_pauses.add(dedup)
-            if window_start is not None and pause.time < window_start:
-                continue
             graph.pause_events.append(pause)
             sender, victim = pause.sender, pause.victim
             if pause.buffer_bytes_at_send < self.pfc_xoff_bytes:
                 graph.ungrounded_pause_sources.add(sender)
             self._touched_nodes.add(sender.node)
             for node in (sender.node, victim.node):
-                self._victims_by_node.setdefault(node, set()).add(victim)
+                self._victims_by_node.setdefault(node, {})[victim] = None
         if prepared.ttl_drops:
             graph.ttl_drop_flows.update(prepared.ttl_drops)
 
@@ -591,13 +586,13 @@ class ProvenanceAccumulator:
             by_source = {}
             for flow in graph.flows | graph.collective_flows:
                 by_source.setdefault(flow.src, []).append(flow)
+            for flows in by_source.values():
+                flows.sort()        # a set's order moves with the hash seed
             self._by_source = (len(graph.flows), by_source)
-            # the hosts a new flow came from, or whose flows the union
-            # now lists in another order (the order blocked sets are
-            # built in)
-            for host, flows in by_source.items():
-                if flows != grouped.get(host):
-                    candidates += self._victims_by_node.get(host, ())
+            # the hosts a new flow came from
+            for node, on_node in self._victims_by_node.items():
+                if by_source.get(node) != grouped.get(node):
+                    candidates += on_node
         tails = self._tails
         # a flow given a victim edge is re-listed when it gains a
         # merged port, or when the victims were ranked again
@@ -616,8 +611,9 @@ class ProvenanceAccumulator:
             known = blocked_by.get(victim)
             if known is not None and known[0] == inputs:
                 continue
-            blocked = set(window)
-            blocked.update(inputs[2])
+            # window flows first, then the host's: an order no hash
+            # seed moves
+            blocked = dict.fromkeys([*window, *inputs[2]])
             # a blocked flow with an edge there is in graph.flows
             added = [flow for flow in blocked
                      if (flow, victim) not in flow_port]
@@ -751,20 +747,14 @@ class ProvenanceAccumulator:
 
 def build_provenance(reports: Iterable[SwitchReport],
                      collective_flows: Iterable[FlowKey],
-                     pfc_xoff_bytes: Bytes,
-                     window_start: Optional[float] = None
-                     ) -> ProvenanceGraph:
+                     pfc_xoff_bytes: Bytes) -> ProvenanceGraph:
     """Assemble the provenance graph from a set of switch reports.
 
     Duplicate telemetry (the same port reported by several polls in one
     burst) is merged by taking the maximum weight per edge, so repeated
     polling never double-counts congestion.
-
-    ``window_start`` optionally discards telemetry older than the
-    anomaly window.
     """
-    accumulator = ProvenanceAccumulator(collective_flows, pfc_xoff_bytes,
-                                        window_start)
+    accumulator = ProvenanceAccumulator(collective_flows, pfc_xoff_bytes)
     for report in reports:
         accumulator.fold(report)
     return accumulator.snapshot()

@@ -24,6 +24,11 @@ from repro.simnet.packet import FlowKey
 if TYPE_CHECKING:
     from repro.live.pipeline import DiagnosisSnapshot
 
+#: characters of the widest bar :func:`format_critical_path` draws
+TIMELINE_WIDTH = 60
+#: contributors :func:`render_text` ranks
+TEXT_TOP_CONTRIBUTORS = 5
+
 #: per anomaly type: what a NOC runbook would say
 RECOMMENDED_ACTIONS = {
     AnomalyType.FLOW_CONTENTION:
@@ -71,8 +76,7 @@ def contributor_entry(flow: FlowKey, score: float) -> dict:
     return {"flow": flow.short(), "score": score}
 
 
-def format_critical_path(path: Iterable[CriticalPathEntry],
-                         total_width: int = 60) -> str:
+def format_critical_path(path: Iterable[CriticalPathEntry]) -> str:
     """ASCII timeline of the critical path: one bar per step, scaled to
     the chain's total duration."""
     entries = list(path)
@@ -83,19 +87,18 @@ def format_critical_path(path: Iterable[CriticalPathEntry],
     span = max(end - start, 1e-9)
     lines = []
     for entry in entries:
-        offset = int((entry.start_time - start) / span * total_width)
-        width = max(1, int(entry.duration_ns / span * total_width))
+        offset = int((entry.start_time - start) / span * TIMELINE_WIDTH)
+        width = max(1, int(entry.duration_ns / span * TIMELINE_WIDTH))
         bar = " " * offset + "#" * width
         label = f"F[{entry.node}]S{entry.step_index}"
         via = f" (via {entry.entered_via})" if entry.entered_via else ""
-        lines.append(f"{label:<12} |{bar:<{total_width}}| "
+        lines.append(f"{label:<12} |{bar:<{TIMELINE_WIDTH}}| "
                      f"{ns_to_us(entry.duration_ns):.1f}us{via}")
     return "\n".join(lines)
 
 
 def render_text(diagnosis: Union[VedrfolnirDiagnosis, DiagnosisSnapshot],
                 title: str = "Vedrfolnir diagnostic report",
-                top_contributors: int = 5,
                 collective: str = "") -> str:
     """A complete plain-text report over a batch diagnosis or a live
     snapshot: it reads only the fields both carry.  ``collective`` is
@@ -133,7 +136,7 @@ def render_text(diagnosis: Union[VedrfolnirDiagnosis, DiagnosisSnapshot],
             seen_actions.append(action)
     lines.append("")
 
-    ranked = diagnosis.top_contributors(top_contributors)
+    ranked = diagnosis.top_contributors(TEXT_TOP_CONTRIBUTORS)
     if ranked:
         lines.append("contributor ranking (Eq. 3)")
         lines.append("-" * 27)

@@ -124,13 +124,13 @@ class CircuitBreaker:
 def call_with_retry(fn: Callable[[], T],
                     policy: Optional[RetryPolicy] = None,
                     breaker: Optional[CircuitBreaker] = None,
-                    retry_on: tuple = (OSError,),
                     sleep: Callable[[float], None] = time.sleep,
                     rng: Optional[random.Random] = None,
                     on_retry: Optional[Callable[[int, BaseException,
                                                  float], None]] = None
                     ) -> T:
-    """Call ``fn`` under a retry policy / breaker.
+    """Call ``fn`` under a retry policy / breaker, retrying on
+    ``OSError``.
 
     Raises :class:`RetryBudgetExceeded` when the breaker rejects the
     call outright; re-raises the last error once attempts run out, and
@@ -151,7 +151,7 @@ def call_with_retry(fn: Callable[[], T],
                 "circuit breaker is open; call rejected")
         try:
             result = fn()
-        except retry_on as error:
+        except OSError as error:
             if breaker is not None:
                 breaker.record_failure()
             failures += 1

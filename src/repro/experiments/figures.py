@@ -51,18 +51,20 @@ from repro.simnet.units import GB, MB, ms
 _matrix_cache: dict[tuple, list[CaseResult]] = {}
 
 
-def env_scale(default: float = 0.005) -> float:
-    return float(os.environ.get("REPRO_SCALE", default))
+#: the scenario scale when ``REPRO_SCALE`` is unset
+DEFAULT_SCALE = 0.005
+
+
+def env_scale() -> float:
+    return float(os.environ.get("REPRO_SCALE", DEFAULT_SCALE))
 
 
 def env_cases(default: int) -> int:
     return int(os.environ.get("REPRO_CASES", default))
 
 
-def scenario_config(scale: Optional[float] = None,
-                    base_seed: int = 42) -> ScenarioConfig:
-    return ScenarioConfig(scale=scale if scale is not None else env_scale(),
-                          base_seed=base_seed)
+def scenario_config(scale: Optional[float] = None) -> ScenarioConfig:
+    return ScenarioConfig(scale=scale if scale is not None else env_scale())
 
 
 # ----------------------------------------------------------------------
@@ -70,17 +72,16 @@ def scenario_config(scale: Optional[float] = None,
 # ----------------------------------------------------------------------
 def fig9_fig10_matrix(cases_per_scenario: int = 4,
                       scale: Optional[float] = None,
-                      systems: Sequence[str] = DEFAULT_SYSTEMS,
-                      scenarios: Sequence[str] = SCENARIOS
+                      systems: Sequence[str] = DEFAULT_SYSTEMS
                       ) -> list[CaseResult]:
     """The shared scenario × system run matrix behind Figs. 9 and 10."""
-    key = (cases_per_scenario, scale, tuple(systems), tuple(scenarios))
+    key = (cases_per_scenario, scale, tuple(systems))
     if key not in _matrix_cache:
         cfg = scenario_config(scale)
         cache = cache_from_env()
         workers = workers_from_env()
         results: list[CaseResult] = []
-        for scenario in scenarios:
+        for scenario in SCENARIOS:
             cases = make_cases(scenario, cases_per_scenario, cfg)
             results.extend(run_matrix_parallel(
                 cases, tuple(systems), max_workers=workers, cache=cache))

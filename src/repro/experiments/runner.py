@@ -12,12 +12,12 @@ two optimisations the figure benchmarks (Figs. 9-14) build on:
   heavier than a dict crosses the process boundary);
 * **content-addressed caching** — each result is stored on disk under
   the SHA-256 of everything that determines it (scenario, case id,
-  system, the scenario and network configuration, the simulator's
-  constants, and the trace schema version).  A warm cache turns a
-  figure regeneration into a directory scan.
+  system, the scenario and network configuration, the constants of
+  the packages a case runs, and the trace schema version).  A warm
+  cache turns a figure regeneration into a directory scan.
 
-Cache keys hash *values*: a change to any knob or simulator constant
-produces a new key (stale entries are simply never read again).
+Cache keys hash *values*: a change to any knob or constant produces a
+new key (stale entries are simply never read again).
 
 Environment knobs (respected by :mod:`repro.experiments.figures`):
 
@@ -49,7 +49,6 @@ from repro.experiments.harness import (
     DEFAULT_SYSTEMS,
     run_case,
 )
-import repro.simnet
 from repro.simnet.network import NetworkConfig
 from repro.traces.columnar import COLUMNAR_VERSION
 from repro.traces.store import FORMAT_VERSION as TRACE_SCHEMA_VERSION
@@ -94,29 +93,33 @@ def _fingerprint_default(value):
     return repr(value)
 
 
-def _simnet_constants() -> dict:
-    """Every module-level UPPER_CASE number of the simulator, by
+def _case_constants() -> dict:
+    """Every module-level UPPER_CASE number of the packages a case runs
+    (simulator, collective, anomalies, diagnosis, baselines), by
     ``module.NAME``: a run reads them, so the cache key holds them."""
     constants = {}
-    for info in pkgutil.iter_modules(repro.simnet.__path__):
-        module = importlib.import_module(f"repro.simnet.{info.name}")
-        for name, value in vars(module).items():
-            if name.isupper() and type(value) in (int, float):
-                constants[f"{module.__name__}.{name}"] = value
+    for package in ("simnet", "collective", "anomalies", "core",
+                    "baselines"):
+        path = importlib.import_module(f"repro.{package}").__path__
+        for info in pkgutil.iter_modules(path, f"repro.{package}."):
+            module = importlib.import_module(info.name)
+            for name, value in vars(module).items():
+                if name.isupper() and type(value) in (int, float):
+                    constants[f"{module.__name__}.{name}"] = value
     return constants
 
 
 def config_fingerprint(config: ScenarioConfig) -> dict:
     """Every value in a ScenarioConfig that affects a run's outcome,
-    with the network configuration and the simulator constants every
-    case runs under (``module.NAME`` -> value)."""
+    with the network configuration and the constants every case runs
+    under (``module.NAME`` -> value)."""
     return {
         "scale": config.scale,
         "num_collective_nodes": config.num_collective_nodes,
         "fat_tree_k": config.fat_tree_k,
         "base_seed": config.base_seed,
         "network": dataclasses.asdict(NetworkConfig()),
-        "simnet": _simnet_constants(),
+        "constants": _case_constants(),
     }
 
 

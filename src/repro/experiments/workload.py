@@ -23,7 +23,7 @@ from repro.collective.ring import (
 )
 from repro.collective.runtime import CollectiveRuntime
 from repro.core.analyzer import VedrfolnirDiagnosis
-from repro.core.system import VedrfolnirConfig, VedrfolnirSystem
+from repro.core.system import VedrfolnirSystem
 from repro.simnet.network import Network
 from repro.simnet.units import MB, ms
 
@@ -105,12 +105,10 @@ class WorkloadRunner:
     """
 
     def __init__(self, network: Network, nodes: Sequence[str],
-                 config: Optional[VedrfolnirConfig] = None,
                  between_jobs: Optional[Callable[["WorkloadRunner", int],
                                                  None]] = None) -> None:
         self.network = network
         self.nodes = list(nodes)
-        self.config = config
         self.between_jobs = between_jobs
         self.results: list[JobResult] = []
 
@@ -122,8 +120,7 @@ class WorkloadRunner:
             schedule = job.build_schedule(self.nodes)
             runtime = CollectiveRuntime(self.network, schedule,
                                         start_time=self.network.sim.now)
-            system = VedrfolnirSystem(self.network, runtime,
-                                      config=self.config)
+            system = VedrfolnirSystem(self.network, runtime)
             runtime.start()
             deadline = self.network.sim.now + per_job_deadline_ns
             self.network.run_until_quiet(max_time=deadline)

@@ -62,6 +62,8 @@ _HEADER = struct.Struct("!2sBIQII")
 HEADER_BYTES = _HEADER.size
 #: a report payload larger than this is a framing bug, not data
 MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
+#: a publisher's connect and send timeout
+CONNECT_TIMEOUT_S = 2.0
 
 
 class FrameError(ValueError):
@@ -107,9 +109,7 @@ class FrameDecoder:
     the caller should reset the connection (TCP gives no way to
     resynchronize mid-stream)."""
 
-    def __init__(self,
-                 max_payload_bytes: int = MAX_PAYLOAD_BYTES) -> None:
-        self.max_payload_bytes = max_payload_bytes
+    def __init__(self) -> None:
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> list[Frame]:
@@ -120,10 +120,10 @@ class FrameDecoder:
                 bytes(self._buffer[:HEADER_BYTES]))
             if magic != MAGIC:
                 raise FrameError(f"bad frame magic {magic!r}")
-            if length > self.max_payload_bytes:
+            if length > MAX_PAYLOAD_BYTES:
                 raise FrameError(
                     f"frame payload length {length} exceeds "
-                    f"{self.max_payload_bytes}")
+                    f"{MAX_PAYLOAD_BYTES}")
             if len(self._buffer) < HEADER_BYTES + length:
                 break
             payload = bytes(
@@ -155,20 +155,14 @@ class ReportPublisher:
     """
 
     def __init__(self, endpoint, shard_id: int,
-                 retry: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 connect_timeout_s: Seconds = 2.0,
                  sleep: Callable[[float], None] = time.sleep) -> None:
         self.host = str(endpoint[0])
         self.port = int(endpoint[1])
         self.shard_id = shard_id
-        self.retry = retry if retry is not None else RetryPolicy(
-            max_attempts=3, base_delay_s=0.02, max_delay_s=0.2,
-            seed=shard_id)
-        self.breaker = breaker if breaker is not None \
-            else CircuitBreaker(failure_threshold=4,
-                                reset_after_s=0.5)
-        self.connect_timeout_s = connect_timeout_s
+        self.retry = RetryPolicy(max_attempts=3, base_delay_s=0.02,
+                                 max_delay_s=0.2, seed=shard_id)
+        self.breaker = CircuitBreaker(failure_threshold=4,
+                                      reset_after_s=0.5)
         self.sleep = sleep
         self._rng = self.retry.rng()
         self._sock: Optional[socket.socket] = None
@@ -193,7 +187,7 @@ class ReportPublisher:
     def _connect(self) -> None:
         failpoints.fire("transport.connect")
         sock = socket.create_connection(
-            (self.host, self.port), timeout=self.connect_timeout_s)
+            (self.host, self.port), timeout=CONNECT_TIMEOUT_S)
         if sock.getsockname() == sock.getpeername():
             # TCP simultaneous-open to a freed ephemeral port on the
             # same host can connect the socket to itself; "publishing"
@@ -203,7 +197,7 @@ class ReportPublisher:
             raise ConnectionRefusedError(
                 f"self-connected to {self.host}:{self.port} "
                 f"(listener is gone)")
-        sock.settimeout(self.connect_timeout_s)
+        sock.settimeout(CONNECT_TIMEOUT_S)
         self._sock = sock
 
     def _send_frame(self, frame: bytes) -> None:
@@ -228,8 +222,8 @@ class ReportPublisher:
         frame = encode_report(report, self._seq)
         try:
             call_with_retry(lambda: self._send_frame(frame),
-                            policy=self.retry, retry_on=(OSError,),
-                            breaker=self.breaker, sleep=self.sleep,
+                            policy=self.retry, breaker=self.breaker,
+                            sleep=self.sleep,
                             rng=self._rng, on_retry=self._on_retry)
         except OSError:
             self._drop_socket()

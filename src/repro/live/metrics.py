@@ -92,15 +92,10 @@ class Gauge:
         self.value = value
 
 
-def default_buckets(start: float = 1e-6, factor: float = 2.0,
-                    count: int = 24) -> list[float]:
-    """Log-spaced bucket upper bounds; 1 µs .. ~8 s with defaults."""
-    return [start * factor ** i for i in range(count)]
-
-
-#: the bounds of every histogram built without its own, one list for
-#: all of them (a fleet shard builds two per tenant); never mutated
-_DEFAULT_BOUNDS = default_buckets()
+#: every histogram's bucket upper bounds, log-spaced 1 µs .. ~8 s: one
+#: list for all of them (a fleet shard builds two per tenant); never
+#: mutated
+BOUNDS = [1e-6 * 2.0 ** i for i in range(24)]
 
 
 class Histogram:
@@ -112,12 +107,12 @@ class Histogram:
     """
 
     def __init__(self, name: str, help: str = "",
-                 buckets: Optional[list[float]] = None,
                  labels: Labels = None) -> None:
         self.name = name
         self.help = help
         self.labels = dict(labels) if labels else None
-        self.bounds = sorted(buckets) if buckets else _DEFAULT_BOUNDS
+        #: :data:`BOUNDS`, or what :meth:`load_state` read
+        self.bounds = BOUNDS
         #: counts[i] observations <= bounds[i]; the last slot overflows
         self.counts = [0] * (len(self.bounds) + 1)
         self.total = 0
@@ -141,7 +136,8 @@ class Histogram:
 
         Used by fleet aggregation: per-shard/per-tenant histograms with
         identical bucket bounds sum into one fleet-level distribution.
-        Differing bounds are a caller bug and raise.
+        Differing bounds (a loaded state that is not :data:`BOUNDS`)
+        raise.
         """
         if other.bounds != self.bounds:
             raise ValueError(
@@ -249,9 +245,8 @@ class MetricsRegistry:
         return self.attach(Gauge(name, help, labels))
 
     def histogram(self, name: str, help: str = "",
-                  buckets: Optional[list[float]] = None,
                   labels: Labels = None) -> Histogram:
-        return self.attach(Histogram(name, help, buckets, labels))
+        return self.attach(Histogram(name, help, labels))
 
     # ------------------------------------------------------------------
     def __getitem__(self, name: str):

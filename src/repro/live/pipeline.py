@@ -53,6 +53,8 @@ from repro.traces.stream import TraceEvent, TraceHeader
 PUMP_BATCH = 64
 #: prune cadence of the waiting graph
 PRUNE_INTERVAL = 16
+#: contributors a snapshot's :meth:`DiagnosisSnapshot.to_dict` lists
+TOP_CONTRIBUTORS = 5
 
 
 @dataclass(slots=True)
@@ -90,7 +92,7 @@ class DiagnosisSnapshot:
                         key=lambda kv: -kv[1])
         return ranked[:n]
 
-    def to_dict(self, top: int = 5) -> dict:
+    def to_dict(self) -> dict:
         return {
             "seq": self.seq,
             "final": self.final,
@@ -106,16 +108,16 @@ class DiagnosisSnapshot:
                          for f in self.result.findings],
             "contributors": [contributor_entry(flow, score)
                              for flow, score
-                             in self.top_contributors(top)],
+                             in self.top_contributors(TOP_CONTRIBUTORS)],
             "counters": self.counters,
         }
 
-    def canonical_json(self, top: int = 5) -> str:
+    def canonical_json(self) -> str:
         """Key-sorted JSON of :meth:`to_dict` — the byte-equality form
         the chaos harness (:mod:`repro.chaos`) digests."""
         import json
 
-        return json.dumps(self.to_dict(top), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def snapshot_line(entry: dict) -> str:

@@ -26,6 +26,11 @@ log = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
+#: rejected inputs a :class:`Quarantine` retains as a sample
+QUARANTINE_KEEP = 32
+#: :class:`DegradationTracker`'s confidence with no switch reports
+CONFIDENCE_FLOOR = 0.25
+
 
 @dataclass
 class QuarantinedEntry:
@@ -39,8 +44,7 @@ class QuarantinedEntry:
 class Quarantine:
     """Never-crash decode boundary with bounded error retention."""
 
-    def __init__(self, keep: int = 32) -> None:
-        self.keep = keep
+    def __init__(self) -> None:
         self.count = 0
         self.by_reason: dict[str, int] = {}
         self.entries: list[QuarantinedEntry] = []
@@ -64,20 +68,18 @@ class Quarantine:
         reason = reason.strip()
         label = self.label_for(reason)
         self.by_reason[label] = self.by_reason.get(label, 0) + 1
-        if len(self.entries) < self.keep:
+        if len(self.entries) < QUARANTINE_KEEP:
             self.entries.append(QuarantinedEntry(
                 line_no=line_no, reason=reason,
                 snippet=snippet[:120]))
         log.warning("quarantined line %d: %s", line_no, reason)
 
-    def guard(self, line_no: int, fn: Callable[[], T],
-              snippet: str = "") -> Optional[T]:
+    def guard(self, line_no: int, fn: Callable[[], T]) -> Optional[T]:
         """Run ``fn``; on any exception, quarantine and return None."""
         try:
             return fn()
         except Exception as error:  # noqa: BLE001 - the whole point
-            self.admit(line_no,
-                       f"{type(error).__name__}: {error}", snippet)
+            self.admit(line_no, f"{type(error).__name__}: {error}")
             return None
 
     def to_dict(self) -> dict:
@@ -97,14 +99,13 @@ class DegradationTracker:
     ``report_gap_ns`` is how stale the freshest switch report may be —
     relative to the freshest *host-side* event time — before the
     diagnosis degrades.  Confidence decays linearly from 1.0 at the
-    allowed gap down to ``floor`` at ``3x`` the allowed gap; a stream
-    with step records but no switch reports at all sits at the floor.
+    allowed gap down to :data:`CONFIDENCE_FLOOR` at ``3x`` the allowed
+    gap; a stream with step records but no switch reports at all sits at
+    the floor.
     """
 
-    def __init__(self, report_gap_ns: Nanoseconds,
-                 floor: float = 0.25) -> None:
+    def __init__(self, report_gap_ns: Nanoseconds) -> None:
         self.report_gap_ns = max(1.0, report_gap_ns)
-        self.floor = floor
         self.last_step_time = float("-inf")
         self.last_report_time = float("-inf")
         self.step_events = 0
@@ -133,16 +134,18 @@ class DegradationTracker:
         return max(0.0, self.last_step_time - self.last_report_time)
 
     def confidence(self) -> float:
-        """1.0 = full telemetry; ``floor`` = switch reports missing."""
+        """1.0 = full telemetry; :data:`CONFIDENCE_FLOOR` = switch
+        reports missing."""
         staleness = self.staleness_ns()
         if staleness <= self.report_gap_ns:
             return 1.0
         if staleness == float("inf"):
-            return self.floor
+            return CONFIDENCE_FLOOR
         # linear decay over (gap, 3*gap]
         span = 2.0 * self.report_gap_ns
         excess = min(staleness - self.report_gap_ns, span)
-        return max(self.floor, 1.0 - (1.0 - self.floor) * excess / span)
+        return max(CONFIDENCE_FLOOR,
+                   1.0 - (1.0 - CONFIDENCE_FLOOR) * excess / span)
 
     def to_dict(self) -> dict:
         staleness = self.staleness_ns()

@@ -44,6 +44,8 @@ WINDOW_S: Seconds = 60.0
 #: are evicted so a long-lived supervisor stays bounded (RPR025) while
 #: ``Supervisor.crash_count`` keeps the true total
 MAX_CRASH_RECORDS = 256
+#: longest single sleep of :meth:`GracefulShutdown.wait_out_grace`
+GRACE_SLICE_S: Seconds = 0.05
 
 
 def _default_backoff() -> RetryPolicy:
@@ -213,12 +215,12 @@ class GracefulShutdown:
                     "with code %d)", signum, self.force_exit_code)
 
     def wait_out_grace(self,
-                       sleep: Callable[[float], None] = time.sleep,
-                       slice_s: Seconds = 0.05) -> None:
+                       sleep: Callable[[float], None] = time.sleep
+                       ) -> None:
         """Sleep through ``drain_grace_s`` in small slices (so a
         second signal can still interrupt)."""
         remaining = self.drain_grace_s
         while remaining > 1e-9:
-            step = min(slice_s, remaining)
+            step = min(GRACE_SLICE_S, remaining)
             sleep(step)
             remaining -= step

@@ -154,15 +154,9 @@ GOLDEN_SCENARIOS = ("ring_allgather_k4", "pfc_storm_case0", "incast_case0",
                     "flow_contention_case0", "pfc_backpressure_case0")
 
 
-def capture_digests(tmp_dir: Path,
-                    scenarios: tuple[str, ...] = GOLDEN_SCENARIOS) -> dict:
-    """Recompute the golden digests for the requested scenarios."""
-    digests = {}
-    for name in scenarios:
-        if name == "ring_allgather_k4":
-            digests[name] = golden_ring_allgather(tmp_dir)
-        elif name.endswith("_case0"):
-            digests[name] = golden_anomaly(name[:-len("_case0")], tmp_dir)
-        else:
-            raise ValueError(f"unknown golden scenario {name!r}")
-    return digests
+def capture_digests(tmp_dir: Path) -> dict:
+    """Recompute every golden digest."""
+    return {name: golden_ring_allgather(tmp_dir)
+            if name == "ring_allgather_k4"
+            else golden_anomaly(name[:-len("_case0")], tmp_dir)
+            for name in GOLDEN_SCENARIOS}

@@ -16,7 +16,7 @@ They are module constants: every scenario runs the same reaction point.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.units import BitsPerSecond, Nanoseconds
 from repro.simnet.units import gbps, us
@@ -44,10 +44,10 @@ class DcqcnState:
 
     __slots__ = ("sim", "line_rate_bps", "rc", "rt", "alpha",
                  "_ticks_since_cut", "_cnp_seen_this_tick", "_timer_event",
-                 "_on_rate_change", "cnps_received", "rate_cuts")
+                 "cnps_received", "rate_cuts")
 
-    def __init__(self, sim: "Simulator", line_rate_bps: BitsPerSecond,
-                 on_rate_change: Optional[callable] = None) -> None:
+    def __init__(self, sim: "Simulator", line_rate_bps: BitsPerSecond
+                 ) -> None:
         self.sim = sim
         self.line_rate_bps = line_rate_bps
         self.rc = line_rate_bps     # line-rate start
@@ -56,7 +56,6 @@ class DcqcnState:
         self._ticks_since_cut = 0
         self._cnp_seen_this_tick = False
         self._timer_event = None
-        self._on_rate_change = on_rate_change
         self.cnps_received = 0
         self.rate_cuts = 0
 
@@ -83,7 +82,6 @@ class DcqcnState:
         if new_rate != self.rc:
             self.rc = new_rate
             self.rate_cuts += 1
-            self._notify()
         self._ticks_since_cut = 0
 
     def _on_timer(self) -> None:
@@ -103,8 +101,3 @@ class DcqcnState:
         else:
             self.rt = min(self.line_rate_bps, self.rt + RATE_HAI_BPS)
         self.rc = min(self.line_rate_bps, (self.rt + self.rc) / 2)
-        self._notify()
-
-    def _notify(self) -> None:
-        if self._on_rate_change is not None:
-            self._on_rate_change(self.rc)

@@ -221,11 +221,10 @@ class Network:
         self.sim.post(REPORT_DELAY_NS,
                       self._report_sink, report)
 
-    def poll_flow(self, flow_key: FlowKey, origin: Optional[str] = None
-                  ) -> str:
+    def poll_flow(self, flow_key: FlowKey) -> str:
         """Inject a flow-scoped polling packet from the flow's source
-        host (or ``origin``).  Returns the poll id."""
-        src = origin or flow_key.src
+        host.  Returns the poll id."""
+        src = flow_key.src
         poll_id = f"{src}#{next(self._poll_counter)}"
         poll = make_control_packet(
             PacketKind.POLL, flow_key, src, flow_key.dst, self.sim.now,

@@ -122,8 +122,7 @@ class Packet:
                  priority: Priority = Priority.DATA, seq: int = 0,
                  ecn_capable: bool = True, ecn_marked: bool = False,
                  ttl: int = 64, create_time: float = 0.0,
-                 payload: Optional[dict] = None,
-                 pkt_id: Optional[int] = None) -> None:
+                 payload: Optional[dict] = None) -> None:
         if size <= 0:
             raise ValueError(f"packet size must be positive, got {size}")
         self.kind = kind
@@ -137,7 +136,7 @@ class Packet:
         self.ecn_marked = ecn_marked
         self.ttl = ttl
         self.create_time = create_time
-        self.pkt_id = next(_packet_ids) if pkt_id is None else pkt_id
+        self.pkt_id = next(_packet_ids)
         self._payload = payload
 
     @property
@@ -155,7 +154,7 @@ class Packet:
 
 
 def make_data_packet(flow: FlowKey, seq: int, payload_bytes: Bytes,
-                     now: Nanoseconds, ttl: int = 64) -> Packet:
+                     now: Nanoseconds) -> Packet:
     """Build a DATA packet of ``payload_bytes`` plus header overhead."""
     return Packet(
         kind=KIND_DATA,
@@ -166,20 +165,19 @@ def make_data_packet(flow: FlowKey, seq: int, payload_bytes: Bytes,
         priority=PRIO_DATA,
         seq=seq,
         create_time=now,
-        ttl=ttl,
     )
 
 
 def make_control_packet(kind: PacketKind, flow: Optional[FlowKey], src: str,
-                        dst: str, now: Nanoseconds, payload: Optional[dict] = None,
-                        size: int = CONTROL_PACKET_BYTES) -> Packet:
+                        dst: str, now: Nanoseconds, payload: Optional[dict] = None
+                        ) -> Packet:
     """Build a small control-class packet (ACK, CNP, POLL, NOTIFY...)."""
     return Packet(
         kind=kind,
         flow=flow,
         src=src,
         dst=dst,
-        size=size,
+        size=CONTROL_PACKET_BYTES,
         priority=PRIO_CONTROL,
         create_time=now,
         payload=payload,

@@ -254,16 +254,14 @@ class SwitchTelemetry:
     # ------------------------------------------------------------------
     def make_report(self, now: Nanoseconds, ports: dict[int, "object"],
                     scope_ports: Optional[set[int]] = None,
-                    poll_id: Optional[str] = None,
-                    pause_since: Optional[float] = None) -> SwitchReport:
+                    poll_id: Optional[str] = None) -> SwitchReport:
         """Assemble a report for ``scope_ports`` (None = all ports).
 
         ``ports`` maps local port index to the live
         :class:`~repro.simnet.port.EgressPort` objects (for queue depth
         and pause state).
         """
-        if pause_since is None:
-            pause_since = now - PAUSE_RECENCY_NS
+        pause_since = now - PAUSE_RECENCY_NS
         meters = self._port_meters.snapshot(now)
 
         selected = sorted(scope_ports) if scope_ports is not None \

@@ -18,6 +18,8 @@ from repro.simnet.units import gbps, us
 
 DEFAULT_BANDWIDTH_BPS = gbps(100)
 DEFAULT_LINK_DELAY_NS = us(2)
+#: switches in :func:`build_switch_ring`, the smallest cycle
+RING_SWITCHES = 3
 
 
 class NodeKind(enum.Enum):
@@ -62,14 +64,14 @@ class Topology:
         self.nodes[node_id] = kind
 
     def add_link(self, a: str, b: str,
-                 bandwidth_bps: BitsPerSecond = DEFAULT_BANDWIDTH_BPS,
-                 delay_ns: Nanoseconds = DEFAULT_LINK_DELAY_NS) -> None:
+                 bandwidth_bps: BitsPerSecond = DEFAULT_BANDWIDTH_BPS
+                 ) -> None:
         for endpoint in (a, b):
             if endpoint not in self.nodes:
                 raise ValueError(f"unknown node {endpoint!r}")
         if a == b:
             raise ValueError(f"self-link on {a!r}")
-        self.links.append(LinkSpec(a, b, bandwidth_bps, delay_ns))
+        self.links.append(LinkSpec(a, b, bandwidth_bps))
 
     @property
     def hosts(self) -> list[str]:
@@ -110,9 +112,7 @@ class Topology:
                     f"has {self.degree(host)}")
 
 
-def build_fat_tree(k: int = 4,
-                   bandwidth_bps: BitsPerSecond = DEFAULT_BANDWIDTH_BPS,
-                   delay_ns: Nanoseconds = DEFAULT_LINK_DELAY_NS) -> Topology:
+def build_fat_tree(k: int = 4) -> Topology:
     """Standard K-ary fat-tree.
 
     For k=4 (the paper's setup): 16 hosts ``h0..h15``, 8 edge switches
@@ -140,15 +140,15 @@ def build_fat_tree(k: int = 4,
             edge = f"e{pod * half + i}"
             agg_ids = [f"a{pod * half + j}" for j in range(half)]
             for agg in agg_ids:
-                topo.add_link(edge, agg, bandwidth_bps, delay_ns)
+                topo.add_link(edge, agg)
             for j in range(half):
                 host = f"h{(pod * half + i) * half + j}"
-                topo.add_link(host, edge, bandwidth_bps, delay_ns)
+                topo.add_link(host, edge)
         for i in range(half):
             agg = f"a{pod * half + i}"
             for j in range(half):
                 core = f"c{i * half + j}"
-                topo.add_link(agg, core, bandwidth_bps, delay_ns)
+                topo.add_link(agg, core)
 
     topo.validate()
     return topo
@@ -156,7 +156,6 @@ def build_fat_tree(k: int = 4,
 
 def build_dumbbell(hosts_per_side: int = 2,
                    bandwidth_bps: BitsPerSecond = DEFAULT_BANDWIDTH_BPS,
-                   delay_ns: Nanoseconds = DEFAULT_LINK_DELAY_NS,
                    bottleneck_bps: BitsPerSecond | None = None) -> Topology:
     """Two switches joined by one (optionally slower) bottleneck link,
     with ``hosts_per_side`` hosts hanging off each switch.
@@ -169,47 +168,42 @@ def build_dumbbell(hosts_per_side: int = 2,
     topo = Topology(name=f"dumbbell-{hosts_per_side}")
     topo.add_node("s0", NodeKind.SWITCH)
     topo.add_node("s1", NodeKind.SWITCH)
-    topo.add_link("s0", "s1", bottleneck_bps or bandwidth_bps, delay_ns)
+    topo.add_link("s0", "s1", bottleneck_bps or bandwidth_bps)
     for i in range(hosts_per_side):
         left, right = f"h{i}", f"h{hosts_per_side + i}"
         topo.add_node(left, NodeKind.HOST)
         topo.add_node(right, NodeKind.HOST)
-        topo.add_link(left, "s0", bandwidth_bps, delay_ns)
-        topo.add_link(right, "s1", bandwidth_bps, delay_ns)
+        topo.add_link(left, "s0", bandwidth_bps)
+        topo.add_link(right, "s1", bandwidth_bps)
     topo.validate()
     return topo
 
 
-def build_switch_ring(num_switches: int = 3, hosts_per_switch: int = 1,
-                      bandwidth_bps: BitsPerSecond = DEFAULT_BANDWIDTH_BPS,
-                      delay_ns: Nanoseconds = DEFAULT_LINK_DELAY_NS) -> Topology:
+def build_switch_ring(hosts_per_switch: int = 1) -> Topology:
     """A cycle of switches, each with local hosts.
 
     The only topology here on which PFC *deadlock* (§II-B) can form:
     with routes forced the long way around, every inter-switch link can
     end up paused by the next one, closing the hold-and-wait cycle.
     """
-    if num_switches < 3:
-        raise ValueError("a switch ring needs at least three switches")
-    topo = Topology(name=f"switch-ring-{num_switches}")
-    for s in range(num_switches):
+    topo = Topology(name=f"switch-ring-{RING_SWITCHES}")
+    for s in range(RING_SWITCHES):
         topo.add_node(f"s{s}", NodeKind.SWITCH)
-    for s in range(num_switches):
-        topo.add_link(f"s{s}", f"s{(s + 1) % num_switches}",
-                      bandwidth_bps, delay_ns)
+    for s in range(RING_SWITCHES):
+        topo.add_link(f"s{s}", f"s{(s + 1) % RING_SWITCHES}")
     host = 0
-    for s in range(num_switches):
+    for s in range(RING_SWITCHES):
         for _ in range(hosts_per_switch):
             topo.add_node(f"h{host}", NodeKind.HOST)
-            topo.add_link(f"h{host}", f"s{s}", bandwidth_bps, delay_ns)
+            topo.add_link(f"h{host}", f"s{s}")
             host += 1
     topo.validate()
     return topo
 
 
 def build_linear(num_switches: int = 3, hosts_per_switch: int = 1,
-                 bandwidth_bps: BitsPerSecond = DEFAULT_BANDWIDTH_BPS,
-                 delay_ns: Nanoseconds = DEFAULT_LINK_DELAY_NS) -> Topology:
+                 bandwidth_bps: BitsPerSecond = DEFAULT_BANDWIDTH_BPS
+                 ) -> Topology:
     """A chain of switches, each with local hosts.
 
     Useful for PFC-propagation tests: congestion at the tail switch
@@ -221,12 +215,12 @@ def build_linear(num_switches: int = 3, hosts_per_switch: int = 1,
     for s in range(num_switches):
         topo.add_node(f"s{s}", NodeKind.SWITCH)
         if s > 0:
-            topo.add_link(f"s{s - 1}", f"s{s}", bandwidth_bps, delay_ns)
+            topo.add_link(f"s{s - 1}", f"s{s}", bandwidth_bps)
     host = 0
     for s in range(num_switches):
         for _ in range(hosts_per_switch):
             topo.add_node(f"h{host}", NodeKind.HOST)
-            topo.add_link(f"h{host}", f"s{s}", bandwidth_bps, delay_ns)
+            topo.add_link(f"h{host}", f"s{s}", bandwidth_bps)
             host += 1
     topo.validate()
     return topo

@@ -1244,19 +1244,19 @@ def open_trace(path: Union[str, Path],
     return trace
 
 
-def read_header(path: Union[str, Path],
-                on_error: Optional[ErrorSink] = None) -> TraceHeader:
+def read_header(path: Union[str, Path]) -> TraceHeader:
     """The prologue of a trace in either on-disk format.
 
     A ``.vcol`` decodes it straight out of the directory; a JSONL is
     scanned up to its first data record and no further, so a header
-    can be read while the recorder is still appending.
+    can be read while the recorder is still appending.  A malformed
+    line before that record raises.
     """
     if sniff_format(path) == "columnar":
         with ColumnarTrace(path) as trace:
             return trace.header()
     with Path(path).open("rb") as handle:
-        builder = _build_from_jsonl(handle, on_error, prologue_only=True)
+        builder = _build_from_jsonl(handle, prologue_only=True)
     return _decode_header(builder.prologue(), path)
 
 

@@ -144,8 +144,7 @@ class TraceRecorder:
         return path
 
 
-def load_trace(path: Union[str, Path],
-               quarantine: Optional["Quarantine"] = None) -> Trace:
+def load_trace(path: Union[str, Path]) -> Trace:
     """Load a trace file, in either on-disk format, into typed objects
     (:func:`repro.traces.open_trace`, every record decoded).
 
@@ -153,17 +152,14 @@ def load_trace(path: Union[str, Path],
     kinds are skipped (forward compatibility) and the skips are routed
     through the same :class:`~repro.live.robustness.Quarantine` counter
     the live pipeline uses, so offline loads and online streams report
-    rejects identically.  Pass a ``quarantine`` to accumulate across
-    several loads; otherwise a fresh one is created and returned on
-    :attr:`Trace.quarantine`.
+    rejects identically; each load's is on :attr:`Trace.quarantine`.
     """
     # imported lazily: repro.live.__init__ imports the pipeline, which
     # reads traces via this module — a top-level import would cycle
     from repro.live.robustness import Quarantine
     from repro.traces.columnar import RAW_UNKNOWN, open_trace
 
-    if quarantine is None:
-        quarantine = Quarantine()
+    quarantine = Quarantine()
     unknown_kinds: dict[str, int] = {}
     with open_trace(path) as trace:
         header = trace.header()

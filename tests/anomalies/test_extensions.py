@@ -1,7 +1,5 @@
 """Extension anomalies (§V): forwarding loops and PFC deadlock."""
 
-import pytest
-
 from repro.anomalies.extensions import (
     build_deadlock_network,
     inject_transient_loop,
@@ -12,24 +10,23 @@ from repro.core.diagnosis import AnomalyType, diagnose
 from repro.core.provenance import build_provenance
 from repro.core.system import VedrfolnirSystem
 from repro.simnet.network import Network
-from repro.simnet.topology import build_fat_tree, build_switch_ring
+from repro.simnet.topology import (
+    RING_SWITCHES,
+    build_fat_tree,
+    build_switch_ring,
+)
 from repro.simnet.units import ms, us
 
 NODES = ["h0", "h4", "h8", "h12"]
 
 
 def test_switch_ring_topology():
-    topo = build_switch_ring(4, hosts_per_switch=1)
-    assert len(topo.switches) == 4
-    assert len(topo.hosts) == 4
+    topo = build_switch_ring(hosts_per_switch=1)
+    assert len(topo.switches) == RING_SWITCHES
+    assert len(topo.hosts) == RING_SWITCHES
     # it is a cycle: every switch has 2 switch neighbors + 1 host
     for s in topo.switches:
         assert topo.degree(s) == 3
-
-
-def test_switch_ring_minimum_size():
-    with pytest.raises(ValueError):
-        build_switch_ring(2)
 
 
 def test_transient_loop_heals_and_collective_completes():

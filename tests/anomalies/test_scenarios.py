@@ -155,7 +155,7 @@ def test_same_seed_same_injection(config):
     assert injected(case_a) == injected(case_b)
 
 
-def test_find_colliding_flow_respects_exclusions(config):
+def test_find_colliding_flow_shares_a_collective_link(config):
     import random
 
     case = make_cases("flow_contention", 1, config)[0]
@@ -164,11 +164,9 @@ def test_find_colliding_flow_respects_exclusions(config):
     links = set()
     for path in collective_paths(net, runtime).values():
         links |= _switch_links(path, net)
-    exclude = {f"h{i}" for i in range(8)}
-    key = find_colliding_flow(net, links, random.Random(1),
-                              exclude=exclude)
+    key = find_colliding_flow(net, links, random.Random(1))
     assert key is not None
-    assert key.src not in exclude and key.dst not in exclude
+    assert _switch_links(net.routing.path(key), net) & links
 
 
 def test_run_deadline_scales(config):

@@ -35,5 +35,16 @@ def bad_order(nodes: set) -> list:
     return labels
 
 
+def bad_local_order(nodes: list) -> list:
+    seen = set(nodes)
+    return [node for node in seen]  # expect: RPR001
+
+
+def good_local_order(nodes: list) -> list:
+    seen = set(nodes)
+    seen = sorted(seen)  # one binding is not a set: not flagged
+    return [node for node in seen]
+
+
 def suppressed_jitter() -> float:
     return random.random()  # repro: noqa RPR001

@@ -216,15 +216,3 @@ def test_result_of_type_filter():
     assert result.of_type(AnomalyType.INCAST) == []
     assert result.detected_flows == set()
     assert result.root_ports == set()
-
-
-def test_custom_detector_extension():
-    """§V: new anomaly types plug in as extra signature detectors."""
-    calls = []
-
-    def custom(graph):
-        calls.append(graph)
-        return []
-
-    diagnose(graph_with(), detectors=[custom])
-    assert len(calls) == 1

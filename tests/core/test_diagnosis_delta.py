@@ -98,25 +98,15 @@ def assert_same_order(kept: ProvenanceGraph,
                       scratch: ProvenanceGraph) -> None:
     """Insertion order is summation order (Eqs. 1-2) and chase order:
     the patched derived layer lists what a from-scratch build lists, in
-    the same order, out-of-order pauses and all.  Within one victim the
-    flows given an edge come in the order a set of them iterates, which
-    only sets read: there the flows are compared as sets."""
-    def victim_blocks(graph):
-        merged = [key for key, weight in graph.flow_port.items()
-                  if weight or key[1] not in pause_victims]
-        derived = [key for key in graph.flow_port if key not in merged]
-        return merged, [port for _, port in derived], set(derived)
-
-    pause_victims = {event.victim for event in scratch.pause_events}
-    assert victim_blocks(kept) == victim_blocks(scratch)
+    the same order, out-of-order pauses and all."""
+    assert list(kept.flow_port.items()) == list(scratch.flow_port.items())
     assert list(kept.port_port.items()) == list(scratch.port_port.items())
     assert kept.pause_events == scratch.pause_events
     for flow in scratch.flows | scratch.collective_flows:
         assert kept.ports_of_flow(flow) == scratch.ports_of_flow(flow)
     for port in scratch.ports:
-        assert sorted(map(FlowKey.short, kept.waiting_flows_at_port(port))) \
-            == sorted(map(FlowKey.short,
-                          scratch.waiting_flows_at_port(port)))
+        assert kept.waiting_flows_at_port(port) \
+            == scratch.waiting_flows_at_port(port)
         assert kept.downstream_ports(port) == scratch.downstream_ports(port)
         assert kept.adjacency().pause_senders.get(port) \
             == scratch.adjacency().pause_senders.get(port)

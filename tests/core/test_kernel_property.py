@@ -14,6 +14,7 @@ dict insertion order (float summation order) is pinned too.
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from repro.core.analyzer import (SLOWDOWN_FACTOR, DiagnosisKernel,
 from repro.core.diagnosis import DiagnosisResult, diagnose
 from repro.core.provenance import build_provenance
 from repro.core.rating import contribution_to_flow
+from repro.core.reports import contributor_entry
 from repro.core.waiting_graph import WaitingGraph
 from repro.experiments.harness import make_system
 from repro.live import (CheckpointManager, LivePipeline, PipelineConfig,
@@ -34,7 +36,13 @@ from repro.traces import (TraceRecorder, TraceRuntime, analyze_trace,
 from tests.core.test_waiting_graph import (ReferenceWaitingGraph,
                                            assert_answers_equal)
 
-ALL = 10_000     # canonical_json(top=ALL): every contributor score
+def everything(snapshot) -> str:
+    """``canonical_json`` with every contributor score listed, not the
+    top few."""
+    return json.dumps({**snapshot.to_dict(), "contributors": [
+        contributor_entry(flow, score) for flow, score
+        in snapshot.top_contributors(len(snapshot.collective_scores))]},
+        sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -98,8 +106,8 @@ def checked(pipeline: LivePipeline, log: list) -> LivePipeline:
     """Compare every snapshot ``pipeline`` emits with the reference."""
     def compare(snapshot) -> None:
         expected = reference_snapshot(pipeline, snapshot)
-        assert snapshot.canonical_json(ALL) == expected.canonical_json(ALL)
-        log.append(snapshot.canonical_json(ALL))
+        assert everything(snapshot) == everything(expected)
+        log.append(everything(snapshot))
 
     pipeline.on_snapshot.append(compare)
     return pipeline
@@ -160,9 +168,9 @@ def test_kept_snapshots_render_as_they_were_emitted(trace_path):
         read_header(trace_path), PipelineConfig(snapshot_every=5))
     emitted: list = []
     pipeline.on_snapshot.append(
-        lambda snapshot: emitted.append(snapshot.canonical_json(top=99)))
+        lambda snapshot: emitted.append(everything(snapshot)))
     drive(pipeline, trace_events(trace_path)).finish()
-    assert [snapshot.canonical_json(top=99)
+    assert [everything(snapshot)
             for snapshot in pipeline.snapshots] == emitted
     findings = [finding for snapshot in pipeline.snapshots
                 for finding in snapshot.result.findings]
@@ -382,7 +390,8 @@ def reference_build(reports, cf_keys, xoff):
     """``build_provenance`` as it was written when every graph walked
     every report itself: one pass over ``wait_weights`` / ``flow_pkts``
     / ``inqueue_flow_pkts`` per report, flat meters, then the two
-    whole-collection derivations."""
+    whole-collection derivations; flows listed in an order no hash seed
+    moves (telemetry order, host groups sorted)."""
     from repro.core.provenance import ProvenanceGraph
     from repro.simnet.pfc import PortRef
 
@@ -412,11 +421,12 @@ def reference_build(reports, cf_keys, xoff):
                     graph.port_flow[key] = max(
                         graph.port_flow.get(key, 0.0),
                         count / total * entry.qdepth_pkts)
-            window_flows.setdefault(port, set()).update(entry.flow_pkts)
-            waiting = set(entry.inqueue_flow_pkts)
-            waiting.update(waits)
+            window_flows.setdefault(port, {}).update(
+                dict.fromkeys(entry.flow_pkts))
+            waiting = dict.fromkeys(entry.inqueue_flow_pkts)
+            waiting.update(dict.fromkeys(waits))
             if entry.paused:
-                waiting.update(entry.flow_pkts)
+                waiting.update(dict.fromkeys(entry.flow_pkts))
             for flow in waiting:
                 graph.flows.add(flow)
                 key = (flow, port)
@@ -438,12 +448,12 @@ def reference_build(reports, cf_keys, xoff):
             graph.flows.add(flow)
     graph.pause_events.sort(key=lambda e: e.time)
     by_source = {}
-    for flow in graph.flows | graph.collective_flows:
+    for flow in sorted(graph.flows | graph.collective_flows):
         by_source.setdefault(flow.src, []).append(flow)
     for victim in dict.fromkeys(e.victim for e in graph.pause_events):
         graph.ports.add(victim)
-        blocked = set(window_flows.get(victim, ()))
-        blocked.update(by_source.get(victim.node, ()))
+        blocked = dict.fromkeys(window_flows.get(victim, ()))
+        blocked.update(dict.fromkeys(by_source.get(victim.node, ())))
         for flow in blocked:
             graph.flows.add(flow)
             graph.flow_port.setdefault((flow, victim), 0.0)
@@ -537,27 +547,3 @@ def test_prepared_merge_equals_walking_the_report(trace_path):
                 assert diagnose(kept.snapshot()) == diagnose(
                     reference_build(reports[:count], cf_keys, xoff))
 
-
-def test_window_start_drops_what_the_walk_dropped(trace_path):
-    from repro.core.provenance import ProvenanceAccumulator
-
-    trace = load_trace(trace_path)
-    cf_keys = TraceRuntime(trace).collective_flow_keys
-    reports = sorted(trace.reports, key=lambda r: r.time)
-    cut = reports[len(reports) // 2].time
-    kept = [r for r in reports if r.time >= cut]
-    windowed = build_provenance(reports, cf_keys, trace.pfc_xoff_bytes,
-                                window_start=cut)
-    reference = reference_build(kept, cf_keys, trace.pfc_xoff_bytes)
-    # the walk also dropped pauses older than the window that a kept
-    # report still carried
-    reference.pause_events = [e for e in reference.pause_events
-                              if e.time >= cut]
-    assert windowed.pause_events == reference.pause_events
-    assert windowed.pairwise == reference.pairwise
-    assert windowed.port_flow == reference.port_flow
-    accumulator = ProvenanceAccumulator(cf_keys, trace.pfc_xoff_bytes,
-                                        window_start=cut)
-    for report in reports:
-        accumulator.fold(report)
-    assert accumulator.snapshot() == windowed

@@ -1,5 +1,7 @@
 """Provenance graph construction from synthetic reports (§III-D1)."""
 
+import json
+
 import pytest
 
 from repro.core.provenance import build_provenance
@@ -141,12 +143,6 @@ def test_pause_victim_host_nic_attaches_src_flows():
     assert (CF, PortRef("h0", 0)) in graph.flow_port
 
 
-def test_window_start_filters_stale_reports():
-    old = report(ports=[entry(wait_weights={(CF, BF): 9.0})], time=10.0)
-    graph = build_provenance([old], [CF], XOFF, window_start=50.0)
-    assert not graph.pairwise
-
-
 def test_ttl_drops_collected():
     rep = report(ttl_drops={BF: 3})
     graph = build_provenance([rep], [CF], XOFF)
@@ -186,3 +182,43 @@ def test_query_helpers():
     assert CF in graph.waiting_flows_at_port(port)
     assert graph.pairwise_weight(port, CF, BF) == 2.0
     assert graph.flow_pair_weight(CF, BF) == 2.0
+
+
+# the graph's edge order in a subprocess: what another hash seed sees
+_DUMP = """
+import json, sys
+from repro.core.provenance import build_provenance
+from repro.traces import TraceRuntime, load_trace
+trace = load_trace(sys.argv[1])
+graph = build_provenance(trace.reports,
+                         TraceRuntime(trace).collective_flow_keys,
+                         trace.pfc_xoff_bytes)
+waiting = graph.adjacency().waiting_at_port
+print(json.dumps([[str(key) for key in graph.flow_port],
+                  [[str(port), [str(flow) for flow in waiting[port]]]
+                   for port in waiting]]))
+"""
+
+
+@pytest.mark.parametrize("scenario", ["flow_contention", "pfc_storm"])
+def test_edge_order_does_not_follow_the_hash_seed(scenario, tmp_path):
+    """Eq. 2 sums a flow's terms in ``flow_port`` order, and the PFC
+    chase reads ``waiting_at_port`` in list order: neither may follow
+    a set's iteration order, which moves with ``PYTHONHASHSEED``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+    from tests.fleet.conftest import record_scenario_trace
+
+    path = record_scenario_trace(tmp_path / "run.jsonl", scenario)
+    src = str(Path(repro.__file__).parent.parent)
+    dumps = [subprocess.run(
+        [sys.executable, "-c", _DUMP, str(path)], check=True,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+    ).stdout for seed in ("0", "1")]
+    assert dumps[0] == dumps[1]
+    assert len(json.loads(dumps[0])[1]) > 1       # not vacuous

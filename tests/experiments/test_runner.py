@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.anomalies.scenarios import ScenarioConfig, make_cases
+from repro.core.analyzer import SLOWDOWN_FACTOR
 from repro.experiments.harness import CaseResult, run_matrix
 from repro.experiments.runner import (
     RESULT_SCHEMA_VERSION,
@@ -83,27 +84,40 @@ def test_fingerprint_hashes_network_config_values():
 
 def test_fingerprint_names_every_simnet_constant():
     """The figure benches replay cached results: the key covers every
-    number a simulator module defines at module level under an
-    UPPER_CASE name, each by ``module.NAME`` with its value."""
+    number a module of the simulator, collective, anomaly, diagnosis
+    or baseline package defines at module level under an UPPER_CASE
+    name, each by ``module.NAME`` with its value."""
     import ast
     import importlib
 
-    import repro.simnet
+    import repro
 
-    fingerprint = config_fingerprint(TINY)["simnet"]
-    defined = 0
-    for path in sorted(Path(repro.simnet.__file__).parent.glob("*.py")):
-        module = importlib.import_module(f"repro.simnet.{path.stem}")
-        for node in ast.parse(path.read_text()).body:
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target] if isinstance(node, ast.AnnAssign) \
-                else []
-            for name in (t.id for t in targets if isinstance(t, ast.Name)):
-                value = getattr(module, name)
-                if name.isupper() and type(value) in (int, float):
-                    defined += 1
-                    assert fingerprint[f"{module.__name__}.{name}"] == value
-    assert defined >= 24
+    fingerprint = config_fingerprint(TINY)["constants"]
+    defined = {}
+    for package in ("simnet", "collective", "anomalies", "core",
+                    "baselines"):
+        root = Path(repro.__file__).parent / package
+        for path in sorted(root.glob("*.py")):
+            module = importlib.import_module(
+                f"repro.{package}.{path.stem}")
+            for node in ast.parse(path.read_text()).body:
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target] if isinstance(node, ast.AnnAssign) \
+                    else []
+                for name in (t.id for t in targets
+                             if isinstance(t, ast.Name)):
+                    value = getattr(module, name)
+                    if name.isupper() and type(value) in (int, float):
+                        defined[package] = defined.get(package, 0) + 1
+                        assert fingerprint[
+                            f"{module.__name__}.{name}"] == value
+    assert defined["simnet"] >= 24
+    # the diagnosis decides Figs. 9-13 as much as the simulator does
+    assert fingerprint["repro.core.analyzer.SLOWDOWN_FACTOR"] \
+        == SLOWDOWN_FACTOR
+    assert "repro.baselines.hawkeye.RTT_THRESHOLD_FACTOR" in fingerprint
+    assert "repro.baselines.full_polling.POLL_INTERVAL_NS" in fingerprint
+    assert "repro.anomalies.scenarios.PAPER_CHUNK_BYTES" in fingerprint
     assert fingerprint["repro.simnet.pfc.PAUSE_QUANTA_NS"] == 300_000
     assert fingerprint["repro.simnet.telemetry.WINDOW_NS"] == 1_000_000
     assert fingerprint["repro.simnet.packet.HEADER_BYTES"] == 66

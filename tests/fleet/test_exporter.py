@@ -43,28 +43,28 @@ def test_render_escapes_hostile_label_values_and_help():
 def test_render_histogram_buckets_are_cumulative():
     registry = MetricsRegistry()
     histogram = registry.histogram(
-        "fleet_merge_seconds", "merge wall time",
-        buckets=[0.1, 1.0, 10.0])
-    for value in (0.05, 0.5, 0.5, 5.0, 100.0):
+        "fleet_merge_seconds", "merge wall time")
+    # the bounds are 1, 2, 4, ... µs
+    for value in (0.5e-6, 1.5e-6, 1.5e-6, 3e-6, 100.0):
         histogram.observe(value)
     text = render_prometheus(registry)
     assert "# TYPE fleet_merge_seconds histogram" in text
-    assert 'fleet_merge_seconds_bucket{le="0.1"} 1' in text
-    assert 'fleet_merge_seconds_bucket{le="1"} 3' in text
-    assert 'fleet_merge_seconds_bucket{le="10"} 4' in text
+    assert 'fleet_merge_seconds_bucket{le="1e-06"} 1' in text
+    assert 'fleet_merge_seconds_bucket{le="2e-06"} 3' in text
+    assert 'fleet_merge_seconds_bucket{le="4e-06"} 4' in text
+    assert 'fleet_merge_seconds_bucket{le="8e-06"} 4' in text
     assert 'fleet_merge_seconds_bucket{le="+Inf"} 5' in text
     assert "fleet_merge_seconds_count 5" in text
-    assert "fleet_merge_seconds_sum 106.05" in text
+    assert "fleet_merge_seconds_sum 100.0000065" in text
 
 
 def test_render_labeled_histogram_keeps_labels_on_every_sample():
     registry = MetricsRegistry()
     histogram = registry.histogram(
-        "fleet_shard_latency_seconds", "", buckets=[1.0],
-        labels={"shard": "2"})
-    histogram.observe(0.5)
+        "fleet_shard_latency_seconds", "", labels={"shard": "2"})
+    histogram.observe(0.5e-6)
     text = render_prometheus(registry)
-    assert 'fleet_shard_latency_seconds_bucket{le="1",shard="2"} 1' \
+    assert 'fleet_shard_latency_seconds_bucket{le="1e-06",shard="2"} 1' \
         in text
     assert 'fleet_shard_latency_seconds_sum{shard="2"}' in text
     assert 'fleet_shard_latency_seconds_count{shard="2"} 1' in text

@@ -10,7 +10,6 @@ import pytest
 
 from repro.chaos import (
     FleetChaosPlan,
-    default_restart_policy,
     run_fleet_chaos,
     transport_failpoints,
 )
@@ -168,8 +167,7 @@ def test_sigkilled_fleet_recovers_bit_equal(trace_path, tmp_path):
         batch_events=64, merge_every_rounds=2)
     plan = FleetChaosPlan(seed=7, kills=1, corrupt_checkpoint=True)
     report = run_fleet_chaos(tenants, tmp_path / "chaos", plan,
-                             config=config,
-                             restart_policy=default_restart_policy(7))
+                             config=config)
     counts = report.counts
     assert counts["kills_delivered"] == len(counts["victims"]) == 1
     assert counts["restarts"] >= 1

@@ -24,6 +24,7 @@ from repro.fleet.service import (FleetConfig, FleetService,
 from repro.fleet.sharding import TenantSpec
 from repro.fleet.tenancy import TenantPolicy, TenantRuntime
 from repro.fleet.worker import make_shard_spec, read_report, worker_main
+from tests.core.test_kernel_property import everything
 from tests.fleet.conftest import LABELS
 
 BATCH = 64
@@ -67,7 +68,7 @@ def facts(tenant: TenantRuntime) -> dict:
         0, tenant.tenant, final, tenant.events_admitted,
         tenant.events_shed, tenant.budget_exhausted)
     return {"digest": digest.to_dict(),
-            "snapshot": final.canonical_json(top=10_000),
+            "snapshot": everything(final),
             "seq": final.seq, "counters": final.counters,
             "checkpoints": tenant.manager.written
             if tenant.manager is not None else 0}

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import failpoints
-from repro.core.retry import CircuitBreaker, RetryPolicy
+from repro.core.retry import CircuitBreaker
 from repro.fleet.aggregator import (
     FleetAggregator,
     HealthPolicy,
@@ -21,10 +21,12 @@ from repro.fleet.aggregator import (
     merge_reports,
 )
 from repro.fleet.transport import (
+    _HEADER,
     HEADER_BYTES,
     KIND_HEARTBEAT,
     KIND_REPORT,
     MAGIC,
+    MAX_PAYLOAD_BYTES,
     Frame,
     FrameDecoder,
     FrameError,
@@ -97,10 +99,10 @@ def test_decoder_rejects_bad_magic():
 
 
 def test_decoder_rejects_oversize_length():
-    frame = bytearray(encode_frame(KIND_REPORT, 0, 1, b"abc"))
-    decoder = FrameDecoder(max_payload_bytes=2)
+    # a header that claims one byte more than the bound, no payload
+    header = _HEADER.pack(MAGIC, KIND_REPORT, 0, 1, MAX_PAYLOAD_BYTES + 1, 0)
     with pytest.raises(FrameError, match="length"):
-        decoder.feed(bytes(frame))
+        FrameDecoder().feed(header)
 
 
 def test_decoder_rejects_crc_mismatch():
@@ -197,7 +199,7 @@ def test_frame_decoder_yields_frames_or_frame_error(pieces, cuts, flip):
     for cut in cuts + [len(stream)]:
         chunks.append(bytes(stream[at:at + cut]))
         at += cut
-    decoder = FrameDecoder(max_payload_bytes=64)
+    decoder = FrameDecoder()
     decoded = []
     try:
         for chunk in chunks:
@@ -324,20 +326,17 @@ def test_publisher_falls_back_when_listener_is_gone():
     blocker = socket.socket()
     blocker.bind(("127.0.0.1", 0))
     endpoint = ["127.0.0.1", blocker.getsockname()[1]]
-    publisher = ReportPublisher(
-        endpoint, 4,
-        retry=RetryPolicy(max_attempts=2, base_delay_s=0.0, seed=4),
-        breaker=CircuitBreaker(failure_threshold=2,
-                               reset_after_s=60.0),
-        connect_timeout_s=0.2, sleep=lambda _s: None)
+    publisher = ReportPublisher(endpoint, 4, sleep=lambda _s: None)
     with publisher:
         assert not publisher.publish(make_report(4))
         assert publisher.send_failures == 1
-        assert publisher.retries >= 1
-        # breaker open by now: the next publish is rejected outright,
-        # still reported as a clean False (fall back to the file)
-        assert publisher.breaker.state == CircuitBreaker.OPEN
+        attempts = publisher.retry.max_attempts
+        assert publisher.retries == attempts - 1
+        # the breaker opens within the next publish's attempts, which
+        # still reports a clean False (fall back to the file)
+        assert publisher.breaker.failure_threshold <= 2 * attempts
         assert not publisher.publish(make_report(4))
+        assert publisher.breaker.state == CircuitBreaker.OPEN
         assert publisher.send_failures == 2
     stamped = publisher.stamp(make_report(4))
     assert stamped.publish_failures == 2

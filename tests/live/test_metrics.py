@@ -3,6 +3,7 @@
 import pytest
 
 from repro.live.metrics import (
+    BOUNDS,
     Counter,
     Gauge,
     Histogram,
@@ -28,14 +29,17 @@ def test_gauge_moves_both_ways():
 
 
 def test_histogram_stats():
-    hist = Histogram("h", buckets=[1.0, 10.0, 100.0])
-    for value in [0.5, 2.0, 3.0, 50.0, 500.0]:
+    hist = Histogram("h")
+    # BOUNDS are 1, 2, 4, 8, ... µs
+    for value in [0.5e-6, 2e-6, 3e-6, 50e-6, 500.0]:
         hist.observe(value)
     assert hist.total == 5
-    assert hist.min == 0.5
+    assert hist.min == 0.5e-6
     assert hist.max == 500.0
-    assert hist.sum == pytest.approx(555.5)
-    assert hist.counts == [1, 2, 1, 1]    # the last slot overflows
+    assert hist.sum == pytest.approx(500.0000555)
+    # counts[i] holds values <= BOUNDS[i]; the last slot overflows
+    assert hist.counts == [1, 1, 1, 0, 0, 0, 1] + [0] * 17 + [1]
+    assert len(hist.counts) == len(BOUNDS) + 1
 
 
 def test_histogram_percentiles_ordered():
@@ -147,11 +151,11 @@ def test_percentile_rejects_out_of_range():
 
 
 def test_percentile_endpoints_are_exact_min_max():
-    hist = Histogram("h", buckets=[1.0, 10.0])
-    for value in (0.37, 2.0, 7.5):
+    hist = Histogram("h")
+    for value in (0.37e-6, 2e-6, 7.5e-6):
         hist.observe(value)
-    assert hist.percentile(0) == 0.37
-    assert hist.percentile(100) == 7.5
+    assert hist.percentile(0) == 0.37e-6
+    assert hist.percentile(100) == 7.5e-6
 
 
 def test_empty_histogram_percentile_endpoints():
@@ -161,16 +165,16 @@ def test_empty_histogram_percentile_endpoints():
 
 
 def test_percentile_single_observation_is_that_value():
-    hist = Histogram("h", buckets=[1.0, 10.0])
-    hist.observe(3.0)
+    hist = Histogram("h")
+    hist.observe(3e-6)
     for p in (1, 50, 99):
-        assert 1.0 <= hist.percentile(p) <= 3.0
-    assert hist.percentile(100) == 3.0
+        assert 1e-6 <= hist.percentile(p) <= 3e-6
+    assert hist.percentile(100) == 3e-6
 
 
 def test_percentile_all_overflow_stays_in_observed_range():
-    hist = Histogram("h", buckets=[1.0, 10.0])
-    for value in (50.0, 60.0, 70.0):
+    hist = Histogram("h")
+    for value in (50.0, 60.0, 70.0):    # all above BOUNDS[-1]
         hist.observe(value)
     for p in (10, 50, 90, 99):
         estimate = hist.percentile(p)
@@ -178,8 +182,8 @@ def test_percentile_all_overflow_stays_in_observed_range():
 
 
 def test_percentile_never_escapes_observed_bounds():
-    hist = Histogram("h", buckets=[1.0, 2.0, 4.0])
-    for value in (1.5, 1.6, 3.0):
+    hist = Histogram("h")
+    for value in (1.5e-6, 1.6e-6, 3e-6):
         hist.observe(value)
     for p in range(0, 101, 5):
         assert hist.min <= hist.percentile(p) <= hist.max
@@ -189,32 +193,34 @@ def test_percentile_never_escapes_observed_bounds():
 # histogram merging (the fleet fan-in primitive)
 # ----------------------------------------------------------------------
 def test_merge_from_sums_counts_and_extremes():
-    left = Histogram("lat", buckets=[1.0, 10.0])
-    right = Histogram("lat", buckets=[1.0, 10.0])
-    for value in (0.5, 2.0):
+    left = Histogram("lat")
+    right = Histogram("lat")
+    for value in (0.5e-6, 2e-6):
         left.observe(value)
-    for value in (0.1, 50.0):
+    for value in (0.1e-6, 50.0):
         right.observe(value)
     left.merge_from(right)
     assert left.total == 4
-    assert left.sum == pytest.approx(52.6)
-    assert left.min == 0.1
+    assert left.sum == pytest.approx(50.0000026)
+    assert left.min == 0.1e-6
     assert left.max == 50.0
-    assert left.counts == [2, 1, 1]
+    assert left.counts == [2, 1] + [0] * 22 + [1]
 
 
 def test_merge_from_empty_keeps_extremes_quiet():
-    target = Histogram("lat", buckets=[1.0])
+    target = Histogram("lat")
     target.observe(0.5)
-    target.merge_from(Histogram("lat", buckets=[1.0]))
+    target.merge_from(Histogram("lat"))
     assert target.total == 1
     assert target.min == 0.5
     assert target.max == 0.5
 
 
 def test_merge_from_rejects_mismatched_buckets():
-    left = Histogram("lat", buckets=[1.0, 10.0])
-    right = Histogram("lat", buckets=[1.0, 5.0])
+    left = Histogram("lat")
+    right = Histogram("lat").load_state({
+        "bounds": [1.0, 5.0], "counts": [0, 0, 0], "total": 0,
+        "sum": 0.0, "min": None, "max": None})
     with pytest.raises(ValueError, match="bucket bounds differ"):
         left.merge_from(right)
 

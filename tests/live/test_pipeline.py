@@ -9,7 +9,8 @@ from repro.collective.ring import ring_allgather
 from repro.collective.runtime import CollectiveRuntime
 from repro.core.system import VedrfolnirSystem
 from repro.live import LivePipeline, PipelineConfig
-from repro.live.pipeline import PUMP_BATCH, snapshot_line
+from repro.live.pipeline import PUMP_BATCH, TOP_CONTRIBUTORS, snapshot_line
+from repro.live.robustness import CONFIDENCE_FLOOR
 from repro.simnet.network import Network
 from repro.simnet.topology import build_fat_tree
 from repro.simnet.units import ms
@@ -124,13 +125,13 @@ def test_snapshot_callbacks_and_summary(trace_path):
     pipeline.on_snapshot.append(seen.append)
     final = pipeline.finish()
     assert seen == [final]
-    line = snapshot_line(final.to_dict(top=1))
+    payload = final.to_dict()
+    line = snapshot_line(payload)
     assert "FINAL" in line
     assert "anomalies=" in line
-    payload = final.to_dict(top=3)
     assert payload["final"] is True
     assert payload["step_records"] == final.step_records_ingested
-    assert len(payload["contributors"]) <= 3
+    assert len(payload["contributors"]) <= TOP_CONTRIBUTORS
 
 
 def test_live_attachment_to_running_collective():
@@ -169,7 +170,7 @@ def test_degradation_when_reports_missing(trace_path):
     final = pipeline.finish()
     assert final.switch_reports_ingested == 0
     assert final.degraded
-    assert final.confidence == pipeline.degradation.floor
+    assert final.confidence == CONFIDENCE_FLOOR
     # the waiting-graph side still works without switch telemetry
     assert final.critical_path
 

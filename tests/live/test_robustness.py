@@ -14,7 +14,12 @@ from repro.collective.ring import ring_allgather
 from repro.collective.runtime import CollectiveRuntime
 from repro.core.system import VedrfolnirSystem
 from repro.live import LivePipeline, PipelineConfig
-from repro.live.robustness import DegradationTracker, Quarantine
+from repro.live.robustness import (
+    CONFIDENCE_FLOOR,
+    QUARANTINE_KEEP,
+    DegradationTracker,
+    Quarantine,
+)
 from repro.simnet.network import Network
 from repro.simnet.topology import build_fat_tree
 from repro.simnet.units import ms
@@ -41,7 +46,7 @@ def clean_trace(tmp_path_factory):
 def serve_file(path, config=None) -> tuple:
     """Replay a (possibly corrupt) file exactly like ``repro serve``."""
     pipeline = LivePipeline.from_header(
-        read_header(path, on_error=lambda *_: None), config)
+        read_header(path), config)
 
     def quarantine_line(line_no, reason, snippet):
         pipeline.quarantine.admit(line_no, reason, snippet)
@@ -139,13 +144,13 @@ def test_unknown_event_kind_is_quarantined():
 
 
 def test_quarantine_bounds_retained_sample():
-    quarantine = Quarantine(keep=3)
-    for i in range(10):
+    quarantine = Quarantine()
+    for i in range(QUARANTINE_KEEP + 10):
         quarantine.admit(i, f"ValueError: bad {i}", snippet="x" * 500)
-    assert quarantine.count == 10
-    assert len(quarantine.entries) == 3
+    assert quarantine.count == QUARANTINE_KEEP + 10
+    assert len(quarantine.entries) == QUARANTINE_KEEP
     assert all(len(e.snippet) <= 120 for e in quarantine.entries)
-    assert quarantine.by_reason == {"ValueError": 10}
+    assert quarantine.by_reason == {"ValueError": QUARANTINE_KEEP + 10}
 
 
 def test_quarantine_guard_swallows_and_returns_none():
@@ -156,16 +161,16 @@ def test_quarantine_guard_swallows_and_returns_none():
 
 
 def test_degradation_tracker_profile():
-    tracker = DegradationTracker(report_gap_ns=100.0, floor=0.2)
+    tracker = DegradationTracker(report_gap_ns=100.0)
     assert tracker.confidence() == 1.0       # nothing seen yet
     tracker.observe_step(1000.0)
-    assert tracker.confidence() == 0.2       # steps but no reports
+    assert tracker.confidence() == CONFIDENCE_FLOOR  # steps, no reports
     tracker.observe_report(990.0)
     assert tracker.confidence() == 1.0       # fresh report
     tracker.observe_step(1200.0)             # report now 210ns stale
-    assert 0.2 < tracker.confidence() < 1.0
+    assert CONFIDENCE_FLOOR < tracker.confidence() < 1.0
     tracker.observe_step(5000.0)             # far beyond 3x gap
-    assert tracker.confidence() == 0.2
+    assert tracker.confidence() == CONFIDENCE_FLOOR
     data = tracker.to_dict()
     assert data["degraded"] is True
     assert data["report_staleness_ns"] == pytest.approx(4010.0)

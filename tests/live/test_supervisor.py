@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.retry import RetryPolicy
 from repro.live.supervisor import (
+    GRACE_SLICE_S,
     MAX_CRASH_RECORDS,
     CrashLoopError,
     GracefulShutdown,
@@ -171,10 +172,10 @@ def test_graceful_shutdown_second_signal_forces_exit(monkeypatch):
 
 def test_wait_out_grace_slices_sleep():
     slept = []
-    shutdown = GracefulShutdown(drain_grace_s=0.2)
-    shutdown.wait_out_grace(sleep=slept.append, slice_s=0.05)
+    shutdown = GracefulShutdown(drain_grace_s=4 * GRACE_SLICE_S)
+    shutdown.wait_out_grace(sleep=slept.append)
     assert len(slept) == 4
-    assert sum(slept) == pytest.approx(0.2)
+    assert sum(slept) == pytest.approx(4 * GRACE_SLICE_S)
 
 
 # ----------------------------------------------------------------------

@@ -100,14 +100,6 @@ def test_stop_cancels_timer():
     assert sim.events_processed == 0
 
 
-def test_rate_change_callback():
-    changes = []
-    sim = Simulator()
-    state = DcqcnState(sim, LINE, on_rate_change=changes.append)
-    state.on_cnp()
-    assert changes and changes[-1] == state.rc
-
-
 def test_cnp_resets_recovery_progress():
     sim, state = make_state()
     state.start()

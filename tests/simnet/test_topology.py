@@ -3,6 +3,8 @@
 import pytest
 
 from repro.simnet.topology import (
+    DEFAULT_BANDWIDTH_BPS,
+    DEFAULT_LINK_DELAY_NS,
     LinkSpec,
     NodeKind,
     Topology,
@@ -67,10 +69,10 @@ def test_fat_tree_rejects_tiny_arity():
 
 
 def test_fat_tree_link_parameters():
-    topo = build_fat_tree(4, bandwidth_bps=5e9, delay_ns=100.0)
-    link = topo.link_between("h0", "e0")
-    assert link.bandwidth_bps == 5e9
-    assert link.delay_ns == 100.0
+    topo = build_fat_tree(4)
+    for link in topo.links:
+        assert link.bandwidth_bps == DEFAULT_BANDWIDTH_BPS
+        assert link.delay_ns == DEFAULT_LINK_DELAY_NS
 
 
 # ----------------------------------------------------------------------

@@ -31,13 +31,25 @@ that needs it.
   store ``x.<field> = ...`` where ``x`` is not ``self``.  A literal
   equal to the default sets nothing.  A field no caller sets is a
   module constant next to its reader.
+* Every defaulted parameter of a public src ``def`` or method
+  (``__init__`` included) has a caller that passes it something other
+  than its default: a keyword, a positional argument at its place, or
+  a store ``x.<param> = ...`` where ``x`` is not ``self``.  A literal
+  equal to the default passes nothing, nor does a src def that only
+  forwards one of its own parameters no caller sets (run to a fixed
+  point).  A callee resolves through import bindings, else by name; a
+  def read as a value, not called, counts as having every parameter
+  set.  A parameter no caller sets is a module constant next to its
+  reader, or goes with the hook behind it.
 
 The walk is over the AST, not tokens, so a name in a docstring or a
 string is not a use, and f-strings read the same on every Python
 version.
 
 A name that stays without a caller is on ``ALLOWLIST`` with a reason,
-a config field without a setter on ``CONFIG_ALLOWLIST``.
+a config field without a setter on ``CONFIG_ALLOWLIST``, a parameter
+on ``PARAM_ALLOWLIST``; a def on ``ALLOWLIST`` exists for the tests,
+and its parameters are exempt.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ import argparse
 import ast
 import importlib
 import re
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -497,3 +509,382 @@ def test_every_allowlisted_config_field_exists_and_is_unset():
              for name, field_name in CONFIG_ALLOWLIST
              if f"{name}.{field_name}" not in flagged]
     assert not stale, f"config allowlist entries that are set: {stale}"
+
+
+
+_SEAM = "a test seam: it lets a test substitute a fake"
+_DEPLOY = "a deployment setting"
+
+# (module, def, parameter) -> the one-line reason it keeps its default
+# though no caller passes another value.
+PARAM_ALLOWLIST = {
+    ("checks/lint.py", "check_paths", "cache"): _SEAM,
+    ("cli.py", "main", "argv"): _SEAM,
+    ("core/failpoints.py", "configure_from_env", "environ"): _SEAM,
+    ("core/failpoints.py", "fire", "sleep"): _SEAM,
+    ("core/failpoints.py", "mangle", "sleep"): _SEAM,
+    ("core/retry.py", "CircuitBreaker.__init__", "clock"): _SEAM,
+    ("fleet/aggregator.py", "FleetAggregator.merge", "clock"): _SEAM,
+    ("fleet/transport.py", "ReportPublisher.__init__", "sleep"): _SEAM,
+    ("fleet/worker.py", "run_worker_process", "ctx"): _SEAM,
+    ("fleet/worker.py", "run_shard_supervised", "ctx"): _SEAM,
+    ("live/checkpoint.py", "resume_or_create", "clock"): _SEAM,
+    ("live/supervisor.py", "Supervisor.__init__", "clock"): _SEAM,
+    ("live/supervisor.py", "Supervisor.__init__", "sleep"): _SEAM,
+    ("live/supervisor.py", "GracefulShutdown.wait_out_grace", "sleep"):
+        _SEAM,
+    ("fleet/exporter.py", "MetricsExporter.__init__", "host"): _DEPLOY,
+    ("fleet/transport.py", "ReportListener.__init__", "host"): _DEPLOY,
+    ("fleet/transport.py", "ReportListener.__init__", "port"): _DEPLOY,
+    ("simnet/network.py", "Network.__init__", "sanitize"):
+        "safety code: the per-event sanitizer switch",
+    ("simnet/engine.py", "Simulator.__init__", "sanitize"):
+        "safety code: the per-event sanitizer switch Network forwards",
+}
+
+
+class Signature:
+    """One src ``def``: its defaulted parameters, and the parameter a
+    positional argument lands on."""
+
+    def __init__(self, module: Module, qualname: str, node, bound: bool):
+        self.module = module
+        self.qualname = qualname
+        args = node.args
+        positional = args.posonlyargs + args.args
+        self.positional = [arg.arg for arg in positional[int(bound):]]
+        self.defaults = dict(zip(
+            [arg.arg for arg in positional][len(positional)
+                                            - len(args.defaults):],
+            args.defaults))
+        self.defaults |= {arg.arg: default for arg, default in zip(
+            args.kwonlyargs, args.kw_defaults) if default is not None}
+        #: parameters the body rebinds: forwarding one forwards
+        #: something else
+        self.rebound = {target.id for stmt in node.body
+                        for target in ast.walk(stmt)
+                        if isinstance(target, ast.Name)
+                        and isinstance(target.ctx, ast.Store)}
+
+    @property
+    def public(self) -> bool:
+        *owner, name = self.qualname.split(".")
+        return (not any(part.startswith("_") for part in owner)
+                and (name == "__init__" or not name.startswith("_")))
+
+
+class ParamUse:
+    """Which defaulted parameters of src defs a caller passes another
+    value, run to a fixed point over values a src def only forwards
+    from a parameter of its own."""
+
+    def __init__(self):
+        self.sigs: dict[tuple[str, str], Signature] = {}
+        self.classes: dict[tuple[str, str], ast.ClassDef] = {}
+        for dotted, module in PROJECT.src.items():
+            for node in module.tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    self.sigs[dotted, node.name] = Signature(
+                        module, node.name, node, False)
+                elif isinstance(node, ast.ClassDef):
+                    self.classes[dotted, node.name] = node
+                    for stmt in node.body:
+                        if isinstance(stmt, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef)):
+                            static = any(getattr(d, "id", None)
+                                         == "staticmethod"
+                                         for d in stmt.decorator_list)
+                            self.sigs[dotted, f"{node.name}.{stmt.name}"] = \
+                                Signature(module, f"{node.name}.{stmt.name}",
+                                          stmt, not static)
+        self.methods: dict[str, list[Signature]] = {}
+        for sig in self.sigs.values():
+            if "." in sig.qualname:
+                self.methods.setdefault(sig.qualname.split(".")[1],
+                                        []).append(sig)
+        #: (module, qualname, parameter) set by some caller
+        self.set: set[tuple[str, str, str]] = set()
+        #: (module, qualname, parameter) -> the defaulted parameters of
+        #: src defs that forward their value into it
+        self.through: dict[tuple, set[tuple]] = {}
+        for module in PROJECT.callers:
+            _ParamWalk(self, module).visit(module.tree)
+        grown = True
+        while grown:
+            grown = False
+            for key, sources in self.through.items():
+                if key not in self.set and sources & self.set:
+                    self.set.add(key)
+                    grown = True
+
+    def init_of(self, target: tuple[str, str], seen=()) -> list[Signature]:
+        """The ``__init__`` a call of class ``target`` runs."""
+        sig = self.sigs.get((target[0], f"{target[1]}.__init__"))
+        if sig is not None:
+            return [sig]
+        node = self.classes.get(target)
+        if node is None or target in seen:
+            return []
+        return [init for base in node.bases
+                for home in self.resolve(target[0], base)
+                for init in self.init_of(home, (*seen, target))]
+
+    def resolve(self, module: str, node: ast.expr) -> set[tuple[str, str]]:
+        """The src definitions a name or ``module.name`` in ``module``
+        reaches through its import bindings."""
+        if isinstance(node, ast.Name) and module in PROJECT.src:
+            targets = ({(module, node.id)}
+                       if node.id in PROJECT.src[module].defined else set())
+            for bound, source, imported in PROJECT.src[module].imports:
+                if bound == node.id:
+                    targets |= PROJECT.resolve(source, imported)
+            return {target for target in targets if target[1] is not None}
+        return set()
+
+    def pass_value(self, sig: Signature, param: str, value: ast.expr,
+                   forwarded: tuple | None) -> None:
+        if param not in sig.defaults or _same(value, sig.defaults[param]):
+            return
+        key = (sig.module.name, sig.qualname, param)
+        if forwarded is not None:
+            self.through.setdefault(key, set()).add(forwarded)
+        else:
+            self.set.add(key)
+
+    def set_all(self, sig: Signature) -> None:
+        self.set |= {(sig.module.name, sig.qualname, param)
+                     for param in sig.defaults}
+
+    def unset(self) -> list[tuple[str, str, str]]:
+        """``(module, def, parameter)`` of every defaulted parameter of
+        a public src def that no caller passes another value."""
+        found = []
+        for (dotted, qualname), sig in self.sigs.items():
+            path = sig.module.path.relative_to(SRC).as_posix()
+            if sig.public and (path, qualname) not in ALLOWLIST:
+                found += [(path, qualname, param) for param in sig.defaults
+                          if (dotted, qualname, param) not in self.set]
+        return found
+
+
+class _ParamWalk(ast.NodeVisitor):
+    """One caller's calls, stores and references of src defs."""
+
+    def __init__(self, use: ParamUse, module: Module):
+        self.use = use
+        self.module = module
+        self.binds: dict[str, set] = {}
+        for bound, source, imported in module.imports:
+            self.binds.setdefault(bound, set()).update(
+                PROJECT.resolve(source, imported))
+        self.owner: list[ast.ClassDef] = []     # enclosing classes
+        self.scopes: list[tuple[Signature | None, ast.AST]] = []
+
+    # -- what a node names --------------------------------------------
+    def _targets(self, node: ast.expr) -> set[tuple[str, str]]:
+        if isinstance(node, ast.Name):
+            targets = {target for target in self.binds.get(node.id, ())
+                       if target[1] is not None}
+            if self.module.name and node.id in self.module.defined:
+                targets.add((self.module.name, node.id))
+            return targets
+        if isinstance(node, ast.Attribute):
+            return {target for base in self._modules(node.value)
+                    for target in PROJECT.resolve(base, node.attr)
+                    if target[1] is not None}
+        return set()
+
+    def _modules(self, node: ast.expr) -> set[str]:
+        if isinstance(node, ast.Name):
+            return {target for target, name in self.binds.get(node.id, ())
+                    if name is None}
+        if isinstance(node, ast.Attribute):
+            return {f"{base}.{node.attr}" for base in self._modules(node.value)
+                    if f"{base}.{node.attr}" in PROJECT.src}
+        return set()
+
+    def _sigs_of(self, target: tuple[str, str]) -> list[Signature]:
+        if target in self.use.sigs:
+            return [self.use.sigs[target]]
+        return self.use.init_of(target)
+
+    def callees(self, func: ast.expr) -> list[Signature]:
+        use = self.use
+        if isinstance(func, ast.Name) and func.id == "cls" and self.owner:
+            return use.init_of((self.module.name, self.owner[-1].name))
+        targets = self._targets(func)
+        if targets:
+            return [sig for target in targets for sig in self._sigs_of(target)]
+        if isinstance(func, ast.Name):
+            # a local callable: whichever def or class has the name
+            return [sig for (home, name) in
+                    {key for key in use.sigs if key[1] == func.id}
+                    | {key for key in use.classes if key[1] == func.id}
+                    for sig in self._sigs_of((home, name))]
+        if not isinstance(func, ast.Attribute):
+            return []
+        if (isinstance(func.value, ast.Call)
+                and getattr(func.value.func, "id", None) == "super"
+                and func.attr == "__init__"):
+            return [init for base in self.owner[-1].bases
+                    for home in self._targets(base)
+                    for init in use.init_of(home)]
+        owners = self._targets(func.value)
+        found = [use.sigs[home, f"{name}.{func.attr}"]
+                 for home, name in owners
+                 if (home, f"{name}.{func.attr}") in use.sigs]
+        return found or list(use.methods.get(func.attr, ()))
+
+    def forwarded(self, value: ast.expr) -> tuple | None:
+        """The defaulted parameter of the enclosing src def that
+        ``value`` only forwards, if it does."""
+        if not isinstance(value, ast.Name):
+            return None
+        for sig, node in reversed(self.scopes):
+            names = {arg.arg for arg in (node.args.posonlyargs
+                                         + node.args.args
+                                         + node.args.kwonlyargs)}
+            if value.id in names:
+                if (sig is not None and value.id in sig.defaults
+                        and value.id not in sig.rebound):
+                    return (sig.module.name, sig.qualname, value.id)
+                return None
+        return None
+
+    # -- visitors -----------------------------------------------------
+    def visit_ClassDef(self, node):
+        for base in node.bases:
+            self.visit(base)
+        self.owner.append(node)
+        for stmt in node.body:
+            self.visit(stmt)
+        self.owner.pop()
+
+    def visit_FunctionDef(self, node):
+        qualname = ".".join([owner.name for owner in self.owner[-1:]]
+                            + [node.name])
+        sig = (self.use.sigs.get((self.module.name, qualname))
+               if not self.scopes else None)
+        for default in node.args.defaults + [
+                d for d in node.args.kw_defaults if d is not None]:
+            self.visit(default)
+        for decorator in node.decorator_list:
+            self.visit(decorator)
+        self.scopes.append((sig, node))
+        for stmt in node.body:
+            self.visit(stmt)
+        self.scopes.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        self.scopes.append((None, node))
+        self.visit(node.body)
+        self.scopes.pop()
+
+    def visit_AnnAssign(self, node):
+        if node.value is not None:
+            self.visit(node.value)
+            self._store(node.target, node.value)
+        self.visit(node.target)
+
+    def visit_Assign(self, node):
+        self.generic_visit(node)
+        for target in node.targets:
+            self._store(target, node.value)
+
+    def visit_AugAssign(self, node):
+        self.generic_visit(node)
+        self._store(node.target, node.value)
+
+    def _store(self, target: ast.expr, value: ast.expr) -> None:
+        if isinstance(target, ast.Attribute) and not (
+                isinstance(target.value, ast.Name)
+                and target.value.id == "self"):
+            for sig in self.use.methods.get("__init__", ()):
+                self.use.pass_value(sig, target.attr, value,
+                                    self.forwarded(value))
+
+    def visit_Call(self, node):
+        func = node.func
+        builtin_check = getattr(func, "id", None) in ("isinstance",
+                                                       "issubclass")
+        for sig in self.callees(func):
+            for index, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    for param in sig.positional[index:]:
+                        self.use.pass_value(sig, param, arg, None)
+                    break
+                if index < len(sig.positional):
+                    self.use.pass_value(sig, sig.positional[index], arg,
+                                        self.forwarded(arg))
+            for kw in node.keywords:
+                if kw.arg is None:
+                    self.use.set_all(sig)
+                else:
+                    self.use.pass_value(sig, kw.arg, kw.value,
+                                        self.forwarded(kw.value))
+        # the callee itself is called, not referenced as a value
+        if isinstance(func, ast.Attribute):
+            self.visit(func.value)
+        elif not isinstance(func, ast.Name):
+            self.visit(func)
+        for arg in node.args:
+            if not (builtin_check and isinstance(arg, (ast.Name,
+                                                       ast.Attribute,
+                                                       ast.Tuple))):
+                self.visit(arg)
+        for kw in node.keywords:
+            self.visit(kw.value)
+
+    def visit_ExceptHandler(self, node):
+        for stmt in node.body:
+            self.visit(stmt)
+
+    def visit_Attribute(self, node):
+        # a def or method read as a value: whoever calls it may pass
+        # any parameter
+        if isinstance(node.ctx, ast.Load):
+            targets = self._targets(node)
+            if targets:
+                for target in targets:
+                    for sig in self._sigs_of(target):
+                        self.use.set_all(sig)
+            else:
+                for sig in self.use.methods.get(node.attr, ()):
+                    self.use.set_all(sig)
+        self.visit(node.value)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            for target in self._targets(node):
+                for sig in self._sigs_of(target):
+                    self.use.set_all(sig)
+
+    def visit_arg(self, node):
+        pass            # an annotation is not a reference
+
+
+@cache
+def params_without_setter() -> list[tuple[str, str, str]]:
+    return ParamUse().unset()
+
+
+def test_every_defaulted_parameter_has_a_setter():
+    flagged = [f"{module}::{qualname}({param}=)"
+               for module, qualname, param in params_without_setter()
+               if (module, qualname, param) not in PARAM_ALLOWLIST]
+    assert not flagged, (
+        f"{len(flagged)} defaulted parameters of public src defs that no "
+        "src module, benchmark, example or tool passes anything but the "
+        "default (make each a module constant next to its reader, delete "
+        "the hook behind it, or allowlist one with a reason):\n  "
+        + "\n  ".join(flagged))
+
+
+def test_every_allowlisted_parameter_exists_and_is_unset():
+    # An entry that gained a caller, or whose parameter is gone, is stale.
+    stale = [f"{module}::{qualname}({param}=)"
+             for module, qualname, param in PARAM_ALLOWLIST
+             if (module, qualname, param) not in params_without_setter()]
+    assert not stale, f"parameter allowlist entries that are set: {stale}"

@@ -36,9 +36,14 @@ def test_fixture_covers_all_scenarios(golden):
     assert set(golden) == set(GOLDEN_SCENARIOS)
 
 
+@pytest.fixture(scope="module")
+def captured(tmp_path_factory) -> dict:
+    return capture_digests(tmp_path_factory.mktemp("golden"))
+
+
 @pytest.mark.parametrize("name", GOLDEN_SCENARIOS)
-def test_digest_matches_fixture(name, golden, tmp_path):
-    recomputed = capture_digests(tmp_path, (name,))[name]
+def test_digest_matches_fixture(name, golden, captured):
+    recomputed = captured[name]
     expected = golden[name]
     assert recomputed["events"] == expected["events"], \
         "executed event count diverged from the seed engine"

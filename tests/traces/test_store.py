@@ -137,22 +137,6 @@ def test_unknown_kinds_routed_to_quarantine(recorded_run, tmp_path):
     assert all(entry.snippet for entry in trace.quarantine.entries)
 
 
-def test_shared_quarantine_accumulates_across_loads(recorded_run,
-                                                    tmp_path):
-    from repro.live.robustness import Quarantine
-
-    path, _, _, _ = recorded_run
-    padded = tmp_path / "accumulate.jsonl"
-    padded.write_text(path.read_text() + '{"kind": "mystery"}\n')
-    shared = Quarantine()
-    with pytest.warns(UserWarning):
-        trace_a = load_trace(padded, quarantine=shared)
-        trace_b = load_trace(padded, quarantine=shared)
-    assert trace_a.quarantine is shared
-    assert trace_b.quarantine is shared
-    assert shared.count == 2
-
-
 def test_clean_trace_has_empty_quarantine(recorded_run):
     path, _, _, _ = recorded_run
     trace = load_trace(path)

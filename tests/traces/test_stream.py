@@ -88,12 +88,12 @@ def test_header_rejects_future_version(tmp_path):
     path = tmp_path / "future.jsonl"
     path.write_text('{"kind": "meta", "version": 99}\n')
     # from either reader, and even from a lenient one
-    for read in (read_header, open_trace):
-        for on_error in (None, lambda *_: None):
-            with pytest.raises(TraceFormatError,
-                               match="found 99, expected 1") as info:
-                read(path, on_error)
-            assert info.value.line_no == 1
+    for read in (read_header, open_trace, lambda path: open_trace(
+            path, lambda *_: None)):
+        with pytest.raises(TraceFormatError,
+                           match="found 99, expected 1") as info:
+            read(path)
+        assert info.value.line_no == 1
 
 
 def test_strict_stream_raises_with_line_number(trace_path, tmp_path):
