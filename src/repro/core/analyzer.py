@@ -40,12 +40,7 @@ from repro.core.provenance import (
     ProvenanceAccumulator,
     ProvenanceGraph,
 )
-from repro.core.rating import (
-    score_row,
-    score_table,
-    step_excess,
-    weigh_step_scores,
-)
+from repro.core.rating import score_row, step_excess
 from repro.core.waiting_graph import CriticalPathEntry, WaitingGraph
 from repro.simnet.packet import FlowKey
 from repro.simnet.telemetry import SwitchReport
@@ -113,12 +108,11 @@ class DiagnosisKernel:
 
     Retained between snapshots: every report's prepared form, the
     overall merge state with its derived layer and the findings the
-    detectors keep and, per step, its report slice with either the
-    merge state (while the slice still moves) or the Eq. 2 score rows
-    computed from it — never a graph for every step (a tenant fleet
-    holds one kernel per collective).  Everything here is derived from
-    :attr:`reports`; :meth:`drop_derived` forgets it and the next
-    snapshot digests them again.
+    detectors keep and, per step rated so far, its report slice, the
+    graph over it with the Eq. 2 rows read from that graph so far, and
+    the merge state while the slice still moves.  Everything here is
+    derived from :attr:`reports`; :meth:`drop_derived` forgets it and
+    the next snapshot digests them again.
     """
 
     def __init__(self, pfc_xoff_bytes: Bytes,
@@ -127,8 +121,12 @@ class DiagnosisKernel:
         self.reports: list[SwitchReport] = []
         #: reports arrived in time order so far (windows are slices)
         self._ordered = True
-        #: as of the last snapshot (each one names the current set)
-        self._collective_flows = set(collective_flows)
+        #: switch -> port -> its PortRef, shared by the prepared reports
+        self._port_refs: dict[str, dict] = {}
+        #: as of the last snapshot (each one names the current set; a
+        #: frozenset given is kept as is, so the same one is told by
+        #: identity)
+        self._collective_flows = frozenset(collective_flows)
         self.drop_derived()
 
     def drop_derived(self) -> None:
@@ -137,22 +135,27 @@ class DiagnosisKernel:
         self._prepared: list[PreparedReport] = []
         self._overall = ProvenanceAccumulator(
             self._collective_flows, self.pfc_xoff_bytes)
-        #: step -> (report slice, None, merge state) while the slice
-        #: moves, then (report slice, {cf: score row}, None)
+        #: step -> (report slice, graph, {cf: Eq. 2 row read so far},
+        #: merge state — None once the slice settled)
         self._steps: dict[int, tuple] = {}
+        #: (overall flow count, the non-collective flows in name order)
+        #: as of the last snapshot: flows only grow, so an unchanged
+        #: count is an unchanged set
+        self._background: tuple[int, list[FlowKey]] = (-1, [])
 
     def release(self) -> None:
         """Let every report and everything derived from them go, for an
         owner that adds no report and takes no snapshot again (a held
         fleet tenant): either would raise."""
         self.reports.clear()
-        self._collective_flows = set()
+        self._collective_flows = frozenset()
+        self._port_refs = {}
         self._prepared = []
         self._overall = None
         self._steps = {}
 
     def _digest(self, report: SwitchReport) -> None:
-        prepared = PreparedReport(report)
+        prepared = PreparedReport(report, self._port_refs)
         self._prepared.append(prepared)
         self._overall.merge(prepared)
 
@@ -167,9 +170,10 @@ class DiagnosisKernel:
     def provenance(self, collective_flows: set[FlowKey]
                    ) -> ProvenanceGraph:
         """The overall graph over every report so far."""
-        if self._collective_flows != collective_flows:
+        if collective_flows is not self._collective_flows \
+                and self._collective_flows != collective_flows:
             # a live deployment learns its flow keys as it goes
-            self._collective_flows = set(collective_flows)
+            self._collective_flows = frozenset(collective_flows)
             self.drop_derived()
         for report in self.reports[len(self._prepared):]:
             self._digest(report)
@@ -195,10 +199,22 @@ class DiagnosisKernel:
                 if 0 in rated else None
         excess, denominator = step_excess(rows, timing.exec_times,
                                           timing.expect_times)
-        for flow in sorted(overall.background_flows(), key=_flow_name):
-            breakdown.collective_scores[flow] = weigh_step_scores(
-                lambda i, _cf: rows[i].get(flow, 0.0),
-                critical, excess, denominator)
+        count, background = self._background
+        if count != len(overall.flows):
+            background = sorted(overall.background_flows(), key=_flow_name)
+            self._background = (len(overall.flows), background)
+        # Eq. 3 row by row: each flow gets its terms in step order, as
+        # weigh_step_scores adds them; a flow a row lacks scores 0.0
+        # there, a term that leaves its sum as it was
+        scores = breakdown.collective_scores = dict.fromkeys(
+            background, 0.0)
+        if denominator > 0:
+            for i, excess_i in excess.items():
+                if excess_i <= 0 or i not in critical:
+                    continue
+                for flow, score in rows[i].items():
+                    if flow in scores:
+                        scores[flow] += score * excess_i / denominator
         return breakdown
 
     def _score_steps(self, windows: Mapping[int, Sequence[float]],
@@ -211,10 +227,11 @@ class DiagnosisKernel:
         Reports arrive in time order, so a window is a slice of them.
         A step whose slice grew at the end merges in just the new
         reports and keeps its merge state for the next snapshot.  The
-        first snapshot to find the slice unchanged scores *every*
-        collective flow the step's graph knows — the critical path
-        runs through a different node at nearly every snapshot — and
-        lets the graph go: from then on a step is a table lookup.
+        first snapshot to find the slice unchanged lets the merge state
+        go: from then on the step keeps its graph and the Eq. 2 rows
+        read from it, keyed by critical flow — the critical path runs
+        through a different node at nearly every snapshot, so a row is
+        built the first time a snapshot reads it and looked up after.
         Anything else (a window widened backwards by a late record,
         reports out of time order) is rebuilt from the slice.
 
@@ -222,6 +239,7 @@ class DiagnosisKernel:
         as it was: a later snapshot that rates it catches up along the
         same three paths."""
         reports = self._prepared
+        steps = self._steps
         for idx, (start, end) in windows.items():
             merged = None
             if self._ordered:
@@ -232,13 +250,16 @@ class DiagnosisKernel:
                         rows[idx] = None
                     continue
                 span = (low, high)
-                then, table, merged = self._steps.get(
-                    idx, (None, None, None))
+                then, graph, read, merged = steps.get(
+                    idx, (None, None, None, None))
                 if then == span:
                     if merged is not None:
-                        table = score_table(merged.snapshot())
-                        self._steps[idx] = (span, table, None)
-                    rows[idx] = table.get(critical[idx], {})
+                        steps[idx] = (span, graph, read, None)
+                    cf = critical[idx]
+                    row = read.get(cf)
+                    if row is None:
+                        row = read[cf] = score_row(graph, cf)
+                    rows[idx] = row
                     continue
                 if merged is not None and then[0] == low:
                     low = then[1]           # merge in the new tail only
@@ -261,9 +282,10 @@ class DiagnosisKernel:
             for report in step_reports:
                 merged.merge(report)
             graph = merged.snapshot()
-            rows[idx] = score_row(graph, critical[idx])
+            cf = critical[idx]
+            row = rows[idx] = score_row(graph, cf)
             if span is not None:
-                self._steps[idx] = (span, None, merged)
+                steps[idx] = (span, graph, {cf: row}, merged)
             graphs[idx] = graph
 
 

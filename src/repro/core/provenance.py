@@ -222,9 +222,18 @@ class PreparedReport:
     __slots__ = ("time", "switch", "ports", "flows", "meters", "pauses",
                  "ttl_drops")
 
-    def __init__(self, report: SwitchReport) -> None:
+    def __init__(self, report: SwitchReport,
+                 port_refs: Optional[dict] = None) -> None:
         self.time = report.time
         switch = self.switch = report.switch_id
+        # the owner's PortRef per switch and port, one object each: a
+        # PortRef costs more to build than to look up, and an edge key
+        # holding the same object compares by identity
+        if port_refs is None:
+            port_refs = {}
+        refs = port_refs.get(switch)
+        if refs is None:
+            refs = port_refs[switch] = {}
         #: every flow named, in the order a walk of the report meets
         #: them (repeats and all: they go into a set)
         flows = self.flows = []
@@ -232,7 +241,9 @@ class PreparedReport:
         #: pairwise / e(p,f) / e(f,p), the window's flow_pkts)
         self.ports = []
         for entry in report.ports:
-            port = PortRef(switch, entry.port)
+            port = refs.get(entry.port)
+            if port is None:
+                port = refs[entry.port] = PortRef(switch, entry.port)
             flow_pkts = entry.flow_pkts
             #: w(f_i, p) terms per waiting flow, in telemetry order
             waits: dict[FlowKey, list[float]] = {}
@@ -347,9 +358,13 @@ class ProvenanceAccumulator:
         self._port_port: dict[tuple[PortRef, PortRef], float] = {}
         self._downstream: dict[PortRef, list[PortRef]] = {}
         self._pause_senders: dict[PortRef, list[PortRef]] = {}
-        #: (flow count, the sorted flows from each host) as of the last
-        #: regroup
-        self._by_source: tuple[int, dict] = (-1, {})
+        #: the flows grouped by source host so far (every collective
+        #: flow and every merged one, as of the flow count), and each
+        #: host's sorted list of them — replaced, never mutated, when a
+        #: flow joins it: a victim's derivation inputs hold the list
+        self._grouped: set[FlowKey] = set()
+        self._grouped_count = -1
+        self._by_source: dict[str, list[FlowKey]] = {}
         #: per victim: (what its edges were derived from, the flows
         #: given one — those with no merged e(f, p) edge there)
         self._blocked: dict[PortRef, tuple] = {}
@@ -570,28 +585,32 @@ class ProvenanceAccumulator:
         originating at that host.
 
         Flows, window flows and e(f, p) edges only grow, so an unchanged
-        count is an unchanged set: the flows by source host are
-        regrouped when the flow count moved, and a victim is derived
-        again only when its window flows, its own e(f, p) edges or its
-        host's flows moved — one newly ranked, reported on, or on a
-        host whose group changed.  Returns the victims derived again.
+        count is an unchanged set: when the flow count moved, the flows
+        not grouped yet join their source hosts' lists, and a victim is
+        derived again only when its window flows, its own e(f, p) edges
+        or its host's flows moved — one newly ranked, reported on, or on
+        a host a new flow came from.  Returns the victims derived again.
         """
         graph, index = self.graph, self.index
         victims, blocked_by = self._victims, self._blocked
         candidates = [*ranked, *(port for port in self._touched_ports
                                  if port in victims)]
-        count, by_source = self._by_source
-        if count != len(graph.flows):
-            grouped = by_source
-            by_source = {}
-            for flow in graph.flows | graph.collective_flows:
-                by_source.setdefault(flow.src, []).append(flow)
-            for flows in by_source.values():
-                flows.sort()        # a set's order moves with the hash seed
-            self._by_source = (len(graph.flows), by_source)
-            # the hosts a new flow came from
+        by_source = self._by_source
+        if self._grouped_count != len(graph.flows):
+            fresh = graph.flows - self._grouped
+            if self._grouped_count < 0:
+                fresh |= graph.collective_flows
+            self._grouped_count = len(graph.flows)
+            self._grouped |= fresh
+            joined: dict[str, list[FlowKey]] = {}
+            for flow in fresh:
+                joined.setdefault(flow.src, []).append(flow)
+            for host, flows in joined.items():
+                # a set's order moves with the hash seed: sorted
+                by_source[host] = sorted([*by_source.get(host, ()), *flows])
+            # the hosts a new flow came from, in victim order
             for node, on_node in self._victims_by_node.items():
-                if by_source.get(node) != grouped.get(node):
+                if node in joined:
                     candidates += on_node
         tails = self._tails
         # a flow given a victim edge is re-listed when it gains a

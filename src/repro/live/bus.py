@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Optional
 from repro.core.units import Nanoseconds
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TelemetryEvent:
     """One unit of monitoring data on the bus.
 
@@ -24,12 +24,16 @@ class TelemetryEvent:
     event's *event time* in simulation nanoseconds (a step record's
     completion time, a switch report's emission time) — the quantity
     the watermark advances on.  ``seq`` breaks ties deterministically.
+    ``arrival`` is the wall-clock time the event reached the bus, which
+    the snapshot that includes it measures its latency from (None: not
+    measured).
     """
 
     kind: str
     time: Nanoseconds
     payload: object
     seq: int = 0
+    arrival: Optional[float] = None
 
 
 @dataclass
@@ -53,16 +57,21 @@ class EventBus:
 
     def publish(self, event: TelemetryEvent) -> None:
         """Enqueue one event."""
-        self._queue.append(event)
+        queue = self._queue
+        queue.append(event)
         stats = self.stats
         stats.published += 1
-        stats.high_watermark = max(stats.high_watermark,
-                                   len(self._queue))
+        if len(queue) > stats.high_watermark:
+            stats.high_watermark = len(queue)
 
-    def drain(self, limit: int = 0) -> Iterator[TelemetryEvent]:
-        """Yield up to ``limit`` queued events (all of them if 0)."""
-        taken = 0
-        while self._queue and (limit <= 0 or taken < limit):
-            taken += 1
-            self.stats.consumed += 1
-            yield self._queue.popleft()
+    def drain(self, limit: int = 0) -> list[TelemetryEvent]:
+        """Take up to ``limit`` queued events (all of them if 0), oldest
+        first; they count as consumed once taken."""
+        queue = self._queue
+        if limit <= 0 or limit >= len(queue):
+            taken = list(queue)
+            queue.clear()
+        else:
+            taken = [queue.popleft() for _ in range(limit)]
+        self.stats.consumed += len(taken)
+        return taken

@@ -128,8 +128,10 @@ class Histogram:
         self.counts[bisect.bisect_left(self.bounds, value)] += 1
         self.total += 1
         self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
 
     def merge_from(self, other: "Histogram") -> None:
         """Fold another histogram's observations into this one.

@@ -153,6 +153,8 @@ class LivePipeline:
         self.pfc_xoff_bytes = pfc_xoff_bytes
         self.config = config or PipelineConfig()
         self.clock = clock
+        #: built once: the kernel tells an unchanged set by identity
+        self._collective = frozenset(self.flow_keys.values())
 
         self.bus = EventBus()
         self.watermark = WatermarkBuffer()
@@ -167,8 +169,9 @@ class LivePipeline:
         self._seq = 0
         self._ingested = {"step_record": 0, "switch_report": 0}
         self._since_snapshot = 0
+        #: events a pump took off the bus and has not processed yet
+        self._in_flight = 0
         self._pending_arrivals: list[float] = []
-        self._arrival_wall: dict[int, float] = {}
         self._started_wall: Optional[float] = None
         self._snapshot_seq = 0
         #: set only by :meth:`fast_forwarding`
@@ -202,8 +205,8 @@ class LivePipeline:
         return 4.0 * largest if largest > 0 else 1e7
 
     @property
-    def collective_flow_keys(self) -> set[FlowKey]:
-        return set(self.flow_keys.values())
+    def collective_flow_keys(self) -> frozenset[FlowKey]:
+        return self._collective
 
     @property
     def reports(self) -> list[SwitchReport]:
@@ -220,28 +223,29 @@ class LivePipeline:
         if self._started_wall is None:
             self._started_wall = self.clock()
         self._seq += 1
-        self._arrival_wall[self._seq] = self.clock()
         bus = self.bus
-        bus.publish(TelemetryEvent(kind=event.kind, time=event.time,
-                                   payload=event.payload, seq=self._seq))
+        # a resume's replayed prefix is not measured
+        arrival = None if self._fast_forward else self.clock()
+        bus.publish(TelemetryEvent(event.kind, event.time, event.payload,
+                                   self._seq, arrival))
         if len(bus) >= PUMP_BATCH:
             self.pump(PUMP_BATCH)
 
     def pump(self, limit: int = 0) -> int:
-        """Consume up to ``limit`` events off the bus (all if 0)."""
-        processed = 0
-        watermark = self.watermark
-        for event in self.bus.drain(limit):
-            processed += 1
-            if watermark.admit(event):
+        """Consume up to ``limit`` events off the bus (all if 0).  An
+        event behind the watermark is discarded, never ingested; a
+        snapshot emitted part-way counts the rest of the batch as still
+        on the bus."""
+        batch = self.bus.drain(limit)
+        self._in_flight = len(batch)
+        admit = self.watermark.admit
+        for event in batch:
+            self._in_flight -= 1
+            if admit(event):
                 self._ingest(event)
-            else:
-                # behind the watermark: discarded, never ingested
-                self._arrival_wall.pop(event.seq, None)
-        return processed
+        return len(batch)
 
     def _ingest(self, event: TelemetryEvent) -> None:
-        arrival = self._arrival_wall.pop(event.seq, None)
         if event.kind == "step_record":
             record: StepRecord = event.payload  # type: ignore[assignment]
             if (record.node, record.step_index) in self.graph.durations:
@@ -258,8 +262,8 @@ class LivePipeline:
             self.quarantine.admit(
                 0, f"unroutable event kind {event.kind!r}")
             return
-        if arrival is not None:
-            self._pending_arrivals.append(arrival)
+        if event.arrival is not None:
+            self._pending_arrivals.append(event.arrival)
         self._since_snapshot += 1
         every = self.config.snapshot_every
         if every > 0 and self._since_snapshot >= every:
@@ -312,8 +316,9 @@ class LivePipeline:
         if final:
             self.kernel.drop_derived()
         now = self.clock()
+        observe = self.latency.observe
         for arrival in self._pending_arrivals:
-            self.latency.observe(max(0.0, now - arrival))
+            observe(now - arrival if now > arrival else 0.0)
         self._pending_arrivals.clear()
         self.snapshot_cost.observe(max(0.0, now - build_start))
         self._since_snapshot = 0
@@ -339,7 +344,7 @@ class LivePipeline:
         self.snapshots.clear()
         self.kernel.release()
         self.graph.clear()
-        self._arrival_wall.clear()
+        self._collective = frozenset()
         self.flow_keys = {}
         self.expected_step_times = {}
 
@@ -372,15 +377,13 @@ class LivePipeline:
         """While a resume replays the checkpointed prefix into this
         fresh pipeline, a rolling snapshot that falls due is counted
         but not computed: the run being resumed already emitted it.
-        Afterwards the wall-clock bookkeeping restarts with this
-        process."""
+        Its events carry no arrival stamp, and afterwards the
+        wall-clock bookkeeping restarts with this process."""
         self._fast_forward = True
         try:
             yield
         finally:
             self._fast_forward = False
-        self._arrival_wall.clear()
-        self._pending_arrivals.clear()
         self._started_wall = None
 
     # ------------------------------------------------------------------
@@ -392,8 +395,8 @@ class LivePipeline:
         graph = self.graph.stats()
         return {
             "published": stats.published,
-            "consumed": stats.consumed,
-            "bus_depth": len(self.bus),
+            "consumed": stats.consumed - self._in_flight,
+            "bus_depth": len(self.bus) + self._in_flight,
             "bus_high_watermark": stats.high_watermark,
             "late_discarded": self.watermark.late_discarded,
             "watermark_buffered": self.watermark.buffered,
@@ -445,7 +448,8 @@ class LivePipeline:
                 "waiting-graph records discarded by pruning",
                 graph["pruned_total"])
 
-        gauge("live_bus_depth", "events currently queued", len(self.bus))
+        gauge("live_bus_depth", "events currently queued",
+              len(self.bus) + self._in_flight)
         gauge("live_bus_high_watermark", "deepest the bus has been",
               stats.high_watermark)
         gauge("live_watermark_buffered", "events held for reordering",

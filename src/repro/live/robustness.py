@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar
 from repro.core.units import Nanoseconds
 
 log = logging.getLogger(__name__)
-
-T = TypeVar("T")
 
 #: rejected inputs a :class:`Quarantine` retains as a sample
 QUARANTINE_KEEP = 32
@@ -73,14 +70,6 @@ class Quarantine:
                 line_no=line_no, reason=reason,
                 snippet=snippet[:120]))
         log.warning("quarantined line %d: %s", line_no, reason)
-
-    def guard(self, line_no: int, fn: Callable[[], T]) -> Optional[T]:
-        """Run ``fn``; on any exception, quarantine and return None."""
-        try:
-            return fn()
-        except Exception as error:  # noqa: BLE001 - the whole point
-            self.admit(line_no, f"{type(error).__name__}: {error}")
-            return None
 
     def to_dict(self) -> dict:
         return {

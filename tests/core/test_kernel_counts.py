@@ -11,7 +11,8 @@ benchmark's cadence: the incast case ``test_kernel_property`` records,
 and the 12-node incast the benchmark itself replays.  Each bound sits
 next to what the kernel did before the rule that holds it down (in the
 comment): a change that rates a step Eq. 3 ignores, or derives again
-what nothing moved, fails.
+what nothing moved, fails.  On the 12-node incast the Eq. 2 rows built
+and the step report merges are pinned exactly.
 """
 
 import pytest
@@ -28,10 +29,9 @@ from tests.core.test_kernel_property import record_trace
 
 #: upper bounds per replay of the small incast (5 rolling snapshots)
 BOUNDS = {
-    "graph snapshots": 9,            # before: 15
-    "score_row": 2,                  # before: 6
-    "score_table": 2,                # before: 4
-    "by_source rebuilds": 3,         # before: 15, one per finalise
+    "graph snapshots": 7,            # before: 9, one more per settling
+    "Eq. 2 rows built": 2,           # before: 12, a table per settling
+    "host groups patched": 45,       # before: 45, 3 first groupings
     "victim edge derivations": 13,   # before: 56, every victim every time
     "port-port terms": 26,           # before: 34, every link every time
     "victim edges applied": 2,       # before: 1
@@ -39,12 +39,24 @@ BOUNDS = {
 }
 #: upper bounds per replay of the 12-node incast (21 snapshots); before:
 #: what the kernel did when a snapshot re-derived every pause link,
-#: applied every victim's edges and built every finding again
+#: applied every victim's edges, built every finding again, scored
+#: every collective flow of a step whose slice settled and regrouped
+#: every flow by host when one arrived
 ELEPHANT_BOUNDS = {
-    "graph snapshots": 45,           # before: 45
+    "graph snapshots": 38,           # before: 45
+    "host groups patched": 140,      # before: 452, every host each time
     "port-port terms": 380,          # before: 616
     "victim edges applied": 640,     # before: 1907
     "findings built": 110,           # before: 637
+}
+#: exact counts per replay of the 12-node incast.  A step's rows are
+#: built when a snapshot first reads them (before: 121, 91 of them for
+#: critical flows no snapshot read).  No step report is merged twice:
+#: 887 = 762 of a final-only replay + 125 into steps 6 and 10, which
+#: rolling snapshots rate and the final snapshot does not.
+ELEPHANT_EXACT = {
+    "Eq. 2 rows built": 30,
+    "step report merges": 887,
 }
 
 
@@ -82,21 +94,24 @@ def counting(monkeypatch, counts: dict, owner, name: str, key: str):
 
 
 def counted_replay(path, monkeypatch) -> dict:
-    counts = dict.fromkeys(BOUNDS, 0)
+    counts = dict.fromkeys([*BOUNDS, *ELEPHANT_EXACT], 0)
     counting(monkeypatch, counts, ProvenanceAccumulator, "snapshot",
              "graph snapshots")
-    counting(monkeypatch, counts, analyzer, "score_row", "score_row")
-    counting(monkeypatch, counts, analyzer, "score_table", "score_table")
+    counting(monkeypatch, counts, ProvenanceAccumulator, "merge",
+             "step report merges")
+    counting(monkeypatch, counts, analyzer, "score_row", "Eq. 2 rows built")
     counting(monkeypatch, counts, diagnosis, "AnomalyFinding",
              "findings built")
     derive = ProvenanceAccumulator._derive_victims
     terms = ProvenanceAccumulator._sender_terms
 
     def derive_counted(self, *args):
-        by_source, edges = self._by_source, self._victim_edges
+        by_source, edges = dict(self._by_source), self._victim_edges
         before = len(edges)
         rederived = derive(self, *args)
-        counts["by_source rebuilds"] += self._by_source is not by_source
+        counts["host groups patched"] += sum(
+            by_source.get(host) is not flows
+            for host, flows in self._by_source.items())
         counts["victim edge derivations"] += len(rederived)
         counts["victim edges applied"] += len(self._victim_edges) - (
             before if self._victim_edges is edges else 0)
@@ -116,6 +131,8 @@ def counted_replay(path, monkeypatch) -> dict:
     for event in trace_events(path):
         pipeline.publish(event)
     pipeline.finish()
+    # the overall graph merges each report once
+    counts["step report merges"] -= len(pipeline.reports)
     return counts
 
 
@@ -137,6 +154,8 @@ def test_a_rolling_replay_patches_only_what_moved(elephant, monkeypatch):
     assert counts["victim edges applied"] > 0
     exceeded = over(counts, ELEPHANT_BOUNDS)
     assert not exceeded, exceeded
+    assert {name: counts[name] for name in ELEPHANT_EXACT} \
+        == ELEPHANT_EXACT
 
 
 def test_a_batch_analysis_rates_only_what_eq3_weighs(incast, monkeypatch):
