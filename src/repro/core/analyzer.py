@@ -43,6 +43,7 @@ from repro.core.provenance import (
 from repro.core.rating import score_row, step_excess
 from repro.core.waiting_graph import CriticalPathEntry, WaitingGraph
 from repro.simnet.packet import FlowKey
+from repro.simnet.pfc import PortRef
 from repro.simnet.telemetry import SwitchReport
 
 _report_time = attrgetter("time")
@@ -110,9 +111,11 @@ class DiagnosisKernel:
     overall merge state with its derived layer and the findings the
     detectors keep and, per step rated so far, its report slice, the
     graph over it with the Eq. 2 rows read from that graph so far, and
-    the merge state while the slice still moves.  Everything here is
-    derived from :attr:`reports`; :meth:`drop_derived` forgets it and
-    the next snapshot digests them again.
+    the merge state while the slice still moves — so a settled step's
+    graph stays until :meth:`drop_derived` or :meth:`release`, and the
+    kernel grows with the steps it rated.  Everything here is derived
+    from :attr:`reports`; :meth:`drop_derived` forgets it and the next
+    snapshot digests them again.
     """
 
     def __init__(self, pfc_xoff_bytes: Bytes,
@@ -122,7 +125,7 @@ class DiagnosisKernel:
         #: reports arrived in time order so far (windows are slices)
         self._ordered = True
         #: switch -> port -> its PortRef, shared by the prepared reports
-        self._port_refs: dict[str, dict] = {}
+        self._port_refs: dict[str, dict[int, PortRef]] = {}
         #: as of the last snapshot (each one names the current set; a
         #: frozenset given is kept as is, so the same one is told by
         #: identity)

@@ -223,14 +223,12 @@ class PreparedReport:
                  "ttl_drops")
 
     def __init__(self, report: SwitchReport,
-                 port_refs: Optional[dict] = None) -> None:
+                 port_refs: dict[str, dict[int, PortRef]]) -> None:
         self.time = report.time
         switch = self.switch = report.switch_id
         # the owner's PortRef per switch and port, one object each: a
         # PortRef costs more to build than to look up, and an edge key
         # holding the same object compares by identity
-        if port_refs is None:
-            port_refs = {}
         refs = port_refs.get(switch)
         if refs is None:
             refs = port_refs[switch] = {}
@@ -321,6 +319,8 @@ class ProvenanceAccumulator:
         self.graph = ProvenanceGraph(
             collective_flows=set(collective_flows))
         self.pfc_xoff_bytes = pfc_xoff_bytes
+        #: the PortRefs of the reports :meth:`fold` prepares
+        self._port_refs: dict[str, dict[int, PortRef]] = {}
         #: e(f,p) / e(p,f) neighbour lists, extended with every new edge
         self.index = Adjacency()
         #: (switch, ingress, egress) -> bytes, for port-port weights,
@@ -391,7 +391,7 @@ class ProvenanceAccumulator:
 
     def fold(self, report: SwitchReport) -> None:
         """Merge one report (edge-wise maximum; see the class note)."""
-        self.merge(PreparedReport(report))
+        self.merge(PreparedReport(report, self._port_refs))
 
     def merge(self, prepared: PreparedReport) -> None:
         """:meth:`fold` of the report ``prepared`` was made from."""

@@ -75,3 +75,9 @@ class EventBus:
             taken = [queue.popleft() for _ in range(limit)]
         self.stats.consumed += len(taken)
         return taken
+
+    def requeue(self, events: list[TelemetryEvent]) -> None:
+        """Put events :meth:`drain` took back at the front, in order;
+        they no longer count as consumed."""
+        self._queue.extendleft(reversed(events))
+        self.stats.consumed -= len(events)

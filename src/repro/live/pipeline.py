@@ -153,8 +153,11 @@ class LivePipeline:
         self.pfc_xoff_bytes = pfc_xoff_bytes
         self.config = config or PipelineConfig()
         self.clock = clock
-        #: built once: the kernel tells an unchanged set by identity
+        #: the collective flows and the flow keys they were built from:
+        #: rebuilt only when those changed, so the kernel tells an
+        #: unchanged set by identity
         self._collective = frozenset(self.flow_keys.values())
+        self._collective_of = dict(self.flow_keys)
 
         self.bus = EventBus()
         self.watermark = WatermarkBuffer()
@@ -206,6 +209,11 @@ class LivePipeline:
 
     @property
     def collective_flow_keys(self) -> frozenset[FlowKey]:
+        """The collective flows :attr:`flow_keys` names now (a live
+        deployment learns its flow keys as it goes)."""
+        if self.flow_keys != self._collective_of:
+            self._collective = frozenset(self.flow_keys.values())
+            self._collective_of = dict(self.flow_keys)
         return self._collective
 
     @property
@@ -235,14 +243,19 @@ class LivePipeline:
         """Consume up to ``limit`` events off the bus (all if 0).  An
         event behind the watermark is discarded, never ingested; a
         snapshot emitted part-way counts the rest of the batch as still
-        on the bus."""
+        on the bus, and an ingest that raises leaves it there."""
         batch = self.bus.drain(limit)
         self._in_flight = len(batch)
         admit = self.watermark.admit
-        for event in batch:
-            self._in_flight -= 1
-            if admit(event):
-                self._ingest(event)
+        try:
+            for event in batch:
+                self._in_flight -= 1
+                if admit(event):
+                    self._ingest(event)
+        finally:
+            if self._in_flight:
+                self.bus.requeue(batch[-self._in_flight:])
+                self._in_flight = 0
         return len(batch)
 
     def _ingest(self, event: TelemetryEvent) -> None:
@@ -345,6 +358,7 @@ class LivePipeline:
         self.kernel.release()
         self.graph.clear()
         self._collective = frozenset()
+        self._collective_of = {}
         self.flow_keys = {}
         self.expected_step_times = {}
 

@@ -17,8 +17,8 @@ from dataclasses import fields
 import pytest
 
 from repro.core.diagnosis import _port_sharing, diagnose
-from repro.core.provenance import (PreparedReport, ProvenanceAccumulator,
-                                   ProvenanceGraph, build_provenance)
+from repro.core.provenance import (ProvenanceAccumulator, ProvenanceGraph,
+                                   build_provenance)
 from repro.core.rating import score_row
 from repro.simnet.packet import FlowKey
 from repro.simnet.pfc import PauseEvent, PortRef
@@ -119,7 +119,7 @@ def test_kept_rows_and_evidence_equal_from_scratch(seed):
     kept = ProvenanceAccumulator(CF, XOFF)
     kinds = set()
     for count, report in enumerate(reports, 1):
-        kept.merge(PreparedReport(report))
+        kept.fold(report)
         if rng.random() < 0.3:
             continue                 # several reports between snapshots
         snapshot = kept.snapshot()

@@ -94,7 +94,7 @@ def reference_snapshot(pipeline: LivePipeline, snapshot):
         idx for idx, t in exec_times.items()
         if t > SLOWDOWN_FACTOR * expect_times.get(idx, float("inf")))
     _overall, result, _graphs, scores = reference_tail(
-        list(pipeline.reports), pipeline.collective_flow_keys,
+        list(pipeline.reports), set(pipeline.flow_keys.values()),
         pipeline.pfc_xoff_bytes, graph.windows, critical_flow_keys,
         exec_times, expect_times)
     return dataclasses.replace(
@@ -524,7 +524,8 @@ def test_prepared_merge_equals_walking_the_report(trace_path):
         # one prepared form, merged into two accumulators (as the
         # overall graph and a step graph share it), snapshotted at
         # every report of the first and once at the end of the second
-        prepared = [PreparedReport(r) for r in reports]
+        refs: dict = {}
+        prepared = [PreparedReport(r, refs) for r in reports]
         rolling = ProvenanceAccumulator(cf_keys, xoff)
         late = ProvenanceAccumulator(cf_keys, xoff)
         every = max(1, len(prepared) // 7)

@@ -119,6 +119,36 @@ def test_rolling_snapshots_emitted(trace_path):
     assert final.counters["quarantined"] == 0
 
 
+def test_a_raising_callback_leaves_the_rest_of_the_batch_queued(
+        trace_path):
+    """A snapshot callback that raises part-way through a pump ends it:
+    the events after the one that emitted the snapshot stay on the bus,
+    not counted as consumed, and the next pump carries on as if nothing
+    had happened."""
+    events = list(trace_events(trace_path))[:PUMP_BATCH - 1]
+    config = PipelineConfig(snapshot_every=5)
+    clean = LivePipeline.from_header(read_header(trace_path), config)
+    broken = LivePipeline.from_header(read_header(trace_path), config)
+
+    def fail(snapshot) -> None:
+        broken.on_snapshot.remove(fail)
+        raise RuntimeError("callback failed")
+
+    broken.on_snapshot.append(fail)
+    for pipeline in (clean, broken):
+        for event in events:
+            pipeline.publish(event)         # fewer than a batch: no pump
+    with pytest.raises(RuntimeError):
+        broken.pump()
+    counters = broken.counters()
+    assert 0 < len(broken.bus) < len(events)
+    assert counters["bus_depth"] == len(broken.bus)
+    assert counters["consumed"] + len(broken.bus) == len(events)
+    broken.pump()
+    assert len(broken.bus) == 0
+    assert broken.finish().canonical_json() == clean.finish().canonical_json()
+
+
 def test_snapshot_callbacks_and_summary(trace_path):
     pipeline = replay(trace_path, PipelineConfig(snapshot_every=0))
     seen = []
@@ -138,6 +168,7 @@ def test_live_attachment_to_running_collective():
     """The pipeline can consume a simulation directly (no trace)."""
     net = Network(build_fat_tree(4))
     runtime = CollectiveRuntime(net, ring_allgather(NODES, 150_000))
+    VedrfolnirSystem(net, runtime)  # triggers switch telemetry
     pipeline = LivePipeline(
         runtime.schedule, {}, {}, net.config.pfc_xoff_bytes)
     runtime.step_end_listeners.append(lambda record: pipeline.publish(
@@ -156,6 +187,12 @@ def test_live_attachment_to_running_collective():
     final = pipeline.finish()
     assert final.step_records_ingested == len(runtime.records)
     assert final.critical_path
+    # the flow keys learnt late are the collective flows the final
+    # verdict rates against: none of them scores as background traffic
+    collective = set(runtime.flow_keys.values())
+    assert pipeline.collective_flow_keys == collective
+    assert final.collective_scores
+    assert not collective & set(final.collective_scores)
     # the producer never pumps: publish keeps the bus one batch deep
     assert final.counters["bus_high_watermark"] <= PUMP_BATCH
 
