@@ -32,10 +32,8 @@ def main() -> None:
     system = VedrfolnirSystem(network, runtime)
 
     # two interfering background flows that share links with the ring
-    bf1 = network.create_flow("h1", "h6", int(8 * MB), start_time=ms(0.2),
-                              tag="background")
-    bf2 = network.create_flow("h9", "h2", int(12 * MB), start_time=ms(0.4),
-                              tag="background")
+    bf1 = network.create_flow("h1", "h6", int(8 * MB), start_time=ms(0.2))
+    bf2 = network.create_flow("h9", "h2", int(12 * MB), start_time=ms(0.4))
 
     runtime.start()
     bf1.start()

@@ -28,8 +28,7 @@ def main() -> None:
             now = runner.network.sim.now
             for src in ("h1", "h5", "h9", "h13"):
                 runner.network.create_flow(src, "h2", 1_000_000,
-                                           start_time=now,
-                                           tag="background").start()
+                                           start_time=now).start()
 
     runner = WorkloadRunner(network, nodes, between_jobs=sabotage)
     results = runner.run(jobs, per_job_deadline_ns=ms(200))

@@ -12,7 +12,7 @@ Quickstart::
     schedule = ring_allgather([f"h{i}" for i in range(8)], 3_600_000)
     runtime = CollectiveRuntime(net, schedule)
     system = VedrfolnirSystem(net, runtime)
-    bf = net.create_flow("h8", "h1", 5_000_000, tag="background")
+    bf = net.create_flow("h8", "h1", 5_000_000)
     runtime.start(); bf.start()
     net.run_until_quiet(max_time=20_000_000)
     print(system.analyze().summary())

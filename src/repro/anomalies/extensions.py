@@ -92,8 +92,7 @@ def build_deadlock_network() -> tuple:
         key = network.new_flow_key(src, dst)
         for here, nxt in zip(path, path[1:]):
             network.routing.set_override(here, key, nxt)
-        flow = network.create_flow(src, dst, DEADLOCK_FLOW_BYTES, key=key,
-                                   tag="background")
+        flow = network.create_flow(src, dst, DEADLOCK_FLOW_BYTES, key=key)
         flow.start()
         flows.append(flow)
     return network, flows

@@ -33,8 +33,7 @@ def inject_background_flows(network: Network,
     flows = []
     for spec in specs:
         flow = network.create_flow(spec.src, spec.dst, spec.size_bytes,
-                                   start_time=spec.start_ns,
-                                   tag="background")
+                                   start_time=spec.start_ns)
         flow.start()
         flows.append(flow)
     return flows

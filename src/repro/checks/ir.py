@@ -91,14 +91,10 @@ class SourceFile:
 
 
 class ParseCache:
-    """Read and parse each file at most once per invocation.
-
-    :attr:`parse_count` exists so tests can assert exactly that.
-    """
+    """Read and parse each file at most once per invocation."""
 
     def __init__(self) -> None:
         self._files: dict[Path, SourceFile] = {}
-        self.parse_count = 0
 
     def load(self, path: Union[str, Path]) -> SourceFile:
         path = Path(path)
@@ -115,7 +111,6 @@ class ParseCache:
         except OSError as error:
             read_error = error
         else:
-            self.parse_count += 1
             try:
                 tree = ast.parse(source, filename=display)
             except SyntaxError as error:

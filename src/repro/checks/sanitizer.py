@@ -110,10 +110,6 @@ class SimSanitizer:
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        #: events that passed the per-event checks
-        self.events_checked = 0
-        #: violations raised (the first one aborts the run)
-        self.violations_raised = 0
         #: raw (time, seq, callback) of the last executed events; labels
         #: are rendered when a violation asks, not once per event
         self._trace: deque[tuple] = deque(maxlen=EVENT_TRACE_DEPTH)
@@ -130,7 +126,6 @@ class SimSanitizer:
 
     def violation(self, kind: str, message: str, **context: Any) -> None:
         """Raise a structured :class:`InvariantViolation`."""
-        self.violations_raised += 1
         raise InvariantViolation(
             kind, message, time=self.sim.now, context=context,
             event_trace=self.event_trace())
@@ -147,7 +142,6 @@ class SimSanitizer:
                 "head of the heap",
                 event_time=time, clock=self.sim.now,
                 callback=_callback_label(callback))
-        self.events_checked += 1
         self._trace.append((time, seq, callback))
 
     def after_event(self, time: float, seq: int, callback: Any) -> None:
@@ -187,10 +181,6 @@ class SimSanitizer:
                 f"outstanding PAUSE",
                 node=victim_node, port=port_id)
         self._outstanding_pauses[key] = outstanding - 1
-
-    def outstanding_pauses(self, victim_node: str, port_id: int) -> int:
-        """Current pause/resume imbalance at a victim port (tests)."""
-        return self._outstanding_pauses.get((victim_node, port_id), 0)
 
     # ------------------------------------------------------------------
     # byte conservation

@@ -62,10 +62,6 @@ class StepSchedule:
     nodes: list[str]
     steps: dict[str, list[SendStep]] = field(default_factory=dict)
 
-    @property
-    def num_steps(self) -> int:
-        return max((len(s) for s in self.steps.values()), default=0)
-
     def step(self, node: str, index: int) -> SendStep:
         return self.steps[node][index]
 
@@ -82,9 +78,6 @@ class StepSchedule:
         host whose data each send step waits for (None = no data dep)."""
         return [s.depends_on[0] if s.depends_on else None
                 for s in self.steps.get(node, [])]
-
-    def total_bytes(self) -> int:
-        return sum(s.size_bytes for s in self.all_steps())
 
 
 def validate_schedule(schedule: StepSchedule) -> None:

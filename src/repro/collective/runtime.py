@@ -161,7 +161,7 @@ class CollectiveRuntime:
         self._binding[key] = binding
         flow = self.network.create_flow(
             step.node, step.peer, step.size_bytes, start_time=now,
-            tag="collective", key=self.flow_keys[key],
+            key=self.flow_keys[key],
             on_receive_complete=lambda recv, s=step: self._on_step_data_arrived(s),
             on_sender_complete=lambda f, s=step: self._on_send_complete(s),
         )

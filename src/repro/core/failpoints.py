@@ -56,8 +56,6 @@ from typing import Optional, Union
 #: environment variable holding comma-separated failpoint specs
 ENV_VAR = "REPRO_FAILPOINTS"
 
-#: actions understood by control sites (:func:`fire`)
-FIRE_ACTIONS = frozenset({"error", "delay", "drop"})
 #: actions understood by payload sites (:func:`mangle`)
 MANGLE_ACTIONS = frozenset({"error", "delay", "drop", "truncate",
                             "garble"})
@@ -109,16 +107,6 @@ class FailpointSpec:
         limit = int(match.group("limit")) if match.group("limit") else 0
         return cls(name=match.group("name"), action=action,
                    value=value, probability=probability, limit=limit)
-
-    def to_text(self) -> str:
-        text = f"{self.name}:{self.action}"
-        if self.value:
-            text += f"({self.value:g})"
-        if self.probability < 1.0:
-            text += f"@{self.probability:g}"
-        if self.limit:
-            text += f"x{self.limit}"
-        return text
 
 
 def parse_specs(text: str) -> dict[str, FailpointSpec]:

@@ -44,7 +44,6 @@ class HostMonitor:
         self.recv_steps_completed = 0
         self.records: list[StepRecord] = []
         self.report_fn = report_fn
-        self.active_flow: Optional["RdmaFlow"] = None
         self.active_step: Optional[SendStep] = None
 
     # ------------------------------------------------------------------
@@ -59,7 +58,6 @@ class HostMonitor:
                        waiting_source: Optional[str], now: float) -> None:
         if step.node != self.node:
             return
-        self.active_flow = flow
         self.active_step = step
 
     def _on_step_end(self, record: StepRecord) -> None:
@@ -68,7 +66,6 @@ class HostMonitor:
             self.records.append(record)
             if self.active_step is not None \
                     and self.active_step.step_index == record.step_index:
-                self.active_flow = None
                 self.active_step = None
             if self.report_fn is not None:
                 self.report_fn(record)

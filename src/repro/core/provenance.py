@@ -94,24 +94,6 @@ class ProvenanceGraph:
         """Flows contributing to the port's congestion (e(p,f))."""
         return list(self.adjacency().flows_at_port.get(port, ()))
 
-    def waiting_flows_at_port(self, port: PortRef) -> list[FlowKey]:
-        """Flows that wait at the port (e(f,p))."""
-        return list(self.adjacency().waiting_at_port.get(port, ()))
-
-    def downstream_ports(self, port: PortRef) -> list[PortRef]:
-        """PFC causes: ports this port waits on (e(p_i, p_j) targets)."""
-        return list(self.adjacency().downstream.get(port, ()))
-
-    def pairwise_weight(self, port: PortRef, fi: FlowKey,
-                        fj: FlowKey) -> float:
-        return self.pairwise.get((port, fi, fj), 0.0)
-
-    def flow_pair_weight(self, fi: FlowKey, fj: FlowKey) -> float:
-        """w(f_i, f_j) summed over all ports (the replay-derived
-        quantity of Eq. 2)."""
-        return sum(w for (p, a, b), w in self.pairwise.items()
-                   if a == fi and b == fj)
-
     def background_flows(self) -> set[FlowKey]:
         return self.flows - self.collective_flows
 

@@ -88,7 +88,6 @@ class CircuitBreaker:
         self.clock = clock
         self.state = self.CLOSED
         self.consecutive_failures = 0
-        self.opened_total = 0
         self._opened_at = 0.0
 
     def allow(self) -> bool:
@@ -109,8 +108,6 @@ class CircuitBreaker:
         self.consecutive_failures += 1
         if self.state == self.HALF_OPEN \
                 or self.consecutive_failures >= self.failure_threshold:
-            if self.state != self.OPEN:
-                self.opened_total += 1
             self.state = self.OPEN
             self._opened_at = self.clock()
 

@@ -356,7 +356,7 @@ def fig14_case_study(scale: Optional[float] = None,
         flow = network.create_flow(key.src, key.dst, size,
                                    start_time=start_ms * effective_scale
                                    * ms(200),
-                                   tag="background", key=key)
+                                   key=key)
         flow.start()
         bf_flows[name] = key
 

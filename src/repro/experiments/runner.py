@@ -151,8 +151,6 @@ class ResultCache:
 
     def __init__(self, root) -> None:
         self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -161,12 +159,9 @@ class ResultCache:
         try:
             doc = json.loads(self._path(key).read_text())
         except (OSError, ValueError):
-            self.misses += 1
             return None
         if doc.get("schema") != RESULT_SCHEMA_VERSION:
-            self.misses += 1
             return None
-        self.hits += 1
         return result_from_dict(doc["result"])
 
     def put(self, key: str, result: CaseResult) -> None:
@@ -175,11 +170,6 @@ class ResultCache:
                "result": result_to_dict(result)}
         with atomic_write(self._path(key)) as handle:
             handle.write((json.dumps(doc, indent=1) + "\n").encode("utf-8"))
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def __len__(self) -> int:
         if not self.root.is_dir():

@@ -314,10 +314,6 @@ class FleetSnapshot:
     def diagnosis_json(self) -> str:
         return json.dumps(self.diagnosis_dict(), sort_keys=True)
 
-    def diagnosis_digest(self) -> str:
-        return hashlib.sha256(
-            self.diagnosis_json().encode("utf-8")).hexdigest()
-
 
 def fleet_line(data: dict) -> str:
     """The one-line operator view of a fleet snapshot in its

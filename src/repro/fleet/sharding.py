@@ -10,11 +10,7 @@ across N shards by consistent hashing:
 * each shard owns ``vnodes`` points on a ring
   (:class:`HashRing`), so tenant load spreads evenly and growing the
   fleet from N to N+1 shards moves only ~1/(N+1) of tenants
-  (tested);
-* events can also be routed by :class:`~repro.simnet.packet.FlowKey`
-  (:func:`key_for_flow`) — a collective's flows hash to the tenant
-  that owns them, so per-flow telemetry lands on the same shard as the
-  host-side records it joins against.
+  (tested).
 """
 
 from __future__ import annotations
@@ -25,19 +21,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.simnet.packet import FlowKey
-
 
 def stable_hash(text: str) -> int:
     """A process-stable 64-bit hash of ``text`` (SHA-256 prefix)."""
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def key_for_flow(flow: FlowKey) -> str:
-    """The routing key of per-flow telemetry (the flow's 5-tuple)."""
-    return f"{flow.src}:{flow.src_port}->{flow.dst}:{flow.dst_port}" \
-           f"/{flow.protocol}"
 
 
 @dataclass(frozen=True)
@@ -86,9 +74,6 @@ class HashRing:
         if index == len(self._points):
             index = 0
         return self._owners[index]
-
-    def shard_for_flow(self, flow: FlowKey) -> int:
-        return self.shard_for(key_for_flow(flow))
 
     def assign(self, tenants: Iterable[TenantSpec]
                ) -> dict[int, list[TenantSpec]]:

@@ -137,9 +137,6 @@ class FrameDecoder:
                                 seq=seq, payload=payload))
         return frames
 
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
-
 
 # ----------------------------------------------------------------------
 # worker side
@@ -168,12 +165,9 @@ class ReportPublisher:
         self._sock: Optional[socket.socket] = None
         self._seq = 0
         # channel observability (stamped into outgoing ShardReports)
-        self.reports_sent = 0
-        self.heartbeats_sent = 0
         self.retries = 0
         self.send_failures = 0
         self.fallbacks = 0
-        self.frames_dropped = 0
 
     # ------------------------------------------------------------------
     def _drop_socket(self) -> None:
@@ -205,7 +199,6 @@ class ReportPublisher:
             self._connect()
         mangled = failpoints.mangle("transport.send", frame)
         if mangled is None:
-            self.frames_dropped += 1
             return
         assert self._sock is not None
         self._sock.sendall(mangled)
@@ -229,7 +222,6 @@ class ReportPublisher:
             self._drop_socket()
             self.send_failures += 1
             return False
-        self.reports_sent += 1
         return True
 
     def heartbeat(self) -> bool:
@@ -244,7 +236,6 @@ class ReportPublisher:
         except OSError:
             self._drop_socket()
             return False
-        self.heartbeats_sent += 1
         return True
 
     def stamp(self, report: ShardReport) -> ShardReport:

@@ -127,7 +127,6 @@ class CheckpointManager:
         self.loaded = 0
         self.corrupt_skipped = 0
         self.fallbacks = 0
-        self.pruned = 0
         self.last_bytes = 0
         self.write_seconds = Histogram(
             "live_checkpoint_write_seconds",
@@ -176,7 +175,6 @@ class CheckpointManager:
     def _prune_retention(self) -> None:
         for stale in self.snapshot_paths()[:-RETAIN]:
             stale.unlink(missing_ok=True)
-            self.pruned += 1
 
     def discard_after(self, published: int) -> None:
         """Remove every snapshot numbered above ``published``, where a
@@ -297,12 +295,6 @@ class TraceReplayer:
         self.admit = admit
         self.stopped = False
         self.exhausted = False
-        #: events the ``admit`` gate refused (budget sheds)
-        self.shed = 0
-        #: wall-clock seconds spent inside :meth:`checkpoint` this run
-        #: (state capture + atomic write); checkpointing is fully
-        #: synchronous, so this is exactly the time it adds to replay
-        self.checkpoint_seconds: float = 0.0
         self._since_checkpoint = 0
 
     # ------------------------------------------------------------------
@@ -314,10 +306,8 @@ class TraceReplayer:
         """Persist the pipeline state at the current cursor now."""
         if self.manager is None:
             return None
-        start = time.perf_counter()
         path = self.manager.save(
             self.pipeline.state_dict(self.published))
-        self.checkpoint_seconds += time.perf_counter() - start
         self._since_checkpoint = 0
         return path
 
@@ -378,12 +368,8 @@ class TraceReplayer:
                 break
             if self.pacing is not None:
                 self.pacing(event)
-            admitted = self.admit is None \
-                or self.admit(self.published + 1, event)
-            if admitted:
+            if self.admit is None or self.admit(self.published + 1, event):
                 pipeline.publish(event)
-            else:
-                self.shed += 1
             self.published += 1
             self._since_checkpoint += 1
             consumed += 1

@@ -195,7 +195,6 @@ class GracefulShutdown:
     drain_grace_s: Seconds = 0.0
     force_exit_code: int = FORCE_EXIT_CODE
     requested: bool = field(default=False, init=False)
-    signals_seen: int = field(default=0, init=False)
 
     def install(self) -> "GracefulShutdown":
         signal.signal(signal.SIGTERM, self._handle)
@@ -203,7 +202,6 @@ class GracefulShutdown:
         return self
 
     def _handle(self, signum, _frame) -> None:
-        self.signals_seen += 1
         if self.requested:
             # second signal: force exit, skipping interpreter
             # shutdown — the last atomic checkpoint already persisted

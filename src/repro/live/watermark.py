@@ -25,12 +25,10 @@ class WatermarkBuffer:
         #: no event before this time is still expected
         self.watermark = float("-inf")
         self.late_discarded = 0
-        self.observed = 0
 
     def admit(self, event: TelemetryEvent) -> bool:
         """Whether ``event`` is at or after the watermark, which then
         advances to it; a late event is counted and refused."""
-        self.observed += 1
         if event.time < self.watermark:
             self.late_discarded += 1
             return False

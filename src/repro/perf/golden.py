@@ -111,7 +111,7 @@ def golden_ring_allgather(tmp_dir: Path) -> dict:
     VedrfolnirSystem(net, runtime)
     recorder = TraceRecorder.attach(net, runtime)
     runtime.start()
-    net.create_flow("h1", "h4", 1_500_000, tag="background").start()
+    net.create_flow("h1", "h4", 1_500_000).start()
     net.run_until_quiet(max_time=ms(100))
     path = tmp_dir / "ring_allgather_k4.jsonl"
     recorder.write(path)

@@ -43,8 +43,7 @@ class DcqcnState:
     """Per-flow reaction-point state machine."""
 
     __slots__ = ("sim", "line_rate_bps", "rc", "rt", "alpha",
-                 "_ticks_since_cut", "_cnp_seen_this_tick", "_timer_event",
-                 "cnps_received", "rate_cuts")
+                 "_ticks_since_cut", "_cnp_seen_this_tick", "_timer_event")
 
     def __init__(self, sim: "Simulator", line_rate_bps: BitsPerSecond
                  ) -> None:
@@ -56,8 +55,6 @@ class DcqcnState:
         self._ticks_since_cut = 0
         self._cnp_seen_this_tick = False
         self._timer_event = None
-        self.cnps_received = 0
-        self.rate_cuts = 0
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -74,14 +71,10 @@ class DcqcnState:
     # ------------------------------------------------------------------
     def on_cnp(self) -> None:
         """Congestion notification: update alpha and cut the rate."""
-        self.cnps_received += 1
         self._cnp_seen_this_tick = True
         self.alpha = (1 - G) * self.alpha + G
         self.rt = self.rc
-        new_rate = max(MIN_RATE_BPS, self.rc * (1 - self.alpha / 2))
-        if new_rate != self.rc:
-            self.rc = new_rate
-            self.rate_cuts += 1
+        self.rc = max(MIN_RATE_BPS, self.rc * (1 - self.alpha / 2))
         self._ticks_since_cut = 0
 
     def _on_timer(self) -> None:

@@ -31,8 +31,8 @@ Fast-path design (see docs/PERFORMANCE.md for the full contract):
   loop with identical event ordering otherwise.
 * Cancelled events are lazily deleted but *accounted*: the queue is
   compacted in place once they exceed half of the pending entries, so
-  retransmit/timeout churn cannot grow the heap without bound and
-  :attr:`Simulator.pending_events` reports live events only.
+  retransmit/timeout churn cannot grow the heap without bound, and
+  the queue length minus ``_cancelled_pending`` is the live events.
 """
 
 from __future__ import annotations
@@ -146,11 +146,6 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of callbacks executed so far (for perf accounting)."""
         return self._events_processed
-
-    @property
-    def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return len(self._heap) + len(self._fifo) - self._cancelled_pending
 
     # -- scheduling verbs -----------------------------------------------
 
@@ -370,27 +365,3 @@ class Simulator:
             if max_events is not None \
                     and self._events_processed >= max_events:
                 break
-
-    def peek_next_time(self) -> Optional[float]:
-        """Timestamp of the next pending event, or None if drained.
-
-        Cancelled entries encountered at the front are discarded with
-        full accounting (same bookkeeping as the run loop), so a peek
-        never changes which events ``run`` will execute.
-        """
-        heap = self._heap
-        while heap and (event := heap[0][4]) is not None \
-                and event.cancelled:
-            heapq.heappop(heap)
-            event._sim = None
-            self._cancelled_pending -= 1
-        fifo = self._fifo
-        while fifo and (event := fifo[0][4]) is not None \
-                and event.cancelled:
-            fifo.popleft()
-            event._sim = None
-            self._cancelled_pending -= 1
-        if fifo:
-            # FIFO entries sit at the current clock, <= any heap entry
-            return fifo[0][0]
-        return heap[0][0] if heap else None

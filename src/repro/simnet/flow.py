@@ -55,26 +55,18 @@ class FlowStats:
     max_rtt_ns: Nanoseconds = 0.0
     retransmissions: int = 0
 
-    @property
-    def fct_ns(self) -> Optional[float]:
-        if self.complete_time is None:
-            return None
-        return self.complete_time - self.start_time
-
 
 class RdmaFlow:
     """Sender side of one message flow."""
 
     def __init__(self, network: "Network", key: FlowKey, size_bytes: Bytes,
                  start_time: float,
-                 on_sender_complete: Optional[Callable] = None,
-                 tag: Optional[str] = None) -> None:
+                 on_sender_complete: Optional[Callable] = None) -> None:
         if size_bytes <= 0:
             raise ValueError(f"flow size must be positive: {size_bytes}")
         self.network = network
         self.key = key
         self.size_bytes = size_bytes
-        self.tag = tag  # e.g. "collective" / "background"
         self.num_packets = max(1, math.ceil(size_bytes / MTU_PAYLOAD_BYTES))
         #: payload of the last packet (every other one carries the MTU)
         self._last_payload = size_bytes \
@@ -243,7 +235,7 @@ class FlowReceiver:
     """Receiver side: reassembly progress, ACK and CNP generation."""
 
     __slots__ = ("network", "host", "key", "expected_bytes",
-                 "received_bytes", "received_packets", "highest_seq",
+                 "received_bytes", "highest_seq",
                  "_last_cnp_time", "on_receive_complete", "_done",
                  "ack_every", "first_arrival_time", "complete_time",
                  "_rev_key")
@@ -257,7 +249,6 @@ class FlowReceiver:
         self._rev_key = key.reversed()  # per-ACK alloc hoisted here
         self.expected_bytes = expected_bytes
         self.received_bytes = 0
-        self.received_packets = 0
         self.highest_seq = -1
         self._last_cnp_time = -1e18
         self.on_receive_complete = on_receive_complete
@@ -289,7 +280,6 @@ class FlowReceiver:
             return
         payload_bytes = packet.size - 66
         self.received_bytes += payload_bytes
-        self.received_packets += 1
         self.highest_seq = packet.seq
         if self.network.sim.sanitizer is not None:
             self.network.sim.sanitizer.check_receiver_progress(self)

@@ -91,7 +91,6 @@ class Network:
         self.report_count = 0
         self.report_bytes = 0
         self.ttl_drops = 0
-        self.routing_drops = 0
 
         self.collected_reports: list[SwitchReport] = []
         self._report_sink: ReportSink = self.collected_reports.append
@@ -171,7 +170,7 @@ class Network:
         return intern_flow_key(FlowKey(src, dst, port, 4791))
 
     def create_flow(self, src: str, dst: str, size_bytes: Bytes,
-                    start_time: float = 0.0, tag: Optional[str] = None,
+                    start_time: float = 0.0,
                     key: Optional[FlowKey] = None,
                     on_sender_complete: Optional[Callable] = None,
                     on_receive_complete: Optional[Callable] = None
@@ -183,7 +182,7 @@ class Network:
             raise ValueError("flow source and destination must differ")
         flow_key = key or self.new_flow_key(src, dst)
         flow = RdmaFlow(self, flow_key, size_bytes, start_time,
-                        on_sender_complete=on_sender_complete, tag=tag)
+                        on_sender_complete=on_sender_complete)
         self.hosts[dst].expect_flow(flow_key, size_bytes,
                                     on_receive_complete=on_receive_complete)
         return flow
@@ -247,9 +246,6 @@ class Network:
 
     def count_ttl_drop(self, node_id: str, packet: Packet) -> None:
         self.ttl_drops += 1
-
-    def count_routing_drop(self, node_id: str, packet: Packet) -> None:
-        self.routing_drops += 1
 
     @property
     def bandwidth_overhead_bytes(self) -> int:

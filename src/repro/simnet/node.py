@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.simnet.packet import Packet
-from repro.simnet.pfc import PAUSE_QUANTA_NS, PortRef
+from repro.simnet.pfc import PAUSE_QUANTA_NS
 from repro.simnet.port import EgressPort
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,9 +40,6 @@ class Node:
         except KeyError:
             raise KeyError(
                 f"{self.node_id} has no port toward {neighbor}") from None
-
-    def port_ref(self, port_id: int) -> PortRef:
-        return PortRef(self.node_id, port_id)
 
     # -- interface implemented by subclasses ---------------------------
     def receive(self, packet: Packet, ingress_port: int) -> None:

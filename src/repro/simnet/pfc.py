@@ -81,11 +81,6 @@ class PauseLog:
         return [e for e in self.received
                 if e.victim.port == port and e.time >= since]
 
-    def pauses_sent_since(self, port: int, since: float) -> list[PauseEvent]:
-        """Pauses this switch emitted from local ingress port ``port``."""
-        return [e for e in self.sent
-                if e.sender.port == port and e.time >= since]
-
 
 class PfcStormInjector:
     """Continuously injects PAUSE frames from a switch port (§II-B).

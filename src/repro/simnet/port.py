@@ -42,9 +42,7 @@ class EgressPort:
         "peer_node_id", "peer_port_id", "deliver_fn",
         "_control_queue", "_data_queue", "data_queue_bytes",
         "control_queue_bytes", "busy", "paused", "_pause_timeout_event",
-        "on_departure", "on_space", "tx_bytes", "tx_packets",
-        "paused_ns_total", "_paused_since", "data_queue_cap_bytes",
-        "dropped_packets",
+        "on_departure", "on_space", "data_queue_cap_bytes",
     )
 
     def __init__(self, sim: "Simulator", node_id: str, port_id: int,
@@ -67,12 +65,7 @@ class EgressPort:
         self._pause_timeout_event = None
         self.on_departure: Optional[Callable[[Packet], None]] = None
         self.on_space: Optional[Callable[["EgressPort"], None]] = None
-        self.tx_bytes = 0
-        self.tx_packets = 0
-        self.paused_ns_total = 0.0
-        self._paused_since = 0.0
         self.data_queue_cap_bytes = data_queue_cap_bytes
-        self.dropped_packets = 0
 
     # ------------------------------------------------------------------
     # queue state
@@ -94,8 +87,7 @@ class EgressPort:
         """Queue a packet for transmission.
 
         Returns False (and drops) only when a DATA cap is configured and
-        exceeded — with PFC enabled upstream this should not happen; the
-        drop counter makes violations visible in tests.
+        exceeded — with PFC enabled upstream this should not happen.
 
         Cut-through: a packet nothing could be served before — port not
         busy, *both* queues empty, DATA not paused — starts serialising
@@ -109,7 +101,6 @@ class EgressPort:
         if data:
             cap = self.data_queue_cap_bytes
             if cap is not None and self.data_queue_bytes + size > cap:
-                self.dropped_packets += 1
                 return False
         if self.busy or self._control_queue or self._data_queue \
                 or (data and self.paused):
@@ -161,8 +152,6 @@ class EgressPort:
 
     def _finish_transmit(self, packet: Packet) -> None:
         self.busy = False
-        self.tx_bytes += packet.size
-        self.tx_packets += 1
         if self.on_departure is not None \
                 and packet.priority is PRIO_DATA:
             self.on_departure(packet)
@@ -179,9 +168,7 @@ class EgressPort:
     # ------------------------------------------------------------------
     def pause(self, duration_ns: Nanoseconds) -> None:
         """Halt DATA transmission for ``duration_ns`` (refreshable)."""
-        if not self.paused:
-            self.paused = True
-            self._paused_since = self.sim.now
+        self.paused = True
         if self._pause_timeout_event is not None:
             self._pause_timeout_event.cancel()
         self._pause_timeout_event = self.sim.schedule(
@@ -201,15 +188,7 @@ class EgressPort:
     def _unpause(self) -> None:
         if self.paused:
             self.paused = False
-            self.paused_ns_total += self.sim.now - self._paused_since
             self._try_transmit()
-
-    def current_paused_ns(self) -> float:
-        """Total paused time including any in-progress pause interval."""
-        total = self.paused_ns_total
-        if self.paused:
-            total += self.sim.now - self._paused_since
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"EgressPort({self.node_id}.p{self.port_id}->"

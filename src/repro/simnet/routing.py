@@ -87,10 +87,6 @@ class EcmpRouting:
         self._overrides.pop((node_id, flow), None)
         self.version += 1
 
-    def clear_all_overrides(self) -> None:
-        self._overrides.clear()
-        self.version += 1
-
     def ecmp_candidates(self, node_id: str, dst: str) -> list[str]:
         """All neighbors on a shortest path from ``node_id`` to ``dst``."""
         dist_to_dst = self._dist[dst]

@@ -119,7 +119,7 @@ class SwitchNode(Node):
         """Forwarding-table miss: ask the routing object, and remember
         the answer for a flow's packets bound for the flow's own
         destination (flow-less packets and any other destination are
-        routed per packet).  Counts the drop and returns None when
+        routed per packet).  Returns None (the packet is dropped) when
         there is no route."""
         flow = packet.flow
         try:
@@ -127,7 +127,6 @@ class SwitchNode(Node):
                 self.node_id, flow or self.pseudo_flow(packet.dst),
                 dst=packet.dst)
         except RoutingError:
-            self.network.count_routing_drop(self.node_id, packet)
             return None
         egress = self.ports[self.neighbor_port[next_hop]]
         if flow is not None and packet.dst == flow.dst:

@@ -169,9 +169,6 @@ class PortTelemetryEntry:
     #: w(f_i, f_j): queueing-ahead weights accumulated in the window
     wait_weights: dict[tuple[FlowKey, FlowKey], float]
 
-    def total_window_pkts(self) -> float:
-        return sum(self.flow_pkts.values())
-
 
 @dataclass
 class SwitchReport:
@@ -187,12 +184,6 @@ class SwitchReport:
     pause_sent: list[PauseEvent]
     ttl_drops: dict[FlowKey, int]
     size_bytes: Bytes = 0
-
-    def port_entry(self, port: int) -> Optional[PortTelemetryEntry]:
-        for entry in self.ports:
-            if entry.port == port:
-                return entry
-        return None
 
 
 class SwitchTelemetry:

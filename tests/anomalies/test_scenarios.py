@@ -26,11 +26,12 @@ def test_paper_case_counts():
 
 
 def test_paper_scenarios_exclude_extensions():
-    from repro.anomalies.scenarios import ALL_SCENARIOS, SCENARIOS
+    from repro.anomalies.scenarios import _INJECTORS, SCENARIOS
 
     assert SCENARIOS == ("flow_contention", "incast", "pfc_storm",
                          "pfc_backpressure")
-    assert "load_imbalance" in ALL_SCENARIOS
+    assert "load_imbalance" in _INJECTORS
+    assert make_cases("load_imbalance", 1)[0].scenario == "load_imbalance"
 
 
 def test_make_cases_unknown_scenario():
@@ -111,7 +112,6 @@ def test_storm_ground_truth_on_collective_path(config):
     net, runtime = case.build_network()
     runtime.start()
     truth = case.inject(net, runtime)
-    assert truth.expects_root_localization
     assert truth.root_port is not None
     assert truth.root_port.node in net.switches
     paths = collective_paths(net, runtime)

@@ -264,8 +264,10 @@ def test_removed_pass_flags_are_rejected(flag, tmp_path, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_cli_check_whole_repo_strict_all_passes():
+def test_cli_check_whole_repo_strict_all_passes(capsys):
     """The acceptance gate: every rule, strict, whole src tree, one
-    invocation (what CI and pre-commit run)."""
+    invocation (what CI and pre-commit run).  The one tier-1 test that
+    runs it; each pass's own tests run it over fixtures."""
     code = main(["check", "--strict", str(REPO_ROOT / "src")])
     assert code == 0
+    assert "clean" in capsys.readouterr().out

@@ -89,11 +89,6 @@ def test_fixture_render_format(name):
 # ----------------------------------------------------------------------
 # the repo's own sources must be clean (the CI gate)
 # ----------------------------------------------------------------------
-def test_src_tree_is_clean_strict():
-    findings = check_paths([REPO_ROOT / "src"], strict=True)
-    assert findings == [], render_findings(findings)
-
-
 # ----------------------------------------------------------------------
 # RPR024 catches seeded drift in the real Histogram
 # ----------------------------------------------------------------------

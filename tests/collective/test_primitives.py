@@ -54,8 +54,8 @@ def test_rsq_contents():
 
 def test_num_steps_and_total_bytes():
     schedule = two_node_schedule()
-    assert schedule.num_steps == 2
-    assert schedule.total_bytes() == 400
+    assert max(map(len, schedule.steps.values())) == 2
+    assert sum(step.size_bytes for step in schedule.all_steps()) == 400
 
 
 def test_unknown_dependency_rejected():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.collective.ring import ring_allgather
@@ -9,6 +11,17 @@ from repro.collective.runtime import CollectiveRuntime
 from repro.simnet.network import Network
 from repro.simnet.topology import build_dumbbell, build_fat_tree, build_linear
 from repro.simnet.units import ms
+
+
+@pytest.fixture(scope="session")
+def golden_capture(tmp_path_factory) -> tuple[dict, Path]:
+    """Every golden scenario simulated once per session: its digests
+    (``repro.perf.golden.capture_digests``) and the directory that
+    holds each scenario's recorded JSONL trace."""
+    from repro.perf.golden import capture_digests
+
+    directory = tmp_path_factory.mktemp("golden")
+    return capture_digests(directory), directory
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ def run_system(background=(), chunk=200_000, config=None):
     runtime.start()
     flows = []
     for src, dst, size in background:
-        flow = net.create_flow(src, dst, size, tag="background")
+        flow = net.create_flow(src, dst, size)
         flow.start()
         flows.append(flow)
     net.run_until_quiet(max_time=ms(200))

@@ -30,13 +30,6 @@ def test_parse_defaults():
     assert (spec.value, spec.probability, spec.limit) == (0.0, 1.0, 0)
 
 
-def test_parse_round_trips_through_to_text():
-    for text in ("a.b:error", "a.b:delay(0.1)", "a.b:drop@0.25",
-                 "a.b:truncate(8)x2", "a.b:garble@0.5x7"):
-        spec = FailpointSpec.parse(text)
-        assert FailpointSpec.parse(spec.to_text()) == spec
-
-
 @pytest.mark.parametrize("bad", [
     "no-colon", "name:", "name:unknownaction", "name:error@1.5",
     "name:drop@-0.1", "name:drop extra", ":error",

@@ -18,7 +18,7 @@ def midrun():
     runtime = CollectiveRuntime(net, ring_allgather(NODES, 400_000))
     system = VedrfolnirSystem(net, runtime)
     runtime.start()
-    net.create_flow("h1", "h4", 3_000_000, tag="background").start()
+    net.create_flow("h1", "h4", 3_000_000).start()
     # stop roughly mid-collective
     net.run(until=us(120))
     assert not runtime.completed

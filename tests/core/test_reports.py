@@ -28,8 +28,7 @@ def diagnoses():
         runtime.start()
         if contended:
             for src in ("h1", "h5"):
-                net.create_flow(src, "h4", 2_500_000,
-                                tag="background").start()
+                net.create_flow(src, "h4", 2_500_000).start()
         net.run_until_quiet(max_time=ms(100))
         results.append(system.analyze())
     return results

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import figures
 from repro.experiments.harness import CaseResult
+from tests.experiments.test_runner import CountingCache
 
 
 def fake_result(scenario, system, outcome="tp"):
@@ -98,7 +99,7 @@ def test_fig9_matrix_replays_from_env_cache(tmp_path, monkeypatch):
     caches = []
 
     def recorded_cache():
-        caches.append(runner.cache_from_env())
+        caches.append(CountingCache(runner.cache_from_env().root))
         return caches[-1]
 
     monkeypatch.setattr(figures, "cache_from_env", recorded_cache)

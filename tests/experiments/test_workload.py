@@ -35,9 +35,9 @@ def test_paper_workload_rejects_empty():
 def test_job_builds_matching_schedule():
     job = CollectiveJob("allgather", "ring", 100_000)
     schedule = job.build_schedule(NODES)
-    assert schedule.num_steps == 3
+    assert max(map(len, schedule.steps.values())) == 3
     job_hd = CollectiveJob("allreduce", "halving_doubling", 100_000)
-    assert job_hd.build_schedule(NODES).num_steps == 4
+    assert max(map(len, job_hd.build_schedule(NODES).steps.values())) == 4
 
 
 def test_job_rejects_bad_combo():

@@ -5,14 +5,12 @@ import pytest
 from repro.fleet.sharding import (
     HashRing,
     TenantSpec,
-    key_for_flow,
     plan_shards,
     replicate_tenants,
     shard_workdir,
     stable_hash,
     tenant_checkpoint_dir,
 )
-from repro.simnet.packet import FlowKey
 
 
 def moved_tenants(before: dict[int, list[TenantSpec]],
@@ -38,19 +36,6 @@ def test_stable_hash_is_process_stable():
     assert stable_hash("tenant-a") == stable_hash("tenant-a")
     assert stable_hash("tenant-a") != stable_hash("tenant-b")
     assert stable_hash("") == 0xE3B0C44298FC1C14
-
-
-def test_flow_key_routes_like_its_five_tuple():
-    flow = FlowKey(src="h0", dst="h4", src_port=4791, dst_port=4791,
-                   protocol="RoCEv2")
-    same = FlowKey(src="h0", dst="h4", src_port=4791, dst_port=4791,
-                   protocol="RoCEv2")
-    other = FlowKey(src="h1", dst="h4", src_port=4791, dst_port=4791,
-                    protocol="RoCEv2")
-    ring = HashRing(8)
-    assert key_for_flow(flow) == key_for_flow(same)
-    assert ring.shard_for_flow(flow) == ring.shard_for_flow(same)
-    assert key_for_flow(flow) != key_for_flow(other)
 
 
 def test_ring_rejects_degenerate_shapes():

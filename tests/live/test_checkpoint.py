@@ -159,7 +159,6 @@ def test_retention_keeps_last_k(tmp_path):
     names = [p.name for p in manager.snapshot_paths()]
     assert names == ["ckpt-0000000003.json", "ckpt-0000000004.json",
                      "ckpt-0000000005.json"]
-    assert manager.pruned == 2
 
 
 def test_register_metrics(tmp_path):
@@ -467,27 +466,25 @@ FIXTURE_CUT = 65
 FIXTURE_CONFIG = dict(snapshot_every=16)
 
 
-def golden_trace(tmp_path_factory, scenario: str) -> Path:
+def golden_trace(golden_capture, scenario: str) -> Path:
     """The golden capture of ``scenario``'s first case, checked
     against its pinned digest."""
-    from repro.perf.golden import golden_anomaly
-
-    tmp = tmp_path_factory.mktemp(scenario)
+    captured, directory = golden_capture
     digests = json.loads(
         (FIXTURE.with_name("golden_digests.json")).read_text())
-    assert golden_anomaly(scenario, tmp)["trace_sha256"] \
+    assert captured[f"{scenario}_case0"]["trace_sha256"] \
         == digests[f"{scenario}_case0"]["trace_sha256"]
-    return tmp / f"{scenario}.jsonl"
+    return directory / f"{scenario}.jsonl"
 
 
 @pytest.fixture(scope="module")
-def golden_storm_path(tmp_path_factory):
-    return golden_trace(tmp_path_factory, "pfc_storm")
+def golden_storm_path(golden_capture):
+    return golden_trace(golden_capture, "pfc_storm")
 
 
 @pytest.fixture(scope="module")
-def golden_incast_path(tmp_path_factory):
-    return golden_trace(tmp_path_factory, "incast")
+def golden_incast_path(golden_capture):
+    return golden_trace(golden_capture, "incast")
 
 
 def test_checkpoint_document_is_byte_identical_to_the_fixture(

@@ -28,7 +28,7 @@ def trace_path(tmp_path_factory):
     VedrfolnirSystem(net, runtime)  # triggers switch telemetry
     recorder = TraceRecorder.attach(net, runtime)
     runtime.start()
-    net.create_flow("h1", "h4", 2_500_000, tag="background").start()
+    net.create_flow("h1", "h4", 2_500_000).start()
     net.run_until_quiet(max_time=ms(100))
     assert runtime.completed
     path = tmp_path_factory.mktemp("live") / "run.jsonl"
@@ -67,13 +67,9 @@ def test_final_snapshot_matches_batch(trace_path):
 
 
 @pytest.fixture(scope="module")
-def long_trace_path(tmp_path_factory):
+def long_trace_path(golden_capture):
     """The golden incast case: a few pump batches of events."""
-    from repro.perf.golden import golden_anomaly
-
-    tmp = tmp_path_factory.mktemp("golden")
-    golden_anomaly("incast", tmp)
-    return tmp / "incast.jsonl"
+    return golden_capture[1] / "incast.jsonl"
 
 
 def test_a_burst_never_queues_more_than_one_batch(long_trace_path):
@@ -243,11 +239,8 @@ PRUNED_AT_END = {"incast": (0, 56), "pfc_storm": (4, 52)}
 
 @pytest.mark.parametrize("scenario", sorted(PRUNED_AT_END))
 def test_what_the_waiting_graph_prunes_of_a_golden_case(scenario,
-                                                        tmp_path):
-    from repro.perf.golden import golden_anomaly
-
-    golden_anomaly(scenario, tmp_path)
-    path = tmp_path / f"{scenario}.jsonl"
+                                                        golden_capture):
+    path = golden_capture[1] / f"{scenario}.jsonl"
     final = replay(path, PipelineConfig(snapshot_every=32)).finish()
     assert (final.counters["graph_pruned"],
             final.counters["graph_retained"]) == PRUNED_AT_END[scenario]

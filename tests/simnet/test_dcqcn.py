@@ -26,7 +26,6 @@ def test_cnp_cuts_rate():
     state.on_cnp()
     assert state.rc < LINE
     assert state.rt == LINE  # target frozen at pre-cut rate
-    assert state.cnps_received == 1
 
 
 def test_first_cut_is_half_at_alpha_one():

@@ -1,7 +1,7 @@
 """Regression tests for the engine fast path.
 
 These pin the behaviours the fast-path rewrite introduced or fixed:
-``peek_next_time`` must not perturb a subsequent run, cancelled events
+a run sliced at ``until`` boundaries equals one run, cancelled events
 must be accounted (and compacted away) instead of accumulating, the
 same-time FIFO lane must preserve global (time, seq) order, and the
 freelist must never recycle an event a caller still references.
@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.simnet.engine import _COMPACT_MIN_PENDING, Simulator
+from tests.simnet.test_engine import live_events
 
 
 def build_workload(sim: Simulator, log: list) -> None:
@@ -37,52 +38,36 @@ def build_workload(sim: Simulator, log: list) -> None:
         event.cancel()
 
 
-def test_peek_then_run_equals_run_alone():
+def test_sliced_run_equals_run_alone():
     log_plain: list = []
     sim_plain = Simulator()
     build_workload(sim_plain, log_plain)
     sim_plain.run()
 
-    log_peeked: list = []
-    sim_peeked = Simulator()
-    build_workload(sim_peeked, log_peeked)
-    # drive the same workload through peek-then-run-to-peeked-time
+    log_sliced: list = []
+    sim_sliced = Simulator()
+    build_workload(sim_sliced, log_sliced)
+    # drive the same workload through runs that stop at until=
     steps = 0
-    while (next_time := sim_peeked.peek_next_time()) is not None:
-        sim_peeked.run(until=next_time)
+    while sim_sliced._heap or sim_sliced._fifo:
+        sim_sliced.run(until=sim_sliced.now + 0.5)
         steps += 1
-        assert steps < 1000, "peek/run loop failed to make progress"
+        assert steps < 1000, "sliced run failed to make progress"
 
-    assert log_peeked == log_plain
-    assert sim_peeked.events_processed == sim_plain.events_processed
-    assert sim_peeked.now == sim_plain.now
-    assert sim_peeked.pending_events == 0
-
-
-def test_peek_discards_cancelled_heads_with_accounting():
-    sim = Simulator()
-    first = sim.schedule(1.0, lambda: None)
-    second = sim.schedule(2.0, lambda: None)
-    first.cancel()
-    assert sim.pending_events == 1
-    assert sim.peek_next_time() == 2.0
-    # the cancelled head was dropped by peek, with its accounting
-    assert sim.pending_events == 1
-    assert sim._cancelled_pending == 0
-    sim.run()
-    assert sim.events_processed == 1
-    assert not second.cancelled
+    assert log_sliced == log_plain
+    assert sim_sliced.events_processed == sim_plain.events_processed
+    assert live_events(sim_sliced) == 0
 
 
 def test_pending_events_reports_live_events_only():
     sim = Simulator()
     events = [sim.schedule(float(i + 1), lambda: None) for i in range(8)]
-    assert sim.pending_events == 8
+    assert live_events(sim) == 8
     for event in events[:3]:
         event.cancel()
-    assert sim.pending_events == 5
+    assert live_events(sim) == 5
     sim.run()
-    assert sim.pending_events == 0
+    assert live_events(sim) == 0
     assert sim.events_processed == 5
 
 
@@ -92,7 +77,7 @@ def test_cancel_twice_counts_once():
     sim.schedule(2.0, lambda: None)
     event.cancel()
     event.cancel()
-    assert sim.pending_events == 1
+    assert live_events(sim) == 1
 
 
 def test_cancel_after_fire_is_accounting_neutral():
@@ -101,7 +86,7 @@ def test_cancel_after_fire_is_accounting_neutral():
     sim.schedule(2.0, lambda: None)
     sim.run(until=1.5)
     event.cancel()  # late cancel, common in stop() paths
-    assert sim.pending_events == 1
+    assert live_events(sim) == 1
     sim.run()
     assert sim.events_processed == 2
 
@@ -116,7 +101,7 @@ def test_compaction_bounds_cancelled_growth():
         event.cancel()
     # the dead majority was compacted away, not merely marked
     assert len(sim._heap) < total // 2
-    assert sim.pending_events == keep
+    assert live_events(sim) == keep
     sim.run()
     assert sim.events_processed == keep
 
@@ -162,7 +147,7 @@ def test_freelist_never_recycles_referenced_events():
     replacement = sim.schedule(1.0, lambda: None)
     assert replacement is not held
     held.cancel()  # must be a harmless no-op on the fired event
-    assert sim.pending_events == 1
+    assert live_events(sim) == 1
 
 
 def test_freelist_recycles_unreferenced_events():

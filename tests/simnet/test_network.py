@@ -140,6 +140,6 @@ def test_deterministic_given_seed():
         f1.start()
         f2.start()
         net.run_until_quiet(max_time=ms(20))
-        return (f1.stats.fct_ns, f2.stats.fct_ns)
+        return (f1.stats.complete_time, f2.stats.complete_time)
 
     assert fct(7) == fct(7)

@@ -102,27 +102,10 @@ def test_in_flight_packet_completes_despite_pause(sim):
     assert [p.seq for _, p in delivered] == [0]
 
 
-def test_paused_time_accounting(sim):
-    port, _ = make_port(sim)
-    port.pause(3_000)
-    sim.run()
-    assert port.paused_ns_total == pytest.approx(3_000)
-    assert port.current_paused_ns() == pytest.approx(3_000)
-
-
-def test_current_paused_includes_open_interval(sim):
-    port, _ = make_port(sim)
-    port.pause(1_000_000)
-    sim.schedule(2_000, lambda: None)
-    sim.run(until=2_000)
-    assert port.current_paused_ns() == pytest.approx(2_000)
-
-
 def test_queue_cap_drops(sim):
     port, _ = make_port(sim, cap=2_000)
     assert port.enqueue(data_packet(0))       # fits
     assert not port.enqueue(data_packet(1, payload=2_000))  # over cap
-    assert port.dropped_packets == 1
 
 
 def test_data_queue_has_room(sim):
@@ -137,7 +120,6 @@ def test_uncapped_queue_never_drops(sim):
     port, _ = make_port(sim)
     for seq in range(100):
         assert port.enqueue(data_packet(seq))
-    assert port.dropped_packets == 0
 
 
 def test_on_departure_callback(sim):
@@ -171,12 +153,11 @@ def test_on_space_callback_fires_per_dequeue(sim):
 
 
 def test_tx_counters(sim):
-    port, _ = make_port(sim)
+    port, delivered = make_port(sim)
     port.enqueue(data_packet(0))
     port.enqueue(data_packet(1))
     sim.run()
-    assert port.tx_packets == 2
-    assert port.tx_bytes == 2 * 1250
+    assert [packet.size for _, packet in delivered] == [1250, 1250]
 
 
 def test_queue_depth_reflects_data_only(sim):

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from repro.fleet.service import ShardRuntime
 from repro.fleet.tenancy import TenantPolicy, TenantRuntime
-from repro.perf.golden import golden_anomaly
 from repro.simnet.packet import FlowKey
 from repro.simnet.pfc import PauseEvent, PortRef
 from repro.simnet.telemetry import PortTelemetryEntry, SwitchReport
@@ -94,14 +93,15 @@ def test_report_encoding_bytes():
     assert type(decoded.pause_sent[0].victim) is PortRef
 
 
-def test_golden_trace_bytes(tmp_path):
+def test_golden_trace_bytes(golden_capture):
     """The recorded pfc_storm trace is full of pause events; its bytes
     are the fixture's, to the digest."""
     fixture = Path(__file__).resolve().parents[1] / "fixtures"
     pinned = json.loads((fixture / "golden_digests.json").read_text())[
         "pfc_storm_case0"]["trace_sha256"]
-    assert golden_anomaly("pfc_storm", tmp_path)["trace_sha256"] == pinned
-    trace = tmp_path / "pfc_storm.jsonl"
+    captured, directory = golden_capture
+    assert captured["pfc_storm_case0"]["trace_sha256"] == pinned
+    trace = directory / "pfc_storm.jsonl"
     assert b'"sender": ["' in trace.read_bytes()
 
     tenant = TenantRuntime("t", 0, TenantPolicy(checkpoint_every=0),

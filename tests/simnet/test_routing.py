@@ -86,7 +86,7 @@ def test_override_loop_detected_by_path(fat_routing):
     fat_routing.set_override(agg, key, "e0")
     with pytest.raises(RoutingError):
         fat_routing.path(key)
-    fat_routing.clear_all_overrides()
+    fat_routing.clear_override(agg, key)
     assert fat_routing.path(key)[0] == "h0"
 
 

@@ -106,8 +106,7 @@ def test_report_contains_contending_flows():
     s0 = net.switches["s0"]
     report = s0.telemetry.make_report(net.sim.now, s0.ports)
     bottleneck = s0.neighbor_port["s1"]
-    entry = report.port_entry(bottleneck)
-    assert entry is not None
+    entry, = [e for e in report.ports if e.port == bottleneck]
     assert {f1.key, f2.key} <= set(entry.flow_pkts)
 
 

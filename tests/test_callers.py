@@ -5,11 +5,11 @@ The callers are every src module and every Python file under
 callers: code only a test reaches is deleted, or moved into the test
 that needs it.
 
-* A public (non-``_``) module-level ``def`` or ``class`` counts as
-  called only through a binding that reaches its own module: a bare
-  use inside that module; a use of the name that ``from <module>
-  import name`` binds (or an import of it through a package whose
-  export map names that module, or through another module that
+* A public (non-``_``) module-level ``def``, ``class`` or constant
+  counts as called only through a binding that reaches its own module:
+  a bare use inside that module; a use of the name that ``from
+  <module> import name`` binds (or an import of it through a package
+  whose export map names that module, or through another module that
   imported it); or ``<module>.name`` on a name bound to that module.
   A method, field or keyword of the same spelling is not a call.
 * A public name in a package's ``__all__`` counts as used only when a
@@ -24,32 +24,30 @@ that needs it.
   usage block of the :mod:`repro.cli` docstring, ``README.md``,
   ``docs/``, the CI workflow, ``examples/`` or ``tools/``.  A flag no
   one passes is pinned to its default and deleted.
-* Every defaulted field of a ``*Config`` / ``*Policy`` / ``*Plan``
-  dataclass has a caller that sets it to something other than its
-  default: a keyword to the class, a subclass or
-  ``dataclasses.replace``; a positional constructor argument; or a
-  store ``x.<field> = ...`` where ``x`` is not ``self``.  A literal
-  equal to the default sets nothing.  A field no caller sets is a
-  module constant next to its reader.
 * Every defaulted parameter of a public src ``def`` or method
-  (``__init__`` included) has a caller that passes it something other
-  than its default: a keyword, a positional argument at its place, or
-  a store ``x.<param> = ...`` where ``x`` is not ``self``.  A literal
-  equal to the default passes nothing, nor does a src def that only
-  forwards one of its own parameters no caller sets (run to a fixed
-  point).  A callee resolves through import bindings, else by name; a
-  def read as a value, not called, counts as having every parameter
-  set.  A parameter no caller sets is a module constant next to its
-  reader, or goes with the hook behind it.
+  (``__init__`` included, and the one ``@dataclass`` writes for a
+  ``*Config`` / ``*Policy`` / ``*Plan``) has a caller that passes it
+  something else: a keyword (to ``dataclasses.replace`` too), a
+  positional argument at its place, or a store ``x.<param> = ...``
+  where ``x`` is not ``self``.  A literal equal to the default passes
+  nothing, nor does a src def that only forwards one of its own
+  parameters no caller sets (run to a fixed point), nor ``cls(...)``
+  rebuilding a config.  A callee resolves through import bindings,
+  else by name; a def read as a value (not a config class: that is a
+  ``default_factory``) counts as having every parameter set.
+* Every public method or property of a src class, unless a stdlib
+  base class dispatches it by name, has a caller that reads an
+  attribute of its name (``self.name`` too) or spells it in a string
+  (``getattr``).  Every ``self.<attr> = ...`` in a src class has a
+  caller that loads that name; ``__slots__`` loads nothing.
 
-The walk is over the AST, not tokens, so a name in a docstring or a
-string is not a use, and f-strings read the same on every Python
-version.
+The walk is over the AST, not tokens, so a name in a docstring is not
+a use, and f-strings read the same on every Python version.
 
 A name that stays without a caller is on ``ALLOWLIST`` with a reason,
-a config field without a setter on ``CONFIG_ALLOWLIST``, a parameter
-on ``PARAM_ALLOWLIST``; a def on ``ALLOWLIST`` exists for the tests,
-and its parameters are exempt.
+a parameter on ``PARAM_ALLOWLIST``, a method on ``METHOD_ALLOWLIST``,
+a stored attribute on ``ATTR_ALLOWLIST``; a def on ``ALLOWLIST`` exists
+for the tests, and its parameters are exempt.
 """
 
 from __future__ import annotations
@@ -60,6 +58,8 @@ import importlib
 import re
 from functools import cache, cached_property
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -76,41 +76,28 @@ ALLOWED_MODULES = {
     "simnet/units.py": _CONVERTERS,
 }
 
+_ALGORITHMS = "DESIGN.md §V: diagnosis applies across collective algorithms"
+_HD = "ROADMAP: halving-doubling in the accuracy loop"
+_DECODER = "the reference decoder the columnar codec is compared against"
+_SMALL = "a small topology most simnet tests build on"
+
 # (module, name) -> the one-line reason it stays without a caller.
 ALLOWLIST = {
-    ("collective/extra.py", "all_to_all"):
-        "DESIGN.md §V: diagnosis applies across collective algorithms",
-    ("collective/extra.py", "binomial_broadcast"):
-        "DESIGN.md §V: diagnosis applies across collective algorithms",
-    ("collective/extra.py", "pipeline_broadcast"):
-        "DESIGN.md §V: diagnosis applies across collective algorithms",
+    ("collective/extra.py", "all_to_all"): _ALGORITHMS,
+    ("collective/extra.py", "binomial_broadcast"): _ALGORITHMS,
+    ("collective/extra.py", "pipeline_broadcast"): _ALGORITHMS,
     ("collective/halving_doubling.py", "halving_doubling_reduce_scatter"):
-        "ROADMAP: halving-doubling in the accuracy loop",
-    ("collective/halving_doubling.py", "halving_doubling_allgather"):
-        "ROADMAP: halving-doubling in the accuracy loop",
-    ("core/rating.py", "contribution_to_port"):
-        "Eq. 1 of the paper",
+        _HD,
+    ("collective/halving_doubling.py", "halving_doubling_allgather"): _HD,
+    ("core/rating.py", "contribution_to_port"): "Eq. 1 of the paper",
     ("experiments/harness.py", "run_matrix"):
         "the serial reference the parallel runner is compared against",
-    ("traces/serialize.py", "decode_step_record"):
-        "the reference decoder the columnar codec is compared against",
-    ("traces/serialize.py", "decode_switch_report"):
-        "the reference decoder the columnar codec is compared against",
-    ("simnet/topology.py", "build_dumbbell"):
-        "a small topology most simnet tests build on",
-    ("simnet/topology.py", "build_linear"):
-        "a small topology most simnet tests build on",
+    ("traces/serialize.py", "decode_step_record"): _DECODER,
+    ("traces/serialize.py", "decode_switch_report"): _DECODER,
+    ("simnet/topology.py", "build_dumbbell"): _SMALL,
+    ("simnet/topology.py", "build_linear"): _SMALL,
 }
 
-# (class, field) -> the one-line reason it stays without a setter.
-CONFIG_ALLOWLIST = {
-    ("FleetConfig", "vnodes"):
-        "the fleet_fanin benchmark reads it, and the benchmark is frozen",
-    ("FleetConfig", "mailbox_capacity"):
-        "the fleet_fanin benchmark reads it, and the benchmark is frozen",
-    ("NetworkConfig", "ack_every"):
-        "ROADMAP simulator diet: ACK coalescing goes through it",
-}
 CONFIG_SUFFIXES = ("Config", "Policy", "Plan")
 
 
@@ -144,14 +131,6 @@ class Module:
         self.path = path
         self.name = name            # dotted, for a src module
         self.tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-
-    @cached_property
-    def definitions(self) -> list[str]:
-        """Public module-level ``def`` / ``class`` names."""
-        return [node.name for node in self.tree.body
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef))
-                and not node.name.startswith("_")]
 
     @cached_property
     def defined(self) -> set[str]:
@@ -227,34 +206,40 @@ class Project:
             reached = {(f"{module}.{name}", None)}
         return reached
 
-    def _walk(self, module: Module) -> None:
-        # a package's own imports are re-exports, not callers
-        through_package = set() if module.name in self.exports \
-            else self.imported_from_package
+    def binds(self, module: Module) -> dict[str, set]:
+        """Each name ``module`` binds by import -> what it reaches."""
         binds: dict[str, set] = {}
         for bound, source, imported in module.imports:
             binds.setdefault(bound, set()).update(
                 self.resolve(source, imported))
-            if imported is not None and source in self.exports:
-                through_package.add((source, imported))
+        return binds
 
-        def modules_of(node) -> set[str]:
-            if isinstance(node, ast.Name):
-                return {target for target, name in binds.get(node.id, ())
-                        if name is None}
-            if isinstance(node, ast.Attribute):
-                return {f"{base}.{node.attr}"
-                        for base in modules_of(node.value)
-                        if f"{base}.{node.attr}" in self.src}
-            return set()
+    def modules_of(self, binds: dict[str, set], node) -> set[str]:
+        """The src modules a name or ``a.b`` chain is bound to."""
+        if isinstance(node, ast.Name):
+            return {target for target, name in binds.get(node.id, ())
+                    if name is None}
+        if isinstance(node, ast.Attribute):
+            return {f"{base}.{node.attr}"
+                    for base in self.modules_of(binds, node.value)
+                    if f"{base}.{node.attr}" in self.src}
+        return set()
 
+    def _walk(self, module: Module) -> None:
+        # a package's own imports are re-exports, not callers
+        through_package = set() if module.name in self.exports \
+            else self.imported_from_package
+        through_package.update(
+            (source, imported) for _, source, imported in module.imports
+            if imported is not None and source in self.exports)
+        binds = self.binds(module)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 self.called |= binds.get(node.id, set())
                 if module.name and node.id in module.defined:
                     self.called.add((module.name, node.id))
             elif isinstance(node, ast.Attribute):
-                for base in modules_of(node.value):
+                for base in self.modules_of(binds, node.value):
                     self.called |= self.resolve(base, node.attr)
                     if base in self.exports:
                         through_package.add((base, node.attr))
@@ -267,8 +252,9 @@ def uncalled() -> list[str]:
     """``module::name`` of every public src definition with no caller."""
     return [f"{module.path.relative_to(SRC).as_posix()}::{name}"
             for dotted, module in PROJECT.src.items()
-            for name in module.definitions
-            if (dotted, name) not in PROJECT.called]
+            for name in sorted(module.defined)
+            if not name.startswith("_")
+            and (dotted, name) not in PROJECT.called]
 
 
 def unimported_exports() -> list[str]:
@@ -383,50 +369,8 @@ def test_every_cli_flag_has_a_documented_caller():
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
-    return any((decorator.func if isinstance(decorator, ast.Call)
-                else decorator).id == "dataclass"
-               for decorator in node.decorator_list
-               if isinstance(getattr(decorator, "func", decorator),
-                             ast.Name))
-
-
-class ConfigClass:
-    """One ``*Config`` / ``*Policy`` / ``*Plan`` dataclass of src."""
-
-    def __init__(self, node: ast.ClassDef):
-        self.name = node.name
-        self.node = node
-        self.bases: list[ConfigClass] = []
-        self.names = {node.name}     # itself and its subclasses
-        #: its own fields, ``(name, default or None)``
-        self.own = [(stmt.target.id, stmt.value) for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                    and "ClassVar" not in ast.unparse(stmt.annotation)]
-
-    @property
-    def fields(self) -> list[tuple[str, ast.expr | None]]:
-        """Its constructor's fields in order, inherited ones first."""
-        return [item for base in self.bases
-                for item in base.fields] + self.own
-
-
-def config_classes() -> list[ConfigClass]:
-    classes = {node.name: ConfigClass(node)
-               for module in PROJECT.src.values()
-               for node in ast.walk(module.tree)
-               if isinstance(node, ast.ClassDef) and _is_dataclass(node)}
-    for config in classes.values():
-        config.bases = [classes[base.id] for base in config.node.bases
-                        if getattr(base, "id", None) in classes]
-    for config in classes.values():
-        pending = list(config.bases)
-        while pending:
-            base = pending.pop()
-            base.names.add(config.name)
-            pending += base.bases
-    return [config for config in classes.values()
-            if config.name.endswith(CONFIG_SUFFIXES)]
+    return any(ast.unparse(decorator).startswith("dataclass")
+               for decorator in node.decorator_list)
 
 
 def _same(value: ast.expr, default: ast.expr | None) -> bool:
@@ -443,77 +387,9 @@ def _same(value: ast.expr, default: ast.expr | None) -> bool:
         return False
 
 
-def config_fields_without_setter() -> list[str]:
-    """``Class.field`` of every defaulted config field that no caller
-    sets to something other than its default."""
-    classes = {config.name: config for config in config_classes()}
-    by_field: dict[str, list[tuple[ConfigClass, ast.expr | None]]] = {}
-    for config in classes.values():
-        for field_name, default in config.own:
-            by_field.setdefault(field_name, []).append((config, default))
-    set_fields: set[tuple[str, str]] = set()
-
-    def store(field_name: str, value: ast.expr,
-              through: str | None = None) -> None:
-        """``value`` stored into ``field_name`` of whichever class has
-        it, or only of ``through``'s own and inherited fields."""
-        set_fields.update(
-            (config.name, field_name)
-            for config, default in by_field.get(field_name, ())
-            if (through is None or through in config.names)
-            and not _same(value, default))
-
-    for module in PROJECT.callers:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                called = getattr(node.func, "id", None) \
-                    or getattr(node.func, "attr", None)
-                if called == "replace":
-                    for kw in node.keywords:
-                        store(kw.arg, kw.value)
-                elif called in classes:
-                    for kw in node.keywords:
-                        store(kw.arg, kw.value, called)
-                    for (field_name, _), arg in zip(
-                            classes[called].fields, node.args):
-                        store(field_name, arg, called)
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    if isinstance(target, ast.Attribute) and not (
-                            isinstance(target.value, ast.Name)
-                            and target.value.id == "self"):
-                        store(target.attr, node.value)
-    return [f"{config.name}.{field_name}"
-            for config in classes.values()
-            for field_name, default in config.own
-            if default is not None
-            and (config.name, field_name) not in set_fields]
-
-
-def test_every_config_field_has_a_setter():
-    flagged = [entry for entry in config_fields_without_setter()
-               if tuple(entry.split(".")) not in CONFIG_ALLOWLIST]
-    assert not flagged, (
-        f"{len(flagged)} config fields that no src module, benchmark, "
-        "example or tool sets to anything but the default (make each a "
-        "module constant next to its reader, or allowlist one with a "
-        "reason):\n  " + "\n  ".join(flagged))
-
-
-def test_every_allowlisted_config_field_exists_and_is_unset():
-    # An entry that gained a setter, or whose field is gone, is stale.
-    flagged = set(config_fields_without_setter())
-    stale = [f"{name}.{field_name}"
-             for name, field_name in CONFIG_ALLOWLIST
-             if f"{name}.{field_name}" not in flagged]
-    assert not stale, f"config allowlist entries that are set: {stale}"
-
-
-
 _SEAM = "a test seam: it lets a test substitute a fake"
 _DEPLOY = "a deployment setting"
+_FROZEN = "the fleet_fanin benchmark reads it, and the benchmark is frozen"
 
 # (module, def, parameter) -> the one-line reason it keeps its default
 # though no caller passes another value.
@@ -540,6 +416,11 @@ PARAM_ALLOWLIST = {
         "safety code: the per-event sanitizer switch",
     ("simnet/engine.py", "Simulator.__init__", "sanitize"):
         "safety code: the per-event sanitizer switch Network forwards",
+    ("fleet/service.py", "FleetConfig.__init__", "vnodes"): _FROZEN,
+    ("fleet/service.py", "FleetConfig.__init__", "mailbox_capacity"):
+        _FROZEN,
+    ("simnet/network.py", "NetworkConfig.__init__", "ack_every"):
+        "ROADMAP simulator diet: ACK coalescing goes through it",
 }
 
 
@@ -550,6 +431,9 @@ class Signature:
     def __init__(self, module: Module, qualname: str, node, bound: bool):
         self.module = module
         self.qualname = qualname
+        self.config = False     # a config dataclass's synthesized __init__
+        #: an inherited field -> ``(module, qualname)`` that declares it
+        self.origin: dict[str, tuple[str, str]] = {}
         args = node.args
         positional = args.posonlyargs + args.args
         self.positional = [arg.arg for arg in positional[int(bound):]]
@@ -565,6 +449,11 @@ class Signature:
                         for target in ast.walk(stmt)
                         if isinstance(target, ast.Name)
                         and isinstance(target.ctx, ast.Store)}
+
+    def key(self, param: str) -> tuple[str, str, str]:
+        """``(module, qualname, param)`` of the def that declares it."""
+        return (*self.origin.get(param, (self.module.name, self.qualname)),
+                param)
 
     @property
     def public(self) -> bool:
@@ -597,6 +486,10 @@ class ParamUse:
                             self.sigs[dotted, f"{node.name}.{stmt.name}"] = \
                                 Signature(module, f"{node.name}.{stmt.name}",
                                           stmt, not static)
+        for (dotted, name), node in self.classes.items():
+            if _is_dataclass(node) and name.endswith(CONFIG_SUFFIXES):
+                self.sigs[dotted, f"{name}.__init__"] = self.dataclass_init(
+                    (dotted, name))
         self.methods: dict[str, list[Signature]] = {}
         for sig in self.sigs.values():
             if "." in sig.qualname:
@@ -607,6 +500,10 @@ class ParamUse:
         #: (module, qualname, parameter) -> the defaulted parameters of
         #: src defs that forward their value into it
         self.through: dict[tuple, set[tuple]] = {}
+        #: attribute names callers load, and string literals
+        self.read: set[str] = set()
+        #: (path, class, attribute) of every ``self.<attribute>`` store
+        self.stored: set[tuple[str, str, str]] = set()
         for module in PROJECT.callers:
             _ParamWalk(self, module).visit(module.tree)
         grown = True
@@ -616,6 +513,35 @@ class ParamUse:
                 if key not in self.set and sources & self.set:
                     self.set.add(key)
                     grown = True
+
+    def fields(self, key: tuple[str, str]) -> list[tuple]:
+        """A dataclass's ``(field, default or None, declaring class)``,
+        inherited fields first."""
+        node = self.classes[key]
+        inherited = [item for base in node.bases
+                     for home in self.resolve(key[0], base)
+                     if home in self.classes
+                     and _is_dataclass(self.classes[home])
+                     for item in self.fields(home)]
+        return inherited + [
+            (stmt.target.id, stmt.value, key) for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and "ClassVar" not in ast.unparse(stmt.annotation)]
+
+    def dataclass_init(self, key: tuple[str, str]) -> Signature:
+        """The ``__init__`` signature ``@dataclass`` synthesizes."""
+        fields = self.fields(key)
+        node = ast.FunctionDef(name="__init__", body=[], args=ast.arguments(
+            posonlyargs=[], args=[ast.arg(name) for name, _, _ in fields],
+            kwonlyargs=[], kw_defaults=[], defaults=[
+                default for _, default, _ in fields if default is not None]))
+        sig = Signature(PROJECT.src[key[0]], f"{key[1]}.__init__", node,
+                        False)
+        sig.config = True
+        sig.origin = {name: (home[0], f"{home[1]}.__init__")
+                      for name, _, home in fields if home != key}
+        return sig
 
     def init_of(self, target: tuple[str, str], seen=()) -> list[Signature]:
         """The ``__init__`` a call of class ``target`` runs."""
@@ -645,25 +571,26 @@ class ParamUse:
                    forwarded: tuple | None) -> None:
         if param not in sig.defaults or _same(value, sig.defaults[param]):
             return
-        key = (sig.module.name, sig.qualname, param)
+        key = sig.key(param)
         if forwarded is not None:
             self.through.setdefault(key, set()).add(forwarded)
         else:
             self.set.add(key)
 
     def set_all(self, sig: Signature) -> None:
-        self.set |= {(sig.module.name, sig.qualname, param)
-                     for param in sig.defaults}
+        self.set |= {sig.key(param) for param in sig.defaults}
 
     def unset(self) -> list[tuple[str, str, str]]:
         """``(module, def, parameter)`` of every defaulted parameter of
-        a public src def that no caller passes another value."""
+        a public src def or a config that no caller passes otherwise."""
         found = []
         for (dotted, qualname), sig in self.sigs.items():
             path = sig.module.path.relative_to(SRC).as_posix()
-            if sig.public and (path, qualname) not in ALLOWLIST:
+            if sig.config or (sig.public
+                              and (path, qualname) not in ALLOWLIST):
                 found += [(path, qualname, param) for param in sig.defaults
-                          if (dotted, qualname, param) not in self.set]
+                          if param not in sig.origin
+                          and (dotted, qualname, param) not in self.set]
         return found
 
 
@@ -673,10 +600,7 @@ class _ParamWalk(ast.NodeVisitor):
     def __init__(self, use: ParamUse, module: Module):
         self.use = use
         self.module = module
-        self.binds: dict[str, set] = {}
-        for bound, source, imported in module.imports:
-            self.binds.setdefault(bound, set()).update(
-                PROJECT.resolve(source, imported))
+        self.binds = PROJECT.binds(module)
         self.owner: list[ast.ClassDef] = []     # enclosing classes
         self.scopes: list[tuple[Signature | None, ast.AST]] = []
 
@@ -689,18 +613,10 @@ class _ParamWalk(ast.NodeVisitor):
                 targets.add((self.module.name, node.id))
             return targets
         if isinstance(node, ast.Attribute):
-            return {target for base in self._modules(node.value)
+            return {target
+                    for base in PROJECT.modules_of(self.binds, node.value)
                     for target in PROJECT.resolve(base, node.attr)
                     if target[1] is not None}
-        return set()
-
-    def _modules(self, node: ast.expr) -> set[str]:
-        if isinstance(node, ast.Name):
-            return {target for target, name in self.binds.get(node.id, ())
-                    if name is None}
-        if isinstance(node, ast.Attribute):
-            return {f"{base}.{node.attr}" for base in self._modules(node.value)
-                    if f"{base}.{node.attr}" in PROJECT.src}
         return set()
 
     def _sigs_of(self, target: tuple[str, str]) -> list[Signature]:
@@ -711,7 +627,10 @@ class _ParamWalk(ast.NodeVisitor):
     def callees(self, func: ast.expr) -> list[Signature]:
         use = self.use
         if isinstance(func, ast.Name) and func.id == "cls" and self.owner:
-            return use.init_of((self.module.name, self.owner[-1].name))
+            # a config rebuilt from its own to_dict sets nothing new
+            return [sig for sig in use.init_of((self.module.name,
+                                                self.owner[-1].name))
+                    if not sig.config]
         targets = self._targets(func)
         if targets:
             return [sig for target in targets for sig in self._sigs_of(target)]
@@ -789,6 +708,8 @@ class _ParamWalk(ast.NodeVisitor):
         self.visit(node.target)
 
     def visit_Assign(self, node):
+        if getattr(node.targets[0], "id", None) == "__slots__":
+            return      # a declaration, not a read
         self.generic_visit(node)
         for target in node.targets:
             self._store(target, node.value)
@@ -798,17 +719,34 @@ class _ParamWalk(ast.NodeVisitor):
         self._store(node.target, node.value)
 
     def _store(self, target: ast.expr, value: ast.expr) -> None:
-        if isinstance(target, ast.Attribute) and not (
-                isinstance(target.value, ast.Name)
-                and target.value.id == "self"):
-            for sig in self.use.methods.get("__init__", ()):
-                self.use.pass_value(sig, target.attr, value,
-                                    self.forwarded(value))
+        for node in ast.walk(target):
+            if not (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)):
+                continue
+            if getattr(node.value, "id", None) != "self":
+                for sig in self.use.methods.get("__init__", ()):
+                    self.use.pass_value(sig, node.attr, value,
+                                        self.forwarded(value))
+            elif self.module.name and self.owner:
+                self.use.stored.add(
+                    (self.module.path.relative_to(SRC).as_posix(),
+                     self.owner[-1].name, node.attr))
+
+    def _loads(self, node: ast.AST) -> None:
+        self.use.read |= {sub.attr for sub in ast.walk(node)
+                          if isinstance(sub, ast.Attribute)}
 
     def visit_Call(self, node):
         func = node.func
         builtin_check = getattr(func, "id", None) in ("isinstance",
                                                        "issubclass")
+        if "replace" in (getattr(func, "id", None),
+                         getattr(func, "attr", None)):
+            for kw in node.keywords:
+                for sig in self.use.methods.get("__init__", ()):
+                    if sig.config:
+                        self.use.pass_value(sig, kw.arg, kw.value,
+                                            self.forwarded(kw.value))
         for sig in self.callees(func):
             for index, arg in enumerate(node.args):
                 if isinstance(arg, ast.Starred):
@@ -826,6 +764,7 @@ class _ParamWalk(ast.NodeVisitor):
                                         self.forwarded(kw.value))
         # the callee itself is called, not referenced as a value
         if isinstance(func, ast.Attribute):
+            self.use.read.add(func.attr)
             self.visit(func.value)
         elif not isinstance(func, ast.Name):
             self.visit(func)
@@ -834,45 +773,53 @@ class _ParamWalk(ast.NodeVisitor):
                                                        ast.Attribute,
                                                        ast.Tuple))):
                 self.visit(arg)
+            else:
+                self._loads(arg)
         for kw in node.keywords:
             self.visit(kw.value)
 
     def visit_ExceptHandler(self, node):
+        if node.type is not None:
+            self._loads(node.type)
         for stmt in node.body:
             self.visit(stmt)
 
+    def _read_as_value(self, sigs) -> None:
+        # its caller may pass anything; a config class is a default_factory
+        for sig in sigs:
+            if not sig.config:
+                self.use.set_all(sig)
+
     def visit_Attribute(self, node):
-        # a def or method read as a value: whoever calls it may pass
-        # any parameter
         if isinstance(node.ctx, ast.Load):
+            self.use.read.add(node.attr)
             targets = self._targets(node)
-            if targets:
-                for target in targets:
-                    for sig in self._sigs_of(target):
-                        self.use.set_all(sig)
-            else:
-                for sig in self.use.methods.get(node.attr, ()):
-                    self.use.set_all(sig)
+            self._read_as_value(
+                [sig for target in targets for sig in self._sigs_of(target)]
+                if targets else self.use.methods.get(node.attr, ()))
         self.visit(node.value)
 
     def visit_Name(self, node):
         if isinstance(node.ctx, ast.Load):
-            for target in self._targets(node):
-                for sig in self._sigs_of(target):
-                    self.use.set_all(sig)
+            self._read_as_value([sig for target in self._targets(node)
+                                 for sig in self._sigs_of(target)])
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str):
+            self.use.read.add(node.value)       # getattr(x, "name")
 
     def visit_arg(self, node):
         pass            # an annotation is not a reference
 
 
 @cache
-def params_without_setter() -> list[tuple[str, str, str]]:
-    return ParamUse().unset()
+def param_use() -> ParamUse:
+    return ParamUse()
 
 
 def test_every_defaulted_parameter_has_a_setter():
     flagged = [f"{module}::{qualname}({param}=)"
-               for module, qualname, param in params_without_setter()
+               for module, qualname, param in param_use().unset()
                if (module, qualname, param) not in PARAM_ALLOWLIST]
     assert not flagged, (
         f"{len(flagged)} defaulted parameters of public src defs that no "
@@ -886,5 +833,58 @@ def test_every_allowlisted_parameter_exists_and_is_unset():
     # An entry that gained a caller, or whose parameter is gone, is stale.
     stale = [f"{module}::{qualname}({param}=)"
              for module, qualname, param in PARAM_ALLOWLIST
-             if (module, qualname, param) not in params_without_setter()]
+             if (module, qualname, param) not in param_use().unset()]
     assert not stale, f"parameter allowlist entries that are set: {stale}"
+
+
+# (module, Class.method) -> the one-line reason it stays without a caller.
+METHOD_ALLOWLIST = {
+    ("core/monitor.py", "HostMonitor.waiting_state"): "Table I of the paper",
+    ("core/monitor.py", "HostMonitor.waited_for_source"):
+        "Table I of the paper",
+}
+
+# (module, Class.attribute) -> the one-line reason it is stored unread.
+ATTR_ALLOWLIST: dict[tuple[str, str], str] = {}
+
+#: stdlib base class, as src spells it -> the methods it calls by name
+DISPATCHED = {"ast.NodeVisitor": ("visit_",),
+              "BaseHTTPRequestHandler": ("do_", "log_message")}
+
+
+def uncalled_methods() -> list[str]:
+    """``module::Class.method`` of every public method or property of a
+    src class whose name no caller reads."""
+    use = param_use()
+    return [f"{sig.module.path.relative_to(SRC).as_posix()}::{qualname}"
+            for (dotted, qualname), sig in use.sigs.items()
+            if (name := qualname.partition(".")[2])
+            and not name.startswith("_") and name not in use.read
+            and not any(name.startswith(DISPATCHED.get(ast.unparse(base), ()))
+                        for base in use.classes[
+                            dotted, qualname.partition(".")[0]].bases)]
+
+
+def unread_attributes() -> list[str]:
+    """``module::Class.attribute`` of every ``self.<attribute>`` store
+    in a src class whose name no caller loads."""
+    use = param_use()
+    return [f"{path}::{owner}.{attr}"
+            for path, owner, attr in use.stored if attr not in use.read]
+
+
+@pytest.mark.parametrize("find, allowlist, what", [
+    (uncalled_methods, METHOD_ALLOWLIST, "public methods that no src "
+     "module, benchmark, example or tool reads (delete them"),
+    (unread_attributes, ATTR_ALLOWLIST, "attributes stored on self that no "
+     "src module, benchmark, example or tool reads (delete the store"),
+], ids=["methods", "attributes"])
+def test_every_member_has_a_reader(find, allowlist, what):
+    flagged = [entry for entry in find()
+               if tuple(entry.split("::")) not in allowlist]
+    assert not flagged, (f"{len(flagged)} {what}, or allowlist one with a "
+                         "reason):\n  " + "\n  ".join(flagged))
+    # an entry that gained a reader, or whose member is gone, is stale
+    stale = [entry for entry in allowlist
+             if "::".join(entry) not in find()]
+    assert not stale, f"allowlist entries that are not unread: {stale}"

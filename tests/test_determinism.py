@@ -26,7 +26,7 @@ def run_and_capture(tmp_path, tag):
     system = VedrfolnirSystem(net, runtime)
     recorder = TraceRecorder.attach(net, runtime)
     runtime.start()
-    net.create_flow("h1", "h4", 1_500_000, tag="background").start()
+    net.create_flow("h1", "h4", 1_500_000).start()
     net.run_until_quiet(max_time=ms(100))
     path = tmp_path / f"{tag}.jsonl"
     recorder.write(path)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.perf.golden import GOLDEN_SCENARIOS, capture_digests
+from repro.perf.golden import GOLDEN_SCENARIOS
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_digests.json"
 
@@ -37,8 +37,8 @@ def test_fixture_covers_all_scenarios(golden):
 
 
 @pytest.fixture(scope="module")
-def captured(tmp_path_factory) -> dict:
-    return capture_digests(tmp_path_factory.mktemp("golden"))
+def captured(golden_capture) -> dict:
+    return golden_capture[0]
 
 
 @pytest.mark.parametrize("name", GOLDEN_SCENARIOS)

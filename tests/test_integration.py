@@ -22,7 +22,7 @@ def test_halving_doubling_with_vedrfolnir_and_contention():
                                                            1_200_000))
     system = VedrfolnirSystem(net, runtime)
     runtime.start()
-    bf = net.create_flow("h1", "h8", 4_000_000, tag="background")
+    bf = net.create_flow("h1", "h8", 4_000_000)
     bf.start()
     net.run_until_quiet(max_time=ms(200))
     assert runtime.completed
@@ -48,7 +48,7 @@ def test_all_to_all_diagnosable():
     system = VedrfolnirSystem(net, runtime)
     runtime.start()
     for src in ("h1", "h5"):
-        net.create_flow(src, "h4", 2_000_000, tag="background").start()
+        net.create_flow(src, "h4", 2_000_000).start()
     net.run_until_quiet(max_time=ms(200))
     assert runtime.completed
     diagnosis = system.analyze()
@@ -93,7 +93,7 @@ def test_live_diagnosis_waiting_graph_covers_every_node():
     runtime = CollectiveRuntime(net, ring_allgather(nodes, 300_000))
     system = VedrfolnirSystem(net, runtime)
     runtime.start()
-    net.create_flow("h1", "h4", 2_500_000, tag="background").start()
+    net.create_flow("h1", "h4", 2_500_000).start()
     net.run_until_quiet(max_time=ms(100))
     diagnosis = system.analyze()
     # every collective node appears in the waiting graph
@@ -112,7 +112,7 @@ def test_low_effort_config_still_detects_heavy_anomaly():
         detection=DetectionConfig(detections_per_step=1)))
     runtime.start()
     for src in ("h1", "h5", "h9"):
-        net.create_flow(src, "h4", 3_000_000, tag="background").start()
+        net.create_flow(src, "h4", 3_000_000).start()
     net.run_until_quiet(max_time=ms(200))
     assert runtime.completed
     diagnosis = system.analyze()

@@ -25,8 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.live import LivePipeline, PipelineConfig
-from repro.perf.golden import (GOLDEN_SCENARIOS, golden_anomaly,
-                               golden_ring_allgather)
+from repro.perf.golden import GOLDEN_SCENARIOS, capture_digests
 from repro.traces import read_header, trace_events
 from tests.core.test_kernel_property import everything
 
@@ -35,18 +34,11 @@ FIXTURE = Path(__file__).parent / "fixtures" / "rolling_digests.json"
 CADENCES = (32, 5)
 
 
-def record_golden(directory: Path) -> dict[str, Path]:
-    """Every golden trace, recorded into ``directory``."""
-    traces = {}
-    for name in GOLDEN_SCENARIOS:
-        if name == "ring_allgather_k4":
-            golden_ring_allgather(directory)
-            traces[name] = directory / "ring_allgather_k4.jsonl"
-        else:
-            scenario = name[:-len("_case0")]
-            golden_anomaly(scenario, directory)
-            traces[name] = directory / f"{scenario}.jsonl"
-    return traces
+def golden_traces(directory: Path) -> dict[str, Path]:
+    """Every golden trace ``capture_digests`` recorded into
+    ``directory``, by scenario name."""
+    return {name: directory / f"{name.removesuffix('_case0')}.jsonl"
+            for name in GOLDEN_SCENARIOS}
 
 
 def rolling_digest(path: Path, every: int) -> dict:
@@ -71,15 +63,16 @@ def capture(traces: dict[str, Path]) -> dict:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as directory:
-        captured = capture(record_golden(Path(directory)))
+        capture_digests(Path(directory))
+        captured = capture(golden_traces(Path(directory)))
     FIXTURE.write_text(json.dumps(captured, indent=2, sort_keys=True)
                        + "\n")
     sys.stdout.write(f"wrote {FIXTURE}\n")
 
 
 @pytest.fixture(scope="module")
-def traces(tmp_path_factory) -> dict[str, Path]:
-    return record_golden(tmp_path_factory.mktemp("rolling"))
+def traces(golden_capture) -> dict[str, Path]:
+    return golden_traces(golden_capture[1])
 
 
 @pytest.fixture(scope="module")

@@ -29,7 +29,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.perf.golden import golden_anomaly
 from repro.traces import (read_header, trace_events, write_columnar,
                           write_jsonl)
 
@@ -54,10 +53,9 @@ def frames(call) -> int:
 
 
 @pytest.fixture(scope="module")
-def incast(tmp_path_factory):
+def incast(tmp_path_factory, golden_capture):
     tmp = tmp_path_factory.mktemp("codec-budget")
-    golden_anomaly("incast", tmp)
-    source = tmp / "incast.jsonl"
+    source = golden_capture[1] / "incast.jsonl"
     lines = source.read_text().splitlines()
     records = sum('"kind": "step_record"' in line
                   or '"kind": "switch_report"' in line for line in lines)

@@ -64,7 +64,7 @@ def trace_path(tmp_path_factory):
     VedrfolnirSystem(net, runtime)
     recorder = TraceRecorder.attach(net, runtime)
     runtime.start()
-    net.create_flow("h1", "h4", 1_000_000, tag="background").start()
+    net.create_flow("h1", "h4", 1_000_000).start()
     net.run_until_quiet(max_time=ms(100))
     assert runtime.completed
     path = tmp_path_factory.mktemp("columnar") / "run.jsonl"
@@ -992,13 +992,11 @@ def test_fleet_tenant_bit_equal(trace_path, columnar_path, tmp_path):
     assert digest(trace=str(columnar_path)) == want
 
 
-def test_golden_gate_digest_survives_convert(tmp_path):
+def test_golden_gate_digest_survives_convert(tmp_path, golden_capture):
     """The golden trace_sha256 pin is reachable from the columnar
     form: convert the gate capture and reconstruct the digest."""
-    from repro.perf.golden import golden_ring_allgather
-
-    golden = golden_ring_allgather(tmp_path)
-    src = tmp_path / "ring_allgather_k4.jsonl"
+    golden = golden_capture[0]["ring_allgather_k4"]
+    src = golden_capture[1] / "ring_allgather_k4.jsonl"
     col = write_columnar(src, tmp_path / "gate.vcol")
     assert jsonl_digest(col) == golden["trace_sha256"]
     back = write_jsonl(col, tmp_path / "gate.back.jsonl")

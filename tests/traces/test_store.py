@@ -21,7 +21,7 @@ def recorded_run(tmp_path_factory):
     system = VedrfolnirSystem(net, runtime)
     recorder = TraceRecorder.attach(net, runtime)
     runtime.start()
-    bf = net.create_flow("h1", "h4", 2_500_000, tag="background")
+    bf = net.create_flow("h1", "h4", 2_500_000)
     bf.start()
     net.run_until_quiet(max_time=ms(100))
     assert runtime.completed

@@ -41,7 +41,7 @@ def trace_path(tmp_path_factory):
     VedrfolnirSystem(net, runtime)  # triggers switch telemetry
     recorder = TraceRecorder.attach(net, runtime)
     runtime.start()
-    net.create_flow("h1", "h4", 1_000_000, tag="background").start()
+    net.create_flow("h1", "h4", 1_000_000).start()
     net.run_until_quiet(max_time=ms(100))
     assert runtime.completed
     path = tmp_path_factory.mktemp("stream") / "run.jsonl"
