@@ -12,9 +12,10 @@ Fast-path design (see docs/PERFORMANCE.md for the full contract):
   tuples: ``heapq`` compares them in C (``seq`` is unique, so a
   comparison never reaches the callback), and ``handle`` is the
   cancellable :class:`Event` that :meth:`Simulator.schedule` returned —
-  or ``None`` for :meth:`Simulator.post`, the fire-and-forget verb of
-  the call sites that never cancel or inspect their event (the two
-  per-hop events of every packet among them).
+  or ``None`` for :meth:`Simulator.post` and :meth:`Simulator.post_at`,
+  the fire-and-forget verbs of the call sites that never cancel or
+  inspect their event (every packet-hop; a switch port posts a CONTROL
+  packet's delivery with ``post_at``, docs/ARCHITECTURE.md §2).
 * Events scheduled for *exactly* the current clock reading — zero-delay
   callbacks and back-to-back link transmissions — go to a plain deque
   (``_fifo``) and never touch the heap.  The ordering invariant: any
@@ -177,6 +178,20 @@ class Simulator:
         # exact same-time events take the FIFO lane (seq stays monotone,
         # so draining heap ties first preserves global (time, seq) order)
         if time == now:  # repro: noqa RPR003 - exact-tie detection
+            self._fifo.append((time, next(self._seq), callback, args, None))
+        else:
+            _heappush(self._heap,
+                      (time, next(self._seq), callback, args, None))
+
+    def post_at(self, time: Nanoseconds, callback: Callable[..., None],
+                *args: Any) -> None:
+        """Fire-and-forget :meth:`schedule_at`: :meth:`post`'s body at
+        an absolute time.  A caller that sums a time itself keeps it
+        bit-equal to a chain of relative delays only by adding in the
+        chain's order (``(now + a) + b``, not ``now + (a + b)``)."""
+        if not time >= self.now:
+            self._reject("post_at() time", time)
+        if time == self.now:  # repro: noqa RPR003 - exact-tie detection
             self._fifo.append((time, next(self._seq), callback, args, None))
         else:
             _heappush(self._heap,

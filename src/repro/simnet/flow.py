@@ -88,7 +88,10 @@ class RdmaFlow:
         self._pace_event = None
         self._done = False
         self._started = False
+        #: the pending RTO timer, and when it is really due: progress
+        #: moves only the deadline, the timer re-arms when it fires early
         self._rto_event = None
+        self._rto_deadline = 0.0
 
     # ------------------------------------------------------------------
     @property
@@ -117,13 +120,20 @@ class RdmaFlow:
         rto = self.network.config.rto_ns
         if rto is None or self._done:
             return
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-        self._rto_event = self.network.sim.schedule(rto, self._on_rto)
+        sim = self.network.sim
+        self._rto_deadline = sim.now + rto
+        if self._rto_event is None:
+            self._rto_event = sim.schedule(rto, self._on_rto)
 
     def _on_rto(self) -> None:
         self._rto_event = None
         if self._done:
+            return
+        sim = self.network.sim
+        if sim.now < self._rto_deadline:
+            # progress since this timer was set: wait for the deadline
+            self._rto_event = sim.schedule_at(self._rto_deadline,
+                                              self._on_rto)
             return
         if self._acked_packets < self._next_seq:
             # unacked tail presumed lost (e.g. TTL death in a loop):
@@ -132,7 +142,7 @@ class RdmaFlow:
                 self._next_seq - self._acked_packets
             self._next_seq = self._acked_packets
             self._inflight_bytes = 0
-            self._next_pace_time = self.network.sim.now
+            self._next_pace_time = sim.now
         self._arm_rto()
         self._try_send()
 
@@ -296,10 +306,10 @@ class FlowReceiver:
     def _send_ack(self, ack_seq: int, data_send_time: float,
                   now: float) -> None:
         ack = make_control_packet(
-            KIND_ACK, self._rev_key, self.key.dst, self.key.src,
-            now, payload={"ack_seq": ack_seq,
-                          "data_send_time": data_send_time,
-                          "orig_flow": self.key})
+            KIND_ACK, self._rev_key, self.key.dst, self.key.src, now)
+        ack.ack_seq = ack_seq
+        ack.data_send_time = data_send_time
+        ack.orig_flow = self.key
         self.host.send_packet(ack)
 
     def _maybe_send_cnp(self, now: float) -> None:
@@ -307,6 +317,6 @@ class FlowReceiver:
             return
         self._last_cnp_time = now
         cnp = make_control_packet(
-            PacketKind.CNP, self._rev_key, self.key.dst, self.key.src,
-            now, payload={"orig_flow": self.key})
+            PacketKind.CNP, self._rev_key, self.key.dst, self.key.src, now)
+        cnp.orig_flow = self.key
         self.host.send_packet(cnp)

@@ -90,11 +90,9 @@ class HostNode(Node):
                 self.register_receiver(receiver)
             receiver.on_data(packet)
         elif kind is KIND_ACK:
-            payload = packet.payload
-            sender = self.all_senders.get(payload["orig_flow"])
+            sender = self.all_senders.get(packet.orig_flow)
             if sender is not None:
-                sender.on_ack(payload["ack_seq"],
-                              payload["data_send_time"])
+                sender.on_ack(packet.ack_seq, packet.data_send_time)
         elif kind is PacketKind.CNP:
             self._on_cnp(packet)
         elif kind is PacketKind.NOTIFY:
@@ -106,7 +104,6 @@ class HostNode(Node):
         # REPORT packets never terminate at hosts; ignore anything else
 
     def _on_cnp(self, packet: Packet) -> None:
-        orig = packet.payload["orig_flow"]
-        sender = self.all_senders.get(orig)
+        sender = self.all_senders.get(packet.orig_flow)
         if sender is not None and not sender.completed:
             sender.on_cnp()

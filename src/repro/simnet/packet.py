@@ -8,14 +8,14 @@ modelled in :mod:`repro.simnet.switch`.
 Packets are the highest-volume allocation in the simulator, so
 :class:`Packet` is a ``__slots__`` class (not a dataclass) with a lazy
 ``payload``: the dict only materialises when first touched, which most
-data packets never do.  :func:`intern_flow_key` deduplicates equal
+data packets never do; per-hop and per-ACK state rides in slots.
+:func:`intern_flow_key` deduplicates equal
 5-tuples so flow-keyed dict lookups hit the identity fast path.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import NamedTuple, Optional
 from repro.core.units import Bytes, Nanoseconds
 
@@ -92,8 +92,6 @@ def intern_flow_key(key: FlowKey) -> FlowKey:
     return canonical
 
 
-_packet_ids = itertools.count()
-
 #: Fixed header overhead applied to every packet (Ethernet+IP+UDP+BTH).
 HEADER_BYTES = 66
 
@@ -111,11 +109,17 @@ class Packet:
     carries kind-specific metadata (e.g. polling scope, notification
     budget) and never affects the wire size accounting beyond ``size``.
     ``payload`` allocates lazily on first access.
+
+    ``ingress`` is the port a DATA packet entered its current switch
+    on (PFC accounting at departure).  ACKs carry ``ack_seq``,
+    ``data_send_time`` and ``orig_flow``, CNPs ``orig_flow``; no other
+    kind sets them.
     """
 
     __slots__ = ("kind", "flow", "src", "dst", "size", "priority", "seq",
                  "ecn_capable", "ecn_marked", "ttl", "create_time",
-                 "pkt_id", "_payload")
+                 "ingress", "ack_seq", "data_send_time", "orig_flow",
+                 "_payload")
 
     def __init__(self, kind: PacketKind, flow: Optional[FlowKey],
                  src: str, dst: str, size: int,
@@ -136,7 +140,7 @@ class Packet:
         self.ecn_marked = ecn_marked
         self.ttl = ttl
         self.create_time = create_time
-        self.pkt_id = next(_packet_ids)
+        self.ingress: Optional[int] = None
         self._payload = payload
 
     @property

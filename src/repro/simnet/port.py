@@ -35,6 +35,11 @@ class EgressPort:
       only; CONTROL packets, half of all departures, skip the call).
     * ``on_space(port)`` — fires after any dequeue (hosts use it to
       unblock flows waiting for queue space).
+
+    A port without ``on_space`` (every switch port) has nothing to run
+    when a CONTROL packet finishes serialising: a CONTROL packet it
+    cuts through costs one event, its delivery, and the wire is held
+    until ``_free_at`` instead of by a finish event.
     """
 
     __slots__ = (
@@ -42,7 +47,7 @@ class EgressPort:
         "peer_node_id", "peer_port_id", "deliver_fn",
         "_control_queue", "_data_queue", "data_queue_bytes",
         "control_queue_bytes", "busy", "paused", "_pause_timeout_event",
-        "on_departure", "on_space", "data_queue_cap_bytes",
+        "on_departure", "on_space", "data_queue_cap_bytes", "_free_at",
     )
 
     def __init__(self, sim: "Simulator", node_id: str, port_id: int,
@@ -66,6 +71,8 @@ class EgressPort:
         self.on_departure: Optional[Callable[[Packet], None]] = None
         self.on_space: Optional[Callable[["EgressPort"], None]] = None
         self.data_queue_cap_bytes = data_queue_cap_bytes
+        #: until when a fused CONTROL packet holds the wire
+        self._free_at = 0.0
 
     # ------------------------------------------------------------------
     # queue state
@@ -94,7 +101,8 @@ class EgressPort:
         without the deque round trip.  ``busy`` alone is not enough:
         ``_finish_transmit`` clears it before it runs ``on_space``, and
         a DATA packet offered from inside that hook must not overtake
-        an ACK waiting in the control queue.
+        an ACK waiting in the control queue.  Nor is it while a fused
+        CONTROL packet holds the wire (``now < _free_at``).
         """
         size = packet.size
         data = packet.priority is not PRIO_CONTROL
@@ -102,8 +110,9 @@ class EgressPort:
             cap = self.data_queue_cap_bytes
             if cap is not None and self.data_queue_bytes + size > cap:
                 return False
+        sim = self.sim
         if self.busy or self._control_queue or self._data_queue \
-                or (data and self.paused):
+                or (data and self.paused) or sim.now < self._free_at:
             if data:
                 self._data_queue.append(packet)
                 self.data_queue_bytes += size
@@ -113,18 +122,24 @@ class EgressPort:
             if not self.busy:
                 self._try_transmit()
             return True
-        sim = self.sim
         if sim.sanitizer is not None:
             # the counter the round trip would have raised and lowered
             sim.sanitizer.check_occupancy(
                 self.node_id, self.port_id,
                 "data queue bytes" if data else "control queue bytes",
                 self.data_queue_bytes if data else self.control_queue_bytes)
-        self.busy = True
         # inlined serialization_delay() — identical operation order, so
         # timestamps stay bit-identical while skipping the call overhead
-        sim.post(size * 8.0 / self.bandwidth_bps * SEC,
-                 self._finish_transmit, packet)
+        tx_time = size * 8.0 / self.bandwidth_bps * SEC
+        if data or self.on_space is not None or self.deliver_fn is None:
+            self.busy = True
+            sim.post(tx_time, self._finish_transmit, packet)
+        else:
+            # the finish would only post the delivery: post it now, at
+            # the time the finish would have summed
+            free_at = self._free_at = sim.now + tx_time
+            sim.post_at(free_at + self.delay_ns, self.deliver_fn, packet,
+                        self.peer_port_id)
         return True
 
     def _try_transmit(self) -> None:
@@ -133,6 +148,12 @@ class EgressPort:
         if self.busy:
             return
         sim = self.sim
+        if sim.now < self._free_at:
+            # a fused CONTROL packet is on the wire: serve at its finish
+            if self._control_queue or self._data_queue:
+                self.busy = True
+                sim.post_at(self._free_at, self._wake)
+            return
         if self._control_queue:
             packet = self._control_queue.popleft()
             self.control_queue_bytes -= packet.size
@@ -162,6 +183,11 @@ class EgressPort:
             self.on_space(self)
         if self._control_queue or self._data_queue:
             self._try_transmit()
+
+    def _wake(self) -> None:
+        """The fused CONTROL packet's wire time is over."""
+        self.busy = False
+        self._try_transmit()
 
     # ------------------------------------------------------------------
     # PFC pause state (DATA class only)

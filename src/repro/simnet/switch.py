@@ -65,8 +65,6 @@ class SwitchNode(Node):
         self.upstream_paused: dict[int, bool] = {}
         #: last PAUSE emission per ingress (for quanta refresh)
         self._last_pause_sent: dict[int, float] = {}
-        #: pkt_id -> ingress port, for departure-time accounting
-        self._pkt_ingress: dict[int, int] = {}
         #: forwarding table, flow -> egress port, good for one version
         #: of the routing object (route overrides bump it)
         self._fib: dict[FlowKey, EgressPort] = {}
@@ -108,7 +106,7 @@ class SwitchNode(Node):
             # PFC ingress accounting
             usage = self.ingress_usage.get(ingress_port, 0) + packet.size
             self.ingress_usage[ingress_port] = usage
-            self._pkt_ingress[packet.pkt_id] = ingress_port
+            packet.ingress = ingress_port
             if usage >= self._cfg.pfc_xoff_bytes:
                 self._pause_upstream(ingress_port, usage)
             self.telemetry.on_data_enqueue(
@@ -162,7 +160,7 @@ class SwitchNode(Node):
     def on_packet_departed(self, egress_port_id: int,
                            packet: Packet) -> None:
         """Egress-port DATA departure hook (installed at wiring time)."""
-        ingress_port = self._pkt_ingress.pop(packet.pkt_id, None)
+        ingress_port = packet.ingress
         if ingress_port is None:
             return
         usage = self.ingress_usage.get(ingress_port, 0) - packet.size

@@ -126,7 +126,7 @@ def test_negative_switch_ingress_accounting_is_caught():
     net = Network(build_fat_tree(4), sanitize=True)
     switch = net.switches[sorted(net.switches)[0]]
     packet = make_data_packet(FlowKey("h0", "h1", 1, 4791), 0, 4096, 0.0)
-    switch._pkt_ingress[packet.pkt_id] = 0
+    packet.ingress = 0  # as SwitchNode.receive leaves it
     switch.ingress_usage[0] = 10  # less than the departing packet
     with pytest.raises(InvariantViolation) as excinfo:
         switch.on_packet_departed(0, packet)

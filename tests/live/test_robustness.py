@@ -12,7 +12,7 @@ import pytest
 from repro.collective.ring import ring_allgather
 from repro.collective.runtime import CollectiveRuntime
 from repro.core.system import VedrfolnirSystem
-from repro.live import LivePipeline, PipelineConfig
+from repro.live import LivePipeline
 from repro.live.robustness import (
     CONFIDENCE_FLOOR,
     QUARANTINE_KEEP,

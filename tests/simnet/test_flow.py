@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simnet.network import Network, NetworkConfig
-from repro.simnet.packet import MTU_PAYLOAD_BYTES
+from repro.simnet.packet import MTU_PAYLOAD_BYTES, PacketKind
 from repro.simnet.topology import build_dumbbell
 from repro.simnet.units import gbps, ms, us
 
@@ -159,6 +159,71 @@ def test_rto_recovers_from_blackhole():
     assert net.ttl_drops > 0
     receiver = net.hosts["h2"].receivers[flow.key]
     assert receiver.received_bytes == 30_000
+
+
+def rto_entries(sim, flow) -> int:
+    """Live queue entries that would run ``flow``'s RTO handler."""
+    return sum(1 for _, _, callback, _, event in (*sim._heap, *sim._fifo)
+               if callback == flow._on_rto
+               and (event is None or not event.cancelled))
+
+
+def test_rto_fires_at_last_progress_plus_rto():
+    """The ACK path dies after five ACKs: the sender retransmits exactly
+    ``rto_ns`` after the last ACK that moved its window, although that
+    ACK only moved the deadline and the timer fired once before it."""
+    rto = us(200)
+    net = make_net(rto_ns=rto)
+    flow = net.create_flow("h0", "h2", 30 * MTU_PAYLOAD_BYTES)
+    receiver_host = net.hosts["h2"]
+    send, on_ack, on_rto = \
+        receiver_host.send_packet, flow.on_ack, flow._on_rto
+    acks, progress, fired, retransmits = [], [], [], []
+
+    def lossy_send(packet) -> None:
+        if packet.kind is PacketKind.ACK:
+            acks.append(packet)
+            if len(acks) > 5:
+                return
+        send(packet)
+
+    def watched_on_ack(ack_seq, data_send_time) -> None:
+        before = flow.stats.packets_acked
+        on_ack(ack_seq, data_send_time)
+        if flow.stats.packets_acked > before:
+            progress.append(net.sim.now)
+
+    def watched_on_rto() -> None:
+        fired.append(net.sim.now)
+        before = flow.stats.retransmissions
+        on_rto()
+        if flow.stats.retransmissions > before:
+            retransmits.append(net.sim.now)
+        assert rto_entries(net.sim, flow) <= 1
+
+    receiver_host.send_packet = lossy_send
+    flow.on_ack = watched_on_ack
+    flow._on_rto = watched_on_rto
+    flow.start()
+    net.sim.run(until=ms(1))
+    assert len(acks) > 5 and len(progress) == 5
+    assert fired[0] == rto  # armed at start; progress moved the deadline
+    assert retransmits[0] == progress[-1] + rto
+    assert retransmits[1] == retransmits[0] + rto
+    assert not flow.completed
+
+
+def test_a_completed_flow_leaves_no_live_rto_entry():
+    net = make_net(rto_ns=us(200))
+    live_at_completion = []
+    flow = net.create_flow(
+        "h0", "h2", 50_000, on_sender_complete=lambda f:
+        live_at_completion.append(rto_entries(net.sim, f)))
+    flow.start()
+    net.run_until_quiet(max_time=ms(10))
+    assert flow.completed
+    assert live_at_completion == [0]
+    assert rto_entries(net.sim, flow) == 0
 
 
 def test_flow_rejects_zero_size():

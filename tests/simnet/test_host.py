@@ -44,10 +44,9 @@ def test_unknown_receiver_autocreated(net):
 
 
 def test_ack_for_unknown_flow_ignored(net):
-    stray = make_control_packet(
-        PacketKind.ACK, None, "h0", "h1", 0.0,
-        payload={"orig_flow": FlowKey("h1", "h0", 9, 9),
-                 "ack_seq": 0, "data_send_time": 0.0})
+    stray = make_control_packet(PacketKind.ACK, None, "h0", "h1", 0.0)
+    stray.orig_flow = FlowKey("h1", "h0", 9, 9)
+    stray.ack_seq, stray.data_send_time = 0, 0.0
     net.hosts["h0"].send_packet(stray)
     net.run_until_quiet(max_time=ms(2))  # must not raise
 
@@ -58,9 +57,8 @@ def test_cnp_after_completion_ignored(net):
     net.run_until_quiet(max_time=ms(10))
     assert flow.completed
     rate_before = flow.dcqcn.rc
-    cnp = make_control_packet(
-        PacketKind.CNP, None, "h1", "h0", net.sim.now,
-        payload={"orig_flow": flow.key})
+    cnp = make_control_packet(PacketKind.CNP, None, "h1", "h0", net.sim.now)
+    cnp.orig_flow = flow.key
     net.hosts["h1"].send_packet(cnp)
     net.run_until_quiet(max_time=net.sim.now + ms(2))
     assert flow.dcqcn.rc == rate_before

@@ -67,11 +67,5 @@ def test_packet_rejects_nonpositive_size(key):
         Packet(kind=PacketKind.DATA, flow=key, src="h0", dst="h1", size=0)
 
 
-def test_packet_ids_unique(key):
-    a = make_data_packet(key, 0, 100, 0.0)
-    b = make_data_packet(key, 1, 100, 0.0)
-    assert a.pkt_id != b.pkt_id
-
-
 def test_priority_ordering():
     assert Priority.CONTROL < Priority.DATA
